@@ -52,7 +52,7 @@ from .chains import (
     total_variation_curve,
     trajectory_kl,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, resolve_w_init, run_experiment
 from .regression import (
     AgnosticDeterministic,
     IndependentGaussian,
@@ -119,17 +119,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _random_unit_starts(seeds, dim: int) -> np.ndarray:
-    """One uniformly random unit-norm start per seed, from the init stream."""
-    from .chains import run_generators
-
-    out = np.empty((len(seeds), dim))
-    for i, s in enumerate(seeds):
-        g = run_generators(s)[3].standard_normal(dim)
-        out[i] = g / np.linalg.norm(g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: constant-step bias under state-dependent observation noise
 # ---------------------------------------------------------------------------
@@ -180,7 +169,7 @@ def criterion_2(fast: bool = False) -> CriterionResult:
     seeds = [_SEEDS[2] + i for i in range(R)]
     chain = GaussianARSpec(d, eps)
     problem = make_problem(chain, IndependentGaussian(sigma), w_star=np.zeros(d))
-    w1 = _random_unit_starts(seeds, d)
+    w1 = resolve_w_init("random_unit", problem, seeds)
     out = run_many(
         problem, T, ReplayConfig(buffer_size=B), seeds, w_init=w1, workers=_usable_cpus()
     )
@@ -208,7 +197,7 @@ def criterion_3(fast: bool = False) -> CriterionResult:
     tau = mixing_time(chain).tau_mix
     N = int(20 * d * math.sqrt(tau))
     problem = make_problem(chain, Noiseless(), w_star=np.zeros(d))
-    w1 = _random_unit_starts(seeds, d)
+    w1 = resolve_w_init("random_unit", problem, seeds)
 
     er = run_many(
         problem, 4 * B, ReplayConfig(buffer_size=B), seeds, w_init=w1, checkpoints=[0, N]

@@ -354,7 +354,7 @@ class _Stream:
         return xi.T
 
     def vectors(self, s: np.ndarray) -> np.ndarray:
-        return s if self._states is None else self._states[s]
+        return s if self._states is None else self._states.take(s, axis=0)
 
     def clean(self, s: np.ndarray) -> np.ndarray:
         """Noise-free labels <x, w*> for a block of states.
@@ -369,12 +369,12 @@ class _Stream:
         """
         if self._table is None:
             return np.vecdot(s, self._w_star)
-        return self._table[s]
+        return self._table.take(s)
 
     def labels(self, s: np.ndarray, xi) -> np.ndarray:
         """Observed labels for a block of states; xi is its unit noise."""
         if self._outputs is not None:
-            return self._outputs[s]
+            return self._outputs.take(s)
         y = self.clean(s)
         if xi is not None:
             y = y + self._sigma * xi
@@ -576,6 +576,9 @@ def _rounds(stream: _Stream, nr: int, K: int, coupled: bool):
     """
     s = stream.cursor.take(nr * K)
     s = s.reshape(nr, K, *s.shape[1:]).swapaxes(1, 2)
+    if s.ndim == 3:
+        # finite-chain indices: one contiguous copy here, not one per gather
+        s = np.ascontiguousarray(s)
     xi = stream.noise(nr * K)
     if xi is not None:
         xi = xi.reshape(nr, K, -1).swapaxes(1, 2)

@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.signal import lfilter
 
 from markovsgd.chains import (
@@ -28,6 +30,7 @@ from markovsgd.chains import (
     total_variation_curve,
     trajectory_kl,
 )
+from markovsgd.chains import _R0, _make_walk, _walk_runs, _walk_words
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +540,134 @@ class TestGaussianCursorLayout:
             else:
                 assert got.shape == (n, len(seeds), spec.dim)
                 np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Finite walks against the per-step ufunc reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(cum, U, state):
+    """The per-step ufunc walk, ``next = #{j : u >= cum[state, j]}``: a
+    threshold gather and compare for two states, a row compare and
+    ``add.reduce`` for more.  ``U`` is (n, R); returns the (n, R) states
+    after ``state``."""
+    n, R = U.shape
+    S = cum.shape[0]
+    out = np.empty((n, R), dtype=np.int64)
+    if S == 2:
+        thresh = np.ascontiguousarray(cum[:, 0])  # u >= thresh means "move up"
+        fbuf = np.empty(R)
+        for t in range(n):
+            thresh.take(state, out=fbuf, mode="clip")
+            np.greater_equal(U[t], fbuf, out=out[t], casting="unsafe")
+            state = out[t]
+    else:
+        gbuf = np.empty((R, S))
+        bbuf = np.empty((R, S), dtype=bool)
+        for t in range(n):
+            cum.take(state, axis=0, out=gbuf, mode="clip")
+            np.greater_equal(U[t][:, None], gbuf, out=bbuf)
+            np.add.reduce(bbuf, axis=1, out=out[t])
+            state = out[t]
+    return out
+
+
+def _cumulative_rows(spec):
+    cum = np.cumsum(spec.transition, axis=1)
+    cum /= cum[:, -1:]
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _reference_path(spec, seeds, n, start=None):
+    """n states per run: uniforms stacked per run, the first state from the
+    stationary law (or ``start``), then the reference walk."""
+    U = np.stack([run_generators(s)[0].random(n) for s in seeds], axis=1)
+    if start is None:
+        cpi = np.cumsum(stationary(spec))
+        cpi[-1] = 1.0
+        first = np.searchsorted(cpi, U[0], side="right")
+    else:
+        first = np.full(len(seeds), start, dtype=np.int64)
+    return np.concatenate([first[None], _reference_walk(_cumulative_rows(spec), U[1:], first)])
+
+
+def _random_chain(S, seed):
+    """Dense-ish S-state chain with some zero entries (repeated thresholds);
+    the cycle i -> i+1 keeps it irreducible."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((S, S)) * (rng.random((S, S)) < 0.7)
+    P[np.arange(S), (np.arange(S) + 1) % S] += 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    return FiniteChainSpec(np.eye(S), P)
+
+
+def _cursor_path(spec, seeds, splits, start=None):
+    cur = FinitePathCursor(spec, [run_generators(s)[0] for s in seeds], start=start)
+    blocks = [cur.take(n) for n in splits]
+    assert all(b.shape == (n, len(seeds)) for b, n in zip(blocks, splits))
+    return np.concatenate(blocks)
+
+
+WALK_CHAINS = {
+    2: lambda: make_mc3(2.0, 0.05),
+    3: lambda: _random_chain(3, 0),
+    4: lambda: make_mc0(4, 0.125),
+    6: lambda: make_mci(3, 0.2, 0.1, [1, 0, 1]),
+    9: lambda: _random_chain(9, 1),
+    10: lambda: make_mci(5, 0.3, 0.1, [0, 1, 1, 0, 1]),
+    17: lambda: _random_chain(17, 2),
+}
+
+
+class TestFiniteWalks:
+    """Both finite walks give the per-step reference path bit for bit."""
+
+    @pytest.mark.parametrize("S", sorted(WALK_CHAINS))
+    @pytest.mark.parametrize("R", [1, _R0, _R0 + 1, 64], ids=["R1", "R0", "R0+1", "R64"])
+    @pytest.mark.parametrize("start", [None, 1], ids=["stationary", "start"])
+    def test_cursor_matches_reference(self, S, R, start):
+        spec = WALK_CHAINS[S]()
+        assert spec.num_states == S
+        seeds = [500 + i for i in range(R)]
+        splits = (1, 37, 5, 1, 156)
+        want = _reference_path(spec, seeds, sum(splits), start=start)
+        np.testing.assert_array_equal(_cursor_path(spec, seeds, splits, start=start), want)
+
+    @pytest.mark.parametrize("R", [_R0, _R0 + 1], ids=["per-run", "vectorised"])
+    def test_uniform_equal_to_threshold_moves_past_it(self, R):
+        # dyadic rows, so every cumulative threshold is exact: u == cum[s, j]
+        # counts threshold j (bisect_right and >= agree), nextafter below does not
+        P = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        cum = _cumulative_rows(FiniteChainSpec(np.eye(3), P))
+        b25, b50 = np.nextafter(0.25, 0.0), np.nextafter(0.5, 0.0)
+        column = np.array([0.5, 0.75, 0.25, 0.25, b25, b50, 0.75, 0.5, b50, 0.0, 0.999])
+        U = np.stack([np.roll(column, r) for r in range(R)], axis=1)
+        state = np.arange(R, dtype=np.int64) % 3
+        want = _reference_walk(cum, U, state)
+        np.testing.assert_array_equal(want[:, 0], [1, 2, 1, 1, 0, 0, 2, 2, 1, 0, 2])
+        out = np.empty_like(want)
+        _make_walk(cum[:, :-1], R)(U, state, out)
+        np.testing.assert_array_equal(out, want)
+
+    def test_walk_choice_follows_run_count(self):
+        lead = _cumulative_rows(make_mc0(4, 0.125))[:, :-1]
+        assert _make_walk(lead, _R0).func is _walk_runs
+        assert _make_walk(lead, _R0 + 1).func is _walk_words
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(1, 12),
+        R=st.sampled_from([1, 2, _R0, _R0 + 1, 40]),
+        splits=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.none() | st.integers(0, 11),
+    )
+    def test_takes_concatenate_to_one_take_and_reference(self, S, R, splits, seed, start):
+        spec = _random_chain(S, seed) if S > 1 else FiniteChainSpec(np.eye(1), [[1.0]])
+        start = None if start is None else start % S
+        seeds = [seed + i for i in range(R)]
+        path = _cursor_path(spec, seeds, splits, start=start)
+        np.testing.assert_array_equal(path, _cursor_path(spec, seeds, [sum(splits)], start=start))
+        np.testing.assert_array_equal(path, _reference_path(spec, seeds, sum(splits), start=start))

@@ -12,7 +12,7 @@ from markovsgd.algorithms import (
     ReplayConfig,
     SgdConfig,
 )
-from markovsgd.chains import run_generators
+from markovsgd.chains import GaussianARSpec, run_generators
 from markovsgd.cli import main
 from markovsgd.experiments import (
     ExperimentConfig,
@@ -25,6 +25,7 @@ from markovsgd.experiments import (
     run_experiment,
     sweep,
 )
+from markovsgd.regression import Noiseless, make_problem
 
 
 def sgd_doc(**overrides):
@@ -179,6 +180,20 @@ class TestResolveWInit:
         # per-run determinism through the dedicated init generator
         g = run_generators(11)[3].standard_normal(2)
         np.testing.assert_array_equal(out[0], g / np.linalg.norm(g))
+
+    @pytest.mark.parametrize("criterion", [2, 3])
+    def test_random_unit_rows_pin_replay_criteria_starts(self, criterion):
+        # criteria 2 and 3 start from these rows: 20 seeds, d = 10
+        from markovsgd.acceptance import _SEEDS
+
+        d = 10
+        seeds = [_SEEDS[criterion] + i for i in range(20)]
+        problem = make_problem(GaussianARSpec(d, 0.01), Noiseless(), w_star=np.zeros(d))
+        want = np.empty((len(seeds), d))
+        for i, s in enumerate(seeds):
+            g = run_generators(s)[3].standard_normal(d)
+            want[i] = g / np.linalg.norm(g)
+        np.testing.assert_array_equal(resolve_w_init("random_unit", problem, seeds), want)
 
     def test_vector_rule(self):
         out = resolve_w_init([0.1, 0.2], self._problem(), [0])
