@@ -389,12 +389,16 @@ def _stack_branches(y_full: np.ndarray, y_clean, coupled: bool) -> np.ndarray:
 
 
 class _Checkpoints:
-    """Maps requested sample counts onto an engine's update/round/buffer events."""
+    """Maps requested sample counts onto an engine's update/round/buffer events.
+
+    ``events`` holds the event numbers that carry a checkpoint; engines test
+    ``event in ck.events`` before calling :meth:`record`.
+    """
 
     def __init__(self, steps, to_event, num_events: int, num_runs: int):
         self.steps = None
         self.excess = None
-        self._by_event: dict[int, list[int]] = {}
+        self.events: dict[int, list[int]] = {}
         if steps is None:
             return
         self.steps = np.asarray(sorted(int(s) for s in steps), dtype=np.int64)
@@ -403,10 +407,10 @@ class _Checkpoints:
         self.excess = np.full((len(self.steps), num_runs), np.nan)
         for pos, s in enumerate(self.steps):
             e = min(to_event(int(s)), num_events)
-            self._by_event.setdefault(e, []).append(pos)
+            self.events.setdefault(e, []).append(pos)
 
     def record(self, event: int, problem: Problem, iterate: np.ndarray) -> None:
-        rows = self._by_event.get(event)
+        rows = self.events.get(event)
         if rows:
             val = excess_risk(problem, iterate)
             for pos in rows:
@@ -416,6 +420,63 @@ class _Checkpoints:
 def _block_sizes(num_runs: int, dim: int) -> int:
     """Samples per streamed block, keeping (n, R, d) arrays modest."""
     return max(1, min(65536, _BLOCK_ELEMS // max(1, num_runs * dim)))
+
+
+def _check_finite(W: np.ndarray, triples, samples: int) -> None:
+    """Raise if any weight is no longer finite after ``samples`` stream samples.
+
+    ``W`` has the run axis second, as every engine lays it out.
+    """
+    if np.isfinite(W).all():
+        return
+    r = int(np.argmin(np.isfinite(W).all(axis=(0, *range(2, W.ndim)))))  # first bad run
+    ss = triples[r][0].bit_generator.seed_seq  # the chain child of the run's seed
+    seed = ss.entropy if len(ss.spawn_key) == 1 else f"{ss.entropy}, spawn key {ss.spawn_key[:-1]}"
+    raise FloatingPointError(
+        f"run with seed {seed} diverged: non-finite iterate after {samples} stream samples"
+    )
+
+
+# The least-squares update W <- W - (<W, x> - y) * (step * x), one sample at a
+# time, for the m weight branches of R runs, W (m, R, d).  With one weight
+# row (m = R = 1) the residual is a Python float, because numpy is slow on
+# one-element operands: on a 2-CPU Xeon VM (numpy 2.4) an in-place subtract
+# into a one-element array took 1.7-2.0 us against ~0.5 us on two elements,
+# and the (1, 1, 1) x (1, d) broadcast multiply 1.6-1.9 us.  Both forms
+# evaluate the same dot, the same IEEE subtraction and the same products in
+# the same order, so they give the same bits.
+_LABEL_CHUNK = 4096  # labels converted to a Python list at a time
+
+
+def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray):
+    """Update ``W`` in place on each sample of a block, yielding after each.
+
+    ``X`` holds the block's vectors and ``Xs`` the same scaled by the step
+    size, both ``(n, R, d)``; ``Y`` holds the labels of each weight branch,
+    ``(m, n, R)``.
+    """
+    vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
+    if W.shape[:2] == (1, 1):
+        w, X, Xs = W[0, 0], X[:, 0], Xs[:, 0]
+        p = np.empty_like(w)
+        r0 = np.empty(())
+        for a in range(0, len(X), _LABEL_CHUNK):
+            b = a + _LABEL_CHUNK
+            for x, xs, y in zip(X[a:b], Xs[a:b], Y[0, a:b, 0].tolist()):
+                vecdot(w, x, r0)
+                multiply(r0.item() - y, xs, p)
+                subtract(w, p, w)
+                yield
+    else:
+        P = np.empty_like(W)
+        rbuf = np.empty(W.shape[:2])
+        r3 = rbuf[:, :, None]
+        for x, xs, y in zip(X, Xs, np.ascontiguousarray(Y.transpose(1, 0, 2))):
+            vecdot(W, x, rbuf)
+            subtract(rbuf, y, rbuf)
+            multiply(r3, xs, P)
+            subtract(W, P, W)
+            yield
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +514,10 @@ def _sgd_engine(
     ck = _Checkpoints(checkpoints, lambda n: n, T, R)
     ck.record(0, problem, W[0])
 
+    if start == 0:
+        acc += W  # a full-length window opens on w_0
+    events = ck.events
     block = _block_sizes(R, d)
-    ck_live = bool(ck._by_event)
-    # buffered ufunc form of: resid = vecdot(W, x) - y; W -= resid * (alpha*x)
-    vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    P = np.empty_like(W)
-    rbuf = np.empty(W.shape[:2])
-    r3 = rbuf[:, :, None]
     t = 0
     while t < T:
         n = min(block, T - t)
@@ -467,21 +525,17 @@ def _sgd_engine(
         X = stream.vectors(s)
         Yf = stream.labels(s, stream.noise(n))
         Y = _stack_branches(Yf, stream.clean(s) if coupled else None, coupled)
-        Xs = alpha * X  # pre-scaled update directions for the whole block
-        Yt = np.ascontiguousarray(Y.transpose(1, 0, 2))
-        for k, (x, xs, y) in enumerate(zip(X, Xs, Yt)):
-            step = t + k + 1
-            if step > start:
+        # after update `step`, W is row `step` of the iterate array, and the
+        # window averages rows start .. T-1
+        for step, _ in enumerate(_descend(W, X, alpha * X, Y), t + 1):
+            if start <= step < T:
                 acc += W
-            vecdot(W, x, rbuf)
-            subtract(rbuf, y, rbuf)
-            multiply(r3, xs, P)
-            subtract(W, P, W)
             if keep_iterates:
                 iters[step] = W
-            if ck_live:
+            if step in events:
                 ck.record(step, problem, W[0])
         t += n
+        _check_finite(W, triples, t)
 
     return {
         "estimates": acc / count,
@@ -528,12 +582,8 @@ def _dd_engine(
     ck = _Checkpoints(checkpoints, lambda n: n // K, n_upd, R)
     ck.record(0, problem, W[0])
 
+    events = ck.events
     per_chunk = max(1, _block_sizes(R, d) // K)
-    ck_live = bool(ck._by_event)
-    vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    P = np.empty_like(W)
-    rbuf = np.empty(W.shape[:2])
-    r3 = rbuf[:, :, None]
     s = 0
     while s < n_upd:
         nk = min(per_chunk, n_upd - s)
@@ -541,20 +591,15 @@ def _dd_engine(
         Xk = stream.vectors(kept)
         Yf = stream.labels(kept, stream.noise(nk))
         Y = _stack_branches(Yf, stream.clean(kept) if coupled else None, coupled)
-        Xs = alpha * Xk
-        for k in range(nk):
-            upd = s + k + 1
-            vecdot(W, Xk[k], rbuf)
-            subtract(rbuf, Y[:, k], rbuf)
-            multiply(r3, Xs[k], P)
-            subtract(W, P, W)
-            if start + 1 <= upd <= start + count:
+        for upd, _ in enumerate(_descend(W, Xk, alpha * Xk, Y), s + 1):
+            if upd > start:
                 acc += W
             if keep_iterates:
                 iters[upd] = W
-            if ck_live:
+            if upd in events:
                 ck.record(upd, problem, W[0])
         s += nk
+        _check_finite(W, triples, s * K)
 
     return {
         "estimates": acc / count,
@@ -633,8 +678,8 @@ def _parallel_engine(
     ck = _Checkpoints(checkpoints, lambda n: n // K, n_rounds, R)
     ck.record(0, problem, W[0].mean(axis=1))
 
+    events = ck.events
     rounds_chunk = max(1, _block_sizes(R, d) // K)
-    ck_live = bool(ck._by_event)
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
     P = np.empty_like(W)
     rbuf = np.empty(W.shape[:3])
@@ -655,9 +700,10 @@ def _parallel_engine(
             subtract(W, P, W)
             if keep_iterates:
                 iters[rnd] = W
-            if ck_live:
+            if rnd in events:
                 ck.record(rnd, problem, W[0].mean(axis=1))
         r += nr
+        _check_finite(W, triples, r * K)
 
     reads = None
     if record_reads:
@@ -712,13 +758,8 @@ def _replay_engine(
 
     rr = np.arange(R)
     reads = [] if record_reads else None
+    events = ck.events
     bufs_chunk = max(1, _block_sizes(R, d) // S)
-    ck_live = bool(ck._by_event)
-    # buffered ufunc form of: resid = vecdot(W, x) - y; W -= resid * (eta*x)
-    vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    P = np.empty_like(W)
-    rbuf = np.empty(W.shape[:2])
-    r3 = rbuf[:, :, None]
     j = 0
     while j < n_buf:
         nb = min(bufs_chunk, n_buf - j)
@@ -738,22 +779,18 @@ def _replay_engine(
             Yg = stream.labels(Xg, xi)[None]
             if coupled:
                 Yg = np.stack((Yg[0], stream.clean(Xg), Yg[0]))
-            Xs = eta * Xg
-            Yt = np.ascontiguousarray(Yg.transpose(1, 0, 2))
-            for x, xs, y in zip(Xg, Xs, Yt):
-                vecdot(W, x, rbuf)
-                subtract(rbuf, y, rbuf)
-                multiply(r3, xs, P)
-                subtract(W, P, W)
+            for _ in _descend(W, Xg, eta * Xg, Yg):
+                pass
             if buf >= first_avg:
                 acc += W
             if keep_iterates:
                 iters[buf - 1] = W
-            if ck_live:
+            if buf in events:
                 ck.record(buf, problem, W[0])
             if record_reads:
                 reads.append((buf - 1) * S + u + 1 + picks[:, 0])
         j += nb
+        _check_finite(W, triples, j * S)
 
     return {
         "estimates": acc / count,

@@ -474,14 +474,35 @@ def chain_to_json(spec: ChainSpec) -> dict:
     return doc
 
 
+def check_keys(doc: dict, allowed, what: str) -> None:
+    """Reject a JSON document holding keys outside ``allowed``, listing them."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {what}; allowed: {sorted(allowed)}")
+
+
+# Keys a chain document may hold besides ``kind``, per kind.
+_CHAIN_KEYS = {
+    "gaussian_ar": ("dim", "d", "epsilon"),
+    "finite": ("states", "transition", "outputs", "meta"),
+    "mc3": ("kappa", "delta"),
+    "mc0": ("d", "epsilon"),
+    "mci": ("d", "epsilon", "delta", "bits"),
+    "agnostic_bias": ("epsilon",),
+}
+
+
 def chain_from_json(doc: dict) -> ChainSpec:
     """Inverse of :func:`chain_to_json`; also accepts constructor shorthands.
 
     Besides ``kind: "gaussian_ar" | "finite"``, the shorthand kinds
     ``"mc3" | "mc0" | "mci" | "agnostic_bias"`` expand through the
-    corresponding constructor.
+    corresponding constructor.  A key the kind does not use is an error.
     """
     kind = doc.get("kind")
+    if kind not in _CHAIN_KEYS:
+        raise ValueError(f"unknown chain kind {kind!r}")
+    check_keys(doc, ("kind",) + _CHAIN_KEYS[kind], f"{kind} chain")
     if kind == "gaussian_ar":
         dim = doc.get("dim", doc.get("d"))
         if dim is None:
@@ -500,9 +521,7 @@ def chain_from_json(doc: dict) -> ChainSpec:
         return make_mc0(int(doc["d"]), doc["epsilon"])
     if kind == "mci":
         return make_mci(int(doc["d"]), doc["epsilon"], doc["delta"], doc["bits"])
-    if kind == "agnostic_bias":
-        return make_agnostic_bias_chain(doc["epsilon"])
-    raise ValueError(f"unknown chain kind {kind!r}")
+    return make_agnostic_bias_chain(doc["epsilon"])
 
 
 # ---------------------------------------------------------------------------

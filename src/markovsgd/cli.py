@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise SystemExit(f"error: {exc}")
     except KeyError as exc:
         raise SystemExit(f"error: missing config field {exc}")

@@ -26,7 +26,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import chain_from_json, run_generators
+from .chains import chain_from_json, check_keys, run_generators
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -63,7 +63,14 @@ __all__ = [
     "output_root",
 ]
 
-ALGORITHM_NAMES = ("sgd", "sgd_dd", "parallel_sgd", "sgd_er", "lower_bound_trace")
+# Keys an algorithm block may hold besides ``name`` and ``label``, per name.
+_ALGORITHM_KEYS = {
+    "sgd": ("step_size", "tail_fraction"),
+    "sgd_dd": ("step_size", "tail_fraction", "drop_interval", "log_constant"),
+    "parallel_sgd": ("step_size", "tail_fraction", "num_instances"),
+    "sgd_er": ("buffer_size", "step_size", "drop_prefix", "tail_buffer_fraction"),
+    "lower_bound_trace": ("eta",),
+}
 
 _OUTPUT_ENV = "MARKOVSGD_OUTPUT"
 
@@ -99,8 +106,7 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ValueError("at least one algorithm block is required")
         for doc in self.algorithms:
-            if doc.get("name") not in ALGORITHM_NAMES:
-                raise ValueError(f"unknown algorithm {doc.get('name')!r}")
+            build_algorithm(doc)  # unknown names, keys and values fail at load
         if self.checkpoints is not None:
             pts = list(self.checkpoints)
             if any(int(p) != p or p < 0 for p in pts):
@@ -113,6 +119,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        # the fields, with "algorithm" for a single block
+        check_keys(doc, [f.name for f in fields(cls)] + ["algorithm"], "experiment config")
         doc = dict(doc)
         algos = doc.pop("algorithms", None)
         single = doc.pop("algorithm", None)
@@ -190,42 +198,38 @@ class RunSummary:
 
 
 def build_algorithm(doc: dict):
-    """Typed algorithm config from a JSON block (keyed by ``name``)."""
-    doc = dict(doc)
-    name = doc.pop("name", None)
-    doc.pop("label", None)
+    """Typed algorithm config from a JSON block (keyed by ``name``).
+
+    ``label`` names the series' output files; any key the algorithm does not
+    use is an error.
+    """
+    name = doc.get("name")
+    if name not in _ALGORITHM_KEYS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    check_keys(doc, ("name", "label") + _ALGORITHM_KEYS[name], f"{name} block")
+    if name == "sgd_er":
+        return ReplayConfig(
+            buffer_size=int(doc["buffer_size"]),
+            step_size=float(doc.get("step_size", 0.5)),
+            drop_prefix=int(doc.get("drop_prefix", 0)),
+            tail_buffer_fraction=float(doc.get("tail_buffer_fraction", 0.5)),
+        )
+    if name == "lower_bound_trace":
+        return ("lower_bound_trace", float(doc["eta"]))
+    base = SgdConfig(
+        step_size=float(doc["step_size"]),
+        tail_fraction=float(doc.get("tail_fraction", 0.5)),
+    )
     if name == "sgd":
-        return SgdConfig(
-            step_size=float(doc.pop("step_size")),
-            tail_fraction=float(doc.pop("tail_fraction", 0.5)),
-        )
+        return base
     if name == "sgd_dd":
-        base = SgdConfig(
-            step_size=float(doc.pop("step_size")),
-            tail_fraction=float(doc.pop("tail_fraction", 0.5)),
-        )
-        drop = doc.pop("drop_interval", None)
+        drop = doc.get("drop_interval")
         return DataDropConfig(
             base=base,
             drop_interval=None if drop is None else int(drop),
-            log_constant=float(doc.pop("log_constant", 5.0)),
+            log_constant=float(doc.get("log_constant", 5.0)),
         )
-    if name == "parallel_sgd":
-        base = SgdConfig(
-            step_size=float(doc.pop("step_size")),
-            tail_fraction=float(doc.pop("tail_fraction", 0.5)),
-        )
-        return ParallelConfig(base=base, num_instances=int(doc.pop("num_instances")))
-    if name == "sgd_er":
-        return ReplayConfig(
-            buffer_size=int(doc.pop("buffer_size")),
-            step_size=float(doc.pop("step_size", 0.5)),
-            drop_prefix=int(doc.pop("drop_prefix", 0)),
-            tail_buffer_fraction=float(doc.pop("tail_buffer_fraction", 0.5)),
-        )
-    if name == "lower_bound_trace":
-        return ("lower_bound_trace", float(doc.pop("eta")))
-    raise ValueError(f"unknown algorithm {name!r}")
+    return ParallelConfig(base=base, num_instances=int(doc["num_instances"]))
 
 
 def default_checkpoints(T: int) -> list[int]:
@@ -240,11 +244,25 @@ def default_checkpoints(T: int) -> list[int]:
     return [p for p in seen if p <= T]
 
 
+def _checkpoint_schedule(config: ExperimentConfig) -> list[int]:
+    """The config's checkpoints, or the default schedule for its horizon."""
+    if config.checkpoints is None:
+        return default_checkpoints(config.T)
+    return list(config.checkpoints)
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    """sha256 of the canonical JSON of the semantic fields."""
+    """sha256 of the canonical JSON of the semantic fields.
+
+    Names, series labels, paths and worker counts stay out of it, and the
+    checkpoints enter as the schedule that runs, so an omitted schedule and
+    the default one written out hash the same.
+    """
     doc = config.to_json()
     for key in _NON_SEMANTIC_KEYS:
         doc.pop(key, None)
+    doc["algorithms"] = [{k: v for k, v in a.items() if k != "label"} for a in doc["algorithms"]]
+    doc["checkpoints"] = _checkpoint_schedule(config)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -379,11 +397,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     ``<name>_<algorithm>.csv`` plus a matching ``.json`` summary there (and a
     combined ``<name>.svg`` when ``figure`` is set).
     """
-    checkpoints = (
-        list(config.checkpoints)
-        if config.checkpoints is not None
-        else default_checkpoints(config.T)
-    )
+    checkpoints = _checkpoint_schedule(config)
     outdir = _resolve_output(config.output)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)

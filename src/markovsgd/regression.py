@@ -25,6 +25,7 @@ from .chains import (
     GaussianARSpec,
     chain_from_json,
     chain_to_json,
+    check_keys,
     stationary,
     stationary_covariance,
 )
@@ -288,12 +289,16 @@ def noise_to_json(noise: NoiseModel) -> dict:
 
 
 def noise_from_json(doc: dict) -> NoiseModel:
+    """Inverse of :func:`noise_to_json`; a key the kind does not use is an error."""
     kind = doc.get("kind")
     if kind == "independent_gaussian":
+        check_keys(doc, ("kind", "sigma"), f"{kind} noise")
         return IndependentGaussian(sigma=float(doc["sigma"]))
     if kind == "agnostic":
+        check_keys(doc, ("kind",), f"{kind} noise")
         return AgnosticDeterministic()
     if kind == "noiseless":
+        check_keys(doc, ("kind",), f"{kind} noise")
         return Noiseless()
     raise ValueError(f"unknown noise kind {kind!r}")
 

@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from markovsgd.algorithms import (
     BatchResult,
@@ -24,6 +26,7 @@ from markovsgd.algorithms import (
     sgd_step,
     tail_window,
     theory_drop_prefix,
+    _LABEL_CHUNK,
     _rng_triples,
     _rounds,
     _Stream,
@@ -776,3 +779,198 @@ class TestWorkers:
                 gaussian_problem(), 20, SgdConfig(step_size=0.3), self.SEEDS,
                 w_init=np.zeros((3, 4)), workers=2,
             )
+
+
+# ---------------------------------------------------------------------------
+# One weight row: the Python-float residual form
+# ---------------------------------------------------------------------------
+
+
+def mc0_problem(sigma=0.1, w_star=(0.2, -0.1, 0.4)):
+    noise = Noiseless() if sigma == 0.0 else IndependentGaussian(sigma=sigma)
+    w = np.asarray(w_star, dtype=float)
+    return make_problem(make_mc0(len(w), 0.25), noise, w_star=w)
+
+
+_RUNNERS = {"sgd": run_sgd, "dd": run_sgd_dd, "er": run_sgd_er}
+
+
+def _assert_run_equal(batch, i, one):
+    """Run i of a batch equals the one-seed batch ``one`` bit for bit."""
+    assert batch.estimates[i].tobytes() == one.estimates[0].tobytes()
+    assert batch.final_iterates[i].tobytes() == one.final_iterates[0].tobytes()
+    if one.checkpoint_excess is not None:
+        assert batch.checkpoint_excess[:, i].tobytes() == one.checkpoint_excess[:, 0].tobytes()
+
+
+class TestSingleRow:
+    """An uncoupled run on its own (one weight row) steps with a Python-float
+    residual; batches and coupled runs step with arrays.  Both must agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [
+                ("gaussian", "sgd"),
+                ("gaussian", "dd"),
+                ("gaussian", "er"),
+                ("mc3", "sgd"),
+                ("mc3", "dd"),
+                ("mc0", "sgd"),
+                ("mc0", "dd"),
+            ]
+        ),
+        R=st.integers(1, 5),
+        T=st.integers(8, 150),
+        step=st.floats(0.05, 0.6),
+        tail=st.sampled_from([0.3, 0.5, 1.0]),
+        K=st.integers(1, 4),
+        B=st.integers(1, 6),
+        u=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 8),
+        starts=st.none() | st.integers(0, 2**32 - 1),
+        checkpoints=st.none() | st.lists(st.integers(0, 200), max_size=5),
+    )
+    def test_batch_equals_single_runs(self, case, R, T, step, tail, K, B, u, seed, starts, checkpoints):
+        kind, algo = case
+        problem = {"gaussian": lambda: gaussian_problem(d=3), "mc3": finite_problem, "mc0": mc0_problem}[kind]()
+        if algo == "sgd":
+            cfg = SgdConfig(step_size=step, tail_fraction=tail)
+        elif algo == "dd":
+            cfg = DataDropConfig(SgdConfig(step_size=step, tail_fraction=tail), drop_interval=K)
+        else:
+            cfg = ReplayConfig(buffer_size=B, step_size=step, drop_prefix=u, tail_buffer_fraction=tail)
+        seeds = [seed + i for i in range(R)]
+        rows = None if starts is None else np.random.default_rng(starts).uniform(-1, 1, (R, problem.dim))
+        batch = run_many(problem, T, cfg, seeds, w_init=rows, checkpoints=checkpoints)
+        for i, s in enumerate(seeds):
+            w1 = None if rows is None else rows[i]
+            one = run_many(problem, T, cfg, [s], w_init=w1, checkpoints=checkpoints)
+            _assert_run_equal(batch, i, one)
+            single = _RUNNERS[algo](problem, T, cfg, s, w_init=w1)
+            assert single.estimate.tobytes() == one.estimates[0].tobytes()
+            assert single.iterates[-1].tobytes() == one.final_iterates[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [SgdConfig(step_size=0.3), DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2)],
+        ids=["sgd", "dd"],
+    )
+    def test_one_dimensional_weights(self, cfg):
+        problem = make_problem(make_agnostic_bias_chain(0.2), AgnosticDeterministic())
+        assert problem.dim == 1
+        seeds, cks = [5, 6, 7], [0, 1, 30, 60]
+        batch = run_many(problem, 60, cfg, seeds, checkpoints=cks)
+        for i, s in enumerate(seeds):
+            _assert_run_equal(batch, i, run_many(problem, 60, cfg, [s], checkpoints=cks))
+
+    def test_blocks_longer_than_the_label_chunk(self):
+        problem = finite_problem()
+        cfg = SgdConfig(step_size=0.3)
+        T, seeds = 2 * _LABEL_CHUNK + 3, [13, 14]
+        cks = [_LABEL_CHUNK - 1, _LABEL_CHUNK, _LABEL_CHUNK + 1, T]
+        batch = run_many(problem, T, cfg, seeds, checkpoints=cks)
+        for i, s in enumerate(seeds):
+            _assert_run_equal(batch, i, run_many(problem, T, cfg, [s], checkpoints=cks))
+
+    @pytest.mark.parametrize(
+        "kind,algo",
+        [("gaussian", "sgd"), ("gaussian", "dd"), ("gaussian", "er"), ("mc3", "sgd"), ("mc3", "dd")],
+    )
+    def test_coupled_run_keeps_the_plain_path(self, kind, algo):
+        # a coupled run has three weight rows, so it steps with arrays
+        problem = gaussian_problem(sigma=0.2) if kind == "gaussian" else finite_problem()
+        cfg = {
+            "sgd": SgdConfig(step_size=0.3),
+            "dd": DataDropConfig(SgdConfig(step_size=0.3), drop_interval=3),
+            "er": ReplayConfig(buffer_size=4, drop_prefix=2, step_size=0.3),
+        }[algo]
+        w1 = np.linspace(-0.5, 0.5, problem.dim)
+        plain = _RUNNERS[algo](problem, 48, cfg, 17, w_init=w1)
+        coupled = _RUNNERS[algo](problem, 48, cfg, 17, w_init=w1, coupled=True)
+        assert coupled.iterates.tobytes() == plain.iterates.tobytes()
+        assert coupled.estimate.tobytes() == plain.estimate.tobytes()
+        assert coupled.coupled.check_identity(tol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mc0"])
+    def test_signed_zero_fixed_point(self, kind):
+        w_star = np.array([0.0, -0.0, 0.3, -0.2])
+        if kind == "gaussian":
+            problem = gaussian_problem(sigma=0.0, w_star=w_star)
+        else:
+            problem = mc0_problem(sigma=0.0, w_star=w_star)
+        seeds = [3, 4]
+        for cfg, runner in (
+            (SgdConfig(step_size=0.3), run_sgd),
+            (DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2), run_sgd_dd),
+        ):
+            batch = run_many(problem, 40, cfg, seeds, w_init=w_star)
+            for i, s in enumerate(seeds):
+                single = runner(problem, 40, cfg, s, w_init=w_star)
+                np.testing.assert_array_equal(single.iterates, np.broadcast_to(w_star, single.iterates.shape))
+                if kind == "mc0":
+                    # basis-vector samples only ever subtract +0.0 from the -0.0 weight
+                    assert np.signbit(single.iterates[:, 1]).all()
+                assert batch.final_iterates[i].tobytes() == single.iterates[-1].tobytes()
+                assert batch.estimates[i].tobytes() == single.estimate.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mc3"])
+    def test_checkpoints_at_zero_one_and_horizon(self, kind):
+        problem = gaussian_problem(sigma=0.1) if kind == "gaussian" else finite_problem()
+        T, seeds, cks = 30, [8, 9], [0, 1, 30]
+        cases = [
+            (SgdConfig(step_size=0.3), run_sgd, list(cks)),
+            (DataDropConfig(SgdConfig(step_size=0.3), drop_interval=1), run_sgd_dd, list(cks)),
+        ]
+        if kind == "gaussian":
+            # one-sample buffers: checkpoint t > 0 is after-buffer iterate t - 1
+            cases.append((ReplayConfig(buffer_size=1, step_size=0.3), run_sgd_er, [None, 0, T - 1]))
+        for cfg, runner, rows in cases:
+            batch = run_many(problem, T, cfg, seeds, checkpoints=cks)
+            for i, s in enumerate(seeds):
+                one = run_many(problem, T, cfg, [s], checkpoints=cks)
+                single = runner(problem, T, cfg, s)
+                want = [
+                    excess_risk(problem, np.zeros(problem.dim) if r is None else single.iterates[r])
+                    for r in rows
+                ]
+                assert one.checkpoint_excess[:, 0].tolist() == want
+                assert batch.checkpoint_excess[:, i].tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# Divergence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestDivergence:
+    CONFIGS = [
+        SgdConfig(step_size=50.0),
+        DataDropConfig(SgdConfig(step_size=50.0), drop_interval=2),
+        ParallelConfig(SgdConfig(step_size=50.0), num_instances=4),
+        ReplayConfig(buffer_size=10, step_size=50.0),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["sgd", "dd", "parallel", "er"])
+    def test_diverging_run_raises(self, cfg):
+        problem = gaussian_problem(d=3, sigma=0.1)
+        with pytest.raises(FloatingPointError, match=r"seed 1\b.* after \d+ stream samples"):
+            run_many(problem, 4000, cfg, [1, 2])
+
+    def test_names_the_first_diverging_run(self):
+        # seed 2 starts at w*, a fixed point of a noiseless run; seed 3 diverges
+        problem = gaussian_problem(d=3, sigma=0.0)
+        starts = np.stack([problem.w_star, np.ones(3)])
+        with pytest.raises(FloatingPointError, match=r"seed 3\b"):
+            run_many(problem, 4000, SgdConfig(step_size=50.0), [2, 3], w_init=starts)
+
+    def test_single_run_raises(self):
+        with pytest.raises(FloatingPointError, match=r"seed 1\b"):
+            run_sgd(gaussian_problem(d=3, sigma=0.1), 4000, SgdConfig(step_size=50.0), 1)
+
+    def test_pooled_run_raises(self):
+        problem = gaussian_problem(d=3, sigma=0.1)
+        with pytest.raises(FloatingPointError, match=r"seed 1\b"):
+            run_many(problem, 4000, SgdConfig(step_size=50.0), [1, 2], workers=2)

@@ -389,6 +389,20 @@ class TestChainJson:
         with pytest.raises(ValueError):
             chain_from_json({"kind": "nope"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "mc3", "kappa": 2.0, "delta": 0.05, "epsilon": 0.1},
+            {"kind": "mc0", "d": 4, "epsilon": 0.125, "dim": 4},
+            {"kind": "gaussian_ar", "dim": 3, "epsilon": 0.2, "eps": 0.2},
+            {"kind": "agnostic_bias", "epsilon": 0.25, "delta": 0.1},
+        ],
+        ids=["mc3", "mc0", "gaussian", "bias"],
+    )
+    def test_unknown_key_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown key.*allowed"):
+            chain_from_json(doc)
+
 
 # ---------------------------------------------------------------------------
 # Path cursors

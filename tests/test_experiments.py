@@ -97,6 +97,27 @@ class TestConfig:
         assert config_hash(base) != config_hash(ExperimentConfig.from_json(sgd_doc(seed=8)))
         assert config_hash(base) != config_hash(ExperimentConfig.from_json(sgd_doc(T=201)))
 
+    def test_hash_ignores_series_labels(self):
+        plain = ExperimentConfig.from_json(sgd_doc())
+        labelled = ExperimentConfig.from_json(
+            sgd_doc(algorithms=[{"name": "sgd", "step_size": 0.25, "label": "fast"}])
+        )
+        assert config_hash(plain) == config_hash(labelled)
+
+    def test_hash_resolves_the_default_schedule(self):
+        implicit = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=None))
+        explicit = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=default_checkpoints(1000)))
+        other = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=[100, 1000]))
+        assert config_hash(implicit) == config_hash(explicit)
+        assert config_hash(implicit) != config_hash(other)
+
+    def test_unknown_keys_rejected_at_load(self):
+        with pytest.raises(ValueError, match="num_run.*allowed.*num_runs"):
+            ExperimentConfig.from_json(sgd_doc(num_run=3))
+        blocks = [{"name": "sgd", "step_size": 0.25}, {"name": "sgd_dd", "step_size": 0.25, "drop_intervall": 3}]
+        with pytest.raises(ValueError, match="drop_intervall"):
+            ExperimentConfig.from_json(sgd_doc(algorithms=blocks))
+
 
 class TestBuildAlgorithm:
     def test_sgd(self):
@@ -133,6 +154,29 @@ class TestBuildAlgorithm:
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_algorithm({"name": "adam"})
+
+    def test_misspelt_key_rejected(self):
+        # it would otherwise fall back to the K derived from the mixing time
+        with pytest.raises(ValueError, match="drop_intervall.*allowed.*'drop_interval'"):
+            build_algorithm({"name": "sgd_dd", "step_size": 0.25, "drop_intervall": 3})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": "sgd", "step_size": 0.25, "num_instances": 4},
+            {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4, "buffer_size": 8},
+            {"name": "sgd_er", "buffer_size": 8, "tail_fraction": 0.5},
+            {"name": "lower_bound_trace", "eta": 0.04, "step_size": 0.04},
+        ],
+        ids=["sgd", "parallel", "er", "trace"],
+    )
+    def test_key_of_another_algorithm_rejected(self, doc):
+        with pytest.raises(ValueError, match="allowed"):
+            build_algorithm(doc)
+
+    def test_label_allowed(self):
+        cfg = build_algorithm({"name": "sgd", "step_size": 0.25, "label": "fast"})
+        assert cfg == SgdConfig(step_size=0.25)
 
 
 class TestBuildProblem:
@@ -393,6 +437,14 @@ class TestCli:
     def test_simulate_missing_config(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--config", str(tmp_path / "nope.json")])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_simulate_reports_divergence(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(sgd_doc(algorithms=[{"name": "sgd", "step_size": 50.0}], T=4000)))
+        with pytest.raises(SystemExit, match="error: run with seed 7 diverged"):
+            main(["simulate", "--config", str(cfg)])
 
     def test_mixing(self, tmp_path, capsys):
         chain = tmp_path / "chain.json"

@@ -361,6 +361,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             noise_from_json({"kind": "mystery"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "noiseless", "sigma": 0.1}, {"kind": "independent_gaussian", "sigma": 0.1, "mean": 0.0}],
+        ids=["noiseless", "gaussian"],
+    )
+    def test_noise_unknown_key_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown key.*allowed"):
+            noise_from_json(doc)
+
     def test_problem_roundtrip(self):
         problem = make_problem(
             make_mc3(2.0, 0.05),
