@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, make_cursor, mixing_time, run_generators
+from .chains import GaussianARSpec, _run_generators, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -301,8 +301,8 @@ def _rng_triples(rng, num_runs: int | None = None):
     (one run each).
     """
     if num_runs is None:
-        return [run_generators(rng)[:3]]
-    return [run_generators(s)[:3] for s in rng]
+        return [_run_generators(rng, range(3))]
+    return [_run_generators(s, range(3)) for s in rng]
 
 
 def _initial_weights(problem: Problem, w_init, num_runs: int, coupled: bool) -> np.ndarray:

@@ -540,13 +540,31 @@ def chain_from_json(doc: dict) -> ChainSpec:
 
 def run_generators(seed) -> tuple[np.random.Generator, ...]:
     """The four per-run Philox generators (chain, noise, algorithm, init)."""
+    return _run_generators(seed, range(4))
+
+
+def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
+    """The per-run generators numbered ``children`` (0 chain ... 3 init).
+
+    Child i is the i-th child a first ``SeedSequence.spawn`` gives, derived
+    without spawning: a caller's SeedSequence is never advanced, so it gives
+    the same streams every time it is passed, and children nobody draws from
+    are never built.
+    """
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     elif isinstance(seed, np.random.Generator):
         raise TypeError("pass an integer seed or SeedSequence, not a Generator")
     else:
         ss = np.random.SeedSequence(int(seed))
-    return tuple(np.random.Generator(np.random.Philox(child)) for child in ss.spawn(4))
+    return tuple(
+        np.random.Generator(
+            np.random.Philox(
+                np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i), pool_size=ss.pool_size)
+            )
+        )
+        for i in children
+    )
 
 
 class GaussianPathCursor:

@@ -9,9 +9,15 @@ per-checkpoint mean/stderr/min/max excess-risk curves, written as CSV with
 the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
 (config hash, seed, wall time, tail-averaged-estimator statistics).
 
-Determinism: a config maps to byte-identical outputs for equal seeds.  Runs
-may be split across a process pool (``workers`` field); chunks are merged by
-seed order, so worker count never changes the result.
+Determinism: a config maps to byte-identical outputs for equal seeds.  With
+``workers > 1`` an experiment runs on one process pool: each series' runs are
+split into ``min(workers, num_runs)`` contiguous seed chunks, and every
+series' chunks are submitted at once, so series run side by side -- with
+``num_runs = 1`` too, one chunk per series.  Series are joined in config
+order and their chunks in seed order, so the worker count never changes the
+result; each series writes its files as soon as it joins.  A summary's
+``wall_time_s`` is the longest time one of its chunks took, as timed inside
+the chunk, since overlapping series cannot be timed from the parent.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import chain_from_json, check_keys, run_generators
+from .chains import _run_generators, chain_from_json, check_keys
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -296,7 +302,8 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
         d = problem.dim
         out = np.empty((len(seeds), d))
         for i, s in enumerate(seeds):
-            g = run_generators(s)[3].standard_normal(d)
+            (init,) = _run_generators(s, (3,))
+            g = init.standard_normal(d)
             out[i] = g / np.linalg.norm(g)
         return out
     arr = np.asarray(rule, dtype=float)
@@ -311,7 +318,12 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
 
 
 def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: list):
-    """Run one seed chunk of one algorithm series; picklable for worker pools."""
+    """Run one seed chunk of one algorithm series; picklable for worker pools.
+
+    Returns the per-run estimate excess, the (checkpoints, runs) excess, the
+    per-run discarded sample count and the chunk's own wall seconds.
+    """
+    t0 = time.perf_counter()
     config = ExperimentConfig.from_json(config_doc)
     problem = build_problem(config)
     w_init = resolve_w_init(config.w_init, problem, seeds)
@@ -321,37 +333,19 @@ def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: l
         _, gammas, _ = run_lower_bound_traces(problem, config.T, eta, seeds, w_init=w_init)
         excess = gammas**2 / problem.dim
         steps = np.minimum(np.asarray(checkpoints, dtype=np.int64), config.T)
-        ck_excess = excess[steps]
-        est_excess = excess[config.T]
-        return est_excess, ck_excess, 0
+        return excess[config.T], excess[steps], 0, time.perf_counter() - t0
     result = run_many(
         problem, config.T, algo, seeds, w_init=w_init, checkpoints=checkpoints
     )
     est_excess = excess_risk(problem, result.estimates)
-    return est_excess, result.checkpoint_excess, result.discarded_samples
+    return est_excess, result.checkpoint_excess, result.discarded_samples, time.perf_counter() - t0
 
 
-def _run_series(config: ExperimentConfig, algo_doc: dict, checkpoints: list):
+def _seed_chunks(config: ExperimentConfig) -> list[list[int]]:
+    """Each series' runs as ``min(workers, num_runs)`` contiguous seed chunks."""
     seeds = [config.seed + i for i in range(config.num_runs)]
-    doc = config.to_json()
-    if config.workers > 1 and config.num_runs > 1:
-        n_chunks = min(config.workers, config.num_runs)
-        bounds = np.array_split(np.asarray(seeds), n_chunks)
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            parts = list(
-                pool.map(
-                    _execute_chunk,
-                    itertools.repeat(doc),
-                    itertools.repeat(algo_doc),
-                    [list(map(int, b)) for b in bounds],
-                    itertools.repeat(checkpoints),
-                )
-            )
-        est = np.concatenate([p[0] for p in parts])
-        ck = np.concatenate([p[1] for p in parts], axis=1)
-        discarded = parts[0][2]
-        return est, ck, discarded
-    return _execute_chunk(doc, algo_doc, seeds, checkpoints)
+    parts = np.array_split(np.arange(config.num_runs), min(config.workers, config.num_runs))
+    return [seeds[p[0] : p[-1] + 1] for p in parts]
 
 
 def _aggregate(values: np.ndarray) -> dict:
@@ -390,6 +384,33 @@ def _series_stem(config: ExperimentConfig, algo_doc: dict, taken: set) -> str:
     return stem
 
 
+def _series_summary(
+    config: ExperimentConfig, algo_doc: dict, parts: list, checkpoints: list, digest: str
+) -> RunSummary:
+    """Join one series' chunk results, in seed order, into its summary."""
+    curve = _aggregate(np.concatenate([p[1] for p in parts], axis=1))
+    est = _aggregate(np.concatenate([p[0] for p in parts])[None, :])
+    return RunSummary(
+        algorithm=algo_doc["name"],
+        checkpoints=np.asarray(checkpoints, dtype=np.int64),
+        mean_excess=curve["mean"],
+        stderr=curve["stderr"],
+        min_excess=curve["min"],
+        max_excess=curve["max"],
+        config_hash=digest,
+        seed=config.seed,
+        num_runs=config.num_runs,
+        wall_time=max(p[3] for p in parts),  # series may overlap: the slowest chunk's own time
+        estimator={
+            "mean_excess": float(np.asarray(est["mean"]).reshape(())),
+            "stderr": float(np.asarray(est["stderr"]).reshape(())),
+            "min": float(np.asarray(est["min"]).reshape(())),
+            "max": float(np.asarray(est["max"]).reshape(())),
+        },
+        discarded_samples=int(parts[0][2]),
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     """Execute every algorithm series of the config; returns one summary each.
 
@@ -402,42 +423,40 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     digest = config_hash(config)
+    doc = config.to_json()
+    chunks = _seed_chunks(config)
+    jobs = [
+        (doc, algo_doc, seeds, checkpoints) for algo_doc in config.algorithms for seeds in chunks
+    ]
     summaries = []
     svg_series = []
     taken: set = set()
-    for algo_doc in config.algorithms:
-        t0 = time.perf_counter()
-        est_excess, ck_excess, discarded = _run_series(config, algo_doc, checkpoints)
-        wall = time.perf_counter() - t0
-        curve = _aggregate(ck_excess)
-        est = _aggregate(est_excess[None, :])
-        summary = RunSummary(
-            algorithm=algo_doc["name"],
-            checkpoints=np.asarray(checkpoints, dtype=np.int64),
-            mean_excess=curve["mean"],
-            stderr=curve["stderr"],
-            min_excess=curve["min"],
-            max_excess=curve["max"],
-            config_hash=digest,
-            seed=config.seed,
-            num_runs=config.num_runs,
-            wall_time=wall,
-            estimator={
-                "mean_excess": float(np.asarray(est["mean"]).reshape(())),
-                "stderr": float(np.asarray(est["stderr"]).reshape(())),
-                "min": float(np.asarray(est["min"]).reshape(())),
-                "max": float(np.asarray(est["max"]).reshape(())),
-            },
-            discarded_samples=int(discarded),
-        )
-        if outdir is not None:
-            stem = _series_stem(config, algo_doc, taken)
-            csv_path = os.path.join(outdir, stem + ".csv")
-            write_summary_csv(csv_path, summary)
-            summary.csv_path = csv_path
-            _write_json(os.path.join(outdir, stem + ".json"), summary.to_json())
-            svg_series.append((stem, summary.checkpoints, summary.mean_excess))
-        summaries.append(summary)
+    pool = None
+    if config.workers > 1 and len(jobs) > 1:
+        # The default start method (fork on Linux) hands the workers this
+        # process's modules as they are, including a wrapper installed on
+        # _execute_chunk at run time; the pool never outlives this call.
+        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)))
+    try:
+        if pool is None:
+            parts = itertools.starmap(_execute_chunk, jobs)
+        else:  # every series' chunks in flight at once, joined in seed order
+            futures = [pool.submit(_execute_chunk, *job) for job in jobs]
+            parts = (f.result() for f in futures)
+        for algo_doc in config.algorithms:
+            series = [next(parts) for _ in chunks]
+            summary = _series_summary(config, algo_doc, series, checkpoints, digest)
+            if outdir is not None:
+                stem = _series_stem(config, algo_doc, taken)
+                csv_path = os.path.join(outdir, stem + ".csv")
+                write_summary_csv(csv_path, summary)
+                summary.csv_path = csv_path
+                _write_json(os.path.join(outdir, stem + ".json"), summary.to_json())
+                svg_series.append((stem, summary.checkpoints, summary.mean_excess))
+            summaries.append(summary)
+    finally:
+        if pool is not None:  # after a failed chunk, drop the chunks not yet started
+            pool.shutdown(cancel_futures=True)
     if outdir is not None and config.figure:
         _write_svg(os.path.join(outdir, config.name + ".svg"), svg_series)
     return summaries

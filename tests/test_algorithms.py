@@ -195,6 +195,16 @@ class TestSgd:
             run.estimate, run.iterates[lo : lo + count].mean(axis=0), rtol=1e-13
         )
 
+    def test_seed_sequence_reused_gives_the_same_run(self):
+        problem = finite_problem()
+        ss = np.random.SeedSequence(11)
+        first = run_sgd(problem, 200, SgdConfig(step_size=0.25), ss)
+        second = run_sgd(problem, 200, SgdConfig(step_size=0.25), ss)
+        np.testing.assert_array_equal(first.estimate, second.estimate)
+        assert ss.n_children_spawned == 0
+        by_int = run_sgd(problem, 200, SgdConfig(step_size=0.25), 11)
+        np.testing.assert_array_equal(first.estimate, by_int.estimate)
+
     def test_t_validation(self):
         with pytest.raises(ValueError):
             run_sgd(finite_problem(), 1, SgdConfig(step_size=0.1), 0)

@@ -30,7 +30,7 @@ from markovsgd.chains import (
     total_variation_curve,
     trajectory_kl,
 )
-from markovsgd.chains import _R0, _make_walk, _walk_runs, _walk_words
+from markovsgd.chains import _R0, _make_walk, _run_generators, _walk_runs, _walk_words
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +427,30 @@ class TestCursors:
         # a pre-built SeedSequence is accepted as-is
         via_ss = run_generators(np.random.SeedSequence(42))[0].standard_normal(4)
         np.testing.assert_array_equal(via_ss, again)
+
+    @pytest.mark.parametrize(
+        "make_ss",
+        [
+            lambda: np.random.SeedSequence(42),
+            lambda: np.random.SeedSequence(2**70 + 5, spawn_key=(3, 1), pool_size=8),
+        ],
+    )
+    def test_seed_sequence_is_never_spawned(self, make_ss):
+        ss = make_ss()
+        first = [g.standard_normal(3) for g in run_generators(ss)]
+        second = [g.standard_normal(3) for g in run_generators(ss)]
+        np.testing.assert_array_equal(first, second)
+        assert ss.n_children_spawned == 0
+        # the children of a first spawn, so integer-seeded streams are unchanged
+        spawned = [np.random.Generator(np.random.Philox(c)).standard_normal(3) for c in make_ss().spawn(4)]
+        np.testing.assert_array_equal(first, spawned)
+
+    @pytest.mark.parametrize("children", [(0,), (3,), (0, 1, 2), (2, 0)])
+    def test_generator_subsets_match_the_four(self, children):
+        for seed in (7, np.random.SeedSequence(7)):
+            some = [g.random(4) for g in _run_generators(seed, children)]
+            want = [run_generators(seed)[i].random(4) for i in children]
+            np.testing.assert_array_equal(some, want)
 
     @pytest.mark.parametrize("splits", [(5, 5), (3, 4, 3), (1, 9), (9, 1)])
     def test_gaussian_chunk_invariance(self, splits):

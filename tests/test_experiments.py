@@ -2,10 +2,16 @@
 
 import json
 import os
+import tempfile
+import time
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from markovsgd import experiments
 from markovsgd.algorithms import (
     DataDropConfig,
     ParallelConfig,
@@ -360,6 +366,159 @@ class TestRunExperiment:
         assert s.mean_excess[0] == pytest.approx(0.25, rel=1e-12)
         assert s.mean_excess[2] < s.mean_excess[0]
         assert s.estimator["mean_excess"] == pytest.approx(s.mean_excess[2], rel=1e-12)
+
+
+THREE_SERIES = (
+    {"name": "sgd", "step_size": 0.25},
+    {"name": "sgd_dd", "step_size": 0.25, "drop_interval": 3},
+    {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4},
+)
+
+
+def trace_doc(**overrides):
+    doc = {
+        "chain": {"kind": "gaussian_ar", "dim": 3, "epsilon": 0.9},
+        "noise": {"kind": "noiseless"},
+        "w_star": [0.0, 0.0, 0.0],
+        "w_init": "random_unit",
+        "algorithms": [{"name": "lower_bound_trace", "eta": 0.04}, {"name": "sgd", "step_size": 0.1}],
+        "T": 60,
+        "seed": 3,
+        "checkpoints": [0, 30, 60],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def outputs(outdir: Path) -> dict:
+    """Every file of a run: CSV bytes, and JSON summaries without run-specific fields."""
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            del doc["wall_time_s"], doc["csv"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def pooled_equals_serial(doc: dict, workers: int, root: Path) -> None:
+    serial, pooled = root / "serial", root / "pooled"
+    run_experiment(ExperimentConfig.from_json({**doc, "output": str(serial), "workers": 1}))
+    run_experiment(ExperimentConfig.from_json({**doc, "output": str(pooled), "workers": workers}))
+    assert outputs(pooled) == outputs(serial)
+    assert len(outputs(serial)) == 2 * len(doc["algorithms"])
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records the size of every pool run_experiment starts, and how it stops."""
+    real = experiments.ProcessPoolExecutor
+    log = {"sizes": [], "cancelled": []}
+
+    class Recording(real):
+        def __init__(self, *args, **kwargs):
+            log["sizes"].append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log["cancelled"].append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    return log
+
+
+def diverging_doc(**overrides):
+    # the middle series' step size makes every run blow up
+    doc = {
+        "chain": {"kind": "gaussian_ar", "dim": 3, "epsilon": 0.5},
+        "noise": {"kind": "independent_gaussian", "sigma": 0.1},
+        "w_star": [0.3, -0.2, 0.1],
+        "algorithms": [
+            {"name": "sgd", "step_size": 0.1, "label": "first"},
+            {"name": "sgd", "step_size": 50.0, "label": "bad"},
+            {"name": "sgd", "step_size": 0.1, "label": "last"},
+        ],
+        "T": 4000,
+        "num_runs": 3,
+        "seed": 7,
+    }
+    doc.update(overrides)
+    return doc
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("num_runs", [1, 2, 3, 5])
+    def test_pooled_equals_serial(self, tmp_path, num_runs, workers):
+        doc = sgd_doc(algorithms=list(THREE_SERIES), num_runs=num_runs)
+        pooled_equals_serial(doc, workers, tmp_path)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("num_runs", [1, 4])
+    def test_trace_series_pooled_equals_serial(self, tmp_path, num_runs, workers):
+        pooled_equals_serial(trace_doc(num_runs=num_runs), workers, tmp_path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        num_runs=st.sampled_from([1, 2, 3, 5]),
+        workers=st.sampled_from([2, 3, 4]),
+        series=st.lists(st.sampled_from(range(3)), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32),
+        T=st.integers(8, 120),  # parallel_sgd needs T >= 2K
+    )
+    def test_worker_count_never_changes_outputs(self, num_runs, workers, series, seed, T):
+        doc = sgd_doc(
+            algorithms=[THREE_SERIES[i] for i in series],
+            num_runs=num_runs,
+            seed=seed,
+            T=T,
+            checkpoints=None,
+        )
+        with tempfile.TemporaryDirectory() as root:
+            pooled_equals_serial(doc, workers, Path(root))
+
+    @pytest.mark.parametrize(
+        "num_runs, workers, series, sizes",
+        [
+            (2, 2, 3, [2]),  # six chunks on one pool of two
+            (5, 3, 3, [3]),
+            (1, 4, 3, [3]),  # one run per series: the series run side by side
+            (3, 1, 3, []),  # serial
+            (1, 4, 1, []),  # a single chunk
+        ],
+    )
+    def test_one_pool_per_experiment(self, pools, num_runs, workers, series, sizes):
+        doc = sgd_doc(algorithms=list(THREE_SERIES[:series]), num_runs=num_runs, workers=workers)
+        run_experiment(ExperimentConfig.from_json(doc))
+        assert pools["sizes"] == sizes
+
+    def test_wall_time_is_the_slowest_chunk(self, tmp_path):
+        for workers in (1, 2):
+            t0 = time.perf_counter()
+            summaries = run_experiment(
+                ExperimentConfig.from_json(sgd_doc(algorithms=list(THREE_SERIES), workers=workers))
+            )
+            elapsed = time.perf_counter() - t0
+            for s in summaries:
+                assert 0.0 < s.wall_time < elapsed
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_chunk_stops_the_experiment(self, tmp_path, pools, workers):
+        with pytest.raises(FloatingPointError) as serial:
+            run_experiment(ExperimentConfig.from_json(diverging_doc()))
+        outdir = tmp_path / "out"
+        with pytest.raises(FloatingPointError) as pooled:
+            run_experiment(ExperimentConfig.from_json(diverging_doc(output=str(outdir), workers=workers)))
+        assert str(pooled.value) == str(serial.value)
+        assert str(serial.value).startswith("run with seed 7 diverged")
+        # the series joined before the failure keep their files; no later one writes
+        assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
+        assert pools["cancelled"] == ([True] if workers > 1 else [])
 
 
 class TestCsvRoundTrip:
