@@ -1,0 +1,91 @@
+/*
+ * The least-squares update loop of markovsgd.algorithms, compiled.
+ *
+ * markovsgd/_kernel.py builds this file on first use with
+ *     cc -O2 -fPIC -shared -ffp-contract=off
+ * and never with -ffast-math: every operation below must round exactly as
+ * the numpy loop in algorithms._descend does, so no product may be fused
+ * into an FMA and no sum reassociated.  The dot product is not computed
+ * here.  The caller passes the ddot of numpy's own BLAS, the function
+ * np.vecdot calls for float64 rows, and its result is added to 0.0 as
+ * numpy's dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
+ */
+#include <math.h>
+#include <stdint.h>
+
+typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+
+/* <x, y> of n doubles exactly as np.vecdot computes it. */
+double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const double *y, int64_t incy)
+{
+    return 0.0 + ddot(n, x, incx, y, incy);
+}
+
+/*
+ * Apply n updates to the weights w, one sample at a time.
+ *
+ * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
+ * runs of K instances.  Element j of sample i of instance (r, k) is
+ * x[i*xn + r*xr + k*xk + j*xd]; the label of branch b is
+ * y[b*ym + i*yn + r*yr + k*yk].  Strides count doubles, and xd > 0.
+ *
+ * Each row takes res = <w, x> - y and then
+ *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
+ *     scaled: w_j = w_j - (res * alpha) * x_j       (parallel SGD)
+ * After update i, every weight is added into acc when lo <= i < hi.
+ *
+ * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
+ * run r non-finite, bad[r] becomes first + i and the run is not updated
+ * again; the loop returns early once every run is marked.
+ */
+void msgd_advance(ddot_fn ddot, double *w, double *acc,
+                  int64_t m, int64_t R, int64_t K, int64_t d,
+                  const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
+                  const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                  int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
+                  int64_t *bad, int64_t first)
+{
+    const int64_t size = m * R * K * d;
+    int64_t nbad = 0;
+    for (int64_t r = 0; r < R; r++) {
+        nbad += bad[r] >= 0;
+    }
+    for (int64_t i = 0; i < n && nbad < R; i++) {
+        for (int64_t r = 0; r < R; r++) {
+            if (bad[r] >= 0) {
+                continue;
+            }
+            int finite = 1;
+            for (int64_t b = 0; b < m; b++) {
+                for (int64_t k = 0; k < K; k++) {
+                    double *row = w + ((b * R + r) * K + k) * d;
+                    const double *xv = x + i * xn + r * xr + k * xk;
+                    double res = (0.0 + ddot(d, row, 1, xv, xd)) - y[b * ym + i * yn + r * yr + k * yk];
+                    if (scaled) {
+                        res = res * alpha;
+                        for (int64_t j = 0; j < d; j++) {
+                            double v = row[j] - res * xv[j * xd];
+                            row[j] = v;
+                            finite &= isfinite(v) != 0;
+                        }
+                    } else {
+                        for (int64_t j = 0; j < d; j++) {
+                            double v = row[j] - res * (alpha * xv[j * xd]);
+                            row[j] = v;
+                            finite &= isfinite(v) != 0;
+                        }
+                    }
+                }
+            }
+            if (!finite) {
+                bad[r] = first + i;
+                nbad++;
+            }
+        }
+        if (acc != 0 && lo <= i && i < hi) {
+            for (int64_t j = 0; j < size; j++) {
+                acc[j] += w[j];
+            }
+        }
+    }
+}

@@ -1,0 +1,343 @@
+"""Build, cache and load the compiled update loop (``_kernel.c``).
+
+The engines in :mod:`markovsgd.algorithms` advance their weights through
+:func:`load`; that module imports this one on first use.  The first call on
+a machine compiles ``_kernel.c`` with the system ``cc`` into a per-user
+cache (``$XDG_CACHE_HOME/markovsgd/``, by default ``~/.cache/markovsgd/``,
+or a private directory under the system temporary directory when that one
+is not writable), keyed by the sha256 of the source, the flags and
+``cc --version``, and loads it with :mod:`ctypes`.  Later processes load the
+cached file without starting a process.
+
+The loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
+``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
+for bit.  Before the loop first runs at a dimension, :meth:`Kernel.usable`
+checks that ``ddot`` agrees with ``np.vecdot`` there.  When there is no
+compiler, no such ``ddot``, or a disagreement, :func:`load` returns None, the
+engines run the numpy loop, and one ``RuntimeWarning`` says why.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# -ffp-contract=off: no fused multiply-adds, so each product rounds as numpy's does
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# ILP64 CBLAS ddot in numpy's OpenBLAS builds: (n, x, incx, y, incy), 64-bit ints
+_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+
+class _Unavailable(Exception):
+    """The compiled loop cannot be used in this process; the message says why."""
+
+
+class Kernel:
+    """The loaded library, the BLAS ``ddot`` it calls, and the checked dimensions."""
+
+    def __init__(self, lib, blas, ddot: int, path: str, blas_name: str):
+        self._lib = lib
+        self._blas = blas  # keeps the BLAS handle, and so ddot, alive
+        self._ddot = ddot
+        self.path = path
+        self.blas_name = blas_name
+        self.mismatch = False
+        self._checked: set[int] = set()
+        self._dot = lib.msgd_dot
+        self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
+        self._dot.restype = ctypes.c_double
+        self._advance = lib.msgd_advance
+        self._advance.argtypes = (
+            (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
+            + (_PTR, _I64, _I64, _I64, _I64)
+            + (_PTR, _I64, _I64, _I64, _I64)
+            + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
+        )
+        self._advance.restype = None
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
+        """``<x, y>`` of two contiguous float64 vectors, as the loop computes it."""
+        if x.shape != y.shape or x.ndim != 1 or not (_is_f64(x, contiguous=True) and _is_f64(y, contiguous=True)):
+            raise ValueError("dot takes two contiguous float64 vectors of one length")
+        return self._dot(self._ddot, len(x), x.ctypes.data, 1, y.ctypes.data, 1)
+
+    def usable(self, d: int) -> bool:
+        """Whether the loop reproduces numpy at dimension d; probes d once.
+
+        The probe compares :meth:`dot` with ``np.vecdot`` bit for bit on
+        fixed vectors of widely spread scales, signed zeros among them.  A
+        mismatch at any dimension retires the kernel for the process.
+        """
+        if d not in self._checked and not self.mismatch:
+            # only the ufuncs the engines use, so a worker pages in no new code
+            i = np.arange(64.0 * d).reshape(64, d)
+            scale = np.array([[2.0 ** (7 * k % 61 - 30)] for k in range(64)])
+            a = (0.618 * i - 19.7 * d) * scale
+            b = (7.3 - 1.414 * i) * scale[::-1]
+            a[0], b[0] = -0.0, 1.0  # a -0.0 dot, which numpy reads as +0.0
+            want = np.vecdot(a, b)
+            got = np.array([self.dot(x, y) for x, y in zip(a, b)])
+            if got.tobytes() == want.tobytes():
+                self._checked.add(d)
+            else:
+                self.mismatch = True
+                warnings.warn(
+                    f"markovsgd: {self.blas_name} disagrees with np.vecdot at dimension {d}; "
+                    "the engines run the numpy update loop",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        return not self.mismatch
+
+    def advance(self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int) -> None:
+        """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
+
+        ``W`` and ``acc`` are contiguous ``(m, *runs, d)``, ``X`` is
+        ``(n, *runs, d)`` and ``Y`` is ``(m, n, *runs)``, where ``runs`` is
+        ``(R,)`` or ``(R, K)``; X and Y may be strided views.  ``bad`` is
+        a contiguous int64 ``(R,)``: -1 for a finite run, else the number
+        (counted from ``first`` for this call's first update) of the update
+        that left the run non-finite, after which it is not updated.
+        """
+        m, *runs, d = W.shape
+        n = len(X)
+        if not (
+            _is_f64(W, contiguous=True)
+            and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
+            and X.shape == (n, *runs, d)
+            and Y.shape == (m, n, *runs)
+            and _is_f64(X)
+            and _is_f64(Y)
+            and len(runs) in (1, 2)
+            and bad.shape == (runs[0],)
+            and bad.dtype == np.int64
+            and bad.flags.c_contiguous
+        ):
+            raise ValueError("advance: arrays of mismatched shape, dtype or layout")
+        if n == 0:
+            return
+        xs = [s // 8 for s in X.strides]
+        ys = [s // 8 for s in Y.strides]
+        if len(runs) == 1:  # one instance per run
+            runs = [runs[0], 1]
+            xs.insert(2, 0)
+            ys.append(0)
+        if d == 1:
+            xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
+        if xs[3] <= 0:
+            raise ValueError("advance: sample vectors need a positive element stride")
+        self._advance(
+            self._ddot,
+            W.ctypes.data,
+            None if acc is None else acc.ctypes.data,
+            m,
+            *runs,
+            d,
+            X.ctypes.data,
+            *xs,
+            Y.ctypes.data,
+            *ys,
+            n,
+            lo,
+            hi,
+            alpha,
+            bool(scaled),
+            bad.ctypes.data,
+            first,
+        )
+
+
+def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
+    if a.dtype != np.float64 or any(s % 8 for s in a.strides):
+        return False
+    return a.flags.c_contiguous or not contiguous
+
+
+@functools.cache
+def library() -> Kernel | None:
+    """This process's kernel, built or loaded on the first call; None if unusable.
+
+    A failure is reported once, as a ``RuntimeWarning``.
+    """
+    try:
+        return _open()
+    except (_Unavailable, OSError) as exc:  # OSError: the cache could not be written
+        warnings.warn(
+            f"markovsgd: compiled update loop unavailable ({exc}); the engines run the numpy loop",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+
+
+def load(d: int) -> Kernel | None:
+    """The kernel, when it may advance weights of dimension d; None for numpy."""
+    kern = library()
+    return kern if kern is not None and kern.usable(d) else None
+
+
+def info() -> dict:
+    """Which update loop the engines take here, with the library and BLAS used."""
+    kern = library()
+    if kern is None:
+        return {"path": "numpy", "cache": None, "blas": None}
+    return {"path": "numpy" if kern.mismatch else "c", "cache": kern.path, "blas": kern.blas_name}
+
+
+def _open() -> Kernel:
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _Unavailable("no C compiler 'cc' on PATH")
+    blas, ddot, blas_name = _find_ddot()
+    cache = _cache_dir()
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise _Unavailable(f"cannot read the kernel source: {exc}") from exc
+    version = _compiler_version(cc, cache)
+    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS).encode(), version])).hexdigest()
+    path = os.path.join(cache, f"kernel-{key[:24]}.so")
+    if not _intact(path):  # not built yet, or damaged
+        _build(cc, path)
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        raise _Unavailable(f"cannot load {path}: {exc}") from exc
+    return Kernel(lib, blas, ddot, path, blas_name)
+
+
+def _compiler_version(cc: str, cache: str) -> bytes:
+    """``cc --version``, remembered in the cache per compiler binary.
+
+    The output is filed under the binary's path, size, mtime and inode, so
+    a process with a warm cache starts no subprocess.  (Linux counts a
+    child's peak memory from its parent's size at the fork, so each one
+    would read as another copy of the caller in ``RUSAGE_CHILDREN``.)
+    """
+    real = os.path.realpath(cc)
+    try:
+        st = os.stat(real)
+    except OSError as exc:
+        raise _Unavailable(f"cannot stat {real}: {exc}") from exc
+    ident = hashlib.sha256(f"{real}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ino}".encode()).hexdigest()
+    memo = os.path.join(cache, f"cc-{ident[:24]}.version")
+    try:
+        with open(memo, "rb") as fh:
+            return fh.read()
+    except OSError:
+        pass
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True, check=True, timeout=60).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"'cc --version' failed: {exc}") from exc
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=".version-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(version)
+        os.replace(tmp, memo)  # atomic, as in _build
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return version
+
+
+def _intact(path: str) -> bool:
+    """Whether a cached library holds every byte its ELF headers map.
+
+    dlopen maps a library's segments without checking them against the file
+    size, so loading a truncated file kills the process with SIGBUS instead
+    of failing.  Only Linux (64-bit little-endian ELF) files are checked.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return False
+    if not sys.platform.startswith("linux"):
+        return True
+    if len(data) < 64 or data[:6] != b"\x7fELF\x02\x01":
+        return False
+    phoff, shoff = struct.unpack_from("<QQ", data, 0x20)
+    phentsize, phnum, shentsize, shnum = struct.unpack_from("<HHHH", data, 0x36)
+    if phoff + phnum * phentsize > len(data) or shoff + shnum * shentsize > len(data):
+        return False
+    for i in range(phnum):
+        offset = struct.unpack_from("<Q", data, phoff + i * phentsize + 8)[0]
+        filesz = struct.unpack_from("<Q", data, phoff + i * phentsize + 32)[0]
+        if offset + filesz > len(data):
+            return False
+    return True
+
+
+def _find_ddot():
+    """numpy's bundled OpenBLAS and the address of its ILP64 ``cblas_ddot``."""
+    pkg = os.path.dirname(os.path.abspath(np.__file__))
+    candidates = []
+    for folder in (os.path.join(os.path.dirname(pkg), "numpy.libs"), os.path.join(pkg, ".dylibs")):
+        if os.path.isdir(folder):
+            candidates += sorted(os.path.join(folder, f) for f in os.listdir(folder) if "openblas" in f)
+    for lib_path in candidates:
+        try:
+            blas = ctypes.CDLL(lib_path)
+        except OSError:
+            continue
+        for name in _DDOT_SYMBOLS:
+            try:
+                fn = getattr(blas, name)
+            except AttributeError:
+                continue
+            return blas, ctypes.cast(fn, ctypes.c_void_p).value, f"{lib_path}:{name}"
+    raise _Unavailable("no ILP64 cblas ddot in numpy's bundled OpenBLAS")
+
+
+def _cache_dir() -> str:
+    """A directory only this user can write to, created if need be."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid()
+    for path in (os.path.join(base, "markovsgd"), os.path.join(tempfile.gettempdir(), f"markovsgd-{uid}")):
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.stat(path)
+        except OSError:
+            continue
+        # a library loaded from here runs as this user: nobody else may write here
+        if st.st_uid == uid and not st.st_mode & 0o022 and os.access(path, os.W_OK | os.X_OK):
+            return path
+    raise _Unavailable("no private writable cache directory")
+
+
+def _build(cc: str, path: str) -> None:
+    """Compile into a temporary file and rename it over ``path``.
+
+    The rename is atomic, so processes building at once each put a whole
+    library in place and a reader never sees a partial one.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run(
+                [cc, *_FLAGS, "-o", tmp, _SOURCE], capture_output=True, text=True, timeout=300
+            )
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _Unavailable(f"cc failed: {exc}") from exc
+        if proc.returncode != 0:
+            raise _Unavailable(f"cc failed: {proc.stderr.strip()[-400:]}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -23,7 +23,10 @@ batched experiment runs produce bitwise-identical paths for equal seeds.
 Tail-average windows follow the algorithm displays exactly; see
 :func:`tail_window` and the per-runner docstrings for the frozen index
 conventions.  Every update rule uses the descent sign
-``w <- w - step * (<x, w> - y) x``.
+``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
+kernel (``_kernel.c``, built on first use and cached; see
+:func:`kernel_info`) that gives the same bits as the numpy loop, which runs
+instead when every iterate is kept or the kernel is unavailable.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
 spawned from its seed -- see :func:`markovsgd.chains.run_generators`.  Noise
@@ -76,6 +79,7 @@ __all__ = [
     "run_lower_bound_trace",
     "run_many",
     "run_lower_bound_traces",
+    "kernel_info",
 ]
 
 # Target number of array elements per streamed (samples, runs, dim) block.
@@ -448,15 +452,16 @@ def _check_finite(W: np.ndarray, triples, samples: int) -> None:
 _LABEL_CHUNK = 4096  # labels converted to a Python list at a time
 
 
-def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray):
+def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray, scale=None):
     """Update ``W`` in place on each sample of a block, yielding after each.
 
     ``X`` holds the block's vectors and ``Xs`` the same scaled by the step
-    size, both ``(n, R, d)``; ``Y`` holds the labels of each weight branch,
-    ``(m, n, R)``.
+    size, both ``(n, *runs, d)``; ``Y`` holds the labels of each weight
+    branch, ``(m, n, *runs)``.  With ``scale``, the residual is multiplied
+    by it before the (then unscaled) ``Xs``: parallel SGD's ``(step * r) * x``.
     """
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    if W.shape[:2] == (1, 1):
+    if scale is None and W.shape[:-1] == (1, 1):
         w, X, Xs = W[0, 0], X[:, 0], Xs[:, 0]
         p = np.empty_like(w)
         r0 = np.empty(())
@@ -469,14 +474,70 @@ def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray):
                 yield
     else:
         P = np.empty_like(W)
-        rbuf = np.empty(W.shape[:2])
-        r3 = rbuf[:, :, None]
-        for x, xs, y in zip(X, Xs, np.ascontiguousarray(Y.transpose(1, 0, 2))):
+        rbuf = np.empty(W.shape[:-1])
+        r3 = rbuf[..., None]
+        for x, xs, y in zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0))):
             vecdot(W, x, rbuf)
             subtract(rbuf, y, rbuf)
+            if scale is not None:
+                multiply(rbuf, scale, rbuf)
             multiply(r3, xs, P)
             subtract(W, P, W)
             yield
+
+
+def _load_kernel(d: int):
+    """The compiled kernel for weights of dimension d, or None for the numpy loop.
+
+    :mod:`markovsgd._kernel` is imported here, on first use, so that
+    importing the package neither compiles nor loads anything.
+    """
+    from . import _kernel
+
+    return _kernel.load(d)
+
+
+def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None, scaled=False):
+    """Apply a block's updates to ``W`` in place, yielding at events.
+
+    Sample i of ``X`` ``(n, *runs, d)``, with labels ``Y[:, i]``
+    ``(m, n, *runs)``, drives update ``first + i + 1``.  After update s, W
+    is added into ``acc`` when ``window[0] <= s < window[1]`` and stored in
+    ``iters[s]`` when ``iters`` is given.  The generator yields s after each
+    update s in ``events``.  ``scaled`` selects parallel SGD's
+    ``(alpha * r) * x`` order over ``r * (alpha * x)``.
+
+    The compiled kernel does the work, unless every iterate must be stored
+    or the kernel is unavailable (see :mod:`markovsgd._kernel`); then
+    :func:`_descend` does, with the same bits.  The kernel stops each run at
+    the first update that leaves one of its weights non-finite; the
+    generator then yields no more events, but at the end yields that update
+    for the first such run.
+    """
+    lo, hi = window
+    kern = None if iters is not None else _load_kernel(W.shape[-1])
+    if kern is None:
+        Xs = X if scaled else alpha * X
+        for s, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
+            if lo <= s < hi:
+                acc += W
+            if iters is not None:
+                iters[s] = W
+            if s in events:
+                yield s
+        return
+    bad = np.full(W.shape[1], -1, dtype=np.int64)  # per run: the update that made it non-finite
+    end = first + len(X)
+    a = first
+    for b in sorted({e for e in events if first < e < end} | {end}):
+        # kernel update i is update a + i + 1
+        seg = slice(a - first, b - first)
+        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1)
+        if b in events and bad.max() < 0:
+            yield b
+        a = b
+    if bad.max() >= 0:
+        yield int(bad[bad >= 0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +577,6 @@ def _sgd_engine(
 
     if start == 0:
         acc += W  # a full-length window opens on w_0
-    events = ck.events
     block = _block_sizes(R, d)
     t = 0
     while t < T:
@@ -527,13 +587,9 @@ def _sgd_engine(
         Y = _stack_branches(Yf, stream.clean(s) if coupled else None, coupled)
         # after update `step`, W is row `step` of the iterate array, and the
         # window averages rows start .. T-1
-        for step, _ in enumerate(_descend(W, X, alpha * X, Y), t + 1):
-            if start <= step < T:
-                acc += W
-            if keep_iterates:
-                iters[step] = W
-            if step in events:
-                ck.record(step, problem, W[0])
+        for step in _advance(W, X, Y, alpha, first=t, acc=acc, window=(start, T), events=ck.events, iters=iters):
+            _check_finite(W, triples, step)
+            ck.record(step, problem, W[0])
         t += n
         _check_finite(W, triples, t)
 
@@ -582,7 +638,7 @@ def _dd_engine(
     ck = _Checkpoints(checkpoints, lambda n: n // K, n_upd, R)
     ck.record(0, problem, W[0])
 
-    events = ck.events
+    window = (start + 1, n_upd + 1)
     per_chunk = max(1, _block_sizes(R, d) // K)
     s = 0
     while s < n_upd:
@@ -591,13 +647,9 @@ def _dd_engine(
         Xk = stream.vectors(kept)
         Yf = stream.labels(kept, stream.noise(nk))
         Y = _stack_branches(Yf, stream.clean(kept) if coupled else None, coupled)
-        for upd, _ in enumerate(_descend(W, Xk, alpha * Xk, Y), s + 1):
-            if upd > start:
-                acc += W
-            if keep_iterates:
-                iters[upd] = W
-            if upd in events:
-                ck.record(upd, problem, W[0])
+        for upd in _advance(W, Xk, Y, alpha, first=s, acc=acc, window=window, events=ck.events, iters=iters):
+            _check_finite(W, triples, upd * K)
+            ck.record(upd, problem, W[0])
         s += nk
         _check_finite(W, triples, s * K)
 
@@ -678,30 +730,20 @@ def _parallel_engine(
     ck = _Checkpoints(checkpoints, lambda n: n // K, n_rounds, R)
     ck.record(0, problem, W[0].mean(axis=1))
 
-    events = ck.events
+    # the window averages the iterates after rounds start .. n_rounds-1
+    window = (start, n_rounds)
+    if start == 0:
+        acc += W
     rounds_chunk = max(1, _block_sizes(R, d) // K)
-    vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    P = np.empty_like(W)
-    rbuf = np.empty(W.shape[:3])
-    r4 = rbuf[..., None]
     r = 0
     while r < n_rounds:
         nr = min(rounds_chunk, n_rounds - r)
-        Xr, Y = _rounds(stream, nr, K, coupled)
-        for k in range(nr):
-            rnd = r + k + 1
-            if rnd > start:
-                acc += W
-            x = Xr[k]  # (R, K, d)
-            vecdot(W, x, rbuf)
-            subtract(rbuf, Y[:, k], rbuf)
-            multiply(rbuf, alpha, rbuf)
-            multiply(r4, x, P)
-            subtract(W, P, W)
-            if keep_iterates:
-                iters[rnd] = W
-            if rnd in events:
-                ck.record(rnd, problem, W[0].mean(axis=1))
+        Xr, Y = _rounds(stream, nr, K, coupled)  # (nr, R, K, d), (m, nr, R, K)
+        for rnd in _advance(
+            W, Xr, Y, alpha, first=r, acc=acc, window=window, events=ck.events, iters=iters, scaled=True
+        ):
+            _check_finite(W, triples, rnd * K)
+            ck.record(rnd, problem, W[0].mean(axis=1))
         r += nr
         _check_finite(W, triples, r * K)
 
@@ -758,7 +800,6 @@ def _replay_engine(
 
     rr = np.arange(R)
     reads = [] if record_reads else None
-    events = ck.events
     bufs_chunk = max(1, _block_sizes(R, d) // S)
     j = 0
     while j < n_buf:
@@ -767,28 +808,29 @@ def _replay_engine(
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
         Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2))
         Xrun = Xrun.reshape(R * n, d)
+        # gather the chunk's passes up front: step s of run r in buffer b
+        # replays sample picks[s, r] of that buffer's retained pool
+        rows, xis = [], []
         for b in range(nb):
-            buf = j + b + 1
             xi = stream.noise(B)  # one variate per retained sample
             picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs], axis=1)
-            # gather the whole pass up front: step s of run r replays sample
-            # picks[s, r] of the buffer's retained pool
-            Xg = Xrun.take(rr * n + (b * S + u) + picks, axis=0)  # (B, R, d)
+            rows.append(rr * n + (b * S + u) + picks)
             if xi is not None:
-                xi = xi.T.take(rr * B + picks)
-            Yg = stream.labels(Xg, xi)[None]
-            if coupled:
-                Yg = np.stack((Yg[0], stream.clean(Xg), Yg[0]))
-            for _ in _descend(W, Xg, eta * Xg, Yg):
-                pass
+                xis.append(xi.T.take(rr * B + picks))
+            if record_reads:
+                reads.append((j + b) * S + u + 1 + picks[:, 0])
+        Xg = Xrun.take(np.concatenate(rows), axis=0)  # (nb * B, R, d)
+        Yg = stream.labels(Xg, np.concatenate(xis) if xis else None)[None]
+        if coupled:
+            Yg = np.stack((Yg[0], stream.clean(Xg), Yg[0]))
+        for upd in _advance(W, Xg, Yg, eta, events=range(B, nb * B + 1, B)):
+            buf = j + (upd - 1) // B + 1  # the buffer whose pass ran update upd
+            _check_finite(W, triples, buf * S)
             if buf >= first_avg:
                 acc += W
             if keep_iterates:
                 iters[buf - 1] = W
-            if buf in events:
-                ck.record(buf, problem, W[0])
-            if record_reads:
-                reads.append((buf - 1) * S + u + 1 + picks[:, 0])
+            ck.record(buf, problem, W[0])
         j += nb
         _check_finite(W, triples, j * S)
 
@@ -1125,6 +1167,18 @@ def run_many(
         ),
         discarded_samples=first.discarded_samples,
     )
+
+
+def kernel_info() -> dict:
+    """Which update loop the engines run in this process.
+
+    ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
+    <BLAS library and ddot symbol or None>}``.  The first call builds or
+    loads the compiled kernel (see :mod:`markovsgd._kernel`).
+    """
+    from . import _kernel
+
+    return _kernel.info()
 
 
 def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> BatchResult:

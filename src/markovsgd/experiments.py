@@ -7,7 +7,9 @@ base seed, checkpoint schedule, output location).  Run i uses seed
 seeds, hence the same data streams.  Results are aggregated across runs into
 per-checkpoint mean/stderr/min/max excess-risk curves, written as CSV with
 the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
-(config hash, seed, wall time, tail-averaged-estimator statistics).
+(config hash, seed, wall time, tail-averaged-estimator statistics, and the
+package, Python, numpy and scipy versions, update loop and CPU count it ran
+under).
 
 Determinism: a config maps to byte-identical outputs for equal seeds.  With
 ``workers > 1`` an experiment runs on one process pool: each series' runs are
@@ -29,10 +31,11 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .algorithms import (
     ParallelConfig,
     ReplayConfig,
     SgdConfig,
+    kernel_info,
     run_lower_bound_traces,
     run_many,
 )
@@ -184,6 +188,7 @@ class RunSummary:
     estimator: dict
     discarded_samples: int = 0
     csv_path: str | None = None
+    provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -195,6 +200,7 @@ class RunSummary:
             "estimator": self.estimator,
             "discarded_samples": self.discarded_samples,
             "csv": self.csv_path,
+            "provenance": self.provenance,
         }
 
 
@@ -384,8 +390,24 @@ def _series_stem(config: ExperimentConfig, algo_doc: dict, taken: set) -> str:
     return stem
 
 
+def _provenance() -> dict:
+    """What a run ran under; bitwise reproducibility holds within one numpy release."""
+    import scipy
+
+    from . import __version__
+
+    return {
+        "markovsgd": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "kernel": kernel_info()["path"],
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _series_summary(
-    config: ExperimentConfig, algo_doc: dict, parts: list, checkpoints: list, digest: str
+    config: ExperimentConfig, algo_doc: dict, parts: list, checkpoints: list, digest: str, provenance: dict
 ) -> RunSummary:
     """Join one series' chunk results, in seed order, into its summary."""
     curve = _aggregate(np.concatenate([p[1] for p in parts], axis=1))
@@ -408,6 +430,7 @@ def _series_summary(
             "max": float(np.asarray(est["max"]).reshape(())),
         },
         discarded_samples=int(parts[0][2]),
+        provenance=provenance,
     )
 
 
@@ -423,6 +446,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     digest = config_hash(config)
+    # builds or loads the update kernel here, so forked workers inherit it
+    provenance = _provenance()
     doc = config.to_json()
     chunks = _seed_chunks(config)
     jobs = [
@@ -445,7 +470,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
             parts = (f.result() for f in futures)
         for algo_doc in config.algorithms:
             series = [next(parts) for _ in chunks]
-            summary = _series_summary(config, algo_doc, series, checkpoints, digest)
+            summary = _series_summary(config, algo_doc, series, checkpoints, digest, provenance)
             if outdir is not None:
                 stem = _series_stem(config, algo_doc, taken)
                 csv_path = os.path.join(outdir, stem + ".csv")

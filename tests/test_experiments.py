@@ -284,6 +284,25 @@ class TestRunExperiment:
         assert meta["config_hash"] == s.config_hash
         assert meta["num_runs"] == 5
 
+    def test_summary_records_provenance(self, tmp_path):
+        import platform
+
+        import scipy
+
+        import markovsgd
+        from markovsgd.algorithms import kernel_info
+
+        (s,) = run_experiment(ExperimentConfig.from_json(sgd_doc(output=str(tmp_path))))
+        meta = json.loads((tmp_path / "experiment_sgd.json").read_text())
+        assert meta["provenance"] == s.provenance == {
+            "markovsgd": markovsgd.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "kernel": kernel_info()["path"],
+            "cpu_count": os.cpu_count(),
+        }
+
     def test_default_checkpoints_used(self):
         config = ExperimentConfig.from_json(sgd_doc(checkpoints=None))
         (s,) = run_experiment(config)

@@ -1,0 +1,346 @@
+"""The compiled update loop: bit-identity with the numpy loop, divergence, loading."""
+
+import contextlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import markovsgd
+from markovsgd import _kernel, algorithms
+from markovsgd.algorithms import (
+    DataDropConfig,
+    ParallelConfig,
+    ReplayConfig,
+    SgdConfig,
+    kernel_info,
+    run_many,
+    run_parallel_sgd,
+    run_sgd,
+    run_sgd_dd,
+    run_sgd_er,
+)
+from markovsgd.chains import GaussianARSpec, make_agnostic_bias_chain, make_mc0, make_mc3
+from markovsgd.regression import AgnosticDeterministic, IndependentGaussian, Noiseless, make_problem
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(markovsgd.__file__)))
+
+requires_kernel = pytest.mark.skipif(
+    kernel_info()["path"] != "c", reason="the compiled update loop is unavailable here"
+)
+
+
+@contextlib.contextmanager
+def _numpy_loop():
+    """Context in which the engines run the numpy loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_load_kernel", lambda d: None)
+        yield
+
+
+def _both_paths(*args, **kwargs):
+    compiled = run_many(*args, **kwargs)
+    with _numpy_loop():
+        numpy = run_many(*args, **kwargs)
+    return compiled, numpy
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the numpy loop
+# ---------------------------------------------------------------------------
+
+
+@requires_kernel
+class TestSameBits:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        algo=st.sampled_from(["sgd", "dd", "parallel", "er"]),
+        R=st.sampled_from([1, 2, 10, 33]),
+        d=st.sampled_from([1, 2, 4, 10, 17]),
+        finite=st.booleans(),
+        sigma=st.sampled_from([0.0, 0.1]),
+        step=st.floats(0.01, 0.6),
+        tail=st.sampled_from([0.2, 0.5, 1.0]),
+        K=st.integers(1, 5),
+        B=st.integers(1, 6),
+        u=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 40),
+        data=st.data(),
+    )
+    def test_compiled_equals_numpy(self, algo, R, d, finite, sigma, step, tail, K, B, u, seed, data):
+        T = data.draw(st.integers(max(8, 2 * K, B + u), 120), label="T")
+        entries = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+        w_star = np.array(data.draw(st.lists(entries, min_size=d, max_size=d), label="w_star"))
+        starts = ["zeros", "w_star", "shared"] + ([] if algo == "parallel" else ["per_run"])
+        start = data.draw(st.sampled_from(starts), label="start")
+        points = st.sampled_from([0, 1, T]) | st.integers(0, T)
+        checkpoints = data.draw(st.none() | st.lists(points, max_size=5), label="checkpoints")
+
+        chain = make_mc0(d, 0.25) if finite and d > 1 and algo != "er" else GaussianARSpec(dim=d, epsilon=0.3)
+        noise = Noiseless() if sigma == 0.0 else IndependentGaussian(sigma=sigma)
+        problem = make_problem(chain, noise, w_star=w_star)
+        rng = np.random.default_rng(seed)
+        w_init = {
+            "zeros": None,
+            "w_star": w_star,
+            "shared": rng.uniform(-1, 1, d),
+            "per_run": rng.uniform(-1, 1, (R, d)),
+        }[start]
+        base = SgdConfig(step_size=step, tail_fraction=tail)
+        cfg = {
+            "sgd": base,
+            "dd": DataDropConfig(base, drop_interval=K),
+            "parallel": ParallelConfig(base, num_instances=K),
+            "er": ReplayConfig(buffer_size=B, step_size=step, drop_prefix=u, tail_buffer_fraction=tail),
+        }[algo]
+        seeds = [seed + i for i in range(R)]
+        compiled, numpy = _both_paths(problem, T, cfg, seeds, w_init=w_init, checkpoints=checkpoints)
+        assert compiled.estimates.tobytes() == numpy.estimates.tobytes()
+        assert compiled.final_iterates.tobytes() == numpy.final_iterates.tobytes()
+        if checkpoints is None:
+            assert compiled.checkpoint_excess is None and numpy.checkpoint_excess is None
+        else:
+            assert compiled.checkpoint_excess.tobytes() == numpy.checkpoint_excess.tobytes()
+
+    def test_replay_keeps_its_iterates_on_the_compiled_loop(self):
+        # replay stores one iterate per buffer, so keep_iterates does not
+        # force the numpy loop; the stored iterates must not change
+        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
+        cfg = ReplayConfig(buffer_size=5, step_size=0.3, drop_prefix=1)
+        compiled = run_sgd_er(problem, 90, cfg, 4, coupled=True)
+        with _numpy_loop():
+            numpy = run_sgd_er(problem, 90, cfg, 4, coupled=True)
+        assert compiled.iterates.tobytes() == numpy.iterates.tobytes()
+        assert compiled.coupled.iterates_var.tobytes() == numpy.coupled.iterates_var.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Divergence on the compiled loop
+# ---------------------------------------------------------------------------
+
+
+@requires_kernel
+class TestDivergenceLatency:
+    CONFIGS = [
+        SgdConfig(step_size=50.0),
+        DataDropConfig(SgdConfig(step_size=50.0), drop_interval=2),
+        ParallelConfig(SgdConfig(step_size=50.0), num_instances=4),
+        ReplayConfig(buffer_size=10, step_size=50.0),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["sgd", "dd", "parallel", "er"])
+    def test_stops_at_the_first_bad_update(self, cfg):
+        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+            with pytest.raises(FloatingPointError, match=r"seed 1\b") as err:
+                run_many(problem, 100_000, cfg, [1])
+        samples = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
+        assert 0 < samples < 1000
+
+    def test_names_the_update_where_the_run_broke(self):
+        # the count is the breaking update's own, not the end of its block:
+        # a run that stops one sample earlier is finite on both loops
+        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
+        cfg = SgdConfig(step_size=50.0)
+        with pytest.raises(FloatingPointError) as err:
+            run_many(problem, 100_000, cfg, [1])
+        n = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the numpy loop's overflowing tail sum
+            assert np.isfinite(run_many(problem, n - 1, cfg, [1]).final_iterates).all()
+            assert np.isfinite(run_sgd(problem, n - 1, cfg, 1).iterates).all()
+            for T in (n, n + 1):
+                with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                    run_many(problem, T, cfg, [1])
+            with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                run_sgd(problem, n, cfg, 1)  # the numpy loop, whose block ends there
+
+
+# ---------------------------------------------------------------------------
+# The coupling identity
+# ---------------------------------------------------------------------------
+
+
+class TestCouplingIdentity:
+    """full - w* = (bias - w*) + (var - w*) on every iterate of every runner.
+
+    The three paths round separately, so the identity holds to a few ulps
+    rather than bitwise; the bound is a thousand times tighter than
+    ``check_identity``'s default.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        algo=st.sampled_from(["sgd", "dd", "parallel", "er"]),
+        kind=st.sampled_from(["gaussian", "mc0", "mc3", "agnostic"]),
+        d=st.integers(1, 6),
+        T=st.integers(24, 300),
+        step=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identity_holds(self, algo, kind, d, T, step, seed):
+        if algo == "er" or (kind == "mc0" and d == 1):
+            kind = "gaussian"
+        if kind == "mc3":
+            d = 2
+        if kind == "agnostic":
+            problem = make_problem(make_agnostic_bias_chain(0.2), AgnosticDeterministic())
+        else:
+            chain = {
+                "gaussian": lambda: GaussianARSpec(dim=d, epsilon=0.3),
+                "mc0": lambda: make_mc0(d, 0.25),
+                "mc3": lambda: make_mc3(2.0, 0.05),
+            }[kind]()
+            problem = make_problem(chain, IndependentGaussian(0.2), w_star=np.linspace(-0.5, 0.5, d))
+        # a step small enough for every sample norm keeps the paths bounded
+        step = step / max(1.0, problem.dim * 4.0)
+        base = SgdConfig(step_size=step)
+        runner, cfg = {
+            "sgd": (run_sgd, base),
+            "dd": (run_sgd_dd, DataDropConfig(base, drop_interval=3)),
+            "parallel": (run_parallel_sgd, ParallelConfig(base, num_instances=3)),
+            "er": (run_sgd_er, ReplayConfig(buffer_size=5, step_size=step)),
+        }[algo]
+        w1 = np.random.default_rng(seed).uniform(-1, 1, problem.dim)
+        run = runner(problem, T, cfg, seed, w_init=w1, coupled=True)
+        assert run.coupled.check_identity(tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Building and loading
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def reset_loader():
+    """Drop this process's loaded kernel before and after the test."""
+    _kernel.library.cache_clear()
+    yield
+    _kernel.library.cache_clear()
+
+
+@pytest.fixture
+def fresh_cache(reset_loader, monkeypatch, tmp_path):
+    """An empty kernel cache for this test."""
+    cache = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "markovsgd"
+
+
+def _load_in_subprocess(cache_home, count=1):
+    """kernel_info() of ``count`` fresh interpreters started together."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home), PYTHONPATH=SRC)
+    code = "import json; from markovsgd.algorithms import kernel_info; print(json.dumps(kernel_info()))"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True)
+        for _ in range(count)
+    ]
+    outs = [p.communicate(timeout=120)[0] for p in procs]
+    assert all(p.returncode == 0 for p in procs)
+    return [json.loads(out.strip().splitlines()[-1]) for out in outs]
+
+
+def _library_files(cache):
+    """The cache's libraries; anything else there is a compiler-version memo."""
+    names = sorted(os.listdir(cache))
+    assert all(n.endswith(".so") or (n.startswith("cc-") and n.endswith(".version")) for n in names)
+    return [n for n in names if n.endswith(".so")]
+
+
+def _problem():
+    return make_problem(make_mc3(2.0, 0.05), IndependentGaussian(0.1), w_star=np.array([0.5, -0.5]))
+
+
+@requires_kernel
+class TestLoader:
+    def test_no_compiler_runs_numpy_with_one_warning(self, fresh_cache, monkeypatch, tmp_path):
+        problem, cfg = _problem(), SgdConfig(step_size=0.3)
+        want = run_many(problem, 500, cfg, [1, 2], checkpoints=[0, 250, 500])
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc here
+        _kernel.library.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_many(problem, 500, cfg, [1, 2], checkpoints=[0, 250, 500])
+            run_many(problem, 500, ParallelConfig(cfg, 5), [3])
+            info = kernel_info()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "no C compiler" in str(caught[0].message)
+        assert info == {"path": "numpy", "cache": None, "blas": None}
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
+
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
+    def test_truncated_library_is_rebuilt(self, fresh_cache, keep):
+        (built,) = _load_in_subprocess(fresh_cache.parent)
+        assert built["path"] == "c"
+        path = built["cache"]
+        assert os.path.dirname(path) == str(fresh_cache)
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(int(size * keep))  # loading it as it is would die of SIGBUS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = kernel_info()  # this process never loaded the file
+        assert info == built
+        assert os.path.getsize(path) == size
+        assert _library_files(fresh_cache) == [os.path.basename(path)]
+
+    def test_probe_mismatch_falls_back(self, reset_loader, monkeypatch):
+        problem, cfg = _problem(), DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2)
+        want = run_many(problem, 400, cfg, [5, 6])
+        _kernel.library.cache_clear()
+        monkeypatch.setattr(_kernel.Kernel, "dot", lambda self, x, y: float(np.vecdot(x, y)) + 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_many(problem, 400, cfg, [5, 6])
+            run_many(problem, 400, cfg, [7])
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "disagrees with np.vecdot" in str(caught[0].message)
+        assert kernel_info()["path"] == "numpy"
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+
+    def test_concurrent_builds_both_load(self, fresh_cache):
+        first, second = _load_in_subprocess(fresh_cache.parent, count=2)
+        assert first["path"] == second["path"] == "c"
+        assert first["cache"] == second["cache"]
+        # no temporary file is left behind, and the library loads here too
+        assert _library_files(fresh_cache) == [os.path.basename(first["cache"])]
+        assert kernel_info() == first
+
+    def test_warm_cache_starts_no_process(self, fresh_cache, monkeypatch):
+        assert kernel_info()["path"] == "c"  # fills the cache
+        _kernel.library.cache_clear()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        assert kernel_info()["path"] == "c"
+
+    def test_unusable_cache_home_falls_back_to_temp(self, reset_loader, monkeypatch, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        info = kernel_info()
+        assert info["path"] == "c"
+        assert os.path.dirname(info["cache"]) == str(tmp_path / "tmp" / f"markovsgd-{os.getuid()}")
+
+    def test_nothing_is_built_at_import(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=SRC)
+        code = (
+            "import sys, markovsgd, markovsgd.experiments, markovsgd.acceptance; "
+            "assert 'markovsgd._kernel' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        assert os.listdir(tmp_path) == []
