@@ -1,5 +1,6 @@
 /*
- * The least-squares update loop of markovsgd.algorithms, compiled.
+ * The inner loops of markovsgd, compiled: the least-squares update loop of
+ * markovsgd.algorithms and the two path samplers of markovsgd.chains.
  *
  * markovsgd/_kernel.py builds this file on first use with
  *     cc -O2 -fPIC -shared -ffp-contract=off
@@ -9,6 +10,8 @@
  * here.  The caller passes the ddot of numpy's own BLAS, the function
  * np.vecdot calls for float64 rows, and its result is added to 0.0 as
  * numpy's dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
+ * The samplers call no BLAS: each makes the same IEEE operations as the
+ * numpy (or scipy) code it replaces.
  */
 #include <math.h>
 #include <stdint.h>
@@ -86,6 +89,64 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc,
             for (int64_t j = 0; j < size; j++) {
                 acc[j] += w[j];
             }
+        }
+    }
+}
+
+/*
+ * Walk R runs of a finite chain n steps by inverse-CDF sampling.
+ *
+ * lead holds (S, S-1) contiguous doubles: the cumulative transition
+ * probabilities of each state without their last column (1.0, which no
+ * uniform reaches).  Run r starts in state[r], 0 <= state[r] < S, and its
+ * uniforms are u[r*un + i].  Step i moves it to the number of thresholds of
+ * its state that u is >= -- the comparisons the numpy walk makes -- and
+ * stores that state in out[i*on + r].
+ */
+void msgd_walk(const double *lead, int64_t S, const double *u, int64_t un,
+               const int64_t *state, int64_t R, int64_t n, int64_t *out, int64_t on)
+{
+    const int64_t w = S - 1;
+    for (int64_t r = 0; r < R; r++) {
+        const double *ur = u + r * un;
+        int64_t s = state[r];
+        for (int64_t i = 0; i < n; i++) {
+            const double *row = lead + s * w;
+            const double v = ur[i];
+            int64_t next = 0;
+            for (int64_t j = 0; j < w; j++) {
+                next += v >= row[j];
+            }
+            out[i * on + r] = next;
+            s = next;
+        }
+    }
+}
+
+/*
+ * The Gaussian AR recursion x_t = b*g_t + c*x_{t-1}, per run and coordinate.
+ *
+ * Element j of step i of run r is g[r*rs + i*d + j] (likewise in x); g and
+ * x may be the same buffer.  x0 holds (R, d) contiguous doubles: each run's
+ * state before its first step.
+ *
+ * This is the first-order filter scipy.signal.lfilter([b], [1, -c])
+ * evaluates, started from zi = c*x0.  Its output is zi + b*g, and the
+ * state it carries to the next step is 0*g - (-c)*x: that is c*x exactly,
+ * except that a zero may differ in sign, which shows only when the next
+ * b*g is a zero too.
+ */
+void msgd_ar(const double *g, double *x, int64_t R, int64_t n, int64_t d, int64_t rs,
+             double b, double c, const double *x0)
+{
+    for (int64_t r = 0; r < R; r++) {
+        const double *prev = x0 + r * d;
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t at = r * rs + i * d;
+            for (int64_t j = 0; j < d; j++) {
+                x[at + j] = b * g[at + j] + c * prev[j];
+            }
+            prev = x + at;
         }
     }
 }

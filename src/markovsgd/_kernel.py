@@ -1,20 +1,25 @@
-"""Build, cache and load the compiled update loop (``_kernel.c``).
+"""Build, cache and load the compiled loops (``_kernel.c``).
 
 The engines in :mod:`markovsgd.algorithms` advance their weights through
-:func:`load`; that module imports this one on first use.  The first call on
-a machine compiles ``_kernel.c`` with the system ``cc`` into a per-user
-cache (``$XDG_CACHE_HOME/markovsgd/``, by default ``~/.cache/markovsgd/``,
-or a private directory under the system temporary directory when that one
-is not writable), keyed by the sha256 of the source, the flags and
+:func:`load`, and the path cursors of :mod:`markovsgd.chains` walk finite
+chains and filter Gaussian paths through :func:`library`; both modules
+import this one on first use.  The first call on a machine compiles
+``_kernel.c`` with the system ``cc`` into a per-user cache
+(``$XDG_CACHE_HOME/markovsgd/``, by default ``~/.cache/markovsgd/``, or a
+private directory under the system temporary directory when that one is
+not writable), keyed by the sha256 of the source, the flags and
 ``cc --version``, and loads it with :mod:`ctypes`.  Later processes load the
 cached file without starting a process.
 
-The loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
+The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
 for bit.  Before the loop first runs at a dimension, :meth:`Kernel.usable`
 checks that ``ddot`` agrees with ``np.vecdot`` there.  When there is no
 compiler, no such ``ddot``, or a disagreement, :func:`load` returns None, the
-engines run the numpy loop, and one ``RuntimeWarning`` says why.
+engines run the numpy loop, and one ``RuntimeWarning`` says why.  The
+sampling loops call no BLAS and need no such check: they run whenever the
+library loads, and the cursors fall back to numpy (and scipy) only when it
+does not.
 """
 
 from __future__ import annotations
@@ -67,6 +72,12 @@ class Kernel:
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
         )
         self._advance.restype = None
+        self._walk = lib.msgd_walk
+        self._walk.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64)
+        self._walk.restype = None
+        self._ar = lib.msgd_ar
+        self._ar.argtypes = (_PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
+        self._ar.restype = None
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """``<x, y>`` of two contiguous float64 vectors, as the loop computes it."""
@@ -159,6 +170,70 @@ class Kernel:
             first,
         )
 
+    def walk(self, lead, U, state, out) -> None:
+        """Walk ``U.shape[0]`` runs of a finite chain (see ``msgd_walk``).
+
+        ``lead`` is the contiguous ``(S, S-1)`` leading cumulative rows.
+        Run r starts in ``state[r]`` and steps on ``U[r]``; ``out[i, r]``
+        is its state after step i.  ``U`` ``(R, n)`` and ``out`` ``(n, R)``
+        int64 may be views whose rows are strided.
+        """
+        S = lead.shape[0]
+        R, n = U.shape
+        if n == 0 or R == 0:  # (numpy may give an empty array zero strides)
+            return
+        if not (
+            lead.shape == (S, S - 1)
+            and _is_f64(lead, contiguous=True)
+            and _is_f64(U)
+            and U.strides[1] == 8
+            and state.shape == (R,)
+            and state.dtype == np.int64
+            and state.flags.c_contiguous
+            and out.shape == (n, R)
+            and out.dtype == np.int64
+            and out.strides[1] == 8
+            and out.strides[0] % 8 == 0
+        ):
+            raise ValueError("walk: arrays of mismatched shape, dtype or layout")
+        if state.min() < 0 or state.max() >= S:
+            raise ValueError(f"walk: start states must lie in 0..{S - 1}")
+        self._walk(
+            lead.ctypes.data,
+            S,
+            U.ctypes.data,
+            U.strides[0] // 8,
+            state.ctypes.data,
+            R,
+            n,
+            out.ctypes.data,
+            out.strides[0] // 8,
+        )
+
+    def ar(self, G, X, b: float, c: float, x0) -> None:
+        """``X[r, i] = b * G[r, i] + c * X[r, i-1]``, from ``X[r, -1] = x0[r]``
+        (see ``msgd_ar``).
+
+        ``G`` and ``X`` are ``(R, n, d)`` with the same strides, each step's
+        ``(d,)`` row contiguous and the ``(n, d)`` block of each run too
+        (the runs may be strided); X may be G.  ``x0`` is a contiguous
+        ``(R, d)``.
+        """
+        R, n, d = G.shape
+        if G.size == 0:
+            return
+        if not (
+            X.shape == G.shape
+            and X.strides == G.strides
+            and _is_f64(G)
+            and _is_f64(X)
+            and G.strides[1:] == (8 * d, 8)
+            and x0.shape == (R, d)
+            and _is_f64(x0, contiguous=True)
+        ):
+            raise ValueError("ar: arrays of mismatched shape, dtype or layout")
+        self._ar(G.ctypes.data, X.ctypes.data, R, n, d, G.strides[0] // 8, b, c, x0.ctypes.data)
+
 
 def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
     if a.dtype != np.float64 or any(s % 8 for s in a.strides):
@@ -176,7 +251,8 @@ def library() -> Kernel | None:
         return _open()
     except (_Unavailable, OSError) as exc:  # OSError: the cache could not be written
         warnings.warn(
-            f"markovsgd: compiled update loop unavailable ({exc}); the engines run the numpy loop",
+            f"markovsgd: compiled loops unavailable ({exc}); the path samplers and "
+            "the engines' update loop run in numpy",
             RuntimeWarning,
             stacklevel=3,
         )

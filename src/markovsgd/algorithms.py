@@ -710,12 +710,11 @@ def _parallel_engine(
     m = 3 if coupled else 1
     if config.initial_points is not None:
         init_pts = config.initial_points
+        if init_pts.shape != (K, d):
+            raise ValueError(f"initial points must have shape ({K}, {d})")
     else:
-        init_pts = np.tile(
-            np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float), (K, 1)
-        )
-    if init_pts.shape != (K, d):
-        raise ValueError(f"initial points must have shape ({K}, {d})")
+        # every instance starts at w_init: (d,) shared, or (R, d) per run
+        init_pts = (np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float))[..., None, :]
     W = np.empty((m, R, K, d))
     W[0] = init_pts
     if coupled:
@@ -1173,7 +1172,9 @@ def kernel_info() -> dict:
     """Which update loop the engines run in this process.
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
-    <BLAS library and ddot symbol or None>}``.  The first call builds or
+    <BLAS library and ddot symbol or None>}``.  The path cursors' finite
+    walk and AR filter run in C whenever ``cache`` is set, even where the
+    ddot check sent the update loop to numpy.  The first call builds or
     loads the compiled kernel (see :mod:`markovsgd._kernel`).
     """
     from . import _kernel

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -567,15 +566,27 @@ def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
     )
 
 
+def _load_kernel():
+    """The compiled sampling loops, or None when the cursors run in numpy.
+
+    :mod:`markovsgd._kernel` is imported here, when the first cursor is
+    made, so that importing the package neither compiles nor loads anything.
+    """
+    from . import _kernel
+
+    return _kernel.library()
+
+
 class GaussianPathCursor:
     """Streams Gaussian AR paths for a batch of runs, one column per run.
 
     ``take(n)`` returns the next ``n`` states with shape ``(n, R, d)``.  The
     first state of the path is ``X_1 = G_1`` (a stationary start) unless an
-    explicit ``start`` point is given.  The linear recursion runs through a
-    first-order IIR filter, which evaluates ``X_t = c X_{t-1} + eps G_t``
-    step for step, so a path is bit-identical however the ``take`` calls
-    slice it.
+    explicit ``start`` point is given.  The recursion
+    ``X_t = c X_{t-1} + eps G_t`` runs step for step -- in the compiled
+    loop, or through scipy's first-order IIR filter when the library is
+    unavailable, with the same bits -- so a path is bit-identical however
+    the ``take`` calls slice it.
 
     Each run's block is drawn and filtered in a per-run contiguous
     ``(R, n, d)`` buffer; ``take`` hands back its ``(n, R, d)`` transposed
@@ -595,6 +606,7 @@ class GaussianPathCursor:
             if start.shape != (spec.dim,):
                 raise ValueError(f"start must have shape ({spec.dim},)")
             self._x = np.tile(start, (len(self._rngs), 1))
+        self._kern = _load_kernel()
 
     @property
     def num_runs(self) -> int:
@@ -606,16 +618,14 @@ class GaussianPathCursor:
         The 1/sqrt(d) innovation scale is folded into the filter coefficient,
         so the raw normals are only rescaled when innovations are requested.
         """
-        # scipy.signal takes over a second to import; only Gaussian paths
-        # need it, so finite-chain runs and their spawned workers skip it
-        from scipy.signal import lfilter
-
-        eps = self.spec.epsilon
         c = self.spec.decay
+        b = self.spec.epsilon * self._scale
         G = np.empty((len(self._rngs), n, self.spec.dim))
+        if n == 0:
+            X = G.transpose(1, 0, 2)
+            return (X, X) if with_innovations else X
         for rng, g in zip(self._rngs, G):
             rng.standard_normal(out=g)
-        b, a = [eps * self._scale], [1.0, -c]
         first = None
         if self._x is None:
             first = G[:, 0] * self._scale  # stationary start: X_1 = G_1 / sqrt(d)
@@ -624,13 +634,20 @@ class GaussianPathCursor:
             # but discarded, keeping the stream layout of the stationary case
             first = self._x
             self._emit_start = False
-        if first is None:
-            X, _ = lfilter(b, a, G, axis=1, zi=(c * self._x)[:, None])
-        else:
-            X = np.empty_like(G)
+        # without innovations to return, the path overwrites the normals
+        X = G if self._kern is not None and not with_innovations else np.empty_like(G)
+        lo, prev = (0, self._x) if first is None else (1, first)
+        if first is not None:
             X[:, 0] = first
-            if n > 1:
-                X[:, 1:], _ = lfilter(b, a, G[:, 1:], axis=1, zi=(c * first)[:, None])
+        if n > lo:
+            if self._kern is not None:
+                self._kern.ar(G[:, lo:], X[:, lo:], b, c, prev)
+            else:
+                # scipy.signal takes over a second to import; only the
+                # fallback needs it
+                from scipy.signal import lfilter
+
+                X[:, lo:], _ = lfilter([b], [1.0, -c], G[:, lo:], axis=1, zi=(c * prev)[:, None])
         self._x = X[:, -1].copy()
         X = X.transpose(1, 0, 2)
         if with_innovations:
@@ -643,42 +660,15 @@ class GaussianPathCursor:
 #   next = f(state, u) = #{j : u >= cum[state, j]},  u ~ U[0, 1),
 # i.e. inverse-CDF sampling from the state's cumulative transition row.
 # cum[state, -1] = 1.0 > u never counts, so only the S-1 leading thresholds
-# of each row matter.  Both walks below evaluate exactly these comparisons,
-# so they give the same path bit for bit.
-#
-# The cursor walks at most _R0 runs one by one in Python (_walk_runs), at a
-# cost per state that hardly depends on R, and more runs all at once with four
-# ufunc calls per step (_walk_words), whose cost per step is mostly fixed.
-# Timed through FinitePathCursor.take on a 2-CPU Xeon VM (Python 3.11,
-# numpy 2.4), median of 7: the per-run walk took 0.21-0.26 us a state for
-# R = 8..40; the vectorised walk 0.53-0.71 us at R = 8, 0.20-0.27 at R = 24
-# and 0.14-0.19 at R = 40.  They break even near R = 22 on the two-state
-# chain and near R = 27 on the 4-state and 6-state clique walks.
-_R0 = 24
-_WALK_CHUNK = 4096  # uniforms per run converted to a Python list at a time
-
-
-def _walk_runs(rows: list, U: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
-    """Per-run walk: ``out[t, r] = bisect_right(rows[s], U[t, r])`` from
-    ``s = out[t-1, r]`` (``state[r]`` before the first row).
-
-    ``rows[s]`` holds the S-1 leading thresholds of state ``s`` as a sorted
-    list, and ``bisect_right`` counts the thresholds ``<= u``.
-    """
-    n = U.shape[0]
-    for r, s in enumerate(state.tolist()):
-        for a in range(0, n, _WALK_CHUNK):
-            us = U[a : a + _WALK_CHUNK, r].tolist()
-            path = []
-            for u in us:
-                s = bisect_right(rows[s], u)
-                path.append(s)
-            out[a : a + len(us), r] = path
+# of each row matter.  The compiled walk (msgd_walk in _kernel.c) counts
+# them one run at a time; without the library, _walk_words steps all runs
+# at once with four ufunc calls per step.  Both evaluate exactly these
+# comparisons, so they give the same path bit for bit.
 
 
 def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
     """Vectorised walk: ``out[t, r]`` counts the thresholds of state
-    ``out[t-1, r]`` that are ``<= U[t, r]`` (``state`` before the first row).
+    ``out[t-1, r]`` that are ``<= U[r, t]`` (``state`` before the first row).
 
     ``thresholds`` is ``(S, width)`` with ``width`` 1, 2, 4 or a multiple of
     8, padded with 2.0 (never ``<= u``).  Each run's comparison bytes form one
@@ -690,7 +680,7 @@ def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: n
     hits = np.empty((R, width), dtype=bool)
     words = hits.view(f"u{min(width, 8)}")
     take, greater_equal, bitwise_count = thresholds.take, np.greater_equal, np.bitwise_count
-    U = U[:, :, None]
+    U = U.T[:, :, None]
     if words.shape[1] == 1:
         words = words[:, 0]
         for u, nxt in zip(U, out):
@@ -708,13 +698,14 @@ def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: n
             state = nxt
 
 
-def _make_walk(lead: np.ndarray, runs: int):
-    """The walk ``walk(U, state, out)`` for ``runs`` runs of a chain whose
-    rows of cumulative transition probabilities, without their last column,
-    are ``lead`` (S, S-1): the per-run walk up to ``_R0`` runs, the
-    vectorised one above."""
-    if runs <= _R0:
-        return partial(_walk_runs, lead.tolist())
+def _make_walk(lead: np.ndarray, kern):
+    """The walk ``walk(U, state, out)`` of a chain whose rows of cumulative
+    transition probabilities, without their last column, are ``lead``
+    (S, S-1): run r steps on the uniforms ``U[r]`` from ``state[r]``, and
+    ``out[t, r]`` is its state after step t.  ``kern`` is the compiled
+    library, or None for the numpy walk."""
+    if kern is not None:
+        return partial(kern.walk, np.ascontiguousarray(lead))
     S = lead.shape[0]
     width = 1 << (S - 2).bit_length() if S <= 9 else -(-(S - 1) // 8) * 8
     thresholds = np.full((S, width), 2.0)
@@ -728,8 +719,9 @@ class FinitePathCursor:
     ``take(n)`` returns the next ``n`` state indices with shape ``(n, R)``.
     Without an explicit start the first state is drawn from the stationary
     law, consuming one uniform; every subsequent state consumes one uniform
-    per run.  The cursor walks up to ``_R0`` runs one by one and more runs
-    all at once; both walks give the same path bit for bit.
+    per run.  Each run's uniforms are drawn into one row of a per-run
+    ``(R, n)`` buffer, which the compiled walk reads as it is (the numpy
+    walk, without the library, reads its transposed view).
     """
 
     def __init__(self, spec: FiniteChainSpec, rngs: Sequence[np.random.Generator], start=None):
@@ -737,13 +729,15 @@ class FinitePathCursor:
         self._rngs = list(rngs)
         cum = np.cumsum(spec.transition, axis=1)
         cum /= cum[:, -1:]
-        self._walk = _make_walk(cum[:, :-1], len(self._rngs))
+        self._walk = _make_walk(cum[:, :-1], _load_kernel())
         if start is None:
             self._start_idx = None
         else:
             self._start_idx = int(
                 start if isinstance(start, (int, np.integer)) else spec.state_index(start)
             )
+            if not 0 <= self._start_idx < spec.num_states:
+                raise ValueError(f"start index must lie in 0..{spec.num_states - 1}, got {start}")
         self._emitted_first = False
         self._state: np.ndarray | None = None
         cpi = np.cumsum(stationary(spec))
@@ -757,18 +751,22 @@ class FinitePathCursor:
     def take(self, n: int) -> np.ndarray:
         """Next ``n`` state indices, shape (n, R); always n uniforms per run."""
         R = len(self._rngs)
-        U = np.stack([rng.random(n) for rng in self._rngs], axis=1)
         out = np.empty((n, R), dtype=np.int64)
+        if n == 0:
+            return out
+        U = np.empty((R, n))
+        for rng, row in zip(self._rngs, U):
+            rng.random(out=row)
         lo = 0
         if not self._emitted_first:
             if self._start_idx is None:
-                out[0] = np.searchsorted(self._cum_pi, U[0], side="right")
+                out[0] = np.searchsorted(self._cum_pi, U[:, 0], side="right")
             else:
-                out[0] = self._start_idx  # U[0] is discarded for layout parity
+                out[0] = self._start_idx  # U[:, 0] is discarded for layout parity
             self._emitted_first = True
             lo = 1
         state = out[0] if lo else self._state
-        self._walk(U[lo:], state, out[lo:])
+        self._walk(U[:, lo:], state, out[lo:])
         self._state = out[-1].copy()
         return out
 

@@ -8,8 +8,8 @@ seeds, hence the same data streams.  Results are aggregated across runs into
 per-checkpoint mean/stderr/min/max excess-risk curves, written as CSV with
 the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
 (config hash, seed, wall time, tail-averaged-estimator statistics, and the
-package, Python, numpy and scipy versions, update loop and CPU count it ran
-under).
+package, Python, numpy and scipy versions, update loop, BLAS and CPU count
+it ran under).
 
 Determinism: a config maps to byte-identical outputs for equal seeds.  With
 ``workers > 1`` an experiment runs on one process pool: each series' runs are
@@ -396,12 +396,14 @@ def _provenance() -> dict:
 
     from . import __version__
 
+    info = kernel_info()
     return {
         "markovsgd": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "kernel": kernel_info()["path"],
+        "kernel": info["path"],
+        "blas": info["blas"],
         "cpu_count": os.cpu_count(),
     }
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from markovsgd import algorithms
 from markovsgd.algorithms import (
     BatchResult,
     DataDropConfig,
@@ -548,6 +549,25 @@ class TestRunMany:
         for i, seed in enumerate([11, 12]):
             single = run_sgd(problem, 20, cfg, seed, w_init=starts[i])
             np.testing.assert_array_equal(batch.estimates[i], single.estimate)
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    def test_per_run_initial_points_parallel(self, loop, monkeypatch):
+        # each run's K instances all start from that run's row
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        problem = gaussian_problem(sigma=0.1)
+        cfg = ParallelConfig(SgdConfig(step_size=0.3), num_instances=3)
+        starts = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [-0.2, 0.0, 0.5, -0.1]])
+        seeds = [11, 12, 13]
+        batch = run_many(problem, 60, cfg, seeds, w_init=starts, checkpoints=[0, 30, 60])
+        for i, seed in enumerate(seeds):
+            single = run_many(problem, 60, cfg, [seed], w_init=starts[i], checkpoints=[0, 30, 60])
+            assert batch.estimates[i].tobytes() == single.estimates[0].tobytes()
+            assert batch.final_iterates[i].tobytes() == single.final_iterates[0].tobytes()
+            assert batch.checkpoint_excess[:, i].tobytes() == single.checkpoint_excess[:, 0].tobytes()
+            run = run_parallel_sgd(problem, 60, cfg, seed, w_init=starts[i])
+            np.testing.assert_array_equal(run.iterates[0], np.tile(starts[i], (3, 1)))
+            assert run.estimate.tobytes() == single.estimates[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Chain constructors, stationary analysis, mixing times, and path cursors."""
 
+import contextlib
 import math
 
 import hypothesis.strategies as st
@@ -30,7 +31,25 @@ from markovsgd.chains import (
     total_variation_curve,
     trajectory_kl,
 )
-from markovsgd.chains import _R0, _make_walk, _run_generators, _walk_runs, _walk_words
+from markovsgd import chains
+from markovsgd.chains import _make_walk, _run_generators, _walk_words
+
+# The cursors' two sampling paths: the compiled loops, and numpy (with
+# scipy's lfilter) when the library is unavailable.  A cursor picks its path
+# when it is made.
+requires_library = pytest.mark.skipif(
+    chains._load_kernel() is None, reason="the compiled sampling loops are unavailable here"
+)
+PATHS = [pytest.param("c", marks=requires_library), "numpy"]
+
+
+@contextlib.contextmanager
+def sampling_path(path):
+    """Context in which the cursors made use the given sampling path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "numpy":
+            mp.setattr(chains, "_load_kernel", lambda: None)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +583,12 @@ class TestGaussianCursorLayout:
     @pytest.mark.parametrize("start", [None, (0.3, -0.1, 0.2, 0.05, -0.4)], ids=["stationary", "start"])
     @pytest.mark.parametrize("with_innovations", [False, True], ids=["states", "innovations"])
     @pytest.mark.parametrize("splits", [(12,), (1, 11), (5, 1, 6), (4, 4, 3, 1)])
-    def test_matches_stacked_reference(self, seeds, start, with_innovations, splits):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_matches_stacked_reference(self, seeds, start, with_innovations, splits, path):
         spec = GaussianARSpec(dim=5, epsilon=0.37)
         w0 = None if start is None else np.array(start)
-        cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds], start=w0)
+        with sampling_path(path):
+            cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds], start=w0)
         ref = _stacked_takes(spec, seeds, splits, start=w0, with_innovations=with_innovations)
         for n, want in zip(splits, ref):
             got = cur.take(n, with_innovations=with_innovations)
@@ -578,6 +599,66 @@ class TestGaussianCursorLayout:
             else:
                 assert got.shape == (n, len(seeds), spec.dim)
                 np.testing.assert_array_equal(got, want)
+
+
+class TestARFilter:
+    """The compiled AR recursion equals scipy's lfilter bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=st.integers(1, 11),
+        d=st.integers(1, 11),
+        eps=st.sampled_from([1e-3, 0.05, 0.37, 0.9, 1.0]) | st.floats(1e-3, 1.0),
+        splits=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+        start=st.sampled_from(["stationary", "random", "zeros"]),
+        with_innovations=st.booleans(),
+        seed=st.integers(0, 2**32 - 20),
+    )
+    def test_cursor_paths_agree(self, R, d, eps, splits, start, with_innovations, seed):
+        spec = GaussianARSpec(dim=d, epsilon=eps)
+        rng = np.random.default_rng(seed)
+        w0 = {
+            "stationary": None,
+            "random": rng.uniform(-1, 1, d),
+            "zeros": np.where(rng.random(d) < 0.5, -0.0, 0.0),  # signed zeros
+        }[start]
+        seeds = [seed + i for i in range(R)]
+        takes = {}
+        for path in ("c", "numpy"):
+            with sampling_path(path):
+                cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds], start=w0)
+            takes[path] = [cur.take(n, with_innovations=with_innovations) for n in splits]
+        for got, want, n in zip(takes["c"], takes["numpy"], splits):
+            got, want = (got, want) if with_innovations else ((got,), (want,))
+            for a, b in zip(got, want):
+                assert a.shape == (n, R, d)
+                assert a.tobytes() == b.tobytes()
+        # an empty take draws nothing, so the reference skips it
+        nonempty = [n for n in splits if n]
+        ref = _stacked_takes(spec, seeds, nonempty, start=w0, with_innovations=with_innovations)
+        for got, want in zip([t for t, n in zip(takes["c"], splits) if n], ref):
+            got, want = (got, want) if with_innovations else ((got,), (want,))
+            for a, b in zip(got, want):
+                assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+    @requires_library
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    @pytest.mark.parametrize("eps", [1e-3, 0.3, 0.9, 1.0])
+    def test_loop_equals_lfilter(self, in_place, eps):
+        kern = chains._load_kernel()
+        rng = np.random.default_rng(17)
+        for R, n, d in [(1, 1, 1), (1, 3000, 1), (3, 7, 4), (11, 400, 11), (2, 1, 5)]:
+            c = math.sqrt(max(0.0, 1.0 - eps**2))
+            b = eps / math.sqrt(d)
+            buf = rng.standard_normal((R, n + 1, d))
+            buf[:, :: max(1, n // 3)] *= np.where(rng.random(d) < 0.5, -0.0, 0.0)  # signed zeros
+            G = buf[:, 1:]  # the runs are strided, as in a take after the first state
+            x0 = rng.standard_normal((R, d))
+            x0[0] = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+            want, _ = lfilter([b], [1.0, -c], G, axis=1, zi=(c * x0)[:, None])
+            X = G if in_place else np.empty_like(buf)[:, 1:]
+            kern.ar(G, X, b, c, x0)
+            assert X.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +741,28 @@ WALK_CHAINS = {
 
 
 class TestFiniteWalks:
-    """Both finite walks give the per-step reference path bit for bit."""
+    """The compiled walk and the numpy walk give the per-step reference path
+    bit for bit."""
 
     @pytest.mark.parametrize("S", sorted(WALK_CHAINS))
-    @pytest.mark.parametrize("R", [1, _R0, _R0 + 1, 64], ids=["R1", "R0", "R0+1", "R64"])
+    @pytest.mark.parametrize("R", [1, 24, 25, 64], ids=["R1", "R24", "R25", "R64"])
     @pytest.mark.parametrize("start", [None, 1], ids=["stationary", "start"])
-    def test_cursor_matches_reference(self, S, R, start):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_cursor_matches_reference(self, S, R, start, path):
         spec = WALK_CHAINS[S]()
         assert spec.num_states == S
         seeds = [500 + i for i in range(R)]
         splits = (1, 37, 5, 1, 156)
         want = _reference_path(spec, seeds, sum(splits), start=start)
-        np.testing.assert_array_equal(_cursor_path(spec, seeds, splits, start=start), want)
+        with sampling_path(path):
+            got = _cursor_path(spec, seeds, splits, start=start)
+        np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("R", [_R0, _R0 + 1], ids=["per-run", "vectorised"])
-    def test_uniform_equal_to_threshold_moves_past_it(self, R):
+    @pytest.mark.parametrize("R", [1, 25])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_uniform_equal_to_threshold_moves_past_it(self, R, path):
         # dyadic rows, so every cumulative threshold is exact: u == cum[s, j]
-        # counts threshold j (bisect_right and >= agree), nextafter below does not
+        # counts threshold j, nextafter below does not
         P = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
         cum = _cumulative_rows(FiniteChainSpec(np.eye(3), P))
         b25, b50 = np.nextafter(0.25, 0.0), np.nextafter(0.5, 0.0)
@@ -686,26 +772,48 @@ class TestFiniteWalks:
         want = _reference_walk(cum, U, state)
         np.testing.assert_array_equal(want[:, 0], [1, 2, 1, 1, 0, 0, 2, 2, 1, 0, 2])
         out = np.empty_like(want)
-        _make_walk(cum[:, :-1], R)(U, state, out)
+        with sampling_path(path):
+            kern = chains._load_kernel()
+        _make_walk(cum[:, :-1], kern)(np.ascontiguousarray(U.T), state, out)
         np.testing.assert_array_equal(out, want)
 
-    def test_walk_choice_follows_run_count(self):
+    def test_walk_choice_follows_library(self):
         lead = _cumulative_rows(make_mc0(4, 0.125))[:, :-1]
-        assert _make_walk(lead, _R0).func is _walk_runs
-        assert _make_walk(lead, _R0 + 1).func is _walk_words
+        assert _make_walk(lead, None).func is _walk_words
+        kern = chains._load_kernel()
+        if kern is not None:
+            assert _make_walk(lead, kern).func == kern.walk
+
+    @requires_library
+    def test_compiled_walk_rejects_bad_input(self):
+        kern = chains._load_kernel()
+        lead = np.ascontiguousarray(_cumulative_rows(make_mc0(4, 0.125))[:, :-1])
+        U = np.full((2, 5), 0.5)
+        out = np.empty((5, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="start states"):
+            kern.walk(lead, U, np.array([0, 4]), out)
+        with pytest.raises(ValueError, match="layout"):
+            kern.walk(lead, U, np.array([0, 1]), out.T)
+        with pytest.raises(ValueError, match="start index"):
+            FinitePathCursor(make_mc0(4, 0.125), [run_generators(1)[0]], start=4)
 
     @settings(max_examples=60, deadline=None)
     @given(
         S=st.integers(1, 12),
-        R=st.sampled_from([1, 2, _R0, _R0 + 1, 40]),
-        splits=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        R=st.sampled_from([1, 2, 24, 25, 40]),
+        splits=st.lists(st.integers(0, 30), min_size=1, max_size=5).filter(any),
         seed=st.integers(0, 2**32 - 1),
         start=st.none() | st.integers(0, 11),
     )
     def test_takes_concatenate_to_one_take_and_reference(self, S, R, splits, seed, start):
+        # from S = 10 the numpy walk sums its counts over several uint64 words
         spec = _random_chain(S, seed) if S > 1 else FiniteChainSpec(np.eye(1), [[1.0]])
         start = None if start is None else start % S
         seeds = [seed + i for i in range(R)]
-        path = _cursor_path(spec, seeds, splits, start=start)
-        np.testing.assert_array_equal(path, _cursor_path(spec, seeds, [sum(splits)], start=start))
-        np.testing.assert_array_equal(path, _reference_path(spec, seeds, sum(splits), start=start))
+        want = _reference_path(spec, seeds, sum(splits), start=start)
+        for path in ("c", "numpy") if chains._load_kernel() is not None else ("numpy",):
+            with sampling_path(path):
+                got = _cursor_path(spec, seeds, splits, start=start)
+                whole = _cursor_path(spec, seeds, [sum(splits)], start=start)
+            np.testing.assert_array_equal(got, whole)
+            np.testing.assert_array_equal(got, want)

@@ -17,6 +17,7 @@ from markovsgd.algorithms import (
     ParallelConfig,
     ReplayConfig,
     SgdConfig,
+    run_many,
 )
 from markovsgd.chains import GaussianARSpec, run_generators
 from markovsgd.cli import main
@@ -300,6 +301,7 @@ class TestRunExperiment:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "kernel": kernel_info()["path"],
+            "blas": kernel_info()["blas"],
             "cpu_count": os.cpu_count(),
         }
 
@@ -385,6 +387,25 @@ class TestRunExperiment:
         assert s.mean_excess[0] == pytest.approx(0.25, rel=1e-12)
         assert s.mean_excess[2] < s.mean_excess[0]
         assert s.estimator["mean_excess"] == pytest.approx(s.mean_excess[2], rel=1e-12)
+
+    def test_parallel_series_with_per_run_starts(self):
+        # "random_unit" gives every run its own start, which each of its K
+        # parallel instances begins from
+        doc = sgd_doc(
+            w_init="random_unit",
+            algorithms=[{"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4}],
+        )
+        config = ExperimentConfig.from_json(doc)
+        (s,) = run_experiment(config)
+        seeds = [config.seed + i for i in range(config.num_runs)]
+        problem = build_problem(config)
+        starts = resolve_w_init("random_unit", problem, seeds)
+        algo = build_algorithm(doc["algorithms"][0])
+        want = [
+            run_many(problem, config.T, algo, [seed], w_init=start, checkpoints=s.checkpoints).checkpoint_excess
+            for seed, start in zip(seeds, starts)
+        ]
+        np.testing.assert_array_equal(s.mean_excess, np.concatenate(want, axis=1).mean(axis=1))
 
 
 THREE_SERIES = (

@@ -1,4 +1,4 @@
-"""The compiled update loop: bit-identity with the numpy loop, divergence, loading."""
+"""The compiled loops: bit-identity with the numpy loops, divergence, loading."""
 
 import contextlib
 import json
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import markovsgd
-from markovsgd import _kernel, algorithms
+from markovsgd import _kernel, algorithms, chains
 from markovsgd.algorithms import (
     DataDropConfig,
     ParallelConfig,
@@ -28,7 +28,15 @@ from markovsgd.algorithms import (
     run_sgd_dd,
     run_sgd_er,
 )
-from markovsgd.chains import GaussianARSpec, make_agnostic_bias_chain, make_mc0, make_mc3
+from markovsgd.chains import (
+    FinitePathCursor,
+    GaussianARSpec,
+    GaussianPathCursor,
+    make_agnostic_bias_chain,
+    make_mc0,
+    make_mc3,
+    run_generators,
+)
 from markovsgd.regression import AgnosticDeterministic, IndependentGaussian, Noiseless, make_problem
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(markovsgd.__file__)))
@@ -40,9 +48,11 @@ requires_kernel = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def _numpy_loop():
-    """Context in which the engines run the numpy loop."""
+    """Context in which the engines run the numpy update loop and the path
+    cursors the numpy walk and scipy's lfilter."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "_load_kernel", lambda d: None)
+        mp.setattr(chains, "_load_kernel", lambda: None)
         yield
 
 
@@ -79,8 +89,7 @@ class TestSameBits:
         T = data.draw(st.integers(max(8, 2 * K, B + u), 120), label="T")
         entries = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
         w_star = np.array(data.draw(st.lists(entries, min_size=d, max_size=d), label="w_star"))
-        starts = ["zeros", "w_star", "shared"] + ([] if algo == "parallel" else ["per_run"])
-        start = data.draw(st.sampled_from(starts), label="start")
+        start = data.draw(st.sampled_from(["zeros", "w_star", "shared", "per_run"]), label="start")
         points = st.sampled_from([0, 1, T]) | st.integers(0, T)
         checkpoints = data.draw(st.none() | st.lists(points, max_size=5), label="checkpoints")
 
@@ -277,6 +286,43 @@ class TestLoader:
         assert info == {"path": "numpy", "cache": None, "blas": None}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
+
+    def test_no_compiler_samples_the_same_paths_with_one_warning(self, fresh_cache, monkeypatch, tmp_path):
+        finite, gaussian = make_mc0(6, 0.2), GaussianARSpec(dim=3, epsilon=0.2)
+        seeds, splits = [4, 5, 6], (1, 40, 7)
+
+        def paths():
+            cursors = [
+                FinitePathCursor(finite, [run_generators(s)[0] for s in seeds]),
+                GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds]),
+                GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds], start=[0.1, -0.0, 0.2]),
+            ]
+            return [np.concatenate([cur.take(n) for n in splits]).tobytes() for cur in cursors]
+
+        want = paths()
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc here
+        _kernel.library.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = paths()
+            paths()
+            info = kernel_info()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        message = str(caught[0].message)
+        assert "no C compiler" in message
+        assert "path samplers" in message and "update loop" in message
+        assert info == {"path": "numpy", "cache": None, "blas": None}
+        assert got == want
+
+    def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
+        # scipy.signal is the fallback's; the compiled path never imports it
+        env = dict(os.environ, PYTHONPATH=SRC)
+        code = (
+            "import sys; from markovsgd.chains import GaussianARSpec, GaussianPathCursor, run_generators; "
+            "GaussianPathCursor(GaussianARSpec(3, 0.2), [run_generators(1)[0]]).take(50); "
+            "assert 'scipy.signal' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
     def test_truncated_library_is_rebuilt(self, fresh_cache, keep):
