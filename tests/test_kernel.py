@@ -1,6 +1,7 @@
 """The compiled loops: bit-identity with the numpy loops, divergence, loading."""
 
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -129,6 +130,107 @@ class TestSameBits:
             numpy = run_sgd_er(problem, 90, cfg, 4, coupled=True)
         assert compiled.iterates.tobytes() == numpy.iterates.tobytes()
         assert compiled.coupled.iterates_var.tobytes() == numpy.coupled.iterates_var.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pinned bits: every output of every engine, against recorded digests
+# ---------------------------------------------------------------------------
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_bits.json")
+
+
+def _blas_basename():
+    """File name of numpy's bundled OpenBLAS, or None where there is none."""
+    try:
+        name = _kernel._find_ddot()[2]
+    except _kernel._Unavailable:
+        return None
+    return os.path.basename(name.rpartition(":")[0])
+
+
+def _digest(value) -> str:
+    a = np.asarray(value)
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape} ".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_outputs() -> dict:
+    """sha256 of every output of every runner on fixed inputs, by name.
+
+    Single runs are coupled and record their reads, or plain; batches run
+    three seeds with per-run starts and checkpoints.  T leaves a remainder for data
+    drop, parallel SGD and replay alike.
+    """
+    T = 122
+    base = SgdConfig(step_size=0.2)
+    algos = {
+        "sgd": (run_sgd, base),
+        "dd": (run_sgd_dd, DataDropConfig(base, drop_interval=3)),
+        "parallel": (run_parallel_sgd, ParallelConfig(base, num_instances=4)),
+        "er": (run_sgd_er, ReplayConfig(buffer_size=4, step_size=0.2, drop_prefix=1)),
+    }
+    chains = {
+        "mc3": (make_mc3(2.0, 0.05), [0.5, -0.5]),
+        "ar": (GaussianARSpec(dim=3, epsilon=0.3), [0.3, -0.2, 0.1]),
+    }
+    out = {}
+    for chain_name, (chain, w_star) in chains.items():
+        problem = make_problem(chain, IndependentGaussian(0.1), w_star=np.array(w_star))
+        d = problem.dim
+        for algo, (runner, cfg) in algos.items():
+            if algo == "er" and chain_name != "ar":
+                continue
+            w1 = np.linspace(-0.4, 0.6, d)
+            run = runner(problem, T, cfg, 7, w_init=w1, coupled=True, record_reads=True)
+            plain = runner(problem, T, cfg, 8, w_init=w1)  # one weight row
+            batch = run_many(
+                problem, T, cfg, [11, 12, 13], w_init=np.linspace(-1, 1, 3 * d).reshape(3, d),
+                checkpoints=[0, 1, 50, T],
+            )
+            outputs = {
+                "single.estimate": run.estimate,
+                "single.iterates": run.iterates,
+                "single.window": run.window,
+                "single.sample_reads": run.sample_reads,
+                "single.discarded": run.discarded_samples,
+                "single.full": run.coupled.iterates_full,
+                "single.bias": run.coupled.iterates_bias,
+                "single.var": run.coupled.iterates_var,
+                "plain.estimate": plain.estimate,
+                "plain.iterates": plain.iterates,
+                "batch.estimates": batch.estimates,
+                "batch.finals": batch.final_iterates,
+                "batch.checkpoint_excess": batch.checkpoint_excess,
+                "batch.discarded": batch.discarded_samples,
+            }
+            out.update({f"{algo}/{chain_name}/{k}": _digest(v) for k, v in outputs.items()})
+    return out
+
+
+def _pinned_host() -> dict:
+    return {"numpy": np.__version__, "blas": _blas_basename()}
+
+
+class TestPinnedBits:
+    """The outputs hash to the digests recorded in ``pinned_bits.json``.
+
+    Bits are reproducible only within one numpy release and BLAS build, so
+    another host skips.  ``PYTHONPATH=src python tests/test_kernel.py``
+    records the digests anew.
+    """
+
+    @pytest.mark.parametrize("path", ["default", "numpy"])
+    def test_outputs_match_the_pinned_digests(self, path):
+        with open(PINNED) as fh:
+            pinned = json.load(fh)
+        if _pinned_host() != pinned["host"]:
+            pytest.skip(f"digests recorded under {pinned['host']}, this host has {_pinned_host()}")
+        with _numpy_loop() if path == "numpy" else contextlib.nullcontext():
+            got = _pinned_outputs()
+        assert got.keys() == pinned["digests"].keys()
+        changed = sorted(k for k, v in got.items() if v != pinned["digests"][k])
+        assert not changed, f"outputs changed: {changed}"
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +492,9 @@ class TestLoader:
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
         assert os.listdir(tmp_path) == []
+
+
+if __name__ == "__main__":
+    with open(PINNED, "w") as fh:
+        json.dump({"host": _pinned_host(), "digests": _pinned_outputs()}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
