@@ -35,13 +35,15 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
  *     scaled: w_j = w_j - (res * alpha) * x_j       (parallel SGD)
- * After update i, every weight is added into acc when lo <= i < hi.
+ * After update i, every weight is added into acc when lo <= i < hi, and
+ * copied into row first + i of iters, when iters is given: rows of
+ * m*R*K*d doubles.  acc and iters may be null.
  *
  * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
  * run r non-finite, bad[r] becomes first + i and the run is not updated
  * again; the loop returns early once every run is marked.
  */
-void msgd_advance(ddot_fn ddot, double *w, double *acc,
+void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
                   int64_t m, int64_t R, int64_t K, int64_t d,
                   const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                   const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
@@ -88,6 +90,12 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc,
         if (acc != 0 && lo <= i && i < hi) {
             for (int64_t j = 0; j < size; j++) {
                 acc[j] += w[j];
+            }
+        }
+        if (iters != 0) {
+            double *row = iters + (first + i) * size;
+            for (int64_t j = 0; j < size; j++) {
+                row[j] = w[j];
             }
         }
     }

@@ -1,6 +1,6 @@
 """Build, cache and load the compiled loops (``_kernel.c``).
 
-The engines in :mod:`markovsgd.algorithms` advance their weights through
+The engine of :mod:`markovsgd.algorithms` advances its weights through
 :func:`load`, and the path cursors of :mod:`markovsgd.chains` walk finite
 chains and filter Gaussian paths through :func:`library`; both modules
 import this one on first use.  The first call on a machine compiles
@@ -9,14 +9,16 @@ import this one on first use.  The first call on a machine compiles
 private directory under the system temporary directory when that one is
 not writable), keyed by the sha256 of the source, the flags and
 ``cc --version``, and loads it with :mod:`ctypes`.  Later processes load the
-cached file without starting a process.
+cached file without starting a process, and refresh its mtime; a build
+removes the libraries and compiler memos of the cache that no process has
+loaded for 30 days.
 
 The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
 for bit.  Before the loop first runs at a dimension, :meth:`Kernel.usable`
 checks that ``ddot`` agrees with ``np.vecdot`` there.  When there is no
 compiler, no such ``ddot``, or a disagreement, :func:`load` returns None, the
-engines run the numpy loop, and one ``RuntimeWarning`` says why.  The
+engine runs the numpy loop, and one ``RuntimeWarning`` says why.  The
 sampling loops call no BLAS and need no such check: they run whenever the
 library loads, and the cursors fall back to numpy (and scipy) only when it
 does not.
@@ -24,6 +26,7 @@ does not.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -33,6 +36,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -42,6 +46,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # ILP64 CBLAS ddot in numpy's OpenBLAS builds: (n, x, incx, y, incy), 64-bit ints
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+# a cached library or compiler memo untouched this long is removed after a build
+_STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 
@@ -66,7 +72,7 @@ class Kernel:
         self._dot.restype = ctypes.c_double
         self._advance = lib.msgd_advance
         self._advance.argtypes = (
-            (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
+            (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
@@ -93,7 +99,7 @@ class Kernel:
         mismatch at any dimension retires the kernel for the process.
         """
         if d not in self._checked and not self.mismatch:
-            # only the ufuncs the engines use, so a worker pages in no new code
+            # only the ufuncs the engine uses, so a worker pages in no new code
             i = np.arange(64.0 * d).reshape(64, d)
             scale = np.array([[2.0 ** (7 * k % 61 - 30)] for k in range(64)])
             a = (0.618 * i - 19.7 * d) * scale
@@ -107,45 +113,43 @@ class Kernel:
                 self.mismatch = True
                 warnings.warn(
                     f"markovsgd: {self.blas_name} disagrees with np.vecdot at dimension {d}; "
-                    "the engines run the numpy update loop",
+                    "the engine runs the numpy update loop",
                     RuntimeWarning,
                     stacklevel=3,
                 )
         return not self.mismatch
 
-    def advance(self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int) -> None:
+    def advance(self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None) -> None:
         """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
-        ``W`` and ``acc`` are contiguous ``(m, *runs, d)``, ``X`` is
-        ``(n, *runs, d)`` and ``Y`` is ``(m, n, *runs)``, where ``runs`` is
-        ``(R,)`` or ``(R, K)``; X and Y may be strided views.  ``bad`` is
-        a contiguous int64 ``(R,)``: -1 for a finite run, else the number
-        (counted from ``first`` for this call's first update) of the update
-        that left the run non-finite, after which it is not updated.
+        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``, ``X`` is
+        ``(n, R, K, d)`` and ``Y`` is ``(m, n, R, K)``; X and Y may be
+        strided views.  ``bad`` is a contiguous int64 ``(R,)``: -1 for a
+        finite run, else the number (counted from ``first`` for this call's
+        first update) of the update that left the run non-finite, after
+        which it is not updated.  ``iters``, a contiguous ``(rows, m, R, K,
+        d)``, receives W after update i in row ``first + i``.
         """
-        m, *runs, d = W.shape
+        m, R, K, d = W.shape
         n = len(X)
         if not (
             _is_f64(W, contiguous=True)
             and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
-            and X.shape == (n, *runs, d)
-            and Y.shape == (m, n, *runs)
+            and (iters is None or (iters.shape[1:] == W.shape and _is_f64(iters, contiguous=True)))
+            and X.shape == (n, R, K, d)
+            and Y.shape == (m, n, R, K)
             and _is_f64(X)
             and _is_f64(Y)
-            and len(runs) in (1, 2)
-            and bad.shape == (runs[0],)
+            and bad.shape == (R,)
             and bad.dtype == np.int64
             and bad.flags.c_contiguous
         ):
             raise ValueError("advance: arrays of mismatched shape, dtype or layout")
         if n == 0:
             return
+        if iters is not None and not 0 <= first <= len(iters) - n:
+            raise ValueError(f"advance: updates {first} .. {first + n - 1} have no rows in iters")
         xs = [s // 8 for s in X.strides]
-        ys = [s // 8 for s in Y.strides]
-        if len(runs) == 1:  # one instance per run
-            runs = [runs[0], 1]
-            xs.insert(2, 0)
-            ys.append(0)
         if d == 1:
             xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
         if xs[3] <= 0:
@@ -154,13 +158,15 @@ class Kernel:
             self._ddot,
             W.ctypes.data,
             None if acc is None else acc.ctypes.data,
+            None if iters is None else iters.ctypes.data,
             m,
-            *runs,
+            R,
+            K,
             d,
             X.ctypes.data,
             *xs,
             Y.ctypes.data,
-            *ys,
+            *(s // 8 for s in Y.strides),
             n,
             lo,
             hi,
@@ -252,7 +258,7 @@ def library() -> Kernel | None:
     except (_Unavailable, OSError) as exc:  # OSError: the cache could not be written
         warnings.warn(
             f"markovsgd: compiled loops unavailable ({exc}); the path samplers and "
-            "the engines' update loop run in numpy",
+            "the engine's update loop run in numpy",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -266,7 +272,7 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop the engines take here, with the library and BLAS used."""
+    """Which update loop the engine takes here, with the library and BLAS used."""
     kern = library()
     if kern is None:
         return {"path": "numpy", "cache": None, "blas": None}
@@ -284,11 +290,15 @@ def _open() -> Kernel:
             source = fh.read()
     except OSError as exc:
         raise _Unavailable(f"cannot read the kernel source: {exc}") from exc
-    version = _compiler_version(cc, cache)
+    version, memo = _compiler_version(cc, cache)
     key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS).encode(), version])).hexdigest()
     path = os.path.join(cache, f"kernel-{key[:24]}.so")
-    if not _intact(path):  # not built yet, or damaged
+    if _intact(path):
+        with contextlib.suppress(OSError):
+            os.utime(path)  # in use: _prune keeps it another _STALE_S
+    else:  # not built yet, or damaged
         _build(cc, path)
+        _prune(cache, keep=(path, memo))
     try:
         lib = ctypes.CDLL(path)
     except OSError as exc:
@@ -296,8 +306,8 @@ def _open() -> Kernel:
     return Kernel(lib, blas, ddot, path, blas_name)
 
 
-def _compiler_version(cc: str, cache: str) -> bytes:
-    """``cc --version``, remembered in the cache per compiler binary.
+def _compiler_version(cc: str, cache: str) -> tuple[bytes, str]:
+    """``cc --version`` and the cache file remembering it per compiler binary.
 
     The output is filed under the binary's path, size, mtime and inode, so
     a process with a warm cache starts no subprocess.  (Linux counts a
@@ -313,7 +323,7 @@ def _compiler_version(cc: str, cache: str) -> bytes:
     memo = os.path.join(cache, f"cc-{ident[:24]}.version")
     try:
         with open(memo, "rb") as fh:
-            return fh.read()
+            return fh.read(), memo
     except OSError:
         pass
     try:
@@ -328,7 +338,7 @@ def _compiler_version(cc: str, cache: str) -> bytes:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return version
+    return version, memo
 
 
 def _intact(path: str) -> bool:
@@ -417,3 +427,21 @@ def _build(cc: str, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _prune(cache: str, keep) -> None:
+    """Remove the libraries and compiler memos in ``cache`` unused for _STALE_S.
+
+    Called after a build only, so a warm load never removes the library of
+    another version of the package, such as one compared against this one.
+    A file that cannot be removed stays.
+    """
+    cutoff = time.time() - _STALE_S
+    for name in os.listdir(cache):
+        path = os.path.join(cache, name)
+        ours = (name.startswith("kernel-") and name.endswith(".so")) or (
+            name.startswith("cc-") and name.endswith(".version")
+        )
+        with contextlib.suppress(OSError):
+            if ours and path not in keep and os.stat(path).st_mtime < cutoff:
+                os.unlink(path)

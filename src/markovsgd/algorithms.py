@@ -15,8 +15,12 @@ Estimators
   quantities (alpha_t, gamma_t) whose exact one-step identity drives the
   sequential lower bound.
 
-Every estimator is implemented once as a batched engine that advances R
-independent runs in lockstep (arrays shaped ``(runs, dim)``); the public
+The four estimators are one constant-step update on four schedules over the
+same stream.  One engine runs them all: a per-algorithm plan says how many
+events (updates, rounds or buffers) a run has, how many samples each reads
+and which, and which iterates the estimate averages; the engine advances R
+independent runs in lockstep, with weights shaped ``(branches, runs,
+instances, dim)`` -- one instance per run outside parallel SGD.  The public
 single-run functions are the R=1 case of the same engine, so single runs and
 batched experiment runs produce bitwise-identical paths for equal seeds.
 
@@ -25,8 +29,9 @@ Tail-average windows follow the algorithm displays exactly; see
 conventions.  Every update rule uses the descent sign
 ``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
 kernel (``_kernel.c``, built on first use and cached; see
-:func:`kernel_info`) that gives the same bits as the numpy loop, which runs
-instead when every iterate is kept or the kernel is unavailable.
+:func:`kernel_info`), which also sums the tail window and stores the
+iterates a single run keeps.  It gives the same bits as the numpy loop, the
+fallback that runs only where the kernel is unavailable.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
 spawned from its seed -- see :func:`markovsgd.chains.run_generators`.  Noise
@@ -38,13 +43,14 @@ algorithm generator as one block of B integers per buffer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,26 +132,15 @@ class DataDropConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """K interleaved SGD instances over one stream.
-
-    ``initial_points`` is an optional (K, dim) array; by default every
-    instance starts from the caller-supplied initial point.
-    """
+    """K interleaved SGD instances over one stream, all started at the run's
+    initial point."""
 
     base: SgdConfig
     num_instances: int
-    initial_points: np.ndarray | None = None
 
     def __post_init__(self):
         if self.num_instances < 1:
             raise ValueError(f"num_instances must be >= 1, got {self.num_instances}")
-        if self.initial_points is not None:
-            pts = np.asarray(self.initial_points, dtype=float)
-            if pts.ndim != 2 or pts.shape[0] != self.num_instances:
-                raise ValueError(
-                    f"initial_points must have shape ({self.num_instances}, dim)"
-                )
-            object.__setattr__(self, "initial_points", pts)
 
 
 @dataclass(frozen=True)
@@ -309,14 +304,23 @@ def _rng_triples(rng, num_runs: int | None = None):
     return [_run_generators(s, range(3)) for s in rng]
 
 
-def _initial_weights(problem: Problem, w_init, num_runs: int, coupled: bool) -> np.ndarray:
-    d = problem.dim
+def _starts(d: int, w_init, num_runs: int) -> np.ndarray:
+    """The initial point: zeros, a shared (d,) start, or one (R, d) row per run."""
     w1 = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
-    m = 3 if coupled else 1
-    W = np.empty((m, num_runs, d))
-    W[0] = w1  # broadcasts (d,) or per-run (R, d) starts
+    if w1.shape not in ((d,), (num_runs, d)):
+        raise ValueError(f"w_init must have shape ({d},) or ({num_runs}, {d}), got {w1.shape}")
+    return w1
+
+
+def _initial_weights(problem: Problem, w_init, num_runs: int, K: int, coupled: bool) -> np.ndarray:
+    """Weights ``(m, R, K, d)``: m = 3 branches (full, bias, var) when
+    coupled, else the full one; every instance of a run starts at its point,
+    and the var branch at w*."""
+    w1 = _starts(problem.dim, w_init, num_runs)
+    W = np.empty((3 if coupled else 1, num_runs, K, problem.dim))
+    W[0] = w1[..., None, :]
     if coupled:
-        W[1] = w1
+        W[1] = W[0]
         W[2] = problem.w_star
     return W
 
@@ -328,7 +332,7 @@ class _Stream:
     ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``;
     :meth:`vectors`,
     :meth:`clean` and :meth:`labels` map either kind elementwise, so the
-    engines may reorder a block (e.g. into parallel rounds) before use.
+    engine may reorder a block (e.g. into parallel rounds) before use.
     """
 
     def __init__(self, problem: Problem, triples):
@@ -364,7 +368,7 @@ class _Stream:
         """Noise-free labels <x, w*> for a block of states.
 
         Deliberately ``np.vecdot`` -- the identical row-wise reduction the
-        engines use for predictions -- rather than a matmul, so that labels
+        engine uses for predictions -- rather than a matmul, so that labels
         agree bit for bit with the engine's prediction whatever the batch
         shape.  This is what makes w* an *exact* fixed point of noiseless
         runs and keeps single-run and batched outputs byte-identical.  A
@@ -384,18 +388,17 @@ class _Stream:
             y = y + self._sigma * xi
         return y
 
-
-def _stack_branches(y_full: np.ndarray, y_clean, coupled: bool) -> np.ndarray:
-    """Label rows per weight branch: (full, bias, var) when coupled."""
-    if not coupled:
-        return y_full[None]
-    return np.stack((y_full, y_clean, y_full))
+    def branch_labels(self, s: np.ndarray, xi, coupled: bool) -> np.ndarray:
+        """Label rows per weight branch, ``(m, *block)``: (full, bias, var)
+        when coupled -- the bias branch sees clean labels -- else full only."""
+        y = self.labels(s, xi)
+        return np.stack((y, self.clean(s), y)) if coupled else y[None]
 
 
 class _Checkpoints:
     """Maps requested sample counts onto an engine's update/round/buffer events.
 
-    ``events`` holds the event numbers that carry a checkpoint; engines test
+    ``events`` holds the event numbers that carry a checkpoint; the engine tests
     ``event in ck.events`` before calling :meth:`record`.
     """
 
@@ -429,7 +432,7 @@ def _block_sizes(num_runs: int, dim: int) -> int:
 def _check_finite(W: np.ndarray, triples, samples: int) -> None:
     """Raise if any weight is no longer finite after ``samples`` stream samples.
 
-    ``W`` has the run axis second, as every engine lays it out.
+    ``W`` has the run axis second, as the engine lays it out.
     """
     if np.isfinite(W).all():
         return
@@ -441,49 +444,31 @@ def _check_finite(W: np.ndarray, triples, samples: int) -> None:
     )
 
 
-# The least-squares update W <- W - (<W, x> - y) * (step * x), one sample at a
-# time, for the m weight branches of R runs, W (m, R, d).  With one weight
-# row (m = R = 1) the residual is a Python float, because numpy is slow on
-# one-element operands: on a 2-CPU Xeon VM (numpy 2.4) an in-place subtract
-# into a one-element array took 1.7-2.0 us against ~0.5 us on two elements,
-# and the (1, 1, 1) x (1, d) broadcast multiply 1.6-1.9 us.  Both forms
-# evaluate the same dot, the same IEEE subtraction and the same products in
-# the same order, so they give the same bits.
-_LABEL_CHUNK = 4096  # labels converted to a Python list at a time
-
-
 def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray, scale=None):
-    """Update ``W`` in place on each sample of a block, yielding after each.
+    """The numpy update loop: update ``W`` in place on each sample of a
+    block, yielding after each.
 
-    ``X`` holds the block's vectors and ``Xs`` the same scaled by the step
-    size, both ``(n, *runs, d)``; ``Y`` holds the labels of each weight
-    branch, ``(m, n, *runs)``.  With ``scale``, the residual is multiplied
-    by it before the (then unscaled) ``Xs``: parallel SGD's ``(step * r) * x``.
+    The least-squares update ``W <- W - (<W, x> - y) * (step * x)``, one
+    sample at a time, for the m weight branches of R runs of K instances,
+    ``W`` ``(m, R, K, d)``.  ``X`` holds the block's vectors and ``Xs`` the
+    same scaled by the step size, both ``(n, R, K, d)``; ``Y`` holds the
+    labels of each weight branch, ``(m, n, R, K)``.  With ``scale``, the
+    residual is multiplied by it before the (then unscaled) ``Xs``: parallel
+    SGD's ``(step * r) * x``.  This is the compiled kernel's fallback and
+    reference.
     """
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
-    if scale is None and W.shape[:-1] == (1, 1):
-        w, X, Xs = W[0, 0], X[:, 0], Xs[:, 0]
-        p = np.empty_like(w)
-        r0 = np.empty(())
-        for a in range(0, len(X), _LABEL_CHUNK):
-            b = a + _LABEL_CHUNK
-            for x, xs, y in zip(X[a:b], Xs[a:b], Y[0, a:b, 0].tolist()):
-                vecdot(w, x, r0)
-                multiply(r0.item() - y, xs, p)
-                subtract(w, p, w)
-                yield
-    else:
-        P = np.empty_like(W)
-        rbuf = np.empty(W.shape[:-1])
-        r3 = rbuf[..., None]
-        for x, xs, y in zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0))):
-            vecdot(W, x, rbuf)
-            subtract(rbuf, y, rbuf)
-            if scale is not None:
-                multiply(rbuf, scale, rbuf)
-            multiply(r3, xs, P)
-            subtract(W, P, W)
-            yield
+    P = np.empty_like(W)
+    rbuf = np.empty(W.shape[:-1])
+    r3 = rbuf[..., None]
+    for x, xs, y in zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0))):
+        vecdot(W, x, rbuf)
+        subtract(rbuf, y, rbuf)
+        if scale is not None:
+            multiply(rbuf, scale, rbuf)
+        multiply(r3, xs, P)
+        subtract(W, P, W)
+        yield
 
 
 def _load_kernel(d: int):
@@ -500,22 +485,21 @@ def _load_kernel(d: int):
 def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None, scaled=False):
     """Apply a block's updates to ``W`` in place, yielding at events.
 
-    Sample i of ``X`` ``(n, *runs, d)``, with labels ``Y[:, i]``
-    ``(m, n, *runs)``, drives update ``first + i + 1``.  After update s, W
+    Sample i of ``X`` ``(n, R, K, d)``, with labels ``Y[:, i]``
+    ``(m, n, R, K)``, drives update ``first + i + 1``.  After update s, W
     is added into ``acc`` when ``window[0] <= s < window[1]`` and stored in
     ``iters[s]`` when ``iters`` is given.  The generator yields s after each
     update s in ``events``.  ``scaled`` selects parallel SGD's
     ``(alpha * r) * x`` order over ``r * (alpha * x)``.
 
-    The compiled kernel does the work, unless every iterate must be stored
-    or the kernel is unavailable (see :mod:`markovsgd._kernel`); then
-    :func:`_descend` does, with the same bits.  The kernel stops each run at
-    the first update that leaves one of its weights non-finite; the
-    generator then yields no more events, but at the end yields that update
-    for the first such run.
+    The compiled kernel does the work, unless it is unavailable (see
+    :mod:`markovsgd._kernel`); then :func:`_descend` does, with the same
+    bits.  The kernel stops each run at the first update that leaves one of
+    its weights non-finite; the generator then yields no more events, but
+    at the end yields that update for the first such run.
     """
     lo, hi = window
-    kern = None if iters is not None else _load_kernel(W.shape[-1])
+    kern = _load_kernel(W.shape[-1])
     if kern is None:
         Xs = X if scaled else alpha * X
         for s, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
@@ -532,7 +516,7 @@ def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=
     for b in sorted({e for e in events if first < e < end} | {end}):
         # kernel update i is update a + i + 1
         seg = slice(a - first, b - first)
-        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1)
+        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters)
         if b in events and bad.max() < 0:
             yield b
         a = b
@@ -541,135 +525,69 @@ def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=
 
 
 # ---------------------------------------------------------------------------
-# Engines
+# The engine: one skeleton, one plan per algorithm
 # ---------------------------------------------------------------------------
 
 
-def _sgd_engine(
-    problem: Problem,
-    T: int,
-    config: SgdConfig,
-    triples,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = False,
-    checkpoints=None,
-    record_reads: bool = False,
-):
-    """Tail-averaged SGD: T updates, estimate = mean of w_{floor(T(1-f))+1} .. w_T."""
+@dataclass(frozen=True)
+class _Plan:
+    """One algorithm's schedule over the stream, as :func:`_engine` runs it.
+
+    A run is ``events`` events -- updates, rounds or buffers -- of
+    ``per_event`` stream samples each.  ``draw(stream, j, n)`` returns the
+    states and unit noise that events j+1 .. j+n update on, in update order
+    ``(updates, R[, K], ...)``, with the 1-based numbers of the samples run
+    0 reads.  Each event applies ``updates`` updates of size ``step`` to K
+    instances per run; ``parallel`` keeps the instance axis in the outputs
+    and updates in parallel SGD's order.  Row e of the iterates is the
+    weight after event e, row 0 the start: the estimate averages
+    ``window = (first row, count)``, and a runner returns the rows from
+    ``first_row`` on.
+    """
+
+    events: int
+    per_event: int
+    window: tuple[int, int]
+    step: float
+    draw: Callable
+    K: int = 1
+    updates: int = 1
+    parallel: bool = False
+    first_row: int = 0
+
+
+def _sgd_plan(problem: Problem, T: int, config: SgdConfig, triples) -> _Plan:
+    """Update t reads sample t; the window is w_{floor(T(1-f))+1} .. w_T."""
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
-    R = len(triples)
-    d = problem.dim
-    alpha = config.step_size
-    stream = _Stream(problem, triples)
 
-    W = _initial_weights(problem, w_init, R, coupled)
-    m = W.shape[0]
-    start, count = tail_window(T, config.tail_fraction)
-    acc = np.zeros_like(W)
-    iters = np.empty((T + 1, m, R, d)) if keep_iterates else None
-    if keep_iterates:
-        iters[0] = W
-    ck = _Checkpoints(checkpoints, lambda n: n, T, R)
-    ck.record(0, problem, W[0])
+    def draw(stream, j, n):
+        return stream.cursor.take(n), stream.noise(n), np.arange(j + 1, j + n + 1)
 
-    if start == 0:
-        acc += W  # a full-length window opens on w_0
-    block = _block_sizes(R, d)
-    t = 0
-    while t < T:
-        n = min(block, T - t)
-        s = stream.cursor.take(n)
-        X = stream.vectors(s)
-        Yf = stream.labels(s, stream.noise(n))
-        Y = _stack_branches(Yf, stream.clean(s) if coupled else None, coupled)
-        # after update `step`, W is row `step` of the iterate array, and the
-        # window averages rows start .. T-1
-        for step in _advance(W, X, Y, alpha, first=t, acc=acc, window=(start, T), events=ck.events, iters=iters):
-            _check_finite(W, triples, step)
-            ck.record(step, problem, W[0])
-        t += n
-        _check_finite(W, triples, t)
-
-    return {
-        "estimates": acc / count,
-        "final": W.copy(),
-        "iterates": iters,
-        "window": (start, count),
-        "checkpoints": ck,
-        "discarded": 0,
-        "reads": np.arange(1, T + 1, dtype=np.int64) if record_reads else None,
-    }
+    return _Plan(T, 1, tail_window(T, config.tail_fraction), config.step_size, draw)
 
 
-def _dd_engine(
-    problem: Problem,
-    T: int,
-    config: DataDropConfig,
-    triples,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = False,
-    checkpoints=None,
-    record_reads: bool = False,
-):
-    """Data-drop SGD: update s consumes sample sK; estimate window includes
-    the final iterate (w_{s} for s = floor(n(1-f))+2 .. n_upd+1)."""
+def _dd_plan(problem: Problem, T: int, config: DataDropConfig, triples) -> _Plan:
+    """Update s reads sample sK; the window, one row past plain SGD's,
+    ends on the final iterate."""
     K = resolve_drop_interval(config, problem, T)
     if K > T:
         raise ValueError(f"drop interval K={K} exceeds the horizon T={T}")
     n_upd = T // K
-    R = len(triples)
-    d = problem.dim
-    alpha = config.base.step_size
-    stream = _Stream(problem, triples)
-
-    W = _initial_weights(problem, w_init, R, coupled)
-    m = W.shape[0]
     start, count = tail_window(n_upd, config.base.tail_fraction)
-    # averaged rows are start+1 .. start+count of the (n_upd+1)-row iterate array
-    acc = np.zeros_like(W)
-    iters = np.empty((n_upd + 1, m, R, d)) if keep_iterates else None
-    if keep_iterates:
-        iters[0] = W
-    ck = _Checkpoints(checkpoints, lambda n: n // K, n_upd, R)
-    ck.record(0, problem, W[0])
 
-    window = (start + 1, n_upd + 1)
-    per_chunk = max(1, _block_sizes(R, d) // K)
-    s = 0
-    while s < n_upd:
-        nk = min(per_chunk, n_upd - s)
-        kept = stream.cursor.take(nk * K)[K - 1 :: K]
-        Xk = stream.vectors(kept)
-        Yf = stream.labels(kept, stream.noise(nk))
-        Y = _stack_branches(Yf, stream.clean(kept) if coupled else None, coupled)
-        for upd in _advance(W, Xk, Y, alpha, first=s, acc=acc, window=window, events=ck.events, iters=iters):
-            _check_finite(W, triples, upd * K)
-            ck.record(upd, problem, W[0])
-        s += nk
-        _check_finite(W, triples, s * K)
+    def draw(stream, j, n):
+        return stream.cursor.take(n * K)[K - 1 :: K], stream.noise(n), K * np.arange(j + 1, j + n + 1)
 
-    return {
-        "estimates": acc / count,
-        "final": W.copy(),
-        "iterates": iters,
-        "window": (start + 1, count),
-        "checkpoints": ck,
-        "discarded": T - n_upd * K,
-        "reads": K * np.arange(1, n_upd + 1, dtype=np.int64) if record_reads else None,
-    }
+    return _Plan(n_upd, K, (start + 1, count), config.base.step_size, draw)
 
 
-def _rounds(stream: _Stream, nr: int, K: int, coupled: bool):
-    """Next nr rounds of K samples: vectors (nr, R, K, d), labels (m, nr, R, K).
+def _rounds(stream: _Stream, j: int, nr: int, K: int):
+    """Rounds j+1 .. j+nr of K samples: states (nr, R, K, ...), noise (nr, R, K).
 
     Stream order (nr*K, R, ...) becomes round order (nr, R, K, ...) as
-    views; a finite chain reorders its int64 state indices and gathers the
-    vectors and labels straight into round order.
+    views; a finite chain's int64 state indices are made contiguous once,
+    so the vectors and labels gather straight into round order.
     """
     s = stream.cursor.take(nr * K)
     s = s.reshape(nr, K, *s.shape[1:]).swapaxes(1, 2)
@@ -679,167 +597,139 @@ def _rounds(stream: _Stream, nr: int, K: int, coupled: bool):
     xi = stream.noise(nr * K)
     if xi is not None:
         xi = xi.reshape(nr, K, -1).swapaxes(1, 2)
-    labels = stream.labels(s, xi)
-    return stream.vectors(s), _stack_branches(labels, stream.clean(s) if coupled else None, coupled)
+    return s, xi, np.arange(j * K + 1, (j + nr) * K + 1).reshape(nr, K)
 
 
-def _parallel_engine(
-    problem: Problem,
-    T: int,
-    config: ParallelConfig,
-    triples,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = False,
-    checkpoints=None,
-    record_reads: bool = False,
-):
-    """Parallel SGD: round t hands sample (t-1)K+i to instance i; the
-    estimate averages all instances over rounds floor(n(1-f))+1 .. n."""
+def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, triples) -> _Plan:
+    """Round t hands sample (t-1)K+i to instance i over T truncated to a
+    multiple of 2K; the window averages all instances over rounds
+    floor(n(1-f))+1 .. n."""
     K = config.num_instances
-    T_used = (T // (2 * K)) * (2 * K)
-    if T_used == 0:
+    n_rounds = 2 * (T // (2 * K))
+    if n_rounds == 0:
         raise ValueError(f"num_instances K={K} exceeds T/2 (T={T})")
-    n_rounds = T_used // K
-    R = len(triples)
-    d = problem.dim
-    alpha = config.base.step_size
-    stream = _Stream(problem, triples)
-
-    m = 3 if coupled else 1
-    if config.initial_points is not None:
-        init_pts = config.initial_points
-        if init_pts.shape != (K, d):
-            raise ValueError(f"initial points must have shape ({K}, {d})")
-    else:
-        # every instance starts at w_init: (d,) shared, or (R, d) per run
-        init_pts = (np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float))[..., None, :]
-    W = np.empty((m, R, K, d))
-    W[0] = init_pts
-    if coupled:
-        W[1] = init_pts
-        W[2] = problem.w_star
-
-    start, count = tail_window(n_rounds, config.base.tail_fraction)
-    acc = np.zeros_like(W)
-    iters = np.empty((n_rounds + 1, m, R, K, d)) if keep_iterates else None
-    if keep_iterates:
-        iters[0] = W
-    ck = _Checkpoints(checkpoints, lambda n: n // K, n_rounds, R)
-    ck.record(0, problem, W[0].mean(axis=1))
-
-    # the window averages the iterates after rounds start .. n_rounds-1
-    window = (start, n_rounds)
-    if start == 0:
-        acc += W
-    rounds_chunk = max(1, _block_sizes(R, d) // K)
-    r = 0
-    while r < n_rounds:
-        nr = min(rounds_chunk, n_rounds - r)
-        Xr, Y = _rounds(stream, nr, K, coupled)  # (nr, R, K, d), (m, nr, R, K)
-        for rnd in _advance(
-            W, Xr, Y, alpha, first=r, acc=acc, window=window, events=ck.events, iters=iters, scaled=True
-        ):
-            _check_finite(W, triples, rnd * K)
-            ck.record(rnd, problem, W[0].mean(axis=1))
-        r += nr
-        _check_finite(W, triples, r * K)
-
-    reads = None
-    if record_reads:
-        reads = np.arange(1, T_used + 1, dtype=np.int64).reshape(n_rounds, K)
-    return {
-        "estimates": acc.sum(axis=2) / (count * K),
-        "final": W.mean(axis=2),
-        "iterates": iters,
-        "window": (start, count),
-        "checkpoints": ck,
-        "discarded": T - T_used,
-        "reads": reads,
-    }
+    window = tail_window(n_rounds, config.base.tail_fraction)
+    draw = functools.partial(_rounds, K=K)
+    return _Plan(n_rounds, K, window, config.base.step_size, draw, K=K, parallel=True)
 
 
-def _replay_engine(
-    problem: Problem,
-    T: int,
-    config: ReplayConfig,
-    triples,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = False,
-    checkpoints=None,
-    record_reads: bool = False,
-):
-    """Experience replay on a Gaussian AR stream; estimate = mean of the
-    after-buffer iterates over the last ceil(f * n_buf) buffers."""
+def _replay_plan(problem: Problem, T: int, config: ReplayConfig, triples) -> _Plan:
+    """Buffer j+1 replays B picks from its last B samples; the window
+    averages the after-buffer iterates of the last ceil(f * n_buf) buffers."""
     if not isinstance(problem.chain, GaussianARSpec):
         raise ValueError("experience replay requires the Gaussian AR chain")
-    B = config.buffer_size
-    u = config.drop_prefix
-    S = config.span
+    B, u, S = config.buffer_size, config.drop_prefix, config.span
     if S > T:
         raise ValueError(f"buffer span S={S} exceeds the horizon T={T}")
     n_buf = T // S
-    R = len(triples)
-    d = problem.dim
-    eta = config.step_size
-    stream = _Stream(problem, triples)
-    algo_rngs = [tr[2] for tr in triples]
-
-    W = _initial_weights(problem, w_init, R, coupled)
-    m = W.shape[0]
     count = math.ceil(config.tail_buffer_fraction * n_buf)
-    first_avg = n_buf - count + 1  # 1-based buffer numbers first_avg .. n_buf
-    acc = np.zeros_like(W)
-    iters = np.empty((n_buf, m, R, d)) if keep_iterates else None
-    ck = _Checkpoints(checkpoints, lambda n: n // S, n_buf, R)
-    ck.record(0, problem, W[0])
+    algo_rngs = [tr[2] for tr in triples]
+    rr = np.arange(len(triples))
 
-    rr = np.arange(R)
-    reads = [] if record_reads else None
-    bufs_chunk = max(1, _block_sizes(R, d) // S)
-    j = 0
-    while j < n_buf:
-        nb = min(bufs_chunk, n_buf - j)
+    def draw(stream, j, nb):
         n = nb * S
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
         Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2))
-        Xrun = Xrun.reshape(R * n, d)
-        # gather the chunk's passes up front: step s of run r in buffer b
-        # replays sample picks[s, r] of that buffer's retained pool
-        rows, xis = [], []
+        Xrun = Xrun.reshape(len(rr) * n, -1)
+        # step s of run r in buffer b replays sample picks[s, r] of that
+        # buffer's retained pool
+        rows, xis, reads = [], [], []
         for b in range(nb):
             xi = stream.noise(B)  # one variate per retained sample
             picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs], axis=1)
-            rows.append(rr * n + (b * S + u) + picks)
+            at = b * S + u + picks
+            rows.append(rr * n + at)
             if xi is not None:
                 xis.append(xi.T.take(rr * B + picks))
-            if record_reads:
-                reads.append((j + b) * S + u + 1 + picks[:, 0])
-        Xg = Xrun.take(np.concatenate(rows), axis=0)  # (nb * B, R, d)
-        Yg = stream.labels(Xg, np.concatenate(xis) if xis else None)[None]
-        if coupled:
-            Yg = np.stack((Yg[0], stream.clean(Xg), Yg[0]))
-        for upd in _advance(W, Xg, Yg, eta, events=range(B, nb * B + 1, B)):
-            buf = j + (upd - 1) // B + 1  # the buffer whose pass ran update upd
-            _check_finite(W, triples, buf * S)
-            if buf >= first_avg:
-                acc += W
-            if keep_iterates:
-                iters[buf - 1] = W
-            ck.record(buf, problem, W[0])
-        j += nb
-        _check_finite(W, triples, j * S)
+            reads.append(j * S + 1 + at[:, 0])
+        xi = np.concatenate(xis) if xis else None
+        return Xrun.take(np.concatenate(rows), axis=0), xi, np.concatenate(reads)
 
+    return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
+
+
+_PLANS = {
+    SgdConfig: _sgd_plan,
+    DataDropConfig: _dd_plan,
+    ParallelConfig: _parallel_plan,
+    ReplayConfig: _replay_plan,
+}
+
+
+def _engine(
+    problem: Problem,
+    T: int,
+    config,
+    triples,
+    *,
+    w_init=None,
+    coupled: bool = False,
+    keep_iterates: bool = False,
+    checkpoints=None,
+    record_reads: bool = False,
+):
+    """Run the plan of ``config``'s algorithm for R = len(triples) runs in lockstep."""
+    plan = _PLANS[type(config)](problem, T, config, triples)
+    R, B, per_event = len(triples), plan.updates, plan.per_event
+    stream = _Stream(problem, triples)
+
+    def point(w):  # each run's iterate: its instances' mean, or its one instance
+        return w.mean(axis=-2) if plan.parallel else w[..., 0, :]
+
+    W = _initial_weights(problem, w_init, R, plan.K, coupled)
+    lo, count = plan.window
+    hi = lo + count
+    acc = np.zeros_like(W)
+    if lo == 0:
+        acc += W  # a full-length window opens on w_0
+    iters = None
+    if keep_iterates:
+        iters = np.empty((plan.events + 1, *W.shape))
+        iters[0] = W
+    ck = _Checkpoints(checkpoints, lambda n: n // per_event, plan.events, R)
+    ck.record(0, problem, point(W[0]))
+
+    block = max(1, _block_sizes(R, problem.dim) // per_event)
+    reads = []
+    j = 0
+    while j < plan.events:
+        n = min(block, plan.events - j)
+        s, xi, read = plan.draw(stream, j, n)
+        X, Y = stream.vectors(s), stream.branch_labels(s, xi, coupled)
+        if not plan.parallel:
+            X, Y = X[:, :, None], Y[..., None]  # one instance per run
+        if record_reads:
+            reads.append(read)
+        if B == 1:  # event e is update e: the update loop sums and stores the rows
+            steps = _advance(
+                W, X, Y, plan.step, first=j, acc=acc, window=(lo, hi), events=ck.events, iters=iters,
+                scaled=plan.parallel,
+            )
+        else:
+            steps = _advance(W, X, Y, plan.step, first=j * B, events=range((j + 1) * B, (j + n) * B + 1, B))
+        for upd in steps:
+            e = -(-upd // B)  # the event that ran update upd
+            _check_finite(W, triples, e * per_event)
+            if B > 1:
+                if lo <= e < hi:
+                    acc += W
+                if iters is not None:
+                    iters[e] = W
+            ck.record(e, problem, point(W[0]))
+        j += n
+        _check_finite(W, triples, j * per_event)
+
+    if iters is not None:
+        iters = iters[plan.first_row :]
+        if not plan.parallel:
+            iters = iters[..., 0, :]
     return {
-        "estimates": acc / count,
-        "final": W.copy(),
+        "estimates": (acc.sum(axis=2) if plan.parallel else acc[:, :, 0]) / (count * plan.K),
+        "final": point(W),
         "iterates": iters,
-        "window": (first_avg - 1, count),
+        "window": (lo - plan.first_row, count),
         "checkpoints": ck,
-        "discarded": T - n_buf * S,
+        "discarded": T - plan.events * per_event,
         "reads": np.concatenate(reads) if record_reads else None,
     }
 
@@ -877,14 +767,6 @@ def _trace_engine(problem: Problem, T: int, eta: float, triples, *, w_init=None)
     return {"alphas": alphas, "gammas": gammas, "x_sq_norms": xsq}
 
 
-_ENGINES = {
-    SgdConfig: _sgd_engine,
-    DataDropConfig: _dd_engine,
-    ParallelConfig: _parallel_engine,
-    ReplayConfig: _replay_engine,
-}
-
-
 def resolve_drop_interval(config: DataDropConfig, problem: Problem, T: int) -> int:
     """Explicit K, or the derived K = tau_mix * ceil(L * log2 T)."""
     if config.drop_interval is not None:
@@ -907,144 +789,99 @@ def sgd_step(w, obs: Observation, alpha: float) -> np.ndarray:
     return w - (np.vecdot(w, x) - obs.y) * (alpha * x)
 
 
-def _single_run(engine, problem, T, config, rng, *, w_init, coupled, keep_iterates, record_reads):
-    if coupled and not keep_iterates:
-        raise ValueError("coupled runs need keep_iterates=True to expose the paths")
-    out = engine(
-        problem,
-        T,
+def _single_runner(kind: type, name: str, doc: str):
+    """The public single-run function for configs of type ``kind``."""
+
+    def run(
+        problem: Problem,
+        T: int,
         config,
-        _rng_triples(rng),
-        w_init=w_init,
-        coupled=coupled,
-        keep_iterates=keep_iterates,
-        record_reads=record_reads,
-    )
-    iters = out["iterates"]
-    coupled_traj = None
-    if iters is not None:
-        # (steps, m, 1, ...) -> per-branch (steps, ...)
-        paths = iters[:, :, 0]
-        if coupled:
-            coupled_traj = CoupledTrajectory(
-                iterates_full=paths[:, 0],
-                iterates_bias=paths[:, 1],
-                iterates_var=paths[:, 2],
-                w_star=problem.w_star,
-            )
-        iters = paths[:, 0]
-    return RunResult(
-        estimate=out["estimates"][0, 0],
-        iterates=iters,
-        window=out["window"],
-        coupled=coupled_traj,
-        sample_reads=out["reads"],
-        discarded_samples=out["discarded"],
-    )
+        rng,
+        *,
+        w_init=None,
+        coupled: bool = False,
+        keep_iterates: bool = True,
+        record_reads: bool = False,
+    ) -> RunResult:
+        if type(config) is not kind:
+            raise TypeError(f"{name} takes a {kind.__name__}, got {type(config).__name__}")
+        if coupled and not keep_iterates:
+            raise ValueError("coupled runs need keep_iterates=True to expose the paths")
+        out = _engine(
+            problem,
+            T,
+            config,
+            _rng_triples(rng),
+            w_init=w_init,
+            coupled=coupled,
+            keep_iterates=keep_iterates,
+            record_reads=record_reads,
+        )
+        iters = out["iterates"]
+        coupled_traj = None
+        if iters is not None:
+            # (steps, m, 1, ...) -> per-branch (steps, ...)
+            paths = iters[:, :, 0]
+            if coupled:
+                coupled_traj = CoupledTrajectory(
+                    iterates_full=paths[:, 0],
+                    iterates_bias=paths[:, 1],
+                    iterates_var=paths[:, 2],
+                    w_star=problem.w_star,
+                )
+            iters = paths[:, 0]
+        return RunResult(
+            estimate=out["estimates"][0, 0],
+            iterates=iters,
+            window=out["window"],
+            coupled=coupled_traj,
+            sample_reads=out["reads"],
+            discarded_samples=out["discarded"],
+        )
+
+    run.__name__ = run.__qualname__ = name
+    run.__doc__ = doc
+    run.__annotations__["config"] = kind.__name__
+    return run
 
 
-def run_sgd(
-    problem: Problem,
-    T: int,
-    config: SgdConfig,
-    rng,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = True,
-    record_reads: bool = False,
-) -> RunResult:
+run_sgd = _single_runner(
+    SgdConfig,
+    "run_sgd",
     """Tail-averaged SGD over T stationary-start stream samples.
 
     The estimate averages iterates ``w_{floor(T(1-f))+1} .. w_T`` (the update
     driven by the last sample is computed but, per the algorithm's displayed
     window, never averaged).  ``rng`` is an integer seed or SeedSequence.
-    """
-    return _single_run(
-        _sgd_engine,
-        problem,
-        T,
-        config,
-        rng,
-        w_init=w_init,
-        coupled=coupled,
-        keep_iterates=keep_iterates,
-        record_reads=record_reads,
-    )
+    """,
+)
 
-
-def run_sgd_dd(
-    problem: Problem,
-    T: int,
-    config: DataDropConfig,
-    rng,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = True,
-    record_reads: bool = False,
-) -> RunResult:
+run_sgd_dd = _single_runner(
+    DataDropConfig,
+    "run_sgd_dd",
     """SGD with data drop: updates only on samples K, 2K, ..., floor(T/K) K.
 
     With n = floor(T/K) updates the estimate averages iterates
     ``w_{floor(n(1-f))+2} .. w_{n+1}`` -- one past the plain-SGD window, per
     the algorithm's displayed bounds, so the final iterate is included.
-    """
-    return _single_run(
-        _dd_engine,
-        problem,
-        T,
-        config,
-        rng,
-        w_init=w_init,
-        coupled=coupled,
-        keep_iterates=keep_iterates,
-        record_reads=record_reads,
-    )
+    """,
+)
 
-
-def run_parallel_sgd(
-    problem: Problem,
-    T: int,
-    config: ParallelConfig,
-    rng,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = True,
-    record_reads: bool = False,
-) -> RunResult:
+run_parallel_sgd = _single_runner(
+    ParallelConfig,
+    "run_parallel_sgd",
     """K interleaved SGD instances; instance i updates on sample (t-1)K+i.
 
     T is truncated down to a multiple of 2K (the discarded count is
     reported).  The estimate averages every instance's iterates over rounds
     ``floor(n(1-f))+1 .. n`` where n = T/K.  Returned iterates have shape
     (rounds+1, K, d).
-    """
-    return _single_run(
-        _parallel_engine,
-        problem,
-        T,
-        config,
-        rng,
-        w_init=w_init,
-        coupled=coupled,
-        keep_iterates=keep_iterates,
-        record_reads=record_reads,
-    )
+    """,
+)
 
-
-def run_sgd_er(
-    problem: Problem,
-    T: int,
-    config: ReplayConfig,
-    rng,
-    *,
-    w_init=None,
-    coupled: bool = False,
-    keep_iterates: bool = True,
-    record_reads: bool = False,
-) -> RunResult:
+run_sgd_er = _single_runner(
+    ReplayConfig,
+    "run_sgd_er",
     """SGD with experience replay (Gaussian AR streams only).
 
     The stream is cut into floor(T/S) buffers of S = B + u samples; within
@@ -1052,18 +889,8 @@ def run_sgd_er(
     uniformly with replacement from the retained pool (global indices
     Sj+u+1 .. Sj+S).  Returned iterates are the after-buffer weights, and the
     estimate averages them over the last ceil(f * n_buf) buffers.
-    """
-    return _single_run(
-        _replay_engine,
-        problem,
-        T,
-        config,
-        rng,
-        w_init=w_init,
-        coupled=coupled,
-        keep_iterates=keep_iterates,
-        record_reads=record_reads,
-    )
+    """,
+)
 
 
 def _check_trace_regime(problem: Problem, eta: float) -> None:
@@ -1124,15 +951,15 @@ def run_many(
     any spawned pool, a script that calls this at import time must guard
     the call with ``if __name__ == "__main__":``.
     """
-    if type(config) not in _ENGINES:
+    if type(config) not in _PLANS:
         raise TypeError(f"unsupported config type {type(config).__name__}")
     if int(workers) != workers or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     seeds = list(seeds)
     R = len(seeds)
-    per_run = w_init is not None and np.ndim(w_init) == 2
-    if per_run and np.shape(w_init)[0] != R:
-        raise ValueError(f"per-run w_init must have one row per seed ({R}), got {np.shape(w_init)}")
+    if R == 0:
+        raise ValueError("run_many needs at least one seed")
+    per_run = _starts(problem.dim, w_init, R).ndim == 2
     n_chunks = min(int(workers), R)
     if n_chunks <= 1:
         return _run_batch(problem, T, config, seeds, w_init, checkpoints)
@@ -1169,7 +996,7 @@ def run_many(
 
 
 def kernel_info() -> dict:
-    """Which update loop the engines run in this process.
+    """Which update loop the engine runs in this process.
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
     <BLAS library and ddot symbol or None>}``.  The path cursors' finite
@@ -1184,7 +1011,7 @@ def kernel_info() -> dict:
 
 def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> BatchResult:
     """Serial body of :func:`run_many`; module level so pools can pickle it."""
-    out = _ENGINES[type(config)](
+    out = _engine(
         problem,
         T,
         config,
@@ -1197,7 +1024,7 @@ def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> 
     ck = out["checkpoints"]
     return BatchResult(
         estimates=out["estimates"][0],
-        final_iterates=out["final"][0],  # parallel engines hand back instance-averaged finals
+        final_iterates=out["final"][0],  # parallel SGD hands back instance-averaged finals
         checkpoint_steps=ck.steps,
         checkpoint_excess=ck.excess,
         discarded_samples=out["discarded"],

@@ -8,9 +8,9 @@ Two families of chains are supported:
   over a list of state vectors, with an optional deterministic per-state
   output rule.
 
-Besides single-step simulation the module computes stationary distributions,
-stationary covariances, total-variation mixing times and the KL divergence
-between the laws of stationary trajectories.  It also provides the standard
+Besides the path cursors that sample them, the module computes stationary
+distributions, stationary covariances, total-variation mixing times and the
+KL divergence between the laws of stationary trajectories.  It also provides the standard
 constructor chains used throughout the test-suite and the experiment harness
 (two-state chain, clique walk, signed clique walk, two-point output-bias
 chain).
@@ -35,7 +35,6 @@ __all__ = [
     "FiniteChainSpec",
     "GaussianStationaryLaw",
     "MixingReport",
-    "step",
     "stationary",
     "stationary_covariance",
     "mixing_time",
@@ -212,27 +211,6 @@ class MixingReport:
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-
-def step(spec: ChainSpec, state, rng: np.random.Generator):
-    """Advance the chain one step from ``state`` using ``rng``.
-
-    Gaussian case: returns ``sqrt(1-eps^2) * state + eps * g`` with
-    ``g ~ N(0, I/d)``.  Finite case: samples the next state from the
-    transition row of ``state``.
-    """
-    state = np.asarray(state, dtype=float)
-    if isinstance(spec, GaussianARSpec):
-        if state.shape != (spec.dim,):
-            raise ValueError(f"state must have shape ({spec.dim},), got {state.shape}")
-        g = rng.standard_normal(spec.dim) / math.sqrt(spec.dim)
-        return spec.decay * state + spec.epsilon * g
-    idx = spec.state_index(state)
-    row = np.cumsum(spec.transition[idx])
-    row = row / row[-1]
-    nxt = int(np.searchsorted(row, rng.random(), side="right"))
-    nxt = min(nxt, spec.num_states - 1)
-    return spec.states[nxt].copy()
 
 
 def stationary(spec: ChainSpec):

@@ -40,7 +40,6 @@ __all__ = [
     "NoiseCovariance",
     "CoupledTrajectory",
     "make_problem",
-    "observe",
     "excess_risk",
     "agnostic_optimum",
     "noise_covariance",
@@ -151,19 +150,6 @@ def make_problem(
     w = w_star.copy()
     w.flags.writeable = False
     return Problem(chain=chain, w_star=w, noise=noise, A=A, unit_norm=unit_norm)
-
-
-def observe(problem: Problem, state, rng: np.random.Generator) -> Observation:
-    """One labeled observation ``(x, y)`` at the given chain state."""
-    x = np.asarray(state, dtype=float)
-    noise = problem.noise
-    if isinstance(noise, AgnosticDeterministic):
-        idx = problem.chain.state_index(x)
-        return Observation(x=x, y=float(problem.chain.outputs[idx]))
-    y = float(x @ problem.w_star)
-    if isinstance(noise, IndependentGaussian):
-        y += noise.sigma * rng.standard_normal()
-    return Observation(x=x, y=y)
 
 
 def excess_risk(problem: Problem, w) -> float | np.ndarray:

@@ -1,6 +1,7 @@
 """Stream SGD variants: windows, sample indexing, coupling, and batch parity."""
 
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -27,7 +28,6 @@ from markovsgd.algorithms import (
     sgd_step,
     tail_window,
     theory_drop_prefix,
-    _LABEL_CHUNK,
     _rng_triples,
     _rounds,
     _Stream,
@@ -307,21 +307,6 @@ class TestParallel:
         with pytest.raises(ValueError):
             run_parallel_sgd(finite_problem(), 5, cfg, 0)
 
-    def test_initial_points_shape(self):
-        bad = ParallelConfig(
-            SgdConfig(step_size=0.3),
-            num_instances=3,
-            initial_points=np.zeros((3, 5)),
-        )
-        with pytest.raises(ValueError):
-            run_parallel_sgd(finite_problem(), 12, bad, 0)
-
-    def test_explicit_initial_points_used(self):
-        problem = gaussian_problem(d=3, sigma=0.0, w_star=np.zeros(3))
-        pts = np.arange(9.0).reshape(3, 3) / 10.0
-        cfg = ParallelConfig(SgdConfig(step_size=0.2), num_instances=3, initial_points=pts)
-        run = run_parallel_sgd(problem, 12, cfg, 21)
-        np.testing.assert_array_equal(run.iterates[0], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +556,50 @@ class TestRunMany:
 
 
 # ---------------------------------------------------------------------------
+# Bad input fails at the entry
+# ---------------------------------------------------------------------------
+
+_CONFIGS = {
+    run_sgd: SgdConfig(step_size=0.3),
+    run_sgd_dd: DataDropConfig(SgdConfig(step_size=0.3), drop_interval=3),
+    run_parallel_sgd: ParallelConfig(SgdConfig(step_size=0.3), num_instances=4),
+    run_sgd_er: ReplayConfig(buffer_size=4, step_size=0.3),
+}
+
+
+class TestEntryChecks:
+    def test_no_seeds(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_many(gaussian_problem(), 48, SgdConfig(step_size=0.3), [])
+
+    @pytest.mark.parametrize("cfg", _CONFIGS.values(), ids=["sgd", "dd", "parallel", "er"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (3, 4, 1), ()])
+    def test_bad_start_shape_names_both_shapes(self, cfg, shape):
+        problem = gaussian_problem()  # d = 4, three seeds below
+        with pytest.raises(ValueError, match=re.escape("shape (4,) or (3, 4)")):
+            run_many(problem, 48, cfg, [1, 2, 3], w_init=np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape("shape (4,) or (3, 4)")):
+            run_many(problem, 48, cfg, [1, 2, 3], w_init=np.zeros(shape), workers=2)
+        runner = next(r for r, c in _CONFIGS.items() if c is cfg)
+        with pytest.raises(ValueError, match=re.escape("shape (4,) or (1, 4)")):
+            runner(problem, 48, cfg, 1, w_init=np.zeros(shape))
+
+    @pytest.mark.parametrize("runner", _CONFIGS, ids=lambda r: r.__name__)
+    def test_runner_rejects_another_algorithms_config(self, runner):
+        want = type(_CONFIGS[runner]).__name__
+        for other in _CONFIGS.values():
+            if type(other) is not type(_CONFIGS[runner]):
+                with pytest.raises(TypeError, match=f"{runner.__name__} takes a {want}"):
+                    runner(gaussian_problem(), 48, other, 1)
+
+    def test_runners_keep_their_names_and_docs(self):
+        for runner, cfg in _CONFIGS.items():
+            assert runner.__module__ == "markovsgd.algorithms"
+            assert getattr(algorithms, runner.__name__) is runner
+            assert runner.__doc__ and runner.__annotations__["config"] == type(cfg).__name__
+
+
+# ---------------------------------------------------------------------------
 # Agnostic fixed point of the averaged iterate
 # ---------------------------------------------------------------------------
 
@@ -726,7 +755,8 @@ class TestDataLayer:
         ref = _rng_triples(self.SEEDS, num_runs=R)
         cursor = make_cursor(chain, [tr[0] for tr in ref])
         for nr in (3, 2):  # two consecutive blocks
-            Xr, Y = _rounds(stream, nr, K, coupled)
+            s, xi, _ = _rounds(stream, 0, nr, K)
+            Xr, Y = stream.vectors(s), stream.branch_labels(s, xi, coupled)
             # the reference: stream-order vectors and labels, then transposed
             s = cursor.take(nr * K)
             X = s if kind == "gaussian" else chain.states[s]
@@ -812,7 +842,7 @@ class TestWorkers:
 
 
 # ---------------------------------------------------------------------------
-# One weight row: the Python-float residual form
+# One weight row: single runs against batches
 # ---------------------------------------------------------------------------
 
 
@@ -834,8 +864,8 @@ def _assert_run_equal(batch, i, one):
 
 
 class TestSingleRow:
-    """An uncoupled run on its own (one weight row) steps with a Python-float
-    residual; batches and coupled runs step with arrays.  Both must agree."""
+    """An uncoupled run on its own has one weight row; batches and coupled
+    runs have more.  Both must agree bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -897,8 +927,8 @@ class TestSingleRow:
     def test_blocks_longer_than_the_label_chunk(self):
         problem = finite_problem()
         cfg = SgdConfig(step_size=0.3)
-        T, seeds = 2 * _LABEL_CHUNK + 3, [13, 14]
-        cks = [_LABEL_CHUNK - 1, _LABEL_CHUNK, _LABEL_CHUNK + 1, T]
+        T, seeds = 2 * 4096 + 3, [13, 14]
+        cks = [4095, 4096, 4097, T]
         batch = run_many(problem, T, cfg, seeds, checkpoints=cks)
         for i, s in enumerate(seeds):
             _assert_run_equal(batch, i, run_many(problem, T, cfg, [s], checkpoints=cks))
@@ -908,7 +938,7 @@ class TestSingleRow:
         [("gaussian", "sgd"), ("gaussian", "dd"), ("gaussian", "er"), ("mc3", "sgd"), ("mc3", "dd")],
     )
     def test_coupled_run_keeps_the_plain_path(self, kind, algo):
-        # a coupled run has three weight rows, so it steps with arrays
+        # a coupled run has three weight rows; its full row is the plain run
         problem = gaussian_problem(sigma=0.2) if kind == "gaussian" else finite_problem()
         cfg = {
             "sgd": SgdConfig(step_size=0.3),

@@ -27,7 +27,6 @@ from markovsgd.chains import (
     run_generators,
     stationary,
     stationary_covariance,
-    step,
     total_variation_curve,
     trajectory_kl,
 )
@@ -230,39 +229,6 @@ class TestStationary:
         # E[x^2] = 0.5 * 0.25 + 0.5 * 1 = 0.625
         A = stationary_covariance(make_agnostic_bias_chain(0.25))
         np.testing.assert_allclose(A, [[0.625]], atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Single-step simulation
-# ---------------------------------------------------------------------------
-
-
-class TestStep:
-    def test_gaussian_step_formula(self):
-        spec = GaussianARSpec(dim=5, epsilon=0.3)
-        x = np.arange(5.0) / 10.0
-        nxt = step(spec, x, np.random.Generator(np.random.Philox(11)))
-        g = np.random.Generator(np.random.Philox(11)).standard_normal(5) / math.sqrt(5)
-        np.testing.assert_allclose(nxt, spec.decay * x + spec.epsilon * g, rtol=1e-15)
-
-    def test_gaussian_step_shape_check(self):
-        spec = GaussianARSpec(dim=5, epsilon=0.3)
-        with pytest.raises(ValueError):
-            step(spec, np.zeros(4), np.random.default_rng(0))
-
-    def test_finite_step_frequency(self):
-        # one-step transition frequencies out of state 0 match the matrix row
-        chain = make_mc3(2.0, 0.2)  # row 0 = [0.8, 0.2]
-        rng = np.random.default_rng(7)
-        n = 20000
-        moved = sum(step(chain, chain.states[0], rng)[1] == 1.0 for _ in range(n))
-        se = math.sqrt(0.2 * 0.8 / n)
-        assert abs(moved / n - 0.2) < 4 * se
-
-    def test_finite_step_returns_state_vector(self):
-        chain = make_mci(2, 0.3, 0.1, (1, 0))
-        nxt = step(chain, chain.states[3], np.random.default_rng(3))
-        chain.state_index(nxt)  # must be a valid state
 
 
 # ---------------------------------------------------------------------------

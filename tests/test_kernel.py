@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import hypothesis.strategies as st
@@ -119,6 +120,19 @@ class TestSameBits:
             assert compiled.checkpoint_excess is None and numpy.checkpoint_excess is None
         else:
             assert compiled.checkpoint_excess.tobytes() == numpy.checkpoint_excess.tobytes()
+
+        # a single run keeps every iterate, on the compiled loop too
+        coupled = data.draw(st.booleans(), label="coupled")
+        runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd, "er": run_sgd_er}[algo]
+        w1 = w_init[0] if start == "per_run" else w_init
+        compiled = runner(problem, T, cfg, seed, w_init=w1, coupled=coupled)
+        with _numpy_loop():
+            numpy = runner(problem, T, cfg, seed, w_init=w1, coupled=coupled)
+        assert compiled.iterates.tobytes() == numpy.iterates.tobytes()
+        assert compiled.estimate.tobytes() == numpy.estimate.tobytes()
+        if coupled:
+            for path in ("iterates_full", "iterates_bias", "iterates_var"):
+                assert getattr(compiled.coupled, path).tobytes() == getattr(numpy.coupled, path).tobytes()
 
     def test_replay_keeps_its_iterates_on_the_compiled_loop(self):
         # replay stores one iterate per buffer, so keep_iterates does not
@@ -273,7 +287,7 @@ class TestDivergenceLatency:
                 with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
                     run_many(problem, T, cfg, [1])
             with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                run_sgd(problem, n, cfg, 1)  # the numpy loop, whose block ends there
+                run_sgd(problem, n, cfg, 1)  # a single run, which keeps its iterates
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +487,29 @@ class TestLoader:
 
         monkeypatch.setattr(subprocess, "run", no_process)
         assert kernel_info()["path"] == "c"
+
+    def test_build_prunes_stale_files_and_warm_loads_prune_none(self, fresh_cache):
+        fresh_cache.mkdir(parents=True, mode=0o700)
+        month_ago = time.time() - 31 * 24 * 3600
+        stale = [fresh_cache / "kernel-0123456789ab.so", fresh_cache / "cc-0123456789ab.version"]
+        recent = fresh_cache / "kernel-ba9876543210.so"
+        other = fresh_cache / "notes.txt"
+        for f in (*stale, recent, other):
+            f.write_bytes(b"")
+        for f in (*stale, other):
+            os.utime(f, (month_ago, month_ago))
+        info = kernel_info()  # builds into the cache, then prunes it
+        assert info["path"] == "c"
+        assert not any(f.exists() for f in stale)
+        assert recent.exists() and other.exists()
+        # a warm load removes nothing and refreshes the library it loads
+        for f in (*stale, info["cache"]):
+            open(f, "ab").close()
+            os.utime(f, (month_ago, month_ago))
+        _kernel.library.cache_clear()
+        assert kernel_info() == info
+        assert all(f.exists() for f in stale)
+        assert os.path.getmtime(info["cache"]) > time.time() - 3600
 
     def test_unusable_cache_home_falls_back_to_temp(self, reset_loader, monkeypatch, tmp_path):
         not_a_dir = tmp_path / "file"

@@ -28,7 +28,6 @@ from markovsgd.regression import (
     noise_covariance,
     noise_from_json,
     noise_to_json,
-    observe,
     problem_from_json,
     problem_to_json,
 )
@@ -55,44 +54,11 @@ def quadratic_optimum_oracle(chain):
 
 
 # ---------------------------------------------------------------------------
-# Observation models
+# Noise models
 # ---------------------------------------------------------------------------
 
 
-class TestObserve:
-    def test_gaussian_noise_formula(self):
-        problem = make_problem(
-            GaussianARSpec(dim=3, epsilon=0.5),
-            IndependentGaussian(sigma=0.3),
-            w_star=np.array([0.2, -0.1, 0.4]),
-        )
-        x = np.array([0.5, 0.5, -0.5])
-        obs = observe(problem, x, np.random.Generator(np.random.Philox(21)))
-        xi = np.random.Generator(np.random.Philox(21)).standard_normal()
-        assert obs.y == pytest.approx(x @ problem.w_star + 0.3 * xi, abs=0.0)
-        np.testing.assert_array_equal(obs.x, x)
-
-    def test_noiseless_is_exact(self):
-        problem = make_problem(
-            make_mc3(2.0, 0.05), Noiseless(), w_star=np.array([0.5, -0.5])
-        )
-        for state in problem.chain.states:
-            obs = observe(problem, state, np.random.default_rng(0))
-            assert obs.y == state @ problem.w_star
-
-    def test_agnostic_reads_output_rule(self):
-        chain = make_agnostic_bias_chain(0.25)
-        problem = make_problem(chain, AgnosticDeterministic())
-        for idx, state in enumerate(chain.states):
-            obs = observe(problem, state, np.random.default_rng(0))
-            assert obs.y == chain.outputs[idx]
-        # deterministic: the generator is never consumed
-        rng = np.random.default_rng(5)
-        observe(problem, chain.states[0], rng)
-        np.testing.assert_array_equal(
-            rng.standard_normal(3), np.random.default_rng(5).standard_normal(3)
-        )
-
+class TestNoiseModels:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             IndependentGaussian(sigma=-0.1)
