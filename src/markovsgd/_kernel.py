@@ -293,10 +293,11 @@ def _open() -> Kernel:
     version, memo = _compiler_version(cc, cache)
     key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS).encode(), version])).hexdigest()
     path = os.path.join(cache, f"kernel-{key[:24]}.so")
-    if _intact(path):
-        with contextlib.suppress(OSError):
-            os.utime(path)  # in use: _prune keeps it another _STALE_S
-    else:  # not built yet, or damaged
+    with contextlib.suppress(OSError):
+        # in use: a concurrent build's _prune keeps it another _STALE_S.
+        # Refreshed before the check, so a file pruned meanwhile is rebuilt
+        os.utime(path)
+    if not _intact(path):  # not built yet, damaged, or just pruned
         _build(cc, path)
         _prune(cache, keep=(path, memo))
     try:

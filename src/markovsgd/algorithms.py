@@ -534,15 +534,15 @@ class _Plan:
     """One algorithm's schedule over the stream, as :func:`_engine` runs it.
 
     A run is ``events`` events -- updates, rounds or buffers -- of
-    ``per_event`` stream samples each.  ``draw(stream, j, n)`` returns the
-    states and unit noise that events j+1 .. j+n update on, in update order
-    ``(updates, R[, K], ...)``, with the 1-based numbers of the samples run
-    0 reads.  Each event applies ``updates`` updates of size ``step`` to K
-    instances per run; ``parallel`` keeps the instance axis in the outputs
-    and updates in parallel SGD's order.  Row e of the iterates is the
-    weight after event e, row 0 the start: the estimate averages
-    ``window = (first row, count)``, and a runner returns the rows from
-    ``first_row`` on.
+    ``per_event`` stream samples each.  ``draw(stream, j, n, reads)``
+    returns the states and unit noise that events j+1 .. j+n update on, in
+    update order ``(updates, R[, K], ...)``, and, when ``reads`` is set, the
+    1-based numbers of the samples run 0 reads (else None).  Each event
+    applies ``updates`` updates of size ``step`` to K instances per run;
+    ``parallel`` keeps the instance axis in the outputs and updates in
+    parallel SGD's order.  Row e of the iterates is the weight after event
+    e, row 0 the start: the estimate averages ``window = (first row,
+    count)``, and a runner returns the rows from ``first_row`` on.
     """
 
     events: int
@@ -561,8 +561,8 @@ def _sgd_plan(problem: Problem, T: int, config: SgdConfig, triples) -> _Plan:
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
 
-    def draw(stream, j, n):
-        return stream.cursor.take(n), stream.noise(n), np.arange(j + 1, j + n + 1)
+    def draw(stream, j, n, reads):
+        return stream.cursor.take(n), stream.noise(n), np.arange(j + 1, j + n + 1) if reads else None
 
     return _Plan(T, 1, tail_window(T, config.tail_fraction), config.step_size, draw)
 
@@ -576,14 +576,16 @@ def _dd_plan(problem: Problem, T: int, config: DataDropConfig, triples) -> _Plan
     n_upd = T // K
     start, count = tail_window(n_upd, config.base.tail_fraction)
 
-    def draw(stream, j, n):
-        return stream.cursor.take(n * K)[K - 1 :: K], stream.noise(n), K * np.arange(j + 1, j + n + 1)
+    def draw(stream, j, n, reads):
+        read = K * np.arange(j + 1, j + n + 1) if reads else None
+        return stream.cursor.take(n * K)[K - 1 :: K], stream.noise(n), read
 
     return _Plan(n_upd, K, (start + 1, count), config.base.step_size, draw)
 
 
-def _rounds(stream: _Stream, j: int, nr: int, K: int):
-    """Rounds j+1 .. j+nr of K samples: states (nr, R, K, ...), noise (nr, R, K).
+def _rounds(stream: _Stream, j: int, nr: int, K: int, reads: bool = False):
+    """Rounds j+1 .. j+nr of K samples: states (nr, R, K, ...), noise (nr, R, K),
+    and, if ``reads``, the sample numbers (nr, K).
 
     Stream order (nr*K, R, ...) becomes round order (nr, R, K, ...) as
     views; a finite chain's int64 state indices are made contiguous once,
@@ -597,7 +599,7 @@ def _rounds(stream: _Stream, j: int, nr: int, K: int):
     xi = stream.noise(nr * K)
     if xi is not None:
         xi = xi.reshape(nr, K, -1).swapaxes(1, 2)
-    return s, xi, np.arange(j * K + 1, (j + nr) * K + 1).reshape(nr, K)
+    return s, xi, np.arange(j * K + 1, (j + nr) * K + 1).reshape(nr, K) if reads else None
 
 
 def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, triples) -> _Plan:
@@ -626,14 +628,14 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, triples) -> _Pl
     algo_rngs = [tr[2] for tr in triples]
     rr = np.arange(len(triples))
 
-    def draw(stream, j, nb):
+    def draw(stream, j, nb, reads):
         n = nb * S
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
         Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2))
         Xrun = Xrun.reshape(len(rr) * n, -1)
         # step s of run r in buffer b replays sample picks[s, r] of that
         # buffer's retained pool
-        rows, xis, reads = [], [], []
+        rows, xis, read = [], [], []
         for b in range(nb):
             xi = stream.noise(B)  # one variate per retained sample
             picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs], axis=1)
@@ -641,9 +643,10 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, triples) -> _Pl
             rows.append(rr * n + at)
             if xi is not None:
                 xis.append(xi.T.take(rr * B + picks))
-            reads.append(j * S + 1 + at[:, 0])
+            if reads:
+                read.append(j * S + 1 + at[:, 0])
         xi = np.concatenate(xis) if xis else None
-        return Xrun.take(np.concatenate(rows), axis=0), xi, np.concatenate(reads)
+        return Xrun.take(np.concatenate(rows), axis=0), xi, np.concatenate(read) if reads else None
 
     return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
 
@@ -694,7 +697,7 @@ def _engine(
     j = 0
     while j < plan.events:
         n = min(block, plan.events - j)
-        s, xi, read = plan.draw(stream, j, n)
+        s, xi, read = plan.draw(stream, j, n, reads=record_reads)
         X, Y = stream.vectors(s), stream.branch_labels(s, xi, coupled)
         if not plan.parallel:
             X, Y = X[:, :, None], Y[..., None]  # one instance per run

@@ -134,17 +134,6 @@ class TestSameBits:
             for path in ("iterates_full", "iterates_bias", "iterates_var"):
                 assert getattr(compiled.coupled, path).tobytes() == getattr(numpy.coupled, path).tobytes()
 
-    def test_replay_keeps_its_iterates_on_the_compiled_loop(self):
-        # replay stores one iterate per buffer, so keep_iterates does not
-        # force the numpy loop; the stored iterates must not change
-        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
-        cfg = ReplayConfig(buffer_size=5, step_size=0.3, drop_prefix=1)
-        compiled = run_sgd_er(problem, 90, cfg, 4, coupled=True)
-        with _numpy_loop():
-            numpy = run_sgd_er(problem, 90, cfg, 4, coupled=True)
-        assert compiled.iterates.tobytes() == numpy.iterates.tobytes()
-        assert compiled.coupled.iterates_var.tobytes() == numpy.coupled.iterates_var.tobytes()
-
 
 # ---------------------------------------------------------------------------
 # Pinned bits: every output of every engine, against recorded digests
@@ -281,13 +270,18 @@ class TestDivergenceLatency:
         n = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the numpy loop's overflowing tail sum
-            assert np.isfinite(run_many(problem, n - 1, cfg, [1]).final_iterates).all()
-            assert np.isfinite(run_sgd(problem, n - 1, cfg, 1).iterates).all()
-            for T in (n, n + 1):
-                with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                    run_many(problem, T, cfg, [1])
+            for loop in (contextlib.nullcontext, _numpy_loop):
+                with loop():
+                    assert np.isfinite(run_many(problem, n - 1, cfg, [1]).final_iterates).all()
+                    assert np.isfinite(run_sgd(problem, n - 1, cfg, 1).iterates).all()
+                    with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                        run_many(problem, n, cfg, [1])
+                    with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                        run_sgd(problem, n, cfg, 1)  # a single run, which keeps its iterates
+            # past n, only the compiled loop names update n: the numpy loop
+            # checks its weights at the end of each block
             with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                run_sgd(problem, n, cfg, 1)  # a single run, which keeps its iterates
+                run_many(problem, n + 1, cfg, [1])
 
 
 # ---------------------------------------------------------------------------
