@@ -31,6 +31,9 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
  * runs of K instances.  Element j of sample i of instance (r, k) is
  * x[i*xn + r*xr + k*xk + j*xd]; the label of branch b is
  * y[b*ym + i*yn + r*yr + k*yk].  Strides count doubles, and xd > 0.
+ * When idx is given, x is instead a table of contiguous rows of d doubles
+ * and the sample is row idx[i*in + r*ir + k*ik] of it (xn, xr and xk are
+ * not read, and xd is 1); idx strides count int64s.
  *
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
@@ -43,12 +46,13 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
  * run r non-finite, bad[r] becomes first + i and the run is not updated
  * again; the loop returns early once every run is marked.
  */
-void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
-                  int64_t m, int64_t R, int64_t K, int64_t d,
-                  const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
-                  const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
-                  int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
-                  int64_t *bad, int64_t first)
+static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *w, double *acc, double *iters,
+                    int64_t m, int64_t R, int64_t K, int64_t d,
+                    const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
+                    const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
+                    const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                    int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
+                    int64_t *bad, int64_t first)
 {
     const int64_t size = m * R * K * d;
     int64_t nbad = 0;
@@ -64,7 +68,8 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
             for (int64_t b = 0; b < m; b++) {
                 for (int64_t k = 0; k < K; k++) {
                     double *row = w + ((b * R + r) * K + k) * d;
-                    const double *xv = x + i * xn + r * xr + k * xk;
+                    const double *xv = idx != 0 ? x + idx[i * in + r * ir + k * ik] * d
+                                                : x + i * xn + r * xr + k * xk;
                     double res = (0.0 + ddot(d, row, 1, xv, xd)) - y[b * ym + i * yn + r * yr + k * yk];
                     if (scaled) {
                         res = res * alpha;
@@ -98,6 +103,24 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
                 row[j] = w[j];
             }
         }
+    }
+}
+
+void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
+                  int64_t m, int64_t R, int64_t K, int64_t d,
+                  const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
+                  const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
+                  const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                  int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
+                  int64_t *bad, int64_t first)
+{
+    /* two inlined copies: neither tests idx per sample */
+    if (idx != 0) {
+        advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik,
+                y, ym, yn, yr, yk, n, lo, hi, alpha, scaled, bad, first);
+    } else {
+        advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, 0, in, ir, ik,
+                y, ym, yn, yr, yk, n, lo, hi, alpha, scaled, bad, first);
     }
 }
 

@@ -18,7 +18,9 @@ The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 for bit.  Before the loop first runs at a dimension, :meth:`Kernel.usable`
 checks that ``ddot`` agrees with ``np.vecdot`` there.  When there is no
 compiler, no such ``ddot``, or a disagreement, :func:`load` returns None, the
-engine runs the numpy loop, and one ``RuntimeWarning`` says why.  The
+engine runs the numpy loop, and one ``RuntimeWarning`` says why.  One lock
+covers the build or load and each dimension's check, so threads that ask
+at once still get one build, one check and at most one warning.  The
 sampling loops call no BLAS and need no such check: they run whenever the
 library loads, and the cursors fall back to numpy (and scipy) only when it
 does not.
@@ -36,6 +38,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 
@@ -74,6 +77,7 @@ class Kernel:
         self._advance.argtypes = (
             (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
+            + (_PTR, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
         )
@@ -97,6 +101,8 @@ class Kernel:
         The probe compares :meth:`dot` with ``np.vecdot`` bit for bit on
         fixed vectors of widely spread scales, signed zeros among them.  A
         mismatch at any dimension retires the kernel for the process.
+        :func:`load` calls this under its lock, so each dimension is probed
+        once and a mismatch warns once.
         """
         if d not in self._checked and not self.mismatch:
             # only the ufuncs the engine uses, so a worker pages in no new code
@@ -119,26 +125,41 @@ class Kernel:
                 )
         return not self.mismatch
 
-    def advance(self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None) -> None:
+    def advance(
+        self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None, table=None
+    ) -> None:
         """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
         ``W`` and ``acc`` are contiguous ``(m, R, K, d)``, ``X`` is
         ``(n, R, K, d)`` and ``Y`` is ``(m, n, R, K)``; X and Y may be
-        strided views.  ``bad`` is a contiguous int64 ``(R,)``: -1 for a
-        finite run, else the number (counted from ``first`` for this call's
-        first update) of the update that left the run non-finite, after
-        which it is not updated.  ``iters``, a contiguous ``(rows, m, R, K,
-        d)``, receives W after update i in row ``first + i``.
+        strided views.  With ``table``, a contiguous ``(S, d)``, ``X`` is
+        instead an int64 ``(n, R, K)`` block of row numbers, which may be
+        strided too: each sample vector is the row of ``table`` it names.
+        ``bad`` is a contiguous int64 ``(R,)``: -1 for a finite run, else
+        the number (counted from ``first`` for this call's first update) of
+        the update that left the run non-finite, after which it is not
+        updated.  ``iters``, a contiguous ``(rows, m, R, K, d)``, receives W
+        after update i in row ``first + i``.
         """
         m, R, K, d = W.shape
         n = len(X)
+        if table is None:
+            samples_ok = X.shape == (n, R, K, d) and _is_f64(X)
+        else:
+            samples_ok = (
+                X.shape == (n, R, K)
+                and X.dtype == np.int64
+                and not any(s % 8 for s in X.strides)
+                and table.ndim == 2
+                and table.shape[1] == d
+                and _is_f64(table, contiguous=True)
+            )
         if not (
             _is_f64(W, contiguous=True)
             and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
             and (iters is None or (iters.shape[1:] == W.shape and _is_f64(iters, contiguous=True)))
-            and X.shape == (n, R, K, d)
+            and samples_ok
             and Y.shape == (m, n, R, K)
-            and _is_f64(X)
             and _is_f64(Y)
             and bad.shape == (R,)
             and bad.dtype == np.int64
@@ -149,11 +170,17 @@ class Kernel:
             return
         if iters is not None and not 0 <= first <= len(iters) - n:
             raise ValueError(f"advance: updates {first} .. {first + n - 1} have no rows in iters")
-        xs = [s // 8 for s in X.strides]
-        if d == 1:
-            xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
-        if xs[3] <= 0:
-            raise ValueError("advance: sample vectors need a positive element stride")
+        if table is None:
+            xs = [s // 8 for s in X.strides]
+            if d == 1:
+                xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
+            if xs[3] <= 0:
+                raise ValueError("advance: sample vectors need a positive element stride")
+            samples = (X.ctypes.data, *xs, None, 0, 0, 0)
+        else:
+            if X.view(np.uint64).max() >= len(table):  # negatives read as huge
+                raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
+            samples = (table.ctypes.data, 0, 0, 0, 1, X.ctypes.data, *(s // 8 for s in X.strides))
         self._advance(
             self._ddot,
             W.ctypes.data,
@@ -163,8 +190,7 @@ class Kernel:
             R,
             K,
             d,
-            X.ctypes.data,
-            *xs,
+            *samples,
             Y.ctypes.data,
             *(s // 8 for s in Y.strides),
             n,
@@ -247,12 +273,13 @@ def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
     return a.flags.c_contiguous or not contiguous
 
 
-@functools.cache
-def library() -> Kernel | None:
-    """This process's kernel, built or loaded on the first call; None if unusable.
+# Held while the kernel is built or loaded and while a dimension is probed:
+# run_many's threads may ask for it at once, and each step must happen once.
+_LOCK = threading.Lock()
 
-    A failure is reported once, as a ``RuntimeWarning``.
-    """
+
+@functools.cache
+def _library() -> Kernel | None:
     try:
         return _open()
     except (_Unavailable, OSError) as exc:  # OSError: the cache could not be written
@@ -260,15 +287,26 @@ def library() -> Kernel | None:
             f"markovsgd: compiled loops unavailable ({exc}); the path samplers and "
             "the engine's update loop run in numpy",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return None
 
 
+def library() -> Kernel | None:
+    """This process's kernel, built or loaded on the first call; None if unusable.
+
+    A failure is reported once, as a ``RuntimeWarning``.  Safe to call from
+    several threads: one of them builds or loads, the others wait for it.
+    """
+    with _LOCK:
+        return _library()
+
+
 def load(d: int) -> Kernel | None:
     """The kernel, when it may advance weights of dimension d; None for numpy."""
-    kern = library()
-    return kern if kern is not None and kern.usable(d) else None
+    with _LOCK:
+        kern = _library()
+        return kern if kern is not None and kern.usable(d) else None
 
 
 def info() -> dict:

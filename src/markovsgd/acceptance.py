@@ -112,13 +112,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), se
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: constant-step bias under state-dependent observation noise
 # ---------------------------------------------------------------------------
@@ -170,9 +163,7 @@ def criterion_2(fast: bool = False) -> CriterionResult:
     chain = GaussianARSpec(d, eps)
     problem = make_problem(chain, IndependentGaussian(sigma), w_star=np.zeros(d))
     w1 = resolve_w_init("random_unit", problem, seeds)
-    out = run_many(
-        problem, T, ReplayConfig(buffer_size=B), seeds, w_init=w1, workers=_usable_cpus()
-    )
+    out = run_many(problem, T, ReplayConfig(buffer_size=B), seeds, w_init=w1)
     measured = float(np.mean(excess_risk(problem, out.estimates)))
     target = 2.0 * sigma**2 * d**2 / (eps * T)
     ok = target / 5.0 <= measured <= target * 5.0
@@ -228,18 +219,15 @@ def criterion_4(fast: bool = False) -> CriterionResult:
     seeds = [_SEEDS[4] + i for i in range(R)]
     w_star = np.zeros(d)
 
-    workers = _usable_cpus()
     excess = {"parallel": {}, "sgd": {}}
     for eps in (1 / 8, 1 / 32):
         chain = make_mc0(d, eps)
         tau = mixing_time(chain).tau_mix
         K = recommended_parallel_instances(tau, T, 6.0)
         problem = make_problem(chain, IndependentGaussian(sigma), w_star=w_star)
-        par = run_many(
-            problem, T, ParallelConfig(SgdConfig(alpha), K), seeds, w_init=w_star, workers=workers
-        )
+        par = run_many(problem, T, ParallelConfig(SgdConfig(alpha), K), seeds, w_init=w_star)
         excess["parallel"][eps] = float(np.mean(excess_risk(problem, par.estimates)))
-        sgd = run_many(problem, T, SgdConfig(alpha), seeds, w_init=w_star, workers=workers)
+        sgd = run_many(problem, T, SgdConfig(alpha), seeds, w_init=w_star)
         excess["sgd"][eps] = float(np.mean(excess_risk(problem, sgd.estimates)))
 
     par_ratio = excess["parallel"][1 / 32] / excess["parallel"][1 / 8]

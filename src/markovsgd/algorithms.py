@@ -30,11 +30,16 @@ conventions.  Every update rule uses the descent sign
 ``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
 kernel (``_kernel.c``, built on first use and cached; see
 :func:`kernel_info`), which also sums the tail window and stores the
-iterates a single run keeps.  It gives the same bits as the numpy loop, the
-fallback that runs only where the kernel is unavailable.
+iterates a single run keeps, and reads a finite chain's sample vectors by
+state index from the chain's table of states.  It gives the same bits as the
+numpy loop, the fallback that runs only where the kernel is unavailable.
+:func:`run_many` splits its seeds into contiguous chunks and runs them on
+threads of the calling process, by default one per usable CPU; runs are
+independent, so the result is the same for any chunking.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
-spawned from its seed -- see :func:`markovsgd.chains.run_generators`.  Noise
+spawned from its seed -- see :func:`markovsgd.chains.run_generators`; the
+engine builds only those it draws from.  Noise
 variates are drawn only for samples that can enter updates (all samples for
 SGD and Parallel SGD; kept indices for data drop; retained pool samples for
 replay), in stream order.  Replay's pool positions are drawn from the
@@ -44,11 +49,10 @@ algorithm generator as one block of B integers per buffer.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import multiprocessing
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -293,15 +297,14 @@ class LowerBoundTrace:
 # ---------------------------------------------------------------------------
 
 
-def _rng_triples(rng, num_runs: int | None = None):
-    """Normalize the rng argument into per-run (chain, noise, algo) triples.
+def _run_rngs(seeds, children: int):
+    """Each run's first ``children`` generators -- (chain, noise[, algo]) --
+    one tuple per seed (an integer or SeedSequence).
 
-    Accepts an integer seed or SeedSequence (one run), or a sequence of seeds
-    (one run each).
+    Children are derived, never spawned, so building fewer leaves the
+    streams of the rest unchanged.
     """
-    if num_runs is None:
-        return [_run_generators(rng, range(3))]
-    return [_run_generators(s, range(3)) for s in rng]
+    return [_run_generators(s, range(children)) for s in seeds]
 
 
 def _starts(d: int, w_init, num_runs: int) -> np.ndarray:
@@ -329,24 +332,25 @@ class _Stream:
     """Labelled sample blocks for R runs, drawn through one path cursor.
 
     A block of states from ``cursor.take`` is a Gaussian block of vectors
-    ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``;
-    :meth:`vectors`,
-    :meth:`clean` and :meth:`labels` map either kind elementwise, so the
-    engine may reorder a block (e.g. into parallel rounds) before use.
+    ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``
+    into the rows of ``table``, the chain's ``(S, d)`` states (None for a
+    Gaussian chain); :meth:`clean` and :meth:`labels` map either kind
+    elementwise, so the engine may reorder a block (e.g. into parallel
+    rounds) before use.
     """
 
-    def __init__(self, problem: Problem, triples):
+    def __init__(self, problem: Problem, rngs):
         chain = problem.chain
-        self.cursor = make_cursor(chain, [tr[0] for tr in triples])
-        self._noise_rngs = [tr[1] for tr in triples]
+        self.cursor = make_cursor(chain, [g[0] for g in rngs])
+        self._noise_rngs = [g[1] for g in rngs]
         self._sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
         self._w_star = problem.w_star
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
         if isinstance(chain, GaussianARSpec):
-            self._states = self._table = None
+            self.table = self._clean_table = None
         else:
-            self._states = chain.states
-            self._table = np.vecdot(chain.states, problem.w_star)
+            self.table = chain.states
+            self._clean_table = np.vecdot(chain.states, problem.w_star)
 
     def noise(self, n: int) -> np.ndarray | None:
         """Unit noise for the next n samples, (n, R), or None without noise.
@@ -361,9 +365,6 @@ class _Stream:
             rng.standard_normal(out=row)
         return xi.T
 
-    def vectors(self, s: np.ndarray) -> np.ndarray:
-        return s if self._states is None else self._states.take(s, axis=0)
-
     def clean(self, s: np.ndarray) -> np.ndarray:
         """Noise-free labels <x, w*> for a block of states.
 
@@ -375,9 +376,9 @@ class _Stream:
         finite chain looks its labels up in a per-state table of the same
         ``np.vecdot`` values.
         """
-        if self._table is None:
+        if self._clean_table is None:
             return np.vecdot(s, self._w_star)
-        return self._table.take(s)
+        return self._clean_table.take(s)
 
     def labels(self, s: np.ndarray, xi) -> np.ndarray:
         """Observed labels for a block of states; xi is its unit noise."""
@@ -429,7 +430,7 @@ def _block_sizes(num_runs: int, dim: int) -> int:
     return max(1, min(65536, _BLOCK_ELEMS // max(1, num_runs * dim)))
 
 
-def _check_finite(W: np.ndarray, triples, samples: int) -> None:
+def _check_finite(W: np.ndarray, rngs, samples: int) -> None:
     """Raise if any weight is no longer finite after ``samples`` stream samples.
 
     ``W`` has the run axis second, as the engine lays it out.
@@ -437,7 +438,7 @@ def _check_finite(W: np.ndarray, triples, samples: int) -> None:
     if np.isfinite(W).all():
         return
     r = int(np.argmin(np.isfinite(W).all(axis=(0, *range(2, W.ndim)))))  # first bad run
-    ss = triples[r][0].bit_generator.seed_seq  # the chain child of the run's seed
+    ss = rngs[r][0].bit_generator.seed_seq  # the chain child of the run's seed
     seed = ss.entropy if len(ss.spawn_key) == 1 else f"{ss.entropy}, spawn key {ss.spawn_key[:-1]}"
     raise FloatingPointError(
         f"run with seed {seed} diverged: non-finite iterate after {samples} stream samples"
@@ -482,11 +483,15 @@ def _load_kernel(d: int):
     return _kernel.load(d)
 
 
-def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None, scaled=False):
+def _advance(
+    W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None, scaled=False, table=None
+):
     """Apply a block's updates to ``W`` in place, yielding at events.
 
     Sample i of ``X`` ``(n, R, K, d)``, with labels ``Y[:, i]``
-    ``(m, n, R, K)``, drives update ``first + i + 1``.  After update s, W
+    ``(m, n, R, K)``, drives update ``first + i + 1``; with ``table``,
+    ``X`` is instead ``(n, R, K)`` state indices into its rows, which the
+    kernel reads in place and the numpy loop gathers.  After update s, W
     is added into ``acc`` when ``window[0] <= s < window[1]`` and stored in
     ``iters[s]`` when ``iters`` is given.  The generator yields s after each
     update s in ``events``.  ``scaled`` selects parallel SGD's
@@ -501,6 +506,8 @@ def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=
     lo, hi = window
     kern = _load_kernel(W.shape[-1])
     if kern is None:
+        if table is not None:
+            X = table.take(X, axis=0)
         Xs = X if scaled else alpha * X
         for s, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
             if lo <= s < hi:
@@ -516,7 +523,7 @@ def _advance(W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=
     for b in sorted({e for e in events if first < e < end} | {end}):
         # kernel update i is update a + i + 1
         seg = slice(a - first, b - first)
-        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters)
+        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters, table)
         if b in events and bad.max() < 0:
             yield b
         a = b
@@ -556,7 +563,7 @@ class _Plan:
     first_row: int = 0
 
 
-def _sgd_plan(problem: Problem, T: int, config: SgdConfig, triples) -> _Plan:
+def _sgd_plan(problem: Problem, T: int, config: SgdConfig, rngs) -> _Plan:
     """Update t reads sample t; the window is w_{floor(T(1-f))+1} .. w_T."""
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
@@ -567,7 +574,7 @@ def _sgd_plan(problem: Problem, T: int, config: SgdConfig, triples) -> _Plan:
     return _Plan(T, 1, tail_window(T, config.tail_fraction), config.step_size, draw)
 
 
-def _dd_plan(problem: Problem, T: int, config: DataDropConfig, triples) -> _Plan:
+def _dd_plan(problem: Problem, T: int, config: DataDropConfig, rngs) -> _Plan:
     """Update s reads sample sK; the window, one row past plain SGD's,
     ends on the final iterate."""
     K = resolve_drop_interval(config, problem, T)
@@ -588,21 +595,17 @@ def _rounds(stream: _Stream, j: int, nr: int, K: int, reads: bool = False):
     and, if ``reads``, the sample numbers (nr, K).
 
     Stream order (nr*K, R, ...) becomes round order (nr, R, K, ...) as
-    views; a finite chain's int64 state indices are made contiguous once,
-    so the vectors and labels gather straight into round order.
+    views.
     """
     s = stream.cursor.take(nr * K)
     s = s.reshape(nr, K, *s.shape[1:]).swapaxes(1, 2)
-    if s.ndim == 3:
-        # finite-chain indices: one contiguous copy here, not one per gather
-        s = np.ascontiguousarray(s)
     xi = stream.noise(nr * K)
     if xi is not None:
         xi = xi.reshape(nr, K, -1).swapaxes(1, 2)
     return s, xi, np.arange(j * K + 1, (j + nr) * K + 1).reshape(nr, K) if reads else None
 
 
-def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, triples) -> _Plan:
+def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, rngs) -> _Plan:
     """Round t hands sample (t-1)K+i to instance i over T truncated to a
     multiple of 2K; the window averages all instances over rounds
     floor(n(1-f))+1 .. n."""
@@ -615,7 +618,7 @@ def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, triples) ->
     return _Plan(n_rounds, K, window, config.base.step_size, draw, K=K, parallel=True)
 
 
-def _replay_plan(problem: Problem, T: int, config: ReplayConfig, triples) -> _Plan:
+def _replay_plan(problem: Problem, T: int, config: ReplayConfig, rngs) -> _Plan:
     """Buffer j+1 replays B picks from its last B samples; the window
     averages the after-buffer iterates of the last ceil(f * n_buf) buffers."""
     if not isinstance(problem.chain, GaussianARSpec):
@@ -625,8 +628,8 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, triples) -> _Pl
         raise ValueError(f"buffer span S={S} exceeds the horizon T={T}")
     n_buf = T // S
     count = math.ceil(config.tail_buffer_fraction * n_buf)
-    algo_rngs = [tr[2] for tr in triples]
-    rr = np.arange(len(triples))
+    algo_rngs = [g[2] for g in rngs]
+    rr = np.arange(len(rngs))
 
     def draw(stream, j, nb, reads):
         n = nb * S
@@ -663,18 +666,26 @@ def _engine(
     problem: Problem,
     T: int,
     config,
-    triples,
+    seeds,
     *,
     w_init=None,
     coupled: bool = False,
     keep_iterates: bool = False,
     checkpoints=None,
     record_reads: bool = False,
+    block_runs: int | None = None,
 ):
-    """Run the plan of ``config``'s algorithm for R = len(triples) runs in lockstep."""
-    plan = _PLANS[type(config)](problem, T, config, triples)
-    R, B, per_event = len(triples), plan.updates, plan.per_event
-    stream = _Stream(problem, triples)
+    """Run the plan of ``config``'s algorithm for R = len(seeds) runs in lockstep.
+
+    Blocks are sized for ``block_runs`` runs (default R): a chunk of a
+    larger batch passes the batch's run count, so chunks running at once
+    hold no more block memory than the whole batch would.
+    """
+    # only replay draws from the algorithm child
+    rngs = _run_rngs(seeds, 3 if isinstance(config, ReplayConfig) else 2)
+    plan = _PLANS[type(config)](problem, T, config, rngs)
+    R, B, per_event = len(rngs), plan.updates, plan.per_event
+    stream = _Stream(problem, rngs)
 
     def point(w):  # each run's iterate: its instances' mean, or its one instance
         return w.mean(axis=-2) if plan.parallel else w[..., 0, :]
@@ -692,27 +703,27 @@ def _engine(
     ck = _Checkpoints(checkpoints, lambda n: n // per_event, plan.events, R)
     ck.record(0, problem, point(W[0]))
 
-    block = max(1, _block_sizes(R, problem.dim) // per_event)
+    block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
     reads = []
     j = 0
     while j < plan.events:
         n = min(block, plan.events - j)
         s, xi, read = plan.draw(stream, j, n, reads=record_reads)
-        X, Y = stream.vectors(s), stream.branch_labels(s, xi, coupled)
+        Y = stream.branch_labels(s, xi, coupled)
         if not plan.parallel:
-            X, Y = X[:, :, None], Y[..., None]  # one instance per run
+            s, Y = s[:, :, None], Y[..., None]  # one instance per run
         if record_reads:
             reads.append(read)
         if B == 1:  # event e is update e: the update loop sums and stores the rows
             steps = _advance(
-                W, X, Y, plan.step, first=j, acc=acc, window=(lo, hi), events=ck.events, iters=iters,
-                scaled=plan.parallel,
+                W, s, Y, plan.step, first=j, acc=acc, window=(lo, hi), events=ck.events, iters=iters,
+                scaled=plan.parallel, table=stream.table,
             )
         else:
-            steps = _advance(W, X, Y, plan.step, first=j * B, events=range((j + 1) * B, (j + n) * B + 1, B))
+            steps = _advance(W, s, Y, plan.step, first=j * B, events=range((j + 1) * B, (j + n) * B + 1, B))
         for upd in steps:
             e = -(-upd // B)  # the event that ran update upd
-            _check_finite(W, triples, e * per_event)
+            _check_finite(W, rngs, e * per_event)
             if B > 1:
                 if lo <= e < hi:
                     acc += W
@@ -720,7 +731,7 @@ def _engine(
                     iters[e] = W
             ck.record(e, problem, point(W[0]))
         j += n
-        _check_finite(W, triples, j * per_event)
+        _check_finite(W, rngs, j * per_event)
 
     if iters is not None:
         iters = iters[plan.first_row :]
@@ -737,12 +748,11 @@ def _engine(
     }
 
 
-def _trace_engine(problem: Problem, T: int, eta: float, triples, *, w_init=None):
+def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run."""
-    R = len(triples)
+    R = len(seeds)
     d = problem.dim
-    chain_rngs = [tr[0] for tr in triples]
-    cursor = make_cursor(problem.chain, chain_rngs)
+    cursor = make_cursor(problem.chain, [g[0] for g in _run_rngs(seeds, 1)])
     w_star = problem.w_star
     W = np.empty((R, d))
     W[:] = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
@@ -814,7 +824,7 @@ def _single_runner(kind: type, name: str, doc: str):
             problem,
             T,
             config,
-            _rng_triples(rng),
+            [rng],
             w_init=w_init,
             coupled=coupled,
             keep_iterates=keep_iterates,
@@ -917,7 +927,7 @@ def run_lower_bound_trace(problem: Problem, T: int, eta: float, rng, *, w_init=N
     it a warning is emitted and the trace still runs.
     """
     _check_trace_regime(problem, eta)
-    out = _trace_engine(problem, T, eta, _rng_triples(rng), w_init=w_init)
+    out = _trace_engine(problem, T, eta, [rng], w_init=w_init)
     return LowerBoundTrace(
         alphas=out["alphas"][:, 0],
         gammas=out["gammas"][:, 0],
@@ -939,7 +949,7 @@ def run_many(
     *,
     w_init=None,
     checkpoints=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> BatchResult:
     """Advance one run per seed in lockstep and return per-run summaries.
 
@@ -947,43 +957,34 @@ def run_many(
     ParallelConfig, ReplayConfig).  Aggregation is deterministic: results are
     ordered by the position of each seed in ``seeds``.
 
-    ``workers > 1`` splits the seeds -- with any per-run ``(R, d)`` rows of
-    ``w_init`` -- into at most ``workers`` contiguous chunks, runs the chunks
-    on a pool of spawned processes and joins them in seed order.  Every
-    run's numbers are the same as in the serial call (the default).  As with
-    any spawned pool, a script that calls this at import time must guard
-    the call with ``if __name__ == "__main__":``.
+    The seeds -- with any per-run ``(R, d)`` rows of ``w_init`` -- are split
+    into at most ``workers`` contiguous chunks, which run on as many threads
+    of this process and are joined in seed order; the default is every CPU
+    the process may run on.  Every run's numbers are the same for any
+    ``workers``, and no thread outlives the call.
     """
     if type(config) not in _PLANS:
         raise TypeError(f"unsupported config type {type(config).__name__}")
-    if int(workers) != workers or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if workers is not None and (int(workers) != workers or workers < 1):
+        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
     seeds = list(seeds)
     R = len(seeds)
     if R == 0:
         raise ValueError("run_many needs at least one seed")
     per_run = _starts(problem.dim, w_init, R).ndim == 2
-    n_chunks = min(int(workers), R)
-    if n_chunks <= 1:
-        return _run_batch(problem, T, config, seeds, w_init, checkpoints)
+    n_chunks = min(_usable_cpus() if workers is None else int(workers), R)
     edges = [R * i // n_chunks for i in range(n_chunks + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    inits = [np.asarray(w_init)[lo:hi] if per_run else w_init for lo, hi in spans]
-    # spawned workers start from a fresh import, so forking a caller that
-    # runs threads (BLAS pools, test runners) can never deadlock a worker
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=n_chunks, mp_context=spawn) as pool:
-        parts = list(
-            pool.map(
-                _run_batch,
-                itertools.repeat(problem),
-                itertools.repeat(T),
-                itertools.repeat(config),
-                [seeds[lo:hi] for lo, hi in spans],
-                inits,
-                itertools.repeat(checkpoints),
-            )
-        )
+
+    def chunk(lo: int, hi: int) -> BatchResult:
+        init = np.asarray(w_init)[lo:hi] if per_run else w_init
+        return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints, R)
+
+    if n_chunks == 1:
+        return chunk(0, R)
+    # the heavy steps (random fills, the compiled loops, large gathers)
+    # release the GIL, so the chunks' threads run on separate cores
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        parts = list(pool.map(chunk, edges[:-1], edges[1:]))
     first = parts[0]
     return BatchResult(
         estimates=np.concatenate([p.estimates for p in parts]),
@@ -996,6 +997,13 @@ def run_many(
         ),
         discarded_samples=first.discarded_samples,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def kernel_info() -> dict:
@@ -1012,17 +1020,18 @@ def kernel_info() -> dict:
     return _kernel.info()
 
 
-def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> BatchResult:
-    """Serial body of :func:`run_many`; module level so pools can pickle it."""
+def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, block_runs: int) -> BatchResult:
+    """One chunk of :func:`run_many`, its blocks sized for ``block_runs`` runs."""
     out = _engine(
         problem,
         T,
         config,
-        _rng_triples(seeds, num_runs=len(seeds)),
+        seeds,
         w_init=w_init,
         coupled=False,
         keep_iterates=False,
         checkpoints=checkpoints,
+        block_runs=block_runs,
     )
     ck = out["checkpoints"]
     return BatchResult(
@@ -1037,5 +1046,5 @@ def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> 
 def run_lower_bound_traces(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Batched lower-bound traces: alphas (T, R), gammas (T+1, R), x_sq_norms (T, R)."""
     _check_trace_regime(problem, eta)
-    out = _trace_engine(problem, T, eta, _rng_triples(seeds, num_runs=len(seeds)), w_init=w_init)
+    out = _trace_engine(problem, T, eta, seeds, w_init=w_init)
     return out["alphas"], out["gammas"], out["x_sq_norms"]

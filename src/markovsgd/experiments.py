@@ -340,8 +340,9 @@ def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: l
         excess = gammas**2 / problem.dim
         steps = np.minimum(np.asarray(checkpoints, dtype=np.int64), config.T)
         return excess[config.T], excess[steps], 0, time.perf_counter() - t0
+    # one thread per chunk: the experiment's own ``workers`` spreads its chunks
     result = run_many(
-        problem, config.T, algo, seeds, w_init=w_init, checkpoints=checkpoints
+        problem, config.T, algo, seeds, w_init=w_init, checkpoints=checkpoints, workers=1
     )
     est_excess = excess_risk(problem, result.estimates)
     return est_excess, result.checkpoint_excess, result.discarded_samples, time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -28,8 +29,8 @@ from markovsgd.algorithms import (
     sgd_step,
     tail_window,
     theory_drop_prefix,
-    _rng_triples,
     _rounds,
+    _run_rngs,
     _Stream,
 )
 from markovsgd.chains import (
@@ -706,8 +707,8 @@ class TestLowerBoundTrace:
 # ---------------------------------------------------------------------------
 
 
-def _stacked_noise(triples, n):
-    return np.stack([tr[1].standard_normal(n) for tr in triples], axis=1)
+def _stacked_noise(rngs, n):
+    return np.stack([g[1].standard_normal(n) for g in rngs], axis=1)
 
 
 class TestDataLayer:
@@ -721,13 +722,13 @@ class TestDataLayer:
     def test_label_table_matches_vecdot_over_gathered_states(self, chain):
         w_star = np.linspace(-0.7, 0.6, chain.dim)
         problem = make_problem(chain, IndependentGaussian(0.1), w_star=w_star)
-        stream = _Stream(problem, _rng_triples(self.SEEDS, num_runs=3))
-        ref_noise = _rng_triples(self.SEEDS, num_runs=3)
+        stream = _Stream(problem, _run_rngs(self.SEEDS, 2))
+        ref_noise = _run_rngs(self.SEEDS, 2)
         idx = stream.cursor.take(48)
         blocks = (idx, idx[3::4], idx.reshape(12, 4, 3).swapaxes(1, 2))
         for s in blocks:
             X = chain.states[s]
-            np.testing.assert_array_equal(stream.vectors(s), X)
+            np.testing.assert_array_equal(stream.table[s], X)
             np.testing.assert_array_equal(stream.clean(s), np.vecdot(X, w_star))
         xi = stream.noise(48)
         np.testing.assert_array_equal(xi, _stacked_noise(ref_noise, 48))
@@ -736,7 +737,7 @@ class TestDataLayer:
 
     def test_agnostic_labels_are_state_outputs(self):
         chain = make_agnostic_bias_chain(0.25)
-        stream = _Stream(make_problem(chain, AgnosticDeterministic()), _rng_triples([1, 2], 2))
+        stream = _Stream(make_problem(chain, AgnosticDeterministic()), _run_rngs([1, 2], 2))
         idx = stream.cursor.take(20)
         assert stream.noise(20) is None
         np.testing.assert_array_equal(stream.labels(idx, None), chain.outputs[idx])
@@ -751,12 +752,13 @@ class TestDataLayer:
         w_star = np.linspace(-0.5, 0.5, chain.dim)
         problem = make_problem(chain, IndependentGaussian(0.2), w_star=w_star)
         R, K, d = len(self.SEEDS), 5, chain.dim
-        stream = _Stream(problem, _rng_triples(self.SEEDS, num_runs=R))
-        ref = _rng_triples(self.SEEDS, num_runs=R)
+        stream = _Stream(problem, _run_rngs(self.SEEDS, 2))
+        ref = _run_rngs(self.SEEDS, 2)
         cursor = make_cursor(chain, [tr[0] for tr in ref])
         for nr in (3, 2):  # two consecutive blocks
             s, xi, _ = _rounds(stream, 0, nr, K)
-            Xr, Y = stream.vectors(s), stream.branch_labels(s, xi, coupled)
+            Xr = s if kind == "gaussian" else stream.table[s]
+            Y = stream.branch_labels(s, xi, coupled)
             # the reference: stream-order vectors and labels, then transposed
             s = cursor.take(nr * K)
             X = s if kind == "gaussian" else chain.states[s]
@@ -796,12 +798,13 @@ class TestWorkers:
             assert got.tobytes() == want.tobytes(), field
         assert pooled.discarded_samples == serial.discarded_samples
 
+    @pytest.mark.parametrize("workers", [None, 2, 3])
     @pytest.mark.parametrize(
         "kind,cfg",
         CASES,
         ids=["sgd", "dd", "parallel", "er", "finite-sgd", "finite-dd", "finite-parallel"],
     )
-    def test_pooled_equals_serial(self, kind, cfg):
+    def test_pooled_equals_serial(self, kind, cfg, workers):
         problem = gaussian_problem(sigma=0.1) if kind == "gaussian" else finite_problem()
         d, R = problem.dim, len(self.SEEDS)
         if isinstance(cfg, ParallelConfig):
@@ -810,7 +813,30 @@ class TestWorkers:
             w_init = np.linspace(-0.5, 0.5, R * d).reshape(R, d)
         kw = dict(w_init=w_init, checkpoints=[0, 9, 30, 48])
         serial = run_many(problem, 48, cfg, self.SEEDS, workers=1, **kw)
-        self._assert_same(run_many(problem, 48, cfg, self.SEEDS, workers=2, **kw), serial)
+        threads = threading.enumerate()
+        self._assert_same(run_many(problem, 48, cfg, self.SEEDS, workers=workers, **kw), serial)
+        assert threading.enumerate() == threads  # no thread outlives the call
+
+    def test_forced_numpy_loop_reaches_every_chunk(self, monkeypatch):
+        problem, cfg = finite_problem(), SgdConfig(step_size=0.3)
+        kw = dict(w_init=np.full(problem.dim, 0.1), checkpoints=[0, 9, 30, 48])
+        compiled = run_many(problem, 48, cfg, self.SEEDS, workers=1, **kw)
+        calls = []
+        descend = algorithms._descend
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        monkeypatch.setattr(algorithms, "_descend", counted)
+        serial = run_many(problem, 48, cfg, self.SEEDS, workers=1, **kw)
+        assert len(calls) == 1  # one block, one pass of the numpy loop
+        calls.clear()
+        pooled = run_many(problem, 48, cfg, self.SEEDS, workers=2, **kw)
+        assert len(calls) == 2  # each chunk took the numpy loop
+        self._assert_same(pooled, serial)
+        self._assert_same(pooled, compiled)
 
     def test_more_workers_than_runs(self):
         problem = gaussian_problem(sigma=0.1)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 
@@ -133,6 +134,46 @@ class TestSameBits:
         if coupled:
             for path in ("iterates_full", "iterates_bias", "iterates_var"):
                 assert getattr(compiled.coupled, path).tobytes() == getattr(numpy.coupled, path).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Sample vectors read by index
+# ---------------------------------------------------------------------------
+
+
+@requires_kernel
+class TestIndexReads:
+    @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("K,scaled", [(1, False), (3, True)], ids=["sgd", "parallel"])
+    def test_rows_by_index_equal_gathered_rows(self, m, d, K, scaled):
+        rng = np.random.default_rng(5)
+        S, R, nr = 6, 4, 10
+        table = rng.uniform(-1, 1, (S, d))
+        # stream order (nr*K, R) in round order (nr, R, K): a strided view
+        idx = rng.integers(0, S, (nr * K, R)).reshape(nr, K, R).swapaxes(1, 2)
+        assert K == 1 or not idx.flags.c_contiguous
+        Y = rng.uniform(-1, 1, (m, nr, R, K))
+        W0 = rng.uniform(-1, 1, (m, R, K, d))
+        kern = _kernel.load(d)
+        outs = []
+        for X, rows in ((table[idx], None), (idx, table)):
+            W, acc = W0.copy(), np.zeros_like(W0)
+            iters = np.empty((nr + 1, *W0.shape))
+            bad = np.full(R, -1, dtype=np.int64)
+            kern.advance(W, X, Y, 0.3, scaled, acc, 2, 7, bad, 1, iters, rows)
+            outs.append((W, acc, iters[1:], bad))
+        for gathered, indexed in zip(*outs):
+            assert indexed.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("bad_row", [-1, 6])
+    def test_rows_out_of_range_are_rejected(self, bad_row):
+        table = np.ones((6, 2))
+        idx = np.zeros((3, 2, 1), dtype=np.int64)
+        idx[1, 1, 0] = bad_row
+        W, Y, bad = np.zeros((1, 2, 1, 2)), np.zeros((1, 3, 2, 1)), np.full(2, -1, dtype=np.int64)
+        with pytest.raises(ValueError, match="row numbers"):
+            _kernel.load(2).advance(W, idx, Y, 0.3, False, None, 0, 0, bad, 0, None, table)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +383,9 @@ class TestCouplingIdentity:
 @pytest.fixture
 def reset_loader():
     """Drop this process's loaded kernel before and after the test."""
-    _kernel.library.cache_clear()
+    _kernel._library.cache_clear()
     yield
-    _kernel.library.cache_clear()
+    _kernel._library.cache_clear()
 
 
 @pytest.fixture
@@ -385,7 +426,7 @@ class TestLoader:
         problem, cfg = _problem(), SgdConfig(step_size=0.3)
         want = run_many(problem, 500, cfg, [1, 2], checkpoints=[0, 250, 500])
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc here
-        _kernel.library.cache_clear()
+        _kernel._library.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = run_many(problem, 500, cfg, [1, 2], checkpoints=[0, 250, 500])
@@ -411,7 +452,7 @@ class TestLoader:
 
         want = paths()
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc here
-        _kernel.library.cache_clear()
+        _kernel._library.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = paths()
@@ -453,7 +494,7 @@ class TestLoader:
     def test_probe_mismatch_falls_back(self, reset_loader, monkeypatch):
         problem, cfg = _problem(), DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2)
         want = run_many(problem, 400, cfg, [5, 6])
-        _kernel.library.cache_clear()
+        _kernel._library.cache_clear()
         monkeypatch.setattr(_kernel.Kernel, "dot", lambda self, x, y: float(np.vecdot(x, y)) + 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -463,6 +504,52 @@ class TestLoader:
         assert "disagrees with np.vecdot" in str(caught[0].message)
         assert kernel_info()["path"] == "numpy"
         assert got.estimates.tobytes() == want.estimates.tobytes()
+
+    @pytest.mark.parametrize("mismatch", [False, True], ids=["agrees", "disagrees"])
+    def test_threads_build_once_and_probe_once(self, fresh_cache, monkeypatch, mismatch):
+        builds, dots = [], []
+        build, dot = _kernel._build, _kernel.Kernel.dot
+
+        def counted_build(*args):
+            builds.append(args)
+            build(*args)
+
+        def counted_dot(self, x, y):
+            dots.append(1)
+            return dot(self, x, y) + (1.0 if mismatch else 0.0)
+
+        monkeypatch.setattr(_kernel, "_build", counted_build)
+        monkeypatch.setattr(_kernel.Kernel, "dot", counted_dot)
+        n = 6
+        barrier = threading.Barrier(n)
+        loaded = []
+
+        def load():
+            barrier.wait(timeout=60)
+            loaded.append(_kernel.load(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                threads = [threading.Thread(target=load) for _ in range(n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loaded) == n
+        assert len(builds) == 1
+        assert len(dots) == 64  # one probe of dimension 3
+        assert len(caught) == (1 if mismatch else 0)
+        if mismatch:
+            assert loaded == [None] * n
+        else:
+            assert loaded[0] is not None and all(k is loaded[0] for k in loaded)
+        assert _library_files(fresh_cache) == [os.path.basename(_kernel.library().path)]
 
     def test_concurrent_builds_both_load(self, fresh_cache):
         first, second = _load_in_subprocess(fresh_cache.parent, count=2)
@@ -474,7 +561,7 @@ class TestLoader:
 
     def test_warm_cache_starts_no_process(self, fresh_cache, monkeypatch):
         assert kernel_info()["path"] == "c"  # fills the cache
-        _kernel.library.cache_clear()
+        _kernel._library.cache_clear()
 
         def no_process(*args, **kwargs):
             raise AssertionError("started a process")
@@ -500,7 +587,7 @@ class TestLoader:
         for f in (*stale, info["cache"]):
             open(f, "ab").close()
             os.utime(f, (month_ago, month_ago))
-        _kernel.library.cache_clear()
+        _kernel._library.cache_clear()
         assert kernel_info() == info
         assert all(f.exists() for f in stale)
         assert os.path.getmtime(info["cache"]) > time.time() - 3600
