@@ -1,6 +1,7 @@
 /*
  * The inner loops of markovsgd, compiled: the least-squares update loop of
- * markovsgd.algorithms and the two path samplers of markovsgd.chains.
+ * markovsgd.algorithms, the two path samplers of markovsgd.chains and the
+ * fill that draws every run's variates in one call.
  *
  * markovsgd/_kernel.py builds this file on first use with
  *     cc -O2 -fPIC -shared -ffp-contract=off
@@ -11,12 +12,14 @@
  * np.vecdot calls for float64 rows, and its result is added to 0.0 as
  * numpy's dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
  * The samplers call no BLAS: each makes the same IEEE operations as the
- * numpy (or scipy) code it replaces.
+ * numpy (or scipy) code it replaces.  The fill draws nothing itself: it
+ * calls numpy's own fill function once per run.
  */
 #include <math.h>
 #include <stdint.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+typedef void (*fill_fn)(void *bitgen, int64_t n, double *out);
 
 /* <x, y> of n doubles exactly as np.vecdot computes it. */
 double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const double *y, int64_t incy)
@@ -25,52 +28,69 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
 }
 
 /*
- * Apply n updates to the weights w, one sample at a time.
+ * Apply n updates to the weights w of R runs, one run at a time.
  *
  * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
- * runs of K instances.  Element j of sample i of instance (r, k) is
- * x[i*xn + r*xr + k*xk + j*xd]; the label of branch b is
- * y[b*ym + i*yn + r*yr + k*yk].  Strides count doubles, and xd > 0.
- * When idx is given, x is instead a table of contiguous rows of d doubles
- * and the sample is row idx[i*in + r*ir + k*ik] of it (xn, xr and xk are
- * not read, and xd is 1); idx strides count int64s.
+ * runs of K instances.  Sample i of instance (r, k) and its label for
+ * branch b are read in one of two modes:
+ *   strided: the vector x[i*xn + r*xr + k*xk + j*xd] (j < d, xd > 0) and
+ *            the label y[b*ym + i*yn + r*yr + k*yk];
+ *   indexed: x is a table of contiguous rows of d doubles, and the sample
+ *            is row s = idx[i*in + r*ir + k*ik] of it; y is a table of ym
+ *            labels per branch, and the label is y[b*ym + s], plus
+ *            sigma * xi[i*qn + r*qr + k*qk] when xi is given and bit b of
+ *            noisy is set.  (xn, xr, xk and yn, yr, yk are not read.)
+ * Strides count elements.  The indexed label is the numpy one: the table
+ * entry, then the product sigma * xi added to it.
  *
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
  *     scaled: w_j = w_j - (res * alpha) * x_j       (parallel SGD)
- * After update i, every weight is added into acc when lo <= i < hi, and
- * copied into row first + i of iters, when iters is given: rows of
- * m*R*K*d doubles.  acc and iters may be null.
+ * After update i of a run, its weights are added into its rows of acc when
+ * lo <= i < hi, and copied into its rows of row first + i of iters, when
+ * iters is given: rows of m*R*K*d doubles.  acc and iters may be null.
+ * Runs never interact, so the order in which they are taken changes no
+ * run's operations, and so none of its bits.
  *
  * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
- * run r non-finite, bad[r] becomes first + i and the run is not updated
- * again; the loop returns early once every run is marked.
+ * run r non-finite, bad[r] becomes first + i and the run stops there: it
+ * is not updated again and its acc and iters rows are not written for
+ * update i or later.  A run already marked is skipped.
  */
 static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *w, double *acc, double *iters,
                     int64_t m, int64_t R, int64_t K, int64_t d,
                     const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                     const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
                     const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                    const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
                     int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
                     int64_t *bad, int64_t first)
 {
     const int64_t size = m * R * K * d;
-    int64_t nbad = 0;
     for (int64_t r = 0; r < R; r++) {
-        nbad += bad[r] >= 0;
-    }
-    for (int64_t i = 0; i < n && nbad < R; i++) {
-        for (int64_t r = 0; r < R; r++) {
-            if (bad[r] >= 0) {
-                continue;
-            }
+        if (bad[r] >= 0) {
+            continue;
+        }
+        for (int64_t i = 0; i < n; i++) {
             int finite = 1;
             for (int64_t b = 0; b < m; b++) {
+                const int noise = xi != 0 && ((noisy >> b) & 1);
                 for (int64_t k = 0; k < K; k++) {
                     double *row = w + ((b * R + r) * K + k) * d;
-                    const double *xv = idx != 0 ? x + idx[i * in + r * ir + k * ik] * d
-                                                : x + i * xn + r * xr + k * xk;
-                    double res = (0.0 + ddot(d, row, 1, xv, xd)) - y[b * ym + i * yn + r * yr + k * yk];
+                    const double *xv;
+                    double label;
+                    if (idx != 0) {
+                        const int64_t s = idx[i * in + r * ir + k * ik];
+                        xv = x + s * d;
+                        label = y[b * ym + s];
+                        if (noise) {
+                            label = label + sigma * xi[i * qn + r * qr + k * qk];
+                        }
+                    } else {
+                        xv = x + i * xn + r * xr + k * xk;
+                        label = y[b * ym + i * yn + r * yr + k * yk];
+                    }
+                    double res = (0.0 + ddot(d, row, 1, xv, xd)) - label;
                     if (scaled) {
                         res = res * alpha;
                         for (int64_t j = 0; j < d; j++) {
@@ -89,18 +109,26 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *
             }
             if (!finite) {
                 bad[r] = first + i;
-                nbad++;
+                break;
             }
-        }
-        if (acc != 0 && lo <= i && i < hi) {
-            for (int64_t j = 0; j < size; j++) {
-                acc[j] += w[j];
-            }
-        }
-        if (iters != 0) {
-            double *row = iters + (first + i) * size;
-            for (int64_t j = 0; j < size; j++) {
-                row[j] = w[j];
+            const int sum = acc != 0 && lo <= i && i < hi;
+            if (sum || iters != 0) {
+                for (int64_t b = 0; b < m; b++) {
+                    const int64_t at = (b * R + r) * K * d;
+                    const double *row = w + at;
+                    if (sum) {
+                        double *to = acc + at;
+                        for (int64_t j = 0; j < K * d; j++) {
+                            to[j] += row[j];
+                        }
+                    }
+                    if (iters != 0) {
+                        double *to = iters + (first + i) * size + at;
+                        for (int64_t j = 0; j < K * d; j++) {
+                            to[j] = row[j];
+                        }
+                    }
+                }
             }
         }
     }
@@ -111,16 +139,32 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
                   const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                   const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
                   const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                  const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
                   int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
                   int64_t *bad, int64_t first)
 {
     /* two inlined copies: neither tests idx per sample */
     if (idx != 0) {
         advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik,
-                y, ym, yn, yr, yk, n, lo, hi, alpha, scaled, bad, first);
+                y, ym, yn, yr, yk, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
     } else {
         advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, 0, in, ir, ik,
-                y, ym, yn, yr, yk, n, lo, hi, alpha, scaled, bad, first);
+                y, ym, yn, yr, yk, 0, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+    }
+}
+
+/*
+ * Fill row r of out -- the n doubles from out + r*rs -- from generator
+ * gens[r], for r = 0 .. R-1.  fill is numpy's random_standard_uniform_fill
+ * or random_standard_normal_fill, the function Generator.random(out=) or
+ * Generator.standard_normal(out=) calls, and gens holds bitgen_t pointers.
+ * A generator listed twice fills its rows in row order, as a loop of the
+ * Generator method over the rows would.
+ */
+void msgd_fill(fill_fn fill, void *const *gens, int64_t R, int64_t n, double *out, int64_t rs)
+{
+    for (int64_t r = 0; r < R; r++) {
+        fill(gens[r], n, out + r * rs);
     }
 }
 
@@ -132,14 +176,17 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
  * uniform reaches).  Run r starts in state[r], 0 <= state[r] < S, and its
  * uniforms are u[r*un + i].  Step i moves it to the number of thresholds of
  * its state that u is >= -- the comparisons the numpy walk makes -- and
- * stores that state in out[i*on + r].
+ * stores that state in out[i*on + r*ro].  That element may be the 8 bytes
+ * of u[r*un + i] itself: step i reads its uniform before it stores, and
+ * reads no earlier uniform again.
  */
 void msgd_walk(const double *lead, int64_t S, const double *u, int64_t un,
-               const int64_t *state, int64_t R, int64_t n, int64_t *out, int64_t on)
+               const int64_t *state, int64_t R, int64_t n, int64_t *out, int64_t on, int64_t ro)
 {
     const int64_t w = S - 1;
     for (int64_t r = 0; r < R; r++) {
         const double *ur = u + r * un;
+        int64_t *outr = out + r * ro;
         int64_t s = state[r];
         for (int64_t i = 0; i < n; i++) {
             const double *row = lead + s * w;
@@ -148,7 +195,7 @@ void msgd_walk(const double *lead, int64_t S, const double *u, int64_t un,
             for (int64_t j = 0; j < w; j++) {
                 next += v >= row[j];
             }
-            out[i * on + r] = next;
+            outr[i * on] = next;
             s = next;
         }
     }

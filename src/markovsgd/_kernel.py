@@ -2,8 +2,8 @@
 
 The engine of :mod:`markovsgd.algorithms` advances its weights through
 :func:`load`, and the path cursors of :mod:`markovsgd.chains` walk finite
-chains and filter Gaussian paths through :func:`library`; both modules
-import this one on first use.  The first call on a machine compiles
+chains, filter Gaussian paths and draw every run's variates through
+:func:`library`; both modules import this one on first use.  The first call on a machine compiles
 ``_kernel.c`` with the system ``cc`` into a per-user cache
 (``$XDG_CACHE_HOME/markovsgd/``, by default ``~/.cache/markovsgd/``, or a
 private directory under the system temporary directory when that one is
@@ -12,6 +12,11 @@ not writable), keyed by the sha256 of the source, the flags and
 cached file without starting a process, and refresh its mtime; a build
 removes the libraries and compiler memos of the cache that no process has
 loaded for 30 days.
+
+The update loop advances one run through a whole segment before the next.
+On a finite chain it reads each sample vector from the chain's table of
+states by state index and makes the labels itself, from a per-state label
+table and the unit noise, so no block of vectors or labels is built.
 
 The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
@@ -24,6 +29,17 @@ at once still get one build, one check and at most one warning.  The
 sampling loops call no BLAS and need no such check: they run whenever the
 library loads, and the cursors fall back to numpy (and scipy) only when it
 does not.
+
+The fill (``msgd_fill``) draws every run's row of uniforms or normals in
+one call that releases the GIL.  It calls numpy's own
+``random_standard_uniform_fill`` and ``random_standard_normal_fill``, the
+functions ``Generator.random(out=)`` and ``Generator.standard_normal(out=)``
+call, on each generator's ``bitgen_t``, and holds every generator's lock
+while it draws, as those methods do.  When the library loads, these
+functions are looked up and checked once, under the same lock, against the
+``Generator`` methods on fixed seeds; if they are missing or disagree, the
+cursors draw run by run through the methods (same numbers) and one
+``RuntimeWarning`` says so.
 """
 
 from __future__ import annotations
@@ -49,10 +65,16 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # ILP64 CBLAS ddot in numpy's OpenBLAS builds: (n, x, incx, y, incy), 64-bit ints
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+# numpy.random's fills behind Generator.random(out=) and standard_normal(out=)
+_FILL_SYMBOLS = ("random_standard_uniform_fill", "random_standard_normal_fill")
 # a cached library or compiler memo untouched this long is removed after a build
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
+# PyCapsule_GetPointer with the GIL held; a wrong capsule raises
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(_PTR, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
 class _Unavailable(Exception):
@@ -70,6 +92,7 @@ class Kernel:
         self.blas_name = blas_name
         self.mismatch = False
         self._checked: set[int] = set()
+        self._fills = None  # numpy's (uniform, normal) fills, once check_fills passes
         self._dot = lib.msgd_dot
         self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
         self._dot.restype = ctypes.c_double
@@ -79,11 +102,15 @@ class Kernel:
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
+            + (_PTR, _I64, _I64, _I64, ctypes.c_double, _I64)
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
         )
         self._advance.restype = None
+        self._fill = lib.msgd_fill
+        self._fill.argtypes = (_PTR, _PTR, _I64, _I64, _PTR, _I64)
+        self._fill.restype = None
         self._walk = lib.msgd_walk
-        self._walk.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64)
+        self._walk.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
         self._walk.restype = None
         self._ar = lib.msgd_ar
         self._ar.argtypes = (_PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
@@ -126,15 +153,34 @@ class Kernel:
         return not self.mismatch
 
     def advance(
-        self, W, X, Y, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None, table=None
+        self,
+        W,
+        X,
+        Y,
+        alpha: float,
+        scaled: bool,
+        acc,
+        lo: int,
+        hi: int,
+        bad,
+        first: int,
+        iters=None,
+        table=None,
+        xi=None,
+        sigma: float = 0.0,
+        noisy: int = 0,
     ) -> None:
-        """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
+        """Apply ``len(X)`` updates to W in place, run after run (see ``msgd_advance``).
 
-        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``, ``X`` is
-        ``(n, R, K, d)`` and ``Y`` is ``(m, n, R, K)``; X and Y may be
-        strided views.  With ``table``, a contiguous ``(S, d)``, ``X`` is
-        instead an int64 ``(n, R, K)`` block of row numbers, which may be
-        strided too: each sample vector is the row of ``table`` it names.
+        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  Without
+        ``table``, ``X`` is ``(n, R, K, d)`` and ``Y`` ``(m, n, R, K)``,
+        both possibly strided views.  With ``table``, a contiguous
+        ``(S, d)``, ``X`` is instead an int64 ``(n, R, K)`` block of row
+        numbers, possibly strided: each sample vector is the row of
+        ``table`` it names, and ``Y`` is a contiguous ``(m, S)`` table of
+        each branch's label for each row.  To that label the kernel adds
+        ``sigma * xi`` -- ``xi`` a float64 ``(n, R, K)`` block, possibly
+        strided, or None -- in the branches whose bit is set in ``noisy``.
         ``bad`` is a contiguous int64 ``(R,)``: -1 for a finite run, else
         the number (counted from ``first`` for this call's first update) of
         the update that left the run non-finite, after which it is not
@@ -144,7 +190,9 @@ class Kernel:
         m, R, K, d = W.shape
         n = len(X)
         if table is None:
-            samples_ok = X.shape == (n, R, K, d) and _is_f64(X)
+            samples_ok = (
+                X.shape == (n, R, K, d) and _is_f64(X) and Y.shape == (m, n, R, K) and _is_f64(Y) and xi is None
+            )
         else:
             samples_ok = (
                 X.shape == (n, R, K)
@@ -153,14 +201,15 @@ class Kernel:
                 and table.ndim == 2
                 and table.shape[1] == d
                 and _is_f64(table, contiguous=True)
+                and Y.shape == (m, len(table))
+                and _is_f64(Y, contiguous=True)
+                and (xi is None or (xi.shape == (n, R, K) and _is_f64(xi)))
             )
         if not (
             _is_f64(W, contiguous=True)
             and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
             and (iters is None or (iters.shape[1:] == W.shape and _is_f64(iters, contiguous=True)))
             and samples_ok
-            and Y.shape == (m, n, R, K)
-            and _is_f64(Y)
             and bad.shape == (R,)
             and bad.dtype == np.int64
             and bad.flags.c_contiguous
@@ -176,11 +225,14 @@ class Kernel:
                 xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
             if xs[3] <= 0:
                 raise ValueError("advance: sample vectors need a positive element stride")
-            samples = (X.ctypes.data, *xs, None, 0, 0, 0)
+            samples = (X.ctypes.data, *xs, None, 0, 0, 0, Y.ctypes.data, *(s // 8 for s in Y.strides))
+            noise = (None, 0, 0, 0)
         else:
             if X.view(np.uint64).max() >= len(table):  # negatives read as huge
                 raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
             samples = (table.ctypes.data, 0, 0, 0, 1, X.ctypes.data, *(s // 8 for s in X.strides))
+            samples += (Y.ctypes.data, len(table), 0, 0, 0)
+            noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
         self._advance(
             self._ddot,
             W.ctypes.data,
@@ -191,8 +243,9 @@ class Kernel:
             K,
             d,
             *samples,
-            Y.ctypes.data,
-            *(s // 8 for s in Y.strides),
+            *noise,
+            sigma,
+            noisy,
             n,
             lo,
             hi,
@@ -202,13 +255,58 @@ class Kernel:
             first,
         )
 
+    def check_fills(self) -> None:
+        """Look up numpy's fill functions and check them once; warn if unusable.
+
+        The check draws from fixed seeds with :class:`Fill` and with the
+        ``Generator`` methods, over successive calls of both kinds and a
+        generator listed twice, and needs every byte equal.  :func:`library`
+        calls this under its lock, when the library loads.
+        """
+        try:
+            self._fills = _find_fills()
+            if not self._fills_agree():
+                raise _Unavailable("they disagree with the Generator methods")
+        except _Unavailable as exc:
+            self._fills = None
+            warnings.warn(
+                f"markovsgd: numpy's fill functions unusable ({exc}); the cursors draw "
+                "their variates run by run",
+                RuntimeWarning,
+                stacklevel=5,
+            )
+
+    def _fills_agree(self) -> bool:
+        def gens():
+            return [np.random.Generator(np.random.Philox(seed)) for seed in (7, 8)]
+
+        (a0, a1), (b0, b1) = gens(), gens()
+        fill = self.fill_for([a0, a1, a0])
+        for n, normal in ((5, True), (3, False), (1, True), (8, False), (13, True), (0, False)):
+            got, want = np.empty((3, n)), np.empty((3, n))
+            fill(got, normal)
+            for rng, row in zip((b0, b1, b0), want):
+                (rng.standard_normal if normal else rng.random)(out=row)
+            if got.tobytes() != want.tobytes():
+                return False
+        # both leave every generator in the same state
+        return all(a.random(3).tobytes() == b.random(3).tobytes() for a, b in ((a0, b0), (a1, b1)))
+
+    def fill_for(self, rngs) -> Fill | None:
+        """A :class:`Fill` for these generators, or None when the fills are unusable."""
+        return None if self._fills is None else Fill(self, rngs)
+
     def walk(self, lead, U, state, out) -> None:
         """Walk ``U.shape[0]`` runs of a finite chain (see ``msgd_walk``).
 
         ``lead`` is the contiguous ``(S, S-1)`` leading cumulative rows.
         Run r starts in ``state[r]`` and steps on ``U[r]``; ``out[i, r]``
-        is its state after step i.  ``U`` ``(R, n)`` and ``out`` ``(n, R)``
-        int64 may be views whose rows are strided.
+        is its state after step i.  ``U`` ``(R, n)`` may be a view whose
+        rows are strided, and ``out`` ``(n, R)`` int64 a view of any
+        strides.  ``out[i, r]`` may be the memory of ``U[r, i]``: the finite
+        cursor draws into an ``(R, n)`` block and passes the block, as
+        float64, for ``U`` and its transposed view, as int64, for ``out``,
+        so each run's uniforms turn into its states in place.
         """
         S = lead.shape[0]
         R, n = U.shape
@@ -224,8 +322,7 @@ class Kernel:
             and state.flags.c_contiguous
             and out.shape == (n, R)
             and out.dtype == np.int64
-            and out.strides[1] == 8
-            and out.strides[0] % 8 == 0
+            and not any(s % 8 for s in out.strides)
         ):
             raise ValueError("walk: arrays of mismatched shape, dtype or layout")
         if state.min() < 0 or state.max() >= S:
@@ -240,6 +337,7 @@ class Kernel:
             n,
             out.ctypes.data,
             out.strides[0] // 8,
+            out.strides[1] // 8,
         )
 
     def ar(self, G, X, b: float, c: float, x0) -> None:
@@ -267,6 +365,46 @@ class Kernel:
         self._ar(G.ctypes.data, X.ctypes.data, R, n, d, G.strides[0] // 8, b, c, x0.ctypes.data)
 
 
+class Fill:
+    """Draws for a fixed list of generators: one row of an output per generator.
+
+    ``fill(out, normal)`` fills row r of ``out`` -- a float64 ``(R, ...)``
+    whose rows are each contiguous -- with what
+    ``rngs[r].standard_normal(out=out[r])`` (or, without ``normal``,
+    ``rngs[r].random(out=out[r])``) would, row after row, in one call that
+    releases the GIL.  Like those methods it holds each generator's lock
+    while it draws; the locks are taken in one fixed order.
+    """
+
+    def __init__(self, kern: Kernel, rngs):
+        bits = [rng.bit_generator for rng in rngs]
+        self._bits = bits  # keeps each bitgen_t alive
+        self._gens = np.array([_CAPSULE_POINTER(b.capsule, b"BitGenerator") for b in bits], dtype=np.uintp)
+        self._at = self._gens.ctypes.data
+        distinct = {id(b): b for b in bits}
+        self._locks = [distinct[k].lock for k in sorted(distinct)]
+        self._call = kern._fill
+        self._fills = kern._fills
+
+    def __call__(self, out: np.ndarray, normal: bool) -> None:
+        R = len(self._gens)
+        if out.shape[:1] != (R,) or not _is_f64(out):
+            raise ValueError("fill: arrays of mismatched shape, dtype or layout")
+        if R == 0 or out.size == 0:
+            return
+        row = out[0]
+        # contiguous rows that do not overlap
+        if not (row.flags.c_contiguous and (R == 1 or out.strides[0] >= row.nbytes)):
+            raise ValueError("fill: arrays of mismatched shape, dtype or layout")
+        for lock in self._locks:
+            lock.acquire()
+        try:
+            self._call(self._fills[normal], self._at, R, row.size, out.ctypes.data, out.strides[0] // 8)
+        finally:
+            for lock in self._locks:
+                lock.release()
+
+
 def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
     if a.dtype != np.float64 or any(s % 8 for s in a.strides):
         return False
@@ -281,7 +419,7 @@ _LOCK = threading.Lock()
 @functools.cache
 def _library() -> Kernel | None:
     try:
-        return _open()
+        kern = _open()
     except (_Unavailable, OSError) as exc:  # OSError: the cache could not be written
         warnings.warn(
             f"markovsgd: compiled loops unavailable ({exc}); the path samplers and "
@@ -290,6 +428,8 @@ def _library() -> Kernel | None:
             stacklevel=4,
         )
         return None
+    kern.check_fills()
+    return kern
 
 
 def library() -> Kernel | None:
@@ -310,11 +450,16 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop the engine takes here, with the library and BLAS used."""
+    """Which update loop and fills run here, with the library and BLAS used."""
     kern = library()
     if kern is None:
-        return {"path": "numpy", "cache": None, "blas": None}
-    return {"path": "numpy" if kern.mismatch else "c", "cache": kern.path, "blas": kern.blas_name}
+        return {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
+    return {
+        "path": "numpy" if kern.mismatch else "c",
+        "cache": kern.path,
+        "blas": kern.blas_name,
+        "fills": "numpy" if kern._fills is None else "c",
+    }
 
 
 def _open() -> Kernel:
@@ -427,6 +572,17 @@ def _find_ddot():
                 continue
             return blas, ctypes.cast(fn, ctypes.c_void_p).value, f"{lib_path}:{name}"
     raise _Unavailable("no ILP64 cblas ddot in numpy's bundled OpenBLAS")
+
+
+def _find_fills() -> tuple[int, int]:
+    """The addresses of numpy's uniform and normal fill functions."""
+    from numpy.random import _generator
+
+    try:
+        lib = ctypes.CDLL(_generator.__file__)  # loaded already: this only finds it
+        return tuple(ctypes.cast(getattr(lib, name), _PTR).value for name in _FILL_SYMBOLS)
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable(f"numpy.random lacks {' or '.join(_FILL_SYMBOLS)}: {exc}") from exc
 
 
 def _cache_dir() -> str:

@@ -29,10 +29,13 @@ Tail-average windows follow the algorithm displays exactly; see
 conventions.  Every update rule uses the descent sign
 ``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
 kernel (``_kernel.c``, built on first use and cached; see
-:func:`kernel_info`), which also sums the tail window and stores the
-iterates a single run keeps, and reads a finite chain's sample vectors by
-state index from the chain's table of states.  It gives the same bits as the
-numpy loop, the fallback that runs only where the kernel is unavailable.
+:func:`kernel_info`), which takes one run through a whole segment of
+updates before the next, sums the tail window and stores the iterates a
+single run keeps.  On a finite chain it reads each sample vector by state
+index from the chain's table of states and makes each label from a
+per-state label table and the unit noise, so neither vectors nor labels
+are gathered into blocks.  It gives the same bits as the numpy loop, the
+fallback that runs only where the kernel is unavailable.
 :func:`run_many` splits its seeds into contiguous chunks and runs them on
 threads of the calling process, by default one per usable CPU; runs are
 independent, so the result is the same for any chunking.
@@ -42,7 +45,11 @@ spawned from its seed -- see :func:`markovsgd.chains.run_generators`; the
 engine builds only those it draws from.  Noise
 variates are drawn only for samples that can enter updates (all samples for
 SGD and Parallel SGD; kept indices for data drop; retained pool samples for
-replay), in stream order.  Replay's pool positions are drawn from the
+replay), in stream order.  Each block's uniforms and normals are drawn for
+every run in one call that releases the GIL, through numpy's own fill
+functions, into one row per run: the variates ``Generator.random`` and
+``Generator.standard_normal`` give, run by run (see
+:mod:`markovsgd._kernel`).  Replay's pool positions are drawn from the
 algorithm generator as one block of B integers per buffer.
 """
 
@@ -58,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, _run_generators, make_cursor, mixing_time
+from .chains import GaussianARSpec, _Draws, _run_generators, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -336,14 +343,15 @@ class _Stream:
     into the rows of ``table``, the chain's ``(S, d)`` states (None for a
     Gaussian chain); :meth:`clean` and :meth:`labels` map either kind
     elementwise, so the engine may reorder a block (e.g. into parallel
-    rounds) before use.
+    rounds) before use.  For a finite chain, :meth:`label_table` gives the
+    compiled loop what it needs to make the same labels itself.
     """
 
     def __init__(self, problem: Problem, rngs):
         chain = problem.chain
         self.cursor = make_cursor(chain, [g[0] for g in rngs])
-        self._noise_rngs = [g[1] for g in rngs]
-        self._sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
+        self._noise = _Draws([g[1] for g in rngs])
+        self.sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
         self._w_star = problem.w_star
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
         if isinstance(chain, GaussianARSpec):
@@ -358,12 +366,9 @@ class _Stream:
         Each run's variates fill one row of a per-run (R, n) buffer; the
         result is its transposed view.
         """
-        if self._sigma is None:
+        if self.sigma is None:
             return None
-        xi = np.empty((len(self._noise_rngs), n))
-        for rng, row in zip(self._noise_rngs, xi):
-            rng.standard_normal(out=row)
-        return xi.T
+        return self._noise.fill(np.empty((len(self._noise.rngs), n)), normal=True).T
 
     def clean(self, s: np.ndarray) -> np.ndarray:
         """Noise-free labels <x, w*> for a block of states.
@@ -386,7 +391,7 @@ class _Stream:
             return self._outputs.take(s)
         y = self.clean(s)
         if xi is not None:
-            y = y + self._sigma * xi
+            y = y + self.sigma * xi
         return y
 
     def branch_labels(self, s: np.ndarray, xi, coupled: bool) -> np.ndarray:
@@ -394,6 +399,17 @@ class _Stream:
         when coupled -- the bias branch sees clean labels -- else full only."""
         y = self.labels(s, xi)
         return np.stack((y, self.clean(s), y)) if coupled else y[None]
+
+    def label_table(self, coupled: bool) -> tuple[np.ndarray, int]:
+        """A finite chain's labels per branch and state, ``(m, S)``, and the
+        bitmask of the branches whose labels add ``sigma * xi``.
+
+        The rows are those of :meth:`branch_labels` before noise: the
+        chain's outputs (agnostic noise) or the clean labels, and clean
+        labels in the bias branch, which gets no noise.
+        """
+        y = self._clean_table if self._outputs is None else self._outputs
+        return (np.stack((y, self._clean_table, y)), 0b101) if coupled else (y[None], 0b1)
 
 
 class _Checkpoints:
@@ -484,46 +500,59 @@ def _load_kernel(d: int):
 
 
 def _advance(
-    W, X, Y, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None, scaled=False, table=None
+    W, s, xi, stream: _Stream, alpha: float, *, coupled: bool, first=0, acc=None, window=(0, 0), events=(),
+    iters=None, scaled=False,
 ):
     """Apply a block's updates to ``W`` in place, yielding at events.
 
-    Sample i of ``X`` ``(n, R, K, d)``, with labels ``Y[:, i]``
-    ``(m, n, R, K)``, drives update ``first + i + 1``; with ``table``,
-    ``X`` is instead ``(n, R, K)`` state indices into its rows, which the
-    kernel reads in place and the numpy loop gathers.  After update s, W
-    is added into ``acc`` when ``window[0] <= s < window[1]`` and stored in
-    ``iters[s]`` when ``iters`` is given.  The generator yields s after each
-    update s in ``events``.  ``scaled`` selects parallel SGD's
-    ``(alpha * r) * x`` order over ``r * (alpha * x)``.
+    Sample i of ``s``, with unit noise ``xi[i]`` (or None), drives update
+    ``first + i + 1``; ``s`` is ``(n, R, K, d)`` vectors, or ``(n, R, K)``
+    state indices into the rows of ``stream.table``, and ``xi`` is
+    ``(n, R, K)``.  The labels are :meth:`_Stream.branch_labels`' (three
+    branches when ``coupled``).  After update u, W is added into ``acc``
+    when ``window[0] <= u < window[1]`` and stored in ``iters[u]`` when
+    ``iters`` is given.  The generator yields u after each update u in
+    ``events``.  ``scaled`` selects parallel SGD's ``(alpha * r) * x``
+    order over ``r * (alpha * x)``.
 
     The compiled kernel does the work, unless it is unavailable (see
     :mod:`markovsgd._kernel`); then :func:`_descend` does, with the same
-    bits.  The kernel stops each run at the first update that leaves one of
-    its weights non-finite; the generator then yields no more events, but
-    at the end yields that update for the first such run.
+    bits.  On a finite chain the kernel reads vectors by index and makes
+    the labels from :meth:`_Stream.label_table` and ``xi``; the numpy loop
+    gathers both.  The kernel stops each run at the first update that
+    leaves one of its weights non-finite; the generator then yields no more
+    events, but at the end yields that update for the first such run.
     """
     lo, hi = window
+    table = stream.table
     kern = _load_kernel(W.shape[-1])
     if kern is None:
-        if table is not None:
-            X = table.take(X, axis=0)
+        Y = stream.branch_labels(s, xi, coupled)
+        X = s if table is None else table.take(s, axis=0)
         Xs = X if scaled else alpha * X
-        for s, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
-            if lo <= s < hi:
+        for u, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
+            if lo <= u < hi:
                 acc += W
             if iters is not None:
-                iters[s] = W
-            if s in events:
-                yield s
+                iters[u] = W
+            if u in events:
+                yield u
         return
+    if table is None:  # vectors: the kernel reads a block of labels
+        Y, xi, noisy = stream.branch_labels(s, xi, coupled), None, 0
+    else:  # state indices: the kernel makes the labels
+        Y, noisy = stream.label_table(coupled)
+    sigma = stream.sigma or 0.0
     bad = np.full(W.shape[1], -1, dtype=np.int64)  # per run: the update that made it non-finite
-    end = first + len(X)
+    end = first + len(s)
     a = first
     for b in sorted({e for e in events if first < e < end} | {end}):
         # kernel update i is update a + i + 1
         seg = slice(a - first, b - first)
-        kern.advance(W, X[seg], Y[:, seg], alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters, table)
+        kern.advance(
+            W, s[seg], Y[:, seg] if table is None else Y, alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1,
+            iters, table, xi=None if xi is None else xi[seg], sigma=sigma, noisy=noisy,
+        )
         if b in events and bad.max() < 0:
             yield b
         a = b
@@ -636,20 +665,23 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, rngs) -> _Plan:
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
         Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2))
         Xrun = Xrun.reshape(len(rr) * n, -1)
-        # step s of run r in buffer b replays sample picks[s, r] of that
+        # step s of run r in buffer b replays sample picks[r, s] of that
         # buffer's retained pool
         rows, xis, read = [], [], []
         for b in range(nb):
             xi = stream.noise(B)  # one variate per retained sample
-            picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs], axis=1)
+            picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs])
             at = b * S + u + picks
-            rows.append(rr * n + at)
+            rows.append(rr[:, None] * n + at)
             if xi is not None:
-                xis.append(xi.T.take(rr * B + picks))
+                xis.append(xi.T.take(rr[:, None] * B + picks))
             if reads:
-                read.append(j * S + 1 + at[:, 0])
-        xi = np.concatenate(xis) if xis else None
-        return Xrun.take(np.concatenate(rows), axis=0), xi, np.concatenate(read) if reads else None
+                read.append(j * S + 1 + at[0])
+        # gathered per run, (R, updates, ...), as the update loop takes one
+        # run at a time; handed back in update order as transposed views
+        X = Xrun.take(np.concatenate(rows, axis=1), axis=0).transpose(1, 0, 2)
+        xi = np.concatenate(xis, axis=1).T if xis else None
+        return X, xi, np.concatenate(read) if reads else None
 
     return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
 
@@ -709,18 +741,21 @@ def _engine(
     while j < plan.events:
         n = min(block, plan.events - j)
         s, xi, read = plan.draw(stream, j, n, reads=record_reads)
-        Y = stream.branch_labels(s, xi, coupled)
-        if not plan.parallel:
-            s, Y = s[:, :, None], Y[..., None]  # one instance per run
+        if not plan.parallel:  # one instance per run
+            s = s[:, :, None]
+            xi = None if xi is None else xi[..., None]
         if record_reads:
             reads.append(read)
         if B == 1:  # event e is update e: the update loop sums and stores the rows
             steps = _advance(
-                W, s, Y, plan.step, first=j, acc=acc, window=(lo, hi), events=ck.events, iters=iters,
-                scaled=plan.parallel, table=stream.table,
+                W, s, xi, stream, plan.step, coupled=coupled, first=j, acc=acc, window=(lo, hi),
+                events=ck.events, iters=iters, scaled=plan.parallel,
             )
         else:
-            steps = _advance(W, s, Y, plan.step, first=j * B, events=range((j + 1) * B, (j + n) * B + 1, B))
+            steps = _advance(
+                W, s, xi, stream, plan.step, coupled=coupled, first=j * B,
+                events=range((j + 1) * B, (j + n) * B + 1, B),
+            )
         for upd in steps:
             e = -(-upd // B)  # the event that ran update upd
             _check_finite(W, rngs, e * per_event)
@@ -1007,13 +1042,15 @@ def _usable_cpus() -> int:
 
 
 def kernel_info() -> dict:
-    """Which update loop the engine runs in this process.
+    """Which update loop and variate fills run in this process.
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
-    <BLAS library and ddot symbol or None>}``.  The path cursors' finite
-    walk and AR filter run in C whenever ``cache`` is set, even where the
-    ddot check sent the update loop to numpy.  The first call builds or
-    loads the compiled kernel (see :mod:`markovsgd._kernel`).
+    <BLAS library and ddot symbol or None>, "fills": "c" | "numpy"}``.  The
+    path cursors' finite walk and AR filter run in C whenever ``cache`` is
+    set, even where the ddot check sent the update loop to numpy.
+    ``fills`` says whether each block's variates are drawn for all runs in
+    one compiled call or run by run.  The first call builds or loads the
+    compiled kernel (see :mod:`markovsgd._kernel`).
     """
     from . import _kernel
 

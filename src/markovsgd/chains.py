@@ -529,17 +529,14 @@ def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
     are never built.
     """
     if isinstance(seed, np.random.SeedSequence):
-        ss = seed
+        entropy, key, pool = seed.entropy, seed.spawn_key, seed.pool_size
     elif isinstance(seed, np.random.Generator):
         raise TypeError("pass an integer seed or SeedSequence, not a Generator")
     else:
-        ss = np.random.SeedSequence(int(seed))
+        # what SeedSequence(int(seed)) holds, without building it
+        entropy, key, pool = int(seed), (), 4
     return tuple(
-        np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i), pool_size=ss.pool_size)
-            )
-        )
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy, spawn_key=(*key, i), pool_size=pool)))
         for i in children
     )
 
@@ -553,6 +550,31 @@ def _load_kernel():
     from . import _kernel
 
     return _kernel.library()
+
+
+class _Draws:
+    """Each run's uniforms or normals, drawn into its own row of a buffer.
+
+    ``fill(out, normal)`` fills row r of ``out`` ``(R, ...)``, whose rows
+    are each contiguous, with what ``rngs[r].standard_normal(out=out[r])``
+    (or, without ``normal``, ``rngs[r].random(out=out[r])``) gives.  Where
+    the compiled fill is usable, one call draws every row and releases the
+    GIL while it draws (see :mod:`markovsgd._kernel`); otherwise the rows
+    are drawn one by one through those methods.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs = list(rngs)
+        kern = _load_kernel()
+        self._fill = None if kern is None else kern.fill_for(self.rngs)
+
+    def fill(self, out: np.ndarray, normal: bool) -> np.ndarray:
+        if self._fill is not None:
+            self._fill(out, normal)
+        else:
+            for rng, row in zip(self.rngs, out):
+                (rng.standard_normal if normal else rng.random)(out=row)
+        return out
 
 
 class GaussianPathCursor:
@@ -574,7 +596,7 @@ class GaussianPathCursor:
 
     def __init__(self, spec: GaussianARSpec, rngs: Sequence[np.random.Generator], start=None):
         self.spec = spec
-        self._rngs = list(rngs)
+        self._draws = _Draws(rngs)
         self._scale = 1.0 / math.sqrt(spec.dim)
         self._emit_start = start is not None
         if start is None:
@@ -583,12 +605,12 @@ class GaussianPathCursor:
             start = np.asarray(start, dtype=float)
             if start.shape != (spec.dim,):
                 raise ValueError(f"start must have shape ({spec.dim},)")
-            self._x = np.tile(start, (len(self._rngs), 1))
+            self._x = np.tile(start, (self.num_runs, 1))
         self._kern = _load_kernel()
 
     @property
     def num_runs(self) -> int:
-        return len(self._rngs)
+        return len(self._draws.rngs)
 
     def take(self, n: int, with_innovations: bool = False):
         """Next ``n`` states, shape (n, R, d); optionally also the innovations.
@@ -598,12 +620,11 @@ class GaussianPathCursor:
         """
         c = self.spec.decay
         b = self.spec.epsilon * self._scale
-        G = np.empty((len(self._rngs), n, self.spec.dim))
+        G = np.empty((self.num_runs, n, self.spec.dim))
         if n == 0:
             X = G.transpose(1, 0, 2)
             return (X, X) if with_innovations else X
-        for rng, g in zip(self._rngs, G):
-            rng.standard_normal(out=g)
+        self._draws.fill(G, normal=True)
         first = None
         if self._x is None:
             first = G[:, 0] * self._scale  # stationary start: X_1 = G_1 / sqrt(d)
@@ -647,6 +668,8 @@ class GaussianPathCursor:
 def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
     """Vectorised walk: ``out[t, r]`` counts the thresholds of state
     ``out[t-1, r]`` that are ``<= U[r, t]`` (``state`` before the first row).
+    ``out[t, r]`` may share its 8 bytes with ``U[r, t]``: step t reads all
+    of ``U[:, t]`` before it writes ``out[t]``.
 
     ``thresholds`` is ``(S, width)`` with ``width`` 1, 2, 4 or a multiple of
     8, padded with 2.0 (never ``<= u``).  Each run's comparison bytes form one
@@ -680,8 +703,9 @@ def _make_walk(lead: np.ndarray, kern):
     """The walk ``walk(U, state, out)`` of a chain whose rows of cumulative
     transition probabilities, without their last column, are ``lead``
     (S, S-1): run r steps on the uniforms ``U[r]`` from ``state[r]``, and
-    ``out[t, r]`` is its state after step t.  ``kern`` is the compiled
-    library, or None for the numpy walk."""
+    ``out[t, r]`` is its state after step t, and may share its memory with
+    ``U[r, t]``.  ``kern`` is the compiled library, or None for the numpy
+    walk."""
     if kern is not None:
         return partial(kern.walk, np.ascontiguousarray(lead))
     S = lead.shape[0]
@@ -697,14 +721,21 @@ class FinitePathCursor:
     ``take(n)`` returns the next ``n`` state indices with shape ``(n, R)``.
     Without an explicit start the first state is drawn from the stationary
     law, consuming one uniform; every subsequent state consumes one uniform
-    per run.  Each run's uniforms are drawn into one row of a per-run
-    ``(R, n)`` buffer, which the compiled walk reads as it is (the numpy
-    walk, without the library, reads its transposed view).
+    per run.
+
+    The layout is per run.  ``take`` allocates one ``(R, n)`` block of 8-byte
+    words and draws run r's uniforms into row r of it, read as float64; the
+    walk then overwrites each uniform, once read, with the int64 state it
+    picks, so no separate uniform buffer exists.  ``take`` hands back the
+    block's ``(n, R)`` transposed view: indexing ``[t]`` gives a strided
+    ``(R,)`` view and ``[:, r]`` a contiguous ``(n,)`` row.  The compiled
+    walk reads and writes the rows as they are (the numpy walk, without the
+    library, steps through the transposed views).
     """
 
     def __init__(self, spec: FiniteChainSpec, rngs: Sequence[np.random.Generator], start=None):
         self.spec = spec
-        self._rngs = list(rngs)
+        self._draws = _Draws(rngs)
         cum = np.cumsum(spec.transition, axis=1)
         cum /= cum[:, -1:]
         self._walk = _make_walk(cum[:, :-1], _load_kernel())
@@ -724,17 +755,17 @@ class FinitePathCursor:
 
     @property
     def num_runs(self) -> int:
-        return len(self._rngs)
+        return len(self._draws.rngs)
 
     def take(self, n: int) -> np.ndarray:
         """Next ``n`` state indices, shape (n, R); always n uniforms per run."""
-        R = len(self._rngs)
-        out = np.empty((n, R), dtype=np.int64)
+        block = np.empty((self.num_runs, n), dtype=np.int64)
+        out = block.T
         if n == 0:
             return out
-        U = np.empty((R, n))
-        for rng, row in zip(self._rngs, U):
-            rng.random(out=row)
+        # the uniforms go into the state block itself; each step overwrites
+        # the uniform it has read with the state it picks
+        U = self._draws.fill(block.view(np.float64), normal=False)
         lo = 0
         if not self._emitted_first:
             if self._start_idx is None:
@@ -743,7 +774,7 @@ class FinitePathCursor:
                 out[0] = self._start_idx  # U[:, 0] is discarded for layout parity
             self._emitted_first = True
             lo = 1
-        state = out[0] if lo else self._state
+        state = out[0].copy() if lo else self._state  # the compiled walk reads it contiguous
         self._walk(U[:, lo:], state, out[lo:])
         self._state = out[-1].copy()
         return out

@@ -405,6 +405,7 @@ def _provenance() -> dict:
         "scipy": scipy.__version__,
         "kernel": info["path"],
         "blas": info["blas"],
+        "fills": info["fills"],
         "cpu_count": os.cpu_count(),
     }
 

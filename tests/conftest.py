@@ -9,6 +9,6 @@ def pytest_report_header(config):
     # also needs the BLAS ddot check to pass
     sampling = "numpy" if info["cache"] is None else "c"
     return (
-        f"markovsgd update loop: {info['path']}, finite walk and AR filter: {sampling} "
-        f"(library: {info['cache']})"
+        f"markovsgd update loop: {info['path']}, finite walk and AR filter: {sampling}, "
+        f"variate fills: {info['fills']} (library: {info['cache']})"
     )

@@ -302,6 +302,7 @@ class TestRunExperiment:
             "scipy": scipy.__version__,
             "kernel": kernel_info()["path"],
             "blas": kernel_info()["blas"],
+            "fills": kernel_info()["fills"],
             "cpu_count": os.cpu_count(),
         }
 

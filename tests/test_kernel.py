@@ -79,7 +79,6 @@ class TestSameBits:
         R=st.sampled_from([1, 2, 10, 33]),
         d=st.sampled_from([1, 2, 4, 10, 17]),
         finite=st.booleans(),
-        sigma=st.sampled_from([0.0, 0.1]),
         step=st.floats(0.01, 0.6),
         tail=st.sampled_from([0.2, 0.5, 1.0]),
         K=st.integers(1, 5),
@@ -88,7 +87,13 @@ class TestSameBits:
         seed=st.integers(0, 2**32 - 40),
         data=st.data(),
     )
-    def test_compiled_equals_numpy(self, algo, R, d, finite, sigma, step, tail, K, B, u, seed, data):
+    def test_compiled_equals_numpy(self, algo, R, d, finite, step, tail, K, B, u, seed, data):
+        # agnostic outputs come from the two-point bias chain; replay runs on
+        # Gaussian chains only
+        kinds = ["none", "gaussian"] if algo == "er" else ["none", "gaussian", "agnostic"]
+        noise = data.draw(st.sampled_from(kinds), label="noise")
+        if noise == "agnostic":
+            d = 1
         T = data.draw(st.integers(max(8, 2 * K, B + u), 120), label="T")
         entries = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
         w_star = np.array(data.draw(st.lists(entries, min_size=d, max_size=d), label="w_star"))
@@ -96,9 +101,13 @@ class TestSameBits:
         points = st.sampled_from([0, 1, T]) | st.integers(0, T)
         checkpoints = data.draw(st.none() | st.lists(points, max_size=5), label="checkpoints")
 
-        chain = make_mc0(d, 0.25) if finite and d > 1 and algo != "er" else GaussianARSpec(dim=d, epsilon=0.3)
-        noise = Noiseless() if sigma == 0.0 else IndependentGaussian(sigma=sigma)
-        problem = make_problem(chain, noise, w_star=w_star)
+        if noise == "agnostic":
+            problem = make_problem(make_agnostic_bias_chain(0.25), AgnosticDeterministic())
+            w_star = problem.w_star
+        else:
+            chain = make_mc0(d, 0.25) if finite and d > 1 and algo != "er" else GaussianARSpec(dim=d, epsilon=0.3)
+            model = Noiseless() if noise == "none" else IndependentGaussian(sigma=0.1)
+            problem = make_problem(chain, model, w_star=w_star)
         rng = np.random.default_rng(seed)
         w_init = {
             "zeros": None,
@@ -122,7 +131,8 @@ class TestSameBits:
         else:
             assert compiled.checkpoint_excess.tobytes() == numpy.checkpoint_excess.tobytes()
 
-        # a single run keeps every iterate, on the compiled loop too
+        # a single run keeps every iterate, on the compiled loop too; coupled
+        # finite runs make the bias branch's clean labels in the loop
         coupled = data.draw(st.booleans(), label="coupled")
         runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd, "er": run_sgd_er}[algo]
         w1 = w_init[0] if start == "per_run" else w_init
@@ -135,6 +145,24 @@ class TestSameBits:
             for path in ("iterates_full", "iterates_bias", "iterates_var"):
                 assert getattr(compiled.coupled, path).tobytes() == getattr(numpy.coupled, path).tobytes()
 
+    @pytest.mark.parametrize("noise", ["none", "gaussian", "agnostic"])
+    @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
+    def test_coupled_finite_runs_equal_numpy(self, noise, algo):
+        # the loop makes each branch's labels: the bias branch's are clean
+        if noise == "agnostic":
+            problem = make_problem(make_agnostic_bias_chain(0.25), AgnosticDeterministic())
+        else:
+            model = Noiseless() if noise == "none" else IndependentGaussian(sigma=0.1)
+            problem = make_problem(make_mc0(4, 0.25), model, w_star=np.array([0.3, -0.0, -0.2, 0.5]))
+        base = SgdConfig(step_size=0.3)
+        cfg = {"sgd": base, "dd": DataDropConfig(base, drop_interval=3), "parallel": ParallelConfig(base, 4)}[algo]
+        runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd}[algo]
+        compiled = runner(problem, 200, cfg, 17, coupled=True)
+        with _numpy_loop():
+            numpy = runner(problem, 200, cfg, 17, coupled=True)
+        for path in ("iterates_full", "iterates_bias", "iterates_var"):
+            assert getattr(compiled.coupled, path).tobytes() == getattr(numpy.coupled, path).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Sample vectors read by index
@@ -146,22 +174,34 @@ class TestIndexReads:
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("K,scaled", [(1, False), (3, True)], ids=["sgd", "parallel"])
-    def test_rows_by_index_equal_gathered_rows(self, m, d, K, scaled):
+    @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
+    def test_rows_and_labels_by_index_equal_gathered_ones(self, m, d, K, scaled, noise):
         rng = np.random.default_rng(5)
-        S, R, nr = 6, 4, 10
+        S, R, nr, sigma = 6, 4, 10, 0.3
         table = rng.uniform(-1, 1, (S, d))
-        # stream order (nr*K, R) in round order (nr, R, K): a strided view
-        idx = rng.integers(0, S, (nr * K, R)).reshape(nr, K, R).swapaxes(1, 2)
-        assert K == 1 or not idx.flags.c_contiguous
-        Y = rng.uniform(-1, 1, (m, nr, R, K))
+        labels = rng.uniform(-1, 1, (m, S))
+        labels[:, 0] = -0.0  # a -0.0 label stays -0.0 in the branch without noise
+        noisy = 0b101 if m == 3 else 0b1  # the coupled bias branch gets no noise
+
+        def rounds(a):  # per-run rows (R, nr*K) in round order (nr, R, K): strided views
+            return a.T.reshape(nr, K, R).swapaxes(1, 2)
+
+        idx = rounds(rng.integers(0, S, (R, nr * K)))
+        xi = rounds(rng.standard_normal((R, nr * K))) if noise else None
+        Y = labels[:, idx]
+        if noise:
+            for b in range(m):
+                if noisy >> b & 1:
+                    Y[b] = Y[b] + sigma * xi
         W0 = rng.uniform(-1, 1, (m, R, K, d))
         kern = _kernel.load(d)
         outs = []
-        for X, rows in ((table[idx], None), (idx, table)):
+        for args in ((table[idx], Y), (idx, labels, table, xi, sigma, noisy)):
             W, acc = W0.copy(), np.zeros_like(W0)
             iters = np.empty((nr + 1, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
-            kern.advance(W, X, Y, 0.3, scaled, acc, 2, 7, bad, 1, iters, rows)
+            X, L, *by_index = args
+            kern.advance(W, X, L, 0.3, scaled, acc, 2, 7, bad, 1, iters, *by_index)
             outs.append((W, acc, iters[1:], bad))
         for gathered, indexed in zip(*outs):
             assert indexed.tobytes() == gathered.tobytes()
@@ -171,9 +211,122 @@ class TestIndexReads:
         table = np.ones((6, 2))
         idx = np.zeros((3, 2, 1), dtype=np.int64)
         idx[1, 1, 0] = bad_row
-        W, Y, bad = np.zeros((1, 2, 1, 2)), np.zeros((1, 3, 2, 1)), np.full(2, -1, dtype=np.int64)
+        W, labels, bad = np.zeros((1, 2, 1, 2)), np.zeros((1, 6)), np.full(2, -1, dtype=np.int64)
         with pytest.raises(ValueError, match="row numbers"):
-            _kernel.load(2).advance(W, idx, Y, 0.3, False, None, 0, 0, bad, 0, None, table)
+            _kernel.load(2).advance(W, idx, labels, 0.3, False, None, 0, 0, bad, 0, None, table)
+
+
+# ---------------------------------------------------------------------------
+# Every run's variates in one call
+# ---------------------------------------------------------------------------
+
+
+def _method_draws(rngs, n, normal, width=None):
+    """Row r: what ``rngs[r]`` gives for n variates, drawn through its method."""
+    out = np.empty((len(rngs), n if width is None else width))[:, :n]
+    for rng, row in zip(rngs, out):
+        (rng.standard_normal if normal else rng.random)(out=row)
+    return out
+
+
+@pytest.mark.skipif(kernel_info()["fills"] != "c", reason="the compiled fill is unavailable here")
+class TestFills:
+    @pytest.mark.parametrize("R", [1, 3, 50])
+    @pytest.mark.parametrize("twice", [False, True], ids=["distinct", "listed-twice"])
+    def test_fill_equals_the_generator_methods(self, R, twice):
+        def gens():
+            rngs = [run_generators(300 + r)[1] for r in range(R)]
+            return rngs + rngs[:1] if twice else rngs  # the first one draws two rows
+
+        a, b = gens(), gens()
+        fill = _kernel.library().fill_for(a)
+        # successive calls of both kinds, into rows of a wider buffer too
+        for n, width in ((0, None), (1, None), (7, 9), (4097, None), (7, None), (1, 5)):
+            for normal in (False, True):
+                got = np.empty((len(a), n if width is None else width))[:, :n]
+                fill(got, normal)
+                assert got.tobytes() == _method_draws(b, n, normal, width).tobytes()
+        assert all(x.random(5).tobytes() == y.random(5).tobytes() for x, y in zip(a, b))
+
+    def test_threads_sharing_a_generator_draw_disjoint_parts_of_its_stream(self):
+        # each fill holds the generator's lock, as its methods do, so calls
+        # from several threads take whole, disjoint pieces of one stream
+        shared = run_generators(21)[0]
+        fill = _kernel.library().fill_for([shared])
+        n, calls, threads = 4096, 20, 4
+        barrier = threading.Barrier(threads)
+        drawn = [[] for _ in range(threads)]
+
+        def work(t):
+            barrier.wait(timeout=60)
+            for c in range(calls):
+                out = np.empty((1, n))
+                if (c + t) % 2:
+                    fill(out, False)
+                else:
+                    shared.random(out=out[0])
+                drawn[t].append(out)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(w.is_alive() for w in workers)
+        got = np.sort(np.concatenate([np.concatenate(d, axis=1) for d in drawn], axis=1)[0])
+        want = np.sort(run_generators(21)[0].random(n * calls * threads))
+        assert got.tobytes() == want.tobytes()
+        assert shared.random(3).tobytes() == run_generators(21)[0].random(n * calls * threads + 3)[-3:].tobytes()
+
+    def test_fill_rejects_rows_it_cannot_write(self):
+        fill = _kernel.library().fill_for([run_generators(s)[0] for s in (1, 2)])
+        wrong = (np.empty((3, 4)), np.empty((2, 4), dtype=np.float32), np.empty((4, 2)).T, np.empty((2, 8))[:, ::2])
+        for out in wrong:
+            with pytest.raises(ValueError, match="layout"):
+                fill(out, False)
+
+    def test_gaussian_cursor_draws_the_method_normals(self):
+        seeds, d, splits = [11, 12, 13], 3, (1, 40, 7)
+        cursor = GaussianPathCursor(GaussianARSpec(dim=d, epsilon=0.2), [run_generators(s)[0] for s in seeds])
+        got = np.concatenate([cursor.take(n, with_innovations=True)[1] for n in splits])
+        rngs = [run_generators(s)[0] for s in seeds]
+        want = np.concatenate([_method_draws(rngs, n * d, True).reshape(len(seeds), n, d) for n in splits], axis=1)
+        assert got.tobytes() == np.ascontiguousarray((want * (1.0 / np.sqrt(d))).transpose(1, 0, 2)).tobytes()
+
+    @pytest.mark.parametrize("why", ["missing", "disagrees"])
+    def test_unusable_fills_draw_the_same_paths_with_one_warning(self, reset_loader, monkeypatch, why):
+        finite, gaussian = make_mc0(6, 0.2), GaussianARSpec(dim=3, epsilon=0.2)
+        seeds, splits = [4, 5, 6], (1, 40, 7)
+        noisy = make_problem(finite, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 6))
+
+        def paths():
+            cursors = [
+                FinitePathCursor(finite, [run_generators(s)[0] for s in seeds]),
+                GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds]),
+            ]
+            out = [np.concatenate([cur.take(n) for n in splits]).tobytes() for cur in cursors]
+            return out + [run_many(noisy, 300, SgdConfig(0.3), seeds).estimates.tobytes()]
+
+        want = paths()
+        if why == "missing":
+            monkeypatch.setattr(_kernel, "_FILL_SYMBOLS", ("no_uniform_fill", "no_normal_fill"))
+        else:
+            monkeypatch.setattr(_kernel.Kernel, "_fills_agree", lambda self: False)
+        _kernel._library.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = paths()
+            paths()
+            info = kernel_info()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "fill functions unusable" in str(caught[0].message)
+        assert info["fills"] == "numpy" and info["path"] == "c"
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +453,33 @@ class TestDivergenceLatency:
                 run_many(problem, 100_000, cfg, [1])
         samples = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
         assert 0 < samples < 1000
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_a_run_that_breaks_leaves_the_others_bits(self, scaled):
+        rng = np.random.default_rng(9)
+        m, R, K, d, n, lo, hi, alpha = 3, 4, 2, 3, 40, 5, 30, 0.3
+        X = rng.uniform(-1, 1, (n, R, K, d))
+        Y = rng.uniform(-1, 1, (m, n, R, K))
+        Y[1, 17, 2, 1] = np.inf  # run 2 turns non-finite at update 17, mid-segment
+        W0 = rng.uniform(-1, 1, (m, R, K, d))
+        W, acc, iters = W0.copy(), np.zeros_like(W0), np.empty((n, *W0.shape))
+        bad = np.full(R, -1, dtype=np.int64)
+        _kernel.load(d).advance(W, X, Y, alpha, scaled, acc, lo, hi, bad, 0, iters)
+        assert bad.tolist() == [-1, -1, 17, -1]
+        Wn, accn, itersn = W0.copy(), np.zeros_like(W0), np.empty_like(iters)
+        with np.errstate(all="ignore"):
+            steps = algorithms._descend(Wn, X, X if scaled else alpha * X, Y, alpha if scaled else None)
+            for i, _ in enumerate(steps):
+                if lo <= i < hi:
+                    accn += Wn
+                itersn[i] = Wn
+        keep = [0, 1, 3]
+        assert W[:, keep].tobytes() == Wn[:, keep].tobytes()
+        assert acc[:, keep].tobytes() == accn[:, keep].tobytes()
+        assert iters[:, :, keep].tobytes() == itersn[:, :, keep].tobytes()
+        # the broken run stops at the update that broke it
+        assert not np.isfinite(W[:, 2]).all()
+        assert iters[:17, :, 2].tobytes() == itersn[:17, :, 2].tobytes()
 
     def test_names_the_update_where_the_run_broke(self):
         # the count is the breaking update's own, not the end of its block:
@@ -434,7 +614,7 @@ class TestLoader:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "no C compiler" in str(caught[0].message)
-        assert info == {"path": "numpy", "cache": None, "blas": None}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
@@ -462,7 +642,7 @@ class TestLoader:
         message = str(caught[0].message)
         assert "no C compiler" in message
         assert "path samplers" in message and "update loop" in message
-        assert info == {"path": "numpy", "cache": None, "blas": None}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
         assert got == want
 
     def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
