@@ -1,7 +1,8 @@
 /*
  * The inner loops of markovsgd, compiled: the least-squares update loop of
- * markovsgd.algorithms, the two path samplers of markovsgd.chains and the
- * fill that draws every run's variates in one call.
+ * markovsgd.algorithms, the two path samplers of markovsgd.chains, the
+ * fill that draws every run's variates in one call and the seeding of
+ * every run's Philox streams.
  *
  * markovsgd/_kernel.py builds this file on first use with
  *     cc -O2 -fPIC -shared -ffp-contract=off
@@ -13,7 +14,9 @@
  * numpy's dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
  * The samplers call no BLAS: each makes the same IEEE operations as the
  * numpy (or scipy) code it replaces.  The fill draws nothing itself: it
- * calls numpy's own fill function once per run.
+ * calls numpy's own fill function once per run.  The seeding hashes as
+ * numpy's SeedSequence does and steps Philox4x64-10 as numpy's Philox does,
+ * in integer arithmetic only (the 64x64-bit products need __uint128_t).
  */
 #include <math.h>
 #include <stdint.h>
@@ -165,6 +168,169 @@ void msgd_fill(fill_fn fill, void *const *gens, int64_t R, int64_t n, double *ou
 {
     for (int64_t r = 0; r < R; r++) {
         fill(gens[r], n, out + r * rs);
+    }
+}
+
+/* numpy's bitgen_t (numpy/random/bitgen.h): what the fill functions draw from */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's philox_state, with its counter and key held in place */
+typedef struct {
+    uint64_t ctr[4];
+    uint64_t key[2];
+    uint64_t buffer[4];
+    int64_t buffer_pos;
+    int64_t has_uint32;
+    uint64_t uinteger;
+} philox_t;
+
+/*
+ * The next 64 bits of a Philox4x64-10 stream, as numpy's philox_next: the
+ * four words of one block are handed out in order, and the block after is
+ * the Random123 philox4x64 function of 10 rounds at the counter plus one.
+ */
+static uint64_t philox_next64(void *st)
+{
+    philox_t *s = st;
+    if (s->buffer_pos < 4) {
+        return s->buffer[s->buffer_pos++];
+    }
+    if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0) {
+        ++s->ctr[3];
+    }
+    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int i = 0; i < 10; i++) {
+        if (i > 0) {
+            k0 += UINT64_C(0x9E3779B97F4A7C15);
+            k1 += UINT64_C(0xBB67AE8584CAA73B);
+        }
+        const __uint128_t p0 = (__uint128_t)UINT64_C(0xD2E7470EE14C6C93) * c0;
+        const __uint128_t p1 = (__uint128_t)UINT64_C(0xCA5A826395121157) * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    s->buffer[0] = c0;
+    s->buffer[1] = c1;
+    s->buffer[2] = c2;
+    s->buffer[3] = c3;
+    s->buffer_pos = 1;
+    return c0;
+}
+
+/* numpy's philox_next32: the low half of a word, then its high half */
+static uint32_t philox_next32(void *st)
+{
+    philox_t *s = st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return (uint32_t)s->uinteger;
+    }
+    const uint64_t next = philox_next64(st);
+    s->has_uint32 = 1;
+    s->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
+static double philox_next_double(void *st)
+{
+    return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hashmix and mix, in uint32 arithmetic */
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    value ^= value >> 16;
+    return value;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    result ^= result >> 16;
+    return result;
+}
+
+/*
+ * Seed child children[c] of each of R runs, for c = 0 .. C-1.
+ *
+ * Run r's assembled entropy, but for its child's number, is the words
+ * words[ends[r-1] .. ends[r]) (from 0 for r = 0): its run entropy padded
+ * with zeros to its pool size pools[r], then its spawn key.  With the
+ * child's number (below 2**32) as a last word, these are the words
+ * SeedSequence(entropy, spawn_key=(*key, child), pool_size) mixes into its
+ * pool, and generate_state(2, np.uint64) of that pool is the key numpy's
+ * Philox takes from it, at counter 0 with its buffer spent.  pool holds
+ * max(pools) words of scratch.
+ *
+ * Writes the state of child c of run r to states[c*R + r], its bitgen_t
+ * to gens[c*R + r] and that bitgen_t's address to ptrs[c*R + r].
+ */
+void msgd_seed(const uint32_t *words, const int64_t *ends, const int64_t *pools, int64_t R,
+               const int64_t *children, int64_t C, uint32_t *pool, philox_t *states, bitgen_t *gens, void **ptrs)
+{
+    for (int64_t r = 0; r < R; r++) {
+        const int64_t start = r == 0 ? 0 : ends[r - 1];
+        const int64_t len = ends[r] - start + 1;  /* and the child's number */
+        const int64_t p = pools[r];
+        const uint32_t *e = words + start;
+        for (int64_t c = 0; c < C; c++) {
+            const uint32_t child = (uint32_t)children[c];
+            uint32_t h = 0x43b0d7e5u;
+            for (int64_t i = 0; i < p; i++) {
+                pool[i] = hashmix(i < len - 1 ? e[i] : i == len - 1 ? child : 0, &h);
+            }
+            for (int64_t src = 0; src < p; src++) {
+                for (int64_t dst = 0; dst < p; dst++) {
+                    if (src != dst) {
+                        pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+                    }
+                }
+            }
+            for (int64_t src = p; src < len; src++) {
+                const uint32_t word = src < len - 1 ? e[src] : child;
+                for (int64_t dst = 0; dst < p; dst++) {
+                    pool[dst] = mix(pool[dst], hashmix(word, &h));
+                }
+            }
+            uint32_t out[4];
+            uint32_t g = 0x8b51f9ddu;
+            for (int64_t i = 0; i < 4; i++) {
+                uint32_t v = pool[i % p] ^ g;
+                g *= 0x58f38dedu;
+                v *= g;
+                v ^= v >> 16;
+                out[i] = v;
+            }
+            const int64_t at = c * R + r;
+            philox_t *s = states + at;
+            for (int i = 0; i < 4; i++) {
+                s->ctr[i] = 0;
+                s->buffer[i] = 0;
+            }
+            s->key[0] = out[0] | (uint64_t)out[1] << 32;
+            s->key[1] = out[2] | (uint64_t)out[3] << 32;
+            s->buffer_pos = 4;
+            s->has_uint32 = 0;
+            s->uinteger = 0;
+            gens[at].state = s;
+            gens[at].next_uint64 = philox_next64;
+            gens[at].next_uint32 = philox_next32;
+            gens[at].next_double = philox_next_double;
+            gens[at].next_raw = philox_next64;
+            ptrs[at] = gens + at;
+        }
     }
 }
 

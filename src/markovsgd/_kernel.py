@@ -34,12 +34,24 @@ The fill (``msgd_fill``) draws every run's row of uniforms or normals in
 one call that releases the GIL.  It calls numpy's own
 ``random_standard_uniform_fill`` and ``random_standard_normal_fill``, the
 functions ``Generator.random(out=)`` and ``Generator.standard_normal(out=)``
-call, on each generator's ``bitgen_t``, and holds every generator's lock
-while it draws, as those methods do.  When the library loads, these
+call, on each run's ``bitgen_t``.  When the library loads, these
 functions are looked up and checked once, under the same lock, against the
 ``Generator`` methods on fixed seeds; if they are missing or disagree, the
 cursors draw run by run through the methods (same numbers) and one
 ``RuntimeWarning`` says so.
+
+The engine's streams are seeded in C too (``msgd_seed``): one call that
+releases the GIL hashes every run's entropy as numpy's ``SeedSequence``
+does and writes each child's Philox4x64-10 state, with numpy's buffering,
+and a ``bitgen_t`` for it into one buffer (:meth:`Kernel.streams`).  No
+``Generator`` is built and no lock is taken per run.  When the library
+loads, draws from these streams are checked once against the generators
+:func:`markovsgd.chains._run_generators` builds, for fixed integer and
+``SeedSequence`` seeds; if they differ, the engine seeds numpy
+generators as before (same numbers) and one ``RuntimeWarning`` says so.
+The draws of generators a caller passes to a cursor go through the same
+fill, which holds each generator's lock while it draws, as the
+``Generator`` methods do.
 """
 
 from __future__ import annotations
@@ -71,6 +83,8 @@ _FILL_SYMBOLS = ("random_standard_uniform_fill", "random_standard_normal_fill")
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
+# 64-bit words of one philox_t and one bitgen_t of _kernel.c
+_PHILOX_WORDS, _BITGEN_WORDS = 13, 5
 # PyCapsule_GetPointer with the GIL held; a wrong capsule raises
 _CAPSULE_POINTER = ctypes.PYFUNCTYPE(_PTR, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi)
@@ -93,6 +107,7 @@ class Kernel:
         self.mismatch = False
         self._checked: set[int] = set()
         self._fills = None  # numpy's (uniform, normal) fills, once check_fills passes
+        self.streams_usable = False  # whether streams() is used, once check_streams passes
         self._dot = lib.msgd_dot
         self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
         self._dot.restype = ctypes.c_double
@@ -109,6 +124,9 @@ class Kernel:
         self._fill = lib.msgd_fill
         self._fill.argtypes = (_PTR, _PTR, _I64, _I64, _PTR, _I64)
         self._fill.restype = None
+        self._seed = lib.msgd_seed
+        self._seed.argtypes = (_PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR)
+        self._seed.restype = None
         self._walk = lib.msgd_walk
         self._walk.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
         self._walk.restype = None
@@ -294,7 +312,79 @@ class Kernel:
 
     def fill_for(self, rngs) -> Fill | None:
         """A :class:`Fill` for these generators, or None when the fills are unusable."""
-        return None if self._fills is None else Fill(self, rngs)
+        if self._fills is None:
+            return None
+        bits = [rng.bit_generator for rng in rngs]
+        gens = np.array([_CAPSULE_POINTER(b.capsule, b"BitGenerator") for b in bits], dtype=np.uintp)
+        distinct = {id(b): b for b in bits}
+        return Fill(self, gens, bits, [distinct[k].lock for k in sorted(distinct)])
+
+    def check_streams(self) -> None:
+        """Check the seeded streams once, after the fills; warn if unusable.
+
+        The check draws from fixed integer and ``SeedSequence`` seeds --
+        large and spawned ones, pool sizes 4 and 8 -- through
+        :meth:`streams` and through the generators of
+        :func:`markovsgd.chains._run_generators`, over successive uniform
+        and normal fills, and needs every byte equal.  Without usable
+        fills there is nothing to check, and the fills' warning says why.
+        """
+        if self._fills is None:
+            return
+        try:
+            if not self._streams_agree():
+                raise _Unavailable("they disagree with numpy's SeedSequence and Philox")
+            self.streams_usable = True
+        except _Unavailable as exc:
+            warnings.warn(
+                f"markovsgd: seeded streams unusable ({exc}); the engine seeds numpy "
+                "generators run by run",
+                RuntimeWarning,
+                stacklevel=5,
+            )
+
+    def _streams_agree(self) -> bool:
+        from .chains import _run_generators, _seed_parts
+
+        children = (3,)
+        # integer seeds below 2**64 take a shorter way to their words
+        for seeds in ([0, 2**32 + 1], [2**130 + 3, np.random.SeedSequence([5, 2**40], spawn_key=(2,), pool_size=8)]):
+            got = self.streams([_seed_parts(s) for s in seeds], children)
+            gens = [_run_generators(s, children) for s in seeds]
+            for n, normal in ((3, False), (6, True), (1, False)):
+                for fill, rngs in zip(got, zip(*gens)):
+                    out, want = np.empty((len(seeds), n)), np.empty((len(seeds), n))
+                    fill(out, normal)
+                    for rng, row in zip(rngs, want):
+                        (rng.standard_normal if normal else rng.random)(out=row)
+                    if out.tobytes() != want.tobytes():
+                        return False
+        return True
+
+    def streams(self, parts, children) -> list[Fill]:
+        """Children ``children`` of each run, seeded in one call: one
+        :class:`Fill` per child, drawing row r from run r's stream.
+
+        ``parts`` holds each run's ``(entropy, spawn key, pool size)``
+        (see :func:`markovsgd.chains._seed_parts`); child c of a run is the
+        stream of ``Generator(Philox(SeedSequence(entropy, spawn_key=(*key,
+        c), pool_size=pool)))``.  The streams are this call's own, so the
+        fills take no lock: each belongs to one engine.
+        """
+        entropy, ends = _entropy(parts)
+        pools = np.array([p[2] for p in parts], dtype=np.int64)
+        kids = np.array(children, dtype=np.int64)
+        R, C = len(parts), len(kids)
+        states = np.empty((C, R, _PHILOX_WORDS), dtype=np.uint64)
+        gens = np.empty((C, R, _BITGEN_WORDS), dtype=np.uint64)
+        ptrs = np.empty((C, R), dtype=np.uintp)
+        if R:
+            scratch = np.empty(int(pools.max()), dtype=np.uint32)
+            self._seed(
+                entropy.ctypes.data, ends.ctypes.data, pools.ctypes.data, R, kids.ctypes.data, C,
+                scratch.ctypes.data, states.ctypes.data, gens.ctypes.data, ptrs.ctypes.data,
+            )
+        return [Fill(self, ptrs[c], (states[c], gens[c])) for c in range(C)]
 
     def walk(self, lead, U, state, out) -> None:
         """Walk ``U.shape[0]`` runs of a finite chain (see ``msgd_walk``).
@@ -366,25 +456,28 @@ class Kernel:
 
 
 class Fill:
-    """Draws for a fixed list of generators: one row of an output per generator.
+    """Draws for a fixed list of streams: one row of an output per stream.
 
     ``fill(out, normal)`` fills row r of ``out`` -- a float64 ``(R, ...)``
     whose rows are each contiguous -- with what
-    ``rngs[r].standard_normal(out=out[r])`` (or, without ``normal``,
-    ``rngs[r].random(out=out[r])``) would, row after row, in one call that
-    releases the GIL.  Like those methods it holds each generator's lock
-    while it draws; the locks are taken in one fixed order.
+    ``standard_normal(out=out[r])`` (or, without ``normal``,
+    ``random(out=out[r])``) of a ``Generator`` on stream r would, row after
+    row, in one call that releases the GIL.  ``gens`` holds the streams'
+    ``bitgen_t`` addresses, ``keep`` whatever keeps them alive, and
+    ``locks`` the locks held while drawing, taken in their order (the
+    ``Generator`` methods hold their generator's lock too).
     """
 
-    def __init__(self, kern: Kernel, rngs):
-        bits = [rng.bit_generator for rng in rngs]
-        self._bits = bits  # keeps each bitgen_t alive
-        self._gens = np.array([_CAPSULE_POINTER(b.capsule, b"BitGenerator") for b in bits], dtype=np.uintp)
-        self._at = self._gens.ctypes.data
-        distinct = {id(b): b for b in bits}
-        self._locks = [distinct[k].lock for k in sorted(distinct)]
+    def __init__(self, kern: Kernel, gens: np.ndarray, keep, locks=()):
+        self._gens = gens
+        self._keep = keep
+        self._at = gens.ctypes.data
+        self._locks = locks
         self._call = kern._fill
         self._fills = kern._fills
+
+    def __len__(self) -> int:
+        return len(self._gens)
 
     def __call__(self, out: np.ndarray, normal: bool) -> None:
         R = len(self._gens)
@@ -403,6 +496,43 @@ class Fill:
         finally:
             for lock in self._locks:
                 lock.release()
+
+
+def _entropy(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The words each run's child ``SeedSequence(entropy, spawn_key=(*key,
+    c), pool_size=pool)`` mixes, but the last (the child's number c), as one
+    uint32 array, and where each run's words end in it.
+
+    A run's words are its entropy's, zero-padded to the pool size (numpy
+    pads whenever the spawn key is not empty), then its key's.
+    """
+    if all(key == () and pool == 4 and type(e) is int and 0 <= e < 1 << 64 for e, key, pool in parts):
+        # integer seeds below 2**64: two words, and two of padding
+        words = np.zeros((len(parts), 4), dtype=np.uint32)
+        words[:, :2] = np.array([p[0] for p in parts], dtype="<u8").view("<u4").reshape(-1, 2)
+        return words.ravel(), np.arange(4, 4 * len(parts) + 1, 4, dtype=np.int64)
+    runs = [_words(e, pool) + b"".join(_words(k, 1) for k in key) for e, key, pool in parts]
+    ends = np.cumsum([len(w) // 4 for w in runs], dtype=np.int64)
+    return np.frombuffer(b"".join(runs), dtype="<u4").astype(np.uint32), ends
+
+
+def _words(x, pad: int) -> bytes:
+    """``x`` as little-endian uint32 words, as numpy's SeedSequence reads
+    it, zero-padded to ``pad`` words.
+
+    Nonnegative ints are split here; anything else goes through numpy's own
+    conversion, which also raises numpy's errors.
+    """
+    if isinstance(x, int) and x >= 0:
+        return x.to_bytes(4 * max(pad, -(-x.bit_length() // 32)), "little")
+    from numpy.random import bit_generator
+
+    try:
+        coerce = bit_generator._coerce_to_uint32_array
+    except AttributeError as exc:
+        raise _Unavailable("numpy.random has no SeedSequence entropy conversion") from exc
+    w = coerce(x).astype("<u4")
+    return w.tobytes() + bytes(4 * max(0, pad - len(w)))
 
 
 def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
@@ -429,6 +559,7 @@ def _library() -> Kernel | None:
         )
         return None
     kern.check_fills()
+    kern.check_streams()
     return kern
 
 
@@ -450,15 +581,16 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop and fills run here, with the library and BLAS used."""
+    """Which update loop, fills and stream seeding run here, with the library and BLAS used."""
     kern = library()
     if kern is None:
-        return {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
+        return {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
     return {
         "path": "numpy" if kern.mismatch else "c",
         "cache": kern.path,
         "blas": kern.blas_name,
         "fills": "numpy" if kern._fills is None else "c",
+        "streams": "c" if kern.streams_usable else "numpy",
     }
 
 

@@ -42,7 +42,8 @@ independent, so the result is the same for any chunking.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
 spawned from its seed -- see :func:`markovsgd.chains.run_generators`; the
-engine builds only those it draws from.  Noise
+engine seeds only those it draws from, for all its runs in one compiled
+call, as numpy's ``SeedSequence`` and ``Philox`` would.  Noise
 variates are drawn only for samples that can enter updates (all samples for
 SGD and Parallel SGD; kept indices for data drop; retained pool samples for
 replay), in stream order.  Each block's uniforms and normals are drawn for
@@ -50,7 +51,8 @@ every run in one call that releases the GIL, through numpy's own fill
 functions, into one row per run: the variates ``Generator.random`` and
 ``Generator.standard_normal`` give, run by run (see
 :mod:`markovsgd._kernel`).  Replay's pool positions are drawn from the
-algorithm generator as one block of B integers per buffer.
+algorithm generator, a numpy ``Generator`` per run, as one block of B
+integers per buffer.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, _Draws, _run_generators, make_cursor, mixing_time
+from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -304,16 +306,6 @@ class LowerBoundTrace:
 # ---------------------------------------------------------------------------
 
 
-def _run_rngs(seeds, children: int):
-    """Each run's first ``children`` generators -- (chain, noise[, algo]) --
-    one tuple per seed (an integer or SeedSequence).
-
-    Children are derived, never spawned, so building fewer leaves the
-    streams of the rest unchanged.
-    """
-    return [_run_generators(s, range(children)) for s in seeds]
-
-
 def _starts(d: int, w_init, num_runs: int) -> np.ndarray:
     """The initial point: zeros, a shared (d,) start, or one (R, d) row per run."""
     w1 = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
@@ -338,6 +330,8 @@ def _initial_weights(problem: Problem, w_init, num_runs: int, K: int, coupled: b
 class _Stream:
     """Labelled sample blocks for R runs, drawn through one path cursor.
 
+    ``chain_draws`` and ``noise_draws`` are the runs' chain and noise
+    streams (see :func:`markovsgd.chains._run_streams`).
     A block of states from ``cursor.take`` is a Gaussian block of vectors
     ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``
     into the rows of ``table``, the chain's ``(S, d)`` states (None for a
@@ -347,10 +341,10 @@ class _Stream:
     compiled loop what it needs to make the same labels itself.
     """
 
-    def __init__(self, problem: Problem, rngs):
+    def __init__(self, problem: Problem, chain_draws, noise_draws):
         chain = problem.chain
-        self.cursor = make_cursor(chain, [g[0] for g in rngs])
-        self._noise = _Draws([g[1] for g in rngs])
+        self.cursor = make_cursor(chain, chain_draws)
+        self._noise = noise_draws
         self.sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
         self._w_star = problem.w_star
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
@@ -368,7 +362,7 @@ class _Stream:
         """
         if self.sigma is None:
             return None
-        return self._noise.fill(np.empty((len(self._noise.rngs), n)), normal=True).T
+        return self._noise.fill(np.empty((self._noise.num_runs, n)), normal=True).T
 
     def clean(self, s: np.ndarray) -> np.ndarray:
         """Noise-free labels <x, w*> for a block of states.
@@ -446,19 +440,26 @@ def _block_sizes(num_runs: int, dim: int) -> int:
     return max(1, min(65536, _BLOCK_ELEMS // max(1, num_runs * dim)))
 
 
-def _check_finite(W: np.ndarray, rngs, samples: int) -> None:
-    """Raise if any weight is no longer finite after ``samples`` stream samples.
+class _Diverged(Exception):
+    """Run ``run`` of a batch (its position) is non-finite after update ``update``."""
 
-    ``W`` has the run axis second, as the engine lays it out.
-    """
-    if np.isfinite(W).all():
-        return
-    r = int(np.argmin(np.isfinite(W).all(axis=(0, *range(2, W.ndim)))))  # first bad run
-    ss = rngs[r][0].bit_generator.seed_seq  # the chain child of the run's seed
-    seed = ss.entropy if len(ss.spawn_key) == 1 else f"{ss.entropy}, spawn key {ss.spawn_key[:-1]}"
-    raise FloatingPointError(
-        f"run with seed {seed} diverged: non-finite iterate after {samples} stream samples"
-    )
+    def __init__(self, run: int, update: int):
+        super().__init__(run, update)
+        self.run, self.update = run, update
+
+
+def _check_finite(W: np.ndarray, update: int) -> None:
+    """Raise :class:`_Diverged` for the first run with a non-finite weight
+    after ``update``; ``W`` has the run axis second, as the engine lays it out."""
+    if not np.isfinite(W).all():
+        raise _Diverged(int(np.argmin(np.isfinite(W).all(axis=(0, *range(2, W.ndim))))), update)
+
+
+def _divergence(seed, samples: int) -> FloatingPointError:
+    """The error naming a run's seed and the stream samples it had read."""
+    entropy, key, _ = _seed_parts(seed)
+    label = entropy if not key else f"{entropy}, spawn key {key}"
+    return FloatingPointError(f"run with seed {label} diverged: non-finite iterate after {samples} stream samples")
 
 
 def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray, scale=None):
@@ -521,7 +522,10 @@ def _advance(
     the labels from :meth:`_Stream.label_table` and ``xi``; the numpy loop
     gathers both.  The kernel stops each run at the first update that
     leaves one of its weights non-finite; the generator then yields no more
-    events, but at the end yields that update for the first such run.
+    events, and at the end of the block raises :class:`_Diverged` naming
+    the first such run and that update.  The numpy loop scans W at each
+    event and at the end of the block, and raises for the first
+    non-finite run there.
     """
     lo, hi = window
     table = stream.table
@@ -536,7 +540,9 @@ def _advance(
             if iters is not None:
                 iters[u] = W
             if u in events:
+                _check_finite(W, u)
                 yield u
+        _check_finite(W, first + len(s))
         return
     if table is None:  # vectors: the kernel reads a block of labels
         Y, xi, noisy = stream.branch_labels(s, xi, coupled), None, 0
@@ -557,7 +563,8 @@ def _advance(
             yield b
         a = b
     if bad.max() >= 0:
-        yield int(bad[bad >= 0][0])
+        r = int(np.argmax(bad >= 0))
+        raise _Diverged(r, int(bad[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +599,7 @@ class _Plan:
     first_row: int = 0
 
 
-def _sgd_plan(problem: Problem, T: int, config: SgdConfig, rngs) -> _Plan:
+def _sgd_plan(problem: Problem, T: int, config: SgdConfig, seeds) -> _Plan:
     """Update t reads sample t; the window is w_{floor(T(1-f))+1} .. w_T."""
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
@@ -603,7 +610,7 @@ def _sgd_plan(problem: Problem, T: int, config: SgdConfig, rngs) -> _Plan:
     return _Plan(T, 1, tail_window(T, config.tail_fraction), config.step_size, draw)
 
 
-def _dd_plan(problem: Problem, T: int, config: DataDropConfig, rngs) -> _Plan:
+def _dd_plan(problem: Problem, T: int, config: DataDropConfig, seeds) -> _Plan:
     """Update s reads sample sK; the window, one row past plain SGD's,
     ends on the final iterate."""
     K = resolve_drop_interval(config, problem, T)
@@ -634,7 +641,7 @@ def _rounds(stream: _Stream, j: int, nr: int, K: int, reads: bool = False):
     return s, xi, np.arange(j * K + 1, (j + nr) * K + 1).reshape(nr, K) if reads else None
 
 
-def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, rngs) -> _Plan:
+def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, seeds) -> _Plan:
     """Round t hands sample (t-1)K+i to instance i over T truncated to a
     multiple of 2K; the window averages all instances over rounds
     floor(n(1-f))+1 .. n."""
@@ -647,7 +654,7 @@ def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, rngs) -> _P
     return _Plan(n_rounds, K, window, config.base.step_size, draw, K=K, parallel=True)
 
 
-def _replay_plan(problem: Problem, T: int, config: ReplayConfig, rngs) -> _Plan:
+def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan:
     """Buffer j+1 replays B picks from its last B samples; the window
     averages the after-buffer iterates of the last ceil(f * n_buf) buffers."""
     if not isinstance(problem.chain, GaussianARSpec):
@@ -657,8 +664,8 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, rngs) -> _Plan:
         raise ValueError(f"buffer span S={S} exceeds the horizon T={T}")
     n_buf = T // S
     count = math.ceil(config.tail_buffer_fraction * n_buf)
-    algo_rngs = [g[2] for g in rngs]
-    rr = np.arange(len(rngs))
+    algo_rngs = [_run_generators(s, (2,))[0] for s in seeds]
+    rr = np.arange(len(seeds))
 
     def draw(stream, j, nb, reads):
         n = nb * S
@@ -713,11 +720,9 @@ def _engine(
     larger batch passes the batch's run count, so chunks running at once
     hold no more block memory than the whole batch would.
     """
-    # only replay draws from the algorithm child
-    rngs = _run_rngs(seeds, 3 if isinstance(config, ReplayConfig) else 2)
-    plan = _PLANS[type(config)](problem, T, config, rngs)
-    R, B, per_event = len(rngs), plan.updates, plan.per_event
-    stream = _Stream(problem, rngs)
+    plan = _PLANS[type(config)](problem, T, config, seeds)
+    R, B, per_event = len(seeds), plan.updates, plan.per_event
+    stream = _Stream(problem, *_run_streams(seeds, (0, 1)))
 
     def point(w):  # each run's iterate: its instances' mean, or its one instance
         return w.mean(axis=-2) if plan.parallel else w[..., 0, :]
@@ -738,35 +743,36 @@ def _engine(
     block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
     reads = []
     j = 0
-    while j < plan.events:
-        n = min(block, plan.events - j)
-        s, xi, read = plan.draw(stream, j, n, reads=record_reads)
-        if not plan.parallel:  # one instance per run
-            s = s[:, :, None]
-            xi = None if xi is None else xi[..., None]
-        if record_reads:
-            reads.append(read)
-        if B == 1:  # event e is update e: the update loop sums and stores the rows
-            steps = _advance(
-                W, s, xi, stream, plan.step, coupled=coupled, first=j, acc=acc, window=(lo, hi),
-                events=ck.events, iters=iters, scaled=plan.parallel,
-            )
-        else:
-            steps = _advance(
-                W, s, xi, stream, plan.step, coupled=coupled, first=j * B,
-                events=range((j + 1) * B, (j + n) * B + 1, B),
-            )
-        for upd in steps:
-            e = -(-upd // B)  # the event that ran update upd
-            _check_finite(W, rngs, e * per_event)
-            if B > 1:
-                if lo <= e < hi:
-                    acc += W
-                if iters is not None:
-                    iters[e] = W
-            ck.record(e, problem, point(W[0]))
-        j += n
-        _check_finite(W, rngs, j * per_event)
+    try:
+        while j < plan.events:
+            n = min(block, plan.events - j)
+            s, xi, read = plan.draw(stream, j, n, reads=record_reads)
+            if not plan.parallel:  # one instance per run
+                s = s[:, :, None]
+                xi = None if xi is None else xi[..., None]
+            if record_reads:
+                reads.append(read)
+            if B == 1:  # event e is update e: the update loop sums and stores the rows
+                steps = _advance(
+                    W, s, xi, stream, plan.step, coupled=coupled, first=j, acc=acc, window=(lo, hi),
+                    events=ck.events, iters=iters, scaled=plan.parallel,
+                )
+            else:
+                steps = _advance(
+                    W, s, xi, stream, plan.step, coupled=coupled, first=j * B,
+                    events=range((j + 1) * B, (j + n) * B + 1, B),
+                )
+            for upd in steps:
+                e = -(-upd // B)  # the event that ran update upd
+                if B > 1:
+                    if lo <= e < hi:
+                        acc += W
+                    if iters is not None:
+                        iters[e] = W
+                ck.record(e, problem, point(W[0]))
+            j += n
+    except _Diverged as exc:
+        raise _divergence(seeds[exc.run], -(-exc.update // B) * per_event) from None
 
     if iters is not None:
         iters = iters[plan.first_row :]
@@ -787,7 +793,7 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run."""
     R = len(seeds)
     d = problem.dim
-    cursor = make_cursor(problem.chain, [g[0] for g in _run_rngs(seeds, 1)])
+    cursor = make_cursor(problem.chain, *_run_streams(seeds, (0,)))
     w_star = problem.w_star
     W = np.empty((R, d))
     W[:] = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)

@@ -513,11 +513,30 @@ def chain_from_json(doc: dict) -> ChainSpec:
 # Per-run randomness contract: a run with seed s owns four Philox child
 # generators spawned from SeedSequence(s), in order
 #   (chain path, observation noise, algorithm-internal draws, initial points).
+# The engine seeds the children it draws from for all its runs in one
+# compiled call (_run_streams; see markovsgd._kernel): the same streams,
+# without a Generator per run.  When the library loads, draws from those
+# streams are checked against these generators on fixed seeds; where the
+# library is missing or the check fails, _run_streams builds the generators
+# themselves.
 
 
 def run_generators(seed) -> tuple[np.random.Generator, ...]:
     """The four per-run Philox generators (chain, noise, algorithm, init)."""
     return _run_generators(seed, range(4))
+
+
+def _seed_parts(seed) -> tuple:
+    """The entropy, spawn key and pool size of a seed's SeedSequence.
+
+    A seed is an integer or a SeedSequence; an integer's parts are those of
+    ``SeedSequence(int(seed))``, found without building it.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.entropy, seed.spawn_key, seed.pool_size
+    if isinstance(seed, np.random.Generator):
+        raise TypeError("pass an integer seed or SeedSequence, not a Generator")
+    return int(seed), (), 4
 
 
 def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
@@ -528,17 +547,26 @@ def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
     the same streams every time it is passed, and children nobody draws from
     are never built.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, key, pool = seed.entropy, seed.spawn_key, seed.pool_size
-    elif isinstance(seed, np.random.Generator):
-        raise TypeError("pass an integer seed or SeedSequence, not a Generator")
-    else:
-        # what SeedSequence(int(seed)) holds, without building it
-        entropy, key, pool = int(seed), (), 4
+    entropy, key, pool = _seed_parts(seed)
     return tuple(
         np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy, spawn_key=(*key, i), pool_size=pool)))
         for i in children
     )
+
+
+def _run_streams(seeds, children) -> list[_Draws]:
+    """For each child number in ``children``, the draws of that child of
+    every run, one run per seed: the streams :func:`_run_generators` gives.
+
+    The compiled library seeds them all in one call; without it, or where
+    its streams failed their check, each run's generators are built.
+    """
+    kern = _load_kernel()
+    if kern is not None and kern.streams_usable:
+        fills = kern.streams([_seed_parts(s) for s in seeds], children)
+        return [_Draws(streams=f) for f in fills]
+    gens = [_run_generators(s, children) for s in seeds]
+    return [_Draws([g[i] for g in gens]) for i in range(len(children))]
 
 
 def _load_kernel():
@@ -560,13 +588,24 @@ class _Draws:
     (or, without ``normal``, ``rngs[r].random(out=out[r])``) gives.  Where
     the compiled fill is usable, one call draws every row and releases the
     GIL while it draws (see :mod:`markovsgd._kernel`); otherwise the rows
-    are drawn one by one through those methods.
+    are drawn one by one through those methods.  Seeded ``streams`` (a
+    compiled fill of :func:`_run_streams`) take the place of generators.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator]):
-        self.rngs = list(rngs)
-        kern = _load_kernel()
-        self._fill = None if kern is None else kern.fill_for(self.rngs)
+    def __init__(self, rngs: Sequence[np.random.Generator] = (), streams=None):
+        if streams is None:
+            self.rngs = list(rngs)
+            kern = _load_kernel()
+            self._fill = None if kern is None else kern.fill_for(self.rngs)
+        else:
+            self.rngs = None
+            self._fill = streams
+        self.num_runs = len(self.rngs if streams is None else streams)
+
+    @classmethod
+    def of(cls, rngs) -> _Draws:
+        """``rngs`` if it is already draws, else the draws of its generators."""
+        return rngs if isinstance(rngs, cls) else cls(rngs)
 
     def fill(self, out: np.ndarray, normal: bool) -> np.ndarray:
         if self._fill is not None:
@@ -594,9 +633,9 @@ class GaussianPathCursor:
     ``[:, r]`` a contiguous ``(n, d)`` block.
     """
 
-    def __init__(self, spec: GaussianARSpec, rngs: Sequence[np.random.Generator], start=None):
+    def __init__(self, spec: GaussianARSpec, rngs, start=None):
         self.spec = spec
-        self._draws = _Draws(rngs)
+        self._draws = _Draws.of(rngs)
         self._scale = 1.0 / math.sqrt(spec.dim)
         self._emit_start = start is not None
         if start is None:
@@ -610,7 +649,7 @@ class GaussianPathCursor:
 
     @property
     def num_runs(self) -> int:
-        return len(self._draws.rngs)
+        return self._draws.num_runs
 
     def take(self, n: int, with_innovations: bool = False):
         """Next ``n`` states, shape (n, R, d); optionally also the innovations.
@@ -733,9 +772,9 @@ class FinitePathCursor:
     library, steps through the transposed views).
     """
 
-    def __init__(self, spec: FiniteChainSpec, rngs: Sequence[np.random.Generator], start=None):
+    def __init__(self, spec: FiniteChainSpec, rngs, start=None):
         self.spec = spec
-        self._draws = _Draws(rngs)
+        self._draws = _Draws.of(rngs)
         cum = np.cumsum(spec.transition, axis=1)
         cum /= cum[:, -1:]
         self._walk = _make_walk(cum[:, :-1], _load_kernel())
@@ -755,7 +794,7 @@ class FinitePathCursor:
 
     @property
     def num_runs(self) -> int:
-        return len(self._draws.rngs)
+        return self._draws.num_runs
 
     def take(self, n: int) -> np.ndarray:
         """Next ``n`` state indices, shape (n, R); always n uniforms per run."""
@@ -780,8 +819,12 @@ class FinitePathCursor:
         return out
 
 
-def make_cursor(spec: ChainSpec, rngs: Sequence[np.random.Generator], start=None):
-    """Path cursor for either chain family."""
+def make_cursor(spec: ChainSpec, rngs, start=None):
+    """Path cursor for either chain family.
+
+    ``rngs`` holds one generator per run, or is the draws of seeded streams
+    (:func:`_run_streams`).
+    """
     if isinstance(spec, GaussianARSpec):
         return GaussianPathCursor(spec, rngs, start=start)
     return FinitePathCursor(spec, rngs, start=start)

@@ -48,7 +48,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _run_generators, chain_from_json, check_keys
+from .chains import _run_streams, chain_from_json, check_keys
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -298,19 +298,18 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
     """Initial-point rule -> engine argument (None, (d,) or per-run (R, d)).
 
     ``"random_unit"`` draws one uniform unit vector per run from the run's
-    init generator (the fourth Philox child of its seed).
+    init generator (the fourth Philox child of its seed): d normals, divided
+    by their norm.  Every run's normals are drawn in one fill.
     """
     if rule is None or rule == "zeros":
         return None
     if rule == "w_star":
         return problem.w_star
     if rule == "random_unit":
-        d = problem.dim
-        out = np.empty((len(seeds), d))
-        for i, s in enumerate(seeds):
-            (init,) = _run_generators(s, (3,))
-            g = init.standard_normal(d)
-            out[i] = g / np.linalg.norm(g)
+        (init,) = _run_streams(seeds, (3,))
+        out = init.fill(np.empty((len(seeds), problem.dim)), normal=True)
+        for row in out:
+            row /= np.linalg.norm(row)
         return out
     arr = np.asarray(rule, dtype=float)
     if arr.shape != (problem.dim,):
@@ -406,6 +405,7 @@ def _provenance() -> dict:
         "kernel": info["path"],
         "blas": info["blas"],
         "fills": info["fills"],
+        "streams": info["streams"],
         "cpu_count": os.cpu_count(),
     }
 

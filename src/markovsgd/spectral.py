@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import GaussianARSpec, GaussianPathCursor, _run_generators
+from .chains import GaussianARSpec, GaussianPathCursor, _run_streams
 
 __all__ = [
     "ToeplitzSpec",
@@ -181,7 +181,7 @@ def gram_spectrum(buffer: np.ndarray, epsilon: float | None = None) -> SpectralR
 
 def sample_buffer(chain: GaussianARSpec, size: int, seed) -> np.ndarray:
     """B consecutive AR samples (stationary start) as a (B, d) array."""
-    cursor = GaussianPathCursor(chain, [_run_generators(seed, (0,))[0]])
+    cursor = GaussianPathCursor(chain, *_run_streams([seed], (0,)))
     return cursor.take(size)[:, 0, :]
 
 

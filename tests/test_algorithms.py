@@ -30,7 +30,6 @@ from markovsgd.algorithms import (
     tail_window,
     theory_drop_prefix,
     _rounds,
-    _run_rngs,
     _Stream,
 )
 from markovsgd.chains import (
@@ -43,6 +42,7 @@ from markovsgd.chains import (
     make_mc3,
     make_mci,
     run_generators,
+    _run_streams,
 )
 from markovsgd.regression import (
     AgnosticDeterministic,
@@ -722,8 +722,8 @@ class TestDataLayer:
     def test_label_table_matches_vecdot_over_gathered_states(self, chain):
         w_star = np.linspace(-0.7, 0.6, chain.dim)
         problem = make_problem(chain, IndependentGaussian(0.1), w_star=w_star)
-        stream = _Stream(problem, _run_rngs(self.SEEDS, 2))
-        ref_noise = _run_rngs(self.SEEDS, 2)
+        stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
+        ref_noise = [run_generators(s) for s in self.SEEDS]
         idx = stream.cursor.take(48)
         blocks = (idx, idx[3::4], idx.reshape(12, 4, 3).swapaxes(1, 2))
         for s in blocks:
@@ -737,7 +737,7 @@ class TestDataLayer:
 
     def test_agnostic_labels_are_state_outputs(self):
         chain = make_agnostic_bias_chain(0.25)
-        stream = _Stream(make_problem(chain, AgnosticDeterministic()), _run_rngs([1, 2], 2))
+        stream = _Stream(make_problem(chain, AgnosticDeterministic()), *_run_streams([1, 2], (0, 1)))
         idx = stream.cursor.take(20)
         assert stream.noise(20) is None
         np.testing.assert_array_equal(stream.labels(idx, None), chain.outputs[idx])
@@ -752,8 +752,8 @@ class TestDataLayer:
         w_star = np.linspace(-0.5, 0.5, chain.dim)
         problem = make_problem(chain, IndependentGaussian(0.2), w_star=w_star)
         R, K, d = len(self.SEEDS), 5, chain.dim
-        stream = _Stream(problem, _run_rngs(self.SEEDS, 2))
-        ref = _run_rngs(self.SEEDS, 2)
+        stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
+        ref = [run_generators(s) for s in self.SEEDS]
         cursor = make_cursor(chain, [tr[0] for tr in ref])
         for nr in (3, 2):  # two consecutive blocks
             s, xi, _ = _rounds(stream, 0, nr, K)

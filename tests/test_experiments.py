@@ -303,6 +303,7 @@ class TestRunExperiment:
             "kernel": kernel_info()["path"],
             "blas": kernel_info()["blas"],
             "fills": kernel_info()["fills"],
+            "streams": kernel_info()["streams"],
             "cpu_count": os.cpu_count(),
         }
 

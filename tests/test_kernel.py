@@ -1,6 +1,7 @@
 """The compiled loops: bit-identity with the numpy loops, divergence, loading."""
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -325,8 +326,126 @@ class TestFills:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "fill functions unusable" in str(caught[0].message)
-        assert info["fills"] == "numpy" and info["path"] == "c"
+        assert info["fills"] == info["streams"] == "numpy" and info["path"] == "c"
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Every run's streams seeded in one call
+# ---------------------------------------------------------------------------
+
+_INT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]
+_SEED_SEQUENCES = [
+    np.random.SeedSequence(5, spawn_key=(3,), pool_size=4),
+    np.random.SeedSequence(2**70 + 9, spawn_key=(0, 2**33), pool_size=8),
+    np.random.SeedSequence([1, 2**40, 7], spawn_key=(4, 1), pool_size=8),
+    np.random.SeedSequence(12),
+]
+
+
+@pytest.mark.skipif(kernel_info()["fills"] != "c", reason="the compiled fill is unavailable here")
+class TestSeededStreams:
+    @pytest.mark.parametrize("seeds", [_INT_SEEDS, _SEED_SEQUENCES, _INT_SEEDS[:2] + _SEED_SEQUENCES[:2]],
+                             ids=["ints", "seed-sequences", "mixed"])
+    def test_keys_and_draws_equal_the_generators(self, seeds):
+        assert kernel_info()["streams"] == "c"  # the check at load passed
+        children = (0, 1, 2, 3)
+        streams = chains._run_streams(seeds, children)
+        gens = [chains._run_generators(s, children) for s in seeds]
+        for c, draws in enumerate(streams):
+            # numpy's Philox state: the key from SeedSequence, counter 0, buffer spent
+            states = draws._fill._keep[0]
+            for r, g in enumerate(gens):
+                want = g[c].bit_generator.state
+                assert states[r, 4:6].tolist() == want["state"]["key"].tolist()
+                assert states[r, :4].tolist() == want["state"]["counter"].tolist() == [0] * 4
+                assert states[r, 10] == want["buffer_pos"] == 4
+        # successive fills cross Philox's four-word buffer
+        for n in (0, 1, 3, 5, 4097, 1, 3):
+            for normal in (False, True):
+                for draws, rngs in zip(streams, zip(*gens)):
+                    got = draws.fill(np.empty((len(seeds), n)), normal)
+                    assert got.tobytes() == _method_draws(rngs, n, normal).tobytes()
+
+    def test_raw_and_32_bit_draws_follow_numpy(self):
+        # the bitgen_t's other two functions: next_raw is next_uint64, and
+        # next_uint32 hands out a word's low half, then its high half
+        (draws,) = chains._run_streams([2**40 + 1], (2,))
+        state, next_uint64, next_uint32, _, next_raw = draws._fill._keep[1][0].tolist()
+        call = {f: ctypes.CFUNCTYPE(t, ctypes.c_void_p)(f) for f, t in
+                ((next_uint64, ctypes.c_uint64), (next_uint32, ctypes.c_uint32), (next_raw, ctypes.c_uint64))}
+        got = [call[next_raw](state), call[next_uint32](state), call[next_uint32](state)]
+        got += [call[next_uint64](state) for _ in range(6)]
+        raw = chains._run_generators(2**40 + 1, (2,))[0].bit_generator.random_raw(8).tolist()
+        assert got == [raw[0], raw[1] & 0xFFFFFFFF, raw[1] >> 32] + raw[2:]
+
+    def test_bad_seeds_raise_the_errors_of_the_generators(self):
+        problem = make_problem(make_mc3(2.0, 0.05), IndependentGaussian(0.1), w_star=np.array([0.5, -0.5]))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run_many(problem, 50, SgdConfig(0.3), [3, -1])
+        with pytest.raises(TypeError, match="not a Generator"):
+            run_many(problem, 50, SgdConfig(0.3), [3, np.random.default_rng(0)])
+
+    def test_failed_check_seeds_generators_with_one_warning(self, reset_loader, monkeypatch):
+        finite = make_mc0(4, 0.2)
+        noisy = make_problem(finite, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 4))
+        ar = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3) / 3)
+        seeds = [4, 2**64 + 5, np.random.SeedSequence(6, spawn_key=(1,), pool_size=8)]
+
+        def outputs():
+            return [
+                run_many(noisy, 300, SgdConfig(0.3), seeds, checkpoints=[0, 100]).estimates.tobytes(),
+                run_many(noisy, 300, ParallelConfig(SgdConfig(0.3), 3), seeds).estimates.tobytes(),
+                run_many(ar, 300, ReplayConfig(buffer_size=5, step_size=0.2), seeds).estimates.tobytes(),
+                algorithms.run_lower_bound_traces(
+                    make_problem(GaussianARSpec(dim=3, epsilon=0.9), Noiseless(), w_star=np.zeros(3)), 40, 0.05, seeds
+                )[1].tobytes(),
+            ]
+
+        want = outputs()
+        monkeypatch.setattr(_kernel.Kernel, "_streams_agree", lambda self: False)
+        _kernel._library.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = outputs()
+            outputs()
+            info = kernel_info()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "seeded streams unusable" in str(caught[0].message)
+        assert info["streams"] == "numpy" and info["fills"] == info["path"] == "c"
+        assert got == want
+
+    def test_divergence_names_the_first_seed_that_broke(self):
+        # the seed comes from the seed list, as the chain generator's SeedSequence named it
+        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
+        cfg = SgdConfig(step_size=50.0)
+        seeds = {"1": 1, "2": 2, "5, spawn key (3,)": np.random.SeedSequence(5, spawn_key=(3,))}
+        counts = {}
+        for label, seed in seeds.items():
+            with pytest.raises(FloatingPointError, match=rf"^run with seed {re.escape(label)} diverged") as err:
+                run_many(problem, 5000, cfg, [seed])
+            counts[label] = re.search(r"after (\d+) stream samples", str(err.value)).group(1)
+        # every run diverges; the first in seed order is named, with its own count
+        for first, second in (("2", "1"), ("1", "2")):
+            message = f"run with seed {first} diverged: non-finite iterate after {counts[first]} stream samples"
+            with pytest.raises(FloatingPointError, match=f"^{message}$"):
+                run_many(problem, 5000, cfg, [seeds[first], seeds[second], 3], workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_run_many_equals_its_single_runs(self, workers):
+        finite = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 4))
+        ar = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3) / 3)
+        seeds = [7, 2**32, 2**70, 8, np.random.SeedSequence(9, spawn_key=(2,))]
+        base = SgdConfig(0.2)
+        for problem, runner, cfg in (
+            (finite, run_sgd, base),
+            (finite, run_sgd_dd, DataDropConfig(base, drop_interval=3)),
+            (finite, run_parallel_sgd, ParallelConfig(base, 3)),
+            (ar, run_sgd_er, ReplayConfig(buffer_size=4, step_size=0.2)),
+        ):
+            batch = run_many(problem, 200, cfg, seeds, workers=workers)
+            solo = np.array([runner(problem, 200, cfg, s, keep_iterates=False).estimate for s in seeds])
+            assert batch.estimates.tobytes() == solo.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +733,7 @@ class TestLoader:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "no C compiler" in str(caught[0].message)
-        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
@@ -642,7 +761,7 @@ class TestLoader:
         message = str(caught[0].message)
         assert "no C compiler" in message
         assert "path samplers" in message and "update loop" in message
-        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
         assert got == want
 
     def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
