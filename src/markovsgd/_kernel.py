@@ -30,28 +30,22 @@ sampling loops call no BLAS and need no such check: they run whenever the
 library loads, and the cursors fall back to numpy (and scipy) only when it
 does not.
 
-The fill (``msgd_fill``) draws every run's row of uniforms or normals in
-one call that releases the GIL.  It calls numpy's own
-``random_standard_uniform_fill`` and ``random_standard_normal_fill``, the
-functions ``Generator.random(out=)`` and ``Generator.standard_normal(out=)``
-call, on each run's ``bitgen_t``.  When the library loads, these
-functions are looked up and checked once, under the same lock, against the
-``Generator`` methods on fixed seeds; if they are missing or disagree, the
-cursors draw run by run through the methods (same numbers) and one
-``RuntimeWarning`` says so.
-
-The engine's streams are seeded in C too (``msgd_seed``): one call that
+The engine's streams are seeded in C (``msgd_seed``): one call that
 releases the GIL hashes every run's entropy as numpy's ``SeedSequence``
 does and writes each child's Philox4x64-10 state, with numpy's buffering,
 and a ``bitgen_t`` for it into one buffer (:meth:`Kernel.streams`).  No
-``Generator`` is built and no lock is taken per run.  When the library
-loads, draws from these streams are checked once against the generators
-:func:`markovsgd.chains._run_generators` builds, for fixed integer and
-``SeedSequence`` seeds; if they differ, the engine seeds numpy
-generators as before (same numbers) and one ``RuntimeWarning`` says so.
-The draws of generators a caller passes to a cursor go through the same
-fill, which holds each generator's lock while it draws, as the
-``Generator`` methods do.
+``Generator`` is built and no lock is taken per run.  The fill
+(``msgd_fill``) then draws every run's row of uniforms or normals from
+those streams in one call that releases the GIL.  It calls numpy's own
+``random_standard_uniform_fill`` and ``random_standard_normal_fill``, the
+functions ``Generator.random(out=)`` and ``Generator.standard_normal(out=)``
+call, on each run's ``bitgen_t``.  When the library loads, these functions
+are looked up and draws from the streams are checked once, under the same
+lock, against the generators :func:`markovsgd.chains._run_generators`
+builds, for fixed integer and ``SeedSequence`` seeds; if the functions are
+missing or the draws differ, the engine seeds numpy generators and draws
+run by run through their methods (same numbers), and one
+``RuntimeWarning`` says so.
 """
 
 from __future__ import annotations
@@ -85,10 +79,6 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 # 64-bit words of one philox_t and one bitgen_t of _kernel.c
 _PHILOX_WORDS, _BITGEN_WORDS = 13, 5
-# PyCapsule_GetPointer with the GIL held; a wrong capsule raises
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(_PTR, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
 
 
 class _Unavailable(Exception):
@@ -106,8 +96,7 @@ class Kernel:
         self.blas_name = blas_name
         self.mismatch = False
         self._checked: set[int] = set()
-        self._fills = None  # numpy's (uniform, normal) fills, once check_fills passes
-        self.streams_usable = False  # whether streams() is used, once check_streams passes
+        self._fills = None  # numpy's (uniform, normal) fills, once check_streams passes
         self._dot = lib.msgd_dot
         self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
         self._dot.restype = ctypes.c_double
@@ -273,69 +262,23 @@ class Kernel:
             first,
         )
 
-    def check_fills(self) -> None:
-        """Look up numpy's fill functions and check them once; warn if unusable.
-
-        The check draws from fixed seeds with :class:`Fill` and with the
-        ``Generator`` methods, over successive calls of both kinds and a
-        generator listed twice, and needs every byte equal.  :func:`library`
-        calls this under its lock, when the library loads.
-        """
-        try:
-            self._fills = _find_fills()
-            if not self._fills_agree():
-                raise _Unavailable("they disagree with the Generator methods")
-        except _Unavailable as exc:
-            self._fills = None
-            warnings.warn(
-                f"markovsgd: numpy's fill functions unusable ({exc}); the cursors draw "
-                "their variates run by run",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-
-    def _fills_agree(self) -> bool:
-        def gens():
-            return [np.random.Generator(np.random.Philox(seed)) for seed in (7, 8)]
-
-        (a0, a1), (b0, b1) = gens(), gens()
-        fill = self.fill_for([a0, a1, a0])
-        for n, normal in ((5, True), (3, False), (1, True), (8, False), (13, True), (0, False)):
-            got, want = np.empty((3, n)), np.empty((3, n))
-            fill(got, normal)
-            for rng, row in zip((b0, b1, b0), want):
-                (rng.standard_normal if normal else rng.random)(out=row)
-            if got.tobytes() != want.tobytes():
-                return False
-        # both leave every generator in the same state
-        return all(a.random(3).tobytes() == b.random(3).tobytes() for a, b in ((a0, b0), (a1, b1)))
-
-    def fill_for(self, rngs) -> Fill | None:
-        """A :class:`Fill` for these generators, or None when the fills are unusable."""
-        if self._fills is None:
-            return None
-        bits = [rng.bit_generator for rng in rngs]
-        gens = np.array([_CAPSULE_POINTER(b.capsule, b"BitGenerator") for b in bits], dtype=np.uintp)
-        distinct = {id(b): b for b in bits}
-        return Fill(self, gens, bits, [distinct[k].lock for k in sorted(distinct)])
-
     def check_streams(self) -> None:
-        """Check the seeded streams once, after the fills; warn if unusable.
+        """Look up numpy's fill functions and check the seeded streams once;
+        warn if unusable.
 
         The check draws from fixed integer and ``SeedSequence`` seeds --
         large and spawned ones, pool sizes 4 and 8 -- through
         :meth:`streams` and through the generators of
         :func:`markovsgd.chains._run_generators`, over successive uniform
-        and normal fills, and needs every byte equal.  Without usable
-        fills there is nothing to check, and the fills' warning says why.
+        and normal fills, and needs every byte equal.  :func:`library`
+        calls this under its lock, when the library loads.
         """
-        if self._fills is None:
-            return
         try:
+            self._fills = _find_fills()
             if not self._streams_agree():
                 raise _Unavailable("they disagree with numpy's SeedSequence and Philox")
-            self.streams_usable = True
         except _Unavailable as exc:
+            self._fills = None
             warnings.warn(
                 f"markovsgd: seeded streams unusable ({exc}); the engine seeds numpy "
                 "generators run by run",
@@ -354,16 +297,17 @@ class Kernel:
             for n, normal in ((3, False), (6, True), (1, False)):
                 for fill, rngs in zip(got, zip(*gens)):
                     out, want = np.empty((len(seeds), n)), np.empty((len(seeds), n))
-                    fill(out, normal)
+                    fill.fill(out, normal)
                     for rng, row in zip(rngs, want):
                         (rng.standard_normal if normal else rng.random)(out=row)
                     if out.tobytes() != want.tobytes():
                         return False
         return True
 
-    def streams(self, parts, children) -> list[Fill]:
+    def streams(self, parts, children) -> list[Fill] | None:
         """Children ``children`` of each run, seeded in one call: one
-        :class:`Fill` per child, drawing row r from run r's stream.
+        :class:`Fill` per child, drawing row r from run r's stream; None
+        where :meth:`check_streams` found the streams unusable.
 
         ``parts`` holds each run's ``(entropy, spawn key, pool size)``
         (see :func:`markovsgd.chains._seed_parts`); child c of a run is the
@@ -371,6 +315,8 @@ class Kernel:
         c), pool_size=pool)))``.  The streams are this call's own, so the
         fills take no lock: each belongs to one engine.
         """
+        if self._fills is None:
+            return None
         entropy, ends = _entropy(parts)
         pools = np.array([p[2] for p in parts], dtype=np.int64)
         kids = np.array(children, dtype=np.int64)
@@ -456,46 +402,34 @@ class Kernel:
 
 
 class Fill:
-    """Draws for a fixed list of streams: one row of an output per stream.
+    """Draws for a fixed list of seeded streams: one row of an output per stream.
 
     ``fill(out, normal)`` fills row r of ``out`` -- a float64 ``(R, ...)``
-    whose rows are each contiguous -- with what
-    ``standard_normal(out=out[r])`` (or, without ``normal``,
-    ``random(out=out[r])``) of a ``Generator`` on stream r would, row after
-    row, in one call that releases the GIL.  ``gens`` holds the streams'
-    ``bitgen_t`` addresses, ``keep`` whatever keeps them alive, and
-    ``locks`` the locks held while drawing, taken in their order (the
-    ``Generator`` methods hold their generator's lock too).
+    whose rows are each contiguous -- with what ``standard_normal(out=out[r])``
+    (or, without ``normal``, ``random(out=out[r])``) of a ``Generator`` on
+    stream r would, in one call that releases the GIL, and returns ``out``.
+    ``gens`` holds the streams' ``bitgen_t`` addresses, ``keep`` their buffers.
     """
 
-    def __init__(self, kern: Kernel, gens: np.ndarray, keep, locks=()):
+    def __init__(self, kern: Kernel, gens: np.ndarray, keep):
+        self.num_runs = len(gens)
         self._gens = gens
         self._keep = keep
-        self._at = gens.ctypes.data
-        self._locks = locks
         self._call = kern._fill
         self._fills = kern._fills
 
-    def __len__(self) -> int:
-        return len(self._gens)
-
-    def __call__(self, out: np.ndarray, normal: bool) -> None:
-        R = len(self._gens)
+    def fill(self, out: np.ndarray, normal: bool) -> np.ndarray:
+        R = self.num_runs
         if out.shape[:1] != (R,) or not _is_f64(out):
             raise ValueError("fill: arrays of mismatched shape, dtype or layout")
         if R == 0 or out.size == 0:
-            return
+            return out
         row = out[0]
         # contiguous rows that do not overlap
         if not (row.flags.c_contiguous and (R == 1 or out.strides[0] >= row.nbytes)):
             raise ValueError("fill: arrays of mismatched shape, dtype or layout")
-        for lock in self._locks:
-            lock.acquire()
-        try:
-            self._call(self._fills[normal], self._at, R, row.size, out.ctypes.data, out.strides[0] // 8)
-        finally:
-            for lock in self._locks:
-                lock.release()
+        self._call(self._fills[normal], self._gens.ctypes.data, R, row.size, out.ctypes.data, out.strides[0] // 8)
+        return out
 
 
 def _entropy(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +492,6 @@ def _library() -> Kernel | None:
             stacklevel=4,
         )
         return None
-    kern.check_fills()
     kern.check_streams()
     return kern
 
@@ -581,16 +514,15 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop, fills and stream seeding run here, with the library and BLAS used."""
+    """Which update loop and stream seeding run here, with the library and BLAS used."""
     kern = library()
     if kern is None:
-        return {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
+        return {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
     return {
         "path": "numpy" if kern.mismatch else "c",
         "cache": kern.path,
         "blas": kern.blas_name,
-        "fills": "numpy" if kern._fills is None else "c",
-        "streams": "c" if kern.streams_usable else "numpy",
+        "streams": "numpy" if kern._fills is None else "c",
     }
 
 

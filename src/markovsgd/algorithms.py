@@ -1013,18 +1013,17 @@ def run_many(
     if R == 0:
         raise ValueError("run_many needs at least one seed")
     per_run = _starts(problem.dim, w_init, R).ndim == 2
-    n_chunks = min(_usable_cpus() if workers is None else int(workers), R)
-    edges = [R * i // n_chunks for i in range(n_chunks + 1)]
+    edges = _chunk_edges(R, _usable_cpus() if workers is None else int(workers))
 
     def chunk(lo: int, hi: int) -> BatchResult:
         init = np.asarray(w_init)[lo:hi] if per_run else w_init
         return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints, R)
 
-    if n_chunks == 1:
+    if len(edges) == 2:
         return chunk(0, R)
     # the heavy steps (random fills, the compiled loops, large gathers)
     # release the GIL, so the chunks' threads run on separate cores
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+    with ThreadPoolExecutor(max_workers=len(edges) - 1) as pool:
         parts = list(pool.map(chunk, edges[:-1], edges[1:]))
     first = parts[0]
     return BatchResult(
@@ -1040,6 +1039,12 @@ def run_many(
     )
 
 
+def _chunk_edges(R: int, n: int) -> list[int]:
+    """Edges ``R * i // m`` of ``m = min(n, R)`` contiguous chunks of R runs."""
+    m = min(n, R)
+    return [R * i // m for i in range(m + 1)]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -1048,15 +1053,15 @@ def _usable_cpus() -> int:
 
 
 def kernel_info() -> dict:
-    """Which update loop and variate fills run in this process.
+    """Which update loop and stream seeding run in this process.
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
-    <BLAS library and ddot symbol or None>, "fills": "c" | "numpy"}``.  The
-    path cursors' finite walk and AR filter run in C whenever ``cache`` is
-    set, even where the ddot check sent the update loop to numpy.
-    ``fills`` says whether each block's variates are drawn for all runs in
-    one compiled call or run by run.  The first call builds or loads the
-    compiled kernel (see :mod:`markovsgd._kernel`).
+    <BLAS library and ddot symbol or None>, "streams": "c" | "numpy"}``.
+    The path cursors' finite walk and AR filter run in C whenever ``cache``
+    is set, even where the ddot check sent the update loop to numpy.
+    ``streams`` says whether the runs' streams are seeded, and each block's
+    variates drawn, for all runs in one compiled call each, or run by run.
+    The first call builds or loads the kernel (see :mod:`markovsgd._kernel`).
     """
     from . import _kernel
 

@@ -458,6 +458,16 @@ def check_keys(doc: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {what}; allowed: {sorted(allowed)}")
 
 
+def check_int(value, key: str) -> int:
+    """A JSON document's integer field ``key``, which holds an integral
+    number (``3`` or ``3.0``); a bool, a string or a fraction is an error."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 # Keys a chain document may hold besides ``kind``, per kind.
 _CHAIN_KEYS = {
     "gaussian_ar": ("dim", "d", "epsilon"),
@@ -481,10 +491,10 @@ def chain_from_json(doc: dict) -> ChainSpec:
         raise ValueError(f"unknown chain kind {kind!r}")
     check_keys(doc, ("kind",) + _CHAIN_KEYS[kind], f"{kind} chain")
     if kind == "gaussian_ar":
-        dim = doc.get("dim", doc.get("d"))
-        if dim is None:
+        key = "dim" if "dim" in doc else "d"
+        if doc.get(key) is None:
             raise ValueError("gaussian_ar chain needs a dimension field ('dim')")
-        return GaussianARSpec(dim=int(dim), epsilon=float(doc["epsilon"]))
+        return GaussianARSpec(dim=check_int(doc[key], key), epsilon=float(doc["epsilon"]))
     if kind == "finite":
         return FiniteChainSpec(
             states=np.array(doc["states"], dtype=float),
@@ -495,9 +505,9 @@ def chain_from_json(doc: dict) -> ChainSpec:
     if kind == "mc3":
         return make_mc3(doc["kappa"], doc["delta"])
     if kind == "mc0":
-        return make_mc0(int(doc["d"]), doc["epsilon"])
+        return make_mc0(check_int(doc["d"], "d"), doc["epsilon"])
     if kind == "mci":
-        return make_mci(int(doc["d"]), doc["epsilon"], doc["delta"], doc["bits"])
+        return make_mci(check_int(doc["d"], "d"), doc["epsilon"], doc["delta"], doc["bits"])
     return make_agnostic_bias_chain(doc["epsilon"])
 
 
@@ -554,7 +564,7 @@ def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:
     )
 
 
-def _run_streams(seeds, children) -> list[_Draws]:
+def _run_streams(seeds, children) -> list:
     """For each child number in ``children``, the draws of that child of
     every run, one run per seed: the streams :func:`_run_generators` gives.
 
@@ -562,11 +572,11 @@ def _run_streams(seeds, children) -> list[_Draws]:
     its streams failed their check, each run's generators are built.
     """
     kern = _load_kernel()
-    if kern is not None and kern.streams_usable:
-        fills = kern.streams([_seed_parts(s) for s in seeds], children)
-        return [_Draws(streams=f) for f in fills]
-    gens = [_run_generators(s, children) for s in seeds]
-    return [_Draws([g[i] for g in gens]) for i in range(len(children))]
+    fills = None if kern is None else kern.streams([_seed_parts(s) for s in seeds], children)
+    if fills is None:
+        gens = [_run_generators(s, children) for s in seeds]
+        fills = [_Draws([g[i] for g in gens]) for i in range(len(children))]
+    return fills
 
 
 def _load_kernel():
@@ -581,38 +591,27 @@ def _load_kernel():
 
 
 class _Draws:
-    """Each run's uniforms or normals, drawn into its own row of a buffer.
+    """Each run's uniforms or normals, drawn through its generator's methods.
 
     ``fill(out, normal)`` fills row r of ``out`` ``(R, ...)``, whose rows
     are each contiguous, with what ``rngs[r].standard_normal(out=out[r])``
-    (or, without ``normal``, ``rngs[r].random(out=out[r])``) gives.  Where
-    the compiled fill is usable, one call draws every row and releases the
-    GIL while it draws (see :mod:`markovsgd._kernel`); otherwise the rows
-    are drawn one by one through those methods.  Seeded ``streams`` (a
-    compiled fill of :func:`_run_streams`) take the place of generators.
+    (or, without ``normal``, ``rngs[r].random(out=out[r])``) gives, row by
+    row, and returns ``out``.  The seeded streams of :func:`_run_streams`
+    have the same ``fill`` and ``num_runs``.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator] = (), streams=None):
-        if streams is None:
-            self.rngs = list(rngs)
-            kern = _load_kernel()
-            self._fill = None if kern is None else kern.fill_for(self.rngs)
-        else:
-            self.rngs = None
-            self._fill = streams
-        self.num_runs = len(self.rngs if streams is None else streams)
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self._rngs = list(rngs)
+        self.num_runs = len(self._rngs)
 
-    @classmethod
-    def of(cls, rngs) -> _Draws:
+    @staticmethod
+    def of(rngs):
         """``rngs`` if it is already draws, else the draws of its generators."""
-        return rngs if isinstance(rngs, cls) else cls(rngs)
+        return rngs if hasattr(rngs, "num_runs") else _Draws(rngs)
 
     def fill(self, out: np.ndarray, normal: bool) -> np.ndarray:
-        if self._fill is not None:
-            self._fill(out, normal)
-        else:
-            for rng, row in zip(self.rngs, out):
-                (rng.standard_normal if normal else rng.random)(out=row)
+        for rng, row in zip(self._rngs, out):
+            (rng.standard_normal if normal else rng.random)(out=row)
         return out
 
 

@@ -8,8 +8,8 @@ seeds, hence the same data streams.  Results are aggregated across runs into
 per-checkpoint mean/stderr/min/max excess-risk curves, written as CSV with
 the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
 (config hash, seed, wall time, tail-averaged-estimator statistics, and the
-package, Python, numpy and scipy versions, update loop, BLAS and CPU count
-it ran under).
+package, Python, numpy and scipy versions, update loop, BLAS, stream seeding
+and the number of CPUs it could run on).
 
 Determinism: a config maps to byte-identical outputs for equal seeds.  With
 ``workers > 1`` an experiment runs on one process pool: each series' runs are
@@ -44,11 +44,13 @@ from .algorithms import (
     ParallelConfig,
     ReplayConfig,
     SgdConfig,
+    _chunk_edges,
+    _usable_cpus,
     kernel_info,
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _run_streams, chain_from_json, check_keys
+from .chains import _run_streams, chain_from_json, check_int, check_keys
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -136,20 +138,23 @@ class ExperimentConfig:
         single = doc.pop("algorithm", None)
         if algos is None:
             algos = [single] if single is not None else []
+        figure = doc.get("figure", False)
+        if not isinstance(figure, bool):
+            raise ValueError(f"figure must be true or false, got {figure!r}")
         return cls(
             chain=doc["chain"],
             noise=doc["noise"],
             algorithms=tuple(dict(a) for a in algos),
-            T=int(doc["T"]),
-            num_runs=int(doc.get("num_runs", 1)),
-            seed=int(doc.get("seed", 0)),
+            T=check_int(doc["T"], "T"),
+            num_runs=check_int(doc.get("num_runs", 1), "num_runs"),
+            seed=check_int(doc.get("seed", 0), "seed"),
             w_star=doc.get("w_star"),
             w_init=doc.get("w_init", "zeros"),
             checkpoints=None if doc.get("checkpoints") is None else tuple(doc["checkpoints"]),
             output=doc.get("output"),
             name=str(doc.get("name", "experiment")),
-            workers=int(doc.get("workers", 1)),
-            figure=bool(doc.get("figure", False)),
+            workers=check_int(doc.get("workers", 1), "workers"),
+            figure=figure,
         )
 
     def to_json(self) -> dict:
@@ -221,9 +226,9 @@ def build_algorithm(doc: dict):
     check_keys(doc, ("name", "label") + _ALGORITHM_KEYS[name], f"{name} block")
     if name == "sgd_er":
         return ReplayConfig(
-            buffer_size=int(doc["buffer_size"]),
+            buffer_size=check_int(doc["buffer_size"], "buffer_size"),
             step_size=float(doc.get("step_size", 0.5)),
-            drop_prefix=int(doc.get("drop_prefix", 0)),
+            drop_prefix=check_int(doc.get("drop_prefix", 0), "drop_prefix"),
             tail_buffer_fraction=float(doc.get("tail_buffer_fraction", 0.5)),
         )
     if name == "lower_bound_trace":
@@ -238,10 +243,10 @@ def build_algorithm(doc: dict):
         drop = doc.get("drop_interval")
         return DataDropConfig(
             base=base,
-            drop_interval=None if drop is None else int(drop),
+            drop_interval=None if drop is None else check_int(drop, "drop_interval"),
             log_constant=float(doc.get("log_constant", 5.0)),
         )
-    return ParallelConfig(base=base, num_instances=int(doc["num_instances"]))
+    return ParallelConfig(base=base, num_instances=check_int(doc["num_instances"], "num_instances"))
 
 
 def default_checkpoints(T: int) -> list[int]:
@@ -348,10 +353,10 @@ def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: l
 
 
 def _seed_chunks(config: ExperimentConfig) -> list[list[int]]:
-    """Each series' runs as ``min(workers, num_runs)`` contiguous seed chunks."""
-    seeds = [config.seed + i for i in range(config.num_runs)]
-    parts = np.array_split(np.arange(config.num_runs), min(config.workers, config.num_runs))
-    return [seeds[p[0] : p[-1] + 1] for p in parts]
+    """Each series' runs as ``min(workers, num_runs)`` contiguous seed
+    chunks, split as :func:`markovsgd.algorithms.run_many` splits its seeds."""
+    edges = _chunk_edges(config.num_runs, config.workers)
+    return [[config.seed + i for i in range(lo, hi)] for lo, hi in zip(edges, edges[1:])]
 
 
 def _aggregate(values: np.ndarray) -> dict:
@@ -404,9 +409,8 @@ def _provenance() -> dict:
         "scipy": scipy.__version__,
         "kernel": info["path"],
         "blas": info["blas"],
-        "fills": info["fills"],
         "streams": info["streams"],
-        "cpu_count": os.cpu_count(),
+        "cpu_count": _usable_cpus(),
     }
 
 

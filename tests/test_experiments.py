@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from markovsgd import experiments
+from markovsgd import algorithms, experiments
 from markovsgd.algorithms import (
     DataDropConfig,
     ParallelConfig,
@@ -19,7 +19,7 @@ from markovsgd.algorithms import (
     SgdConfig,
     run_many,
 )
-from markovsgd.chains import GaussianARSpec, run_generators
+from markovsgd.chains import GaussianARSpec, chain_from_json, run_generators
 from markovsgd.cli import main
 from markovsgd.experiments import (
     ExperimentConfig,
@@ -117,6 +117,60 @@ class TestConfig:
         other = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=[100, 1000]))
         assert config_hash(implicit) == config_hash(explicit)
         assert config_hash(implicit) != config_hash(other)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("config", "T", 1000.7),
+            ("config", "T", "200"),
+            ("config", "num_runs", 2.9),
+            ("config", "num_runs", True),
+            ("config", "seed", 7.5),
+            ("config", "workers", 2.9),
+            ("config", "figure", "false"),
+            ("config", "figure", 1),
+            ("sgd_er", "buffer_size", 3.5),
+            ("sgd_er", "drop_prefix", 1.5),
+            ("sgd_dd", "drop_interval", 2.5),
+            ("parallel_sgd", "num_instances", 4.2),
+            ("gaussian_ar", "dim", 3.7),
+            ("gaussian_ar", "d", 3.7),
+            ("mc0", "d", 4.5),
+            ("mci", "d", 2.5),
+        ],
+    )
+    def test_misused_values_rejected_at_load(self, where, key, value):
+        blocks = {
+            "sgd_er": {"name": "sgd_er", "buffer_size": 4},
+            "sgd_dd": {"name": "sgd_dd", "step_size": 0.25},
+            "parallel_sgd": {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4},
+        }
+        chains = {
+            "gaussian_ar": {"kind": "gaussian_ar", "epsilon": 0.5},
+            "mc0": {"kind": "mc0", "epsilon": 0.2},
+            "mci": {"kind": "mci", "epsilon": 0.2, "delta": 0.1, "bits": [1, 0]},
+        }
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            if where == "config":
+                ExperimentConfig.from_json(sgd_doc(**{key: value}))
+            elif where in blocks:
+                ExperimentConfig.from_json(sgd_doc(algorithms=[{**blocks[where], key: value}]))
+            else:
+                chain_from_json({**chains[where], key: value})
+
+    def test_integral_numbers_load_as_ints(self):
+        block = {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4.0}
+        config = ExperimentConfig.from_json(sgd_doc(T=200.0, num_runs=np.int64(3), seed=7.0, algorithms=[block]))
+        assert (config.T, config.num_runs, config.seed) == (200, 3, 7)
+        assert all(type(v) is int for v in (config.T, config.num_runs, config.seed))
+        assert build_algorithm(block).num_instances == 4
+        assert chain_from_json({"kind": "gaussian_ar", "dim": 3.0, "epsilon": 0.5}).dim == 3
+
+    def test_seed_chunks_split_as_run_many_does(self):
+        config = ExperimentConfig.from_json(sgd_doc(num_runs=5, workers=2))
+        assert experiments._seed_chunks(config) == [[7, 8], [9, 10, 11]]
+        config = ExperimentConfig.from_json(sgd_doc(num_runs=2, workers=4))
+        assert experiments._seed_chunks(config) == [[7], [8]]
 
     def test_unknown_keys_rejected_at_load(self):
         with pytest.raises(ValueError, match="num_run.*allowed.*num_runs"):
@@ -302,10 +356,14 @@ class TestRunExperiment:
             "scipy": scipy.__version__,
             "kernel": kernel_info()["path"],
             "blas": kernel_info()["blas"],
-            "fills": kernel_info()["fills"],
             "streams": kernel_info()["streams"],
-            "cpu_count": os.cpu_count(),
+            "cpu_count": algorithms._usable_cpus(),
         }
+
+    def test_provenance_counts_the_cpus_it_may_run_on(self, monkeypatch):
+        # the count run_many sizes its threads by: the affinity mask, not every CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiments._provenance()["cpu_count"] == 1
 
     def test_default_checkpoints_used(self):
         config = ExperimentConfig.from_json(sgd_doc(checkpoints=None))

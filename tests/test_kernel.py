@@ -50,6 +50,14 @@ requires_kernel = pytest.mark.skipif(
 )
 
 
+def _has_fills() -> bool:
+    """Whether the library loaded and numpy exports the fills it draws through."""
+    try:
+        return kernel_info()["cache"] is not None and bool(_kernel._find_fills())
+    except _kernel._Unavailable:
+        return False
+
+
 @contextlib.contextmanager
 def _numpy_loop():
     """Context in which the engines run the numpy update loop and the path
@@ -230,66 +238,8 @@ def _method_draws(rngs, n, normal, width=None):
     return out
 
 
-@pytest.mark.skipif(kernel_info()["fills"] != "c", reason="the compiled fill is unavailable here")
-class TestFills:
-    @pytest.mark.parametrize("R", [1, 3, 50])
-    @pytest.mark.parametrize("twice", [False, True], ids=["distinct", "listed-twice"])
-    def test_fill_equals_the_generator_methods(self, R, twice):
-        def gens():
-            rngs = [run_generators(300 + r)[1] for r in range(R)]
-            return rngs + rngs[:1] if twice else rngs  # the first one draws two rows
-
-        a, b = gens(), gens()
-        fill = _kernel.library().fill_for(a)
-        # successive calls of both kinds, into rows of a wider buffer too
-        for n, width in ((0, None), (1, None), (7, 9), (4097, None), (7, None), (1, 5)):
-            for normal in (False, True):
-                got = np.empty((len(a), n if width is None else width))[:, :n]
-                fill(got, normal)
-                assert got.tobytes() == _method_draws(b, n, normal, width).tobytes()
-        assert all(x.random(5).tobytes() == y.random(5).tobytes() for x, y in zip(a, b))
-
-    def test_threads_sharing_a_generator_draw_disjoint_parts_of_its_stream(self):
-        # each fill holds the generator's lock, as its methods do, so calls
-        # from several threads take whole, disjoint pieces of one stream
-        shared = run_generators(21)[0]
-        fill = _kernel.library().fill_for([shared])
-        n, calls, threads = 4096, 20, 4
-        barrier = threading.Barrier(threads)
-        drawn = [[] for _ in range(threads)]
-
-        def work(t):
-            barrier.wait(timeout=60)
-            for c in range(calls):
-                out = np.empty((1, n))
-                if (c + t) % 2:
-                    fill(out, False)
-                else:
-                    shared.random(out=out[0])
-                drawn[t].append(out)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=120)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(w.is_alive() for w in workers)
-        got = np.sort(np.concatenate([np.concatenate(d, axis=1) for d in drawn], axis=1)[0])
-        want = np.sort(run_generators(21)[0].random(n * calls * threads))
-        assert got.tobytes() == want.tobytes()
-        assert shared.random(3).tobytes() == run_generators(21)[0].random(n * calls * threads + 3)[-3:].tobytes()
-
-    def test_fill_rejects_rows_it_cannot_write(self):
-        fill = _kernel.library().fill_for([run_generators(s)[0] for s in (1, 2)])
-        wrong = (np.empty((3, 4)), np.empty((2, 4), dtype=np.float32), np.empty((4, 2)).T, np.empty((2, 8))[:, ::2])
-        for out in wrong:
-            with pytest.raises(ValueError, match="layout"):
-                fill(out, False)
+class TestGeneratorDraws:
+    """Cursors handed generators draw through the Generator methods, row by row."""
 
     def test_gaussian_cursor_draws_the_method_normals(self):
         seeds, d, splits = [11, 12, 13], 3, (1, 40, 7)
@@ -299,35 +249,25 @@ class TestFills:
         want = np.concatenate([_method_draws(rngs, n * d, True).reshape(len(seeds), n, d) for n in splits], axis=1)
         assert got.tobytes() == np.ascontiguousarray((want * (1.0 / np.sqrt(d))).transpose(1, 0, 2)).tobytes()
 
-    @pytest.mark.parametrize("why", ["missing", "disagrees"])
-    def test_unusable_fills_draw_the_same_paths_with_one_warning(self, reset_loader, monkeypatch, why):
-        finite, gaussian = make_mc0(6, 0.2), GaussianARSpec(dim=3, epsilon=0.2)
-        seeds, splits = [4, 5, 6], (1, 40, 7)
-        noisy = make_problem(finite, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 6))
-
-        def paths():
-            cursors = [
-                FinitePathCursor(finite, [run_generators(s)[0] for s in seeds]),
-                GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds]),
-            ]
-            out = [np.concatenate([cur.take(n) for n in splits]).tobytes() for cur in cursors]
-            return out + [run_many(noisy, 300, SgdConfig(0.3), seeds).estimates.tobytes()]
-
-        want = paths()
-        if why == "missing":
-            monkeypatch.setattr(_kernel, "_FILL_SYMBOLS", ("no_uniform_fill", "no_normal_fill"))
-        else:
-            monkeypatch.setattr(_kernel.Kernel, "_fills_agree", lambda self: False)
-        _kernel._library.cache_clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = paths()
-            paths()
-            info = kernel_info()
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "fill functions unusable" in str(caught[0].message)
-        assert info["fills"] == info["streams"] == "numpy" and info["path"] == "c"
-        assert got == want
+    def test_finite_cursor_walks_the_method_uniforms(self):
+        spec, seeds, splits = make_mc0(5, 0.3), [11, 12, 13], (1, 40, 7)
+        cursor = FinitePathCursor(spec, [run_generators(s)[0] for s in seeds])
+        got = np.concatenate([cursor.take(n) for n in splits])
+        rngs = [run_generators(s)[0] for s in seeds]
+        U = np.concatenate([_method_draws(rngs, n, False) for n in splits], axis=1)
+        # inverse-CDF steps on the uniforms, the first from the stationary law
+        cum = np.cumsum(spec.transition, axis=1)
+        cum /= cum[:, -1:]
+        cum_pi = np.cumsum(chains.stationary(spec))
+        cum_pi[-1] = 1.0
+        want = np.empty(U.T.shape, dtype=np.int64)
+        for r, u in enumerate(U):
+            s = int(np.searchsorted(cum_pi, u[0], side="right"))
+            want[0, r] = s
+            for t in range(1, len(u)):
+                s = int(np.sum(u[t] >= cum[s, :-1]))
+                want[t, r] = s
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +283,7 @@ _SEED_SEQUENCES = [
 ]
 
 
-@pytest.mark.skipif(kernel_info()["fills"] != "c", reason="the compiled fill is unavailable here")
+@pytest.mark.skipif(not _has_fills(), reason="the compiled fill is unavailable here")
 class TestSeededStreams:
     @pytest.mark.parametrize("seeds", [_INT_SEEDS, _SEED_SEQUENCES, _INT_SEEDS[:2] + _SEED_SEQUENCES[:2]],
                              ids=["ints", "seed-sequences", "mixed"])
@@ -354,7 +294,7 @@ class TestSeededStreams:
         gens = [chains._run_generators(s, children) for s in seeds]
         for c, draws in enumerate(streams):
             # numpy's Philox state: the key from SeedSequence, counter 0, buffer spent
-            states = draws._fill._keep[0]
+            states = draws._keep[0]
             for r, g in enumerate(gens):
                 want = g[c].bit_generator.state
                 assert states[r, 4:6].tolist() == want["state"]["key"].tolist()
@@ -367,11 +307,30 @@ class TestSeededStreams:
                     got = draws.fill(np.empty((len(seeds), n)), normal)
                     assert got.tobytes() == _method_draws(rngs, n, normal).tobytes()
 
+    @pytest.mark.parametrize("R", [1, 3, 50])
+    def test_fill_equals_the_generator_methods(self, R):
+        seeds = [300 + r for r in range(R)]
+        (draws,) = chains._run_streams(seeds, (1,))
+        rngs = [run_generators(s)[1] for s in seeds]
+        # successive calls of both kinds, into rows of a wider buffer too
+        for n, width in ((0, None), (1, None), (7, 9), (4097, None), (7, None), (1, 5)):
+            for normal in (False, True):
+                got = np.empty((R, n if width is None else width))[:, :n]
+                draws.fill(got, normal)
+                assert got.tobytes() == _method_draws(rngs, n, normal, width).tobytes()
+
+    def test_fill_rejects_rows_it_cannot_write(self):
+        (draws,) = chains._run_streams([1, 2], (0,))
+        wrong = (np.empty((3, 4)), np.empty((2, 4), dtype=np.float32), np.empty((4, 2)).T, np.empty((2, 8))[:, ::2])
+        for out in wrong:
+            with pytest.raises(ValueError, match="layout"):
+                draws.fill(out, False)
+
     def test_raw_and_32_bit_draws_follow_numpy(self):
         # the bitgen_t's other two functions: next_raw is next_uint64, and
         # next_uint32 hands out a word's low half, then its high half
         (draws,) = chains._run_streams([2**40 + 1], (2,))
-        state, next_uint64, next_uint32, _, next_raw = draws._fill._keep[1][0].tolist()
+        state, next_uint64, next_uint32, _, next_raw = draws._keep[1][0].tolist()
         call = {f: ctypes.CFUNCTYPE(t, ctypes.c_void_p)(f) for f, t in
                 ((next_uint64, ctypes.c_uint64), (next_uint32, ctypes.c_uint32), (next_raw, ctypes.c_uint64))}
         got = [call[next_raw](state), call[next_uint32](state), call[next_uint32](state)]
@@ -386,7 +345,8 @@ class TestSeededStreams:
         with pytest.raises(TypeError, match="not a Generator"):
             run_many(problem, 50, SgdConfig(0.3), [3, np.random.default_rng(0)])
 
-    def test_failed_check_seeds_generators_with_one_warning(self, reset_loader, monkeypatch):
+    @pytest.mark.parametrize("why", ["missing", "disagrees"])
+    def test_failed_check_seeds_generators_with_one_warning(self, reset_loader, monkeypatch, why):
         finite = make_mc0(4, 0.2)
         noisy = make_problem(finite, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 4))
         ar = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3) / 3)
@@ -403,7 +363,10 @@ class TestSeededStreams:
             ]
 
         want = outputs()
-        monkeypatch.setattr(_kernel.Kernel, "_streams_agree", lambda self: False)
+        if why == "missing":
+            monkeypatch.setattr(_kernel, "_FILL_SYMBOLS", ("no_uniform_fill", "no_normal_fill"))
+        else:
+            monkeypatch.setattr(_kernel.Kernel, "_streams_agree", lambda self: False)
         _kernel._library.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -411,8 +374,10 @@ class TestSeededStreams:
             outputs()
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert "seeded streams unusable" in str(caught[0].message)
-        assert info["streams"] == "numpy" and info["fills"] == info["path"] == "c"
+        message = str(caught[0].message)
+        assert "seeded streams unusable" in message
+        assert ("lacks" if why == "missing" else "disagree") in message
+        assert info["streams"] == "numpy" and info["path"] == "c"
         assert got == want
 
     def test_divergence_names_the_first_seed_that_broke(self):
@@ -733,7 +698,7 @@ class TestLoader:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "no C compiler" in str(caught[0].message)
-        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
@@ -761,7 +726,7 @@ class TestLoader:
         message = str(caught[0].message)
         assert "no C compiler" in message
         assert "path samplers" in message and "update loop" in message
-        assert info == {"path": "numpy", "cache": None, "blas": None, "fills": "numpy", "streams": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
         assert got == want
 
     def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
