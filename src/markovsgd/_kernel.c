@@ -8,10 +8,11 @@
  *     cc -O2 -fPIC -shared -ffp-contract=off
  * and never with -ffast-math: every operation below must round exactly as
  * the numpy loop in algorithms._descend does, so no product may be fused
- * into an FMA and no sum reassociated.  The dot product is not computed
- * here.  The caller passes the ddot of numpy's own BLAS, the function
- * np.vecdot calls for float64 rows, and its result is added to 0.0 as
- * numpy's dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
+ * into an FMA and no sum reassociated.  No dot product is computed here:
+ * the caller passes the ddot of numpy's own BLAS, the function np.vecdot
+ * calls for float64 rows, for both <w, x> and the label <x, w*> of a
+ * sample vector, and its result is added to 0.0 as numpy's dot loop adds
+ * it (so a -0.0 dot reads +0.0, as it does there).
  * The samplers call no BLAS: each makes the same IEEE operations as the
  * numpy (or scipy) code it replaces.  The fill draws nothing itself: it
  * calls numpy's own fill function once per run.  The seeding hashes as
@@ -34,17 +35,18 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
  * Apply n updates to the weights w of R runs, one run at a time.
  *
  * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
- * runs of K instances.  Sample i of instance (r, k) and its label for
- * branch b are read in one of two modes:
- *   strided: the vector x[i*xn + r*xr + k*xk + j*xd] (j < d, xd > 0) and
- *            the label y[b*ym + i*yn + r*yr + k*yk];
+ * runs of K instances.  Sample i of instance (r, k) is read in one of two
+ * modes:
+ *   vector:  the vector x[i*xn + r*xr + k*xk + j*xd] (j < d, xd > 0), whose
+ *            label is <x, w*> -- y holds the d doubles of w* -- as
+ *            np.vecdot(x, w*) computes it, in every branch;
  *   indexed: x is a table of contiguous rows of d doubles, and the sample
  *            is row s = idx[i*in + r*ir + k*ik] of it; y is a table of ym
- *            labels per branch, and the label is y[b*ym + s], plus
- *            sigma * xi[i*qn + r*qr + k*qk] when xi is given and bit b of
- *            noisy is set.  (xn, xr, xk and yn, yr, yk are not read.)
- * Strides count elements.  The indexed label is the numpy one: the table
- * entry, then the product sigma * xi added to it.
+ *            labels per branch, and the label in branch b is y[b*ym + s].
+ *            (xn, xr, xk are not read.)
+ * In either mode, when xi is given and bit b of noisy is set, branch b adds
+ * sigma * xi[i*qn + r*qr + k*qk] to its label, as numpy adds the product
+ * sigma * xi.  Strides count elements.
  *
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
@@ -64,7 +66,7 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *
                     int64_t m, int64_t R, int64_t K, int64_t d,
                     const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                     const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
-                    const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                    const double *y, int64_t ym,
                     const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
                     int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
                     int64_t *bad, int64_t first)
@@ -86,12 +88,12 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *
                         const int64_t s = idx[i * in + r * ir + k * ik];
                         xv = x + s * d;
                         label = y[b * ym + s];
-                        if (noise) {
-                            label = label + sigma * xi[i * qn + r * qr + k * qk];
-                        }
                     } else {
                         xv = x + i * xn + r * xr + k * xk;
-                        label = y[b * ym + i * yn + r * yr + k * yk];
+                        label = 0.0 + ddot(d, xv, xd, y, 1);
+                    }
+                    if (noise) {
+                        label = label + sigma * xi[i * qn + r * qr + k * qk];
                     }
                     double res = (0.0 + ddot(d, row, 1, xv, xd)) - label;
                     if (scaled) {
@@ -141,7 +143,7 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
                   int64_t m, int64_t R, int64_t K, int64_t d,
                   const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                   const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
-                  const double *y, int64_t ym, int64_t yn, int64_t yr, int64_t yk,
+                  const double *y, int64_t ym,
                   const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
                   int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
                   int64_t *bad, int64_t first)
@@ -149,10 +151,10 @@ void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
     /* two inlined copies: neither tests idx per sample */
     if (idx != 0) {
         advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik,
-                y, ym, yn, yr, yk, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+                y, ym, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
     } else {
         advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, 0, in, ir, ik,
-                y, ym, yn, yr, yk, 0, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+                y, ym, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
     }
 }
 

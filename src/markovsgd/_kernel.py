@@ -13,10 +13,13 @@ cached file without starting a process, and refresh its mtime; a build
 removes the libraries and compiler memos of the cache that no process has
 loaded for 30 days.
 
-The update loop advances one run through a whole segment before the next.
-On a finite chain it reads each sample vector from the chain's table of
-states by state index and makes the labels itself, from a per-state label
-table and the unit noise, so no block of vectors or labels is built.
+The update loop advances one run through a whole segment before the next,
+and makes every label itself, by one rule for both kinds of chain.  A
+Gaussian sample's label is ``<x, w*>``.  A finite chain's sample is read
+from the chain's table of states by its state index, and its label is
+that state's entry in a per-branch label table.  Either label then adds
+``sigma * xi`` in the branches that take noise.  So no block of labels,
+or of gathered vectors, is built.
 
 The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
@@ -105,7 +108,7 @@ class Kernel:
             (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64)
-            + (_PTR, _I64, _I64, _I64, _I64)
+            + (_PTR, _I64)
             + (_PTR, _I64, _I64, _I64, ctypes.c_double, _I64)
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
         )
@@ -160,46 +163,32 @@ class Kernel:
         return not self.mismatch
 
     def advance(
-        self,
-        W,
-        X,
-        Y,
-        alpha: float,
-        scaled: bool,
-        acc,
-        lo: int,
-        hi: int,
-        bad,
-        first: int,
-        iters=None,
-        table=None,
-        xi=None,
-        sigma: float = 0.0,
-        noisy: int = 0,
+        self, W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
+        table=None, xi=None, sigma: float = 0.0, noisy: int = 0,
     ) -> None:
         """Apply ``len(X)`` updates to W in place, run after run (see ``msgd_advance``).
 
         ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  Without
-        ``table``, ``X`` is ``(n, R, K, d)`` and ``Y`` ``(m, n, R, K)``,
-        both possibly strided views.  With ``table``, a contiguous
-        ``(S, d)``, ``X`` is instead an int64 ``(n, R, K)`` block of row
-        numbers, possibly strided: each sample vector is the row of
-        ``table`` it names, and ``Y`` is a contiguous ``(m, S)`` table of
-        each branch's label for each row.  To that label the kernel adds
-        ``sigma * xi`` -- ``xi`` a float64 ``(n, R, K)`` block, possibly
-        strided, or None -- in the branches whose bit is set in ``noisy``.
-        ``bad`` is a contiguous int64 ``(R,)``: -1 for a finite run, else
-        the number (counted from ``first`` for this call's first update) of
-        the update that left the run non-finite, after which it is not
-        updated.  ``iters``, a contiguous ``(rows, m, R, K, d)``, receives W
-        after update i in row ``first + i``.
+        ``table``, ``X`` is ``(n, R, K, d)`` vectors, possibly strided, and
+        ``labels`` is w*, a contiguous ``(d,)``: each branch labels x with
+        ``np.vecdot(x, w*)``.  With ``table``, a contiguous ``(S, d)``,
+        ``X`` is an int64 ``(n, R, K)`` block, possibly strided, of the rows
+        of ``table`` that are the samples, and ``labels`` a contiguous ``(m,
+        S)`` table of each branch's label per row.  The branches whose bit
+        is set in ``noisy`` add ``sigma * xi`` -- ``xi`` a float64 ``(n, R,
+        K)``, possibly strided, or None -- to the label.  ``bad`` is a
+        contiguous int64 ``(R,)``: -1 for a finite run, else the update
+        (this call's i-th is number ``first + i``) that left the run
+        non-finite, after which it is not updated.  W is added into ``acc``
+        after updates ``lo <= i < hi``, and stored in row ``first + i`` of
+        ``iters``, a contiguous ``(rows, m, R, K, d)``; either may be None.
+        :func:`markovsgd.algorithms._descend` is the numpy loop of this
+        contract.
         """
         m, R, K, d = W.shape
         n = len(X)
         if table is None:
-            samples_ok = (
-                X.shape == (n, R, K, d) and _is_f64(X) and Y.shape == (m, n, R, K) and _is_f64(Y) and xi is None
-            )
+            samples_ok = X.shape == (n, R, K, d) and _is_f64(X) and labels.shape == (d,)
         else:
             samples_ok = (
                 X.shape == (n, R, K)
@@ -208,15 +197,15 @@ class Kernel:
                 and table.ndim == 2
                 and table.shape[1] == d
                 and _is_f64(table, contiguous=True)
-                and Y.shape == (m, len(table))
-                and _is_f64(Y, contiguous=True)
-                and (xi is None or (xi.shape == (n, R, K) and _is_f64(xi)))
+                and labels.shape == (m, len(table))
             )
         if not (
             _is_f64(W, contiguous=True)
             and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
             and (iters is None or (iters.shape[1:] == W.shape and _is_f64(iters, contiguous=True)))
             and samples_ok
+            and _is_f64(labels, contiguous=True)
+            and (xi is None or (xi.shape == (n, R, K) and _is_f64(xi)))
             and bad.shape == (R,)
             and bad.dtype == np.int64
             and bad.flags.c_contiguous
@@ -232,34 +221,17 @@ class Kernel:
                 xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
             if xs[3] <= 0:
                 raise ValueError("advance: sample vectors need a positive element stride")
-            samples = (X.ctypes.data, *xs, None, 0, 0, 0, Y.ctypes.data, *(s // 8 for s in Y.strides))
-            noise = (None, 0, 0, 0)
+            samples = (X.ctypes.data, *xs, None, 0, 0, 0, labels.ctypes.data, 0)
         else:
             if X.view(np.uint64).max() >= len(table):  # negatives read as huge
                 raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
             samples = (table.ctypes.data, 0, 0, 0, 1, X.ctypes.data, *(s // 8 for s in X.strides))
-            samples += (Y.ctypes.data, len(table), 0, 0, 0)
-            noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
+            samples += (labels.ctypes.data, len(table))
+        noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
+        sums = (None if a is None else a.ctypes.data for a in (acc, iters))
         self._advance(
-            self._ddot,
-            W.ctypes.data,
-            None if acc is None else acc.ctypes.data,
-            None if iters is None else iters.ctypes.data,
-            m,
-            R,
-            K,
-            d,
-            *samples,
-            *noise,
-            sigma,
-            noisy,
-            n,
-            lo,
-            hi,
-            alpha,
-            bool(scaled),
-            bad.ctypes.data,
-            first,
+            self._ddot, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo, hi, alpha,
+            bool(scaled), bad.ctypes.data, first,
         )
 
     def check_streams(self) -> None:

@@ -31,11 +31,13 @@ conventions.  Every update rule uses the descent sign
 kernel (``_kernel.c``, built on first use and cached; see
 :func:`kernel_info`), which takes one run through a whole segment of
 updates before the next, sums the tail window and stores the iterates a
-single run keeps.  On a finite chain it reads each sample vector by state
-index from the chain's table of states and makes each label from a
-per-state label table and the unit noise, so neither vectors nor labels
-are gathered into blocks.  It gives the same bits as the numpy loop, the
-fallback that runs only where the kernel is unavailable.
+single run keeps.  It makes every label itself: ``<x, w*>`` for a
+Gaussian sample, and for a finite chain, whose sample vectors it reads by
+state index from the chain's table of states, the state's entry in a
+per-state label table; either adds the scaled unit noise.  So neither
+vectors nor labels are gathered into blocks.  The numpy loop,
+:func:`_descend`, is the fallback where the kernel is unavailable: it
+takes the kernel's arguments and gives its bits.
 :func:`run_many` splits its seeds into contiguous chunks and runs them on
 threads of the calling process, by default one per usable CPU; runs are
 independent, so the result is the same for any chunking.
@@ -328,17 +330,16 @@ def _initial_weights(problem: Problem, w_init, num_runs: int, K: int, coupled: b
 
 
 class _Stream:
-    """Labelled sample blocks for R runs, drawn through one path cursor.
+    """Sample blocks for R runs, drawn through one path cursor.
 
     ``chain_draws`` and ``noise_draws`` are the runs' chain and noise
     streams (see :func:`markovsgd.chains._run_streams`).
     A block of states from ``cursor.take`` is a Gaussian block of vectors
     ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``
     into the rows of ``table``, the chain's ``(S, d)`` states (None for a
-    Gaussian chain); :meth:`clean` and :meth:`labels` map either kind
-    elementwise, so the engine may reorder a block (e.g. into parallel
-    rounds) before use.  For a finite chain, :meth:`label_table` gives the
-    compiled loop what it needs to make the same labels itself.
+    Gaussian chain).  The update loop takes either kind, reordered by the
+    engine as it likes (e.g. into parallel rounds), and makes each label
+    from :meth:`label_rows` and the block's unit noise.
     """
 
     def __init__(self, problem: Problem, chain_draws, noise_draws):
@@ -346,13 +347,12 @@ class _Stream:
         self.cursor = make_cursor(chain, chain_draws)
         self._noise = noise_draws
         self.sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
-        self._w_star = problem.w_star
+        self._w_star = np.ascontiguousarray(problem.w_star, dtype=float)
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
-        if isinstance(chain, GaussianARSpec):
-            self.table = self._clean_table = None
-        else:
+        self.table = self._clean = None
+        if not isinstance(chain, GaussianARSpec):
             self.table = chain.states
-            self._clean_table = np.vecdot(chain.states, problem.w_star)
+            self._clean = np.vecdot(chain.states, self._w_star)
 
     def noise(self, n: int) -> np.ndarray | None:
         """Unit noise for the next n samples, (n, R), or None without noise.
@@ -364,46 +364,22 @@ class _Stream:
             return None
         return self._noise.fill(np.empty((self._noise.num_runs, n)), normal=True).T
 
-    def clean(self, s: np.ndarray) -> np.ndarray:
-        """Noise-free labels <x, w*> for a block of states.
+    def label_rows(self, coupled: bool) -> tuple[np.ndarray, int]:
+        """The update loop's ``labels`` and ``noisy``: the labels before
+        noise of the weight branches -- (full, bias, var) when coupled, else
+        full -- and the bitmask of those that add ``sigma * xi`` (not bias).
 
-        Deliberately ``np.vecdot`` -- the identical row-wise reduction the
-        engine uses for predictions -- rather than a matmul, so that labels
-        agree bit for bit with the engine's prediction whatever the batch
-        shape.  This is what makes w* an *exact* fixed point of noiseless
-        runs and keeps single-run and batched outputs byte-identical.  A
-        finite chain looks its labels up in a per-state table of the same
-        ``np.vecdot`` values.
+        For a Gaussian chain that is w*, as each sample's clean label is
+        ``np.vecdot(x, w*)``: the reduction of the loop's predictions, so w*
+        is an *exact* fixed point of noiseless runs.  For a finite chain it
+        is a ``(m, S)`` table per state of the same clean labels, which the
+        bias branch always takes, or under agnostic noise the outputs.
         """
-        if self._clean_table is None:
-            return np.vecdot(s, self._w_star)
-        return self._clean_table.take(s)
-
-    def labels(self, s: np.ndarray, xi) -> np.ndarray:
-        """Observed labels for a block of states; xi is its unit noise."""
-        if self._outputs is not None:
-            return self._outputs.take(s)
-        y = self.clean(s)
-        if xi is not None:
-            y = y + self.sigma * xi
-        return y
-
-    def branch_labels(self, s: np.ndarray, xi, coupled: bool) -> np.ndarray:
-        """Label rows per weight branch, ``(m, *block)``: (full, bias, var)
-        when coupled -- the bias branch sees clean labels -- else full only."""
-        y = self.labels(s, xi)
-        return np.stack((y, self.clean(s), y)) if coupled else y[None]
-
-    def label_table(self, coupled: bool) -> tuple[np.ndarray, int]:
-        """A finite chain's labels per branch and state, ``(m, S)``, and the
-        bitmask of the branches whose labels add ``sigma * xi``.
-
-        The rows are those of :meth:`branch_labels` before noise: the
-        chain's outputs (agnostic noise) or the clean labels, and clean
-        labels in the bias branch, which gets no noise.
-        """
-        y = self._clean_table if self._outputs is None else self._outputs
-        return (np.stack((y, self._clean_table, y)), 0b101) if coupled else (y[None], 0b1)
+        noisy = 0b101 if coupled else 0b1
+        if self.table is None:
+            return self._w_star, noisy
+        y = self._clean if self._outputs is None else self._outputs
+        return (np.stack((y, self._clean, y)) if coupled else y[None]), noisy
 
 
 class _Checkpoints:
@@ -448,13 +424,6 @@ class _Diverged(Exception):
         self.run, self.update = run, update
 
 
-def _check_finite(W: np.ndarray, update: int) -> None:
-    """Raise :class:`_Diverged` for the first run with a non-finite weight
-    after ``update``; ``W`` has the run axis second, as the engine lays it out."""
-    if not np.isfinite(W).all():
-        raise _Diverged(int(np.argmin(np.isfinite(W).all(axis=(0, *range(2, W.ndim))))), update)
-
-
 def _divergence(seed, samples: int) -> FloatingPointError:
     """The error naming a run's seed and the stream samples it had read."""
     entropy, key, _ = _seed_parts(seed)
@@ -462,31 +431,45 @@ def _divergence(seed, samples: int) -> FloatingPointError:
     return FloatingPointError(f"run with seed {label} diverged: non-finite iterate after {samples} stream samples")
 
 
-def _descend(W: np.ndarray, X: np.ndarray, Xs: np.ndarray, Y: np.ndarray, scale=None):
-    """The numpy update loop: update ``W`` in place on each sample of a
-    block, yielding after each.
+def _descend(
+    W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
+    table=None, xi=None, sigma: float = 0.0, noisy: int = 0,
+) -> None:
+    """The numpy update loop: :meth:`markovsgd._kernel.Kernel.advance`'s
+    contract and bits, where the compiled kernel is unavailable.
 
-    The least-squares update ``W <- W - (<W, x> - y) * (step * x)``, one
-    sample at a time, for the m weight branches of R runs of K instances,
-    ``W`` ``(m, R, K, d)``.  ``X`` holds the block's vectors and ``Xs`` the
-    same scaled by the step size, both ``(n, R, K, d)``; ``Y`` holds the
-    labels of each weight branch, ``(m, n, R, K)``.  With ``scale``, the
-    residual is multiplied by it before the (then unscaled) ``Xs``: parallel
-    SGD's ``(step * r) * x``.  This is the compiled kernel's fallback and
-    reference.
+    It takes the same arguments, makes the same labels, sums and stores W
+    after the same updates, and reports into ``bad``.  Unlike the kernel,
+    it checks the weights once, after its last update: a run left
+    non-finite is marked with this call's last update, and runs to the
+    end of the call with the others, as does a run marked before the call.
     """
+    m = len(W)
+    if table is None:
+        Y = np.broadcast_to(np.vecdot(X, labels), (m, *X.shape[:-1]))
+    else:
+        Y, X = labels.take(X, axis=1), table.take(X, axis=0)
+    if xi is not None:
+        noise = sigma * xi
+        Y = np.stack([Y[b] + noise if noisy >> b & 1 else Y[b] for b in range(m)])
+    Xs = X if scaled else alpha * X
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
     P = np.empty_like(W)
     rbuf = np.empty(W.shape[:-1])
     r3 = rbuf[..., None]
-    for x, xs, y in zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0))):
+    for i, (x, xs, y) in enumerate(zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0)))):
         vecdot(W, x, rbuf)
         subtract(rbuf, y, rbuf)
-        if scale is not None:
-            multiply(rbuf, scale, rbuf)
+        if scaled:
+            multiply(rbuf, alpha, rbuf)
         multiply(r3, xs, P)
         subtract(W, P, W)
-        yield
+        if acc is not None and lo <= i < hi:
+            acc += W
+        if iters is not None:
+            iters[first + i] = W
+    broken = (bad < 0) & ~np.isfinite(W).all(axis=(0, 2, 3))
+    bad[broken] = first + len(X) - 1
 
 
 def _load_kernel(d: int):
@@ -509,62 +492,42 @@ def _advance(
     Sample i of ``s``, with unit noise ``xi[i]`` (or None), drives update
     ``first + i + 1``; ``s`` is ``(n, R, K, d)`` vectors, or ``(n, R, K)``
     state indices into the rows of ``stream.table``, and ``xi`` is
-    ``(n, R, K)``.  The labels are :meth:`_Stream.branch_labels`' (three
-    branches when ``coupled``).  After update u, W is added into ``acc``
-    when ``window[0] <= u < window[1]`` and stored in ``iters[u]`` when
-    ``iters`` is given.  The generator yields u after each update u in
+    ``(n, R, K)``.  The labels are made from :meth:`_Stream.label_rows`
+    (three branches when ``coupled``).  After update u, W is added into
+    ``acc`` when ``window[0] <= u < window[1]`` and stored in ``iters[u]``
+    when ``iters`` is given.  The generator yields u after each update u in
     ``events``.  ``scaled`` selects parallel SGD's ``(alpha * r) * x``
     order over ``r * (alpha * x)``.
 
-    The compiled kernel does the work, unless it is unavailable (see
-    :mod:`markovsgd._kernel`); then :func:`_descend` does, with the same
-    bits.  On a finite chain the kernel reads vectors by index and makes
-    the labels from :meth:`_Stream.label_table` and ``xi``; the numpy loop
-    gathers both.  The kernel stops each run at the first update that
-    leaves one of its weights non-finite; the generator then yields no more
-    events, and at the end of the block raises :class:`_Diverged` naming
-    the first such run and that update.  The numpy loop scans W at each
-    event and at the end of the block, and raises for the first
-    non-finite run there.
+    The block runs as segments that end at its events and at its end, each
+    one call of the compiled kernel's ``advance``, or of :func:`_descend`
+    where the kernel is unavailable (see :mod:`markovsgd._kernel`).  After
+    a segment that left a run non-finite, the generator raises
+    :class:`_Diverged` for the first such run, in seed order, and the
+    update the loop reported: the kernel names the update that broke the
+    run, the numpy loop the segment's last one.
     """
-    lo, hi = window
-    table = stream.table
     kern = _load_kernel(W.shape[-1])
-    if kern is None:
-        Y = stream.branch_labels(s, xi, coupled)
-        X = s if table is None else table.take(s, axis=0)
-        Xs = X if scaled else alpha * X
-        for u, _ in enumerate(_descend(W, X, Xs, Y, alpha if scaled else None), first + 1):
-            if lo <= u < hi:
-                acc += W
-            if iters is not None:
-                iters[u] = W
-            if u in events:
-                _check_finite(W, u)
-                yield u
-        _check_finite(W, first + len(s))
-        return
-    if table is None:  # vectors: the kernel reads a block of labels
-        Y, xi, noisy = stream.branch_labels(s, xi, coupled), None, 0
-    else:  # state indices: the kernel makes the labels
-        Y, noisy = stream.label_table(coupled)
+    advance = _descend if kern is None else kern.advance
+    labels, noisy = stream.label_rows(coupled)
     sigma = stream.sigma or 0.0
+    lo, hi = window
     bad = np.full(W.shape[1], -1, dtype=np.int64)  # per run: the update that made it non-finite
     end = first + len(s)
     a = first
     for b in sorted({e for e in events if first < e < end} | {end}):
-        # kernel update i is update a + i + 1
+        # segment update i is update a + i + 1
         seg = slice(a - first, b - first)
-        kern.advance(
-            W, s[seg], Y[:, seg] if table is None else Y, alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1,
-            iters, table, xi=None if xi is None else xi[seg], sigma=sigma, noisy=noisy,
+        advance(
+            W, s[seg], labels, alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters, stream.table,
+            None if xi is None else xi[seg], sigma, noisy,
         )
-        if b in events and bad.max() < 0:
+        if bad.max() >= 0:
+            r = int(np.argmax(bad >= 0))
+            raise _Diverged(r, int(bad[r]))
+        if b in events:
             yield b
         a = b
-    if bad.max() >= 0:
-        r = int(np.argmax(bad >= 0))
-        raise _Diverged(r, int(bad[r]))
 
 
 # ---------------------------------------------------------------------------

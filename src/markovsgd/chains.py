@@ -468,6 +468,16 @@ def check_int(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def check_float(value, key: str) -> float:
+    """A JSON document's real field ``key``, which holds a finite number
+    (``1``, ``0.25`` or ``1e-3``); a bool, a string, NaN or an infinity is
+    an error."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
 # Keys a chain document may hold besides ``kind``, per kind.
 _CHAIN_KEYS = {
     "gaussian_ar": ("dim", "d", "epsilon"),
@@ -494,7 +504,7 @@ def chain_from_json(doc: dict) -> ChainSpec:
         key = "dim" if "dim" in doc else "d"
         if doc.get(key) is None:
             raise ValueError("gaussian_ar chain needs a dimension field ('dim')")
-        return GaussianARSpec(dim=check_int(doc[key], key), epsilon=float(doc["epsilon"]))
+        return GaussianARSpec(dim=check_int(doc[key], key), epsilon=check_float(doc["epsilon"], "epsilon"))
     if kind == "finite":
         return FiniteChainSpec(
             states=np.array(doc["states"], dtype=float),
@@ -503,12 +513,13 @@ def chain_from_json(doc: dict) -> ChainSpec:
             meta=dict(doc.get("meta", {})),
         )
     if kind == "mc3":
-        return make_mc3(doc["kappa"], doc["delta"])
+        return make_mc3(check_float(doc["kappa"], "kappa"), check_float(doc["delta"], "delta"))
+    epsilon = check_float(doc["epsilon"], "epsilon")
     if kind == "mc0":
-        return make_mc0(check_int(doc["d"], "d"), doc["epsilon"])
+        return make_mc0(check_int(doc["d"], "d"), epsilon)
     if kind == "mci":
-        return make_mci(check_int(doc["d"], "d"), doc["epsilon"], doc["delta"], doc["bits"])
-    return make_agnostic_bias_chain(doc["epsilon"])
+        return make_mci(check_int(doc["d"], "d"), epsilon, check_float(doc["delta"], "delta"), doc["bits"])
+    return make_agnostic_bias_chain(epsilon)
 
 
 # ---------------------------------------------------------------------------

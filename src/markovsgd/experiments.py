@@ -50,7 +50,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _run_streams, chain_from_json, check_int, check_keys
+from .chains import _run_streams, chain_from_json, check_float, check_int, check_keys
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm block is required")
         for doc in self.algorithms:
             build_algorithm(doc)  # unknown names, keys and values fail at load
+        # so do the chain, the noise, w_star and the w_init rule
+        _start_vector(self.w_init, build_problem(self).dim)
         if self.checkpoints is not None:
             pts = list(self.checkpoints)
             if any(int(p) != p or p < 0 for p in pts):
@@ -227,15 +229,15 @@ def build_algorithm(doc: dict):
     if name == "sgd_er":
         return ReplayConfig(
             buffer_size=check_int(doc["buffer_size"], "buffer_size"),
-            step_size=float(doc.get("step_size", 0.5)),
+            step_size=check_float(doc.get("step_size", 0.5), "step_size"),
             drop_prefix=check_int(doc.get("drop_prefix", 0), "drop_prefix"),
-            tail_buffer_fraction=float(doc.get("tail_buffer_fraction", 0.5)),
+            tail_buffer_fraction=check_float(doc.get("tail_buffer_fraction", 0.5), "tail_buffer_fraction"),
         )
     if name == "lower_bound_trace":
-        return ("lower_bound_trace", float(doc["eta"]))
+        return ("lower_bound_trace", check_float(doc["eta"], "eta"))
     base = SgdConfig(
-        step_size=float(doc["step_size"]),
-        tail_fraction=float(doc.get("tail_fraction", 0.5)),
+        step_size=check_float(doc["step_size"], "step_size"),
+        tail_fraction=check_float(doc.get("tail_fraction", 0.5), "tail_fraction"),
     )
     if name == "sgd":
         return base
@@ -244,7 +246,7 @@ def build_algorithm(doc: dict):
         return DataDropConfig(
             base=base,
             drop_interval=None if drop is None else check_int(drop, "drop_interval"),
-            log_constant=float(doc.get("log_constant", 5.0)),
+            log_constant=check_float(doc.get("log_constant", 5.0), "log_constant"),
         )
     return ParallelConfig(base=base, num_instances=check_int(doc["num_instances"], "num_instances"))
 
@@ -299,6 +301,19 @@ def build_problem(config: ExperimentConfig) -> Problem:
     return make_problem(chain, noise, w_star=w_star)
 
 
+_W_INIT_RULES = ("zeros", "w_star", "random_unit")
+
+
+def _start_vector(rule, dim: int) -> np.ndarray | None:
+    """The start a ``w_init`` rule gives as a vector of ``dim`` finite
+    numbers, or None for a named rule; anything else is an error."""
+    if rule is None or (isinstance(rule, str) and rule in _W_INIT_RULES):
+        return None
+    if isinstance(rule, str) or np.ndim(rule) != 1 or len(rule) != dim:
+        raise ValueError(f"w_init must be one of {list(_W_INIT_RULES)} or a vector of {dim} numbers, got {rule!r}")
+    return np.array([check_float(v, f"w_init[{i}]") for i, v in enumerate(rule)])
+
+
 def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
     """Initial-point rule -> engine argument (None, (d,) or per-run (R, d)).
 
@@ -306,8 +321,9 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
     init generator (the fourth Philox child of its seed): d normals, divided
     by their norm.  Every run's normals are drawn in one fill.
     """
-    if rule is None or rule == "zeros":
-        return None
+    vector = _start_vector(rule, problem.dim)
+    if vector is not None or rule in (None, "zeros"):
+        return vector
     if rule == "w_star":
         return problem.w_star
     if rule == "random_unit":
@@ -316,10 +332,6 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
         for row in out:
             row /= np.linalg.norm(row)
         return out
-    arr = np.asarray(rule, dtype=float)
-    if arr.shape != (problem.dim,):
-        raise ValueError(f"w_init vector must have shape ({problem.dim},)")
-    return arr
 
 
 # ---------------------------------------------------------------------------

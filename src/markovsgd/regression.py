@@ -25,6 +25,7 @@ from .chains import (
     GaussianARSpec,
     chain_from_json,
     chain_to_json,
+    check_float,
     check_keys,
     stationary,
     stationary_covariance,
@@ -279,7 +280,7 @@ def noise_from_json(doc: dict) -> NoiseModel:
     kind = doc.get("kind")
     if kind == "independent_gaussian":
         check_keys(doc, ("kind", "sigma"), f"{kind} noise")
-        return IndependentGaussian(sigma=float(doc["sigma"]))
+        return IndependentGaussian(sigma=check_float(doc["sigma"], "sigma"))
     if kind == "agnostic":
         check_keys(doc, ("kind",), f"{kind} noise")
         return AgnosticDeterministic()

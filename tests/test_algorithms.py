@@ -719,28 +719,36 @@ class TestDataLayer:
         [make_mc3(2.0, 0.05), make_mc0(4, 0.1), make_mci(3, 0.1, 0.05, (1, 0, 1))],
         ids=["mc3", "mc0", "mci"],
     )
-    def test_label_table_matches_vecdot_over_gathered_states(self, chain):
+    def test_label_rows_match_vecdot_over_gathered_states(self, chain):
         w_star = np.linspace(-0.7, 0.6, chain.dim)
         problem = make_problem(chain, IndependentGaussian(0.1), w_star=w_star)
         stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
         ref_noise = [run_generators(s) for s in self.SEEDS]
         idx = stream.cursor.take(48)
+        labels, noisy = stream.label_rows(False)
+        assert labels.shape == (1, len(chain.states)) and noisy == 0b1
         blocks = (idx, idx[3::4], idx.reshape(12, 4, 3).swapaxes(1, 2))
         for s in blocks:
             X = chain.states[s]
             np.testing.assert_array_equal(stream.table[s], X)
-            np.testing.assert_array_equal(stream.clean(s), np.vecdot(X, w_star))
-        xi = stream.noise(48)
-        np.testing.assert_array_equal(xi, _stacked_noise(ref_noise, 48))
-        X = chain.states[idx]
-        np.testing.assert_array_equal(stream.labels(idx, xi), np.vecdot(X, w_star) + 0.1 * xi)
+            np.testing.assert_array_equal(labels[0][s], np.vecdot(X, w_star))
+        # coupled: every branch starts from the clean labels; the bias branch takes no noise
+        coupled, noisy = stream.label_rows(True)
+        np.testing.assert_array_equal(coupled, np.tile(labels, (3, 1)))
+        assert noisy == 0b101 and stream.sigma == 0.1
+        np.testing.assert_array_equal(stream.noise(48), _stacked_noise(ref_noise, 48))
 
     def test_agnostic_labels_are_state_outputs(self):
         chain = make_agnostic_bias_chain(0.25)
-        stream = _Stream(make_problem(chain, AgnosticDeterministic()), *_run_streams([1, 2], (0, 1)))
+        problem = make_problem(chain, AgnosticDeterministic())
+        stream = _Stream(problem, *_run_streams([1, 2], (0, 1)))
         idx = stream.cursor.take(20)
         assert stream.noise(20) is None
-        np.testing.assert_array_equal(stream.labels(idx, None), chain.outputs[idx])
+        labels, _ = stream.label_rows(False)
+        np.testing.assert_array_equal(labels[0][idx], chain.outputs[idx])
+        coupled, _ = stream.label_rows(True)
+        clean = np.vecdot(chain.states, problem.w_star)
+        np.testing.assert_array_equal(coupled, np.stack((chain.outputs, clean, chain.outputs)))
 
     @pytest.mark.parametrize("kind", ["finite", "gaussian"])
     @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "coupled"])
@@ -755,10 +763,15 @@ class TestDataLayer:
         stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
         ref = [run_generators(s) for s in self.SEEDS]
         cursor = make_cursor(chain, [tr[0] for tr in ref])
+        labels, noisy = stream.label_rows(coupled)
         for nr in (3, 2):  # two consecutive blocks
             s, xi, _ = _rounds(stream, 0, nr, K)
             Xr = s if kind == "gaussian" else stream.table[s]
-            Y = stream.branch_labels(s, xi, coupled)
+            # the update loop's label rule: <x, w*> or the state's entry, plus
+            # sigma * xi in the noisy branches
+            m = 3 if coupled else 1
+            clean = [np.vecdot(Xr, labels)] * m if kind == "gaussian" else labels[:, s]
+            Y = np.stack([y + 0.2 * xi if noisy >> b & 1 else y for b, y in enumerate(clean)])
             # the reference: stream-order vectors and labels, then transposed
             s = cursor.take(nr * K)
             X = s if kind == "gaussian" else chain.states[s]
@@ -831,10 +844,10 @@ class TestWorkers:
         monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
         monkeypatch.setattr(algorithms, "_descend", counted)
         serial = run_many(problem, 48, cfg, self.SEEDS, workers=1, **kw)
-        assert len(calls) == 1  # one block, one pass of the numpy loop
+        assert len(calls) == 3  # one block, one call per segment: updates 1-9, 10-30, 31-48
         calls.clear()
         pooled = run_many(problem, 48, cfg, self.SEEDS, workers=2, **kw)
-        assert len(calls) == 2  # each chunk took the numpy loop
+        assert len(calls) == 6  # each chunk took the numpy loop, segment by segment
         self._assert_same(pooled, serial)
         self._assert_same(pooled, compiled)
 

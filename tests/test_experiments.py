@@ -179,6 +179,40 @@ class TestConfig:
         with pytest.raises(ValueError, match="drop_intervall"):
             ExperimentConfig.from_json(sgd_doc(algorithms=blocks))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"chain": {"kind": "mc0", "d": 4.5, "epsilon": 0.2}}, "^d must be an integer"),
+            ({"chain": {"kind": "mc0", "d": 4, "epsilon": "0.2"}}, "^epsilon must be a finite number"),
+            ({"chain": {"kind": "mc3", "kappa": 2.0, "delta": True}}, "^delta must be a finite number"),
+            ({"chain": {"kind": "gaussian_ar", "dim": 2, "epsilon": float("nan")}}, "^epsilon must be"),
+            ({"noise": {"kind": "nope"}}, "unknown noise kind 'nope'"),
+            ({"noise": {"kind": "independent_gaussian", "sigma": "0.1"}}, "^sigma must be a finite number"),
+            ({"chain": {"kind": "mc0", "d": 4, "epsilon": 0.2}, "w_star": [0.5]}, r"w_star must have shape \(4,\)"),
+            ({"w_init": "bogus"}, "^w_init must be one of"),
+            ({"w_init": [0.1, 0.2, 0.3]}, "a vector of 2 numbers"),
+            ({"w_init": [0.1, "0.2"]}, r"^w_init\[1\] must be a finite number"),
+            ({"algorithms": [{"name": "sgd", "step_size": "0.25"}]}, "^step_size must be a finite number"),
+            ({"algorithms": [{"name": "sgd", "step_size": 0.25, "tail_fraction": True}]}, "^tail_fraction must be"),
+            ({"algorithms": [{"name": "sgd_dd", "step_size": 0.25, "log_constant": "5"}]}, "^log_constant must be"),
+            ({"algorithms": [{"name": "sgd_er", "buffer_size": 4, "tail_buffer_fraction": False}]},
+             "^tail_buffer_fraction must be"),
+            ({"algorithms": [{"name": "lower_bound_trace", "eta": "0.04"}]}, "^eta must be"),
+        ],
+    )
+    def test_misused_problem_and_reals_rejected_at_load(self, overrides, message):
+        # each of these used to load, and failed (if at all) in a worker
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(sgd_doc(**overrides))
+
+    def test_reals_load_as_floats(self):
+        config = ExperimentConfig.from_json(
+            sgd_doc(chain={"kind": "mc3", "kappa": 2, "delta": np.float64(0.05)}, w_init=[1, 0])
+        )
+        assert build_algorithm({"name": "sgd", "step_size": 1}) == SgdConfig(step_size=1.0)
+        assert chain_from_json(config.chain) == chain_from_json({"kind": "mc3", "kappa": 2.0, "delta": 0.05})
+        assert resolve_w_init(config.w_init, build_problem(config), [0]).tolist() == [1.0, 0.0]
+
 
 class TestBuildAlgorithm:
     def test_sgd(self):

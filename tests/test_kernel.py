@@ -3,6 +3,7 @@
 import contextlib
 import ctypes
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -174,46 +175,51 @@ class TestSameBits:
 
 
 # ---------------------------------------------------------------------------
-# Sample vectors read by index
+# One update-loop contract: the kernel's advance and the numpy loop
 # ---------------------------------------------------------------------------
 
 
+def test_numpy_loop_takes_the_kernels_arguments():
+    want = inspect.signature(_kernel.Kernel.advance)
+    without_self = list(want.parameters.values())[1:]
+    assert inspect.signature(algorithms._descend) == want.replace(parameters=without_self)
+
+
 @requires_kernel
-class TestIndexReads:
+class TestAdvanceContract:
+    @pytest.mark.parametrize("mode", ["vector", "indexed"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("K,scaled", [(1, False), (3, True)], ids=["sgd", "parallel"])
     @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
-    def test_rows_and_labels_by_index_equal_gathered_ones(self, m, d, K, scaled, noise):
+    def test_compiled_equals_numpy_loop(self, mode, m, d, K, scaled, noise):
         rng = np.random.default_rng(5)
         S, R, nr, sigma = 6, 4, 10, 0.3
-        table = rng.uniform(-1, 1, (S, d))
-        labels = rng.uniform(-1, 1, (m, S))
-        labels[:, 0] = -0.0  # a -0.0 label stays -0.0 in the branch without noise
         noisy = 0b101 if m == 3 else 0b1  # the coupled bias branch gets no noise
 
-        def rounds(a):  # per-run rows (R, nr*K) in round order (nr, R, K): strided views
-            return a.T.reshape(nr, K, R).swapaxes(1, 2)
+        def rounds(a):  # per-run rows (R, nr*K, ...) in round order (nr, R, K, ...): strided views
+            return a.swapaxes(0, 1).reshape(nr, K, R, *a.shape[2:]).swapaxes(1, 2)
 
-        idx = rounds(rng.integers(0, S, (R, nr * K)))
+        if mode == "vector":  # the labels are w*: each sample's is <x, w*>
+            X, table = rounds(rng.uniform(-1, 1, (R, nr * K, d))), None
+            labels = rng.uniform(-1, 1, d)
+            X[0, 0, 0] = 0.0  # a zero sample: its dot may read -0.0, its label +0.0
+            labels[0] = -0.0
+        else:  # the labels are a table per branch and state
+            X, table = rounds(rng.integers(0, S, (R, nr * K))), rng.uniform(-1, 1, (S, d))
+            labels = rng.uniform(-1, 1, (m, S))
+            labels[:, 0] = -0.0  # a -0.0 label stays -0.0 in the branch without noise
         xi = rounds(rng.standard_normal((R, nr * K))) if noise else None
-        Y = labels[:, idx]
-        if noise:
-            for b in range(m):
-                if noisy >> b & 1:
-                    Y[b] = Y[b] + sigma * xi
         W0 = rng.uniform(-1, 1, (m, R, K, d))
-        kern = _kernel.load(d)
         outs = []
-        for args in ((table[idx], Y), (idx, labels, table, xi, sigma, noisy)):
+        for advance in (_kernel.load(d).advance, algorithms._descend):
             W, acc = W0.copy(), np.zeros_like(W0)
             iters = np.empty((nr + 1, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
-            X, L, *by_index = args
-            kern.advance(W, X, L, 0.3, scaled, acc, 2, 7, bad, 1, iters, *by_index)
+            advance(W, X, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, table, xi, sigma, noisy)
             outs.append((W, acc, iters[1:], bad))
-        for gathered, indexed in zip(*outs):
-            assert indexed.tobytes() == gathered.tobytes()
+        for compiled, numpy in zip(*outs):
+            assert compiled.tobytes() == numpy.tobytes()
 
     @pytest.mark.parametrize("bad_row", [-1, 6])
     def test_rows_out_of_range_are_rejected(self, bad_row):
@@ -543,20 +549,20 @@ class TestDivergenceLatency:
         rng = np.random.default_rng(9)
         m, R, K, d, n, lo, hi, alpha = 3, 4, 2, 3, 40, 5, 30, 0.3
         X = rng.uniform(-1, 1, (n, R, K, d))
-        Y = rng.uniform(-1, 1, (m, n, R, K))
-        Y[1, 17, 2, 1] = np.inf  # run 2 turns non-finite at update 17, mid-segment
+        w_star = rng.uniform(-1, 1, d)
+        xi = rng.standard_normal((n, R, K))
+        xi[17, 2, 1] = np.inf  # run 2 turns non-finite at update 17, mid-segment
         W0 = rng.uniform(-1, 1, (m, R, K, d))
-        W, acc, iters = W0.copy(), np.zeros_like(W0), np.empty((n, *W0.shape))
-        bad = np.full(R, -1, dtype=np.int64)
-        _kernel.load(d).advance(W, X, Y, alpha, scaled, acc, lo, hi, bad, 0, iters)
+        outs = []
+        for advance in (_kernel.load(d).advance, algorithms._descend):
+            W, acc, iters = W0.copy(), np.zeros_like(W0), np.empty((n, *W0.shape))
+            bad = np.full(R, -1, dtype=np.int64)
+            with np.errstate(all="ignore"):
+                advance(W, X, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, None, xi, 0.1, 0b101)
+            outs.append((W, acc, iters, bad))
+        (W, acc, iters, bad), (Wn, accn, itersn, badn) = outs
         assert bad.tolist() == [-1, -1, 17, -1]
-        Wn, accn, itersn = W0.copy(), np.zeros_like(W0), np.empty_like(iters)
-        with np.errstate(all="ignore"):
-            steps = algorithms._descend(Wn, X, X if scaled else alpha * X, Y, alpha if scaled else None)
-            for i, _ in enumerate(steps):
-                if lo <= i < hi:
-                    accn += Wn
-                itersn[i] = Wn
+        assert badn.tolist() == [-1, -1, n - 1, -1]  # the numpy loop checks after its last update
         keep = [0, 1, 3]
         assert W[:, keep].tobytes() == Wn[:, keep].tobytes()
         assert acc[:, keep].tobytes() == accn[:, keep].tobytes()
@@ -584,7 +590,7 @@ class TestDivergenceLatency:
                     with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
                         run_sgd(problem, n, cfg, 1)  # a single run, which keeps its iterates
             # past n, only the compiled loop names update n: the numpy loop
-            # checks its weights at the end of each block
+            # checks its weights at the end of each segment
             with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
                 run_many(problem, n + 1, cfg, [1])
 
