@@ -5,14 +5,20 @@
  * every run's Philox streams.
  *
  * markovsgd/_kernel.py builds this file on first use with
- *     cc -O2 -fPIC -shared -ffp-contract=off
+ *     cc -O2 -fPIC -shared -ffp-contract=off ... -lm
  * and never with -ffast-math: every operation below must round exactly as
- * the numpy loop in algorithms._descend does, so no product may be fused
- * into an FMA and no sum reassociated.  No dot product is computed here:
- * the caller passes the ddot of numpy's own BLAS, the function np.vecdot
- * calls for float64 rows, for both <w, x> and the label <x, w*> of a
- * sample vector, and its result is added to 0.0 as numpy's dot loop adds
- * it (so a -0.0 dot reads +0.0, as it does there).
+ * the numpy loop in algorithms._descend does, so the compiler may fuse no
+ * product into an FMA and reassociate no sum.  The dot products are the
+ * ones np.vecdot computes for float64 rows, for both <w, x> and the label
+ * <x, w*> of a sample vector: the caller passes the ddot of numpy's own
+ * BLAS, which np.vecdot calls, and below 16 elements the loop may instead
+ * take that ddot's own arithmetic, written out as explicit fma() calls
+ * (the fused dot, below), where a check at load finds it equal.  Either
+ * result is added to 0.0 as numpy's dot loop adds it (so a -0.0 dot reads
+ * +0.0, as it does there).
+ * The update loop and the finite walk take several runs side by side: runs
+ * never interact, so that changes the order of work across runs and none
+ * of a run's own operations.
  * The samplers call no BLAS: each makes the same IEEE operations as the
  * numpy (or scipy) code it replaces.  The fill draws nothing itself: it
  * calls numpy's own fill function once per run.  The seeding hashes as
@@ -32,7 +38,68 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
 }
 
 /*
- * Apply n updates to the weights w of R runs, one run at a time.
+ * The fused dot: <x, y> of n < 16 unit-stride doubles as one chain of fused
+ * multiply-adds from 0.0, in element order -- what OpenBLAS's x86-64 ddot
+ * computes below 16 elements on a CPU with FMA, without its call through a
+ * pointer.  The loader checks that it equals np.vecdot at a dimension
+ * (msgd_fused_dots) before the update loop takes it there; elsewhere the
+ * loop calls ddot.
+ *
+ * fma() rounds once wherever it runs.  On x86-64 the functions that take
+ * the fused dot (FUSED) are compiled for the FMA instructions by a target
+ * attribute, and no flag of the build changes, so the library still
+ * builds for, and loads on, any x86-64 CPU: msgd_fused says whether this
+ * one has the instructions, and the loader calls those functions only
+ * where it does.  A compiler without the attribute calls libm's fma().
+ */
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__has_attribute)
+#if __has_attribute(target)
+#define FMA_TARGET
+#endif
+#endif
+#ifdef FMA_TARGET
+#define FUSED __attribute__((target("fma")))
+#else
+#define FUSED
+#endif
+
+static inline __attribute__((always_inline)) double dot(ddot_fn ddot, int fused, int64_t n,
+                                                        const double *x, int64_t incx, const double *y, int64_t incy)
+{
+    if (!fused) {
+        return 0.0 + ddot(n, x, incx, y, incy);
+    }
+    double s = 0.0;
+    for (int64_t j = 0; j < n; j++) {
+        s = fma(y[j], x[j], s);
+    }
+    return 0.0 + s;
+}
+
+/* Whether this CPU can run the FUSED functions. */
+int32_t msgd_fused(void)
+{
+#ifdef FMA_TARGET
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") != 0;
+#else
+    return 1;
+#endif
+}
+
+/* out[i] = the fused dot of rows i of a and b, n rows of d doubles; only where msgd_fused(). */
+FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *b, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = dot(0, 1, d, a + i * d, 1, b + i * d, 1);
+    }
+}
+
+/* How many runs the update loop and the walk take side by side */
+#define LANES 4
+
+/*
+ * Apply n updates to the weights w of R runs.
  *
  * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
  * runs of K instances.  Sample i of instance (r, k) is read in one of two
@@ -54,15 +121,25 @@ double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const do
  * After update i of a run, its weights are added into its rows of acc when
  * lo <= i < hi, and copied into its rows of row first + i of iters, when
  * iters is given: rows of m*R*K*d doubles.  acc and iters may be null.
- * Runs never interact, so the order in which they are taken changes no
- * run's operations, and so none of its bits.
+ * With fused set and unit-stride samples (xd = 1), every dot is the fused
+ * dot (the caller sets fused only for d < 16, where that dot passed its
+ * check); otherwise every dot calls ddot.
+ *
+ * Runs never interact, so the order in which their updates are taken
+ * changes no run's operations, and so none of its bits.  A run's K
+ * instances are independent work for the CPU; a run of one instance has
+ * none, since each update waits on the one before.  So runs of one
+ * instance are taken LANES at a time, update i of each in turn: the
+ * updates of different runs overlap in the CPU, and each run's updates
+ * keep their order.  Runs of several instances are taken one at a time.
  *
  * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
  * run r non-finite, bad[r] becomes first + i and the run stops there: it
  * is not updated again and its acc and iters rows are not written for
- * update i or later.  A run already marked is skipped.
+ * update i or later, while the runs taken with it go on.  A run already
+ * marked is skipped.
  */
-static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *w, double *acc, double *iters,
+static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fused, double *w, double *acc, double *iters,
                     int64_t m, int64_t R, int64_t K, int64_t d,
                     const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
                     const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
@@ -72,65 +149,79 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *
                     int64_t *bad, int64_t first)
 {
     const int64_t size = m * R * K * d;
-    for (int64_t r = 0; r < R; r++) {
-        if (bad[r] >= 0) {
-            continue;
+    const int64_t lanes = K == 1 ? LANES : 1;
+    for (int64_t r0 = 0; r0 < R; r0 += lanes) {
+        const int64_t runs = R - r0 < lanes ? R - r0 : lanes;
+        int live[LANES];
+        int alive = 0;
+        for (int64_t g = 0; g < runs; g++) {
+            live[g] = bad[r0 + g] < 0;
+            alive |= live[g];
         }
-        for (int64_t i = 0; i < n; i++) {
-            int finite = 1;
-            for (int64_t b = 0; b < m; b++) {
-                const int noise = xi != 0 && ((noisy >> b) & 1);
-                for (int64_t k = 0; k < K; k++) {
-                    double *row = w + ((b * R + r) * K + k) * d;
-                    const double *xv;
-                    double label;
-                    if (idx != 0) {
-                        const int64_t s = idx[i * in + r * ir + k * ik];
-                        xv = x + s * d;
-                        label = y[b * ym + s];
-                    } else {
-                        xv = x + i * xn + r * xr + k * xk;
-                        label = 0.0 + ddot(d, xv, xd, y, 1);
-                    }
-                    if (noise) {
-                        label = label + sigma * xi[i * qn + r * qr + k * qk];
-                    }
-                    double res = (0.0 + ddot(d, row, 1, xv, xd)) - label;
-                    if (scaled) {
-                        res = res * alpha;
-                        for (int64_t j = 0; j < d; j++) {
-                            double v = row[j] - res * xv[j * xd];
-                            row[j] = v;
-                            finite &= isfinite(v) != 0;
+        for (int64_t i = 0; i < n && alive; i++) {
+            alive = 0;
+            for (int64_t g = 0; g < runs; g++) {
+                if (!live[g]) {
+                    continue;
+                }
+                const int64_t r = r0 + g;
+                double spoilt = 0.0;  /* v - v is +0.0, or NaN where v is not finite */
+                for (int64_t b = 0; b < m; b++) {
+                    const int noise = xi != 0 && ((noisy >> b) & 1);
+                    for (int64_t k = 0; k < K; k++) {
+                        double *row = w + ((b * R + r) * K + k) * d;
+                        const double *xv;
+                        double label;
+                        if (idx != 0) {
+                            const int64_t s = idx[i * in + r * ir + k * ik];
+                            xv = x + s * d;
+                            label = y[b * ym + s];
+                        } else {
+                            xv = x + i * xn + r * xr + k * xk;
+                            label = dot(ddot, fused, d, xv, xd, y, 1);
                         }
-                    } else {
-                        for (int64_t j = 0; j < d; j++) {
-                            double v = row[j] - res * (alpha * xv[j * xd]);
-                            row[j] = v;
-                            finite &= isfinite(v) != 0;
+                        if (noise) {
+                            label = label + sigma * xi[i * qn + r * qr + k * qk];
+                        }
+                        double res = dot(ddot, fused, d, row, 1, xv, xd) - label;
+                        if (scaled) {
+                            res = res * alpha;
+                            for (int64_t j = 0; j < d; j++) {
+                                double v = row[j] - res * xv[j * xd];
+                                row[j] = v;
+                                spoilt += v - v;
+                            }
+                        } else {
+                            for (int64_t j = 0; j < d; j++) {
+                                double v = row[j] - res * (alpha * xv[j * xd]);
+                                row[j] = v;
+                                spoilt += v - v;
+                            }
                         }
                     }
                 }
-            }
-            if (!finite) {
-                bad[r] = first + i;
-                break;
-            }
-            const int sum = acc != 0 && lo <= i && i < hi;
-            if (sum || iters != 0) {
-                for (int64_t b = 0; b < m; b++) {
-                    const int64_t at = (b * R + r) * K * d;
-                    const double *row = w + at;
-                    if (sum) {
-                        double *to = acc + at;
-                        for (int64_t j = 0; j < K * d; j++) {
-                            to[j] += row[j];
+                if (spoilt != 0.0) {
+                    bad[r] = first + i;
+                    live[g] = 0;
+                    continue;
+                }
+                alive = 1;
+                const int sum = acc != 0 && lo <= i && i < hi;
+                if (sum || iters != 0) {
+                    for (int64_t b = 0; b < m; b++) {
+                        const int64_t at = (b * R + r) * K * d;
+                        const double *row = w + at;
+                        if (sum) {
+                            double *to = acc + at;
+                            for (int64_t j = 0; j < K * d; j++) {
+                                to[j] += row[j];
+                            }
                         }
-                    }
-                    if (iters != 0) {
-                        double *to = iters + (first + i) * size + at;
-                        for (int64_t j = 0; j < K * d; j++) {
-                            to[j] = row[j];
+                        if (iters != 0) {
+                            double *to = iters + (first + i) * size + at;
+                            for (int64_t j = 0; j < K * d; j++) {
+                                to[j] = row[j];
+                            }
                         }
                     }
                 }
@@ -139,22 +230,50 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, double *
     }
 }
 
-void msgd_advance(ddot_fn ddot, double *w, double *acc, double *iters,
-                  int64_t m, int64_t R, int64_t K, int64_t d,
-                  const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
-                  const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
-                  const double *y, int64_t ym,
-                  const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
-                  int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
-                  int64_t *bad, int64_t first)
+/*
+ * msgd_advance's parameters after its dot, and a call of advance on them
+ * with the dot, the number of branches, the element stride and the row
+ * numbers given.
+ */
+#define ADVANCE_PARAMS double *w, double *acc, double *iters, int64_t m, int64_t R, int64_t K, int64_t d, \
+                       const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd, \
+                       const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y, int64_t ym, \
+                       const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy, \
+                       int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first
+#define ADVANCE(ddot_, fused_, m_, xd_, idx_)                                                          \
+    advance(ddot_, fused_, w, acc, iters, m_, R, K, d, x, xn, xr, xk, xd_, idx_, in, ir, ik, y, ym, \
+            xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first)
+
+/*
+ * Inlined copies of the loop, so that none tests per update what is fixed
+ * for the call: whether samples are indexed, and, with the fused dot, the
+ * one branch of an uncoupled run.
+ */
+FUSED static void advance_fused(ADVANCE_PARAMS)
 {
-    /* two inlined copies: neither tests idx per sample */
+    (void)xd;  /* 1: msgd_advance calls this only for unit strides */
     if (idx != 0) {
-        advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik,
-                y, ym, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+        if (m == 1) {
+            ADVANCE(0, 1, 1, 1, idx);
+        } else {
+            ADVANCE(0, 1, m, 1, idx);
+        }
+    } else if (m == 1) {
+        ADVANCE(0, 1, 1, 1, 0);
     } else {
-        advance(ddot, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, 0, in, ir, ik,
-                y, ym, xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+        ADVANCE(0, 1, m, 1, 0);
+    }
+}
+
+void msgd_advance(ddot_fn ddot, int32_t fused, ADVANCE_PARAMS)
+{
+    if (fused && xd == 1) {
+        advance_fused(w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik, y, ym,
+                      xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+    } else if (idx != 0) {
+        ADVANCE(ddot, 0, m, xd, idx);
+    } else {
+        ADVANCE(ddot, 0, m, xd, 0);
     }
 }
 
@@ -208,17 +327,17 @@ static uint64_t philox_next64(void *st)
     }
     uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
     uint64_t k0 = s->key[0], k1 = s->key[1];
+    /* unrolled: no loop control between rounds (the last key bump is unused) */
+#pragma GCC unroll 10
     for (int i = 0; i < 10; i++) {
-        if (i > 0) {
-            k0 += UINT64_C(0x9E3779B97F4A7C15);
-            k1 += UINT64_C(0xBB67AE8584CAA73B);
-        }
         const __uint128_t p0 = (__uint128_t)UINT64_C(0xD2E7470EE14C6C93) * c0;
         const __uint128_t p1 = (__uint128_t)UINT64_C(0xCA5A826395121157) * c2;
         c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
         c1 = (uint64_t)p1;
         c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
         c3 = (uint64_t)p0;
+        k0 += UINT64_C(0x9E3779B97F4A7C15);
+        k1 += UINT64_C(0xBB67AE8584CAA73B);
     }
     s->buffer[0] = c0;
     s->buffer[1] = c1;
@@ -347,24 +466,32 @@ void msgd_seed(const uint32_t *words, const int64_t *ends, const int64_t *pools,
  * stores that state in out[i*on + r*ro].  That element may be the 8 bytes
  * of u[r*un + i] itself: step i reads its uniform before it stores, and
  * reads no earlier uniform again.
+ *
+ * Each step waits on the state the step before loaded, so runs are walked
+ * LANES at a time, step i of each in turn, and their steps overlap in the
+ * CPU; runs never interact, so each makes the same comparisons.
  */
 void msgd_walk(const double *lead, int64_t S, const double *u, int64_t un,
                const int64_t *state, int64_t R, int64_t n, int64_t *out, int64_t on, int64_t ro)
 {
     const int64_t w = S - 1;
-    for (int64_t r = 0; r < R; r++) {
-        const double *ur = u + r * un;
-        int64_t *outr = out + r * ro;
-        int64_t s = state[r];
+    for (int64_t r0 = 0; r0 < R; r0 += LANES) {
+        const int64_t runs = R - r0 < LANES ? R - r0 : LANES;
+        int64_t s[LANES];
+        for (int64_t g = 0; g < runs; g++) {
+            s[g] = state[r0 + g];
+        }
         for (int64_t i = 0; i < n; i++) {
-            const double *row = lead + s * w;
-            const double v = ur[i];
-            int64_t next = 0;
-            for (int64_t j = 0; j < w; j++) {
-                next += v >= row[j];
+            for (int64_t g = 0; g < runs; g++) {
+                const double *row = lead + s[g] * w;
+                const double v = u[(r0 + g) * un + i];
+                int64_t next = 0;
+                for (int64_t j = 0; j < w; j++) {
+                    next += v >= row[j];
+                }
+                out[i * on + (r0 + g) * ro] = next;
+                s[g] = next;
             }
-            outr[i * on] = next;
-            s = next;
         }
     }
 }

@@ -13,8 +13,12 @@ cached file without starting a process, and refresh its mtime; a build
 removes the libraries and compiler memos of the cache that no process has
 loaded for 30 days.
 
-The update loop advances one run through a whole segment before the next,
-and makes every label itself, by one rule for both kinds of chain.  A
+The update loop takes each run through a whole segment of updates, and
+takes runs of one instance (every algorithm but parallel SGD) four at a
+time, update i of each in turn, so that the CPU overlaps their updates,
+each of which waits on the one before; the finite walk steps four runs at
+a time for the same reason.  Runs never interact, so no run's bits change.
+The loop makes every label itself, by one rule for both kinds of chain.  A
 Gaussian sample's label is ``<x, w*>``.  A finite chain's sample is read
 from the chain's table of states by its state index, and its label is
 that state's entry in a per-branch label table.  Either label then adds
@@ -26,12 +30,18 @@ The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 for bit.  Before the loop first runs at a dimension, :meth:`Kernel.usable`
 checks that ``ddot`` agrees with ``np.vecdot`` there.  When there is no
 compiler, no such ``ddot``, or a disagreement, :func:`load` returns None, the
-engine runs the numpy loop, and one ``RuntimeWarning`` says why.  One lock
-covers the build or load and each dimension's check, so threads that ask
-at once still get one build, one check and at most one warning.  The
-sampling loops call no BLAS and need no such check: they run whenever the
-library loads, and the cursors fall back to numpy (and scipy) only when it
-does not.
+engine runs the numpy loop, and one ``RuntimeWarning`` says why.  Below 16
+elements OpenBLAS's x86-64 ``ddot`` is one chain of fused multiply-adds;
+the loop writes that chain out inline (the fused dot), compiled for the FMA
+instructions by a target attribute and run only on a CPU that has them,
+and takes it at each dimension where the same check, made in one call,
+finds it equal to ``np.vecdot`` too; elsewhere, or where the check fails,
+it calls ``ddot`` (same bits, slower) and nothing is reported but
+:func:`info`'s ``fused_dims``.  One lock covers the build or load and each
+dimension's check, so threads that ask at once still get one build, one
+check and at most one warning.  The sampling loops call no BLAS and need no
+such check: they run whenever the library loads, and the cursors fall back
+to numpy (and scipy) only when it does not.
 
 The engine's streams are seeded in C (``msgd_seed``): one call that
 releases the GIL hashes every run's entropy as numpy's ``SeedSequence``
@@ -70,12 +80,17 @@ import warnings
 import numpy as np
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-# -ffp-contract=off: no fused multiply-adds, so each product rounds as numpy's does
+# -ffp-contract=off: no fused multiply-adds but the fused dot's own fma()
+# calls, so each product rounds as numpy's does
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# after the source: fma() is a libm call where the compiler cannot target FMA
+_LIBS = ("-lm",)
 # ILP64 CBLAS ddot in numpy's OpenBLAS builds: (n, x, incx, y, incy), 64-bit ints
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 # numpy.random's fills behind Generator.random(out=) and standard_normal(out=)
 _FILL_SYMBOLS = ("random_standard_uniform_fill", "random_standard_normal_fill")
+# OpenBLAS's ddot runs one fused multiply-add chain below this many elements
+_FUSED_BELOW = 16
 # a cached library or compiler memo untouched this long is removed after a build
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
@@ -99,13 +114,14 @@ class Kernel:
         self.blas_name = blas_name
         self.mismatch = False
         self._checked: set[int] = set()
+        self._fused: set[int] = set()  # checked dimensions whose dots are the fused dot
         self._fills = None  # numpy's (uniform, normal) fills, once check_streams passes
         self._dot = lib.msgd_dot
         self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
         self._dot.restype = ctypes.c_double
         self._advance = lib.msgd_advance
         self._advance.argtypes = (
-            (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
+            (_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64, _I64)
             + (_PTR, _I64, _I64, _I64)
             + (_PTR, _I64)
@@ -113,6 +129,10 @@ class Kernel:
             + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
         )
         self._advance.restype = None
+        self._has_fma = bool(lib.msgd_fused())
+        self._fused_dots = lib.msgd_fused_dots
+        self._fused_dots.argtypes = (_I64, _I64, _PTR, _PTR, _PTR)
+        self._fused_dots.restype = None
         self._fill = lib.msgd_fill
         self._fill.argtypes = (_PTR, _PTR, _I64, _I64, _PTR, _I64)
         self._fill.restype = None
@@ -138,20 +158,19 @@ class Kernel:
         The probe compares :meth:`dot` with ``np.vecdot`` bit for bit on
         fixed vectors of widely spread scales, signed zeros among them.  A
         mismatch at any dimension retires the kernel for the process.
-        :func:`load` calls this under its lock, so each dimension is probed
-        once and a mismatch warns once.
+        Below 16 elements, where this CPU has FMA instructions, the fused
+        dot (see ``_kernel.c``) is compared too, in one call; where it
+        agrees, the loop takes it at d instead of calling ``ddot``.  :func:`load` calls this under its lock, so each
+        dimension is probed once and a mismatch warns once.
         """
         if d not in self._checked and not self.mismatch:
-            # only the ufuncs the engine uses, so a worker pages in no new code
-            i = np.arange(64.0 * d).reshape(64, d)
-            scale = np.array([[2.0 ** (7 * k % 61 - 30)] for k in range(64)])
-            a = (0.618 * i - 19.7 * d) * scale
-            b = (7.3 - 1.414 * i) * scale[::-1]
-            a[0], b[0] = -0.0, 1.0  # a -0.0 dot, which numpy reads as +0.0
+            a, b = _probe_vectors(d)
             want = np.vecdot(a, b)
             got = np.array([self.dot(x, y) for x, y in zip(a, b)])
             if got.tobytes() == want.tobytes():
                 self._checked.add(d)
+                if self._has_fma and d < _FUSED_BELOW and self.fused_dots(a, b).tobytes() == want.tobytes():
+                    self._fused.add(d)
             else:
                 self.mismatch = True
                 warnings.warn(
@@ -162,11 +181,24 @@ class Kernel:
                 )
         return not self.mismatch
 
+    def fused_dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The fused dot of each pair of rows of two contiguous ``(n, d)``
+        float64 arrays, d < 16, in one call; only where this CPU has FMA."""
+        if not self._has_fma:
+            raise RuntimeError("fused_dots: this CPU has no FMA instructions")
+        if a.shape != b.shape or a.ndim != 2 or not (_is_f64(a, contiguous=True) and _is_f64(b, contiguous=True)):
+            raise ValueError("fused_dots takes two contiguous float64 arrays of one (n, d) shape")
+        if not a.shape[1] < _FUSED_BELOW:
+            raise ValueError(f"fused_dots takes rows of fewer than {_FUSED_BELOW} elements")
+        out = np.empty(len(a))
+        self._fused_dots(len(a), a.shape[1], a.ctypes.data, b.ctypes.data, out.ctypes.data)
+        return out
+
     def advance(
         self, W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
         table=None, xi=None, sigma: float = 0.0, noisy: int = 0,
     ) -> None:
-        """Apply ``len(X)`` updates to W in place, run after run (see ``msgd_advance``).
+        """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
         ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  Without
         ``table``, ``X`` is ``(n, R, K, d)`` vectors, possibly strided, and
@@ -230,8 +262,8 @@ class Kernel:
         noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
         sums = (None if a is None else a.ctypes.data for a in (acc, iters))
         self._advance(
-            self._ddot, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo, hi, alpha,
-            bool(scaled), bad.ctypes.data, first,
+            self._ddot, d in self._fused, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo,
+            hi, alpha, bool(scaled), bad.ctypes.data, first,
         )
 
     def check_streams(self) -> None:
@@ -410,16 +442,31 @@ def _entropy(parts) -> tuple[np.ndarray, np.ndarray]:
     uint32 array, and where each run's words end in it.
 
     A run's words are its entropy's, zero-padded to the pool size (numpy
-    pads whenever the spawn key is not empty), then its key's.
+    pads whenever the spawn key is not empty), then its key's.  The runs
+    seeded by an integer below 2**64 alone -- two words, and two of
+    padding -- are written all at once; only the others' words are built
+    one run at a time.
     """
-    if all(key == () and pool == 4 and type(e) is int and 0 <= e < 1 << 64 for e, key, pool in parts):
-        # integer seeds below 2**64: two words, and two of padding
-        words = np.zeros((len(parts), 4), dtype=np.uint32)
-        words[:, :2] = np.array([p[0] for p in parts], dtype="<u8").view("<u4").reshape(-1, 2)
-        return words.ravel(), np.arange(4, 4 * len(parts) + 1, 4, dtype=np.int64)
-    runs = [_words(e, pool) + b"".join(_words(k, 1) for k in key) for e, key, pool in parts]
-    ends = np.cumsum([len(w) // 4 for w in runs], dtype=np.int64)
-    return np.frombuffer(b"".join(runs), dtype="<u4").astype(np.uint32), ends
+    low = [e if key == () and pool == 4 and type(e) is int and 0 <= e < 1 << 64 else None for e, key, pool in parts]
+    others = {
+        r: np.frombuffer(_words(e, pool) + b"".join(_words(k, 1) for k in key), dtype="<u4")
+        for r, (e, key, pool) in enumerate(parts)
+        if low[r] is None
+    }
+    sizes = np.full(len(parts), 4, dtype=np.int64)
+    for r, w in others.items():
+        sizes[r] = len(w)
+    ends = np.cumsum(sizes)
+    at = ends - sizes
+    if others:
+        at = at[[v is not None for v in low]]
+        low = [v for v in low if v is not None]
+    words = np.zeros(int(ends[-1]) if len(parts) else 0, dtype=np.uint32)
+    low = np.array(low, dtype="<u8").view("<u4").reshape(-1, 2)
+    words[at], words[at + 1] = low[:, 0], low[:, 1]
+    for r, w in others.items():
+        words[ends[r] - len(w) : ends[r]] = w
+    return words, ends
 
 
 def _words(x, pad: int) -> bytes:
@@ -439,6 +486,19 @@ def _words(x, pad: int) -> bytes:
         raise _Unavailable("numpy.random has no SeedSequence entropy conversion") from exc
     w = coerce(x).astype("<u4")
     return w.tobytes() + bytes(4 * max(0, pad - len(w)))
+
+
+def _probe_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """64 fixed pairs of contiguous d-vectors whose scales spread over 2**-30
+    .. 2**30, with a -0.0 dot (numpy reads it as +0.0) and signed zeros."""
+    # only the ufuncs the engine uses, so a worker pages in no new code
+    i = np.arange(64.0 * d).reshape(64, d)
+    scale = np.array([[2.0 ** (7 * k % 61 - 30)] for k in range(64)])
+    a = (0.618 * i - 19.7 * d) * scale
+    b = (7.3 - 1.414 * i) * scale[::-1]
+    a[0], b[0] = -0.0, 1.0
+    a[1, ::2], b[1, 1::2] = -0.0, -0.0  # every product a signed zero
+    return a, b
 
 
 def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:
@@ -486,15 +546,16 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop and stream seeding run here, with the library and BLAS used."""
+    """Which update loop, dots and stream seeding run here, with the library and BLAS used."""
     kern = library()
     if kern is None:
-        return {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
+        return {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
     return {
         "path": "numpy" if kern.mismatch else "c",
         "cache": kern.path,
         "blas": kern.blas_name,
         "streams": "numpy" if kern._fills is None else "c",
+        "fused_dims": [] if kern.mismatch else sorted(kern._fused),
     }
 
 
@@ -510,7 +571,7 @@ def _open() -> Kernel:
     except OSError as exc:
         raise _Unavailable(f"cannot read the kernel source: {exc}") from exc
     version, memo = _compiler_version(cc, cache)
-    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS).encode(), version])).hexdigest()
+    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS + _LIBS).encode(), version])).hexdigest()
     path = os.path.join(cache, f"kernel-{key[:24]}.so")
     with contextlib.suppress(OSError):
         # in use: a concurrent build's _prune keeps it another _STALE_S.
@@ -648,7 +709,7 @@ def _build(cc: str, path: str) -> None:
     try:
         try:
             proc = subprocess.run(
-                [cc, *_FLAGS, "-o", tmp, _SOURCE], capture_output=True, text=True, timeout=300
+                [cc, *_FLAGS, "-o", tmp, _SOURCE, *_LIBS], capture_output=True, text=True, timeout=300
             )
         except (OSError, subprocess.SubprocessError) as exc:
             raise _Unavailable(f"cc failed: {exc}") from exc

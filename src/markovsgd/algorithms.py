@@ -29,9 +29,11 @@ Tail-average windows follow the algorithm displays exactly; see
 conventions.  Every update rule uses the descent sign
 ``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
 kernel (``_kernel.c``, built on first use and cached; see
-:func:`kernel_info`), which takes one run through a whole segment of
-updates before the next, sums the tail window and stores the iterates a
-single run keeps.  It makes every label itself: ``<x, w*>`` for a
+:func:`kernel_info`), which takes each run through a whole segment of
+updates -- runs of one instance four side by side, so the CPU overlaps
+their updates -- sums the tail window and stores the iterates a single
+run keeps.  Below 16 dimensions it writes the BLAS dot out inline where
+a check at load finds it bit-equal to ``np.vecdot``.  It makes every label itself: ``<x, w*>`` for a
 Gaussian sample, and for a finite chain, whose sample vectors it reads by
 state index from the chain's table of states, the state's entry in a
 per-state label table; either adds the scaled unit noise.  So neither
@@ -1016,15 +1018,19 @@ def _usable_cpus() -> int:
 
 
 def kernel_info() -> dict:
-    """Which update loop and stream seeding run in this process.
+    """Which update loop, dots and stream seeding run in this process.
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
-    <BLAS library and ddot symbol or None>, "streams": "c" | "numpy"}``.
+    <BLAS library and ddot symbol or None>, "streams": "c" | "numpy",
+    "fused_dims": [...]}``.
     The path cursors' finite walk and AR filter run in C whenever ``cache``
     is set, even where the ddot check sent the update loop to numpy.
     ``streams`` says whether the runs' streams are seeded, and each block's
     variates drawn, for all runs in one compiled call each, or run by run.
-    The first call builds or loads the kernel (see :mod:`markovsgd._kernel`).
+    ``fused_dims`` lists the dimensions, of those the update loop has been
+    checked at so far, at which it computes its dots as an inline chain of
+    fused multiply-adds instead of calling ``ddot``.  The first call builds
+    or loads the kernel (see :mod:`markovsgd._kernel`).
     """
     from . import _kernel
 

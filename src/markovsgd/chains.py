@@ -709,8 +709,10 @@ class GaussianPathCursor:
 # i.e. inverse-CDF sampling from the state's cumulative transition row.
 # cum[state, -1] = 1.0 > u never counts, so only the S-1 leading thresholds
 # of each row matter.  The compiled walk (msgd_walk in _kernel.c) counts
-# them one run at a time; without the library, _walk_words steps all runs
-# at once with four ufunc calls per step.  Both evaluate exactly these
+# them for four runs side by side, step by step, so the CPU overlaps the
+# steps of different runs, each of which waits on its run's last state;
+# without the library, _walk_words steps all runs at once with four ufunc
+# calls per step.  Both evaluate exactly these
 # comparisons, so they give the same path bit for bit.
 
 

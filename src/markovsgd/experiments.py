@@ -45,6 +45,7 @@ from .algorithms import (
     ReplayConfig,
     SgdConfig,
     _chunk_edges,
+    _load_kernel,
     _usable_cpus,
     kernel_info,
     run_lower_bound_traces,
@@ -119,17 +120,25 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm block is required")
         for doc in self.algorithms:
             build_algorithm(doc)  # unknown names, keys and values fail at load
-        # so do the chain, the noise, w_star and the w_init rule
-        _start_vector(self.w_init, build_problem(self).dim)
+        # so do the chain, the noise, w_star and the w_init rule; the problem
+        # built here is the one the config's chunks run
+        problem = build_problem(self)
+        _start_vector(self.w_init, problem.dim)
+        object.__setattr__(self, "_problem", problem)
         if self.checkpoints is not None:
-            pts = list(self.checkpoints)
-            if any(int(p) != p or p < 0 for p in pts):
+            pts = [check_int(p, f"checkpoints[{i}]") for i, p in enumerate(self.checkpoints)]
+            if any(p < 0 for p in pts):
                 raise ValueError("checkpoints must be nonnegative integers")
             if any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
             if pts and pts[-1] > self.T:
                 raise ValueError("checkpoints must not exceed T")
-            object.__setattr__(self, "checkpoints", tuple(int(p) for p in pts))
+            object.__setattr__(self, "checkpoints", tuple(pts))
+
+    @property
+    def problem(self) -> Problem:
+        """The problem :func:`build_problem` made of this config when it loaded."""
+        return self._problem
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -296,8 +305,10 @@ def build_problem(config: ExperimentConfig) -> Problem:
             raise ValueError('w_star "agnostic" requires the agnostic noise model')
     elif w_star is None:
         raise ValueError("w_star is required for non-agnostic noise models")
+    elif isinstance(w_star, str) or np.ndim(w_star) != 1:
+        raise ValueError(f'w_star must be a vector of numbers or "agnostic", got {w_star!r}')
     else:
-        w_star = np.asarray(w_star, dtype=float)
+        w_star = np.array([check_float(v, f"w_star[{i}]") for i, v in enumerate(w_star)])
     return make_problem(chain, noise, w_star=w_star)
 
 
@@ -347,7 +358,7 @@ def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: l
     """
     t0 = time.perf_counter()
     config = ExperimentConfig.from_json(config_doc)
-    problem = build_problem(config)
+    problem = config.problem
     w_init = resolve_w_init(config.w_init, problem, seeds)
     algo = build_algorithm(algo_doc)
     if isinstance(algo, tuple):  # lower-bound trace: excess = gamma^2 / d
@@ -407,13 +418,20 @@ def _series_stem(config: ExperimentConfig, algo_doc: dict, taken: set) -> str:
     return stem
 
 
-def _provenance() -> dict:
-    """What a run ran under; bitwise reproducibility holds within one numpy release."""
+def _provenance(dim: int) -> dict:
+    """What a run of dimension ``dim`` ran under, with the dot its update
+    loop takes ("fma", "ddot" or "numpy"); bitwise reproducibility holds
+    within one numpy release."""
     import scipy
 
     from . import __version__
 
+    kern = _load_kernel(dim)  # checks the dimension
     info = kernel_info()
+    if kern is None:
+        dot = "numpy"
+    else:
+        dot = "fma" if dim in info["fused_dims"] else "ddot"
     return {
         "markovsgd": __version__,
         "python": platform.python_version(),
@@ -422,6 +440,7 @@ def _provenance() -> dict:
         "kernel": info["path"],
         "blas": info["blas"],
         "streams": info["streams"],
+        "dot": dot,
         "cpu_count": _usable_cpus(),
     }
 
@@ -466,8 +485,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     digest = config_hash(config)
-    # builds or loads the update kernel here, so forked workers inherit it
-    provenance = _provenance()
+    kernel_info()  # builds or loads the update kernel here, so forked workers inherit it
+    provenance = None
     doc = config.to_json()
     chunks = _seed_chunks(config)
     jobs = [
@@ -490,6 +509,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
             parts = (f.result() for f in futures)
         for algo_doc in config.algorithms:
             series = [next(parts) for _ in chunks]
+            if provenance is None:
+                # checks the dimension only once the workers run: a check
+                # made before they fork adds ~0.5 MB to the peak memory
+                provenance = _provenance(config.problem.dim)
             summary = _series_summary(config, algo_doc, series, checkpoints, digest, provenance)
             if outdir is not None:
                 stem = _series_stem(config, algo_doc, taken)

@@ -17,6 +17,7 @@ from markovsgd.algorithms import (
     ParallelConfig,
     ReplayConfig,
     SgdConfig,
+    kernel_info,
     run_many,
 )
 from markovsgd.chains import GaussianARSpec, chain_from_json, run_generators
@@ -205,6 +206,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(sgd_doc(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"checkpoints": [True, 100]}, r"^checkpoints\[0\] must be an integer, got True"),
+            ({"checkpoints": [50, False]}, r"^checkpoints\[1\] must be an integer"),
+            ({"checkpoints": [50, 100.5]}, r"^checkpoints\[1\] must be an integer"),
+            ({"w_star": [True, False]}, r"^w_star\[0\] must be a finite number, got True"),
+            ({"w_star": [0.5, float("nan")]}, r"^w_star\[1\] must be a finite number"),
+            ({"w_star": [0.5, "0.5"]}, r"^w_star\[1\] must be a finite number"),
+            ({"w_star": 0.5}, "^w_star must be a vector"),
+        ],
+    )
+    def test_bools_in_checkpoints_and_w_star_rejected_at_load(self, overrides, message):
+        # bools used to load as 1 and 0
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(sgd_doc(**overrides))
+
+    def test_integral_checkpoints_and_w_star_load_as_numbers(self):
+        config = ExperimentConfig.from_json(sgd_doc(checkpoints=[50.0, np.int64(100)], w_star=[1, np.float32(0.5)]))
+        assert config.checkpoints == (50, 100) and all(type(p) is int for p in config.checkpoints)
+        assert config.problem.w_star.tolist() == [1.0, 0.5]
+
     def test_reals_load_as_floats(self):
         config = ExperimentConfig.from_json(
             sgd_doc(chain={"kind": "mc3", "kappa": 2, "delta": np.float64(0.05)}, w_init=[1, 0])
@@ -212,6 +235,13 @@ class TestConfig:
         assert build_algorithm({"name": "sgd", "step_size": 1}) == SgdConfig(step_size=1.0)
         assert chain_from_json(config.chain) == chain_from_json({"kind": "mc3", "kappa": 2.0, "delta": 0.05})
         assert resolve_w_init(config.w_init, build_problem(config), [0]).tolist() == [1.0, 0.0]
+
+
+def _dot_at(info: dict, dim: int) -> str:
+    """The dot kernel_info says the update loop takes at a checked dimension."""
+    if info["path"] != "c":
+        return "numpy"
+    return "fma" if dim in info["fused_dims"] else "ddot"
 
 
 class TestBuildAlgorithm:
@@ -278,6 +308,24 @@ class TestBuildProblem:
     def test_explicit_w_star(self):
         problem = build_problem(ExperimentConfig.from_json(sgd_doc()))
         np.testing.assert_array_equal(problem.w_star, [0.5, -0.5])
+
+    def test_a_chunk_runs_the_problem_built_at_load(self, monkeypatch):
+        built = []
+
+        def counted(config):
+            built.append(build_problem(config))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "build_problem", counted)
+        doc = sgd_doc()
+        config = ExperimentConfig.from_json(doc)
+        assert built == [config.problem]
+        got = experiments._execute_chunk(doc, doc["algorithms"][0], [7, 8], [50, 100, 200])
+        assert len(built) == 2  # the chunk loads the config once, and builds nothing more
+        monkeypatch.undo()
+        want = experiments._execute_chunk(doc, doc["algorithms"][0], [7, 8], [50, 100, 200])
+        for a, b in zip(got[:3], want[:3]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_agnostic(self):
         doc = sgd_doc(
@@ -379,25 +427,34 @@ class TestRunExperiment:
         import scipy
 
         import markovsgd
-        from markovsgd.algorithms import kernel_info
 
         (s,) = run_experiment(ExperimentConfig.from_json(sgd_doc(output=str(tmp_path))))
         meta = json.loads((tmp_path / "experiment_sgd.json").read_text())
+        info = kernel_info()
         assert meta["provenance"] == s.provenance == {
             "markovsgd": markovsgd.__version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "kernel": kernel_info()["path"],
-            "blas": kernel_info()["blas"],
-            "streams": kernel_info()["streams"],
+            "kernel": info["path"],
+            "blas": info["blas"],
+            "streams": info["streams"],
+            "dot": _dot_at(info, 2),  # the two-state chain's dimension
             "cpu_count": algorithms._usable_cpus(),
         }
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 15, 16, 17])
+    def test_provenance_names_the_dot_at_its_dimension(self, dim):
+        dot = experiments._provenance(dim)["dot"]
+        info = kernel_info()
+        assert dot == _dot_at(info, dim)
+        if dim >= 16:  # the fused dot runs below 16 elements only
+            assert dot in ("ddot", "numpy")
 
     def test_provenance_counts_the_cpus_it_may_run_on(self, monkeypatch):
         # the count run_many sizes its threads by: the affinity mask, not every CPU
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert experiments._provenance()["cpu_count"] == 1
+        assert experiments._provenance(2)["cpu_count"] == 1
 
     def test_default_checkpoints_used(self):
         config = ExperimentConfig.from_json(sgd_doc(checkpoints=None))

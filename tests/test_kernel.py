@@ -232,6 +232,178 @@ class TestAdvanceContract:
 
 
 # ---------------------------------------------------------------------------
+# Runs side by side, and the fused dot
+# ---------------------------------------------------------------------------
+
+
+def _lane_inputs(mode, m, R, d, K, n=40):
+    """Per-run blocks in update order, as the engine hands them over."""
+    rng = np.random.default_rng(11)
+    S = 6
+    if mode == "vector":  # the labels are w*
+        X, table = rng.uniform(-1, 1, (R, n, K, d)).transpose(1, 0, 2, 3), None
+        labels = rng.uniform(-1, 1, d)
+    else:  # the labels are a table per branch and state
+        X, table = rng.integers(0, S, (R, n, K)).transpose(1, 0, 2), rng.uniform(-1, 1, (S, d))
+        labels = rng.uniform(-1, 1, (m, S))
+    xi = rng.standard_normal((R, n, K)).transpose(1, 0, 2)
+    return rng.uniform(-1, 1, (m, R, K, d)), X, labels, table, xi
+
+
+def _advance_runs(W0, X, labels, table, xi, runs):
+    """W, acc, iters and bad after advancing the runs ``runs`` (a slice) together."""
+    m, _, K, d = W0.shape
+    W = W0[:, runs].copy()
+    acc, iters = np.zeros_like(W), np.zeros((len(X) + 1, *W.shape))
+    bad = np.full(W.shape[1], -1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        _kernel.load(d).advance(
+            W, X[:, runs], labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters, table, xi[:, runs], 0.2,
+            0b101 if m == 3 else 0b1,
+        )
+    return W, acc, iters, bad
+
+
+def _each_run(batch, r):
+    """Run r's rows of _advance_runs' outputs."""
+    W, acc, iters, bad = batch
+    return W[:, r].tobytes(), acc[:, r].tobytes(), iters[:, :, r].tobytes(), int(bad[r])
+
+
+@requires_kernel
+class TestRunsSideBySide:
+    """Runs of one instance are advanced several at a time, and finite walks
+    step several runs at a time; each run keeps the bits it has alone."""
+
+    @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
+    @pytest.mark.parametrize("d", [4, 17], ids=["fused-dims", "ddot-dims"])
+    @pytest.mark.parametrize("K", [1, 3], ids=["sgd", "parallel"])
+    def test_a_batch_equals_its_single_runs(self, R, mode, m, d, K):
+        inputs = _lane_inputs(mode, m, R, d, K)
+        batch = _advance_runs(*inputs, slice(None))
+        for r in range(R):
+            assert _each_run(batch, r) == _each_run(_advance_runs(*inputs, slice(r, r + 1)), 0)
+
+    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
+    def test_a_run_that_breaks_among_its_lane_mates(self, mode, m):
+        W0, X, labels, table, xi = _lane_inputs(mode, m, 9, 4, 1)
+        xi[17, 5, 0] = np.inf  # run 5, in the second group of runs, breaks at update 1 + 17
+        batch = _advance_runs(W0, X, labels, table, xi, slice(None))
+        assert batch[3].tolist() == [-1] * 5 + [18] + [-1] * 3
+        for r in range(9):
+            alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
+            assert _each_run(batch, r) == _each_run(alone, 0)
+        # the broken run stops there: no acc or iters row is written from update 18 on
+        assert not np.isfinite(batch[0][:, 5]).all()
+        assert not batch[2][18:, :, 5].any()
+
+    def test_run_many_names_the_one_run_that_broke_among_its_lane_mates(self):
+        problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
+        cfg = SgdConfig(step_size=50.0)
+        errors = {}
+        for seed in range(1, 10):
+            with pytest.raises(FloatingPointError) as err:
+                run_many(problem, 5000, cfg, [seed])
+            errors[seed] = str(err.value)
+        counts = {seed: int(re.search(r"after (\d+) stream samples", e).group(1)) for seed, e in errors.items()}
+        first = min(counts, key=counts.get)
+        assert sorted(counts.values())[:2] != [counts[first]] * 2  # the only one to break by then
+        others = [seed for seed in counts if seed != first]
+        seeds = others[:5] + [first] + others[5:]  # in the second group of runs
+        with pytest.raises(FloatingPointError) as err:
+            run_many(problem, counts[first], cfg, seeds, workers=1)
+        assert str(err.value) == errors[first]
+        # one sample sooner every run is finite, and each has its own bits
+        batch = run_many(problem, counts[first] - 1, cfg, seeds, workers=1)
+        solo = [run_many(problem, counts[first] - 1, cfg, [seed]).estimates for seed in seeds]
+        assert batch.estimates.tobytes() == np.concatenate(solo).tobytes()
+
+    @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
+    def test_walk_equals_its_single_runs(self, R):
+        spec = make_mc0(5, 0.3)
+        cum = np.cumsum(spec.transition, axis=1)
+        lead = np.ascontiguousarray(cum[:, :-1] / cum[:, -1:])
+        rng = np.random.default_rng(R)
+        U, state, n = rng.uniform(size=(R, 50)), rng.integers(0, 5, R), 50
+        kern = _kernel.library()
+        out = np.empty((n, R), dtype=np.int64)
+        kern.walk(lead, U, state, out)
+        block = U.copy()  # in place: each uniform turns into its state
+        kern.walk(lead, block, state, block.view(np.int64).T)
+        assert block.view(np.int64).T.tobytes() == out.tobytes()
+        for r in range(R):
+            alone = np.empty((n, 1), dtype=np.int64)
+            kern.walk(lead, U[r : r + 1], state[r : r + 1].copy(), alone)
+            assert alone[:, 0].tobytes() == out[:, r].tobytes()
+
+
+def _has_fma() -> bool:
+    kern = _kernel.library()
+    return kern is not None and kern._has_fma
+
+
+@requires_kernel
+@pytest.mark.skipif(not _has_fma(), reason="this CPU has no FMA instructions")
+class TestFusedDot:
+    def test_agrees_with_vecdot_wherever_the_loop_takes_it(self):
+        # signed zeros, cancellations and scales spread over 2**-30 .. 2**30
+        rng = np.random.default_rng(4)
+        for d in range(1, 16):
+            if _kernel.load(d) is None or d not in kernel_info()["fused_dims"]:
+                continue
+            a = rng.standard_normal((4000, d)) * 2.0 ** rng.integers(-30, 31, (4000, d))
+            b = rng.standard_normal((4000, d)) * 2.0 ** rng.integers(-30, 31, (4000, d))
+            a[::7] = -0.0  # every product a signed zero
+            b[1::5, 0] = -0.0
+            a[2::9, -1], b[2::9, -1] = -a[2::9, 0], b[2::9, 0]  # the last product cancels the first
+            assert _kernel.library().fused_dots(a, b).tobytes() == np.vecdot(a, b).tobytes()
+
+    def test_the_probe_is_one_call_per_dimension(self, reset_loader, monkeypatch):
+        calls = []
+        fused_dots = _kernel.Kernel.fused_dots
+
+        def counted(self, a, b):
+            calls.append(a.shape)
+            return fused_dots(self, a, b)
+
+        monkeypatch.setattr(_kernel.Kernel, "fused_dots", counted)
+        for d in (2, 2, 4, 15, 16, 17, 4):
+            _kernel.load(d)
+        assert calls == [(64, 2), (64, 4), (64, 15)]
+
+    @pytest.mark.parametrize("why", ["no-fma", "disagrees"])
+    def test_a_failed_probe_falls_back_to_ddot_with_the_same_bits(self, reset_loader, monkeypatch, why):
+        _kernel.load(2)
+        if kernel_info()["fused_dims"] != [2]:
+            pytest.skip("the loop takes ddot at every dimension here")
+        want = _pinned_outputs()
+        _kernel._library.cache_clear()
+        if why == "no-fma":
+            monkeypatch.setattr(_kernel.Kernel, "__init__", _without_fma(_kernel.Kernel.__init__))
+        else:
+            monkeypatch.setattr(_kernel.Kernel, "fused_dots", lambda self, a, b: np.vecdot(a, b) + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback is silent: it changes no bits
+            got = _pinned_outputs()
+            info = kernel_info()
+        assert info["path"] == "c" and info["fused_dims"] == []
+        assert got == want
+
+
+def _without_fma(init):
+    """Kernel.__init__, then the kernel reports a CPU without FMA."""
+
+    def wrapped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._has_fma = False
+
+    return wrapped
+
+
+# ---------------------------------------------------------------------------
 # Every run's variates in one call
 # ---------------------------------------------------------------------------
 
@@ -312,6 +484,26 @@ class TestSeededStreams:
                 for draws, rngs in zip(streams, zip(*gens)):
                     got = draws.fill(np.empty((len(seeds), n)), normal)
                     assert got.tobytes() == _method_draws(rngs, n, normal).tobytes()
+
+    def test_a_mixed_batch_builds_words_for_its_other_seeds_only(self, monkeypatch):
+        # integers below 2**64 alone are written at once, wherever they stand
+        seeds = [3, 2**64 + 5, 0, _SEED_SEQUENCES[0], 2**64 - 1, 2**32, _SEED_SEQUENCES[2], 7]
+        children = (0, 1, 2)
+        words = _kernel._words
+        built = []
+
+        def counted(x, pad):
+            built.append(x)
+            return words(x, pad)
+
+        monkeypatch.setattr(_kernel, "_words", counted)
+        streams = chains._run_streams(seeds, children)
+        assert built == [2**64 + 5, 5, 3, _SEED_SEQUENCES[2].entropy, 4, 1]  # entropy, then the key's words
+        gens = [chains._run_generators(s, children) for s in seeds]
+        for n, normal in ((5, False), (4097, True), (3, False)):
+            for draws, rngs in zip(streams, zip(*gens)):
+                got = draws.fill(np.empty((len(seeds), n)), normal)
+                assert got.tobytes() == _method_draws(rngs, n, normal).tobytes()
 
     @pytest.mark.parametrize("R", [1, 3, 50])
     def test_fill_equals_the_generator_methods(self, R):
@@ -704,7 +896,7 @@ class TestLoader:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "no C compiler" in str(caught[0].message)
-        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
@@ -732,7 +924,7 @@ class TestLoader:
         message = str(caught[0].message)
         assert "no C compiler" in message
         assert "path samplers" in message and "update loop" in message
-        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy"}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
         assert got == want
 
     def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
