@@ -31,12 +31,6 @@
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 typedef void (*fill_fn)(void *bitgen, int64_t n, double *out);
 
-/* <x, y> of n doubles exactly as np.vecdot computes it. */
-double msgd_dot(ddot_fn ddot, int64_t n, const double *x, int64_t incx, const double *y, int64_t incy)
-{
-    return 0.0 + ddot(n, x, incx, y, incy);
-}
-
 /*
  * The fused dot: <x, y> of n < 16 unit-stride doubles as one chain of fused
  * multiply-adds from 0.0, in element order -- what OpenBLAS's x86-64 ddot
@@ -74,6 +68,14 @@ static inline __attribute__((always_inline)) double dot(ddot_fn ddot, int fused,
         s = fma(y[j], x[j], s);
     }
     return 0.0 + s;
+}
+
+/* out[i] = <row i of a, row i of b>, n rows of d doubles, as np.vecdot computes it. */
+void msgd_dots(ddot_fn ddot, int64_t n, int64_t d, const double *a, const double *b, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = dot(ddot, 0, d, a + i * d, 1, b + i * d, 1);
+    }
 }
 
 /* Whether this CPU can run the FUSED functions. */
@@ -118,9 +120,11 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
  *     scaled: w_j = w_j - (res * alpha) * x_j       (parallel SGD)
- * After update i of a run, its weights are added into its rows of acc when
- * lo <= i < hi, and copied into its rows of row first + i of iters, when
- * iters is given: rows of m*R*K*d doubles.  acc and iters may be null.
+ * Update i is number u = first + i.  It ends an event when u is a multiple
+ * of every (a replay buffer's B updates, else 1), and then a run's weights
+ * are added into its rows of acc when lo <= u < hi, and copied into its
+ * rows of row u / every of iters, when iters is given: rows of m*R*K*d
+ * doubles.  acc and iters may be null.
  * With fused set and unit-stride samples (xd = 1), every dot is the fused
  * dot (the caller sets fused only for d < 16, where that dot passed its
  * check); otherwise every dot calls ddot.
@@ -146,10 +150,11 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                     const double *y, int64_t ym,
                     const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
                     int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
-                    int64_t *bad, int64_t first)
+                    int64_t *bad, int64_t first, int64_t every)
 {
     const int64_t size = m * R * K * d;
     const int64_t lanes = K == 1 ? LANES : 1;
+    const int64_t lead = (every - first % every) % every;  /* the call's first update to end an event */
     for (int64_t r0 = 0; r0 < R; r0 += lanes) {
         const int64_t runs = R - r0 < lanes ? R - r0 : lanes;
         int live[LANES];
@@ -158,7 +163,10 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
             live[g] = bad[r0 + g] < 0;
             alive |= live[g];
         }
+        int64_t left = lead, event = (first + lead) / every;  /* updates before the next event's end; that event */
         for (int64_t i = 0; i < n && alive; i++) {
+            const int ends = left == 0;
+            left = ends ? every - 1 : left - 1;
             alive = 0;
             for (int64_t g = 0; g < runs; g++) {
                 if (!live[g]) {
@@ -206,8 +214,8 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                     continue;
                 }
                 alive = 1;
-                const int sum = acc != 0 && lo <= i && i < hi;
-                if (sum || iters != 0) {
+                const int sum = ends && acc != 0 && lo <= first + i && first + i < hi;
+                if (sum || (ends && iters != 0)) {
                     for (int64_t b = 0; b < m; b++) {
                         const int64_t at = (b * R + r) * K * d;
                         const double *row = w + at;
@@ -218,7 +226,7 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                             }
                         }
                         if (iters != 0) {
-                            double *to = iters + (first + i) * size + at;
+                            double *to = iters + event * size + at;
                             for (int64_t j = 0; j < K * d; j++) {
                                 to[j] = row[j];
                             }
@@ -226,6 +234,7 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                     }
                 }
             }
+            event += ends;
         }
     }
 }
@@ -239,10 +248,11 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                        const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd, \
                        const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y, int64_t ym, \
                        const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy, \
-                       int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first
+                       int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, \
+                       int64_t every
 #define ADVANCE(ddot_, fused_, m_, xd_, idx_)                                                          \
     advance(ddot_, fused_, w, acc, iters, m_, R, K, d, x, xn, xr, xk, xd_, idx_, in, ir, ik, y, ym, \
-            xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first)
+            xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every)
 
 /*
  * Inlined copies of the loop, so that none tests per update what is fixed
@@ -269,7 +279,7 @@ void msgd_advance(ddot_fn ddot, int32_t fused, ADVANCE_PARAMS)
 {
     if (fused && xd == 1) {
         advance_fused(w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik, y, ym,
-                      xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first);
+                      xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every);
     } else if (idx != 0) {
         ADVANCE(ddot, 0, m, xd, idx);
     } else {

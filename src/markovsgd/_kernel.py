@@ -99,6 +99,12 @@ _PTR = ctypes.c_void_p
 _PHILOX_WORDS, _BITGEN_WORDS = 13, 5
 
 
+def _bind(fn, *argtypes):
+    """A library function of no result, declared with its argument types."""
+    fn.argtypes, fn.restype = argtypes, None
+    return fn
+
+
 class _Unavailable(Exception):
     """The compiled loop cannot be used in this process; the message says why."""
 
@@ -116,58 +122,46 @@ class Kernel:
         self._checked: set[int] = set()
         self._fused: set[int] = set()  # checked dimensions whose dots are the fused dot
         self._fills = None  # numpy's (uniform, normal) fills, once check_streams passes
-        self._dot = lib.msgd_dot
-        self._dot.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64)
-        self._dot.restype = ctypes.c_double
-        self._advance = lib.msgd_advance
-        self._advance.argtypes = (
-            (_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64)
-            + (_PTR, _I64, _I64, _I64, _I64)
-            + (_PTR, _I64, _I64, _I64)
-            + (_PTR, _I64)
-            + (_PTR, _I64, _I64, _I64, ctypes.c_double, _I64)
-            + (_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64)
+        self._dots = _bind(lib.msgd_dots, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
+        self._advance = _bind(
+            lib.msgd_advance,
+            *(_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64),
+            *(_PTR, _I64, _I64, _I64, _I64),
+            *(_PTR, _I64, _I64, _I64),
+            *(_PTR, _I64),
+            *(_PTR, _I64, _I64, _I64, ctypes.c_double, _I64),
+            *(_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64, _I64),
         )
-        self._advance.restype = None
         self._has_fma = bool(lib.msgd_fused())
-        self._fused_dots = lib.msgd_fused_dots
-        self._fused_dots.argtypes = (_I64, _I64, _PTR, _PTR, _PTR)
-        self._fused_dots.restype = None
-        self._fill = lib.msgd_fill
-        self._fill.argtypes = (_PTR, _PTR, _I64, _I64, _PTR, _I64)
-        self._fill.restype = None
-        self._seed = lib.msgd_seed
-        self._seed.argtypes = (_PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR)
-        self._seed.restype = None
-        self._walk = lib.msgd_walk
-        self._walk.argtypes = (_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
-        self._walk.restype = None
-        self._ar = lib.msgd_ar
-        self._ar.argtypes = (_PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
-        self._ar.restype = None
+        self._fused_dots = _bind(lib.msgd_fused_dots, _I64, _I64, _PTR, _PTR, _PTR)
+        self._fill = _bind(lib.msgd_fill, _PTR, _PTR, _I64, _I64, _PTR, _I64)
+        self._seed = _bind(lib.msgd_seed, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR)
+        self._walk = _bind(lib.msgd_walk, _PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
+        self._ar = _bind(lib.msgd_ar, _PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """``<x, y>`` of two contiguous float64 vectors, as the loop computes it."""
-        if x.shape != y.shape or x.ndim != 1 or not (_is_f64(x, contiguous=True) and _is_f64(y, contiguous=True)):
-            raise ValueError("dot takes two contiguous float64 vectors of one length")
-        return self._dot(self._ddot, len(x), x.ctypes.data, 1, y.ctypes.data, 1)
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The loop's ``ddot`` of each pair of rows of two contiguous ``(n, d)`` float64 arrays, in one call."""
+        _check_pairs("dots", a, b)
+        out = np.empty(len(a))
+        self._dots(self._ddot, len(a), a.shape[1], a.ctypes.data, b.ctypes.data, out.ctypes.data)
+        return out
 
     def usable(self, d: int) -> bool:
         """Whether the loop reproduces numpy at dimension d; probes d once.
 
-        The probe compares :meth:`dot` with ``np.vecdot`` bit for bit on
-        fixed vectors of widely spread scales, signed zeros among them.  A
-        mismatch at any dimension retires the kernel for the process.
-        Below 16 elements, where this CPU has FMA instructions, the fused
-        dot (see ``_kernel.c``) is compared too, in one call; where it
-        agrees, the loop takes it at d instead of calling ``ddot``.  :func:`load` calls this under its lock, so each
+        The probe compares :meth:`dots` with ``np.vecdot`` bit for bit, in
+        one call, on fixed vectors of widely spread scales, signed zeros
+        among them.  A mismatch at any dimension retires the kernel for the
+        process.  Below 16 elements, where this CPU has FMA instructions,
+        the fused dot (see ``_kernel.c``) is compared too, in one call;
+        where it agrees, the loop takes it at d instead of calling
+        ``ddot``.  :func:`load` calls this under its lock, so each
         dimension is probed once and a mismatch warns once.
         """
         if d not in self._checked and not self.mismatch:
             a, b = _probe_vectors(d)
             want = np.vecdot(a, b)
-            got = np.array([self.dot(x, y) for x, y in zip(a, b)])
-            if got.tobytes() == want.tobytes():
+            if self.dots(a, b).tobytes() == want.tobytes():
                 self._checked.add(d)
                 if self._has_fma and d < _FUSED_BELOW and self.fused_dots(a, b).tobytes() == want.tobytes():
                     self._fused.add(d)
@@ -186,8 +180,7 @@ class Kernel:
         float64 arrays, d < 16, in one call; only where this CPU has FMA."""
         if not self._has_fma:
             raise RuntimeError("fused_dots: this CPU has no FMA instructions")
-        if a.shape != b.shape or a.ndim != 2 or not (_is_f64(a, contiguous=True) and _is_f64(b, contiguous=True)):
-            raise ValueError("fused_dots takes two contiguous float64 arrays of one (n, d) shape")
+        _check_pairs("fused_dots", a, b)
         if not a.shape[1] < _FUSED_BELOW:
             raise ValueError(f"fused_dots takes rows of fewer than {_FUSED_BELOW} elements")
         out = np.empty(len(a))
@@ -196,7 +189,7 @@ class Kernel:
 
     def advance(
         self, W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
-        table=None, xi=None, sigma: float = 0.0, noisy: int = 0,
+        table=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
     ) -> None:
         """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
@@ -211,9 +204,11 @@ class Kernel:
         K)``, possibly strided, or None -- to the label.  ``bad`` is a
         contiguous int64 ``(R,)``: -1 for a finite run, else the update
         (this call's i-th is number ``first + i``) that left the run
-        non-finite, after which it is not updated.  W is added into ``acc``
-        after updates ``lo <= i < hi``, and stored in row ``first + i`` of
-        ``iters``, a contiguous ``(rows, m, R, K, d)``; either may be None.
+        non-finite, after which it is not updated.  After each update u that
+        ends an event -- a multiple of ``every``, the updates per event -- W
+        is added into ``acc`` if ``lo <= u < hi`` and stored in row ``u //
+        every`` of ``iters``, a contiguous ``(rows, m, R, K, d)``; either
+        may be None.
         :func:`markovsgd.algorithms._descend` is the numpy loop of this
         contract.
         """
@@ -245,8 +240,8 @@ class Kernel:
             raise ValueError("advance: arrays of mismatched shape, dtype or layout")
         if n == 0:
             return
-        if iters is not None and not 0 <= first <= len(iters) - n:
-            raise ValueError(f"advance: updates {first} .. {first + n - 1} have no rows in iters")
+        if first < 0 or every < 1 or (iters is not None and (first + n - 1) // every >= len(iters)):
+            raise ValueError(f"advance: updates {first} .. {first + n - 1}, {every} an event, have no rows")
         if table is None:
             xs = [s // 8 for s in X.strides]
             if d == 1:
@@ -263,7 +258,7 @@ class Kernel:
         sums = (None if a is None else a.ctypes.data for a in (acc, iters))
         self._advance(
             self._ddot, d in self._fused, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo,
-            hi, alpha, bool(scaled), bad.ctypes.data, first,
+            hi, alpha, bool(scaled), bad.ctypes.data, first, every,
         )
 
     def check_streams(self) -> None:
@@ -499,6 +494,11 @@ def _probe_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     a[0], b[0] = -0.0, 1.0
     a[1, ::2], b[1, 1::2] = -0.0, -0.0  # every product a signed zero
     return a, b
+
+
+def _check_pairs(name: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape or a.ndim != 2 or not (_is_f64(a, contiguous=True) and _is_f64(b, contiguous=True)):
+        raise ValueError(f"{name} takes two contiguous float64 arrays of one (n, d) shape")
 
 
 def _is_f64(a: np.ndarray, contiguous: bool = False) -> bool:

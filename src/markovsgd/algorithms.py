@@ -32,7 +32,7 @@ kernel (``_kernel.c``, built on first use and cached; see
 :func:`kernel_info`), which takes each run through a whole segment of
 updates -- runs of one instance four side by side, so the CPU overlaps
 their updates -- sums the tail window and stores the iterates a single
-run keeps.  Below 16 dimensions it writes the BLAS dot out inline where
+run keeps, after each update that ends an event.  Below 16 dimensions it writes the BLAS dot out inline where
 a check at load finds it bit-equal to ``np.vecdot``.  It makes every label itself: ``<x, w*>`` for a
 Gaussian sample, and for a finite chain, whose sample vectors it reads by
 state index from the chain's table of states, the state's entry in a
@@ -55,8 +55,8 @@ every run in one call that releases the GIL, through numpy's own fill
 functions, into one row per run: the variates ``Generator.random`` and
 ``Generator.standard_normal`` give, run by run (see
 :mod:`markovsgd._kernel`).  Replay's pool positions are drawn from the
-algorithm generator, a numpy ``Generator`` per run, as one block of B
-integers per buffer.
+algorithm generator, a numpy ``Generator`` per run, as one ``(buffers, B)``
+block of integers per streamed block.
 """
 
 from __future__ import annotations
@@ -387,8 +387,8 @@ class _Stream:
 class _Checkpoints:
     """Maps requested sample counts onto an engine's update/round/buffer events.
 
-    ``events`` holds the event numbers that carry a checkpoint; the engine tests
-    ``event in ck.events`` before calling :meth:`record`.
+    ``events`` holds the event numbers that carry a checkpoint; the engine
+    stops its update loop after the updates that end them to :meth:`record`.
     """
 
     def __init__(self, steps, to_event, num_events: int, num_runs: int):
@@ -435,16 +435,15 @@ def _divergence(seed, samples: int) -> FloatingPointError:
 
 def _descend(
     W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
-    table=None, xi=None, sigma: float = 0.0, noisy: int = 0,
+    table=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
 ) -> None:
     """The numpy update loop: :meth:`markovsgd._kernel.Kernel.advance`'s
     contract and bits, where the compiled kernel is unavailable.
 
     It takes the same arguments, makes the same labels, sums and stores W
-    after the same updates, and reports into ``bad``.  Unlike the kernel,
-    it checks the weights once, after its last update: a run left
-    non-finite is marked with this call's last update, and runs to the
-    end of the call with the others, as does a run marked before the call.
+    after the same updates and reports the same updates into ``bad``, but
+    checks the weights only after its last update: a broken run runs on with
+    the others, and a second pass from the call's start finds its update.
     """
     m = len(W)
     if table is None:
@@ -455,23 +454,33 @@ def _descend(
         noise = sigma * xi
         Y = np.stack([Y[b] + noise if noisy >> b & 1 else Y[b] for b in range(m)])
     Xs = X if scaled else alpha * X
+    Y = np.ascontiguousarray(np.moveaxis(Y, 1, 0))
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
     P = np.empty_like(W)
     rbuf = np.empty(W.shape[:-1])
     r3 = rbuf[..., None]
-    for i, (x, xs, y) in enumerate(zip(X, Xs, np.ascontiguousarray(np.moveaxis(Y, 1, 0)))):
-        vecdot(W, x, rbuf)
-        subtract(rbuf, y, rbuf)
-        if scaled:
-            multiply(rbuf, alpha, rbuf)
-        multiply(r3, xs, P)
-        subtract(W, P, W)
-        if acc is not None and lo <= i < hi:
+
+    def updates(W):  # yields u after applying update u to W
+        for u, x, xs, y in zip(range(first, first + len(X)), X, Xs, Y):
+            vecdot(W, x, rbuf)
+            subtract(rbuf, y, rbuf)
+            if scaled:
+                multiply(rbuf, alpha, rbuf)
+            multiply(r3, xs, P)
+            subtract(W, P, W)
+            yield u
+
+    start = W.copy()
+    for u in updates(W):
+        if acc is not None and lo <= u < hi and u % every == 0:  # u ends event u // every
             acc += W
-        if iters is not None:
-            iters[first + i] = W
+        if iters is not None and u % every == 0:
+            iters[u // every] = W
     broken = (bad < 0) & ~np.isfinite(W).all(axis=(0, 2, 3))
-    bad[broken] = first + len(X) - 1
+    for u in updates(start) if broken.any() else ():
+        bad[(bad < 0) & ~np.isfinite(start).all(axis=(0, 2, 3))] = u
+        if (bad[broken] >= 0).all():
+            break
 
 
 def _load_kernel(d: int):
@@ -487,7 +496,7 @@ def _load_kernel(d: int):
 
 def _advance(
     W, s, xi, stream: _Stream, alpha: float, *, coupled: bool, first=0, acc=None, window=(0, 0), events=(),
-    iters=None, scaled=False,
+    iters=None, scaled=False, every=1,
 ):
     """Apply a block's updates to ``W`` in place, yielding at events.
 
@@ -495,25 +504,24 @@ def _advance(
     ``first + i + 1``; ``s`` is ``(n, R, K, d)`` vectors, or ``(n, R, K)``
     state indices into the rows of ``stream.table``, and ``xi`` is
     ``(n, R, K)``.  The labels are made from :meth:`_Stream.label_rows`
-    (three branches when ``coupled``).  After update u, W is added into
-    ``acc`` when ``window[0] <= u < window[1]`` and stored in ``iters[u]``
-    when ``iters`` is given.  The generator yields u after each update u in
-    ``events``.  ``scaled`` selects parallel SGD's ``(alpha * r) * x``
-    order over ``r * (alpha * x)``.
+    (three branches when ``coupled``).  Update u ends an event when it is
+    a multiple of ``every``; then W is added into ``acc`` when ``window[0]
+    <= u < window[1]`` and stored in ``iters[u // every]`` when ``iters``
+    is given.  The generator yields u after each update u in ``events``.
+    ``scaled`` selects parallel SGD's ``(alpha * r) * x`` order over ``r *
+    (alpha * x)``.
 
     The block runs as segments that end at its events and at its end, each
     one call of the compiled kernel's ``advance``, or of :func:`_descend`
     where the kernel is unavailable (see :mod:`markovsgd._kernel`).  After
     a segment that left a run non-finite, the generator raises
     :class:`_Diverged` for the first such run, in seed order, and the
-    update the loop reported: the kernel names the update that broke the
-    run, the numpy loop the segment's last one.
+    update that broke it.
     """
     kern = _load_kernel(W.shape[-1])
     advance = _descend if kern is None else kern.advance
     labels, noisy = stream.label_rows(coupled)
     sigma = stream.sigma or 0.0
-    lo, hi = window
     bad = np.full(W.shape[1], -1, dtype=np.int64)  # per run: the update that made it non-finite
     end = first + len(s)
     a = first
@@ -521,8 +529,8 @@ def _advance(
         # segment update i is update a + i + 1
         seg = slice(a - first, b - first)
         advance(
-            W, s[seg], labels, alpha, scaled, acc, lo - a - 1, hi - a - 1, bad, a + 1, iters, stream.table,
-            None if xi is None else xi[seg], sigma, noisy,
+            W, s[seg], labels, alpha, scaled, acc, *window, bad, a + 1, iters, stream.table,
+            None if xi is None else xi[seg], sigma, noisy, every,
         )
         if bad.max() >= 0:
             r = int(np.argmax(bad >= 0))
@@ -630,30 +638,24 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
     n_buf = T // S
     count = math.ceil(config.tail_buffer_fraction * n_buf)
     algo_rngs = [_run_generators(s, (2,))[0] for s in seeds]
-    rr = np.arange(len(seeds))
+    rr = np.arange(len(seeds))[:, None]
 
     def draw(stream, j, nb, reads):
         n = nb * S
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
-        Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2))
-        Xrun = Xrun.reshape(len(rr) * n, -1)
-        # step s of run r in buffer b replays sample picks[r, s] of that
+        Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2)).reshape(len(rr) * n, -1)
+        xi = stream.noise(nb * B)  # one variate per retained sample
+        # step s of run r in buffer b replays sample picks[r, b, s] of that
         # buffer's retained pool
-        rows, xis, read = [], [], []
-        for b in range(nb):
-            xi = stream.noise(B)  # one variate per retained sample
-            picks = np.stack([rng.integers(0, B, size=B) for rng in algo_rngs])
-            at = b * S + u + picks
-            rows.append(rr[:, None] * n + at)
-            if xi is not None:
-                xis.append(xi.T.take(rr[:, None] * B + picks))
-            if reads:
-                read.append(j * S + 1 + at[0])
+        picks = np.stack([rng.integers(0, B, size=(nb, B)) for rng in algo_rngs])
+        buf = np.arange(nb)[:, None]
+        at = (buf * S + u + picks).reshape(len(rr), -1)
         # gathered per run, (R, updates, ...), as the update loop takes one
         # run at a time; handed back in update order as transposed views
-        X = Xrun.take(np.concatenate(rows, axis=1), axis=0).transpose(1, 0, 2)
-        xi = np.concatenate(xis, axis=1).T if xis else None
-        return X, xi, np.concatenate(read) if reads else None
+        X = Xrun.take(rr * n + at, axis=0).transpose(1, 0, 2)
+        if xi is not None:
+            xi = xi.T.take(rr * (nb * B) + (buf * B + picks).reshape(len(rr), -1)).T
+        return X, xi, j * S + 1 + at[0] if reads else None
 
     return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
 
@@ -706,6 +708,7 @@ def _engine(
     ck.record(0, problem, point(W[0]))
 
     block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
+    stops = {e * B for e in ck.events}  # event e ends with update e * B
     reads = []
     j = 0
     try:
@@ -717,24 +720,12 @@ def _engine(
                 xi = None if xi is None else xi[..., None]
             if record_reads:
                 reads.append(read)
-            if B == 1:  # event e is update e: the update loop sums and stores the rows
-                steps = _advance(
-                    W, s, xi, stream, plan.step, coupled=coupled, first=j, acc=acc, window=(lo, hi),
-                    events=ck.events, iters=iters, scaled=plan.parallel,
-                )
-            else:
-                steps = _advance(
-                    W, s, xi, stream, plan.step, coupled=coupled, first=j * B,
-                    events=range((j + 1) * B, (j + n) * B + 1, B),
-                )
-            for upd in steps:
-                e = -(-upd // B)  # the event that ran update upd
-                if B > 1:
-                    if lo <= e < hi:
-                        acc += W
-                    if iters is not None:
-                        iters[e] = W
-                ck.record(e, problem, point(W[0]))
+            # the update loop sums and stores the rows of the events it ends
+            for upd in _advance(
+                W, s, xi, stream, plan.step, coupled=coupled, first=j * B, acc=acc, window=(lo * B, hi * B),
+                events=stops, iters=iters, scaled=plan.parallel, every=B,
+            ):
+                ck.record(upd // B, problem, point(W[0]))
             j += n
     except _Diverged as exc:
         raise _divergence(seeds[exc.run], -(-exc.update // B) * per_event) from None

@@ -350,17 +350,16 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-def _execute_chunk(config_doc: dict, algo_doc: dict, seeds: list, checkpoints: list):
-    """Run one seed chunk of one algorithm series; picklable for worker pools.
+def _execute_chunk(config: ExperimentConfig, algo, seeds: list, checkpoints: list):
+    """Run one seed chunk of one algorithm series, ``algo`` as
+    :func:`build_algorithm` built it; its arguments pickle for worker pools.
 
     Returns the per-run estimate excess, the (checkpoints, runs) excess, the
     per-run discarded sample count and the chunk's own wall seconds.
     """
     t0 = time.perf_counter()
-    config = ExperimentConfig.from_json(config_doc)
     problem = config.problem
     w_init = resolve_w_init(config.w_init, problem, seeds)
-    algo = build_algorithm(algo_doc)
     if isinstance(algo, tuple):  # lower-bound trace: excess = gamma^2 / d
         _, eta = algo
         _, gammas, _ = run_lower_bound_traces(problem, config.T, eta, seeds, w_init=w_init)
@@ -487,10 +486,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     digest = config_hash(config)
     kernel_info()  # builds or loads the update kernel here, so forked workers inherit it
     provenance = None
-    doc = config.to_json()
     chunks = _seed_chunks(config)
     jobs = [
-        (doc, algo_doc, seeds, checkpoints) for algo_doc in config.algorithms for seeds in chunks
+        (config, build_algorithm(algo_doc), seeds, checkpoints) for algo_doc in config.algorithms for seeds in chunks
     ]
     summaries = []
     svg_series = []

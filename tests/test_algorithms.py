@@ -3,6 +3,7 @@
 import math
 import re
 import threading
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -362,6 +363,55 @@ class TestReplay:
         run = run_sgd_er(problem, 32, cfg, 3, record_reads=True)
         assert len(run.sample_reads) == 32
         assert len(np.unique(run.sample_reads)) < 32
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    @pytest.mark.parametrize("B", [1, 3, 7])
+    @pytest.mark.parametrize("u", [0, 2])
+    def test_outputs_do_not_depend_on_how_buffers_fall_into_blocks(self, B, u, loop, monkeypatch):
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        problem = gaussian_problem(sigma=0.1)
+        cfg = ReplayConfig(buffer_size=B, drop_prefix=u, step_size=0.2)
+        S = B + u
+        T = 20 * S + 1
+        starts = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
+        # by default the whole run is one block, so all but the last checkpoint fall inside it
+        cks = [0, 1, 2 * S + 1, 7 * S, T]
+
+        def outputs():
+            run = run_sgd_er(problem, T, cfg, 5, w_init=starts[0], coupled=True, record_reads=True)
+            batch = run_many(problem, T, cfg, [5, 6, 7], w_init=starts, checkpoints=cks, workers=1)
+            return [
+                a.tobytes()
+                for a in (
+                    run.estimate, run.iterates, run.coupled.iterates_bias, run.coupled.iterates_var,
+                    run.sample_reads, batch.estimates, batch.final_iterates, batch.checkpoint_excess,
+                )
+            ]
+
+        want = outputs()
+        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 1)  # one buffer per block
+        assert outputs() == want
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    def test_one_update_loop_call_per_block_and_per_checkpoint_inside_it(self, loop, monkeypatch):
+        kern = algorithms._load_kernel(4)
+        if loop == "compiled" and kern is None:
+            pytest.skip("the compiled update loop is unavailable here")
+        advance = kern.advance if loop == "compiled" else algorithms._descend
+        calls = []
+
+        def counted(W, X, *args):
+            calls.append(len(X))
+            return advance(W, X, *args)
+
+        monkeypatch.setattr(algorithms, "_load_kernel", lambda d: types.SimpleNamespace(advance=counted))
+        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 20 * 4)  # 20 samples of d = 4: five buffers a block
+        cfg = ReplayConfig(buffer_size=3, drop_prefix=1, step_size=0.2)
+        run_many(gaussian_problem(), 48, cfg, [5], checkpoints=[0, 9, 22, 30, 48])
+        # blocks of buffers 1-5, 6-10 and 11-12; checkpoints end buffers 0, 2,
+        # 5, 7 and 12, and buffers 2 and 7 end inside a block
+        assert calls == [6, 9, 6, 9, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -320,12 +321,17 @@ class TestBuildProblem:
         doc = sgd_doc()
         config = ExperimentConfig.from_json(doc)
         assert built == [config.problem]
-        got = experiments._execute_chunk(doc, doc["algorithms"][0], [7, 8], [50, 100, 200])
-        assert len(built) == 2  # the chunk loads the config once, and builds nothing more
+        algo = build_algorithm(doc["algorithms"][0])
+        got = experiments._execute_chunk(config, algo, [7, 8], [50, 100, 200])
+        # a pool's worker gets the config with its problem, pickled
+        sent = pickle.loads(pickle.dumps((config, algo)))
+        assert sent == (config, algo) and sent[0].problem.dim == config.problem.dim
+        again = experiments._execute_chunk(*sent, [7, 8], [50, 100, 200])
+        assert len(built) == 1  # the chunks build nothing
         monkeypatch.undo()
-        want = experiments._execute_chunk(doc, doc["algorithms"][0], [7, 8], [50, 100, 200])
-        for a, b in zip(got[:3], want[:3]):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        want = experiments._execute_chunk(ExperimentConfig.from_json(doc), algo, [7, 8], [50, 100, 200])
+        for a, b, c in zip(got[:3], again[:3], want[:3]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes() == np.asarray(c).tobytes()
 
     def test_agnostic(self):
         doc = sgd_doc(

@@ -192,7 +192,8 @@ class TestAdvanceContract:
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("K,scaled", [(1, False), (3, True)], ids=["sgd", "parallel"])
     @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
-    def test_compiled_equals_numpy_loop(self, mode, m, d, K, scaled, noise):
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_compiled_equals_numpy_loop(self, mode, m, d, K, scaled, noise, every):
         rng = np.random.default_rng(5)
         S, R, nr, sigma = 6, 4, 10, 0.3
         noisy = 0b101 if m == 3 else 0b1  # the coupled bias branch gets no noise
@@ -214,9 +215,9 @@ class TestAdvanceContract:
         outs = []
         for advance in (_kernel.load(d).advance, algorithms._descend):
             W, acc = W0.copy(), np.zeros_like(W0)
-            iters = np.empty((nr + 1, *W0.shape))
+            iters = np.zeros((nr + 1, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
-            advance(W, X, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, table, xi, sigma, noisy)
+            advance(W, X, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, table, xi, sigma, noisy, every)
             outs.append((W, acc, iters[1:], bad))
         for compiled, numpy in zip(*outs):
             assert compiled.tobytes() == numpy.tobytes()
@@ -735,6 +736,12 @@ class TestDivergenceLatency:
                 run_many(problem, 100_000, cfg, [1])
         samples = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
         assert 0 < samples < 1000
+        # the numpy loop names the same update
+        with warnings.catch_warnings(), _numpy_loop():
+            warnings.simplefilter("ignore", RuntimeWarning)  # its overflows
+            with pytest.raises(FloatingPointError) as numpy_err:
+                run_many(problem, 100_000, cfg, [1])
+        assert str(numpy_err.value) == str(err.value)
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     def test_a_run_that_breaks_leaves_the_others_bits(self, scaled):
@@ -753,8 +760,7 @@ class TestDivergenceLatency:
                 advance(W, X, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, None, xi, 0.1, 0b101)
             outs.append((W, acc, iters, bad))
         (W, acc, iters, bad), (Wn, accn, itersn, badn) = outs
-        assert bad.tolist() == [-1, -1, 17, -1]
-        assert badn.tolist() == [-1, -1, n - 1, -1]  # the numpy loop checks after its last update
+        assert bad.tolist() == badn.tolist() == [-1, -1, 17, -1]  # both loops name the update that broke
         keep = [0, 1, 3]
         assert W[:, keep].tobytes() == Wn[:, keep].tobytes()
         assert acc[:, keep].tobytes() == accn[:, keep].tobytes()
@@ -777,14 +783,11 @@ class TestDivergenceLatency:
                 with loop():
                     assert np.isfinite(run_many(problem, n - 1, cfg, [1]).final_iterates).all()
                     assert np.isfinite(run_sgd(problem, n - 1, cfg, 1).iterates).all()
-                    with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                        run_many(problem, n, cfg, [1])
-                    with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                        run_sgd(problem, n, cfg, 1)  # a single run, which keeps its iterates
-            # past n, only the compiled loop names update n: the numpy loop
-            # checks its weights at the end of each segment
-            with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
-                run_many(problem, n + 1, cfg, [1])
+                    for T in (n, n + 1):  # past n too: the numpy loop steps again to find n
+                        with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                            run_many(problem, T, cfg, [1])
+                        with pytest.raises(FloatingPointError, match=f"after {n} stream samples"):
+                            run_sgd(problem, T, cfg, 1)  # a single run, which keeps its iterates
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +960,7 @@ class TestLoader:
         problem, cfg = _problem(), DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2)
         want = run_many(problem, 400, cfg, [5, 6])
         _kernel._library.cache_clear()
-        monkeypatch.setattr(_kernel.Kernel, "dot", lambda self, x, y: float(np.vecdot(x, y)) + 1.0)
+        monkeypatch.setattr(_kernel.Kernel, "dots", lambda self, a, b: np.vecdot(a, b) + 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = run_many(problem, 400, cfg, [5, 6])
@@ -969,19 +972,19 @@ class TestLoader:
 
     @pytest.mark.parametrize("mismatch", [False, True], ids=["agrees", "disagrees"])
     def test_threads_build_once_and_probe_once(self, fresh_cache, monkeypatch, mismatch):
-        builds, dots = [], []
-        build, dot = _kernel._build, _kernel.Kernel.dot
+        builds, probes = [], []
+        build, dots = _kernel._build, _kernel.Kernel.dots
 
         def counted_build(*args):
             builds.append(args)
             build(*args)
 
-        def counted_dot(self, x, y):
-            dots.append(1)
-            return dot(self, x, y) + (1.0 if mismatch else 0.0)
+        def counted_dots(self, a, b):
+            probes.append(a.shape)
+            return dots(self, a, b) + (1.0 if mismatch else 0.0)
 
         monkeypatch.setattr(_kernel, "_build", counted_build)
-        monkeypatch.setattr(_kernel.Kernel, "dot", counted_dot)
+        monkeypatch.setattr(_kernel.Kernel, "dots", counted_dots)
         n = 6
         barrier = threading.Barrier(n)
         loaded = []
@@ -1005,7 +1008,7 @@ class TestLoader:
         assert not any(t.is_alive() for t in threads)
         assert len(loaded) == n
         assert len(builds) == 1
-        assert len(dots) == 64  # one probe of dimension 3
+        assert probes == [(64, 3)]  # one probe of dimension 3, in one call
         assert len(caught) == (1 if mismatch else 0)
         if mismatch:
             assert loaded == [None] * n
