@@ -46,19 +46,21 @@ to numpy (and scipy) only when it does not.
 The engine's streams are seeded in C (``msgd_seed``): one call that
 releases the GIL hashes every run's entropy as numpy's ``SeedSequence``
 does and writes each child's Philox4x64-10 state, with numpy's buffering,
-and a ``bitgen_t`` for it into one buffer (:meth:`Kernel.streams`).  No
-``Generator`` is built and no lock is taken per run.  The fill
-(``msgd_fill``) then draws every run's row of uniforms or normals from
-those streams in one call that releases the GIL.  It calls numpy's own
-``random_standard_uniform_fill`` and ``random_standard_normal_fill``, the
-functions ``Generator.random(out=)`` and ``Generator.standard_normal(out=)``
-call, on each run's ``bitgen_t``.  When the library loads, these functions
-are looked up and draws from the streams are checked once, under the same
-lock, against the generators :func:`markovsgd.chains._run_generators`
-builds, for fixed integer and ``SeedSequence`` seeds; if the functions are
-missing or the draws differ, the engine seeds numpy generators and draws
-run by run through their methods (same numbers), and one
-``RuntimeWarning`` says so.
+into one buffer (:meth:`Kernel.streams`).  No ``Generator`` is built and
+no lock is taken per run.  The draw (``msgd_draw``) then fills every run's
+row of uniforms or normals from those streams in one call that releases
+the GIL.  The draws are the library's own: numpy's algorithms behind
+``Generator.random(out=)`` (the top 53 bits of a word over 2**53) and
+``Generator.standard_normal(out=)`` (its 256-layer ziggurat, with numpy's
+tables compiled in) written out in C, stepping each stream exactly as
+numpy's Philox does.  So the numbers are meant to be numpy's, and they are
+checked: when the library loads, draws from the streams are compared once,
+under the same lock, with the generators
+:func:`markovsgd.chains._run_generators` builds, for fixed integer and
+``SeedSequence`` seeds.  If any byte differs -- a numpy release that draws
+otherwise -- the engine seeds numpy generators and draws run by run through
+their methods, so a run's numbers stay those of numpy's ``Generator`` on
+this numpy, and one ``RuntimeWarning`` says so.
 """
 
 from __future__ import annotations
@@ -87,16 +89,14 @@ _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LIBS = ("-lm",)
 # ILP64 CBLAS ddot in numpy's OpenBLAS builds: (n, x, incx, y, incy), 64-bit ints
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
-# numpy.random's fills behind Generator.random(out=) and standard_normal(out=)
-_FILL_SYMBOLS = ("random_standard_uniform_fill", "random_standard_normal_fill")
 # OpenBLAS's ddot runs one fused multiply-add chain below this many elements
 _FUSED_BELOW = 16
 # a cached library or compiler memo untouched this long is removed after a build
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
-# 64-bit words of one philox_t and one bitgen_t of _kernel.c
-_PHILOX_WORDS, _BITGEN_WORDS = 13, 5
+# 64-bit words of one philox_t of _kernel.c
+_PHILOX_WORDS = 13
 
 
 def _bind(fn, *argtypes):
@@ -121,7 +121,7 @@ class Kernel:
         self.mismatch = False
         self._checked: set[int] = set()
         self._fused: set[int] = set()  # checked dimensions whose dots are the fused dot
-        self._fills = None  # numpy's (uniform, normal) fills, once check_streams passes
+        self.own_streams = False  # whether the seeded streams draw; set by check_streams
         self._dots = _bind(lib.msgd_dots, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
         self._advance = _bind(
             lib.msgd_advance,
@@ -134,8 +134,8 @@ class Kernel:
         )
         self._has_fma = bool(lib.msgd_fused())
         self._fused_dots = _bind(lib.msgd_fused_dots, _I64, _I64, _PTR, _PTR, _PTR)
-        self._fill = _bind(lib.msgd_fill, _PTR, _PTR, _I64, _I64, _PTR, _I64)
-        self._seed = _bind(lib.msgd_seed, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR)
+        self._draw = _bind(lib.msgd_draw, ctypes.c_int32, _PTR, _I64, _I64, _PTR, _I64)
+        self._seed = _bind(lib.msgd_seed, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR)
         self._walk = _bind(lib.msgd_walk, _PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
         self._ar = _bind(lib.msgd_ar, _PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
 
@@ -262,8 +262,7 @@ class Kernel:
         )
 
     def check_streams(self) -> None:
-        """Look up numpy's fill functions and check the seeded streams once;
-        warn if unusable.
+        """Check the seeded streams and their draws once; warn if unusable.
 
         The check draws from fixed integer and ``SeedSequence`` seeds --
         large and spawned ones, pool sizes 4 and 8 -- through
@@ -272,12 +271,12 @@ class Kernel:
         and normal fills, and needs every byte equal.  :func:`library`
         calls this under its lock, when the library loads.
         """
+        self.own_streams = True
         try:
-            self._fills = _find_fills()
             if not self._streams_agree():
-                raise _Unavailable("they disagree with numpy's SeedSequence and Philox")
+                raise _Unavailable("they disagree with numpy's Generator on Philox")
         except _Unavailable as exc:
-            self._fills = None
+            self.own_streams = False
             warnings.warn(
                 f"markovsgd: seeded streams unusable ({exc}); the engine seeds numpy "
                 "generators run by run",
@@ -314,22 +313,20 @@ class Kernel:
         c), pool_size=pool)))``.  The streams are this call's own, so the
         fills take no lock: each belongs to one engine.
         """
-        if self._fills is None:
+        if not self.own_streams:
             return None
         entropy, ends = _entropy(parts)
         pools = np.array([p[2] for p in parts], dtype=np.int64)
         kids = np.array(children, dtype=np.int64)
         R, C = len(parts), len(kids)
         states = np.empty((C, R, _PHILOX_WORDS), dtype=np.uint64)
-        gens = np.empty((C, R, _BITGEN_WORDS), dtype=np.uint64)
-        ptrs = np.empty((C, R), dtype=np.uintp)
         if R:
             scratch = np.empty(int(pools.max()), dtype=np.uint32)
             self._seed(
                 entropy.ctypes.data, ends.ctypes.data, pools.ctypes.data, R, kids.ctypes.data, C,
-                scratch.ctypes.data, states.ctypes.data, gens.ctypes.data, ptrs.ctypes.data,
+                scratch.ctypes.data, states.ctypes.data,
             )
-        return [Fill(self, ptrs[c], (states[c], gens[c])) for c in range(C)]
+        return [Fill(self, states[c]) for c in range(C)]
 
     def walk(self, lead, U, state, out) -> None:
         """Walk ``U.shape[0]`` runs of a finite chain (see ``msgd_walk``).
@@ -406,16 +403,16 @@ class Fill:
     ``fill(out, normal)`` fills row r of ``out`` -- a float64 ``(R, ...)``
     whose rows are each contiguous -- with what ``standard_normal(out=out[r])``
     (or, without ``normal``, ``random(out=out[r])``) of a ``Generator`` on
-    stream r would, in one call that releases the GIL, and returns ``out``.
-    ``gens`` holds the streams' ``bitgen_t`` addresses, ``keep`` their buffers.
+    stream r would, in one call of the library's own draw (``msgd_draw``)
+    that releases the GIL, and returns ``out``.  ``states`` is the streams'
+    contiguous ``(R, 13)`` uint64 ``philox_t`` block, which each fill steps
+    on in place.
     """
 
-    def __init__(self, kern: Kernel, gens: np.ndarray, keep):
-        self.num_runs = len(gens)
-        self._gens = gens
-        self._keep = keep
-        self._call = kern._fill
-        self._fills = kern._fills
+    def __init__(self, kern: Kernel, states: np.ndarray):
+        self.num_runs = len(states)
+        self.states = states
+        self._call = kern._draw
 
     def fill(self, out: np.ndarray, normal: bool) -> np.ndarray:
         R = self.num_runs
@@ -427,7 +424,7 @@ class Fill:
         # contiguous rows that do not overlap
         if not (row.flags.c_contiguous and (R == 1 or out.strides[0] >= row.nbytes)):
             raise ValueError("fill: arrays of mismatched shape, dtype or layout")
-        self._call(self._fills[normal], self._gens.ctypes.data, R, row.size, out.ctypes.data, out.strides[0] // 8)
+        self._call(bool(normal), self.states.ctypes.data, R, row.size, out.ctypes.data, out.strides[0] // 8)
         return out
 
 
@@ -554,7 +551,7 @@ def info() -> dict:
         "path": "numpy" if kern.mismatch else "c",
         "cache": kern.path,
         "blas": kern.blas_name,
-        "streams": "numpy" if kern._fills is None else "c",
+        "streams": "c" if kern.own_streams else "numpy",
         "fused_dims": [] if kern.mismatch else sorted(kern._fused),
     }
 
@@ -669,17 +666,6 @@ def _find_ddot():
                 continue
             return blas, ctypes.cast(fn, ctypes.c_void_p).value, f"{lib_path}:{name}"
     raise _Unavailable("no ILP64 cblas ddot in numpy's bundled OpenBLAS")
-
-
-def _find_fills() -> tuple[int, int]:
-    """The addresses of numpy's uniform and normal fill functions."""
-    from numpy.random import _generator
-
-    try:
-        lib = ctypes.CDLL(_generator.__file__)  # loaded already: this only finds it
-        return tuple(ctypes.cast(getattr(lib, name), _PTR).value for name in _FILL_SYMBOLS)
-    except (OSError, AttributeError) as exc:
-        raise _Unavailable(f"numpy.random lacks {' or '.join(_FILL_SYMBOLS)}: {exc}") from exc
 
 
 def _cache_dir() -> str:

@@ -51,12 +51,13 @@ call, as numpy's ``SeedSequence`` and ``Philox`` would.  Noise
 variates are drawn only for samples that can enter updates (all samples for
 SGD and Parallel SGD; kept indices for data drop; retained pool samples for
 replay), in stream order.  Each block's uniforms and normals are drawn for
-every run in one call that releases the GIL, through numpy's own fill
-functions, into one row per run: the variates ``Generator.random`` and
-``Generator.standard_normal`` give, run by run (see
-:mod:`markovsgd._kernel`).  Replay's pool positions are drawn from the
-algorithm generator, a numpy ``Generator`` per run, as one ``(buffers, B)``
-block of integers per streamed block.
+every run in one call that releases the GIL, by the library's own
+compiled copies of numpy's uniform and ziggurat normal algorithms, into
+one row per run: the variates ``Generator.random`` and
+``Generator.standard_normal`` give, run by run, as a check at load
+confirms (see :mod:`markovsgd._kernel`).  Replay's pool positions are
+drawn from the algorithm generator, a numpy ``Generator`` per run, as one
+``(buffers, B)`` block of integers per streamed block.
 """
 
 from __future__ import annotations
@@ -471,16 +472,18 @@ def _descend(
             yield u
 
     start = W.copy()
-    for u in updates(W):
-        if acc is not None and lo <= u < hi and u % every == 0:  # u ends event u // every
-            acc += W
-        if iters is not None and u % every == 0:
-            iters[u // every] = W
-    broken = (bad < 0) & ~np.isfinite(W).all(axis=(0, 2, 3))
-    for u in updates(start) if broken.any() else ():
-        bad[(bad < 0) & ~np.isfinite(start).all(axis=(0, 2, 3))] = u
-        if (bad[broken] >= 0).all():
-            break
+    # a broken run overflows silently, as on the compiled loop: bad reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in updates(W):
+            if acc is not None and lo <= u < hi and u % every == 0:  # u ends event u // every
+                acc += W
+            if iters is not None and u % every == 0:
+                iters[u // every] = W
+        broken = (bad < 0) & ~np.isfinite(W).all(axis=(0, 2, 3))
+        for u in updates(start) if broken.any() else ():
+            bad[(bad < 0) & ~np.isfinite(start).all(axis=(0, 2, 3))] = u
+            if (bad[broken] >= 0).all():
+                break
 
 
 def _load_kernel(d: int):

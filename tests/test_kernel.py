@@ -1,12 +1,12 @@
 """The compiled loops: bit-identity with the numpy loops, divergence, loading."""
 
 import contextlib
-import ctypes
 import hashlib
 import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,14 +49,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(markovsgd.__file__)))
 requires_kernel = pytest.mark.skipif(
     kernel_info()["path"] != "c", reason="the compiled update loop is unavailable here"
 )
-
-
-def _has_fills() -> bool:
-    """Whether the library loaded and numpy exports the fills it draws through."""
-    try:
-        return kernel_info()["cache"] is not None and bool(_kernel._find_fills())
-    except _kernel._Unavailable:
-        return False
+requires_library = pytest.mark.skipif(kernel_info()["cache"] is None, reason="the kernel library is unavailable here")
 
 
 @contextlib.contextmanager
@@ -462,7 +455,7 @@ _SEED_SEQUENCES = [
 ]
 
 
-@pytest.mark.skipif(not _has_fills(), reason="the compiled fill is unavailable here")
+@requires_library
 class TestSeededStreams:
     @pytest.mark.parametrize("seeds", [_INT_SEEDS, _SEED_SEQUENCES, _INT_SEEDS[:2] + _SEED_SEQUENCES[:2]],
                              ids=["ints", "seed-sequences", "mixed"])
@@ -473,7 +466,7 @@ class TestSeededStreams:
         gens = [chains._run_generators(s, children) for s in seeds]
         for c, draws in enumerate(streams):
             # numpy's Philox state: the key from SeedSequence, counter 0, buffer spent
-            states = draws._keep[0]
+            states = draws.states
             for r, g in enumerate(gens):
                 want = g[c].bit_generator.state
                 assert states[r, 4:6].tolist() == want["state"]["key"].tolist()
@@ -525,17 +518,41 @@ class TestSeededStreams:
             with pytest.raises(ValueError, match="layout"):
                 draws.fill(out, False)
 
-    def test_raw_and_32_bit_draws_follow_numpy(self):
-        # the bitgen_t's other two functions: next_raw is next_uint64, and
-        # next_uint32 hands out a word's low half, then its high half
-        (draws,) = chains._run_streams([2**40 + 1], (2,))
-        state, next_uint64, next_uint32, _, next_raw = draws._keep[1][0].tolist()
-        call = {f: ctypes.CFUNCTYPE(t, ctypes.c_void_p)(f) for f, t in
-                ((next_uint64, ctypes.c_uint64), (next_uint32, ctypes.c_uint32), (next_raw, ctypes.c_uint64))}
-        got = [call[next_raw](state), call[next_uint32](state), call[next_uint32](state)]
-        got += [call[next_uint64](state) for _ in range(6)]
-        raw = chains._run_generators(2**40 + 1, (2,))[0].bit_generator.random_raw(8).tolist()
-        assert got == [raw[0], raw[1] & 0xFFFFFFFF, raw[1] >> 32] + raw[2:]
+    def test_streams_stop_where_the_generators_do(self):
+        # after mixed fills, each run's philox_t is numpy's Philox state
+        seeds = [7, 2**64 + 1, _SEED_SEQUENCES[1]]
+        (draws,) = chains._run_streams(seeds, (1,))
+        rngs = [chains._run_generators(s, (1,))[0] for s in seeds]
+        for n in (0, 1, 3, 5, 4097, 3, 1, 5):
+            for normal in (n % 2 == 1, n % 2 == 0):
+                got = draws.fill(np.empty((len(seeds), n)), normal)
+                assert got.tobytes() == _method_draws(rngs, n, normal).tobytes()
+                for state, rng in zip(draws.states.tolist(), rngs):
+                    want = rng.bit_generator.state
+                    assert state[:4] == want["state"]["counter"].tolist()
+                    assert state[4:6] == want["state"]["key"].tolist()
+                    assert state[6:10] == want["buffer"].tolist()
+                    assert state[10:12] == [want["buffer_pos"], want["has_uint32"]]
+                    assert state[11] == 0
+        # and both go on alike
+        for normal in (True, False):
+            got = draws.fill(np.empty((len(seeds), 2)), normal)
+            assert got.tobytes() == _method_draws(rngs, 2, normal).tobytes()
+
+    def test_the_ziggurats_rare_paths_equal_the_generator(self):
+        n = 2**20
+        (draws,) = chains._run_streams([2024], (0,))
+        got = draws.fill(np.empty((1, n)), True)
+        assert got.tobytes() == chains._run_generators(2024, (0,))[0].standard_normal(n).tobytes()
+        # the sample took the tail past r = 3.654...: only the tail returns |x| > r
+        tails = np.count_nonzero(np.abs(got) > 3.6541528853610088)
+        assert tails > 0
+        # and the wedge, which reads a word more than the draw's first.  A
+        # tail attempt reads two, and a tail takes about 1.08 attempts, so
+        # the tails alone would explain about 2.2 extra words each
+        counter, pos = int(draws.states[0, 0]), int(draws.states[0, 10])
+        extra = 4 * counter - (4 - pos) - n
+        assert extra > 10 * tails
 
     def test_bad_seeds_raise_the_errors_of_the_generators(self):
         problem = make_problem(make_mc3(2.0, 0.05), IndependentGaussian(0.1), w_star=np.array([0.5, -0.5]))
@@ -544,8 +561,7 @@ class TestSeededStreams:
         with pytest.raises(TypeError, match="not a Generator"):
             run_many(problem, 50, SgdConfig(0.3), [3, np.random.default_rng(0)])
 
-    @pytest.mark.parametrize("why", ["missing", "disagrees"])
-    def test_failed_check_seeds_generators_with_one_warning(self, reset_loader, monkeypatch, why):
+    def test_failed_check_seeds_generators_with_one_warning(self, reset_loader, monkeypatch):
         finite = make_mc0(4, 0.2)
         noisy = make_problem(finite, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 4))
         ar = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3) / 3)
@@ -562,10 +578,7 @@ class TestSeededStreams:
             ]
 
         want = outputs()
-        if why == "missing":
-            monkeypatch.setattr(_kernel, "_FILL_SYMBOLS", ("no_uniform_fill", "no_normal_fill"))
-        else:
-            monkeypatch.setattr(_kernel.Kernel, "_streams_agree", lambda self: False)
+        monkeypatch.setattr(_kernel.Kernel, "_streams_agree", lambda self: False)
         _kernel._library.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -575,7 +588,7 @@ class TestSeededStreams:
         assert [w.category for w in caught] == [RuntimeWarning]
         message = str(caught[0].message)
         assert "seeded streams unusable" in message
-        assert ("lacks" if why == "missing" else "disagree") in message
+        assert "disagree" in message
         assert info["streams"] == "numpy" and info["path"] == "c"
         assert got == want
 
@@ -610,6 +623,32 @@ class TestSeededStreams:
             batch = run_many(problem, 200, cfg, seeds, workers=workers)
             solo = np.array([runner(problem, 200, cfg, s, keep_iterates=False).estimate for s in seeds])
             assert batch.estimates.tobytes() == solo.tobytes()
+
+
+# numpy's ziggurat tables: local symbols of one object of libnpyrandom.a, at
+# these offsets into its .rodata (numpy 2.4.6)
+_ZIGGURAT_OBJECT = "src_distributions_distributions.c.o"
+_ZIGGURAT_TABLES = {"fi_double": (0x3000, "<f8"), "wi_double": (0x3800, "<f8"), "ki_double": (0x4000, "<u8")}
+
+
+def test_the_ziggurat_tables_are_numpys(tmp_path):
+    archive = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    ar, objcopy = shutil.which("ar"), shutil.which("objcopy")
+    if not os.path.exists(archive) or ar is None or objcopy is None:
+        pytest.skip("numpy's libnpyrandom.a, ar or objcopy is absent")
+    subprocess.run([ar, "x", archive, _ZIGGURAT_OBJECT], cwd=tmp_path, check=True)
+    rodata = tmp_path / "rodata.bin"
+    subprocess.run(
+        [objcopy, "-O", "binary", "--only-section=.rodata", _ZIGGURAT_OBJECT, rodata], cwd=tmp_path, check=True
+    )
+    numpys = rodata.read_bytes()
+    with open(_kernel._SOURCE) as fh:
+        source = fh.read()
+    for name, (offset, dtype) in _ZIGGURAT_TABLES.items():
+        body = re.search(rf"\b{name}\[256\] = \{{(.*?)\}};", source, re.S).group(1)
+        words = re.findall(r"UINT64_C\((0x[0-9A-F]+)\)", body)
+        values = [int(w, 16) for w in words] if words else [float.fromhex(v) for v in re.findall(r"0x[^,\s]+", body)]
+        assert np.array(values, dtype=dtype).tobytes() == numpys[offset : offset + 256 * 8], name
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +777,7 @@ class TestDivergenceLatency:
         assert 0 < samples < 1000
         # the numpy loop names the same update
         with warnings.catch_warnings(), _numpy_loop():
-            warnings.simplefilter("ignore", RuntimeWarning)  # its overflows
+            warnings.simplefilter("error")
             with pytest.raises(FloatingPointError) as numpy_err:
                 run_many(problem, 100_000, cfg, [1])
         assert str(numpy_err.value) == str(err.value)
@@ -778,7 +817,7 @@ class TestDivergenceLatency:
             run_many(problem, 100_000, cfg, [1])
         n = int(re.search(r"after (\d+) stream samples", str(err.value)).group(1))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the numpy loop's overflowing tail sum
+            warnings.simplefilter("error")  # neither loop warns of its overflows
             for loop in (contextlib.nullcontext, _numpy_loop):
                 with loop():
                     assert np.isfinite(run_many(problem, n - 1, cfg, [1]).final_iterates).all()
