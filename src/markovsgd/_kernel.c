@@ -44,10 +44,12 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double
  *
  * fma() rounds once wherever it runs.  On x86-64 the functions that take
  * the fused dot (FUSED) are compiled for the FMA instructions by a target
- * attribute, and no flag of the build changes, so the library still
- * builds for, and loads on, any x86-64 CPU: msgd_fused says whether this
- * one has the instructions, and the loader calls those functions only
- * where it does.  A compiler without the attribute calls libm's fma().
+ * attribute, and those of the four-wide path (WIDE) for AVX2 and FMA, and
+ * no flag of the build changes, so the library still builds for, and
+ * loads on, any x86-64 CPU: msgd_fused says whether this one has the
+ * instructions, and the loader calls those functions only where it does.
+ * A compiler without the attribute calls libm's fma() and has no four-wide
+ * path.
  */
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__has_attribute)
 #if __has_attribute(target)
@@ -55,6 +57,7 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double
 #endif
 #endif
 #ifdef FMA_TARGET
+#include <immintrin.h>
 #define FUSED __attribute__((target("fma")))
 #else
 #define FUSED
@@ -81,12 +84,16 @@ void msgd_dots(ddot_fn ddot, int64_t n, int64_t d, const double *a, const double
     }
 }
 
-/* Whether this CPU can run the FUSED functions. */
+/*
+ * Whether this CPU can run the FUSED functions (bit 0), and the WIDE ones
+ * of the update loop's four-wide path too (bit 1: AVX2 and FMA).
+ */
 int32_t msgd_fused(void)
 {
 #ifdef FMA_TARGET
     __builtin_cpu_init();
-    return __builtin_cpu_supports("fma") != 0;
+    const int32_t fma = __builtin_cpu_supports("fma") != 0;
+    return fma | (fma && __builtin_cpu_supports("avx2")) << 1;
 #else
     return 1;
 #endif
@@ -100,7 +107,10 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
     }
 }
 
-/* How many runs the update loop and the walk take side by side */
+/*
+ * How many runs the update loop and the walk take side by side, and how
+ * many doubles the update loop's four-wide path holds in one register
+ */
 #define LANES 4
 
 /*
@@ -139,6 +149,12 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * instance are taken LANES at a time, update i of each in turn: the
  * updates of different runs overlap in the CPU, and each run's updates
  * keep their order.  Runs of several instances are taken one at a time.
+ * fused = LANES says that this CPU also has AVX2 (msgd_fused): then the
+ * four-wide path (below) puts four runs of one instance of an uncoupled
+ * call (m = 1), or four instances of one run, in the lanes of one
+ * register, each lane making the scalar update's operations in their
+ * order, so with its bits.  The R mod 4 runs and K mod 4 instances left
+ * over, and coupled runs of one instance, stay on the scalar loop.
  *
  * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
  * run r non-finite, bad[r] becomes first + i and the run stops there: it
@@ -146,30 +162,127 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * update i or later, while the runs taken with it go on.  A run already
  * marked is skipped.
  */
-static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fused, double *w, double *acc, double *iters,
-                    int64_t m, int64_t R, int64_t K, int64_t d,
-                    const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
-                    const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
-                    const double *y, int64_t ym,
-                    const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy,
-                    int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled,
-                    int64_t *bad, int64_t first, int64_t every)
+
+/* One call's arguments, as msgd_advance takes them */
+typedef struct {
+    ddot_fn ddot;
+    int fused;  /* every dot the fused dot, not ddot */
+    double *w, *acc, *iters;
+    int64_t m, R, K, d;
+    const double *x;
+    int64_t xn, xr, xk, xd;
+    const int64_t *idx;
+    int64_t in, ir, ik;
+    const double *y;
+    int64_t ym;
+    const double *xi;
+    int64_t qn, qr, qk;
+    double sigma;
+    int64_t noisy, n, lo, hi;
+    double alpha;
+    int32_t scaled;
+    int64_t *bad;
+    int64_t first, every;
+} segment_t;
+
+/*
+ * Update i of instance (r, k) in branch b, whose label takes sigma * xi
+ * when noise is set.  Returns the sum of v - v over its new weights v:
+ * +0.0, or NaN where one is not finite.
+ */
+static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t b, int64_t i, int64_t r,
+                                                           int64_t k, const int noise)
 {
-    const int64_t size = m * R * K * d;
-    const int64_t lanes = K == 1 ? LANES : 1;
-    const int64_t lead = (every - first % every) % every;  /* the call's first update to end an event */
-    for (int64_t r0 = 0; r0 < R; r0 += lanes) {
-        const int64_t runs = R - r0 < lanes ? R - r0 : lanes;
+    const int64_t d = a->d, xd = a->xd;
+    double *row = a->w + ((b * a->R + r) * a->K + k) * d;
+    const double *xv;
+    double label;
+    if (a->idx != 0) {
+        const int64_t s = a->idx[i * a->in + r * a->ir + k * a->ik];
+        xv = a->x + s * d;
+        label = a->y[b * a->ym + s];
+    } else {
+        xv = a->x + i * a->xn + r * a->xr + k * a->xk;
+        label = dot(a->ddot, a->fused, d, xv, xd, a->y, 1);
+    }
+    if (noise) {
+        label = label + a->sigma * a->xi[i * a->qn + r * a->qr + k * a->qk];
+    }
+    double res = dot(a->ddot, a->fused, d, row, 1, xv, xd) - label;
+    double spoilt = 0.0;
+    if (a->scaled) {
+        res = res * a->alpha;
+        for (int64_t j = 0; j < d; j++) {
+            double v = row[j] - res * xv[j * xd];
+            row[j] = v;
+            spoilt += v - v;
+        }
+    } else {
+        for (int64_t j = 0; j < d; j++) {
+            double v = row[j] - res * (a->alpha * xv[j * xd]);
+            row[j] = v;
+            spoilt += v - v;
+        }
+    }
+    return spoilt;
+}
+
+/*
+ * After update i of run r, which ends event `event` when ends is set: add
+ * the run's weights into its rows of acc when lo <= first + i < hi, and
+ * copy them into its rows of row `event` of iters.
+ */
+static inline __attribute__((always_inline)) void record(const segment_t *a, int64_t r, int64_t i, int ends,
+                                                         int64_t event)
+{
+    const int64_t u = a->first + i, Kd = a->K * a->d;
+    const int sum = ends && a->acc != 0 && a->lo <= u && u < a->hi;
+    if (!sum && !(ends && a->iters != 0)) {
+        return;
+    }
+    for (int64_t b = 0; b < a->m; b++) {
+        const int64_t at = (b * a->R + r) * Kd;
+        const double *row = a->w + at;
+        if (sum) {
+            double *to = a->acc + at;
+            for (int64_t j = 0; j < Kd; j++) {
+                to[j] += row[j];
+            }
+        }
+        if (a->iters != 0) {
+            double *to = a->iters + event * a->m * a->R * Kd + at;
+            for (int64_t j = 0; j < Kd; j++) {
+                to[j] = row[j];
+            }
+        }
+    }
+}
+
+/*
+ * The update loop for runs r_lo .. r_hi-1, from update i0 on, with m
+ * branches, and indexed samples or (indexed = 0) vectors: constants in the
+ * inlined copies below.
+ */
+static inline __attribute__((always_inline)) void advance(segment_t a, const int64_t m, const int indexed,
+                                                          int64_t r_lo, int64_t r_hi, int64_t i0)
+{
+    a.m = m;
+    a.idx = indexed ? a.idx : 0;
+    const int64_t lanes = a.K == 1 ? LANES : 1;
+    const int64_t lead = (a.every - (a.first + i0) % a.every) % a.every;  /* the first update from i0 to end an event */
+    for (int64_t r0 = r_lo; r0 < r_hi; r0 += lanes) {
+        const int64_t runs = r_hi - r0 < lanes ? r_hi - r0 : lanes;
         int live[LANES];
         int alive = 0;
         for (int64_t g = 0; g < runs; g++) {
-            live[g] = bad[r0 + g] < 0;
+            live[g] = a.bad[r0 + g] < 0;
             alive |= live[g];
         }
-        int64_t left = lead, event = (first + lead) / every;  /* updates before the next event's end; that event */
-        for (int64_t i = 0; i < n && alive; i++) {
+        /* updates before the next event's end; that event */
+        int64_t left = lead, event = (a.first + i0 + lead) / a.every;
+        for (int64_t i = i0; i < a.n && alive; i++) {
             const int ends = left == 0;
-            left = ends ? every - 1 : left - 1;
+            left = ends ? a.every - 1 : left - 1;
             alive = 0;
             for (int64_t g = 0; g < runs; g++) {
                 if (!live[g]) {
@@ -178,64 +291,18 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
                 const int64_t r = r0 + g;
                 double spoilt = 0.0;  /* v - v is +0.0, or NaN where v is not finite */
                 for (int64_t b = 0; b < m; b++) {
-                    const int noise = xi != 0 && ((noisy >> b) & 1);
-                    for (int64_t k = 0; k < K; k++) {
-                        double *row = w + ((b * R + r) * K + k) * d;
-                        const double *xv;
-                        double label;
-                        if (idx != 0) {
-                            const int64_t s = idx[i * in + r * ir + k * ik];
-                            xv = x + s * d;
-                            label = y[b * ym + s];
-                        } else {
-                            xv = x + i * xn + r * xr + k * xk;
-                            label = dot(ddot, fused, d, xv, xd, y, 1);
-                        }
-                        if (noise) {
-                            label = label + sigma * xi[i * qn + r * qr + k * qk];
-                        }
-                        double res = dot(ddot, fused, d, row, 1, xv, xd) - label;
-                        if (scaled) {
-                            res = res * alpha;
-                            for (int64_t j = 0; j < d; j++) {
-                                double v = row[j] - res * xv[j * xd];
-                                row[j] = v;
-                                spoilt += v - v;
-                            }
-                        } else {
-                            for (int64_t j = 0; j < d; j++) {
-                                double v = row[j] - res * (alpha * xv[j * xd]);
-                                row[j] = v;
-                                spoilt += v - v;
-                            }
-                        }
+                    const int noise = a.xi != 0 && ((a.noisy >> b) & 1);
+                    for (int64_t k = 0; k < a.K; k++) {
+                        spoilt += update(&a, b, i, r, k, noise);
                     }
                 }
                 if (spoilt != 0.0) {
-                    bad[r] = first + i;
+                    a.bad[r] = a.first + i;
                     live[g] = 0;
                     continue;
                 }
                 alive = 1;
-                const int sum = ends && acc != 0 && lo <= first + i && first + i < hi;
-                if (sum || (ends && iters != 0)) {
-                    for (int64_t b = 0; b < m; b++) {
-                        const int64_t at = (b * R + r) * K * d;
-                        const double *row = w + at;
-                        if (sum) {
-                            double *to = acc + at;
-                            for (int64_t j = 0; j < K * d; j++) {
-                                to[j] += row[j];
-                            }
-                        }
-                        if (iters != 0) {
-                            double *to = iters + event * size + at;
-                            for (int64_t j = 0; j < K * d; j++) {
-                                to[j] = row[j];
-                            }
-                        }
-                    }
-                }
+                record(&a, r, i, ends, event);
             }
             event += ends;
         }
@@ -243,51 +310,400 @@ static inline __attribute__((always_inline)) void advance(ddot_fn ddot, int fuse
 }
 
 /*
- * msgd_advance's parameters after its dot, and a call of advance on them
- * with the dot, the number of branches, the element stride and the row
- * numbers given.
- */
-#define ADVANCE_PARAMS double *w, double *acc, double *iters, int64_t m, int64_t R, int64_t K, int64_t d, \
-                       const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd, \
-                       const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y, int64_t ym, \
-                       const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy, \
-                       int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, \
-                       int64_t every
-#define ADVANCE(ddot_, fused_, m_, xd_, idx_)                                                          \
-    advance(ddot_, fused_, w, acc, iters, m_, R, K, d, x, xn, xr, xk, xd_, idx_, in, ir, ik, y, ym, \
-            xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every)
-
-/*
  * Inlined copies of the loop, so that none tests per update what is fixed
- * for the call: whether samples are indexed, and, with the fused dot, the
- * one branch of an uncoupled run.
+ * for the call: the dot, whether samples are indexed, and, with the fused
+ * dot, the one branch of an uncoupled run.
  */
-FUSED static void advance_fused(ADVANCE_PARAMS)
+FUSED static void advance_fused(segment_t a, int64_t r_lo, int64_t r_hi, int64_t i0)
 {
-    (void)xd;  /* 1: msgd_advance calls this only for unit strides */
-    if (idx != 0) {
-        if (m == 1) {
-            ADVANCE(0, 1, 1, 1, idx);
+    a.ddot = 0;
+    a.fused = 1;
+    a.xd = 1;  /* msgd_advance calls this only for unit strides */
+    if (a.idx != 0) {
+        if (a.m == 1) {
+            advance(a, 1, 1, r_lo, r_hi, i0);
         } else {
-            ADVANCE(0, 1, m, 1, idx);
+            advance(a, a.m, 1, r_lo, r_hi, i0);
         }
-    } else if (m == 1) {
-        ADVANCE(0, 1, 1, 1, 0);
+    } else if (a.m == 1) {
+        advance(a, 1, 0, r_lo, r_hi, i0);
     } else {
-        ADVANCE(0, 1, m, 1, 0);
+        advance(a, a.m, 0, r_lo, r_hi, i0);
     }
 }
 
-void msgd_advance(ddot_fn ddot, int32_t fused, ADVANCE_PARAMS)
+static void advance_ddot(segment_t a)
 {
-    if (fused && xd == 1) {
-        advance_fused(w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik, y, ym,
-                      xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every);
-    } else if (idx != 0) {
-        ADVANCE(ddot, 0, m, xd, idx);
+    a.fused = 0;
+    if (a.idx != 0) {
+        advance(a, a.m, 1, 0, a.R, 0);
     } else {
-        ADVANCE(ddot, 0, m, xd, 0);
+        advance(a, a.m, 0, 0, a.R, 0);
     }
+}
+
+#ifdef FMA_TARGET
+/*
+ * The four-wide path: LANES lanes per AVX2 register.  Where the loop takes
+ * the fused dot, on a CPU with AVX2 (msgd_advance is handed fused =
+ * LANES), four runs of one instance of an uncoupled call, or four
+ * instances of one run, share a vector: register j holds coordinate j of
+ * each lane.  Every lane makes the scalar update's operations on its own
+ * numbers in the same order -- vfmadd is fma(), and vmulpd, vsubpd and
+ * vaddpd round each lane as the scalar operations do -- so no bit
+ * changes, only the order of work across lanes, which never interact.
+ * The R mod 4 runs and K mod 4 instances left over, and coupled runs of
+ * one instance, take the scalar update.
+ *
+ * Sample rows are loaded whole, two coordinates at a time, and transposed
+ * in registers; an odd last coordinate is loaded alone, so nothing past a
+ * row is read.  Each dimension has its own copy (wide_at), in which the
+ * loops over coordinates unroll and a group's coordinates live in
+ * registers.
+ */
+#define WIDE __attribute__((target("avx2,fma")))
+#define WIDE_INLINE static inline __attribute__((always_inline, target("avx2,fma")))
+#define MAX_DIM 15 /* the fused dot's dimensions: below 16 */
+
+/* c[j] = coordinate j of rows p[0..3], row p[g] in lane g, for j < d */
+WIDE_INLINE void load_cols(const double *const p[LANES], const int64_t d, __m256d *c)
+{
+    int64_t j = 0;
+#pragma GCC unroll 8
+    for (; j + 2 <= d; j += 2) {
+        const __m256d lo = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p[0] + j)),
+                                                _mm_loadu_pd(p[2] + j), 1);
+        const __m256d hi = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p[1] + j)),
+                                                _mm_loadu_pd(p[3] + j), 1);
+        c[j] = _mm256_unpacklo_pd(lo, hi);
+        c[j + 1] = _mm256_unpackhi_pd(lo, hi);
+    }
+    if (j < d) {
+        const __m256d lo = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_load_sd(p[0] + j)),
+                                                _mm_load_sd(p[2] + j), 1);
+        const __m256d hi = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_load_sd(p[1] + j)),
+                                                _mm_load_sd(p[3] + j), 1);
+        c[j] = _mm256_unpacklo_pd(lo, hi);
+    }
+}
+
+/* load_cols of the rows p, p + d, p + 2d, p + 3d */
+WIDE_INLINE void load_rows(const double *p, const int64_t d, __m256d *c)
+{
+    const double *const rows[LANES] = {p, p + d, p + 2 * d, p + 3 * d};
+    load_cols(rows, d, c);
+}
+
+/* load_rows backwards: row p + g*d gets lane g of c[0 .. d-1] */
+WIDE_INLINE void store_rows(double *p, const int64_t d, const __m256d *c)
+{
+    int64_t j = 0;
+#pragma GCC unroll 8
+    for (; j + 2 <= d; j += 2) {
+        const __m256d even = _mm256_unpacklo_pd(c[j], c[j + 1]); /* rows 0 and 2 */
+        const __m256d odd = _mm256_unpackhi_pd(c[j], c[j + 1]);  /* rows 1 and 3 */
+        _mm_storeu_pd(p + j, _mm256_castpd256_pd128(even));
+        _mm_storeu_pd(p + d + j, _mm256_castpd256_pd128(odd));
+        _mm_storeu_pd(p + 2 * d + j, _mm256_extractf128_pd(even, 1));
+        _mm_storeu_pd(p + 3 * d + j, _mm256_extractf128_pd(odd, 1));
+    }
+    if (j < d) {
+        const __m128d lo = _mm256_castpd256_pd128(c[j]), hi = _mm256_extractf128_pd(c[j], 1);
+        _mm_store_sd(p + j, lo);
+        _mm_storeh_pd(p + d + j, lo);
+        _mm_store_sd(p + 2 * d + j, hi);
+        _mm_storeh_pd(p + 3 * d + j, hi);
+    }
+}
+
+/* p[0], p[step], p[2*step], p[3*step] */
+WIDE_INLINE __m256d lanes_at(const double *p, int64_t step)
+{
+    return step == 1 ? _mm256_loadu_pd(p) : _mm256_set_pd(p[3 * step], p[2 * step], p[step], p[0]);
+}
+
+/* Whether any bit of v is set */
+WIDE_INLINE int any_set(__m256d v)
+{
+    return !_mm256_testz_si256(_mm256_castpd_si256(v), _mm256_castpd_si256(v));
+}
+
+/*
+ * Update i in branch b of four lanes, lane g being instance (r + g*dr,
+ * k + g*dk), whose coordinates j are w[j]: update()'s operations, lane by
+ * lane, into nw.  ws holds w* in every lane (vector mode).  Returns the
+ * lanes' v - v ORed over the new weights v: all bits zero in a lane whose
+ * new weights are all finite (v - v is +0.0 there, else NaN).
+ */
+WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t b, int64_t i, int64_t r,
+                            int64_t k, const int64_t dr, const int64_t dk, const __m256d *w, __m256d *nw)
+{
+    const __m256d zero = _mm256_setzero_pd(), alpha = _mm256_set1_pd(a->alpha);
+    const double *rows[LANES];
+    __m256d x[MAX_DIM], label, s = zero;
+    if (a->idx != 0) {
+        const int64_t *at = a->idx + i * a->in + r * a->ir + k * a->ik, step = dr * a->ir + dk * a->ik;
+        const double *y = a->y + b * a->ym;
+        int64_t row[LANES];
+#pragma GCC unroll 4
+        for (int g = 0; g < LANES; g++) {
+            row[g] = at[g * step];
+            rows[g] = a->x + row[g] * d;
+        }
+        load_cols(rows, d, x);
+        label = _mm256_set_pd(y[row[3]], y[row[2]], y[row[1]], y[row[0]]);
+    } else {
+        const double *at = a->x + i * a->xn + r * a->xr + k * a->xk;
+#pragma GCC unroll 4
+        for (int g = 0; g < LANES; g++) {
+            rows[g] = at + g * (dr * a->xr + dk * a->xk);
+        }
+        load_cols(rows, d, x);
+        __m256d t = zero;
+#pragma GCC unroll 16
+        for (int64_t j = 0; j < d; j++) {
+            t = _mm256_fmadd_pd(ws[j], x[j], t);
+        }
+        label = _mm256_add_pd(zero, t);
+    }
+    if (a->xi != 0 && ((a->noisy >> b) & 1)) {
+        const __m256d q = lanes_at(a->xi + i * a->qn + r * a->qr + k * a->qk, dr * a->qr + dk * a->qk);
+        label = _mm256_add_pd(label, _mm256_mul_pd(_mm256_set1_pd(a->sigma), q));
+    }
+#pragma GCC unroll 16
+    for (int64_t j = 0; j < d; j++) {
+        s = _mm256_fmadd_pd(x[j], w[j], s);
+    }
+    __m256d res = _mm256_sub_pd(_mm256_add_pd(zero, s), label);
+    if (a->scaled) {
+        res = _mm256_mul_pd(res, alpha);
+#pragma GCC unroll 16
+        for (int64_t j = 0; j < d; j++) {
+            nw[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, x[j]));
+        }
+    } else {
+#pragma GCC unroll 16
+        for (int64_t j = 0; j < d; j++) {
+            nw[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, _mm256_mul_pd(alpha, x[j])));
+        }
+    }
+    __m256d spoilt = zero;
+#pragma GCC unroll 16
+    for (int64_t j = 0; j < d; j++) {
+        spoilt = _mm256_or_pd(spoilt, _mm256_sub_pd(nw[j], nw[j]));
+    }
+    return spoilt;
+}
+
+/* ws[j] = w*_j in every lane, for j < d (zeros for indexed samples, which do not read them) */
+WIDE_INLINE void broadcast(const segment_t *a, const int64_t d, __m256d *ws)
+{
+#pragma GCC unroll 16
+    for (int64_t j = 0; j < d; j++) {
+        ws[j] = _mm256_set1_pd(a->idx != 0 ? 0.0 : a->y[j]);
+    }
+}
+
+/*
+ * Runs of one instance of an uncoupled call (K = 1, m = 1), four at a time.
+ * A group's weights and tail sums are loaded once, stay in registers for
+ * the call and are stored once.  When an update leaves a lane non-finite,
+ * the group stores the weights from before that update and hands the rest
+ * of the call, from that update on, to the scalar loop, which marks the
+ * lane and goes on with the others -- as does a group with a lane already
+ * marked.
+ */
+WIDE_INLINE void runs4(const segment_t *p, const int64_t d)
+{
+    const segment_t a = *p;
+    const int64_t whole = a.R - a.R % LANES, lead = (a.every - a.first % a.every) % a.every;
+    __m256d ws[MAX_DIM];
+    broadcast(&a, d, ws);
+    for (int64_t r0 = 0; r0 < whole; r0 += LANES) {
+        int64_t i = 0;
+        if (a.bad[r0] < 0 && a.bad[r0 + 1] < 0 && a.bad[r0 + 2] < 0 && a.bad[r0 + 3] < 0) {
+            __m256d w[MAX_DIM], acc[MAX_DIM] = {0};
+            load_rows(a.w + r0 * d, d, w);
+            if (a.acc != 0) {
+                load_rows(a.acc + r0 * d, d, acc);
+            }
+            int64_t left = lead, event = (a.first + lead) / a.every; /* as in advance() */
+            for (; i < a.n; i++) {
+                __m256d nw[MAX_DIM];
+                if (any_set(update4(&a, d, ws, 0, i, r0, 0, 1, 0, w, nw))) {
+                    break;
+                }
+#pragma GCC unroll 16
+                for (int64_t j = 0; j < d; j++) {
+                    w[j] = nw[j];
+                }
+                if (left == 0) {
+                    if (a.acc != 0 && a.lo <= a.first + i && a.first + i < a.hi) {
+#pragma GCC unroll 16
+                        for (int64_t j = 0; j < d; j++) {
+                            acc[j] = _mm256_add_pd(acc[j], w[j]);
+                        }
+                    }
+                    if (a.iters != 0) {
+                        store_rows(a.iters + (event * a.R + r0) * d, d, w);
+                    }
+                    event++;
+                    left = a.every;
+                }
+                left--;
+            }
+            store_rows(a.w + r0 * d, d, w);
+            if (a.acc != 0) {
+                store_rows(a.acc + r0 * d, d, acc);
+            }
+        }
+        if (i < a.n) {
+            advance_fused(a, r0, r0 + LANES, i);
+        }
+    }
+    if (whole < a.R) {
+        advance_fused(a, whole, a.R, 0);
+    }
+}
+
+/*
+ * The scalar update of instances k0 .. K-1 of run r in branch b, and the
+ * sums and stores after an update of run r that ends an event: one copy
+ * each, for instances4.
+ */
+FUSED static __attribute__((noinline)) double update_from(const segment_t *a, int64_t b, int64_t i, int64_t r,
+                                                          int64_t k0)
+{
+    double spoilt = 0.0;
+    const int noise = a->xi != 0 && ((a->noisy >> b) & 1);
+    for (int64_t k = k0; k < a->K; k++) {
+        spoilt += update(a, b, i, r, k, noise);
+    }
+    return spoilt;
+}
+
+/* record() of an update that ends an event, four doubles at a time */
+WIDE static __attribute__((noinline)) void record_event(const segment_t *a, int64_t r, int64_t i, int64_t event)
+{
+    const int64_t u = a->first + i, Kd = a->K * a->d, whole = Kd - Kd % LANES;
+    const int sum = a->acc != 0 && a->lo <= u && u < a->hi;
+    for (int64_t b = 0; b < a->m; b++) {
+        const int64_t at = (b * a->R + r) * Kd;
+        const double *row = a->w + at;
+        if (sum) {
+            double *to = a->acc + at;
+            for (int64_t j = 0; j < whole; j += LANES) {
+                _mm256_storeu_pd(to + j, _mm256_add_pd(_mm256_loadu_pd(to + j), _mm256_loadu_pd(row + j)));
+            }
+            for (int64_t j = whole; j < Kd; j++) {
+                to[j] += row[j];
+            }
+        }
+        if (a->iters != 0) {
+            memcpy(a->iters + event * a->m * a->R * Kd + at, row, Kd * sizeof *row);
+        }
+    }
+}
+
+/*
+ * Runs of several instances, one run at a time as in advance(); each
+ * branch's instances four at a time, their rows loaded and stored around
+ * each update, and the K mod 4 left over by the scalar update.  A run that
+ * goes non-finite is marked after the round, as advance() marks it.
+ */
+WIDE_INLINE void instances4(const segment_t *p, const int64_t d)
+{
+    segment_t a = *p;
+    a.ddot = 0;
+    a.fused = 1;
+    a.xd = 1;
+    const int64_t whole = a.K - a.K % LANES, lead = (a.every - a.first % a.every) % a.every;
+    __m256d ws[MAX_DIM];
+    broadcast(&a, d, ws);
+    for (int64_t r = 0; r < a.R; r++) {
+        if (a.bad[r] >= 0) {
+            continue;
+        }
+        int64_t left = lead, event = (a.first + lead) / a.every;
+        for (int64_t i = 0; i < a.n; i++) {
+            __m256d spoilt = _mm256_setzero_pd();
+            double tail = 0.0;
+            for (int64_t b = 0; b < a.m; b++) {
+                double *rows = a.w + (b * a.R + r) * a.K * d;
+                for (int64_t k = 0; k < whole; k += LANES) {
+                    __m256d w[MAX_DIM], nw[MAX_DIM];
+                    load_rows(rows + k * d, d, w);
+                    spoilt = _mm256_or_pd(spoilt, update4(&a, d, ws, b, i, r, k, 0, 1, w, nw));
+                    store_rows(rows + k * d, d, nw);
+                }
+                if (whole < a.K) {
+                    tail += update_from(&a, b, i, r, whole);
+                }
+            }
+            if (any_set(spoilt) || tail != 0.0) {
+                a.bad[r] = a.first + i;
+                break;
+            }
+            if (left == 0) {
+                record_event(&a, r, i, event++);
+                left = a.every;
+            }
+            left--;
+        }
+    }
+}
+
+/* The four-wide path at dimension D */
+#define WIDE_AT(D)                                \
+    WIDE static void wide_##D(const segment_t *a) \
+    {                                             \
+        if (a->K == 1) {                          \
+            runs4(a, D);                          \
+        } else {                                  \
+            instances4(a, D);                     \
+        }                                         \
+    }
+WIDE_AT(1)
+WIDE_AT(2)
+WIDE_AT(3)
+WIDE_AT(4)
+WIDE_AT(5)
+WIDE_AT(6)
+WIDE_AT(7)
+WIDE_AT(8)
+WIDE_AT(9)
+WIDE_AT(10)
+WIDE_AT(11)
+WIDE_AT(12)
+WIDE_AT(13)
+WIDE_AT(14)
+WIDE_AT(15)
+static void (*const wide_at[MAX_DIM + 1])(const segment_t *) = {
+    0, wide_1, wide_2, wide_3, wide_4, wide_5, wide_6, wide_7, wide_8,
+    wide_9, wide_10, wide_11, wide_12, wide_13, wide_14, wide_15,
+};
+#endif
+
+void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *iters, int64_t m, int64_t R,
+                  int64_t K, int64_t d, const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
+                  const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y, int64_t ym,
+                  const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy, int64_t n,
+                  int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, int64_t every)
+{
+    const segment_t a = {ddot, fused != 0, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik, y, ym,
+                         xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every};
+    if (!fused || xd != 1) {
+        advance_ddot(a);
+        return;
+    }
+#ifdef FMA_TARGET
+    /* the four-wide path takes four runs of one instance, uncoupled, or four instances of a run */
+    if (fused == LANES && 0 < d && d <= MAX_DIM && (K >= LANES || (K == 1 && m == 1 && R >= LANES))) {
+        wide_at[d](&a);
+        return;
+    }
+#endif
+    advance_fused(a, 0, R, 0);
 }
 
 /* numpy's philox_state, with its counter and key held in place */

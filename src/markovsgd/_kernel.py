@@ -18,6 +18,15 @@ takes runs of one instance (every algorithm but parallel SGD) four at a
 time, update i of each in turn, so that the CPU overlaps their updates,
 each of which waits on the one before; the finite walk steps four runs at
 a time for the same reason.  Runs never interact, so no run's bits change.
+Where the loop takes the fused dot (below), on a CPU with AVX2 and FMA, it
+puts those four runs -- or, for parallel SGD, four instances of a run --
+in the four lanes of one 256-bit register (:attr:`Kernel.lanes`, and
+:func:`info`'s ``lanes``).  Each lane makes the scalar loop's IEEE
+operations in their order: ``vfmadd`` rounds as ``fma()`` does, and
+``vmulpd``, ``vsubpd`` and ``vaddpd`` round each lane as the scalar
+operations do, so the bits are the scalar loop's.  Runs and instances
+left over from groups of four, coupled runs of one instance, the dimensions
+that call ``ddot``, and CPUs without AVX2 take the scalar loop.
 The loop makes every label itself, by one rule for both kinds of chain.  A
 Gaussian sample's label is ``<x, w*>``.  A finite chain's sample is read
 from the chain's table of states by its state index, and its label is
@@ -91,6 +100,8 @@ _LIBS = ("-lm",)
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 # OpenBLAS's ddot runs one fused multiply-add chain below this many elements
 _FUSED_BELOW = 16
+# doubles per AVX2 register: the lanes of the update loop's four-wide path
+_LANES = 4
 # a cached library or compiler memo untouched this long is removed after a build
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
@@ -132,7 +143,9 @@ class Kernel:
             *(_PTR, _I64, _I64, _I64, ctypes.c_double, _I64),
             *(_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64, _I64),
         )
-        self._has_fma = bool(lib.msgd_fused())
+        cpu = lib.msgd_fused()
+        self._has_fma = bool(cpu & 1)
+        self._has_avx2 = bool(cpu & 2)  # and FMA: the four-wide path runs here
         self._fused_dots = _bind(lib.msgd_fused_dots, _I64, _I64, _PTR, _PTR, _PTR)
         self._draw = _bind(lib.msgd_draw, ctypes.c_int32, _PTR, _I64, _I64, _PTR, _I64)
         self._seed = _bind(lib.msgd_seed, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR)
@@ -186,6 +199,12 @@ class Kernel:
         out = np.empty(len(a))
         self._fused_dots(len(a), a.shape[1], a.ctypes.data, b.ctypes.data, out.ctypes.data)
         return out
+
+    @property
+    def lanes(self) -> int:
+        """Lanes per register the update loop takes at its fused dimensions:
+        4 on a CPU with AVX2 and FMA, else 1."""
+        return _LANES if self._has_fma and self._has_avx2 else 1
 
     def advance(
         self, W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
@@ -256,8 +275,9 @@ class Kernel:
             samples += (labels.ctypes.data, len(table))
         noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
         sums = (None if a is None else a.ctypes.data for a in (acc, iters))
+        fused = self.lanes if d in self._fused else 0  # 0: ddot; 1: the fused dot; 4: in four lanes
         self._advance(
-            self._ddot, d in self._fused, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo,
+            self._ddot, fused, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo,
             hi, alpha, bool(scaled), bad.ctypes.data, first, every,
         )
 
@@ -543,16 +563,17 @@ def load(d: int) -> Kernel | None:
 
 
 def info() -> dict:
-    """Which update loop, dots and stream seeding run here, with the library and BLAS used."""
+    """Which update loop, dots, lanes and stream seeding run here, with the library and BLAS used."""
     kern = library()
     if kern is None:
-        return {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
+        return {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": [], "lanes": 1}
     return {
         "path": "numpy" if kern.mismatch else "c",
         "cache": kern.path,
         "blas": kern.blas_name,
         "streams": "c" if kern.own_streams else "numpy",
         "fused_dims": [] if kern.mismatch else sorted(kern._fused),
+        "lanes": 1 if kern.mismatch else kern.lanes,
     }
 
 

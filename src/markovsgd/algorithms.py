@@ -33,7 +33,10 @@ kernel (``_kernel.c``, built on first use and cached; see
 updates -- runs of one instance four side by side, so the CPU overlaps
 their updates -- sums the tail window and stores the iterates a single
 run keeps, after each update that ends an event.  Below 16 dimensions it writes the BLAS dot out inline where
-a check at load finds it bit-equal to ``np.vecdot``.  It makes every label itself: ``<x, w*>`` for a
+a check at load finds it bit-equal to ``np.vecdot``; there, on a CPU with
+AVX2, it advances four runs (or four of parallel SGD's instances) in the
+lanes of one vector register, each lane making the scalar loop's IEEE
+operations in the same order, so with the same bits.  It makes every label itself: ``<x, w*>`` for a
 Gaussian sample, and for a finite chain, whose sample vectors it reads by
 state index from the chain's table of states, the state's entry in a
 per-state label table; either adds the scaled unit noise.  So neither
@@ -708,7 +711,8 @@ def _engine(
         iters = np.empty((plan.events + 1, *W.shape))
         iters[0] = W
     ck = _Checkpoints(checkpoints, lambda n: n // per_event, plan.events, R)
-    ck.record(0, problem, point(W[0]))
+    if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
+        ck.record(0, problem, point(W[0]))
 
     block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
     stops = {e * B for e in ck.events}  # event e ends with update e * B
@@ -1016,15 +1020,19 @@ def kernel_info() -> dict:
 
     ``{"path": "c" | "numpy", "cache": <compiled library or None>, "blas":
     <BLAS library and ddot symbol or None>, "streams": "c" | "numpy",
-    "fused_dims": [...]}``.
+    "fused_dims": [...], "lanes": 4 | 1}``.
     The path cursors' finite walk and AR filter run in C whenever ``cache``
     is set, even where the ddot check sent the update loop to numpy.
     ``streams`` says whether the runs' streams are seeded, and each block's
     variates drawn, for all runs in one compiled call each, or run by run.
     ``fused_dims`` lists the dimensions, of those the update loop has been
     checked at so far, at which it computes its dots as an inline chain of
-    fused multiply-adds instead of calling ``ddot``.  The first call builds
-    or loads the kernel (see :mod:`markovsgd._kernel`).
+    fused multiply-adds instead of calling ``ddot``.  ``lanes`` is 4 where
+    the loop, at those dimensions, advances four runs (or four of parallel
+    SGD's instances) per AVX2 register, with the scalar loop's bits, and 1
+    where it takes them one by one: a CPU without AVX2 and FMA, or the
+    numpy loop.  The first call builds or loads the kernel (see
+    :mod:`markovsgd._kernel`).
     """
     from . import _kernel
 

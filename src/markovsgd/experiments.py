@@ -419,8 +419,9 @@ def _series_stem(config: ExperimentConfig, algo_doc: dict, taken: set) -> str:
 
 def _provenance(dim: int) -> dict:
     """What a run of dimension ``dim`` ran under, with the dot its update
-    loop takes ("fma", "ddot" or "numpy"); bitwise reproducibility holds
-    within one numpy release."""
+    loop takes ("fma", "ddot" or "numpy") and the lanes per register it
+    may take there (4 or 1); bitwise reproducibility holds within one
+    numpy release, whatever the lanes."""
     import scipy
 
     from . import __version__
@@ -440,6 +441,7 @@ def _provenance(dim: int) -> dict:
         "blas": info["blas"],
         "streams": info["streams"],
         "dot": dot,
+        "lanes": info["lanes"] if dot == "fma" else 1,
         "cpu_count": _usable_cpus(),
     }
 

@@ -10,5 +10,5 @@ def pytest_report_header(config):
     sampling = "numpy" if info["cache"] is None else "c"
     return (
         f"markovsgd update loop: {info['path']}, finite walk and AR filter: {sampling}, "
-        f"seeded streams: {info['streams']} (library: {info['cache']})"
+        f"seeded streams: {info['streams']}, lanes per register: {info['lanes']} (library: {info['cache']})"
     )

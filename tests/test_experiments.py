@@ -446,16 +446,20 @@ class TestRunExperiment:
             "blas": info["blas"],
             "streams": info["streams"],
             "dot": _dot_at(info, 2),  # the two-state chain's dimension
+            "lanes": info["lanes"] if _dot_at(info, 2) == "fma" else 1,
             "cpu_count": algorithms._usable_cpus(),
         }
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 15, 16, 17])
     def test_provenance_names_the_dot_at_its_dimension(self, dim):
-        dot = experiments._provenance(dim)["dot"]
+        prov = experiments._provenance(dim)
+        dot = prov["dot"]
         info = kernel_info()
         assert dot == _dot_at(info, dim)
         if dim >= 16:  # the fused dot runs below 16 elements only
             assert dot in ("ddot", "numpy")
+        # four lanes a register only with the fused dot, on a CPU with AVX2
+        assert prov["lanes"] == (info["lanes"] if dot == "fma" else 1)
 
     def test_provenance_counts_the_cpus_it_may_run_on(self, monkeypatch):
         # the count run_many sizes its threads by: the affinity mask, not every CPU

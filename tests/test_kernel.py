@@ -180,15 +180,22 @@ def test_numpy_loop_takes_the_kernels_arguments():
 
 @requires_kernel
 class TestAdvanceContract:
+    # d < 16 takes the fused dot, and on a CPU with AVX2 the four-wide path
+    # for K = 1 (four runs a vector, uncoupled) and K = 6 (one group of four
+    # instances and two left over); K = 3 and coupled K = 1 stay scalar
     @pytest.mark.parametrize("mode", ["vector", "indexed"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
-    @pytest.mark.parametrize("d", [1, 4])
-    @pytest.mark.parametrize("K,scaled", [(1, False), (3, True)], ids=["sgd", "parallel"])
+    @pytest.mark.parametrize("d", [1, 4, 2, 3, 5, 15])
+    @pytest.mark.parametrize("K,scaled", [(1, False), (3, True), (6, True)], ids=["sgd", "parallel", "parallel-6"])
     @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("every", [1, 3])
     def test_compiled_equals_numpy_loop(self, mode, m, d, K, scaled, noise, every):
+        for R in (4, 9):  # one group of four runs; two groups and one run left over
+            self._compare(mode, m, d, K, scaled, noise, every, R)
+
+    def _compare(self, mode, m, d, K, scaled, noise, every, R):
         rng = np.random.default_rng(5)
-        S, R, nr, sigma = 6, 4, 10, 0.3
+        S, nr, sigma = 6, 10, 0.3
         noisy = 0b101 if m == 3 else 0b1  # the coupled bias branch gets no noise
 
         def rounds(a):  # per-run rows (R, nr*K, ...) in round order (nr, R, K, ...): strided views
@@ -204,6 +211,8 @@ class TestAdvanceContract:
             labels = rng.uniform(-1, 1, (m, S))
             labels[:, 0] = -0.0  # a -0.0 label stays -0.0 in the branch without noise
         xi = rounds(rng.standard_normal((R, nr * K))) if noise else None
+        if noise and R == 9:  # runs adjacent, instances strided: the four-wide path's other noise loads
+            xi = np.ascontiguousarray(xi.transpose(0, 2, 1)).transpose(0, 2, 1)
         W0 = rng.uniform(-1, 1, (m, R, K, d))
         outs = []
         for advance in (_kernel.load(d).advance, algorithms._descend):
@@ -213,7 +222,23 @@ class TestAdvanceContract:
             advance(W, X, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, table, xi, sigma, noisy, every)
             outs.append((W, acc, iters[1:], bad))
         for compiled, numpy in zip(*outs):
-            assert compiled.tobytes() == numpy.tobytes()
+            assert compiled.tobytes() == numpy.tobytes(), f"R = {R}"
+
+    @pytest.mark.parametrize("R,K", [(1, 1), (4, 1), (1, 4)], ids=["scalar", "four-runs", "four-instances"])
+    def test_a_dot_that_rounds_to_minus_zero_reads_plus_zero(self, R, K):
+        # <w, x>: the first product underflows to -0.0, the second is -0.0, so
+        # the fma chain ends on -0.0; numpy reads +0.0, and with a +0.0
+        # label the residual is +0.0, which leaves the -0.0 weight -0.0
+        table, labels = np.array([[1e-200, 0.5]]), np.zeros((1, 1))
+        W0 = np.broadcast_to([-1e-200, -0.0], (1, R, K, 2)).copy()
+        X = np.zeros((1, R, K), dtype=np.int64)
+        outs = []
+        for advance in (_kernel.load(2).advance, algorithms._descend):
+            W, bad = W0.copy(), np.full(R, -1, dtype=np.int64)
+            advance(W, X, labels, 0.3, K > 1, None, 0, 0, bad, 0, None, table)
+            outs.append(W)
+        assert np.signbit(outs[1][..., 1]).all()
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     @pytest.mark.parametrize("bad_row", [-1, 6])
     def test_rows_out_of_range_are_rejected(self, bad_row):
@@ -244,14 +269,15 @@ def _lane_inputs(mode, m, R, d, K, n=40):
     return rng.uniform(-1, 1, (m, R, K, d)), X, labels, table, xi
 
 
-def _advance_runs(W0, X, labels, table, xi, runs):
-    """W, acc, iters and bad after advancing the runs ``runs`` (a slice) together."""
+def _advance_runs(W0, X, labels, table, xi, runs, loop=None):
+    """W, acc, iters and bad after advancing the runs ``runs`` (a slice)
+    together, on the compiled loop or on ``loop``."""
     m, _, K, d = W0.shape
     W = W0[:, runs].copy()
     acc, iters = np.zeros_like(W), np.zeros((len(X) + 1, *W.shape))
     bad = np.full(W.shape[1], -1, dtype=np.int64)
     with np.errstate(all="ignore"):
-        _kernel.load(d).advance(
+        (loop or _kernel.load(d).advance)(
             W, X[:, runs], labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters, table, xi[:, runs], 0.2,
             0b101 if m == 3 else 0b1,
         )
@@ -272,8 +298,8 @@ class TestRunsSideBySide:
     @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
     @pytest.mark.parametrize("mode", ["vector", "indexed"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
-    @pytest.mark.parametrize("d", [4, 17], ids=["fused-dims", "ddot-dims"])
-    @pytest.mark.parametrize("K", [1, 3], ids=["sgd", "parallel"])
+    @pytest.mark.parametrize("d", [4, 17, 3, 15], ids=["fused-dims", "ddot-dims", "fused-3", "fused-15"])
+    @pytest.mark.parametrize("K", [1, 3, 6], ids=["sgd", "parallel", "parallel-6"])
     def test_a_batch_equals_its_single_runs(self, R, mode, m, d, K):
         inputs = _lane_inputs(mode, m, R, d, K)
         batch = _advance_runs(*inputs, slice(None))
@@ -293,6 +319,26 @@ class TestRunsSideBySide:
         # the broken run stops there: no acc or iters row is written from update 18 on
         assert not np.isfinite(batch[0][:, 5]).all()
         assert not batch[2][18:, :, 5].any()
+
+    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
+    @pytest.mark.parametrize("k", [1, 5], ids=["in-a-group-of-four", "left-over"])
+    def test_an_instance_that_breaks_mid_round(self, mode, m, k):
+        W0, X, labels, table, xi = _lane_inputs(mode, m, 5, 4, 6)
+        xi[17, 2, k] = np.inf  # instance k of run 2 breaks in round 1 + 17; the others of that round go on
+        batch = _advance_runs(W0, X, labels, table, xi, slice(None))
+        numpy = _advance_runs(W0, X, labels, table, xi, slice(None), algorithms._descend)
+        assert batch[3].tolist() == numpy[3].tolist() == [-1, -1, 18, -1, -1]
+        for r in (0, 1, 3, 4):
+            alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
+            assert _each_run(batch, r) == _each_run(alone, 0) == _each_run(numpy, r)
+        # run 2 stops after round 18: its sums and iterates are those of its first 17 rounds
+        W, acc, iters, _ = batch
+        assert not np.isfinite(W[:, 2]).all()
+        assert not iters[18:, :, 2].any()
+        first = _advance_runs(W0, X[:17], labels, table, xi[:17], slice(2, 3))
+        assert acc[:, 2].tobytes() == first[1][:, 0].tobytes()
+        assert iters[:18, :, 2].tobytes() == first[2][:, :, 0].tobytes()
 
     def test_run_many_names_the_one_run_that_broke_among_its_lane_mates(self):
         problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
@@ -373,7 +419,7 @@ class TestFusedDot:
         _kernel.load(2)
         if kernel_info()["fused_dims"] != [2]:
             pytest.skip("the loop takes ddot at every dimension here")
-        want = _pinned_outputs()
+        want = _pinned_outputs(), _wide_outputs()
         _kernel._library.cache_clear()
         if why == "no-fma":
             monkeypatch.setattr(_kernel.Kernel, "__init__", _without_fma(_kernel.Kernel.__init__))
@@ -381,9 +427,11 @@ class TestFusedDot:
             monkeypatch.setattr(_kernel.Kernel, "fused_dots", lambda self, a, b: np.vecdot(a, b) + 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fallback is silent: it changes no bits
-            got = _pinned_outputs()
+            got = _pinned_outputs(), _wide_outputs()
             info = kernel_info()
         assert info["path"] == "c" and info["fused_dims"] == []
+        if why == "no-fma":  # no fused dot, so no four-wide path either
+            assert info["lanes"] == 1
         assert got == want
 
 
@@ -395,6 +443,41 @@ def _without_fma(init):
         self._has_fma = False
 
     return wrapped
+
+
+def _cpu_flags() -> set:
+    """The CPU flags /proc/cpuinfo lists (none where there is no such file)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def _wide_outputs() -> list:
+    """sha256 of batches the four-wide path takes where it runs: sgd on two
+    groups of four runs and one left over, and parallel SGD on one group of
+    four instances and two left over, for a finite and a Gaussian chain."""
+    out = []
+    for chain in (make_mc0(4, 0.25), GaussianARSpec(dim=3, epsilon=0.3)):
+        problem = make_problem(chain, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, chain.dim))
+        for cfg in (SgdConfig(step_size=0.2), ParallelConfig(SgdConfig(step_size=0.2), num_instances=6)):
+            batch = run_many(problem, 240, cfg, range(9), checkpoints=[0, 100, 240], workers=1)
+            out += [_digest(batch.estimates), _digest(batch.final_iterates), _digest(batch.checkpoint_excess)]
+    return out
+
+
+@requires_kernel
+class TestLanes:
+    @pytest.mark.skipif(not {"avx2", "fma"} <= _cpu_flags(), reason="no AVX2 and FMA here, or no /proc/cpuinfo")
+    def test_a_cpu_with_avx2_takes_four_lanes(self):
+        assert kernel_info()["lanes"] == 4
+        assert _kernel.library().lanes == 4
+
+    def test_the_wide_path_equals_the_numpy_loop(self):
+        got = _wide_outputs()
+        with _numpy_loop():
+            assert _wide_outputs() == got
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +1021,7 @@ class TestLoader:
             info = kernel_info()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "no C compiler" in str(caught[0].message)
-        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": [], "lanes": 1}
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
@@ -966,7 +1049,7 @@ class TestLoader:
         message = str(caught[0].message)
         assert "no C compiler" in message
         assert "path samplers" in message and "update loop" in message
-        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": []}
+        assert info == {"path": "numpy", "cache": None, "blas": None, "streams": "numpy", "fused_dims": [], "lanes": 1}
         assert got == want
 
     def test_gaussian_paths_need_no_scipy_signal(self, tmp_path):
