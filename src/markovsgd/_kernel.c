@@ -1,8 +1,8 @@
 /*
  * The inner loops of markovsgd, compiled: the least-squares update loop of
- * markovsgd.algorithms, the two path samplers of markovsgd.chains, the
- * seeding of every run's Philox streams and the draw of every run's
- * variates from them in one call.
+ * markovsgd.algorithms and its sum over parallel SGD's instances, the two
+ * path samplers of markovsgd.chains, the seeding of every run's Philox
+ * streams and the draw of every run's variates from them in one call.
  *
  * markovsgd/_kernel.py builds this file on first use with
  *     cc -O2 -fPIC -shared -ffp-contract=off ... -lm
@@ -18,7 +18,8 @@
  * +0.0, as it does there).
  * The update loop and the finite walk take several runs side by side: runs
  * never interact, so that changes the order of work across runs and none
- * of a run's own operations.
+ * of a run's own operations.  The instance sum adds in numpy's order, and
+ * the loader checks it against numpy's sum as it checks the dots.
  * The samplers call no BLAS: each makes the same IEEE operations as the
  * numpy (or scipy) code it replaces.  The seeding hashes as numpy's
  * SeedSequence does and steps Philox4x64-10 as numpy's Philox does, in
@@ -1205,6 +1206,32 @@ void msgd_seed(const uint32_t *words, const int64_t *ends, const int64_t *pools,
 }
 
 /*
+ * The instance sum of parallel SGD: a holds rows*K*d contiguous doubles,
+ * rows of K instances of d coordinates, and out[r*d + j] becomes
+ *     ((0.0 + a[r, 0, j]) + a[r, 1, j]) + ... + a[r, K-1, j],
+ * the instances added in their order from 0.0 -- so -0.0 instances sum to
+ * +0.0 -- as numpy's sum(axis=-2) adds them where d > 1 (at d = 1 numpy
+ * sums pairwise).  The loader checks that it equals numpy's sum at a
+ * dimension before the engine takes it there.
+ */
+void msgd_isum(const double *a, int64_t rows, int64_t K, int64_t d, double *out)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        const double *p = a + r * K * d;
+        double *o = out + r * d;
+        for (int64_t j = 0; j < d; j++) {
+            o[j] = 0.0 + p[j];
+        }
+        for (int64_t k = 1; k < K; k++) {
+            const double *q = p + k * d;
+            for (int64_t j = 0; j < d; j++) {
+                o[j] += q[j];
+            }
+        }
+    }
+}
+
+/*
  * Walk R runs of a finite chain n steps by inverse-CDF sampling.
  *
  * lead holds (S, S-1) contiguous doubles: the cumulative transition
@@ -1218,30 +1245,91 @@ void msgd_seed(const uint32_t *words, const int64_t *ends, const int64_t *pools,
  *
  * Each step waits on the state the step before loaded, so runs are walked
  * LANES at a time, step i of each in turn, and their steps overlap in the
- * CPU; runs never interact, so each makes the same comparisons.
+ * CPU; runs never interact, so each makes the same comparisons.  A group of
+ * LANES runs keeps its states in registers (the R mod LANES runs left over
+ * take a plain loop).  In a group, a chain of at most FEW + 1 states makes
+ * its w = S - 1 comparisons unrolled, entering a switch at case w and
+ * falling through to case 1, with no loop control between them; a larger
+ * chain counts them in a loop.  (A copy of the walk compiled for each w was
+ * faster still -- 1.3 against 1.6 ns a step at S = 4 with gcc 12 -- but
+ * took the compiler 5 MB more: the library is built on a machine's first
+ * run, and the compiler's peak counts in that process's memory.)
  */
+
+#define FEW 8
+
+/* The thresholds of row that v is >= -- w of them, at most FEW where few is set */
+static inline __attribute__((always_inline)) int64_t count(const double *row, const double v, const int64_t w,
+                                                           const int few)
+{
+    int64_t next = 0;
+    if (!few) {
+        for (int64_t j = 0; j < w; j++) {
+            next += v >= row[j];
+        }
+        return next;
+    }
+    switch (w) {
+    case 8:
+        next += v >= row[7];
+        /* fall through */
+    case 7:
+        next += v >= row[6];
+        /* fall through */
+    case 6:
+        next += v >= row[5];
+        /* fall through */
+    case 5:
+        next += v >= row[4];
+        /* fall through */
+    case 4:
+        next += v >= row[3];
+        /* fall through */
+    case 3:
+        next += v >= row[2];
+        /* fall through */
+    case 2:
+        next += v >= row[1];
+        /* fall through */
+    default:
+        next += v >= row[0];
+    }
+    return next;
+}
+
+/* Steps 0 .. n-1 of the runs r0 .. r0 + runs - 1, runs <= LANES */
+static inline __attribute__((always_inline)) void walk_runs(const double *lead, int64_t w, const int few,
+                                                            const double *u, int64_t un, const int64_t *state,
+                                                            int64_t r0, const int64_t runs, int64_t n, int64_t *out,
+                                                            int64_t on, int64_t ro)
+{
+    int64_t s[LANES];
+    for (int64_t g = 0; g < runs; g++) {
+        s[g] = state[r0 + g];
+    }
+    for (int64_t i = 0; i < n; i++) {
+#pragma GCC unroll 4
+        for (int64_t g = 0; g < runs; g++) {
+            const int64_t next = count(lead + s[g] * w, u[(r0 + g) * un + i], w, few);
+            out[i * on + (r0 + g) * ro] = next;
+            s[g] = next;
+        }
+    }
+}
+
 void msgd_walk(const double *lead, int64_t S, const double *u, int64_t un,
                const int64_t *state, int64_t R, int64_t n, int64_t *out, int64_t on, int64_t ro)
 {
-    const int64_t w = S - 1;
-    for (int64_t r0 = 0; r0 < R; r0 += LANES) {
-        const int64_t runs = R - r0 < LANES ? R - r0 : LANES;
-        int64_t s[LANES];
-        for (int64_t g = 0; g < runs; g++) {
-            s[g] = state[r0 + g];
+    const int64_t w = S - 1, whole = R - R % LANES;
+    for (int64_t r0 = 0; r0 < whole; r0 += LANES) {
+        if (1 <= w && w <= FEW) {
+            walk_runs(lead, w, 1, u, un, state, r0, LANES, n, out, on, ro);
+        } else {
+            walk_runs(lead, w, 0, u, un, state, r0, LANES, n, out, on, ro);
         }
-        for (int64_t i = 0; i < n; i++) {
-            for (int64_t g = 0; g < runs; g++) {
-                const double *row = lead + s[g] * w;
-                const double v = u[(r0 + g) * un + i];
-                int64_t next = 0;
-                for (int64_t j = 0; j < w; j++) {
-                    next += v >= row[j];
-                }
-                out[i * on + (r0 + g) * ro] = next;
-                s[g] = next;
-            }
-        }
+    }
+    if (whole < R) {
+        walk_runs(lead, w, 0, u, un, state, whole, R - whole, n, out, on, ro);
     }
 }
 

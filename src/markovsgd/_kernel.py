@@ -132,6 +132,7 @@ class Kernel:
         self.mismatch = False
         self._checked: set[int] = set()
         self._fused: set[int] = set()  # checked dimensions whose dots are the fused dot
+        self._summed: set[int] = set()  # checked dimensions whose instance sums are numpy's
         self.own_streams = False  # whether the seeded streams draw; set by check_streams
         self._dots = _bind(lib.msgd_dots, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
         self._advance = _bind(
@@ -150,6 +151,7 @@ class Kernel:
         self._draw = _bind(lib.msgd_draw, ctypes.c_int32, _PTR, _I64, _I64, _PTR, _I64)
         self._seed = _bind(lib.msgd_seed, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR)
         self._walk = _bind(lib.msgd_walk, _PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64)
+        self._isum = _bind(lib.msgd_isum, _PTR, _I64, _I64, _I64, _PTR)
         self._ar = _bind(lib.msgd_ar, _PTR, _PTR, _I64, _I64, _I64, _I64, ctypes.c_double, ctypes.c_double, _PTR)
 
     def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,7 +170,10 @@ class Kernel:
         process.  Below 16 elements, where this CPU has FMA instructions,
         the fused dot (see ``_kernel.c``) is compared too, in one call;
         where it agrees, the loop takes it at d instead of calling
-        ``ddot``.  :func:`load` calls this under its lock, so each
+        ``ddot``.  The instance sum is compared with numpy's
+        ``sum(axis=-2)`` too, and where it agrees the engine takes it at d
+        (:meth:`sums`); a disagreement there keeps numpy's sum and warns
+        of nothing.  :func:`load` calls this under its lock, so each
         dimension is probed once and a mismatch warns once.
         """
         if d not in self._checked and not self.mismatch:
@@ -178,6 +183,10 @@ class Kernel:
                 self._checked.add(d)
                 if self._has_fma and d < _FUSED_BELOW and self.fused_dots(a, b).tobytes() == want.tobytes():
                     self._fused.add(d)
+                # at d = 1 numpy's sum runs along the instances, pairwise
+                probes = _probe_instances(a, b) if d > 1 else ()
+                if probes and all(self.instance_sum(v).tobytes() == v.sum(axis=-2).tobytes() for v in probes):
+                    self._summed.add(d)
             else:
                 self.mismatch = True
                 warnings.warn(
@@ -199,6 +208,24 @@ class Kernel:
         out = np.empty(len(a))
         self._fused_dots(len(a), a.shape[1], a.ctypes.data, b.ctypes.data, out.ctypes.data)
         return out
+
+    def instance_sum(self, a: np.ndarray) -> np.ndarray:
+        """The sum over the instance axis of a contiguous float64 ``(..., K,
+        d)``, K, d >= 1: the instances added in their order from 0.0, in one
+        call (``msgd_isum``).  That is numpy's ``sum(axis=-2)`` wherever
+        :meth:`sums` says so."""
+        if a.ndim < 2 or 0 in a.shape[-2:] or not _is_f64(a, contiguous=True):
+            raise ValueError("instance_sum takes a contiguous float64 (..., K, d) array with K, d >= 1")
+        *lead, K, d = a.shape
+        out = np.empty((*lead, d))
+        self._isum(a.ctypes.data, out.size // d, K, d, out.ctypes.data)
+        return out
+
+    def sums(self, d: int) -> bool:
+        """Whether :meth:`instance_sum` gave numpy's ``sum(axis=-2)`` bits
+        at dimension d when :meth:`usable` probed it (never at d = 1, where
+        numpy sums pairwise)."""
+        return d in self._summed and not self.mismatch
 
     @property
     def lanes(self) -> int:
@@ -511,6 +538,14 @@ def _probe_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     a[0], b[0] = -0.0, 1.0
     a[1, ::2], b[1, 1::2] = -0.0, -0.0  # every product a signed zero
     return a, b
+
+
+def _probe_instances(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """The probe pairs' 128 rows, led by four of -0.0 (numpy's sum reads
+    instances that are all -0.0 as +0.0), as runs of K instances, K from 1
+    to all of them."""
+    rows = np.concatenate([np.full((4, a.shape[1]), -0.0), a, b])[:128]
+    return [rows.reshape(128 // K, K, -1) for K in (1, 2, 4, 8, 16, 128)]
 
 
 def _check_pairs(name: str, a: np.ndarray, b: np.ndarray) -> None:

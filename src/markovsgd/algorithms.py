@@ -42,7 +42,13 @@ state index from the chain's table of states, the state's entry in a
 per-state label table; either adds the scaled unit noise.  So neither
 vectors nor labels are gathered into blocks.  The numpy loop,
 :func:`_descend`, is the fallback where the kernel is unavailable: it
-takes the kernel's arguments and gives its bits.
+takes the kernel's arguments and gives its bits.  Parallel SGD's sums over
+its instances -- its estimates, finals and checkpoint iterates -- are the
+kernel's one pass wherever a check at load finds it bit-equal to numpy's
+``sum(axis=-2)`` (not at d = 1, where numpy sums pairwise).  A run's
+finite-chain states and its noise are drawn, block after block, into two
+per-run blocks its stream owns (see :class:`_Stream`), so the blocks after
+the first take no fresh pages.
 :func:`run_many` splits its seeds into contiguous chunks and runs them on
 threads of the calling process, by default one per usable CPU; runs are
 independent, so the result is the same for any chunking.
@@ -340,18 +346,25 @@ class _Stream:
 
     ``chain_draws`` and ``noise_draws`` are the runs' chain and noise
     streams (see :func:`markovsgd.chains._run_streams`).
-    A block of states from ``cursor.take`` is a Gaussian block of vectors
+    A block of states from :meth:`states` is a Gaussian block of vectors
     ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``
     into the rows of ``table``, the chain's ``(S, d)`` states (None for a
     Gaussian chain).  The update loop takes either kind, reordered by the
     engine as it likes (e.g. into parallel rounds), and makes each label
     from :meth:`label_rows` and the block's unit noise.
+
+    The stream owns one per-run block of states and one of noise, which
+    every block of the run reuses: a block is spent once the update loop
+    has taken it, so only the first block's pages are fresh.  (The Gaussian
+    cursor's blocks, and replay's noise, which it gathers into new arrays,
+    are fresh each time.)
     """
 
     def __init__(self, problem: Problem, chain_draws, noise_draws):
         chain = problem.chain
         self.cursor = make_cursor(chain, chain_draws)
         self._noise = noise_draws
+        self._blocks: dict[str, np.ndarray] = {}
         self.sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
         self._w_star = np.ascontiguousarray(problem.w_star, dtype=float)
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
@@ -360,15 +373,34 @@ class _Stream:
             self.table = chain.states
             self._clean = np.vecdot(chain.states, self._w_star)
 
-    def noise(self, n: int) -> np.ndarray | None:
+    def _block(self, name: str, n: int, dtype) -> np.ndarray:
+        """The stream's contiguous ``(R, n)`` block ``name``, in memory that
+        the next call for ``name`` reuses; it grows only past its largest n."""
+        R = self._noise.num_runs
+        buf = self._blocks.get(name)
+        if buf is None or len(buf) < R * n:
+            buf = self._blocks[name] = np.empty(R * n, dtype)
+        return buf[: R * n].reshape(R, n)
+
+    def states(self, n: int) -> np.ndarray:
+        """The next n states, ``(n, R, ...)``; a finite chain's, until the
+        next call, in the stream's block of states."""
+        if self.table is None:
+            return self.cursor.take(n)
+        return self.cursor.take(n, out=self._block("states", n, np.int64).T)
+
+    def noise(self, n: int, fresh: bool = False) -> np.ndarray | None:
         """Unit noise for the next n samples, (n, R), or None without noise.
 
-        Each run's variates fill one row of a per-run (R, n) buffer; the
-        result is its transposed view.
+        Each run's variates fill one row of a per-run (R, n) buffer -- the
+        stream's block of noise, until the next call, unless ``fresh`` --
+        and the result is its transposed view.
         """
         if self.sigma is None:
             return None
-        return self._noise.fill(np.empty((self._noise.num_runs, n)), normal=True).T
+        R = self._noise.num_runs
+        out = np.empty((R, n)) if fresh else self._block("noise", n, float)
+        return self._noise.fill(out, normal=True).T
 
     def label_rows(self, coupled: bool) -> tuple[np.ndarray, int]:
         """The update loop's ``labels`` and ``noisy``: the labels before
@@ -500,6 +532,16 @@ def _load_kernel(d: int):
     return _kernel.load(d)
 
 
+def _instance_sum(d: int) -> Callable:
+    """The sum over the instance axis of contiguous ``(..., K, d)`` weights,
+    numpy's ``sum(axis=-2)``: the kernel's one pass, where its check at d
+    found the same bits, else numpy's."""
+    kern = _load_kernel(d)
+    if kern is not None and kern.sums(d):
+        return kern.instance_sum
+    return functools.partial(np.sum, axis=-2)
+
+
 def _advance(
     W, s, xi, stream: _Stream, alpha: float, *, coupled: bool, first=0, acc=None, window=(0, 0), events=(),
     iters=None, scaled=False, every=1,
@@ -584,7 +626,7 @@ def _sgd_plan(problem: Problem, T: int, config: SgdConfig, seeds) -> _Plan:
         raise ValueError(f"T must be at least 2, got {T}")
 
     def draw(stream, j, n, reads):
-        return stream.cursor.take(n), stream.noise(n), np.arange(j + 1, j + n + 1) if reads else None
+        return stream.states(n), stream.noise(n), np.arange(j + 1, j + n + 1) if reads else None
 
     return _Plan(T, 1, tail_window(T, config.tail_fraction), config.step_size, draw)
 
@@ -600,7 +642,7 @@ def _dd_plan(problem: Problem, T: int, config: DataDropConfig, seeds) -> _Plan:
 
     def draw(stream, j, n, reads):
         read = K * np.arange(j + 1, j + n + 1) if reads else None
-        return stream.cursor.take(n * K)[K - 1 :: K], stream.noise(n), read
+        return stream.states(n * K)[K - 1 :: K], stream.noise(n), read
 
     return _Plan(n_upd, K, (start + 1, count), config.base.step_size, draw)
 
@@ -612,7 +654,7 @@ def _rounds(stream: _Stream, j: int, nr: int, K: int, reads: bool = False):
     Stream order (nr*K, R, ...) becomes round order (nr, R, K, ...) as
     views.
     """
-    s = stream.cursor.take(nr * K)
+    s = stream.states(nr * K)
     s = s.reshape(nr, K, *s.shape[1:]).swapaxes(1, 2)
     xi = stream.noise(nr * K)
     if xi is not None:
@@ -649,8 +691,8 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
     def draw(stream, j, nb, reads):
         n = nb * S
         # per-run layout: row r * n + i of Xrun is sample i of run r's block
-        Xrun = np.ascontiguousarray(stream.cursor.take(n).transpose(1, 0, 2)).reshape(len(rr) * n, -1)
-        xi = stream.noise(nb * B)  # one variate per retained sample
+        Xrun = np.ascontiguousarray(stream.states(n).transpose(1, 0, 2)).reshape(len(rr) * n, -1)
+        xi = stream.noise(nb * B, fresh=True)  # one variate per retained sample
         # step s of run r in buffer b replays sample picks[r, b, s] of that
         # buffer's retained pool
         picks = np.stack([rng.integers(0, B, size=(nb, B)) for rng in algo_rngs])
@@ -696,14 +738,15 @@ def _engine(
     plan = _PLANS[type(config)](problem, T, config, seeds)
     R, B, per_event = len(seeds), plan.updates, plan.per_event
     stream = _Stream(problem, *_run_streams(seeds, (0, 1)))
+    isum = _instance_sum(problem.dim) if plan.parallel else None
 
     def point(w):  # each run's iterate: its instances' mean, or its one instance
-        return w.mean(axis=-2) if plan.parallel else w[..., 0, :]
+        return isum(w) / plan.K if plan.parallel else w[..., 0, :]
 
     W = _initial_weights(problem, w_init, R, plan.K, coupled)
     lo, count = plan.window
     hi = lo + count
-    acc = np.zeros_like(W)
+    acc = np.zeros(W.shape)  # fresh zero pages, with no pass to fill them
     if lo == 0:
         acc += W  # a full-length window opens on w_0
     iters = None
@@ -742,7 +785,7 @@ def _engine(
         if not plan.parallel:
             iters = iters[..., 0, :]
     return {
-        "estimates": (acc.sum(axis=2) if plan.parallel else acc[:, :, 0]) / (count * plan.K),
+        "estimates": (isum(acc) if plan.parallel else acc[:, :, 0]) / (count * plan.K),
         "final": point(W),
         "iterates": iters,
         "window": (lo - plan.first_row, count),

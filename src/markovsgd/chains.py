@@ -710,7 +710,8 @@ class GaussianPathCursor:
 # cum[state, -1] = 1.0 > u never counts, so only the S-1 leading thresholds
 # of each row matter.  The compiled walk (msgd_walk in _kernel.c) counts
 # them for four runs side by side, step by step, so the CPU overlaps the
-# steps of different runs, each of which waits on its run's last state;
+# steps of different runs, each of which waits on its run's last state
+# (unrolled, with no loop between them, for up to 8 thresholds);
 # without the library, _walk_words steps all runs at once with four ufunc
 # calls per step.  Both evaluate exactly these
 # comparisons, so they give the same path bit for bit.
@@ -774,14 +775,15 @@ class FinitePathCursor:
     law, consuming one uniform; every subsequent state consumes one uniform
     per run.
 
-    The layout is per run.  ``take`` allocates one ``(R, n)`` block of 8-byte
-    words and draws run r's uniforms into row r of it, read as float64; the
-    walk then overwrites each uniform, once read, with the int64 state it
-    picks, so no separate uniform buffer exists.  ``take`` hands back the
-    block's ``(n, R)`` transposed view: indexing ``[t]`` gives a strided
-    ``(R,)`` view and ``[:, r]`` a contiguous ``(n,)`` row.  The compiled
-    walk reads and writes the rows as they are (the numpy walk, without the
-    library, steps through the transposed views).
+    The layout is per run.  ``take`` allocates one fresh ``(R, n)`` block
+    of 8-byte words and draws run r's uniforms into row r of it, read as
+    float64; the walk then overwrites each uniform, once read, with the
+    int64 state it picks, so no separate uniform buffer exists.  ``take``
+    hands back the block's ``(n, R)`` transposed view: indexing ``[t]``
+    gives a strided ``(R,)`` view and ``[:, r]`` a contiguous ``(n,)`` row.
+    The compiled walk reads and writes the rows as they are (the numpy walk,
+    without the library, steps through the transposed views).  A caller
+    that is done with a block may hand its memory in again (``out``).
     """
 
     def __init__(self, spec: FiniteChainSpec, rngs, start=None):
@@ -808,10 +810,19 @@ class FinitePathCursor:
     def num_runs(self) -> int:
         return self._draws.num_runs
 
-    def take(self, n: int) -> np.ndarray:
-        """Next ``n`` state indices, shape (n, R); always n uniforms per run."""
-        block = np.empty((self.num_runs, n), dtype=np.int64)
-        out = block.T
+    def take(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``n`` state indices, shape (n, R); always n uniforms per run.
+
+        ``out``, if given, is where they go and what is returned: an int64
+        ``(n, R)`` array whose transpose is C-contiguous, as the blocks
+        ``take`` allocates are.  The engine hands in the same one for every
+        block of a run, so it takes no fresh pages per block.
+        """
+        if out is None:
+            out = np.empty((self.num_runs, n), dtype=np.int64).T
+        elif not (out.shape == (n, self.num_runs) and out.dtype == np.int64 and out.T.flags.c_contiguous):
+            raise ValueError(f"take: out must be an int64 ({n}, {self.num_runs}) array with a C-contiguous transpose")
+        block = out.T
         if n == 0:
             return out
         # the uniforms go into the state block itself; each step overwrites

@@ -801,6 +801,57 @@ class TestDataLayer:
         np.testing.assert_array_equal(coupled, np.stack((chain.outputs, clean, chain.outputs)))
 
     @pytest.mark.parametrize("kind", ["finite", "gaussian"])
+    def test_blocks_reuse_the_streams_memory(self, kind):
+        chain = make_mc0(4, 0.1) if kind == "finite" else GaussianARSpec(dim=3, epsilon=0.4)
+        problem = make_problem(chain, IndependentGaussian(0.2), w_star=np.linspace(-0.5, 0.5, chain.dim))
+        stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
+        ref = [run_generators(s) for s in self.SEEDS]
+        cursor = make_cursor(chain, [g[0] for g in ref])
+        blocks = []
+        for n in (5, 9, 2):  # the blocks grow once, then are reused
+            s, xi = stream.states(n), stream.noise(n)
+            np.testing.assert_array_equal(s, cursor.take(n))
+            np.testing.assert_array_equal(xi, _stacked_noise(ref, n))
+            blocks.append((s, xi))
+        (_, _), (s1, xi1), (s2, xi2) = blocks
+        assert np.shares_memory(xi1, xi2)
+        assert np.shares_memory(s1, s2) == (kind == "finite")  # the Gaussian cursor's blocks are fresh
+        fresh = stream.noise(4, fresh=True)  # replay's, which it gathers from
+        np.testing.assert_array_equal(fresh, _stacked_noise(ref, 4))
+        assert not np.shares_memory(fresh, xi2)
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
+    @pytest.mark.parametrize("elems", [1, 100], ids=["one-event-blocks", "uneven-blocks"])
+    def test_finite_outputs_do_not_depend_on_block_size(self, algo, loop, elems, monkeypatch):
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        problem = mc0_problem()
+        base = SgdConfig(step_size=0.2)
+        cfg = {"sgd": base, "dd": DataDropConfig(base, drop_interval=3), "parallel": ParallelConfig(base, 4)}[algo]
+        runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd}[algo]
+        T = 97
+        starts = np.linspace(-0.5, 0.5, 9).reshape(3, 3)
+        cks = [0, 1, 40, 41, T]
+
+        def outputs():
+            run = runner(problem, T, cfg, 5, w_init=starts[0], coupled=True, record_reads=True)
+            batch = run_many(problem, T, cfg, [5, 6, 7], w_init=starts, checkpoints=cks, workers=1)
+            return [
+                a.tobytes()
+                for a in (
+                    run.estimate, run.iterates, run.coupled.iterates_bias, run.coupled.iterates_var,
+                    run.sample_reads, batch.estimates, batch.final_iterates, batch.checkpoint_excess,
+                )
+            ]
+
+        want = outputs()  # the whole run is one block
+        # 1: one update (data drop) or one round (parallel) per block; 100:
+        # blocks of 11 samples over 3 runs of 3 dimensions, the last one shorter
+        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", elems)
+        assert outputs() == want
+
+    @pytest.mark.parametrize("kind", ["finite", "gaussian"])
     @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "coupled"])
     def test_rounds_match_transposed_blocks(self, kind, coupled):
         if kind == "finite":

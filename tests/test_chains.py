@@ -751,6 +751,49 @@ class TestFiniteWalks:
             assert _make_walk(lead, kern).func == kern.walk
 
     @requires_library
+    @pytest.mark.parametrize("S", range(2, 11))
+    @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
+    def test_each_compiled_walk_equals_the_numpy_walk(self, S, R):
+        # S = 2 .. 9 take the copies compiled for S - 1 thresholds, S = 10 the loop
+        lead = np.ascontiguousarray(_cumulative_rows(_random_chain(S, 7 * S))[:, :-1])
+        rng = np.random.default_rng(S * 16 + R)
+        n = 64
+        U = rng.uniform(size=(R, n))
+        U[:, ::5] = rng.choice(lead.ravel(), size=U[:, ::5].shape)  # uniforms on thresholds
+        state = rng.integers(0, S, R)
+        want = np.empty((n, R), dtype=np.int64)
+        _make_walk(lead, None)(U, state, want)
+        kern = chains._load_kernel()
+        wide = np.full((n, 3 * R), -1, dtype=np.int64)
+        kern.walk(lead, U, state, wide[:, 1::3])  # a strided out
+        assert wide[:, 1::3].tobytes() == np.ascontiguousarray(want).tobytes()
+        assert (wide[:, 0::3] == -1).all() and (wide[:, 2::3] == -1).all()
+        block = U.copy()  # in place: each uniform turns into its state
+        kern.walk(lead, block, state, block.view(np.int64).T)
+        assert np.ascontiguousarray(block.view(np.int64).T).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_a_kept_take_is_never_overwritten(self):
+        cursor = FinitePathCursor(make_mc0(4, 0.125), [run_generators(s)[0] for s in (3, 4, 5)])
+        first = cursor.take(40)
+        kept = first.copy()
+        later = [cursor.take(n) for n in (40, 12, 40)]
+        assert first.tobytes() == kept.tobytes()
+        assert not any(np.shares_memory(first, b) for b in later)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_take_into_out_returns_it_with_the_same_states(self, path):
+        spec, seeds = make_mc0(4, 0.125), (3, 4, 5)
+        with sampling_path(path):
+            fresh, into = (FinitePathCursor(spec, [run_generators(s)[0] for s in seeds]) for _ in range(2))
+            memory = np.empty(3 * 40, dtype=np.int64)  # one block's memory for every take, as the engine's
+            for n in (40, 12, 40, 1):
+                out = memory[: 3 * n].reshape(3, n).T
+                assert into.take(n, out=out) is out
+                assert out.tobytes() == fresh.take(n).tobytes()
+            with pytest.raises(ValueError, match="out"):
+                into.take(5, out=np.empty((5, 3), dtype=np.int64))  # its transpose is not C-contiguous
+
+    @requires_library
     def test_compiled_walk_rejects_bad_input(self):
         kern = chains._load_kernel()
         lead = np.ascontiguousarray(_cumulative_rows(make_mc0(4, 0.125))[:, :-1])

@@ -480,6 +480,70 @@ class TestLanes:
             assert _wide_outputs() == got
 
 
+def _instances(m, K, d, seed):
+    """(m, 3, K, d) weights of spread scales; run 0 of branch 0 all -0.0, and
+    every other instance of run 2 of the last branch -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, 3, K, d)) * 2.0 ** rng.integers(-30, 31, (m, 3, K, d))
+    a[0, 0] = -0.0
+    a[-1, 2, ::2] = -0.0
+    return a
+
+
+@requires_kernel
+class TestInstanceSum:
+    @pytest.mark.parametrize("d", range(1, 18))
+    def test_equals_numpys_sum_and_mean(self, d):
+        kern = _kernel.load(d)
+        assert kern.sums(d) == (d > 1)  # at d = 1 numpy sums pairwise
+        for K in (1, 2, 3, 8, 9, 742):
+            for m in (1, 3):
+                a = _instances(m, K, d, seed=K * 32 + d)
+                got = kern.instance_sum(a)
+                assert not np.signbit(got[0, 0]).any()  # -0.0 instances read +0.0, as in numpy
+                if d > 1:
+                    assert got.tobytes() == a.sum(axis=-2).tobytes(), (K, m)
+                    assert (got / K).tobytes() == a.mean(axis=-2).tobytes(), (K, m)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros((2, 0, 3)), np.zeros((2, 3, 0)), np.zeros(3), np.zeros((2, 6, 4))[:, ::2], np.zeros((2, 3, 4), "f4")],
+        ids=["no-instances", "no-dims", "1-d", "strided", "float32"],
+    )
+    def test_rejects_what_it_cannot_read(self, a):
+        with pytest.raises(ValueError, match="instance_sum"):
+            _kernel.library().instance_sum(a)
+
+    def test_at_one_dimension_numpys_sum_stays(self):
+        a = _instances(1, 742, 1, seed=1)
+        assert _kernel.library().instance_sum(a).tobytes() != a.sum(axis=-2).tobytes()  # pairwise there
+        isum = algorithms._instance_sum(1)
+        assert isum.func is np.sum and isum.keywords == {"axis": -2}
+        assert algorithms._instance_sum(4) == _kernel.load(4).instance_sum
+
+    def test_a_check_that_disagrees_keeps_numpys_sum_silently(self, reset_loader, monkeypatch):
+        problem = make_problem(make_mc0(4, 0.25), IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, 4))
+        cfg = ParallelConfig(SgdConfig(step_size=0.2), num_instances=6)
+
+        def outputs():
+            batch = run_many(problem, 240, cfg, range(5), checkpoints=[0, 100, 240], workers=1)
+            run = run_parallel_sgd(problem, 240, cfg, 3, coupled=True)
+            return [a.tobytes() for a in (batch.estimates, batch.final_iterates, batch.checkpoint_excess, run.estimate)]
+
+        want = outputs()
+        assert _kernel.load(4).sums(4)
+        _kernel._library.cache_clear()
+        isum = _kernel.Kernel.instance_sum
+        monkeypatch.setattr(_kernel.Kernel, "instance_sum", lambda self, a: isum(self, a) + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback is silent: it changes no bits
+            assert not _kernel.load(4).sums(4)
+            got = outputs()
+            info = kernel_info()
+        assert info["path"] == "c" and 4 in info["fused_dims"]
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Every run's variates in one call
 # ---------------------------------------------------------------------------
@@ -983,6 +1047,29 @@ def fresh_cache(reset_loader, monkeypatch, tmp_path):
     return cache / "markovsgd"
 
 
+@pytest.fixture(scope="session")
+def session_library():
+    """The library this test session loaded, and its compiler's version memo."""
+    path = _kernel.library().path
+    return path, _kernel._compiler_version(shutil.which("cc"), os.path.dirname(path))[1]
+
+
+def _seed_cache(cache, library):
+    """Make the kernel cache ``cache`` hold copies of ``library``'s files."""
+    cache.mkdir(parents=True, mode=0o700)
+    for f in library:
+        shutil.copy(f, cache)
+
+
+@pytest.fixture
+def seeded_cache(fresh_cache, session_library):
+    """A kernel cache for this test that holds a copy of the session's
+    library and compiler memo: loading from it builds nothing, for the
+    tests that need a library but do not test its build."""
+    _seed_cache(fresh_cache, session_library)
+    return fresh_cache
+
+
 def _load_in_subprocess(cache_home, count=1):
     """kernel_info() of ``count`` fresh interpreters started together."""
     env = dict(os.environ, XDG_CACHE_HOME=str(cache_home), PYTHONPATH=SRC)
@@ -1009,7 +1096,7 @@ def _problem():
 
 @requires_kernel
 class TestLoader:
-    def test_no_compiler_runs_numpy_with_one_warning(self, fresh_cache, monkeypatch, tmp_path):
+    def test_no_compiler_runs_numpy_with_one_warning(self, seeded_cache, monkeypatch, tmp_path):
         problem, cfg = _problem(), SgdConfig(step_size=0.3)
         want = run_many(problem, 500, cfg, [1, 2], checkpoints=[0, 250, 500])
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc here
@@ -1025,7 +1112,7 @@ class TestLoader:
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.checkpoint_excess.tobytes() == want.checkpoint_excess.tobytes()
 
-    def test_no_compiler_samples_the_same_paths_with_one_warning(self, fresh_cache, monkeypatch, tmp_path):
+    def test_no_compiler_samples_the_same_paths_with_one_warning(self, seeded_cache, monkeypatch, tmp_path):
         finite, gaussian = make_mc0(6, 0.2), GaussianARSpec(dim=3, epsilon=0.2)
         seeds, splits = [4, 5, 6], (1, 40, 7)
 
@@ -1063,11 +1150,11 @@ class TestLoader:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
-    def test_truncated_library_is_rebuilt(self, fresh_cache, keep):
-        (built,) = _load_in_subprocess(fresh_cache.parent)
+    def test_truncated_library_is_rebuilt(self, seeded_cache, keep):
+        (built,) = _load_in_subprocess(seeded_cache.parent)
         assert built["path"] == "c"
         path = built["cache"]
-        assert os.path.dirname(path) == str(fresh_cache)
+        assert os.path.dirname(path) == str(seeded_cache)
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(int(size * keep))  # loading it as it is would die of SIGBUS
@@ -1076,7 +1163,7 @@ class TestLoader:
             info = kernel_info()  # this process never loaded the file
         assert info == built
         assert os.path.getsize(path) == size
-        assert _library_files(fresh_cache) == [os.path.basename(path)]
+        assert _library_files(seeded_cache) == [os.path.basename(path)]
 
     def test_probe_mismatch_falls_back(self, reset_loader, monkeypatch):
         problem, cfg = _problem(), DataDropConfig(SgdConfig(step_size=0.3), drop_interval=2)
@@ -1146,8 +1233,8 @@ class TestLoader:
         assert _library_files(fresh_cache) == [os.path.basename(first["cache"])]
         assert kernel_info() == first
 
-    def test_warm_cache_starts_no_process(self, fresh_cache, monkeypatch):
-        assert kernel_info()["path"] == "c"  # fills the cache
+    def test_warm_cache_starts_no_process(self, seeded_cache, monkeypatch):
+        assert kernel_info()["path"] == "c"  # loads the library and memo into this process
         _kernel._library.cache_clear()
 
         def no_process(*args, **kwargs):
@@ -1179,12 +1266,12 @@ class TestLoader:
         assert all(f.exists() for f in stale)
         assert os.path.getmtime(info["cache"]) > time.time() - 3600
 
-    def test_unusable_cache_home_falls_back_to_temp(self, reset_loader, monkeypatch, tmp_path):
+    def test_unusable_cache_home_falls_back_to_temp(self, reset_loader, session_library, monkeypatch, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-        (tmp_path / "tmp").mkdir()
+        _seed_cache(tmp_path / "tmp" / f"markovsgd-{os.getuid()}", session_library)
         info = kernel_info()
         assert info["path"] == "c"
         assert os.path.dirname(info["cache"]) == str(tmp_path / "tmp" / f"markovsgd-{os.getuid()}")
