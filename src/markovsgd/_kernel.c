@@ -8,14 +8,15 @@
  *     cc -O2 -fPIC -shared -ffp-contract=off ... -lm
  * and never with -ffast-math: every operation below must round exactly as
  * the numpy loop in algorithms._descend does, so the compiler may fuse no
- * product into an FMA and reassociate no sum.  The dot products are the
- * ones np.vecdot computes for float64 rows, for both <w, x> and the label
- * <x, w*> of a sample vector: the caller passes the ddot of numpy's own
- * BLAS, which np.vecdot calls, and below 16 elements the loop may instead
- * take that ddot's own arithmetic, written out as explicit fma() calls
- * (the fused dot, below), where a check at load finds it equal.  Either
- * result is added to 0.0 as numpy's dot loop adds it (so a -0.0 dot reads
- * +0.0, as it does there).
+ * product into an FMA and reassociate no sum.  The update loop reads every
+ * sample as a row of a table, by its row number, and labels it from w* or
+ * from a table of labels.  The dot products are the ones np.vecdot
+ * computes for float64 rows, for both <w, x> and a label <x, w*>: the
+ * caller passes the ddot of numpy's own BLAS, which np.vecdot calls, and
+ * below 16 elements the loop may instead take that ddot's own arithmetic,
+ * written out as explicit fma() calls (the fused dot, below), where a
+ * check at load finds it equal.  Either result is added to 0.0 as numpy's
+ * dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
  * The update loop and the finite walk take several runs side by side: runs
  * never interact, so that changes the order of work across runs and none
  * of a run's own operations.  The instance sum adds in numpy's order, and
@@ -64,11 +65,11 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double
 #define FUSED
 #endif
 
-static inline __attribute__((always_inline)) double dot(ddot_fn ddot, int fused, int64_t n,
-                                                        const double *x, int64_t incx, const double *y, int64_t incy)
+static inline __attribute__((always_inline)) double dot(ddot_fn ddot, int fused, int64_t n, const double *x,
+                                                        const double *y)
 {
     if (!fused) {
-        return 0.0 + ddot(n, x, incx, y, incy);
+        return 0.0 + ddot(n, x, 1, y, 1);
     }
     double s = 0.0;
     for (int64_t j = 0; j < n; j++) {
@@ -81,7 +82,7 @@ static inline __attribute__((always_inline)) double dot(ddot_fn ddot, int fused,
 void msgd_dots(ddot_fn ddot, int64_t n, int64_t d, const double *a, const double *b, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
-        out[i] = dot(ddot, 0, d, a + i * d, 1, b + i * d, 1);
+        out[i] = dot(ddot, 0, d, a + i * d, b + i * d);
     }
 }
 
@@ -104,7 +105,7 @@ int32_t msgd_fused(void)
 FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *b, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
-        out[i] = dot(0, 1, d, a + i * d, 1, b + i * d, 1);
+        out[i] = dot(0, 1, d, a + i * d, b + i * d);
     }
 }
 
@@ -118,16 +119,14 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * Apply n updates to the weights w of R runs.
  *
  * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
- * runs of K instances.  Sample i of instance (r, k) is read in one of two
- * modes:
- *   vector:  the vector x[i*xn + r*xr + k*xk + j*xd] (j < d, xd > 0), whose
- *            label is <x, w*> -- y holds the d doubles of w* -- as
+ * runs of K instances.  x is a table of contiguous rows of d doubles, and
+ * sample i of instance (r, k) is row s = idx[i*in + r*ir + k*ik] of it.  Its
+ * label is set by ym:
+ *   ym = 0:  y holds the d doubles of w*, and the label is <x, w*>, as
  *            np.vecdot(x, w*) computes it, in every branch;
- *   indexed: x is a table of contiguous rows of d doubles, and the sample
- *            is row s = idx[i*in + r*ir + k*ik] of it; y is a table of ym
- *            labels per branch, and the label in branch b is y[b*ym + s].
- *            (xn, xr, xk are not read.)
- * In either mode, when xi is given and bit b of noisy is set, branch b adds
+ *   ym > 0:  y is a table of ym labels per branch, and the label in branch
+ *            b is y[b*ym + s].
+ * Either way, when xi is given and bit b of noisy is set, branch b adds
  * sigma * xi[i*qn + r*qr + k*qk] to its label, as numpy adds the product
  * sigma * xi.  Strides count elements.
  *
@@ -139,9 +138,9 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * are added into its rows of acc when lo <= u < hi, and copied into its
  * rows of row u / every of iters, when iters is given: rows of m*R*K*d
  * doubles.  acc and iters may be null.
- * With fused set and unit-stride samples (xd = 1), every dot is the fused
- * dot (the caller sets fused only for d < 16, where that dot passed its
- * check); otherwise every dot calls ddot.
+ * With fused set, every dot is the fused dot (the caller sets fused only
+ * for d < 16, where that dot passed its check); otherwise every dot calls
+ * ddot.
  *
  * Runs never interact, so the order in which their updates are taken
  * changes no run's operations, and so none of its bits.  A run's K
@@ -171,11 +170,10 @@ typedef struct {
     double *w, *acc, *iters;
     int64_t m, R, K, d;
     const double *x;
-    int64_t xn, xr, xk, xd;
     const int64_t *idx;
     int64_t in, ir, ik;
     const double *y;
-    int64_t ym;
+    int64_t ym;  /* labels per branch in y; 0: y is w* */
     const double *xi;
     int64_t qn, qr, qk;
     double sigma;
@@ -194,33 +192,25 @@ typedef struct {
 static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t b, int64_t i, int64_t r,
                                                            int64_t k, const int noise)
 {
-    const int64_t d = a->d, xd = a->xd;
+    const int64_t d = a->d, s = a->idx[i * a->in + r * a->ir + k * a->ik];
     double *row = a->w + ((b * a->R + r) * a->K + k) * d;
-    const double *xv;
-    double label;
-    if (a->idx != 0) {
-        const int64_t s = a->idx[i * a->in + r * a->ir + k * a->ik];
-        xv = a->x + s * d;
-        label = a->y[b * a->ym + s];
-    } else {
-        xv = a->x + i * a->xn + r * a->xr + k * a->xk;
-        label = dot(a->ddot, a->fused, d, xv, xd, a->y, 1);
-    }
+    const double *xv = a->x + s * d;
+    double label = a->ym != 0 ? a->y[b * a->ym + s] : dot(a->ddot, a->fused, d, xv, a->y);
     if (noise) {
         label = label + a->sigma * a->xi[i * a->qn + r * a->qr + k * a->qk];
     }
-    double res = dot(a->ddot, a->fused, d, row, 1, xv, xd) - label;
+    double res = dot(a->ddot, a->fused, d, row, xv) - label;
     double spoilt = 0.0;
     if (a->scaled) {
         res = res * a->alpha;
         for (int64_t j = 0; j < d; j++) {
-            double v = row[j] - res * xv[j * xd];
+            double v = row[j] - res * xv[j];
             row[j] = v;
             spoilt += v - v;
         }
     } else {
         for (int64_t j = 0; j < d; j++) {
-            double v = row[j] - res * (a->alpha * xv[j * xd]);
+            double v = row[j] - res * (a->alpha * xv[j]);
             row[j] = v;
             spoilt += v - v;
         }
@@ -261,14 +251,14 @@ static inline __attribute__((always_inline)) void record(const segment_t *a, int
 
 /*
  * The update loop for runs r_lo .. r_hi-1, from update i0 on, with m
- * branches, and indexed samples or (indexed = 0) vectors: constants in the
- * inlined copies below.
+ * branches, and labels from a table or (tabled = 0) from w*: constants in
+ * the inlined copies below.
  */
-static inline __attribute__((always_inline)) void advance(segment_t a, const int64_t m, const int indexed,
+static inline __attribute__((always_inline)) void advance(segment_t a, const int64_t m, const int tabled,
                                                           int64_t r_lo, int64_t r_hi, int64_t i0)
 {
     a.m = m;
-    a.idx = indexed ? a.idx : 0;
+    a.ym = tabled ? a.ym : 0;
     const int64_t lanes = a.K == 1 ? LANES : 1;
     const int64_t lead = (a.every - (a.first + i0) % a.every) % a.every;  /* the first update from i0 to end an event */
     for (int64_t r0 = r_lo; r0 < r_hi; r0 += lanes) {
@@ -312,15 +302,14 @@ static inline __attribute__((always_inline)) void advance(segment_t a, const int
 
 /*
  * Inlined copies of the loop, so that none tests per update what is fixed
- * for the call: the dot, whether samples are indexed, and, with the fused
- * dot, the one branch of an uncoupled run.
+ * for the call: the dot, whether labels are dots with w*, and, with the
+ * fused dot, the one branch of an uncoupled run.
  */
 FUSED static void advance_fused(segment_t a, int64_t r_lo, int64_t r_hi, int64_t i0)
 {
     a.ddot = 0;
     a.fused = 1;
-    a.xd = 1;  /* msgd_advance calls this only for unit strides */
-    if (a.idx != 0) {
+    if (a.ym != 0) {
         if (a.m == 1) {
             advance(a, 1, 1, r_lo, r_hi, i0);
         } else {
@@ -336,7 +325,7 @@ FUSED static void advance_fused(segment_t a, int64_t r_lo, int64_t r_hi, int64_t
 static void advance_ddot(segment_t a)
 {
     a.fused = 0;
-    if (a.idx != 0) {
+    if (a.ym != 0) {
         advance(a, a.m, 1, 0, a.R, 0);
     } else {
         advance(a, a.m, 0, 0, a.R, 0);
@@ -432,7 +421,7 @@ WIDE_INLINE int any_set(__m256d v)
 /*
  * Update i in branch b of four lanes, lane g being instance (r + g*dr,
  * k + g*dk), whose coordinates j are w[j]: update()'s operations, lane by
- * lane, into nw.  ws holds w* in every lane (vector mode).  Returns the
+ * lane, into nw.  ws holds w* in every lane (labels from w*).  Returns the
  * lanes' v - v ORed over the new weights v: all bits zero in a lane whose
  * new weights are all finite (v - v is +0.0 there, else NaN).
  */
@@ -440,26 +429,20 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
                             int64_t k, const int64_t dr, const int64_t dk, const __m256d *w, __m256d *nw)
 {
     const __m256d zero = _mm256_setzero_pd(), alpha = _mm256_set1_pd(a->alpha);
+    const int64_t *at = a->idx + i * a->in + r * a->ir + k * a->ik, step = dr * a->ir + dk * a->ik;
     const double *rows[LANES];
+    int64_t row[LANES];
     __m256d x[MAX_DIM], label, s = zero;
-    if (a->idx != 0) {
-        const int64_t *at = a->idx + i * a->in + r * a->ir + k * a->ik, step = dr * a->ir + dk * a->ik;
-        const double *y = a->y + b * a->ym;
-        int64_t row[LANES];
 #pragma GCC unroll 4
-        for (int g = 0; g < LANES; g++) {
-            row[g] = at[g * step];
-            rows[g] = a->x + row[g] * d;
-        }
-        load_cols(rows, d, x);
+    for (int g = 0; g < LANES; g++) {
+        row[g] = at[g * step];
+        rows[g] = a->x + row[g] * d;
+    }
+    load_cols(rows, d, x);
+    if (a->ym != 0) {
+        const double *y = a->y + b * a->ym;
         label = _mm256_set_pd(y[row[3]], y[row[2]], y[row[1]], y[row[0]]);
     } else {
-        const double *at = a->x + i * a->xn + r * a->xr + k * a->xk;
-#pragma GCC unroll 4
-        for (int g = 0; g < LANES; g++) {
-            rows[g] = at + g * (dr * a->xr + dk * a->xk);
-        }
-        load_cols(rows, d, x);
         __m256d t = zero;
 #pragma GCC unroll 16
         for (int64_t j = 0; j < d; j++) {
@@ -496,12 +479,12 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
     return spoilt;
 }
 
-/* ws[j] = w*_j in every lane, for j < d (zeros for indexed samples, which do not read them) */
+/* ws[j] = w*_j in every lane, for j < d (zeros for labels from a table, which do not read them) */
 WIDE_INLINE void broadcast(const segment_t *a, const int64_t d, __m256d *ws)
 {
 #pragma GCC unroll 16
     for (int64_t j = 0; j < d; j++) {
-        ws[j] = _mm256_set1_pd(a->idx != 0 ? 0.0 : a->y[j]);
+        ws[j] = _mm256_set1_pd(a->ym != 0 ? 0.0 : a->y[j]);
     }
 }
 
@@ -617,7 +600,6 @@ WIDE_INLINE void instances4(const segment_t *p, const int64_t d)
     segment_t a = *p;
     a.ddot = 0;
     a.fused = 1;
-    a.xd = 1;
     const int64_t whole = a.K - a.K % LANES, lead = (a.every - a.first % a.every) % a.every;
     __m256d ws[MAX_DIM];
     broadcast(&a, d, ws);
@@ -686,14 +668,14 @@ static void (*const wide_at[MAX_DIM + 1])(const segment_t *) = {
 #endif
 
 void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *iters, int64_t m, int64_t R,
-                  int64_t K, int64_t d, const double *x, int64_t xn, int64_t xr, int64_t xk, int64_t xd,
-                  const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y, int64_t ym,
-                  const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t noisy, int64_t n,
-                  int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, int64_t every)
+                  int64_t K, int64_t d, const double *x, const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
+                  const double *y, int64_t ym, const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma,
+                  int64_t noisy, int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad,
+                  int64_t first, int64_t every)
 {
-    const segment_t a = {ddot, fused != 0, w, acc, iters, m, R, K, d, x, xn, xr, xk, xd, idx, in, ir, ik, y, ym,
+    const segment_t a = {ddot, fused != 0, w, acc, iters, m, R, K, d, x, idx, in, ir, ik, y, ym,
                          xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every};
-    if (!fused || xd != 1) {
+    if (!fused) {
         advance_ddot(a);
         return;
     }

@@ -27,12 +27,14 @@ operations in their order: ``vfmadd`` rounds as ``fma()`` does, and
 operations do, so the bits are the scalar loop's.  Runs and instances
 left over from groups of four, coupled runs of one instance, the dimensions
 that call ``ddot``, and CPUs without AVX2 take the scalar loop.
-The loop makes every label itself, by one rule for both kinds of chain.  A
-Gaussian sample's label is ``<x, w*>``.  A finite chain's sample is read
-from the chain's table of states by its state index, and its label is
-that state's entry in a per-branch label table.  Either label then adds
-``sigma * xi`` in the branches that take noise.  So no block of labels,
-or of gathered vectors, is built.
+The loop reads every sample one way, as a row of a table by its row
+number: a finite chain's from the chain's table of states by its state
+index, a Gaussian sample from the rows of its block of the path.  It makes
+every label itself, by the rule its ``labels`` argument sets: a Gaussian
+sample's label is ``<x, w*>``, and a finite chain's is its state's entry
+in a per-branch label table.  Either label then adds ``sigma * xi`` in the
+branches that take noise.  So no block of labels, or of gathered vectors,
+is built.
 
 The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
@@ -138,8 +140,7 @@ class Kernel:
         self._advance = _bind(
             lib.msgd_advance,
             *(_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64),
-            *(_PTR, _I64, _I64, _I64, _I64),
-            *(_PTR, _I64, _I64, _I64),
+            *(_PTR, _PTR, _I64, _I64, _I64),
             *(_PTR, _I64),
             *(_PTR, _I64, _I64, _I64, ctypes.c_double, _I64),
             *(_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64, _I64),
@@ -234,20 +235,19 @@ class Kernel:
         return _LANES if self._has_fma and self._has_avx2 else 1
 
     def advance(
-        self, W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
-        table=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
+        self, W, X, table, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int,
+        iters=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
     ) -> None:
         """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
-        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  Without
-        ``table``, ``X`` is ``(n, R, K, d)`` vectors, possibly strided, and
-        ``labels`` is w*, a contiguous ``(d,)``: each branch labels x with
-        ``np.vecdot(x, w*)``.  With ``table``, a contiguous ``(S, d)``,
-        ``X`` is an int64 ``(n, R, K)`` block, possibly strided, of the rows
-        of ``table`` that are the samples, and ``labels`` a contiguous ``(m,
-        S)`` table of each branch's label per row.  The branches whose bit
-        is set in ``noisy`` add ``sigma * xi`` -- ``xi`` a float64 ``(n, R,
-        K)``, possibly strided, or None -- to the label.  ``bad`` is a
+        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  ``X`` is an
+        int64 ``(n, R, K)`` block, possibly strided, of the numbers of the
+        rows of ``table``, a contiguous ``(rows, d)``, that are the samples.
+        ``labels`` sets the label rule: w*, a contiguous ``(d,)``, labels x
+        with ``np.vecdot(x, w*)`` in each branch, and a contiguous ``(m,
+        rows)`` table gives each branch's label per row.  The branches whose
+        bit is set in ``noisy`` add ``sigma * xi`` -- ``xi`` a float64 ``(n,
+        R, K)``, possibly strided, or None -- to the label.  ``bad`` is a
         contiguous int64 ``(R,)``: -1 for a finite run, else the update
         (this call's i-th is number ``first + i``) that left the run
         non-finite, after which it is not updated.  After each update u that
@@ -260,23 +260,17 @@ class Kernel:
         """
         m, R, K, d = W.shape
         n = len(X)
-        if table is None:
-            samples_ok = X.shape == (n, R, K, d) and _is_f64(X) and labels.shape == (d,)
-        else:
-            samples_ok = (
-                X.shape == (n, R, K)
-                and X.dtype == np.int64
-                and not any(s % 8 for s in X.strides)
-                and table.ndim == 2
-                and table.shape[1] == d
-                and _is_f64(table, contiguous=True)
-                and labels.shape == (m, len(table))
-            )
         if not (
             _is_f64(W, contiguous=True)
             and (acc is None or (acc.shape == W.shape and _is_f64(acc, contiguous=True)))
             and (iters is None or (iters.shape[1:] == W.shape and _is_f64(iters, contiguous=True)))
-            and samples_ok
+            and X.shape == (n, R, K)
+            and X.dtype == np.int64
+            and not any(s % 8 for s in X.strides)
+            and table.ndim == 2
+            and table.shape[1] == d
+            and _is_f64(table, contiguous=True)
+            and labels.shape in ((d,), (m, len(table)))
             and _is_f64(labels, contiguous=True)
             and (xi is None or (xi.shape == (n, R, K) and _is_f64(xi)))
             and bad.shape == (R,)
@@ -288,18 +282,10 @@ class Kernel:
             return
         if first < 0 or every < 1 or (iters is not None and (first + n - 1) // every >= len(iters)):
             raise ValueError(f"advance: updates {first} .. {first + n - 1}, {every} an event, have no rows")
-        if table is None:
-            xs = [s // 8 for s in X.strides]
-            if d == 1:
-                xs[3] = 1  # the only element; numpy gives a length-1 axis any stride
-            if xs[3] <= 0:
-                raise ValueError("advance: sample vectors need a positive element stride")
-            samples = (X.ctypes.data, *xs, None, 0, 0, 0, labels.ctypes.data, 0)
-        else:
-            if X.view(np.uint64).max() >= len(table):  # negatives read as huge
-                raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
-            samples = (table.ctypes.data, 0, 0, 0, 1, X.ctypes.data, *(s // 8 for s in X.strides))
-            samples += (labels.ctypes.data, len(table))
+        if X.view(np.uint64).max() >= len(table):  # negatives read as huge
+            raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
+        ym = len(table) if labels.ndim == 2 else 0  # labels per branch; 0: labels is w*
+        samples = (table.ctypes.data, X.ctypes.data, *(s // 8 for s in X.strides), labels.ctypes.data, ym)
         noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
         sums = (None if a is None else a.ctypes.data for a in (acc, iters))
         fused = self.lanes if d in self._fused else 0  # 0: ddot; 1: the fused dot; 4: in four lanes

@@ -36,11 +36,14 @@ run keeps, after each update that ends an event.  Below 16 dimensions it writes 
 a check at load finds it bit-equal to ``np.vecdot``; there, on a CPU with
 AVX2, it advances four runs (or four of parallel SGD's instances) in the
 lanes of one vector register, each lane making the scalar loop's IEEE
-operations in the same order, so with the same bits.  It makes every label itself: ``<x, w*>`` for a
-Gaussian sample, and for a finite chain, whose sample vectors it reads by
-state index from the chain's table of states, the state's entry in a
-per-state label table; either adds the scaled unit noise.  So neither
-vectors nor labels are gathered into blocks.  The numpy loop,
+operations in the same order, so with the same bits.  It reads every
+sample by row number from a table: a finite chain's state index into the
+chain's table of states, and a Gaussian sample's position in its block of
+the path, whose per-run rows are the table -- so replay's picks are row
+numbers too.  It makes every label itself: ``<x, w*>`` for a Gaussian
+sample, and for a finite chain the state's entry in a per-state label
+table; either adds the scaled unit noise.  So neither vectors nor labels
+are gathered into blocks.  The numpy loop,
 :func:`_descend`, is the fallback where the kernel is unavailable: it
 takes the kernel's arguments and gives its bits.  Parallel SGD's sums over
 its instances -- its estimates, finals and checkpoint iterates -- are the
@@ -81,7 +84,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, make_cursor, mixing_time
+from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -132,7 +135,7 @@ class SgdConfig:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if check_float(self.step_size, "step_size") <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
@@ -153,7 +156,7 @@ class DataDropConfig:
     def __post_init__(self):
         if self.drop_interval is not None and self.drop_interval < 1:
             raise ValueError(f"drop_interval must be >= 1, got {self.drop_interval}")
-        if self.log_constant <= 0:
+        if check_float(self.log_constant, "log_constant") <= 0:
             raise ValueError("log_constant must be positive")
 
 
@@ -189,7 +192,7 @@ class ReplayConfig:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if self.drop_prefix < 0:
             raise ValueError(f"drop_prefix must be >= 0, got {self.drop_prefix}")
-        if self.step_size <= 0:
+        if check_float(self.step_size, "step_size") <= 0:
             raise ValueError("step_size must be positive")
         if not (0.0 < self.tail_buffer_fraction <= 1.0):
             raise ValueError("tail_buffer_fraction must lie in (0, 1]")
@@ -346,18 +349,20 @@ class _Stream:
 
     ``chain_draws`` and ``noise_draws`` are the runs' chain and noise
     streams (see :func:`markovsgd.chains._run_streams`).
-    A block of states from :meth:`states` is a Gaussian block of vectors
-    ``(n, ..., d)`` or a finite-chain block of state indices ``(n, ...)``
-    into the rows of ``table``, the chain's ``(S, d)`` states (None for a
-    Gaussian chain).  The update loop takes either kind, reordered by the
-    engine as it likes (e.g. into parallel rounds), and makes each label
-    from :meth:`label_rows` and the block's unit noise.
+    A block of states from :meth:`states` is ``(n, R)`` int64 numbers of
+    rows of ``table``: a finite chain's state indices into its ``(S, d)``
+    states, or, on a Gaussian chain, the numbers ``r * n + i`` of the rows
+    of the block's own ``(R * n, d)`` path, which :meth:`states` sets as
+    ``table``.  The update loop takes either kind, reordered by the engine
+    as it likes (e.g. into parallel rounds, or replay's picks), and makes
+    each label from :meth:`label_rows` and the block's unit noise.
 
     The stream owns one per-run block of states and one of noise, which
     every block of the run reuses: a block is spent once the update loop
     has taken it, so only the first block's pages are fresh.  (The Gaussian
     cursor's blocks, and replay's noise, which it gathers into new arrays,
-    are fresh each time.)
+    are fresh each time; a Gaussian block's row numbers are kept from one
+    block to the next.)
     """
 
     def __init__(self, problem: Problem, chain_draws, noise_draws):
@@ -368,8 +373,10 @@ class _Stream:
         self.sigma = problem.noise.sigma if isinstance(problem.noise, IndependentGaussian) else None
         self._w_star = np.ascontiguousarray(problem.w_star, dtype=float)
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
+        self._gaussian = isinstance(chain, GaussianARSpec)
+        self._rows = np.empty((0, self._noise.num_runs), dtype=np.int64)  # a Gaussian block's row numbers
         self.table = self._clean = None
-        if not isinstance(chain, GaussianARSpec):
+        if not self._gaussian:
             self.table = chain.states
             self._clean = np.vecdot(chain.states, self._w_star)
 
@@ -383,11 +390,16 @@ class _Stream:
         return buf[: R * n].reshape(R, n)
 
     def states(self, n: int) -> np.ndarray:
-        """The next n states, ``(n, R, ...)``; a finite chain's, until the
-        next call, in the stream's block of states."""
-        if self.table is None:
-            return self.cursor.take(n)
-        return self.cursor.take(n, out=self._block("states", n, np.int64).T)
+        """The next n states, as ``(n, R)`` numbers of rows of ``table``,
+        which hold until the next call."""
+        if not self._gaussian:
+            return self.cursor.take(n, out=self._block("states", n, np.int64).T)
+        X = self.cursor.take(n)  # the transposed view of a contiguous (R, n, d) block
+        self.table = X.transpose(1, 0, 2).reshape(-1, X.shape[-1])
+        if len(self._rows) != n:
+            R = self._noise.num_runs
+            self._rows = np.arange(R * n).reshape(R, n).T
+        return self._rows
 
     def noise(self, n: int, fresh: bool = False) -> np.ndarray | None:
         """Unit noise for the next n samples, (n, R), or None without noise.
@@ -414,7 +426,7 @@ class _Stream:
         bias branch always takes, or under agnostic noise the outputs.
         """
         noisy = 0b101 if coupled else 0b1
-        if self.table is None:
+        if self._gaussian:
             return self._w_star, noisy
         y = self._clean if self._outputs is None else self._outputs
         return (np.stack((y, self._clean, y)) if coupled else y[None]), noisy
@@ -427,15 +439,15 @@ class _Checkpoints:
     stops its update loop after the updates that end them to :meth:`record`.
     """
 
-    def __init__(self, steps, to_event, num_events: int, num_runs: int):
+    def __init__(self, steps, horizon: int, to_event, num_events: int, num_runs: int):
         self.steps = None
         self.excess = None
         self.events: dict[int, list[int]] = {}
         if steps is None:
             return
         self.steps = np.asarray(sorted(int(s) for s in steps), dtype=np.int64)
-        if np.any(self.steps < 0):
-            raise ValueError("checkpoints must be nonnegative sample counts")
+        if np.any(self.steps < 0) or np.any(self.steps > horizon):
+            raise ValueError(f"checkpoints must be sample counts in 0..{horizon} (T)")
         self.excess = np.full((len(self.steps), num_runs), np.nan)
         for pos, s in enumerate(self.steps):
             e = min(to_event(int(s)), num_events)
@@ -470,22 +482,25 @@ def _divergence(seed, samples: int) -> FloatingPointError:
 
 
 def _descend(
-    W, X, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int, iters=None,
-    table=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
+    W, X, table, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int,
+    iters=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
 ) -> None:
     """The numpy update loop: :meth:`markovsgd._kernel.Kernel.advance`'s
     contract and bits, where the compiled kernel is unavailable.
 
-    It takes the same arguments, makes the same labels, sums and stores W
-    after the same updates and reports the same updates into ``bad``, but
-    checks the weights only after its last update: a broken run runs on with
-    the others, and a second pass from the call's start finds its update.
+    It takes the same arguments, gathers the samples' rows from ``table``
+    (the one place that copies sample vectors), makes the same labels, sums
+    and stores W after the same updates and reports the same updates into
+    ``bad``, but checks the weights only after its last update: a broken run
+    runs on with the others, and a second pass from the call's start finds
+    its update.
     """
     m = len(W)
-    if table is None:
+    rows, X = X, table.take(X, axis=0)
+    if labels.ndim == 1:  # w*
         Y = np.broadcast_to(np.vecdot(X, labels), (m, *X.shape[:-1]))
     else:
-        Y, X = labels.take(X, axis=1), table.take(X, axis=0)
+        Y = labels.take(rows, axis=1)
     if xi is not None:
         noise = sigma * xi
         Y = np.stack([Y[b] + noise if noisy >> b & 1 else Y[b] for b in range(m)])
@@ -549,15 +564,14 @@ def _advance(
     """Apply a block's updates to ``W`` in place, yielding at events.
 
     Sample i of ``s``, with unit noise ``xi[i]`` (or None), drives update
-    ``first + i + 1``; ``s`` is ``(n, R, K, d)`` vectors, or ``(n, R, K)``
-    state indices into the rows of ``stream.table``, and ``xi`` is
-    ``(n, R, K)``.  The labels are made from :meth:`_Stream.label_rows`
-    (three branches when ``coupled``).  Update u ends an event when it is
-    a multiple of ``every``; then W is added into ``acc`` when ``window[0]
-    <= u < window[1]`` and stored in ``iters[u // every]`` when ``iters``
-    is given.  The generator yields u after each update u in ``events``.
-    ``scaled`` selects parallel SGD's ``(alpha * r) * x`` order over ``r *
-    (alpha * x)``.
+    ``first + i + 1``; ``s`` is ``(n, R, K)`` numbers of rows of
+    ``stream.table``, and ``xi`` is ``(n, R, K)``.  The labels are made
+    from :meth:`_Stream.label_rows` (three branches when ``coupled``).
+    Update u ends an event when it is a multiple of ``every``; then W is
+    added into ``acc`` when ``window[0] <= u < window[1]`` and stored in
+    ``iters[u // every]`` when ``iters`` is given.  The generator yields u
+    after each update u in ``events``.  ``scaled`` selects parallel SGD's
+    ``(alpha * r) * x`` order over ``r * (alpha * x)``.
 
     The block runs as segments that end at its events and at its end, each
     one call of the compiled kernel's ``advance``, or of :func:`_descend`
@@ -577,7 +591,7 @@ def _advance(
         # segment update i is update a + i + 1
         seg = slice(a - first, b - first)
         advance(
-            W, s[seg], labels, alpha, scaled, acc, *window, bad, a + 1, iters, stream.table,
+            W, s[seg], stream.table, labels, alpha, scaled, acc, *window, bad, a + 1, iters,
             None if xi is None else xi[seg], sigma, noisy, every,
         )
         if bad.max() >= 0:
@@ -599,14 +613,15 @@ class _Plan:
 
     A run is ``events`` events -- updates, rounds or buffers -- of
     ``per_event`` stream samples each.  ``draw(stream, j, n, reads)``
-    returns the states and unit noise that events j+1 .. j+n update on, in
-    update order ``(updates, R[, K], ...)``, and, when ``reads`` is set, the
-    1-based numbers of the samples run 0 reads (else None).  Each event
-    applies ``updates`` updates of size ``step`` to K instances per run;
-    ``parallel`` keeps the instance axis in the outputs and updates in
-    parallel SGD's order.  Row e of the iterates is the weight after event
-    e, row 0 the start: the estimate averages ``window = (first row,
-    count)``, and a runner returns the rows from ``first_row`` on.
+    returns the states -- numbers of rows of ``stream.table`` -- and unit
+    noise that events j+1 .. j+n update on, in update order ``(updates,
+    R[, K])``, and, when ``reads`` is set, the 1-based numbers of the
+    samples run 0 reads (else None).  Each event applies ``updates``
+    updates of size ``step`` to K instances per run; ``parallel`` keeps the
+    instance axis in the outputs and updates in parallel SGD's order.  Row
+    e of the iterates is the weight after event e, row 0 the start: the
+    estimate averages ``window = (first row, count)``, and a runner returns
+    the rows from ``first_row`` on.
     """
 
     events: int
@@ -648,14 +663,12 @@ def _dd_plan(problem: Problem, T: int, config: DataDropConfig, seeds) -> _Plan:
 
 
 def _rounds(stream: _Stream, j: int, nr: int, K: int, reads: bool = False):
-    """Rounds j+1 .. j+nr of K samples: states (nr, R, K, ...), noise (nr, R, K),
+    """Rounds j+1 .. j+nr of K samples: states (nr, R, K), noise (nr, R, K),
     and, if ``reads``, the sample numbers (nr, K).
 
-    Stream order (nr*K, R, ...) becomes round order (nr, R, K, ...) as
-    views.
+    Stream order (nr*K, R) becomes round order (nr, R, K) as views.
     """
-    s = stream.states(nr * K)
-    s = s.reshape(nr, K, *s.shape[1:]).swapaxes(1, 2)
+    s = stream.states(nr * K).reshape(nr, K, -1).swapaxes(1, 2)
     xi = stream.noise(nr * K)
     if xi is not None:
         xi = xi.reshape(nr, K, -1).swapaxes(1, 2)
@@ -690,20 +703,18 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
 
     def draw(stream, j, nb, reads):
         n = nb * S
-        # per-run layout: row r * n + i of Xrun is sample i of run r's block
-        Xrun = np.ascontiguousarray(stream.states(n).transpose(1, 0, 2)).reshape(len(rr) * n, -1)
+        stream.states(n)  # row r * n + i of stream.table is sample i of run r's block
         xi = stream.noise(nb * B, fresh=True)  # one variate per retained sample
         # step s of run r in buffer b replays sample picks[r, b, s] of that
         # buffer's retained pool
         picks = np.stack([rng.integers(0, B, size=(nb, B)) for rng in algo_rngs])
         buf = np.arange(nb)[:, None]
         at = (buf * S + u + picks).reshape(len(rr), -1)
-        # gathered per run, (R, updates, ...), as the update loop takes one
-        # run at a time; handed back in update order as transposed views
-        X = Xrun.take(rr * n + at, axis=0).transpose(1, 0, 2)
+        # per run, (R, updates), as the update loop takes one run at a time;
+        # handed back in update order as transposed views
         if xi is not None:
             xi = xi.T.take(rr * (nb * B) + (buf * B + picks).reshape(len(rr), -1)).T
-        return X, xi, j * S + 1 + at[0] if reads else None
+        return (rr * n + at).T, xi, j * S + 1 + at[0] if reads else None
 
     return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
 
@@ -753,7 +764,7 @@ def _engine(
     if keep_iterates:
         iters = np.empty((plan.events + 1, *W.shape))
         iters[0] = W
-    ck = _Checkpoints(checkpoints, lambda n: n // per_event, plan.events, R)
+    ck = _Checkpoints(checkpoints, T, lambda n: n // per_event, plan.events, R)
     if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
         ck.record(0, problem, point(W[0]))
 

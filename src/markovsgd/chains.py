@@ -76,7 +76,7 @@ class GaussianARSpec:
     epsilon: float
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
+        if check_int(self.dim, "dim") < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
@@ -107,6 +107,10 @@ class FiniteChainSpec:
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
         P = np.asarray(self.transition, dtype=float)
+        outputs = None if self.outputs is None else np.asarray(self.outputs, dtype=float)
+        for name, values in (("states", states), ("transition", P), ("outputs", outputs)):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         n = states.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {P.shape}")
@@ -120,9 +124,7 @@ class FiniteChainSpec:
             raise ValueError("every state must have norm at most 1")
         if not _is_irreducible(P):
             raise ValueError("chain is not irreducible")
-        outputs = self.outputs
         if outputs is not None:
-            outputs = np.asarray(outputs, dtype=float)
             if outputs.shape != (n,):
                 raise ValueError(f"outputs must have shape ({n},), got {outputs.shape}")
             object.__setattr__(self, "outputs", _frozen_array(outputs))

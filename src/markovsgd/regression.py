@@ -60,7 +60,7 @@ class IndependentGaussian:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if check_float(self.sigma, "sigma") < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
 
@@ -146,6 +146,8 @@ def make_problem(
         w_star = np.asarray(w_star, dtype=float)
         if w_star.shape != (d,):
             raise ValueError(f"w_star must have shape ({d},), got {w_star.shape}")
+        if not np.isfinite(w_star).all():
+            raise ValueError(f"w_star must be finite, got {w_star}")
     if unit_norm and np.linalg.norm(w_star) > 1.0 + 1e-12:
         raise ValueError("unit_norm problems require ||w_star|| <= 1")
     w = w_star.copy()

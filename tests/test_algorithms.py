@@ -649,6 +649,27 @@ class TestEntryChecks:
             assert getattr(algorithms, runner.__name__) is runner
             assert runner.__doc__ and runner.__annotations__["config"] == type(cfg).__name__
 
+    @pytest.mark.parametrize("cks", [[2000], [0, 1001]])
+    def test_run_many_rejects_a_checkpoint_past_the_horizon(self, cks):
+        with pytest.raises(ValueError, match=r"checkpoints must be sample counts in 0\.\.1000"):
+            run_many(gaussian_problem(), 1000, SgdConfig(step_size=0.3), [1], checkpoints=cks)
+        run_many(gaussian_problem(), 1000, SgdConfig(step_size=0.3), [1], checkpoints=[0, 1000])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sgd_config_rejects_a_non_finite_step_size(self, value):
+        with pytest.raises(ValueError, match="step_size must be a finite number"):
+            SgdConfig(step_size=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_data_drop_config_rejects_a_non_finite_log_constant(self, value):
+        with pytest.raises(ValueError, match="log_constant must be a finite number"):
+            DataDropConfig(SgdConfig(step_size=0.3), log_constant=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_replay_config_rejects_a_non_finite_step_size(self, value):
+        with pytest.raises(ValueError, match="step_size must be a finite number"):
+            ReplayConfig(buffer_size=4, step_size=value)
+
 
 # ---------------------------------------------------------------------------
 # Agnostic fixed point of the averaged iterate
@@ -808,14 +829,20 @@ class TestDataLayer:
         ref = [run_generators(s) for s in self.SEEDS]
         cursor = make_cursor(chain, [g[0] for g in ref])
         blocks = []
-        for n in (5, 9, 2):  # the blocks grow once, then are reused
+        for n in (5, 9, 2, 2):  # the blocks grow once, then are reused
             s, xi = stream.states(n), stream.noise(n)
-            np.testing.assert_array_equal(s, cursor.take(n))
+            want = cursor.take(n)  # a Gaussian block's vectors, or a finite chain's state indices
+            np.testing.assert_array_equal(stream.table[s], want if kind == "gaussian" else chain.states[want])
             np.testing.assert_array_equal(xi, _stacked_noise(ref, n))
-            blocks.append((s, xi))
-        (_, _), (s1, xi1), (s2, xi2) = blocks
+            blocks.append((s, xi, stream.table))
+        (_, _, _), (s1, xi1, _), (s2, xi2, table2), (s3, _, table3) = blocks
         assert np.shares_memory(xi1, xi2)
-        assert np.shares_memory(s1, s2) == (kind == "finite")  # the Gaussian cursor's blocks are fresh
+        # a finite chain's states reuse the stream's block, and a Gaussian
+        # block's row numbers are kept for the next block of the same size
+        assert np.shares_memory(s1, s2) == (kind == "finite")
+        assert np.shares_memory(s2, s3)
+        # the Gaussian cursor's blocks, which are the table, are fresh
+        assert np.shares_memory(table2, table3) == (kind == "finite")
         fresh = stream.noise(4, fresh=True)  # replay's, which it gathers from
         np.testing.assert_array_equal(fresh, _stacked_noise(ref, 4))
         assert not np.shares_memory(fresh, xi2)
@@ -823,10 +850,11 @@ class TestDataLayer:
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
     @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
     @pytest.mark.parametrize("elems", [1, 100], ids=["one-event-blocks", "uneven-blocks"])
-    def test_finite_outputs_do_not_depend_on_block_size(self, algo, loop, elems, monkeypatch):
+    @pytest.mark.parametrize("kind", ["finite", "gaussian"])
+    def test_outputs_do_not_depend_on_block_size(self, kind, algo, loop, elems, monkeypatch):
         if loop == "numpy":
             monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
-        problem = mc0_problem()
+        problem = mc0_problem() if kind == "finite" else gaussian_problem(d=3)
         base = SgdConfig(step_size=0.2)
         cfg = {"sgd": base, "dd": DataDropConfig(base, drop_interval=3), "parallel": ParallelConfig(base, 4)}[algo]
         runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd}[algo]
@@ -867,7 +895,7 @@ class TestDataLayer:
         labels, noisy = stream.label_rows(coupled)
         for nr in (3, 2):  # two consecutive blocks
             s, xi, _ = _rounds(stream, 0, nr, K)
-            Xr = s if kind == "gaussian" else stream.table[s]
+            Xr = stream.table[s]
             # the update loop's label rule: <x, w*> or the state's entry, plus
             # sigma * xi in the noisy branches
             m = 3 if coupled else 1
@@ -1041,6 +1069,8 @@ class TestSingleRow:
         else:
             cfg = ReplayConfig(buffer_size=B, step_size=step, drop_prefix=u, tail_buffer_fraction=tail)
         seeds = [seed + i for i in range(R)]
+        if checkpoints is not None:  # run_many rejects checkpoints past T
+            checkpoints = [min(c, T) for c in checkpoints]
         rows = None if starts is None else np.random.default_rng(starts).uniform(-1, 1, (R, problem.dim))
         batch = run_many(problem, T, cfg, seeds, w_init=rows, checkpoints=checkpoints)
         for i, s in enumerate(seeds):

@@ -171,6 +171,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             FiniteChainSpec(states, np.full((2, 2), 0.5), outputs=np.ones(3))
 
+    @pytest.mark.parametrize("field", ["states", "transition", "outputs"])
+    def test_spec_rejects_non_finite_numbers(self, field):
+        # caught at once: a NaN transition would otherwise run the stationary
+        # law's power iteration to its cap and be blamed on periodicity
+        args = {"states": np.eye(2), "transition": np.full((2, 2), 0.5), "outputs": np.ones(2)}
+        args[field] = np.array(args[field])
+        args[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FiniteChainSpec(**args)
+
+    def test_gaussian_spec_rejects_a_bool_dim(self):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianARSpec(True, 0.5)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianARSpec(math.nan, 0.5)
+
     def test_gaussian_spec_validation(self):
         with pytest.raises(ValueError):
             GaussianARSpec(dim=0, epsilon=0.5)

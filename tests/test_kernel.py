@@ -183,7 +183,7 @@ class TestAdvanceContract:
     # d < 16 takes the fused dot, and on a CPU with AVX2 the four-wide path
     # for K = 1 (four runs a vector, uncoupled) and K = 6 (one group of four
     # instances and two left over); K = 3 and coupled K = 1 stay scalar
-    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [1, 4, 2, 3, 5, 15])
     @pytest.mark.parametrize("K,scaled", [(1, False), (3, True), (6, True)], ids=["sgd", "parallel", "parallel-6"])
@@ -201,10 +201,10 @@ class TestAdvanceContract:
         def rounds(a):  # per-run rows (R, nr*K, ...) in round order (nr, R, K, ...): strided views
             return a.swapaxes(0, 1).reshape(nr, K, R, *a.shape[2:]).swapaxes(1, 2)
 
-        if mode == "vector":  # the labels are w*: each sample's is <x, w*>
-            X, table = rounds(rng.uniform(-1, 1, (R, nr * K, d))), None
+        if mode == "w-star":  # rows of a per-run table, as a Gaussian block's; each label is <x, w*>
+            X, table = rounds(np.arange(R * nr * K).reshape(R, nr * K)), rng.uniform(-1, 1, (R * nr * K, d))
             labels = rng.uniform(-1, 1, d)
-            X[0, 0, 0] = 0.0  # a zero sample: its dot may read -0.0, its label +0.0
+            table[X[0, 0, 0]] = 0.0  # a zero sample: its dot may read -0.0, its label +0.0
             labels[0] = -0.0
         else:  # the labels are a table per branch and state
             X, table = rounds(rng.integers(0, S, (R, nr * K))), rng.uniform(-1, 1, (S, d))
@@ -219,7 +219,7 @@ class TestAdvanceContract:
             W, acc = W0.copy(), np.zeros_like(W0)
             iters = np.zeros((nr + 1, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
-            advance(W, X, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, table, xi, sigma, noisy, every)
+            advance(W, X, table, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, xi, sigma, noisy, every)
             outs.append((W, acc, iters[1:], bad))
         for compiled, numpy in zip(*outs):
             assert compiled.tobytes() == numpy.tobytes(), f"R = {R}"
@@ -235,19 +235,20 @@ class TestAdvanceContract:
         outs = []
         for advance in (_kernel.load(2).advance, algorithms._descend):
             W, bad = W0.copy(), np.full(R, -1, dtype=np.int64)
-            advance(W, X, labels, 0.3, K > 1, None, 0, 0, bad, 0, None, table)
+            advance(W, X, table, labels, 0.3, K > 1, None, 0, 0, bad, 0)
             outs.append(W)
         assert np.signbit(outs[1][..., 1]).all()
         assert outs[0].tobytes() == outs[1].tobytes()
 
+    @pytest.mark.parametrize("labels", [np.zeros((1, 6)), np.zeros(2)], ids=["label-table", "w-star"])
     @pytest.mark.parametrize("bad_row", [-1, 6])
-    def test_rows_out_of_range_are_rejected(self, bad_row):
+    def test_rows_out_of_range_are_rejected(self, bad_row, labels):
         table = np.ones((6, 2))
         idx = np.zeros((3, 2, 1), dtype=np.int64)
         idx[1, 1, 0] = bad_row
-        W, labels, bad = np.zeros((1, 2, 1, 2)), np.zeros((1, 6)), np.full(2, -1, dtype=np.int64)
+        W, bad = np.zeros((1, 2, 1, 2)), np.full(2, -1, dtype=np.int64)
         with pytest.raises(ValueError, match="row numbers"):
-            _kernel.load(2).advance(W, idx, labels, 0.3, False, None, 0, 0, bad, 0, None, table)
+            _kernel.load(2).advance(W, idx, table, labels, 0.3, False, None, 0, 0, bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,8 @@ def _lane_inputs(mode, m, R, d, K, n=40):
     """Per-run blocks in update order, as the engine hands them over."""
     rng = np.random.default_rng(11)
     S = 6
-    if mode == "vector":  # the labels are w*
-        X, table = rng.uniform(-1, 1, (R, n, K, d)).transpose(1, 0, 2, 3), None
+    if mode == "w-star":  # rows of a per-run table, as a Gaussian block's; the labels are w*
+        X, table = np.arange(R * n * K).reshape(R, n, K).transpose(1, 0, 2), rng.uniform(-1, 1, (R * n * K, d))
         labels = rng.uniform(-1, 1, d)
     else:  # the labels are a table per branch and state
         X, table = rng.integers(0, S, (R, n, K)).transpose(1, 0, 2), rng.uniform(-1, 1, (S, d))
@@ -278,7 +279,7 @@ def _advance_runs(W0, X, labels, table, xi, runs, loop=None):
     bad = np.full(W.shape[1], -1, dtype=np.int64)
     with np.errstate(all="ignore"):
         (loop or _kernel.load(d).advance)(
-            W, X[:, runs], labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters, table, xi[:, runs], 0.2,
+            W, X[:, runs], table, labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters, xi[:, runs], 0.2,
             0b101 if m == 3 else 0b1,
         )
     return W, acc, iters, bad
@@ -296,7 +297,7 @@ class TestRunsSideBySide:
     step several runs at a time; each run keeps the bits it has alone."""
 
     @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
-    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [4, 17, 3, 15], ids=["fused-dims", "ddot-dims", "fused-3", "fused-15"])
     @pytest.mark.parametrize("K", [1, 3, 6], ids=["sgd", "parallel", "parallel-6"])
@@ -306,7 +307,7 @@ class TestRunsSideBySide:
         for r in range(R):
             assert _each_run(batch, r) == _each_run(_advance_runs(*inputs, slice(r, r + 1)), 0)
 
-    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     def test_a_run_that_breaks_among_its_lane_mates(self, mode, m):
         W0, X, labels, table, xi = _lane_inputs(mode, m, 9, 4, 1)
@@ -320,7 +321,7 @@ class TestRunsSideBySide:
         assert not np.isfinite(batch[0][:, 5]).all()
         assert not batch[2][18:, :, 5].any()
 
-    @pytest.mark.parametrize("mode", ["vector", "indexed"])
+    @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("k", [1, 5], ids=["in-a-group-of-four", "left-over"])
     def test_an_instance_that_breaks_mid_round(self, mode, m, k):
@@ -933,7 +934,7 @@ class TestDivergenceLatency:
     def test_a_run_that_breaks_leaves_the_others_bits(self, scaled):
         rng = np.random.default_rng(9)
         m, R, K, d, n, lo, hi, alpha = 3, 4, 2, 3, 40, 5, 30, 0.3
-        X = rng.uniform(-1, 1, (n, R, K, d))
+        X, table = np.arange(n * R * K).reshape(n, R, K), rng.uniform(-1, 1, (n * R * K, d))
         w_star = rng.uniform(-1, 1, d)
         xi = rng.standard_normal((n, R, K))
         xi[17, 2, 1] = np.inf  # run 2 turns non-finite at update 17, mid-segment
@@ -943,7 +944,7 @@ class TestDivergenceLatency:
             W, acc, iters = W0.copy(), np.zeros_like(W0), np.empty((n, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
             with np.errstate(all="ignore"):
-                advance(W, X, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, None, xi, 0.1, 0b101)
+                advance(W, X, table, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, xi, 0.1, 0b101)
             outs.append((W, acc, iters, bad))
         (W, acc, iters, bad), (Wn, accn, itersn, badn) = outs
         assert bad.tolist() == badn.tolist() == [-1, -1, 17, -1]  # both loops name the update that broke

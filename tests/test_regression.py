@@ -64,6 +64,11 @@ class TestNoiseModels:
             IndependentGaussian(sigma=-0.1)
         assert IndependentGaussian(sigma=0.0).sigma == 0.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sigma_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
+            IndependentGaussian(sigma=value)
+
 
 # ---------------------------------------------------------------------------
 # Excess risk
@@ -184,6 +189,11 @@ class TestOptimumAndProblem:
             make_problem(spec, Noiseless(), w_star=2.0 * np.ones(3), unit_norm=True)
         ok = make_problem(spec, Noiseless(), w_star=np.ones(3) / 2.0, unit_norm=True)
         assert ok.unit_norm
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_make_problem_rejects_a_non_finite_w_star(self, value):
+        with pytest.raises(ValueError, match="w_star must be finite"):
+            make_problem(GaussianARSpec(dim=3, epsilon=0.5), Noiseless(), w_star=[value, 0.0, 0.1])
 
     def test_w_star_is_frozen(self):
         problem = make_problem(
