@@ -118,17 +118,14 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
 /*
  * Apply n updates to the weights w of R runs.
  *
- * w and acc hold (m, R, K, d) contiguous doubles: m weight branches of R
- * runs of K instances.  x is a table of contiguous rows of d doubles, and
- * sample i of instance (r, k) is row s = idx[i*in + r*ir + k*ik] of it.  Its
- * label is set by ym:
+ * w and acc hold (R, K, d) contiguous doubles: R runs of K instances.  x
+ * is a table of contiguous rows of d doubles, and sample i of instance
+ * (r, k) is row s = idx[i*in + r*ir + k*ik] of it.  Its label is set by ym:
  *   ym = 0:  y holds the d doubles of w*, and the label is <x, w*>, as
- *            np.vecdot(x, w*) computes it, in every branch;
- *   ym > 0:  y is a table of ym labels per branch, and the label in branch
- *            b is y[b*ym + s].
- * Either way, when xi is given and bit b of noisy is set, branch b adds
- * sigma * xi[i*qn + r*qr + k*qk] to its label, as numpy adds the product
- * sigma * xi.  Strides count elements.
+ *            np.vecdot(x, w*) computes it;
+ *   ym > 0:  y is a table of ym labels, and the label is y[s].
+ * Either way, when xi is given, the label adds sigma * xi[i*qn + r*qr +
+ * k*qk], as numpy adds the product sigma * xi.  Strides count elements.
  *
  * Each row takes res = <w, x> - y and then
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
@@ -136,7 +133,7 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * Update i is number u = first + i.  It ends an event when u is a multiple
  * of every (a replay buffer's B updates, else 1), and then a run's weights
  * are added into its rows of acc when lo <= u < hi, and copied into its
- * rows of row u / every of iters, when iters is given: rows of m*R*K*d
+ * rows of row u / every of iters, when iters is given: rows of R*K*d
  * doubles.  acc and iters may be null.
  * With fused set, every dot is the fused dot (the caller sets fused only
  * for d < 16, where that dot passed its check); otherwise every dot calls
@@ -150,11 +147,10 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * updates of different runs overlap in the CPU, and each run's updates
  * keep their order.  Runs of several instances are taken one at a time.
  * fused = LANES says that this CPU also has AVX2 (msgd_fused): then the
- * four-wide path (below) puts four runs of one instance of an uncoupled
- * call (m = 1), or four instances of one run, in the lanes of one
- * register, each lane making the scalar update's operations in their
- * order, so with its bits.  The R mod 4 runs and K mod 4 instances left
- * over, and coupled runs of one instance, stay on the scalar loop.
+ * four-wide path (below) puts four runs of one instance, or four
+ * instances of one run, in the lanes of one register, each lane making
+ * the scalar update's operations in their order, so with its bits.  The
+ * R mod 4 runs and K mod 4 instances left over stay on the scalar loop.
  *
  * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
  * run r non-finite, bad[r] becomes first + i and the run stops there: it
@@ -168,16 +164,16 @@ typedef struct {
     ddot_fn ddot;
     int fused;  /* every dot the fused dot, not ddot */
     double *w, *acc, *iters;
-    int64_t m, R, K, d;
+    int64_t R, K, d;
     const double *x;
     const int64_t *idx;
     int64_t in, ir, ik;
     const double *y;
-    int64_t ym;  /* labels per branch in y; 0: y is w* */
+    int64_t ym;  /* labels in y; 0: y is w* */
     const double *xi;
     int64_t qn, qr, qk;
     double sigma;
-    int64_t noisy, n, lo, hi;
+    int64_t n, lo, hi;
     double alpha;
     int32_t scaled;
     int64_t *bad;
@@ -185,18 +181,16 @@ typedef struct {
 } segment_t;
 
 /*
- * Update i of instance (r, k) in branch b, whose label takes sigma * xi
- * when noise is set.  Returns the sum of v - v over its new weights v:
- * +0.0, or NaN where one is not finite.
+ * Update i of instance (r, k).  Returns the sum of v - v over its new
+ * weights v: +0.0, or NaN where one is not finite.
  */
-static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t b, int64_t i, int64_t r,
-                                                           int64_t k, const int noise)
+static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t i, int64_t r, int64_t k)
 {
     const int64_t d = a->d, s = a->idx[i * a->in + r * a->ir + k * a->ik];
-    double *row = a->w + ((b * a->R + r) * a->K + k) * d;
+    double *row = a->w + (r * a->K + k) * d;
     const double *xv = a->x + s * d;
-    double label = a->ym != 0 ? a->y[b * a->ym + s] : dot(a->ddot, a->fused, d, xv, a->y);
-    if (noise) {
+    double label = a->ym != 0 ? a->y[s] : dot(a->ddot, a->fused, d, xv, a->y);
+    if (a->xi != 0) {
         label = label + a->sigma * a->xi[i * a->qn + r * a->qr + k * a->qk];
     }
     double res = dot(a->ddot, a->fused, d, row, xv) - label;
@@ -231,33 +225,30 @@ static inline __attribute__((always_inline)) void record(const segment_t *a, int
     if (!sum && !(ends && a->iters != 0)) {
         return;
     }
-    for (int64_t b = 0; b < a->m; b++) {
-        const int64_t at = (b * a->R + r) * Kd;
-        const double *row = a->w + at;
-        if (sum) {
-            double *to = a->acc + at;
-            for (int64_t j = 0; j < Kd; j++) {
-                to[j] += row[j];
-            }
+    const int64_t at = r * Kd;
+    const double *row = a->w + at;
+    if (sum) {
+        double *to = a->acc + at;
+        for (int64_t j = 0; j < Kd; j++) {
+            to[j] += row[j];
         }
-        if (a->iters != 0) {
-            double *to = a->iters + event * a->m * a->R * Kd + at;
-            for (int64_t j = 0; j < Kd; j++) {
-                to[j] = row[j];
-            }
+    }
+    if (a->iters != 0) {
+        double *to = a->iters + event * a->R * Kd + at;
+        for (int64_t j = 0; j < Kd; j++) {
+            to[j] = row[j];
         }
     }
 }
 
 /*
- * The update loop for runs r_lo .. r_hi-1, from update i0 on, with m
- * branches, and labels from a table or (tabled = 0) from w*: constants in
- * the inlined copies below.
+ * The update loop for runs r_lo .. r_hi-1, from update i0 on, with labels
+ * from a table or (tabled = 0) from w*: a constant in the inlined copies
+ * below.
  */
-static inline __attribute__((always_inline)) void advance(segment_t a, const int64_t m, const int tabled,
-                                                          int64_t r_lo, int64_t r_hi, int64_t i0)
+static inline __attribute__((always_inline)) void advance(segment_t a, const int tabled, int64_t r_lo, int64_t r_hi,
+                                                          int64_t i0)
 {
-    a.m = m;
     a.ym = tabled ? a.ym : 0;
     const int64_t lanes = a.K == 1 ? LANES : 1;
     const int64_t lead = (a.every - (a.first + i0) % a.every) % a.every;  /* the first update from i0 to end an event */
@@ -281,11 +272,8 @@ static inline __attribute__((always_inline)) void advance(segment_t a, const int
                 }
                 const int64_t r = r0 + g;
                 double spoilt = 0.0;  /* v - v is +0.0, or NaN where v is not finite */
-                for (int64_t b = 0; b < m; b++) {
-                    const int noise = a.xi != 0 && ((a.noisy >> b) & 1);
-                    for (int64_t k = 0; k < a.K; k++) {
-                        spoilt += update(&a, b, i, r, k, noise);
-                    }
+                for (int64_t k = 0; k < a.K; k++) {
+                    spoilt += update(&a, i, r, k);
                 }
                 if (spoilt != 0.0) {
                     a.bad[r] = a.first + i;
@@ -302,23 +290,16 @@ static inline __attribute__((always_inline)) void advance(segment_t a, const int
 
 /*
  * Inlined copies of the loop, so that none tests per update what is fixed
- * for the call: the dot, whether labels are dots with w*, and, with the
- * fused dot, the one branch of an uncoupled run.
+ * for the call: the dot, and whether labels are dots with w*.
  */
 FUSED static void advance_fused(segment_t a, int64_t r_lo, int64_t r_hi, int64_t i0)
 {
     a.ddot = 0;
     a.fused = 1;
     if (a.ym != 0) {
-        if (a.m == 1) {
-            advance(a, 1, 1, r_lo, r_hi, i0);
-        } else {
-            advance(a, a.m, 1, r_lo, r_hi, i0);
-        }
-    } else if (a.m == 1) {
-        advance(a, 1, 0, r_lo, r_hi, i0);
+        advance(a, 1, r_lo, r_hi, i0);
     } else {
-        advance(a, a.m, 0, r_lo, r_hi, i0);
+        advance(a, 0, r_lo, r_hi, i0);
     }
 }
 
@@ -326,9 +307,9 @@ static void advance_ddot(segment_t a)
 {
     a.fused = 0;
     if (a.ym != 0) {
-        advance(a, a.m, 1, 0, a.R, 0);
+        advance(a, 1, 0, a.R, 0);
     } else {
-        advance(a, a.m, 0, 0, a.R, 0);
+        advance(a, 0, 0, a.R, 0);
     }
 }
 
@@ -336,14 +317,13 @@ static void advance_ddot(segment_t a)
 /*
  * The four-wide path: LANES lanes per AVX2 register.  Where the loop takes
  * the fused dot, on a CPU with AVX2 (msgd_advance is handed fused =
- * LANES), four runs of one instance of an uncoupled call, or four
- * instances of one run, share a vector: register j holds coordinate j of
- * each lane.  Every lane makes the scalar update's operations on its own
- * numbers in the same order -- vfmadd is fma(), and vmulpd, vsubpd and
- * vaddpd round each lane as the scalar operations do -- so no bit
- * changes, only the order of work across lanes, which never interact.
- * The R mod 4 runs and K mod 4 instances left over, and coupled runs of
- * one instance, take the scalar update.
+ * LANES), four runs of one instance, or four instances of one run, share
+ * a vector: register j holds coordinate j of each lane.  Every lane makes
+ * the scalar update's operations on its own numbers in the same order --
+ * vfmadd is fma(), and vmulpd, vsubpd and vaddpd round each lane as the
+ * scalar operations do -- so no bit changes, only the order of work
+ * across lanes, which never interact.  The R mod 4 runs and K mod 4
+ * instances left over take the scalar update.
  *
  * Sample rows are loaded whole, two coordinates at a time, and transposed
  * in registers; an odd last coordinate is loaded alone, so nothing past a
@@ -419,14 +399,14 @@ WIDE_INLINE int any_set(__m256d v)
 }
 
 /*
- * Update i in branch b of four lanes, lane g being instance (r + g*dr,
- * k + g*dk), whose coordinates j are w[j]: update()'s operations, lane by
- * lane, into nw.  ws holds w* in every lane (labels from w*).  Returns the
- * lanes' v - v ORed over the new weights v: all bits zero in a lane whose
- * new weights are all finite (v - v is +0.0 there, else NaN).
+ * Update i of four lanes, lane g being instance (r + g*dr, k + g*dk),
+ * whose coordinates j are w[j]: update()'s operations, lane by lane, into
+ * nw.  ws holds w* in every lane (labels from w*).  Returns the lanes'
+ * v - v ORed over the new weights v: all bits zero in a lane whose new
+ * weights are all finite (v - v is +0.0 there, else NaN).
  */
-WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t b, int64_t i, int64_t r,
-                            int64_t k, const int64_t dr, const int64_t dk, const __m256d *w, __m256d *nw)
+WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t i, int64_t r, int64_t k,
+                            const int64_t dr, const int64_t dk, const __m256d *w, __m256d *nw)
 {
     const __m256d zero = _mm256_setzero_pd(), alpha = _mm256_set1_pd(a->alpha);
     const int64_t *at = a->idx + i * a->in + r * a->ir + k * a->ik, step = dr * a->ir + dk * a->ik;
@@ -440,8 +420,7 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
     }
     load_cols(rows, d, x);
     if (a->ym != 0) {
-        const double *y = a->y + b * a->ym;
-        label = _mm256_set_pd(y[row[3]], y[row[2]], y[row[1]], y[row[0]]);
+        label = _mm256_set_pd(a->y[row[3]], a->y[row[2]], a->y[row[1]], a->y[row[0]]);
     } else {
         __m256d t = zero;
 #pragma GCC unroll 16
@@ -450,7 +429,7 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
         }
         label = _mm256_add_pd(zero, t);
     }
-    if (a->xi != 0 && ((a->noisy >> b) & 1)) {
+    if (a->xi != 0) {
         const __m256d q = lanes_at(a->xi + i * a->qn + r * a->qr + k * a->qk, dr * a->qr + dk * a->qk);
         label = _mm256_add_pd(label, _mm256_mul_pd(_mm256_set1_pd(a->sigma), q));
     }
@@ -489,7 +468,7 @@ WIDE_INLINE void broadcast(const segment_t *a, const int64_t d, __m256d *ws)
 }
 
 /*
- * Runs of one instance of an uncoupled call (K = 1, m = 1), four at a time.
+ * Runs of one instance (K = 1), four at a time.
  * A group's weights and tail sums are loaded once, stay in registers for
  * the call and are stored once.  When an update leaves a lane non-finite,
  * the group stores the weights from before that update and hands the rest
@@ -514,7 +493,7 @@ WIDE_INLINE void runs4(const segment_t *p, const int64_t d)
             int64_t left = lead, event = (a.first + lead) / a.every; /* as in advance() */
             for (; i < a.n; i++) {
                 __m256d nw[MAX_DIM];
-                if (any_set(update4(&a, d, ws, 0, i, r0, 0, 1, 0, w, nw))) {
+                if (any_set(update4(&a, d, ws, i, r0, 0, 1, 0, w, nw))) {
                     break;
                 }
 #pragma GCC unroll 16
@@ -551,17 +530,15 @@ WIDE_INLINE void runs4(const segment_t *p, const int64_t d)
 }
 
 /*
- * The scalar update of instances k0 .. K-1 of run r in branch b, and the
- * sums and stores after an update of run r that ends an event: one copy
- * each, for instances4.
+ * The scalar update of instances k0 .. K-1 of run r, and the sums and
+ * stores after an update of run r that ends an event: one copy each, for
+ * instances4.
  */
-FUSED static __attribute__((noinline)) double update_from(const segment_t *a, int64_t b, int64_t i, int64_t r,
-                                                          int64_t k0)
+FUSED static __attribute__((noinline)) double update_from(const segment_t *a, int64_t i, int64_t r, int64_t k0)
 {
     double spoilt = 0.0;
-    const int noise = a->xi != 0 && ((a->noisy >> b) & 1);
     for (int64_t k = k0; k < a->K; k++) {
-        spoilt += update(a, b, i, r, k, noise);
+        spoilt += update(a, i, r, k);
     }
     return spoilt;
 }
@@ -571,28 +548,25 @@ WIDE static __attribute__((noinline)) void record_event(const segment_t *a, int6
 {
     const int64_t u = a->first + i, Kd = a->K * a->d, whole = Kd - Kd % LANES;
     const int sum = a->acc != 0 && a->lo <= u && u < a->hi;
-    for (int64_t b = 0; b < a->m; b++) {
-        const int64_t at = (b * a->R + r) * Kd;
-        const double *row = a->w + at;
-        if (sum) {
-            double *to = a->acc + at;
-            for (int64_t j = 0; j < whole; j += LANES) {
-                _mm256_storeu_pd(to + j, _mm256_add_pd(_mm256_loadu_pd(to + j), _mm256_loadu_pd(row + j)));
-            }
-            for (int64_t j = whole; j < Kd; j++) {
-                to[j] += row[j];
-            }
+    const double *row = a->w + r * Kd;
+    if (sum) {
+        double *to = a->acc + r * Kd;
+        for (int64_t j = 0; j < whole; j += LANES) {
+            _mm256_storeu_pd(to + j, _mm256_add_pd(_mm256_loadu_pd(to + j), _mm256_loadu_pd(row + j)));
         }
-        if (a->iters != 0) {
-            memcpy(a->iters + event * a->m * a->R * Kd + at, row, Kd * sizeof *row);
+        for (int64_t j = whole; j < Kd; j++) {
+            to[j] += row[j];
         }
+    }
+    if (a->iters != 0) {
+        memcpy(a->iters + (event * a->R + r) * Kd, row, Kd * sizeof *row);
     }
 }
 
 /*
- * Runs of several instances, one run at a time as in advance(); each
- * branch's instances four at a time, their rows loaded and stored around
- * each update, and the K mod 4 left over by the scalar update.  A run that
+ * Runs of several instances, one run at a time as in advance(); its
+ * instances four at a time, their rows loaded and stored around each
+ * update, and the K mod 4 left over by the scalar update.  A run that
  * goes non-finite is marked after the round, as advance() marks it.
  */
 WIDE_INLINE void instances4(const segment_t *p, const int64_t d)
@@ -608,21 +582,16 @@ WIDE_INLINE void instances4(const segment_t *p, const int64_t d)
             continue;
         }
         int64_t left = lead, event = (a.first + lead) / a.every;
+        double *rows = a.w + r * a.K * d;
         for (int64_t i = 0; i < a.n; i++) {
             __m256d spoilt = _mm256_setzero_pd();
-            double tail = 0.0;
-            for (int64_t b = 0; b < a.m; b++) {
-                double *rows = a.w + (b * a.R + r) * a.K * d;
-                for (int64_t k = 0; k < whole; k += LANES) {
-                    __m256d w[MAX_DIM], nw[MAX_DIM];
-                    load_rows(rows + k * d, d, w);
-                    spoilt = _mm256_or_pd(spoilt, update4(&a, d, ws, b, i, r, k, 0, 1, w, nw));
-                    store_rows(rows + k * d, d, nw);
-                }
-                if (whole < a.K) {
-                    tail += update_from(&a, b, i, r, whole);
-                }
+            for (int64_t k = 0; k < whole; k += LANES) {
+                __m256d w[MAX_DIM], nw[MAX_DIM];
+                load_rows(rows + k * d, d, w);
+                spoilt = _mm256_or_pd(spoilt, update4(&a, d, ws, i, r, k, 0, 1, w, nw));
+                store_rows(rows + k * d, d, nw);
             }
+            const double tail = whole < a.K ? update_from(&a, i, r, whole) : 0.0;
             if (any_set(spoilt) || tail != 0.0) {
                 a.bad[r] = a.first + i;
                 break;
@@ -667,21 +636,20 @@ static void (*const wide_at[MAX_DIM + 1])(const segment_t *) = {
 };
 #endif
 
-void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *iters, int64_t m, int64_t R,
-                  int64_t K, int64_t d, const double *x, const int64_t *idx, int64_t in, int64_t ir, int64_t ik,
-                  const double *y, int64_t ym, const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma,
-                  int64_t noisy, int64_t n, int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad,
-                  int64_t first, int64_t every)
+void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *iters, int64_t R, int64_t K,
+                  int64_t d, const double *x, const int64_t *idx, int64_t in, int64_t ir, int64_t ik, const double *y,
+                  int64_t ym, const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t n,
+                  int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, int64_t every)
 {
-    const segment_t a = {ddot, fused != 0, w, acc, iters, m, R, K, d, x, idx, in, ir, ik, y, ym,
-                         xi, qn, qr, qk, sigma, noisy, n, lo, hi, alpha, scaled, bad, first, every};
+    const segment_t a = {ddot, fused != 0, w, acc, iters, R, K, d, x, idx, in, ir, ik, y, ym,
+                         xi, qn, qr, qk, sigma, n, lo, hi, alpha, scaled, bad, first, every};
     if (!fused) {
         advance_ddot(a);
         return;
     }
 #ifdef FMA_TARGET
-    /* the four-wide path takes four runs of one instance, uncoupled, or four instances of a run */
-    if (fused == LANES && 0 < d && d <= MAX_DIM && (K >= LANES || (K == 1 && m == 1 && R >= LANES))) {
+    /* the four-wide path takes four runs of one instance, or four instances of a run */
+    if (fused == LANES && 0 < d && d <= MAX_DIM && (K >= LANES || (K == 1 && R >= LANES))) {
         wide_at[d](&a);
         return;
     }

@@ -25,16 +25,15 @@ in the four lanes of one 256-bit register (:attr:`Kernel.lanes`, and
 operations in their order: ``vfmadd`` rounds as ``fma()`` does, and
 ``vmulpd``, ``vsubpd`` and ``vaddpd`` round each lane as the scalar
 operations do, so the bits are the scalar loop's.  Runs and instances
-left over from groups of four, coupled runs of one instance, the dimensions
-that call ``ddot``, and CPUs without AVX2 take the scalar loop.
+left over from groups of four, the dimensions that call ``ddot``, and
+CPUs without AVX2 take the scalar loop.
 The loop reads every sample one way, as a row of a table by its row
 number: a finite chain's from the chain's table of states by its state
 index, a Gaussian sample from the rows of its block of the path.  It makes
 every label itself, by the rule its ``labels`` argument sets: a Gaussian
 sample's label is ``<x, w*>``, and a finite chain's is its state's entry
-in a per-branch label table.  Either label then adds ``sigma * xi`` in the
-branches that take noise.  So no block of labels, or of gathered vectors,
-is built.
+in a label table.  Either label then adds ``sigma * xi`` when the call
+has noise.  So no block of labels, or of gathered vectors, is built.
 
 The update loop calls the ``ddot`` of numpy's bundled OpenBLAS, the function
 ``np.vecdot`` reduces float64 rows with, so it reproduces the numpy loop bit
@@ -139,10 +138,10 @@ class Kernel:
         self._dots = _bind(lib.msgd_dots, _PTR, _I64, _I64, _PTR, _PTR, _PTR)
         self._advance = _bind(
             lib.msgd_advance,
-            *(_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64),
+            *(_PTR, ctypes.c_int32, _PTR, _PTR, _PTR, _I64, _I64, _I64),
             *(_PTR, _PTR, _I64, _I64, _I64),
             *(_PTR, _I64),
-            *(_PTR, _I64, _I64, _I64, ctypes.c_double, _I64),
+            *(_PTR, _I64, _I64, _I64, ctypes.c_double),
             *(_I64, _I64, _I64, ctypes.c_double, ctypes.c_int32, _PTR, _I64, _I64),
         )
         cpu = lib.msgd_fused()
@@ -236,29 +235,28 @@ class Kernel:
 
     def advance(
         self, W, X, table, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int,
-        iters=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
+        iters=None, xi=None, sigma: float = 0.0, every: int = 1,
     ) -> None:
         """Apply ``len(X)`` updates to W in place (see ``msgd_advance``).
 
-        ``W`` and ``acc`` are contiguous ``(m, R, K, d)``.  ``X`` is an
-        int64 ``(n, R, K)`` block, possibly strided, of the numbers of the
-        rows of ``table``, a contiguous ``(rows, d)``, that are the samples.
+        ``W`` and ``acc`` are contiguous ``(R, K, d)``.  ``X`` is an int64
+        ``(n, R, K)`` block, possibly strided, of the numbers of the rows of
+        ``table``, a contiguous ``(rows, d)``, that are the samples.
         ``labels`` sets the label rule: w*, a contiguous ``(d,)``, labels x
-        with ``np.vecdot(x, w*)`` in each branch, and a contiguous ``(m,
-        rows)`` table gives each branch's label per row.  The branches whose
-        bit is set in ``noisy`` add ``sigma * xi`` -- ``xi`` a float64 ``(n,
-        R, K)``, possibly strided, or None -- to the label.  ``bad`` is a
-        contiguous int64 ``(R,)``: -1 for a finite run, else the update
-        (this call's i-th is number ``first + i``) that left the run
-        non-finite, after which it is not updated.  After each update u that
-        ends an event -- a multiple of ``every``, the updates per event -- W
-        is added into ``acc`` if ``lo <= u < hi`` and stored in row ``u //
-        every`` of ``iters``, a contiguous ``(rows, m, R, K, d)``; either
-        may be None.
+        with ``np.vecdot(x, w*)``, and a contiguous ``(1, rows)`` table
+        gives the label per row.  When ``xi`` -- a float64 ``(n, R, K)``,
+        possibly strided, or None -- is given, the label adds ``sigma *
+        xi``.  ``bad`` is a contiguous int64 ``(R,)``: -1 for a finite run,
+        else the update (this call's i-th is number ``first + i``) that left
+        the run non-finite, after which it is not updated.  After each
+        update u that ends an event -- a multiple of ``every``, the updates
+        per event -- W is added into ``acc`` if ``lo <= u < hi`` and stored
+        in row ``u // every`` of ``iters``, a contiguous ``(rows, R, K,
+        d)``; either may be None.
         :func:`markovsgd.algorithms._descend` is the numpy loop of this
         contract.
         """
-        m, R, K, d = W.shape
+        R, K, d = W.shape
         n = len(X)
         if not (
             _is_f64(W, contiguous=True)
@@ -270,7 +268,7 @@ class Kernel:
             and table.ndim == 2
             and table.shape[1] == d
             and _is_f64(table, contiguous=True)
-            and labels.shape in ((d,), (m, len(table)))
+            and labels.shape in ((d,), (1, len(table)))
             and _is_f64(labels, contiguous=True)
             and (xi is None or (xi.shape == (n, R, K) and _is_f64(xi)))
             and bad.shape == (R,)
@@ -284,14 +282,14 @@ class Kernel:
             raise ValueError(f"advance: updates {first} .. {first + n - 1}, {every} an event, have no rows")
         if X.view(np.uint64).max() >= len(table):  # negatives read as huge
             raise ValueError(f"advance: row numbers must lie in 0..{len(table) - 1}")
-        ym = len(table) if labels.ndim == 2 else 0  # labels per branch; 0: labels is w*
+        ym = len(table) if labels.ndim == 2 else 0  # labels in the table; 0: labels is w*
         samples = (table.ctypes.data, X.ctypes.data, *(s // 8 for s in X.strides), labels.ctypes.data, ym)
         noise = (None, 0, 0, 0) if xi is None else (xi.ctypes.data, *(s // 8 for s in xi.strides))
         sums = (None if a is None else a.ctypes.data for a in (acc, iters))
         fused = self.lanes if d in self._fused else 0  # 0: ddot; 1: the fused dot; 4: in four lanes
         self._advance(
-            self._ddot, fused, W.ctypes.data, *sums, m, R, K, d, *samples, *noise, sigma, noisy, n, lo,
-            hi, alpha, bool(scaled), bad.ctypes.data, first, every,
+            self._ddot, fused, W.ctypes.data, *sums, R, K, d, *samples, *noise, sigma, n, lo, hi, alpha,
+            bool(scaled), bad.ctypes.data, first, every,
         )
 
     def check_streams(self) -> None:

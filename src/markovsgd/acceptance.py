@@ -52,7 +52,7 @@ from .chains import (
     total_variation_curve,
     trajectory_kl,
 )
-from .experiments import ExperimentConfig, resolve_w_init, run_experiment
+from .experiments import ExperimentConfig, _aggregate, resolve_w_init, run_experiment
 from .regression import (
     AgnosticDeterministic,
     IndependentGaussian,
@@ -106,10 +106,9 @@ class CriterionResult:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    R = values.shape[0]
-    se = float(values.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-    return float(values.mean()), se
+    """The mean of R values and its standard error, as a series summary has them."""
+    agg = _aggregate(np.asarray(values, dtype=float))
+    return float(agg["mean"]), float(agg["stderr"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ The four estimators are one constant-step update on four schedules over the
 same stream.  One engine runs them all: a per-algorithm plan says how many
 events (updates, rounds or buffers) a run has, how many samples each reads
 and which, and which iterates the estimate averages; the engine advances R
-independent runs in lockstep, with weights shaped ``(branches, runs,
-instances, dim)`` -- one instance per run outside parallel SGD.  The public
-single-run functions are the R=1 case of the same engine, so single runs and
-batched experiment runs produce bitwise-identical paths for equal seeds.
+independent runs in lockstep, with weights shaped ``(runs, instances,
+dim)`` -- one instance per run outside parallel SGD.  The public single-run
+functions are the R=1 case of the same engine, so single runs and batched
+experiment runs produce bitwise-identical paths for equal seeds.  A coupled
+single run is three such runs on one seed: the run itself, the run of the
+noiseless problem from the same start (bias), and the run from w* (var).
 
 Tail-average windows follow the algorithm displays exactly; see
 :func:`tail_window` and the per-runner docstrings for the frozen index
@@ -79,12 +81,13 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, make_cursor, mixing_time
+from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, check_int, make_cursor
+from .chains import mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -324,23 +327,20 @@ class LowerBoundTrace:
 
 
 def _starts(d: int, w_init, num_runs: int) -> np.ndarray:
-    """The initial point: zeros, a shared (d,) start, or one (R, d) row per run."""
+    """The initial point: zeros, a shared (d,) start, or one (R, d) row per
+    run, every entry finite."""
     w1 = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
     if w1.shape not in ((d,), (num_runs, d)):
         raise ValueError(f"w_init must have shape ({d},) or ({num_runs}, {d}), got {w1.shape}")
+    if not np.isfinite(w1).all():
+        raise ValueError("w_init must hold finite numbers")
     return w1
 
 
-def _initial_weights(problem: Problem, w_init, num_runs: int, K: int, coupled: bool) -> np.ndarray:
-    """Weights ``(m, R, K, d)``: m = 3 branches (full, bias, var) when
-    coupled, else the full one; every instance of a run starts at its point,
-    and the var branch at w*."""
-    w1 = _starts(problem.dim, w_init, num_runs)
-    W = np.empty((3 if coupled else 1, num_runs, K, problem.dim))
-    W[0] = w1[..., None, :]
-    if coupled:
-        W[1] = W[0]
-        W[2] = problem.w_star
+def _initial_weights(problem: Problem, w_init, num_runs: int, K: int) -> np.ndarray:
+    """Weights ``(R, K, d)``: every instance of a run starts at its point."""
+    W = np.empty((num_runs, K, problem.dim))
+    W[:] = _starts(problem.dim, w_init, num_runs)[..., None, :]
     return W
 
 
@@ -355,7 +355,7 @@ class _Stream:
     of the block's own ``(R * n, d)`` path, which :meth:`states` sets as
     ``table``.  The update loop takes either kind, reordered by the engine
     as it likes (e.g. into parallel rounds, or replay's picks), and makes
-    each label from :meth:`label_rows` and the block's unit noise.
+    each label from :meth:`labels` and the block's unit noise.
 
     The stream owns one per-run block of states and one of noise, which
     every block of the run reuses: a block is spent once the update loop
@@ -414,22 +414,18 @@ class _Stream:
         out = np.empty((R, n)) if fresh else self._block("noise", n, float)
         return self._noise.fill(out, normal=True).T
 
-    def label_rows(self, coupled: bool) -> tuple[np.ndarray, int]:
-        """The update loop's ``labels`` and ``noisy``: the labels before
-        noise of the weight branches -- (full, bias, var) when coupled, else
-        full -- and the bitmask of those that add ``sigma * xi`` (not bias).
+    def labels(self) -> np.ndarray:
+        """The update loop's ``labels``: the label rule before noise.
 
         For a Gaussian chain that is w*, as each sample's clean label is
         ``np.vecdot(x, w*)``: the reduction of the loop's predictions, so w*
         is an *exact* fixed point of noiseless runs.  For a finite chain it
-        is a ``(m, S)`` table per state of the same clean labels, which the
-        bias branch always takes, or under agnostic noise the outputs.
+        is a ``(1, S)`` table per state of the same clean labels, or under
+        agnostic noise of the outputs.
         """
-        noisy = 0b101 if coupled else 0b1
         if self._gaussian:
-            return self._w_star, noisy
-        y = self._clean if self._outputs is None else self._outputs
-        return (np.stack((y, self._clean, y)) if coupled else y[None]), noisy
+            return self._w_star
+        return (self._clean if self._outputs is None else self._outputs)[None]
 
 
 class _Checkpoints:
@@ -483,7 +479,7 @@ def _divergence(seed, samples: int) -> FloatingPointError:
 
 def _descend(
     W, X, table, labels, alpha: float, scaled: bool, acc, lo: int, hi: int, bad, first: int,
-    iters=None, xi=None, sigma: float = 0.0, noisy: int = 0, every: int = 1,
+    iters=None, xi=None, sigma: float = 0.0, every: int = 1,
 ) -> None:
     """The numpy update loop: :meth:`markovsgd._kernel.Kernel.advance`'s
     contract and bits, where the compiled kernel is unavailable.
@@ -495,17 +491,11 @@ def _descend(
     runs on with the others, and a second pass from the call's start finds
     its update.
     """
-    m = len(W)
     rows, X = X, table.take(X, axis=0)
-    if labels.ndim == 1:  # w*
-        Y = np.broadcast_to(np.vecdot(X, labels), (m, *X.shape[:-1]))
-    else:
-        Y = labels.take(rows, axis=1)
+    Y = np.vecdot(X, labels) if labels.ndim == 1 else labels[0].take(rows)  # w*, or a table
     if xi is not None:
-        noise = sigma * xi
-        Y = np.stack([Y[b] + noise if noisy >> b & 1 else Y[b] for b in range(m)])
+        Y = Y + sigma * xi
     Xs = X if scaled else alpha * X
-    Y = np.ascontiguousarray(np.moveaxis(Y, 1, 0))
     vecdot, subtract, multiply = np.vecdot, np.subtract, np.multiply
     P = np.empty_like(W)
     rbuf = np.empty(W.shape[:-1])
@@ -529,9 +519,9 @@ def _descend(
                 acc += W
             if iters is not None and u % every == 0:
                 iters[u // every] = W
-        broken = (bad < 0) & ~np.isfinite(W).all(axis=(0, 2, 3))
+        broken = (bad < 0) & ~np.isfinite(W).all(axis=(1, 2))
         for u in updates(start) if broken.any() else ():
-            bad[(bad < 0) & ~np.isfinite(start).all(axis=(0, 2, 3))] = u
+            bad[(bad < 0) & ~np.isfinite(start).all(axis=(1, 2))] = u
             if (bad[broken] >= 0).all():
                 break
 
@@ -558,15 +548,15 @@ def _instance_sum(d: int) -> Callable:
 
 
 def _advance(
-    W, s, xi, stream: _Stream, alpha: float, *, coupled: bool, first=0, acc=None, window=(0, 0), events=(),
-    iters=None, scaled=False, every=1,
+    W, s, xi, stream: _Stream, alpha: float, *, first=0, acc=None, window=(0, 0), events=(), iters=None,
+    scaled=False, every=1,
 ):
     """Apply a block's updates to ``W`` in place, yielding at events.
 
     Sample i of ``s``, with unit noise ``xi[i]`` (or None), drives update
     ``first + i + 1``; ``s`` is ``(n, R, K)`` numbers of rows of
     ``stream.table``, and ``xi`` is ``(n, R, K)``.  The labels are made
-    from :meth:`_Stream.label_rows` (three branches when ``coupled``).
+    by the rule of :meth:`_Stream.labels`.
     Update u ends an event when it is a multiple of ``every``; then W is
     added into ``acc`` when ``window[0] <= u < window[1]`` and stored in
     ``iters[u // every]`` when ``iters`` is given.  The generator yields u
@@ -582,9 +572,9 @@ def _advance(
     """
     kern = _load_kernel(W.shape[-1])
     advance = _descend if kern is None else kern.advance
-    labels, noisy = stream.label_rows(coupled)
+    labels = stream.labels()
     sigma = stream.sigma or 0.0
-    bad = np.full(W.shape[1], -1, dtype=np.int64)  # per run: the update that made it non-finite
+    bad = np.full(len(W), -1, dtype=np.int64)  # per run: the update that made it non-finite
     end = first + len(s)
     a = first
     for b in sorted({e for e in events if first < e < end} | {end}):
@@ -592,7 +582,7 @@ def _advance(
         seg = slice(a - first, b - first)
         advance(
             W, s[seg], stream.table, labels, alpha, scaled, acc, *window, bad, a + 1, iters,
-            None if xi is None else xi[seg], sigma, noisy, every,
+            None if xi is None else xi[seg], sigma, every,
         )
         if bad.max() >= 0:
             r = int(np.argmax(bad >= 0))
@@ -734,7 +724,6 @@ def _engine(
     seeds,
     *,
     w_init=None,
-    coupled: bool = False,
     keep_iterates: bool = False,
     checkpoints=None,
     record_reads: bool = False,
@@ -754,7 +743,7 @@ def _engine(
     def point(w):  # each run's iterate: its instances' mean, or its one instance
         return isum(w) / plan.K if plan.parallel else w[..., 0, :]
 
-    W = _initial_weights(problem, w_init, R, plan.K, coupled)
+    W = _initial_weights(problem, w_init, R, plan.K)
     lo, count = plan.window
     hi = lo + count
     acc = np.zeros(W.shape)  # fresh zero pages, with no pass to fill them
@@ -766,7 +755,7 @@ def _engine(
         iters[0] = W
     ck = _Checkpoints(checkpoints, T, lambda n: n // per_event, plan.events, R)
     if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
-        ck.record(0, problem, point(W[0]))
+        ck.record(0, problem, point(W))
 
     block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
     stops = {e * B for e in ck.events}  # event e ends with update e * B
@@ -783,10 +772,10 @@ def _engine(
                 reads.append(read)
             # the update loop sums and stores the rows of the events it ends
             for upd in _advance(
-                W, s, xi, stream, plan.step, coupled=coupled, first=j * B, acc=acc, window=(lo * B, hi * B),
-                events=stops, iters=iters, scaled=plan.parallel, every=B,
+                W, s, xi, stream, plan.step, first=j * B, acc=acc, window=(lo * B, hi * B), events=stops,
+                iters=iters, scaled=plan.parallel, every=B,
             ):
-                ck.record(upd // B, problem, point(W[0]))
+                ck.record(upd // B, problem, point(W))
             j += n
     except _Diverged as exc:
         raise _divergence(seeds[exc.run], -(-exc.update // B) * per_event) from None
@@ -796,7 +785,7 @@ def _engine(
         if not plan.parallel:
             iters = iters[..., 0, :]
     return {
-        "estimates": (isum(acc) if plan.parallel else acc[:, :, 0]) / (count * plan.K),
+        "estimates": (isum(acc) if plan.parallel else acc[:, 0]) / (count * plan.K),
         "final": point(W),
         "iterates": iters,
         "window": (lo - plan.first_row, count),
@@ -810,10 +799,10 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run."""
     R = len(seeds)
     d = problem.dim
+    W = np.empty((R, d))
+    W[:] = _starts(d, w_init, R)
     cursor = make_cursor(problem.chain, *_run_streams(seeds, (0,)))
     w_star = problem.w_star
-    W = np.empty((R, d))
-    W[:] = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
 
     alphas = np.empty((T, R))
     xsq = np.empty((T, R))
@@ -860,6 +849,16 @@ def sgd_step(w, obs: Observation, alpha: float) -> np.ndarray:
     return w - (np.vecdot(w, x) - obs.y) * (alpha * x)
 
 
+_COUPLED_DOC = """
+    ``coupled=True`` adds the run's bias/variance split
+    (:class:`~markovsgd.regression.CoupledTrajectory`): three plain runs on
+    the one seed, so on the same chain, noise and replay picks -- the run
+    itself, the run of the problem with noiseless labels from the same
+    start (bias), and the run from w* (var).  A coupled run raises for the
+    first of its paths to diverge, in the order full, bias, var.
+    """
+
+
 def _single_runner(kind: type, name: str, doc: str):
     """The public single-run function for configs of type ``kind``."""
 
@@ -878,31 +877,22 @@ def _single_runner(kind: type, name: str, doc: str):
             raise TypeError(f"{name} takes a {kind.__name__}, got {type(config).__name__}")
         if coupled and not keep_iterates:
             raise ValueError("coupled runs need keep_iterates=True to expose the paths")
-        out = _engine(
-            problem,
-            T,
-            config,
-            [rng],
-            w_init=w_init,
-            coupled=coupled,
-            keep_iterates=keep_iterates,
-            record_reads=record_reads,
-        )
-        iters = out["iterates"]
+        T = check_int(T, "T")
+        out = _engine(problem, T, config, [rng], w_init=w_init, keep_iterates=keep_iterates, record_reads=record_reads)
+        iters = None if out["iterates"] is None else out["iterates"][:, 0]
         coupled_traj = None
-        if iters is not None:
-            # (steps, m, 1, ...) -> per-branch (steps, ...)
-            paths = iters[:, :, 0]
-            if coupled:
-                coupled_traj = CoupledTrajectory(
-                    iterates_full=paths[:, 0],
-                    iterates_bias=paths[:, 1],
-                    iterates_var=paths[:, 2],
-                    w_star=problem.w_star,
-                )
-            iters = paths[:, 0]
+        if coupled:
+            # the same seed draws the same chain, noise and replay picks in each path
+            bias = _engine(replace(problem, noise=Noiseless()), T, config, [rng], w_init=w_init, keep_iterates=True)
+            var = _engine(problem, T, config, [rng], w_init=problem.w_star, keep_iterates=True)
+            coupled_traj = CoupledTrajectory(
+                iterates_full=iters,
+                iterates_bias=bias["iterates"][:, 0],
+                iterates_var=var["iterates"][:, 0],
+                w_star=problem.w_star,
+            )
         return RunResult(
-            estimate=out["estimates"][0, 0],
+            estimate=out["estimates"][0],
             iterates=iters,
             window=out["window"],
             coupled=coupled_traj,
@@ -911,7 +901,7 @@ def _single_runner(kind: type, name: str, doc: str):
         )
 
     run.__name__ = run.__qualname__ = name
-    run.__doc__ = doc
+    run.__doc__ = doc + _COUPLED_DOC
     run.__annotations__["config"] = kind.__name__
     return run
 
@@ -964,7 +954,15 @@ run_sgd_er = _single_runner(
 )
 
 
-def _check_trace_regime(problem: Problem, eta: float) -> None:
+def _check_trace_inputs(problem: Problem, T, eta, seeds) -> int:
+    """T as an int, after checking a trace's T, eta, seeds and regime."""
+    T = check_int(T, "T")
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+    if check_float(eta, "eta") <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if len(seeds) == 0:
+        raise ValueError("a trace needs at least one seed")
     chain = problem.chain
     if not isinstance(chain, GaussianARSpec):
         raise ValueError("the lower-bound trace runs on the Gaussian AR chain")
@@ -976,6 +974,7 @@ def _check_trace_regime(problem: Problem, eta: float) -> None:
             "running anyway",
             stacklevel=3,
         )
+    return T
 
 
 def run_lower_bound_trace(problem: Problem, T: int, eta: float, rng, *, w_init=None) -> LowerBoundTrace:
@@ -984,7 +983,7 @@ def run_lower_bound_trace(problem: Problem, T: int, eta: float, rng, *, w_init=N
     The proof regime expects eta of at most 0.05 and epsilon^2 > 0.5; outside
     it a warning is emitted and the trace still runs.
     """
-    _check_trace_regime(problem, eta)
+    T = _check_trace_inputs(problem, T, eta, [rng])
     out = _trace_engine(problem, T, eta, [rng], w_init=w_init)
     return LowerBoundTrace(
         alphas=out["alphas"][:, 0],
@@ -1025,6 +1024,7 @@ def run_many(
         raise TypeError(f"unsupported config type {type(config).__name__}")
     if workers is not None and (int(workers) != workers or workers < 1):
         raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
+    T = check_int(T, "T")
     seeds = list(seeds)
     R = len(seeds)
     if R == 0:
@@ -1101,15 +1101,14 @@ def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, blo
         config,
         seeds,
         w_init=w_init,
-        coupled=False,
         keep_iterates=False,
         checkpoints=checkpoints,
         block_runs=block_runs,
     )
     ck = out["checkpoints"]
     return BatchResult(
-        estimates=out["estimates"][0],
-        final_iterates=out["final"][0],  # parallel SGD hands back instance-averaged finals
+        estimates=out["estimates"],
+        final_iterates=out["final"],  # parallel SGD hands back instance-averaged finals
         checkpoint_steps=ck.steps,
         checkpoint_excess=ck.excess,
         discarded_samples=out["discarded"],
@@ -1118,6 +1117,7 @@ def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, blo
 
 def run_lower_bound_traces(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Batched lower-bound traces: alphas (T, R), gammas (T+1, R), x_sq_norms (T, R)."""
-    _check_trace_regime(problem, eta)
+    seeds = list(seeds)
+    T = _check_trace_inputs(problem, T, eta, seeds)
     out = _trace_engine(problem, T, eta, seeds, w_init=w_init)
     return out["alphas"], out["gammas"], out["x_sq_norms"]

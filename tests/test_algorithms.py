@@ -1,5 +1,6 @@
 """Stream SGD variants: windows, sample indexing, coupling, and batch parity."""
 
+import dataclasses
 import math
 import re
 import threading
@@ -492,13 +493,46 @@ class TestFixedPointAndCoupling:
             )
 
     def test_coupling_does_not_disturb_the_run(self):
-        # the bias/var branches share the full branch's streams exactly
+        # the bias and var paths are runs of their own, which leave the full one as it is
         problem = gaussian_problem(sigma=0.2)
         cfg = ReplayConfig(buffer_size=4, step_size=0.3)
         plain = run_sgd_er(problem, 40, cfg, 37)
         coupled = run_sgd_er(problem, 40, cfg, 37, coupled=True)
         np.testing.assert_array_equal(coupled.iterates, plain.iterates)
         np.testing.assert_array_equal(coupled.estimate, plain.estimate)
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    @pytest.mark.parametrize("seed", [29, np.random.SeedSequence(29, spawn_key=(3,))], ids=["int", "seed-sequence"])
+    @pytest.mark.parametrize(
+        "kind,algo",
+        [(k, a) for k in ("finite", "gaussian", "agnostic") for a in ("sgd", "dd", "parallel", "er")
+         if a != "er" or k == "gaussian"],  # replay runs on Gaussian chains only
+    )
+    def test_coupled_paths_are_plain_runs_on_one_seed(self, kind, algo, seed, loop, monkeypatch):
+        # bias: the noiseless problem from the same start; var: the problem from w*
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        problem = {
+            "finite": lambda: mc0_problem(sigma=0.2),
+            "gaussian": lambda: gaussian_problem(sigma=0.2),
+            "agnostic": lambda: make_problem(make_agnostic_bias_chain(0.25), AgnosticDeterministic()),
+        }[kind]()
+        base = SgdConfig(step_size=0.3)
+        runner, cfg = {
+            "sgd": (run_sgd, base),
+            "dd": (run_sgd_dd, DataDropConfig(base, drop_interval=3)),
+            "parallel": (run_parallel_sgd, ParallelConfig(base, num_instances=4)),
+            "er": (run_sgd_er, ReplayConfig(buffer_size=4, drop_prefix=1, step_size=0.3)),
+        }[algo]
+        w1 = np.linspace(-0.5, 0.5, problem.dim)
+        run = runner(problem, 60, cfg, seed, w_init=w1, coupled=True)
+        plain = runner(problem, 60, cfg, seed, w_init=w1)
+        bias = runner(dataclasses.replace(problem, noise=Noiseless()), 60, cfg, seed, w_init=w1)
+        var = runner(problem, 60, cfg, seed, w_init=problem.w_star)
+        assert run.coupled.iterates_full.tobytes() == run.iterates.tobytes() == plain.iterates.tobytes()
+        assert run.coupled.iterates_bias.tobytes() == bias.iterates.tobytes()
+        assert run.coupled.iterates_var.tobytes() == var.iterates.tobytes()
+        assert run.coupled.check_identity(tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +689,40 @@ class TestEntryChecks:
             run_many(gaussian_problem(), 1000, SgdConfig(step_size=0.3), [1], checkpoints=cks)
         run_many(gaussian_problem(), 1000, SgdConfig(step_size=0.3), [1], checkpoints=[0, 1000])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_run_many_rejects_a_non_finite_start(self, value):
+        start = [value, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="w_init must hold finite numbers"):
+            run_many(gaussian_problem(), 50, SgdConfig(step_size=0.1), [1, 2], w_init=start)
+        with pytest.raises(ValueError, match="w_init must hold finite numbers"):
+            run_many(gaussian_problem(), 50, SgdConfig(step_size=0.1), [1, 2], w_init=[start, [0.0] * 4])
+
+    @pytest.mark.parametrize("runner", _CONFIGS, ids=lambda r: r.__name__)
+    def test_runner_rejects_a_non_finite_start(self, runner):
+        for coupled in (False, True):
+            with pytest.raises(ValueError, match="w_init must hold finite numbers"):
+                runner(gaussian_problem(), 48, _CONFIGS[runner], 1, w_init=[0.0, math.nan, 0.0, 0.0], coupled=coupled)
+
+    @pytest.mark.parametrize("T", [50.5, True, "50", None], ids=["fraction", "bool", "string", "none"])
+    def test_run_many_rejects_a_non_integer_horizon(self, T):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            run_many(gaussian_problem(), T, SgdConfig(step_size=0.1), [1, 2])
+
+    @pytest.mark.parametrize("runner", _CONFIGS, ids=lambda r: r.__name__)
+    def test_runner_rejects_a_non_integer_horizon(self, runner):
+        for T in (48.5, True):
+            with pytest.raises(ValueError, match="T must be an integer"):
+                runner(gaussian_problem(), T, _CONFIGS[runner], 1)
+
+    def test_an_integral_float_horizon_reads_as_its_integer(self):
+        cfg = SgdConfig(step_size=0.1)
+        assert run_many(gaussian_problem(), 50.0, cfg, [1]).estimates.tobytes() == (
+            run_many(gaussian_problem(), 50, cfg, [1]).estimates.tobytes()
+        )
+        assert run_sgd(gaussian_problem(), 50.0, cfg, 1).iterates.tobytes() == (
+            run_sgd(gaussian_problem(), 50, cfg, 1).iterates.tobytes()
+        )
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sgd_config_rejects_a_non_finite_step_size(self, value):
         with pytest.raises(ValueError, match="step_size must be a finite number"):
@@ -759,6 +827,50 @@ class TestLowerBoundTrace:
         with pytest.raises(ValueError):
             run_lower_bound_trace(finite_problem(sigma=0.0), 50, 0.04, 0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.04, True, "0.04"],
+                             ids=["nan", "inf", "zero", "negative", "bool", "string"])
+    def test_rejects_an_eta_that_is_not_a_positive_number(self, eta):
+        problem = self._problem()
+        with pytest.raises(ValueError, match="eta must be"):
+            run_lower_bound_trace(problem, 50, eta, 0)
+        with pytest.raises(ValueError, match="eta must be"):
+            run_lower_bound_traces(problem, 50, eta, [0, 1])
+
+    @pytest.mark.parametrize("T", [0, -3, 50.5, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_rejects_a_horizon_that_is_not_a_positive_integer(self, T):
+        problem = self._problem()
+        with pytest.raises(ValueError, match="T must be"):
+            run_lower_bound_trace(problem, T, 0.04, 0)
+        with pytest.raises(ValueError, match="T must be"):
+            run_lower_bound_traces(problem, T, 0.04, [0, 1])
+
+    @pytest.mark.parametrize("w_init", [1.0, [1.0], np.ones((3, 4))], ids=["scalar", "one-entry", "three-rows"])
+    def test_rejects_a_start_of_another_shape(self, w_init):
+        problem = self._problem()  # d = 4
+        with pytest.raises(ValueError, match=re.escape("w_init must have shape (4,)")):
+            run_lower_bound_trace(problem, 50, 0.04, 0, w_init=w_init)
+        with pytest.raises(ValueError, match=re.escape("w_init must have shape (4,) or (2, 4)")):
+            run_lower_bound_traces(problem, 50, 0.04, [0, 1], w_init=w_init)
+
+    def test_rejects_a_non_finite_start(self):
+        problem = self._problem()
+        with pytest.raises(ValueError, match="w_init must hold finite numbers"):
+            run_lower_bound_trace(problem, 50, 0.04, 0, w_init=[math.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="w_init must hold finite numbers"):
+            run_lower_bound_traces(problem, 50, 0.04, [0, 1], w_init=[[0.0] * 4, [0.0, math.inf, 0.0, 0.0]])
+
+    def test_rejects_an_empty_seed_list(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_lower_bound_traces(self._problem(), 50, 0.04, [])
+
+    def test_takes_one_start_per_run(self):
+        problem = self._problem()
+        starts = np.eye(4)[:2]
+        _, gammas, _ = run_lower_bound_traces(problem, 20, 0.04, [5, 6], w_init=starts)
+        for i, seed in enumerate([5, 6]):
+            solo = run_lower_bound_trace(problem, 20, 0.04, seed, w_init=starts[i])
+            assert gammas[:, i].tobytes() == solo.gammas.tobytes()
+
     def test_batch_matches_singles(self):
         problem = self._problem()
         alphas, gammas, xsq = run_lower_bound_traces(
@@ -796,18 +908,20 @@ class TestDataLayer:
         stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
         ref_noise = [run_generators(s) for s in self.SEEDS]
         idx = stream.cursor.take(48)
-        labels, noisy = stream.label_rows(False)
-        assert labels.shape == (1, len(chain.states)) and noisy == 0b1
+        labels = stream.labels()
+        # a table stays 2-D, even where it has d entries (mc0 has S = d states)
+        assert labels.shape == (1, len(chain.states))
         blocks = (idx, idx[3::4], idx.reshape(12, 4, 3).swapaxes(1, 2))
         for s in blocks:
             X = chain.states[s]
             np.testing.assert_array_equal(stream.table[s], X)
             np.testing.assert_array_equal(labels[0][s], np.vecdot(X, w_star))
-        # coupled: every branch starts from the clean labels; the bias branch takes no noise
-        coupled, noisy = stream.label_rows(True)
-        np.testing.assert_array_equal(coupled, np.tile(labels, (3, 1)))
-        assert noisy == 0b101 and stream.sigma == 0.1
+        assert stream.sigma == 0.1
         np.testing.assert_array_equal(stream.noise(48), _stacked_noise(ref_noise, 48))
+        # the noiseless problem keeps the clean labels and draws no noise
+        clean = _Stream(dataclasses.replace(problem, noise=Noiseless()), *_run_streams(self.SEEDS, (0, 1)))
+        np.testing.assert_array_equal(clean.labels(), labels)
+        assert clean.sigma is None and clean.noise(48) is None
 
     def test_agnostic_labels_are_state_outputs(self):
         chain = make_agnostic_bias_chain(0.25)
@@ -815,11 +929,12 @@ class TestDataLayer:
         stream = _Stream(problem, *_run_streams([1, 2], (0, 1)))
         idx = stream.cursor.take(20)
         assert stream.noise(20) is None
-        labels, _ = stream.label_rows(False)
+        labels = stream.labels()
+        assert labels.shape == (1, len(chain.states))
         np.testing.assert_array_equal(labels[0][idx], chain.outputs[idx])
-        coupled, _ = stream.label_rows(True)
-        clean = np.vecdot(chain.states, problem.w_star)
-        np.testing.assert_array_equal(coupled, np.stack((chain.outputs, clean, chain.outputs)))
+        # the bias path's problem labels each state <x, w*> instead
+        clean = _Stream(dataclasses.replace(problem, noise=Noiseless()), *_run_streams([1, 2], (0, 1)))
+        np.testing.assert_array_equal(clean.labels()[0], np.vecdot(chain.states, problem.w_star))
 
     @pytest.mark.parametrize("kind", ["finite", "gaussian"])
     def test_blocks_reuse_the_streams_memory(self, kind):
@@ -892,15 +1007,20 @@ class TestDataLayer:
         stream = _Stream(problem, *_run_streams(self.SEEDS, (0, 1)))
         ref = [run_generators(s) for s in self.SEEDS]
         cursor = make_cursor(chain, [tr[0] for tr in ref])
-        labels, noisy = stream.label_rows(coupled)
+        labels = stream.labels()
+        # a coupled run's bias path reads the noiseless problem on the same seeds
+        bias = _Stream(dataclasses.replace(problem, noise=Noiseless()), *_run_streams(self.SEEDS, (0, 1))) if coupled else None
         for nr in (3, 2):  # two consecutive blocks
             s, xi, _ = _rounds(stream, 0, nr, K)
             Xr = stream.table[s]
-            # the update loop's label rule: <x, w*> or the state's entry, plus
-            # sigma * xi in the noisy branches
-            m = 3 if coupled else 1
-            clean = [np.vecdot(Xr, labels)] * m if kind == "gaussian" else labels[:, s]
-            Y = np.stack([y + 0.2 * xi if noisy >> b & 1 else y for b, y in enumerate(clean)])
+            if coupled:  # the same samples, with clean labels and no noise
+                sb, xib, _ = _rounds(bias, 0, nr, K)
+                Xb = bias.table[sb]
+                Yb = np.vecdot(Xb, bias.labels()) if kind == "gaussian" else bias.labels()[0][sb]
+                assert xib is None
+            # the update loop's label rule: <x, w*> or the state's entry, plus sigma * xi
+            clean = np.vecdot(Xr, labels) if kind == "gaussian" else labels[0][s]
+            Y = clean + 0.2 * xi
             # the reference: stream-order vectors and labels, then transposed
             s = cursor.take(nr * K)
             X = s if kind == "gaussian" else chain.states[s]
@@ -908,11 +1028,11 @@ class TestDataLayer:
             want_X = np.ascontiguousarray(X.reshape(nr, K, R, d).transpose(0, 2, 1, 3))
             want_Y = np.ascontiguousarray(Yf.reshape(nr, K, R).transpose(0, 2, 1))
             np.testing.assert_array_equal(Xr, want_X)
-            assert Y.shape == ((3 if coupled else 1), nr, R, K)
-            np.testing.assert_array_equal(Y[0], want_Y)
+            assert Y.shape == (nr, R, K)
+            np.testing.assert_array_equal(Y, want_Y)
             if coupled:
-                np.testing.assert_array_equal(Y[1], np.vecdot(want_X, w_star))
-                np.testing.assert_array_equal(Y[2], want_Y)
+                np.testing.assert_array_equal(Xb, want_X)
+                np.testing.assert_array_equal(Yb, np.vecdot(want_X, w_star))
 
 
 # ---------------------------------------------------------------------------
@@ -1032,8 +1152,8 @@ def _assert_run_equal(batch, i, one):
 
 
 class TestSingleRow:
-    """An uncoupled run on its own has one weight row; batches and coupled
-    runs have more.  Both must agree bit for bit."""
+    """A run on its own has one weight row; batches have more.  Both must
+    agree bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1108,7 +1228,7 @@ class TestSingleRow:
         [("gaussian", "sgd"), ("gaussian", "dd"), ("gaussian", "er"), ("mc3", "sgd"), ("mc3", "dd")],
     )
     def test_coupled_run_keeps_the_plain_path(self, kind, algo):
-        # a coupled run has three weight rows; its full row is the plain run
+        # a coupled run's full path is the plain run
         problem = gaussian_problem(sigma=0.2) if kind == "gaussian" else finite_problem()
         cfg = {
             "sgd": SgdConfig(step_size=0.3),
@@ -1199,6 +1319,17 @@ class TestDivergence:
     def test_single_run_raises(self):
         with pytest.raises(FloatingPointError, match=r"seed 1\b"):
             run_sgd(gaussian_problem(d=3, sigma=0.1), 4000, SgdConfig(step_size=50.0), 1)
+
+    @pytest.mark.parametrize(
+        "cfg,runner", zip(CONFIGS, (run_sgd, run_sgd_dd, run_parallel_sgd, run_sgd_er)), ids=["sgd", "dd", "parallel", "er"]
+    )
+    def test_a_coupled_run_raises_for_its_full_path_first(self, cfg, runner):
+        problem = gaussian_problem(d=3, sigma=0.1)
+        with pytest.raises(FloatingPointError) as plain:
+            runner(problem, 4000, cfg, 1)
+        with pytest.raises(FloatingPointError) as coupled:
+            runner(problem, 4000, cfg, 1, coupled=True)
+        assert str(coupled.value) == str(plain.value)
 
     def test_pooled_run_raises(self):
         problem = gaussian_problem(d=3, sigma=0.1)

@@ -1,6 +1,7 @@
 """The compiled loops: bit-identity with the numpy loops, divergence, loading."""
 
 import contextlib
+import ctypes
 import hashlib
 import inspect
 import json
@@ -134,8 +135,8 @@ class TestSameBits:
         else:
             assert compiled.checkpoint_excess.tobytes() == numpy.checkpoint_excess.tobytes()
 
-        # a single run keeps every iterate, on the compiled loop too; coupled
-        # finite runs make the bias branch's clean labels in the loop
+        # a single run keeps every iterate, on the compiled loop too; a
+        # coupled run's bias path is a noiseless run, its var path one from w*
         coupled = data.draw(st.booleans(), label="coupled")
         runner = {"sgd": run_sgd, "dd": run_sgd_dd, "parallel": run_parallel_sgd, "er": run_sgd_er}[algo]
         w1 = w_init[0] if start == "per_run" else w_init
@@ -151,7 +152,7 @@ class TestSameBits:
     @pytest.mark.parametrize("noise", ["none", "gaussian", "agnostic"])
     @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
     def test_coupled_finite_runs_equal_numpy(self, noise, algo):
-        # the loop makes each branch's labels: the bias branch's are clean
+        # the loop makes each path's labels: the bias path's are clean
         if noise == "agnostic":
             problem = make_problem(make_agnostic_bias_chain(0.25), AgnosticDeterministic())
         else:
@@ -178,11 +179,17 @@ def test_numpy_loop_takes_the_kernels_arguments():
     assert inspect.signature(algorithms._descend) == want.replace(parameters=without_self)
 
 
+# a coupled run is three plain runs on one seed: the full path, the bias path
+# (the noiseless problem, which reads no noise) and the var path (from w*)
+_NOISY = (True, False, True)
+
+
 @requires_kernel
 class TestAdvanceContract:
     # d < 16 takes the fused dot, and on a CPU with AVX2 the four-wide path
-    # for K = 1 (four runs a vector, uncoupled) and K = 6 (one group of four
-    # instances and two left over); K = 3 and coupled K = 1 stay scalar
+    # for K = 1 (four runs a vector) and K = 6 (one group of four instances
+    # and two left over); K = 3 stays scalar.  A coupled run is three plain
+    # runs (full, bias, var), and the bias run reads no noise
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [1, 4, 2, 3, 5, 15])
@@ -196,7 +203,6 @@ class TestAdvanceContract:
     def _compare(self, mode, m, d, K, scaled, noise, every, R):
         rng = np.random.default_rng(5)
         S, nr, sigma = 6, 10, 0.3
-        noisy = 0b101 if m == 3 else 0b1  # the coupled bias branch gets no noise
 
         def rounds(a):  # per-run rows (R, nr*K, ...) in round order (nr, R, K, ...): strided views
             return a.swapaxes(0, 1).reshape(nr, K, R, *a.shape[2:]).swapaxes(1, 2)
@@ -206,23 +212,27 @@ class TestAdvanceContract:
             labels = rng.uniform(-1, 1, d)
             table[X[0, 0, 0]] = 0.0  # a zero sample: its dot may read -0.0, its label +0.0
             labels[0] = -0.0
-        else:  # the labels are a table per branch and state
+        else:  # the labels are a table per run of a coupled run and per state
             X, table = rounds(rng.integers(0, S, (R, nr * K))), rng.uniform(-1, 1, (S, d))
             labels = rng.uniform(-1, 1, (m, S))
-            labels[:, 0] = -0.0  # a -0.0 label stays -0.0 in the branch without noise
+            labels[:, 0] = -0.0  # a -0.0 label stays -0.0 without noise
         xi = rounds(rng.standard_normal((R, nr * K))) if noise else None
         if noise and R == 9:  # runs adjacent, instances strided: the four-wide path's other noise loads
             xi = np.ascontiguousarray(xi.transpose(0, 2, 1)).transpose(0, 2, 1)
         W0 = rng.uniform(-1, 1, (m, R, K, d))
         outs = []
         for advance in (_kernel.load(d).advance, algorithms._descend):
-            W, acc = W0.copy(), np.zeros_like(W0)
-            iters = np.zeros((nr + 1, *W0.shape))
-            bad = np.full(R, -1, dtype=np.int64)
-            advance(W, X, table, labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, xi, sigma, noisy, every)
-            outs.append((W, acc, iters[1:], bad))
-        for compiled, numpy in zip(*outs):
-            assert compiled.tobytes() == numpy.tobytes(), f"R = {R}"
+            for p in range(m):
+                W, acc = W0[p].copy(), np.zeros_like(W0[p])
+                iters = np.zeros((nr + 1, *W.shape))
+                bad = np.full(R, -1, dtype=np.int64)
+                path_labels = labels if mode == "w-star" else labels[p : p + 1]
+                path_xi = xi if _NOISY[p] else None
+                advance(W, X, table, path_labels, 0.3, scaled, acc, 2, 7, bad, 1, iters, path_xi, sigma, every)
+                outs.append((W, acc, iters[1:], bad))
+        for compiled, numpy in zip(outs[:m], outs[m:]):
+            for a, b in zip(compiled, numpy):
+                assert a.tobytes() == b.tobytes(), f"R = {R}"
 
     @pytest.mark.parametrize("R,K", [(1, 1), (4, 1), (1, 4)], ids=["scalar", "four-runs", "four-instances"])
     def test_a_dot_that_rounds_to_minus_zero_reads_plus_zero(self, R, K):
@@ -230,7 +240,7 @@ class TestAdvanceContract:
         # the fma chain ends on -0.0; numpy reads +0.0, and with a +0.0
         # label the residual is +0.0, which leaves the -0.0 weight -0.0
         table, labels = np.array([[1e-200, 0.5]]), np.zeros((1, 1))
-        W0 = np.broadcast_to([-1e-200, -0.0], (1, R, K, 2)).copy()
+        W0 = np.broadcast_to([-1e-200, -0.0], (R, K, 2)).copy()
         X = np.zeros((1, R, K), dtype=np.int64)
         outs = []
         for advance in (_kernel.load(2).advance, algorithms._descend):
@@ -246,9 +256,43 @@ class TestAdvanceContract:
         table = np.ones((6, 2))
         idx = np.zeros((3, 2, 1), dtype=np.int64)
         idx[1, 1, 0] = bad_row
-        W, bad = np.zeros((1, 2, 1, 2)), np.full(2, -1, dtype=np.int64)
+        W, bad = np.zeros((2, 1, 2)), np.full(2, -1, dtype=np.int64)
         with pytest.raises(ValueError, match="row numbers"):
             _kernel.load(2).advance(W, idx, table, labels, 0.3, False, None, 0, 0, bad, 0)
+
+
+# the ctypes type each kind of C parameter is bound with
+_CTYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32, "double": ctypes.c_double}
+
+
+def _c_parameters(source: str) -> dict:
+    """Each ``msgd_*`` function defined in ``source``: its parameters' ctypes
+    types, ``c_void_p`` for a pointer or a ``ddot_fn``."""
+    found = {}
+    for name, params in re.findall(r"^\w[\w ]*?\b(msgd_\w+)\(([^)]*)\)\s*\{", source, re.M):
+        kinds = []
+        for param in filter(None, (p.strip() for p in params.split(","))):
+            if param == "void":
+                continue
+            if "*" in param or param.startswith("ddot_fn"):
+                kinds.append(ctypes.c_void_p)
+            else:
+                kinds.append(_CTYPES[param.replace("const ", "").split()[0]])
+        found[name] = kinds
+    return found
+
+
+@requires_library
+def test_the_bindings_match_the_c_definitions():
+    # a binding with an argument too many or of the wrong kind passes garbage silently
+    with open(_kernel._SOURCE) as fh:
+        defined = _c_parameters(fh.read())
+    kern = _kernel.library()
+    bound = {f.__name__: list(f.argtypes) for f in vars(kern).values() if getattr(f, "argtypes", None) is not None}
+    assert len(bound) == 8 and len(defined["msgd_advance"]) == 28
+    for name, kinds in defined.items():
+        # the unbound ones take nothing
+        assert bound.get(name, []) == kinds, name
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +301,48 @@ class TestAdvanceContract:
 
 
 def _lane_inputs(mode, m, R, d, K, n=40):
-    """Per-run blocks in update order, as the engine hands them over."""
+    """Per-run blocks in update order, as the engine hands them over, and
+    starts for m paths: one, or a coupled run's full, bias and var paths."""
     rng = np.random.default_rng(11)
     S = 6
     if mode == "w-star":  # rows of a per-run table, as a Gaussian block's; the labels are w*
         X, table = np.arange(R * n * K).reshape(R, n, K).transpose(1, 0, 2), rng.uniform(-1, 1, (R * n * K, d))
         labels = rng.uniform(-1, 1, d)
-    else:  # the labels are a table per branch and state
+    else:  # the labels are a table per path and state
         X, table = rng.integers(0, S, (R, n, K)).transpose(1, 0, 2), rng.uniform(-1, 1, (S, d))
         labels = rng.uniform(-1, 1, (m, S))
     xi = rng.standard_normal((R, n, K)).transpose(1, 0, 2)
-    return rng.uniform(-1, 1, (m, R, K, d)), X, labels, table, xi
+    W0 = rng.uniform(-1, 1, (m, R, K, d))
+    if mode == "w-star" and m == 3:
+        W0[2] = labels  # the var path starts at w*
+    return W0, X, labels, table, xi
 
 
 def _advance_runs(W0, X, labels, table, xi, runs, loop=None):
-    """W, acc, iters and bad after advancing the runs ``runs`` (a slice)
+    """W, acc, iters and bad of each path, stacked on a leading path axis
+    (the second of iters), after advancing the runs ``runs`` (a slice)
     together, on the compiled loop or on ``loop``."""
     m, _, K, d = W0.shape
-    W = W0[:, runs].copy()
-    acc, iters = np.zeros_like(W), np.zeros((len(X) + 1, *W.shape))
-    bad = np.full(W.shape[1], -1, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        (loop or _kernel.load(d).advance)(
-            W, X[:, runs], table, labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters, xi[:, runs], 0.2,
-            0b101 if m == 3 else 0b1,
-        )
-    return W, acc, iters, bad
+    outs = []
+    for p in range(m):
+        W = W0[p, runs].copy()
+        acc, iters = np.zeros_like(W), np.zeros((len(X) + 1, *W.shape))
+        bad = np.full(len(W), -1, dtype=np.int64)
+        path_labels = labels if labels.ndim == 1 else labels[p : p + 1]
+        with np.errstate(all="ignore"):
+            (loop or _kernel.load(d).advance)(
+                W, X[:, runs], table, path_labels, 0.3, K > 1, acc, 3, 30, bad, 1, iters,
+                xi[:, runs] if _NOISY[p] else None, 0.2,
+            )
+        outs.append((W, acc, iters, bad))
+    W, acc, iters, bad = zip(*outs)
+    return np.stack(W), np.stack(acc), np.stack(iters, axis=1), np.stack(bad)
 
 
 def _each_run(batch, r):
     """Run r's rows of _advance_runs' outputs."""
     W, acc, iters, bad = batch
-    return W[:, r].tobytes(), acc[:, r].tobytes(), iters[:, :, r].tobytes(), int(bad[r])
+    return W[:, r].tobytes(), acc[:, r].tobytes(), iters[:, :, r].tobytes(), bad[:, r].tolist()
 
 
 @requires_kernel
@@ -313,13 +367,15 @@ class TestRunsSideBySide:
         W0, X, labels, table, xi = _lane_inputs(mode, m, 9, 4, 1)
         xi[17, 5, 0] = np.inf  # run 5, in the second group of runs, breaks at update 1 + 17
         batch = _advance_runs(W0, X, labels, table, xi, slice(None))
-        assert batch[3].tolist() == [-1] * 5 + [18] + [-1] * 3
+        broken = [p for p in range(m) if _NOISY[p]]  # the bias path reads no noise, and runs on
+        assert batch[3].tolist() == [[-1] * 5 + [18] + [-1] * 3 if p in broken else [-1] * 9 for p in range(m)]
         for r in range(9):
             alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
             assert _each_run(batch, r) == _each_run(alone, 0)
         # the broken run stops there: no acc or iters row is written from update 18 on
-        assert not np.isfinite(batch[0][:, 5]).all()
-        assert not batch[2][18:, :, 5].any()
+        for p in broken:
+            assert not np.isfinite(batch[0][p, 5]).all()
+            assert not batch[2][18:, p, 5].any()
 
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
@@ -329,17 +385,20 @@ class TestRunsSideBySide:
         xi[17, 2, k] = np.inf  # instance k of run 2 breaks in round 1 + 17; the others of that round go on
         batch = _advance_runs(W0, X, labels, table, xi, slice(None))
         numpy = _advance_runs(W0, X, labels, table, xi, slice(None), algorithms._descend)
-        assert batch[3].tolist() == numpy[3].tolist() == [-1, -1, 18, -1, -1]
+        broken = [p for p in range(m) if _NOISY[p]]  # the bias path reads no noise, and runs on
+        want = [[-1, -1, 18, -1, -1] if p in broken else [-1] * 5 for p in range(m)]
+        assert batch[3].tolist() == numpy[3].tolist() == want
         for r in (0, 1, 3, 4):
             alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
             assert _each_run(batch, r) == _each_run(alone, 0) == _each_run(numpy, r)
         # run 2 stops after round 18: its sums and iterates are those of its first 17 rounds
         W, acc, iters, _ = batch
-        assert not np.isfinite(W[:, 2]).all()
-        assert not iters[18:, :, 2].any()
         first = _advance_runs(W0, X[:17], labels, table, xi[:17], slice(2, 3))
-        assert acc[:, 2].tobytes() == first[1][:, 0].tobytes()
-        assert iters[:18, :, 2].tobytes() == first[2][:, :, 0].tobytes()
+        for p in broken:
+            assert not np.isfinite(W[p, 2]).all()
+            assert not iters[18:, p, 2].any()
+            assert acc[p, 2].tobytes() == first[1][p, 0].tobytes()
+            assert iters[:18, p, 2].tobytes() == first[2][:, p, 0].tobytes()
 
     def test_run_many_names_the_one_run_that_broke_among_its_lane_mates(self):
         problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
@@ -482,8 +541,9 @@ class TestLanes:
 
 
 def _instances(m, K, d, seed):
-    """(m, 3, K, d) weights of spread scales; run 0 of branch 0 all -0.0, and
-    every other instance of run 2 of the last branch -0.0."""
+    """(m, 3, K, d) weights of spread scales, m leading blocks of 3 runs;
+    run 0 of block 0 all -0.0, and every other instance of run 2 of the
+    last block -0.0."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, 3, K, d)) * 2.0 ** rng.integers(-30, 31, (m, 3, K, d))
     a[0, 0] = -0.0
@@ -933,28 +993,28 @@ class TestDivergenceLatency:
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     def test_a_run_that_breaks_leaves_the_others_bits(self, scaled):
         rng = np.random.default_rng(9)
-        m, R, K, d, n, lo, hi, alpha = 3, 4, 2, 3, 40, 5, 30, 0.3
+        R, K, d, n, lo, hi, alpha = 4, 2, 3, 40, 5, 30, 0.3
         X, table = np.arange(n * R * K).reshape(n, R, K), rng.uniform(-1, 1, (n * R * K, d))
         w_star = rng.uniform(-1, 1, d)
         xi = rng.standard_normal((n, R, K))
         xi[17, 2, 1] = np.inf  # run 2 turns non-finite at update 17, mid-segment
-        W0 = rng.uniform(-1, 1, (m, R, K, d))
+        W0 = rng.uniform(-1, 1, (R, K, d))
         outs = []
         for advance in (_kernel.load(d).advance, algorithms._descend):
             W, acc, iters = W0.copy(), np.zeros_like(W0), np.empty((n, *W0.shape))
             bad = np.full(R, -1, dtype=np.int64)
             with np.errstate(all="ignore"):
-                advance(W, X, table, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, xi, 0.1, 0b101)
+                advance(W, X, table, w_star, alpha, scaled, acc, lo, hi, bad, 0, iters, xi, 0.1)
             outs.append((W, acc, iters, bad))
         (W, acc, iters, bad), (Wn, accn, itersn, badn) = outs
         assert bad.tolist() == badn.tolist() == [-1, -1, 17, -1]  # both loops name the update that broke
         keep = [0, 1, 3]
-        assert W[:, keep].tobytes() == Wn[:, keep].tobytes()
-        assert acc[:, keep].tobytes() == accn[:, keep].tobytes()
-        assert iters[:, :, keep].tobytes() == itersn[:, :, keep].tobytes()
+        assert W[keep].tobytes() == Wn[keep].tobytes()
+        assert acc[keep].tobytes() == accn[keep].tobytes()
+        assert iters[:, keep].tobytes() == itersn[:, keep].tobytes()
         # the broken run stops at the update that broke it
-        assert not np.isfinite(W[:, 2]).all()
-        assert iters[:17, :, 2].tobytes() == itersn[:17, :, 2].tobytes()
+        assert not np.isfinite(W[2]).all()
+        assert iters[:17, 2].tobytes() == itersn[:17, 2].tobytes()
 
     def test_names_the_update_where_the_run_broke(self):
         # the count is the breaking update's own, not the end of its block:
