@@ -17,10 +17,13 @@
  * written out as explicit fma() calls (the fused dot, below), where a
  * check at load finds it equal.  Either result is added to 0.0 as numpy's
  * dot loop adds it (so a -0.0 dot reads +0.0, as it does there).
- * The update loop and the finite walk take several runs side by side: runs
- * never interact, so that changes the order of work across runs and none
- * of a run's own operations.  The instance sum adds in numpy's order, and
- * the loader checks it against numpy's sum as it checks the dots.
+ * To the update loop each of parallel SGD's instances is a chain of its
+ * own, as a run of any other algorithm is: it takes several chains side by
+ * side, and the finite walk several runs.  Chains never interact, and
+ * neither do runs, so that changes the order of work across them and none
+ * of a chain's own operations.  The sum over a run's instances adds in
+ * numpy's order, and the loader checks it against numpy's sum as it checks
+ * the dots.
  * The samplers call no BLAS: each makes the same IEEE operations as the
  * numpy (or scipy) code it replaces.  The seeding hashes as numpy's
  * SeedSequence does and steps Philox4x64-10 as numpy's Philox does, in
@@ -110,17 +113,20 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
 }
 
 /*
- * How many runs the update loop and the walk take side by side, and how
- * many doubles the update loop's four-wide path holds in one register
+ * How many chains the update loop, and runs the walk, take side by side,
+ * and how many doubles the update loop's four-wide path holds in one
+ * register
  */
 #define LANES 4
 
 /*
- * Apply n updates to the weights w of R runs.
+ * Apply n updates to the weights w of R runs of K instances each.
  *
- * w and acc hold (R, K, d) contiguous doubles: R runs of K instances.  x
- * is a table of contiguous rows of d doubles, and sample i of instance
- * (r, k) is row s = idx[i*in + r*ir + k*ik] of it.  Its label is set by ym:
+ * To this loop an instance is a chain: chain c = r*K + k is instance k of
+ * run r, and w and acc hold the R*K chains' rows of d doubles in that
+ * order.  x is a table of contiguous rows of d doubles, and sample i of
+ * chain (r, k) is row s = idx[i*in + r*ir + k*ik] of it.  Its label is set
+ * by ym:
  *   ym = 0:  y holds the d doubles of w*, and the label is <x, w*>, as
  *            np.vecdot(x, w*) computes it;
  *   ym > 0:  y is a table of ym labels, and the label is y[s].
@@ -131,32 +137,29 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  *     plain:  w_j = w_j - res * (alpha * x_j)       (sgd, data drop, replay)
  *     scaled: w_j = w_j - (res * alpha) * x_j       (parallel SGD)
  * Update i is number u = first + i.  It ends an event when u is a multiple
- * of every (a replay buffer's B updates, else 1), and then a run's weights
- * are added into its rows of acc when lo <= u < hi, and copied into its
- * rows of row u / every of iters, when iters is given: rows of R*K*d
+ * of every (a replay buffer's B updates, else 1), and then a chain's
+ * weights are added into its row of acc when lo <= u < hi, and copied into
+ * its row of row u / every of iters, when iters is given: rows of R*K*d
  * doubles.  acc and iters may be null.
  * With fused set, every dot is the fused dot (the caller sets fused only
  * for d < 16, where that dot passed its check); otherwise every dot calls
  * ddot.
  *
- * Runs never interact, so the order in which their updates are taken
- * changes no run's operations, and so none of its bits.  A run's K
- * instances are independent work for the CPU; a run of one instance has
- * none, since each update waits on the one before.  So runs of one
- * instance are taken LANES at a time, update i of each in turn: the
- * updates of different runs overlap in the CPU, and each run's updates
- * keep their order.  Runs of several instances are taken one at a time.
- * fused = LANES says that this CPU also has AVX2 (msgd_fused): then the
- * four-wide path (below) puts four runs of one instance, or four
- * instances of one run, in the lanes of one register, each lane making
+ * Chains never interact, so the order in which their updates are taken
+ * changes no chain's operations, and so none of its bits.  A chain's
+ * updates each wait on the one before, so the loop takes chains LANES at
+ * a time, update i of each in turn: the updates of different chains
+ * overlap in the CPU, and each chain's keep their order.  fused = LANES
+ * says that this CPU also has AVX2 (msgd_fused): then the four-wide path
+ * (below) puts four chains in the lanes of one register, each lane making
  * the scalar update's operations in their order, so with its bits.  The
- * R mod 4 runs and K mod 4 instances left over stay on the scalar loop.
+ * R*K mod 4 chains left over stay on the scalar loop.
  *
- * bad[r] < 0 marks a run still finite.  When update i leaves a weight of
- * run r non-finite, bad[r] becomes first + i and the run stops there: it
- * is not updated again and its acc and iters rows are not written for
- * update i or later, while the runs taken with it go on.  A run already
- * marked is skipped.
+ * When update i leaves a weight of chain (r, k) non-finite, the chain stops
+ * there: it is not updated again and its acc and iters rows are not
+ * written for update i or later, while the other chains go on.  bad[r],
+ * -1 on entry, becomes the least such update first + i over run r's
+ * chains.
  */
 
 /* One call's arguments, as msgd_advance takes them */
@@ -180,18 +183,37 @@ typedef struct {
     int64_t first, every;
 } segment_t;
 
-/*
- * Update i of instance (r, k).  Returns the sum of v - v over its new
- * weights v: +0.0, or NaN where one is not finite.
- */
-static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t i, int64_t r, int64_t k)
+/* Instance k of run `run`, and the offsets of its samples in idx and of its noise in xi */
+typedef struct {
+    int64_t run, k, at, q;
+} chain_t;
+
+/* c becomes the chain after it, with no division */
+static inline __attribute__((always_inline)) void next_chain(const segment_t *a, chain_t *c)
 {
-    const int64_t d = a->d, s = a->idx[i * a->in + r * a->ir + k * a->ik];
-    double *row = a->w + (r * a->K + k) * d;
+    c->at += a->ik;
+    c->q += a->qk;
+    if (++c->k == a->K) {
+        c->k = 0;
+        c->run++;
+        c->at += a->ir - a->K * a->ik;
+        c->q += a->qr - a->K * a->qk;
+    }
+}
+
+/*
+ * Update i of chain c, whose run and offsets are ch.  Returns the sum of
+ * v - v over its new weights v: +0.0, or NaN where one is not finite.
+ */
+static inline __attribute__((always_inline)) double update(const segment_t *a, int64_t i, int64_t c,
+                                                           const chain_t *ch)
+{
+    const int64_t d = a->d, s = a->idx[i * a->in + ch->at];
+    double *row = a->w + c * d;
     const double *xv = a->x + s * d;
     double label = a->ym != 0 ? a->y[s] : dot(a->ddot, a->fused, d, xv, a->y);
     if (a->xi != 0) {
-        label = label + a->sigma * a->xi[i * a->qn + r * a->qr + k * a->qk];
+        label = label + a->sigma * a->xi[i * a->qn + ch->q];
     }
     double res = dot(a->ddot, a->fused, d, row, xv) - label;
     double spoilt = 0.0;
@@ -213,75 +235,71 @@ static inline __attribute__((always_inline)) double update(const segment_t *a, i
 }
 
 /*
- * After update i of run r, which ends event `event` when ends is set: add
- * the run's weights into its rows of acc when lo <= first + i < hi, and
- * copy them into its rows of row `event` of iters.
+ * After update i of chain c, which ends event `event`: add the chain's
+ * weights into its row of acc when lo <= first + i < hi, and copy them
+ * into its row of row `event` of iters.
  */
-static inline __attribute__((always_inline)) void record(const segment_t *a, int64_t r, int64_t i, int ends,
-                                                         int64_t event)
+static inline __attribute__((always_inline)) void record(const segment_t *a, int64_t c, int64_t i, int64_t event)
 {
-    const int64_t u = a->first + i, Kd = a->K * a->d;
-    const int sum = ends && a->acc != 0 && a->lo <= u && u < a->hi;
-    if (!sum && !(ends && a->iters != 0)) {
-        return;
-    }
-    const int64_t at = r * Kd;
-    const double *row = a->w + at;
-    if (sum) {
-        double *to = a->acc + at;
-        for (int64_t j = 0; j < Kd; j++) {
+    const int64_t u = a->first + i, d = a->d;
+    const double *row = a->w + c * d;
+    if (a->acc != 0 && a->lo <= u && u < a->hi) {
+        double *to = a->acc + c * d;
+        for (int64_t j = 0; j < d; j++) {
             to[j] += row[j];
         }
     }
     if (a->iters != 0) {
-        double *to = a->iters + event * a->R * Kd + at;
-        for (int64_t j = 0; j < Kd; j++) {
+        double *to = a->iters + (event * a->R * a->K + c) * d;
+        for (int64_t j = 0; j < d; j++) {
             to[j] = row[j];
         }
     }
 }
 
 /*
- * The update loop for runs r_lo .. r_hi-1, from update i0 on, with labels
+ * The update loop for chains c_lo .. c_hi-1, from update i0 on, with labels
  * from a table or (tabled = 0) from w*: a constant in the inlined copies
  * below.
  */
-static inline __attribute__((always_inline)) void advance(segment_t a, const int tabled, int64_t r_lo, int64_t r_hi,
+static inline __attribute__((always_inline)) void advance(segment_t a, const int tabled, int64_t c_lo, int64_t c_hi,
                                                           int64_t i0)
 {
     a.ym = tabled ? a.ym : 0;
-    const int64_t lanes = a.K == 1 ? LANES : 1;
     const int64_t lead = (a.every - (a.first + i0) % a.every) % a.every;  /* the first update from i0 to end an event */
-    for (int64_t r0 = r_lo; r0 < r_hi; r0 += lanes) {
-        const int64_t runs = r_hi - r0 < lanes ? r_hi - r0 : lanes;
-        int live[LANES];
-        int alive = 0;
-        for (int64_t g = 0; g < runs; g++) {
-            live[g] = a.bad[r0 + g] < 0;
-            alive |= live[g];
+    const int64_t event0 = (a.first + i0 + lead) / a.every;              /* the event it ends */
+    const int64_t r = c_lo / a.K, k = c_lo % a.K;
+    chain_t next = {r, k, r * a.ir + k * a.ik, r * a.qr + k * a.qk};
+    for (int64_t c0 = c_lo; c0 < c_hi; c0 += LANES) {
+        const int64_t m = c_hi - c0 < LANES ? c_hi - c0 : LANES;
+        chain_t lane[LANES];
+        int live[LANES] = {1, 1, 1, 1};
+        for (int64_t g = 0; g < m; g++) {
+            lane[g] = next;
+            next_chain(&a, &next);
         }
+        int alive = 1;
         /* updates before the next event's end; that event */
-        int64_t left = lead, event = (a.first + i0 + lead) / a.every;
+        int64_t left = lead, event = event0;
         for (int64_t i = i0; i < a.n && alive; i++) {
             const int ends = left == 0;
             left = ends ? a.every - 1 : left - 1;
             alive = 0;
-            for (int64_t g = 0; g < runs; g++) {
+            for (int64_t g = 0; g < m; g++) {
                 if (!live[g]) {
                     continue;
                 }
-                const int64_t r = r0 + g;
-                double spoilt = 0.0;  /* v - v is +0.0, or NaN where v is not finite */
-                for (int64_t k = 0; k < a.K; k++) {
-                    spoilt += update(&a, i, r, k);
-                }
-                if (spoilt != 0.0) {
-                    a.bad[r] = a.first + i;
+                /* v - v is +0.0, or NaN where v is not finite */
+                if (update(&a, i, c0 + g, &lane[g]) != 0.0) {
+                    int64_t *bad = a.bad + lane[g].run; /* the least such update over the run's chains */
+                    *bad = *bad < 0 || a.first + i < *bad ? a.first + i : *bad;
                     live[g] = 0;
                     continue;
                 }
                 alive = 1;
-                record(&a, r, i, ends, event);
+                if (ends) {
+                    record(&a, c0 + g, i, event);
+                }
             }
             event += ends;
         }
@@ -292,14 +310,14 @@ static inline __attribute__((always_inline)) void advance(segment_t a, const int
  * Inlined copies of the loop, so that none tests per update what is fixed
  * for the call: the dot, and whether labels are dots with w*.
  */
-FUSED static void advance_fused(segment_t a, int64_t r_lo, int64_t r_hi, int64_t i0)
+FUSED static void advance_fused(segment_t a, int64_t c_lo, int64_t c_hi, int64_t i0)
 {
     a.ddot = 0;
     a.fused = 1;
     if (a.ym != 0) {
-        advance(a, 1, r_lo, r_hi, i0);
+        advance(a, 1, c_lo, c_hi, i0);
     } else {
-        advance(a, 0, r_lo, r_hi, i0);
+        advance(a, 0, c_lo, c_hi, i0);
     }
 }
 
@@ -307,9 +325,9 @@ static void advance_ddot(segment_t a)
 {
     a.fused = 0;
     if (a.ym != 0) {
-        advance(a, 1, 0, a.R, 0);
+        advance(a, 1, 0, a.R * a.K, 0);
     } else {
-        advance(a, 0, 0, a.R, 0);
+        advance(a, 0, 0, a.R * a.K, 0);
     }
 }
 
@@ -317,13 +335,11 @@ static void advance_ddot(segment_t a)
 /*
  * The four-wide path: LANES lanes per AVX2 register.  Where the loop takes
  * the fused dot, on a CPU with AVX2 (msgd_advance is handed fused =
- * LANES), four runs of one instance, or four instances of one run, share
- * a vector: register j holds coordinate j of each lane.  Every lane makes
- * the scalar update's operations on its own numbers in the same order --
- * vfmadd is fma(), and vmulpd, vsubpd and vaddpd round each lane as the
- * scalar operations do -- so no bit changes, only the order of work
- * across lanes, which never interact.  The R mod 4 runs and K mod 4
- * instances left over take the scalar update.
+ * LANES), four chains share a vector: register j holds coordinate j of
+ * each lane.  Every lane makes the scalar update's operations on its own
+ * numbers in the same order -- vfmadd is fma(), and vmulpd, vsubpd and
+ * vaddpd round each lane as the scalar operations do -- so no bit changes,
+ * only the order of work across lanes, which never interact.
  *
  * Sample rows are loaded whole, two coordinates at a time, and transposed
  * in registers; an odd last coordinate is loaded alone, so nothing past a
@@ -386,12 +402,6 @@ WIDE_INLINE void store_rows(double *p, const int64_t d, const __m256d *c)
     }
 }
 
-/* p[0], p[step], p[2*step], p[3*step] */
-WIDE_INLINE __m256d lanes_at(const double *p, int64_t step)
-{
-    return step == 1 ? _mm256_loadu_pd(p) : _mm256_set_pd(p[3 * step], p[2 * step], p[step], p[0]);
-}
-
 /* Whether any bit of v is set */
 WIDE_INLINE int any_set(__m256d v)
 {
@@ -399,23 +409,24 @@ WIDE_INLINE int any_set(__m256d v)
 }
 
 /*
- * Update i of four lanes, lane g being instance (r + g*dr, k + g*dk),
- * whose coordinates j are w[j]: update()'s operations, lane by lane, into
- * nw.  ws holds w* in every lane (labels from w*).  Returns the lanes'
- * v - v ORed over the new weights v: all bits zero in a lane whose new
- * weights are all finite (v - v is +0.0 there, else NaN).
+ * Update i of four lanes, lane g being the chain whose samples and noise
+ * are at offsets at[g] and q[g] of idx and xi, and whose coordinates j are
+ * w[j]: update()'s operations, lane by lane, into nw.  ws holds w* in
+ * every lane (labels from w*).  Returns the lanes' v - v ORed over the new
+ * weights v: all bits zero in a lane whose new weights are all finite
+ * (v - v is +0.0 there, else NaN).
  */
-WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t i, int64_t r, int64_t k,
-                            const int64_t dr, const int64_t dk, const __m256d *w, __m256d *nw)
+WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t i, const int64_t *at,
+                            const int64_t *q, const __m256d *w, __m256d *nw)
 {
     const __m256d zero = _mm256_setzero_pd(), alpha = _mm256_set1_pd(a->alpha);
-    const int64_t *at = a->idx + i * a->in + r * a->ir + k * a->ik, step = dr * a->ir + dk * a->ik;
+    const int64_t *idx = a->idx + i * a->in;
     const double *rows[LANES];
     int64_t row[LANES];
     __m256d x[MAX_DIM], label, s = zero;
 #pragma GCC unroll 4
     for (int g = 0; g < LANES; g++) {
-        row[g] = at[g * step];
+        row[g] = idx[at[g]];
         rows[g] = a->x + row[g] * d;
     }
     load_cols(rows, d, x);
@@ -430,8 +441,9 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
         label = _mm256_add_pd(zero, t);
     }
     if (a->xi != 0) {
-        const __m256d q = lanes_at(a->xi + i * a->qn + r * a->qr + k * a->qk, dr * a->qr + dk * a->qk);
-        label = _mm256_add_pd(label, _mm256_mul_pd(_mm256_set1_pd(a->sigma), q));
+        const double *xi = a->xi + i * a->qn;
+        const __m256d noise = _mm256_set_pd(xi[q[3]], xi[q[2]], xi[q[1]], xi[q[0]]);
+        label = _mm256_add_pd(label, _mm256_mul_pd(_mm256_set1_pd(a->sigma), noise));
     }
 #pragma GCC unroll 16
     for (int64_t j = 0; j < d; j++) {
@@ -458,163 +470,80 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
     return spoilt;
 }
 
-/* ws[j] = w*_j in every lane, for j < d (zeros for labels from a table, which do not read them) */
-WIDE_INLINE void broadcast(const segment_t *a, const int64_t d, __m256d *ws)
-{
-#pragma GCC unroll 16
-    for (int64_t j = 0; j < d; j++) {
-        ws[j] = _mm256_set1_pd(a->ym != 0 ? 0.0 : a->y[j]);
-    }
-}
-
 /*
- * Runs of one instance (K = 1), four at a time.
- * A group's weights and tail sums are loaded once, stay in registers for
- * the call and are stored once.  When an update leaves a lane non-finite,
- * the group stores the weights from before that update and hands the rest
- * of the call, from that update on, to the scalar loop, which marks the
- * lane and goes on with the others -- as does a group with a lane already
- * marked.
+ * Chains four at a time.  A group's weights, and its tail sums in a call
+ * that reaches the tail window, are loaded once, stay in registers for the
+ * call and are stored once.  When an update leaves a lane non-finite, the
+ * group stores the weights from before that update and hands the rest of
+ * the call, from that update on, to the scalar loop, which stops that
+ * lane's chain and goes on with the others.
  */
-WIDE_INLINE void runs4(const segment_t *p, const int64_t d)
+WIDE_INLINE void chains4(const segment_t *p, const int64_t d)
 {
     const segment_t a = *p;
-    const int64_t whole = a.R - a.R % LANES, lead = (a.every - a.first % a.every) % a.every;
+    const int64_t C = a.R * a.K, whole = C - C % LANES;
+    const int64_t lead = (a.every - a.first % a.every) % a.every, event0 = (a.first + lead) / a.every; /* as in advance() */
+    const int sums = a.acc != 0 && a.lo < a.first + a.n && a.first < a.hi; /* the call reaches the tail window */
     __m256d ws[MAX_DIM];
-    broadcast(&a, d, ws);
-    for (int64_t r0 = 0; r0 < whole; r0 += LANES) {
-        int64_t i = 0;
-        if (a.bad[r0] < 0 && a.bad[r0 + 1] < 0 && a.bad[r0 + 2] < 0 && a.bad[r0 + 3] < 0) {
-            __m256d w[MAX_DIM], acc[MAX_DIM] = {0};
-            load_rows(a.w + r0 * d, d, w);
-            if (a.acc != 0) {
-                load_rows(a.acc + r0 * d, d, acc);
-            }
-            int64_t left = lead, event = (a.first + lead) / a.every; /* as in advance() */
-            for (; i < a.n; i++) {
-                __m256d nw[MAX_DIM];
-                if (any_set(update4(&a, d, ws, i, r0, 0, 1, 0, w, nw))) {
-                    break;
-                }
 #pragma GCC unroll 16
-                for (int64_t j = 0; j < d; j++) {
-                    w[j] = nw[j];
-                }
-                if (left == 0) {
-                    if (a.acc != 0 && a.lo <= a.first + i && a.first + i < a.hi) {
-#pragma GCC unroll 16
-                        for (int64_t j = 0; j < d; j++) {
-                            acc[j] = _mm256_add_pd(acc[j], w[j]);
-                        }
-                    }
-                    if (a.iters != 0) {
-                        store_rows(a.iters + (event * a.R + r0) * d, d, w);
-                    }
-                    event++;
-                    left = a.every;
-                }
-                left--;
-            }
-            store_rows(a.w + r0 * d, d, w);
-            if (a.acc != 0) {
-                store_rows(a.acc + r0 * d, d, acc);
-            }
-        }
-        if (i < a.n) {
-            advance_fused(a, r0, r0 + LANES, i);
-        }
+    for (int64_t j = 0; j < d; j++) {
+        ws[j] = _mm256_set1_pd(a.ym != 0 ? 0.0 : a.y[j]); /* labels from a table read no w* */
     }
-    if (whole < a.R) {
-        advance_fused(a, whole, a.R, 0);
-    }
-}
-
-/*
- * The scalar update of instances k0 .. K-1 of run r, and the sums and
- * stores after an update of run r that ends an event: one copy each, for
- * instances4.
- */
-FUSED static __attribute__((noinline)) double update_from(const segment_t *a, int64_t i, int64_t r, int64_t k0)
-{
-    double spoilt = 0.0;
-    for (int64_t k = k0; k < a->K; k++) {
-        spoilt += update(a, i, r, k);
-    }
-    return spoilt;
-}
-
-/* record() of an update that ends an event, four doubles at a time */
-WIDE static __attribute__((noinline)) void record_event(const segment_t *a, int64_t r, int64_t i, int64_t event)
-{
-    const int64_t u = a->first + i, Kd = a->K * a->d, whole = Kd - Kd % LANES;
-    const int sum = a->acc != 0 && a->lo <= u && u < a->hi;
-    const double *row = a->w + r * Kd;
-    if (sum) {
-        double *to = a->acc + r * Kd;
-        for (int64_t j = 0; j < whole; j += LANES) {
-            _mm256_storeu_pd(to + j, _mm256_add_pd(_mm256_loadu_pd(to + j), _mm256_loadu_pd(row + j)));
+    chain_t next = {0, 0, 0, 0};
+    for (int64_t c0 = 0; c0 < whole; c0 += LANES) {
+        int64_t at[LANES], q[LANES];
+#pragma GCC unroll 4
+        for (int g = 0; g < LANES; g++) {
+            at[g] = next.at;
+            q[g] = next.q;
+            next_chain(&a, &next);
         }
-        for (int64_t j = whole; j < Kd; j++) {
-            to[j] += row[j];
+        __m256d w[MAX_DIM], acc[MAX_DIM] = {0};
+        load_rows(a.w + c0 * d, d, w);
+        if (sums) {
+            load_rows(a.acc + c0 * d, d, acc);
         }
-    }
-    if (a->iters != 0) {
-        memcpy(a->iters + (event * a->R + r) * Kd, row, Kd * sizeof *row);
-    }
-}
-
-/*
- * Runs of several instances, one run at a time as in advance(); its
- * instances four at a time, their rows loaded and stored around each
- * update, and the K mod 4 left over by the scalar update.  A run that
- * goes non-finite is marked after the round, as advance() marks it.
- */
-WIDE_INLINE void instances4(const segment_t *p, const int64_t d)
-{
-    segment_t a = *p;
-    a.ddot = 0;
-    a.fused = 1;
-    const int64_t whole = a.K - a.K % LANES, lead = (a.every - a.first % a.every) % a.every;
-    __m256d ws[MAX_DIM];
-    broadcast(&a, d, ws);
-    for (int64_t r = 0; r < a.R; r++) {
-        if (a.bad[r] >= 0) {
-            continue;
-        }
-        int64_t left = lead, event = (a.first + lead) / a.every;
-        double *rows = a.w + r * a.K * d;
-        for (int64_t i = 0; i < a.n; i++) {
-            __m256d spoilt = _mm256_setzero_pd();
-            for (int64_t k = 0; k < whole; k += LANES) {
-                __m256d w[MAX_DIM], nw[MAX_DIM];
-                load_rows(rows + k * d, d, w);
-                spoilt = _mm256_or_pd(spoilt, update4(&a, d, ws, i, r, k, 0, 1, w, nw));
-                store_rows(rows + k * d, d, nw);
-            }
-            const double tail = whole < a.K ? update_from(&a, i, r, whole) : 0.0;
-            if (any_set(spoilt) || tail != 0.0) {
-                a.bad[r] = a.first + i;
+        int64_t left = lead, event = event0, i = 0;
+        for (; i < a.n; i++) {
+            __m256d nw[MAX_DIM];
+            if (any_set(update4(&a, d, ws, i, at, q, w, nw))) {
                 break;
             }
+#pragma GCC unroll 16
+            for (int64_t j = 0; j < d; j++) {
+                w[j] = nw[j];
+            }
             if (left == 0) {
-                record_event(&a, r, i, event++);
+                if (sums && a.lo <= a.first + i && a.first + i < a.hi) {
+#pragma GCC unroll 16
+                    for (int64_t j = 0; j < d; j++) {
+                        acc[j] = _mm256_add_pd(acc[j], w[j]);
+                    }
+                }
+                if (a.iters != 0) {
+                    store_rows(a.iters + (event * C + c0) * d, d, w);
+                }
+                event++;
                 left = a.every;
             }
             left--;
         }
+        store_rows(a.w + c0 * d, d, w);
+        if (sums) {
+            store_rows(a.acc + c0 * d, d, acc);
+        }
+        if (i < a.n) {
+            advance_fused(a, c0, c0 + LANES, i);
+        }
+    }
+    if (whole < C) {
+        advance_fused(a, whole, C, 0);
     }
 }
 
 /* The four-wide path at dimension D */
-#define WIDE_AT(D)                                \
-    WIDE static void wide_##D(const segment_t *a) \
-    {                                             \
-        if (a->K == 1) {                          \
-            runs4(a, D);                          \
-        } else {                                  \
-            instances4(a, D);                     \
-        }                                         \
-    }
+#define WIDE_AT(D) \
+    WIDE static void wide_##D(const segment_t *a) { chains4(a, D); }
 WIDE_AT(1)
 WIDE_AT(2)
 WIDE_AT(3)
@@ -648,13 +577,13 @@ void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *i
         return;
     }
 #ifdef FMA_TARGET
-    /* the four-wide path takes four runs of one instance, or four instances of a run */
-    if (fused == LANES && 0 < d && d <= MAX_DIM && (K >= LANES || (K == 1 && R >= LANES))) {
+    /* the four-wide path takes four chains a register */
+    if (fused == LANES && 0 < d && d <= MAX_DIM && R * K >= LANES) {
         wide_at[d](&a);
         return;
     }
 #endif
-    advance_fused(a, 0, R, 0);
+    advance_fused(a, 0, R * K, 0);
 }
 
 /* numpy's philox_state, with its counter and key held in place */

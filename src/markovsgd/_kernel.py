@@ -13,18 +13,19 @@ cached file without starting a process, and refresh its mtime; a build
 removes the libraries and compiler memos of the cache that no process has
 loaded for 30 days.
 
-The update loop takes each run through a whole segment of updates, and
-takes runs of one instance (every algorithm but parallel SGD) four at a
-time, update i of each in turn, so that the CPU overlaps their updates,
-each of which waits on the one before; the finite walk steps four runs at
-a time for the same reason.  Runs never interact, so no run's bits change.
-Where the loop takes the fused dot (below), on a CPU with AVX2 and FMA, it
-puts those four runs -- or, for parallel SGD, four instances of a run --
-in the four lanes of one 256-bit register (:attr:`Kernel.lanes`, and
-:func:`info`'s ``lanes``).  Each lane makes the scalar loop's IEEE
-operations in their order: ``vfmadd`` rounds as ``fma()`` does, and
-``vmulpd``, ``vsubpd`` and ``vaddpd`` round each lane as the scalar
-operations do, so the bits are the scalar loop's.  Runs and instances
+The update loop takes each chain through a whole segment of updates.  A
+chain is one instance of one run: a run of every algorithm but parallel
+SGD is one chain, and parallel SGD's K instances, which never read each
+other, are K.  The loop takes chains four at a time, update i of each in
+turn, so that the CPU overlaps their updates, each of which waits on the
+one before; the finite walk steps four runs at a time for the same
+reason.  Chains never interact, so no chain's bits change.  Where the
+loop takes the fused dot (below), on a CPU with AVX2 and FMA, it puts
+those four chains in the four lanes of one 256-bit register
+(:attr:`Kernel.lanes`, and :func:`info`'s ``lanes``).  Each lane makes the
+scalar loop's IEEE operations in their order: ``vfmadd`` rounds as
+``fma()`` does, and ``vmulpd``, ``vsubpd`` and ``vaddpd`` round each lane
+as the scalar operations do, so the bits are the scalar loop's.  Chains
 left over from groups of four, the dimensions that call ``ddot``, and
 CPUs without AVX2 take the scalar loop.
 The loop reads every sample one way, as a row of a table by its row
@@ -246,13 +247,16 @@ class Kernel:
         with ``np.vecdot(x, w*)``, and a contiguous ``(1, rows)`` table
         gives the label per row.  When ``xi`` -- a float64 ``(n, R, K)``,
         possibly strided, or None -- is given, the label adds ``sigma *
-        xi``.  ``bad`` is a contiguous int64 ``(R,)``: -1 for a finite run,
-        else the update (this call's i-th is number ``first + i``) that left
-        the run non-finite, after which it is not updated.  After each
-        update u that ends an event -- a multiple of ``every``, the updates
-        per event -- W is added into ``acc`` if ``lo <= u < hi`` and stored
-        in row ``u // every`` of ``iters``, a contiguous ``(rows, R, K,
-        d)``; either may be None.
+        xi``.  After each update u that ends an event -- a multiple of
+        ``every``, the updates per event -- W is added into ``acc`` if ``lo
+        <= u < hi`` and stored in row ``u // every`` of ``iters``, a
+        contiguous ``(rows, R, K, d)``; either may be None.
+        An update (this call's i-th is number ``first + i``) that leaves an
+        instance non-finite stops that instance: it is not updated again,
+        and its rows of ``acc`` and ``iters`` are not written from that
+        update on, while the run's other instances go on.  ``bad``, a
+        contiguous int64 ``(R,)`` of -1, receives for each run the least
+        such update over its instances, and stays -1 for a finite run.
         :func:`markovsgd.algorithms._descend` is the numpy loop of this
         contract.
         """

@@ -31,14 +31,16 @@ Tail-average windows follow the algorithm displays exactly; see
 conventions.  Every update rule uses the descent sign
 ``w <- w - step * (<x, w> - y) x``.  The per-sample loop runs in a compiled
 kernel (``_kernel.c``, built on first use and cached; see
-:func:`kernel_info`), which takes each run through a whole segment of
-updates -- runs of one instance four side by side, so the CPU overlaps
-their updates -- sums the tail window and stores the iterates a single
-run keeps, after each update that ends an event.  Below 16 dimensions it writes the BLAS dot out inline where
-a check at load finds it bit-equal to ``np.vecdot``; there, on a CPU with
-AVX2, it advances four runs (or four of parallel SGD's instances) in the
-lanes of one vector register, each lane making the scalar loop's IEEE
-operations in the same order, so with the same bits.  It reads every
+:func:`kernel_info`).  To the kernel every instance of every run is a
+chain of its own -- parallel SGD's K instances never read each other --
+and it takes each chain through a whole segment of updates, four chains
+side by side so the CPU overlaps their updates, sums the tail window and
+stores the iterates a single run keeps, after each update that ends an
+event.  Below 16 dimensions it writes the BLAS dot out inline where a
+check at load finds it bit-equal to ``np.vecdot``; there, on a CPU with
+AVX2, it advances four chains in the lanes of one vector register, each
+lane making the scalar loop's IEEE operations in the same order, so with
+the same bits.  It reads every
 sample by row number from a table: a finite chain's state index into the
 chain's table of states, and a Gaussian sample's position in its block of
 the path, whose per-run rows are the table -- so replay's picks are row
@@ -86,8 +88,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, check_int, make_cursor
-from .chains import mixing_time
+from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, check_int
+from .chains import check_int_field, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -157,7 +159,7 @@ class DataDropConfig:
     log_constant: float = 5.0
 
     def __post_init__(self):
-        if self.drop_interval is not None and self.drop_interval < 1:
+        if self.drop_interval is not None and check_int_field(self, "drop_interval") < 1:
             raise ValueError(f"drop_interval must be >= 1, got {self.drop_interval}")
         if check_float(self.log_constant, "log_constant") <= 0:
             raise ValueError("log_constant must be positive")
@@ -172,7 +174,7 @@ class ParallelConfig:
     num_instances: int
 
     def __post_init__(self):
-        if self.num_instances < 1:
+        if check_int_field(self, "num_instances") < 1:
             raise ValueError(f"num_instances must be >= 1, got {self.num_instances}")
 
 
@@ -191,9 +193,9 @@ class ReplayConfig:
     tail_buffer_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.buffer_size < 1:
+        if check_int_field(self, "buffer_size") < 1:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
-        if self.drop_prefix < 0:
+        if check_int_field(self, "drop_prefix") < 0:
             raise ValueError(f"drop_prefix must be >= 0, got {self.drop_prefix}")
         if check_float(self.step_size, "step_size") <= 0:
             raise ValueError("step_size must be positive")
@@ -487,9 +489,9 @@ def _descend(
     It takes the same arguments, gathers the samples' rows from ``table``
     (the one place that copies sample vectors), makes the same labels, sums
     and stores W after the same updates and reports the same updates into
-    ``bad``, but checks the weights only after its last update: a broken run
-    runs on with the others, and a second pass from the call's start finds
-    its update.
+    ``bad``, but checks the weights only after its last update: a broken
+    instance runs on with the others, and a second pass from the call's
+    start finds the update that first broke one of each run's instances.
     """
     rows, X = X, table.take(X, axis=0)
     Y = np.vecdot(X, labels) if labels.ndim == 1 else labels[0].take(rows)  # w*, or a table
@@ -519,7 +521,7 @@ def _descend(
                 acc += W
             if iters is not None and u % every == 0:
                 iters[u // every] = W
-        broken = (bad < 0) & ~np.isfinite(W).all(axis=(1, 2))
+        broken = ~np.isfinite(W).all(axis=(1, 2))
         for u in updates(start) if broken.any() else ():
             bad[(bad < 0) & ~np.isfinite(start).all(axis=(1, 2))] = u
             if (bad[broken] >= 0).all():
@@ -1082,9 +1084,9 @@ def kernel_info() -> dict:
     ``fused_dims`` lists the dimensions, of those the update loop has been
     checked at so far, at which it computes its dots as an inline chain of
     fused multiply-adds instead of calling ``ddot``.  ``lanes`` is 4 where
-    the loop, at those dimensions, advances four runs (or four of parallel
-    SGD's instances) per AVX2 register, with the scalar loop's bits, and 1
-    where it takes them one by one: a CPU without AVX2 and FMA, or the
+    the loop, at those dimensions, advances four chains (a chain is one
+    instance of one run) per AVX2 register, with the scalar loop's bits,
+    and 1 where it uses no vector lanes: a CPU without AVX2 and FMA, or the
     numpy loop.  The first call builds or loads the kernel (see
     :mod:`markovsgd._kernel`).
     """

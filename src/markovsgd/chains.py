@@ -76,11 +76,10 @@ class GaussianARSpec:
     epsilon: float
 
     def __post_init__(self):
-        if check_int(self.dim, "dim") < 1:
+        if check_int_field(self, "dim") < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @property
@@ -468,6 +467,14 @@ def check_int(value, key: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def check_int_field(obj, name: str) -> int:
+    """A frozen dataclass's integer field ``name``, checked by
+    :func:`check_int` and stored back as an int."""
+    value = check_int(getattr(obj, name), name)
+    object.__setattr__(obj, name, value)
+    return value
 
 
 def check_float(value, key: str) -> float:

@@ -51,7 +51,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _run_streams, chain_from_json, check_float, check_int, check_keys
+from .chains import _run_streams, chain_from_json, check_float, check_int, check_int_field, check_keys
 from .regression import (
     AgnosticDeterministic,
     Problem,
@@ -110,11 +110,12 @@ class ExperimentConfig:
     figure: bool = False
 
     def __post_init__(self):
-        if self.T < 2:
+        if check_int_field(self, "T") < 2:
             raise ValueError(f"T must be at least 2, got {self.T}")
-        if self.num_runs < 1:
+        if check_int_field(self, "num_runs") < 1:
             raise ValueError(f"num_runs must be >= 1, got {self.num_runs}")
-        if self.workers < 1:
+        check_int_field(self, "seed")
+        if check_int_field(self, "workers") < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.algorithms:
             raise ValueError("at least one algorithm block is required")
@@ -156,15 +157,15 @@ class ExperimentConfig:
             chain=doc["chain"],
             noise=doc["noise"],
             algorithms=tuple(dict(a) for a in algos),
-            T=check_int(doc["T"], "T"),
-            num_runs=check_int(doc.get("num_runs", 1), "num_runs"),
-            seed=check_int(doc.get("seed", 0), "seed"),
+            T=doc["T"],
+            num_runs=doc.get("num_runs", 1),
+            seed=doc.get("seed", 0),
             w_star=doc.get("w_star"),
             w_init=doc.get("w_init", "zeros"),
             checkpoints=None if doc.get("checkpoints") is None else tuple(doc["checkpoints"]),
             output=doc.get("output"),
             name=str(doc.get("name", "experiment")),
-            workers=check_int(doc.get("workers", 1), "workers"),
+            workers=doc.get("workers", 1),
             figure=figure,
         )
 
@@ -237,9 +238,9 @@ def build_algorithm(doc: dict):
     check_keys(doc, ("name", "label") + _ALGORITHM_KEYS[name], f"{name} block")
     if name == "sgd_er":
         return ReplayConfig(
-            buffer_size=check_int(doc["buffer_size"], "buffer_size"),
+            buffer_size=doc["buffer_size"],
             step_size=check_float(doc.get("step_size", 0.5), "step_size"),
-            drop_prefix=check_int(doc.get("drop_prefix", 0), "drop_prefix"),
+            drop_prefix=doc.get("drop_prefix", 0),
             tail_buffer_fraction=check_float(doc.get("tail_buffer_fraction", 0.5), "tail_buffer_fraction"),
         )
     if name == "lower_bound_trace":
@@ -251,13 +252,12 @@ def build_algorithm(doc: dict):
     if name == "sgd":
         return base
     if name == "sgd_dd":
-        drop = doc.get("drop_interval")
         return DataDropConfig(
             base=base,
-            drop_interval=None if drop is None else check_int(drop, "drop_interval"),
+            drop_interval=doc.get("drop_interval"),
             log_constant=check_float(doc.get("log_constant", 5.0), "log_constant"),
         )
-    return ParallelConfig(base=base, num_instances=check_int(doc["num_instances"], "num_instances"))
+    return ParallelConfig(base=base, num_instances=doc["num_instances"])
 
 
 def default_checkpoints(T: int) -> list[int]:

@@ -57,7 +57,28 @@ def sgd_doc(**overrides):
 # ---------------------------------------------------------------------------
 
 
+# a config built directly with each integer field set to a value
+_INT_FIELDS = {
+    "num_instances": lambda v: ParallelConfig(SgdConfig(0.1), v),
+    "drop_interval": lambda v: DataDropConfig(SgdConfig(0.1), drop_interval=v),
+    "buffer_size": lambda v: ReplayConfig(buffer_size=v),
+    "drop_prefix": lambda v: ReplayConfig(buffer_size=4, drop_prefix=v),
+    **{
+        name: lambda v, name=name: ExperimentConfig(**sgd_doc(checkpoints=None, **{name: v}))
+        for name in ("T", "num_runs", "seed", "workers")
+    },
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("name", list(_INT_FIELDS))
+    def test_integer_fields_are_checked_where_configs_are_built(self, name):
+        for value in (True, 2.5, "4"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
+                _INT_FIELDS[name](value)
+        value = getattr(_INT_FIELDS[name](4.0), name)
+        assert value == 4 and type(value) is int
+
     def test_default_checkpoints(self):
         assert default_checkpoints(1000) == [100, 150, 225, 338, 506, 759, 1000]
         assert default_checkpoints(100) == [100]

@@ -186,10 +186,10 @@ _NOISY = (True, False, True)
 
 @requires_kernel
 class TestAdvanceContract:
-    # d < 16 takes the fused dot, and on a CPU with AVX2 the four-wide path
-    # for K = 1 (four runs a vector) and K = 6 (one group of four instances
-    # and two left over); K = 3 stays scalar.  A coupled run is three plain
-    # runs (full, bias, var), and the bias run reads no noise
+    # d < 16 takes the fused dot, and on a CPU with AVX2 the four-wide path,
+    # four chains a vector, a chain being one instance of one run: at K = 3
+    # and 6 groups straddle runs.  A coupled run is three plain runs (full,
+    # bias, var), and the bias run reads no noise
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("d", [1, 4, 2, 3, 5, 15])
@@ -197,7 +197,7 @@ class TestAdvanceContract:
     @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("every", [1, 3])
     def test_compiled_equals_numpy_loop(self, mode, m, d, K, scaled, noise, every):
-        for R in (4, 9):  # one group of four runs; two groups and one run left over
+        for R in (4, 9):  # R*K chains: whole groups of four; then 1, 3 or 2 chains left over
             self._compare(mode, m, d, K, scaled, noise, every, R)
 
     def _compare(self, mode, m, d, K, scaled, noise, every, R):
@@ -347,8 +347,9 @@ def _each_run(batch, r):
 
 @requires_kernel
 class TestRunsSideBySide:
-    """Runs of one instance are advanced several at a time, and finite walks
-    step several runs at a time; each run keeps the bits it has alone."""
+    """Chains -- runs, and the instances of parallel SGD's runs -- are
+    advanced several at a time, and finite walks step several runs at a
+    time; each run keeps the bits it has alone."""
 
     @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
@@ -377,28 +378,60 @@ class TestRunsSideBySide:
             assert not np.isfinite(batch[0][p, 5]).all()
             assert not batch[2][18:, p, 5].any()
 
+    # 5 runs of 6 instances are 30 chains, in groups of four: chains 12 .. 15
+    # are instances 0 .. 3 of run 2, chains 16 .. 19 instances 4, 5 of run 2
+    # and 0, 1 of run 3, and chains 28, 29 (run 4's instances 4, 5) are left over
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
-    @pytest.mark.parametrize("k", [1, 5], ids=["in-a-group-of-four", "left-over"])
-    def test_an_instance_that_breaks_mid_round(self, mode, m, k):
+    @pytest.mark.parametrize("r,k", [(2, 1), (2, 5), (4, 5)], ids=["in-a-group-of-four", "across-runs", "left-over"])
+    def test_an_instance_that_breaks_mid_round(self, mode, m, r, k):
+        self._break(mode, m, r, {k: 17})  # instance k of run r breaks in round 1 + 17
+
+    @pytest.mark.parametrize("mode", ["w-star", "label-table"])
+    @pytest.mark.parametrize("rounds", [(25, 9), (9, 25)], ids=["second-breaks-first", "first-breaks-first"])
+    def test_two_instances_that_break_in_different_rounds(self, mode, rounds):
+        # instance 1 (chain 13) is taken before instance 4 (chain 16, in the
+        # next group): whichever breaks first, bad keeps the earlier round
+        self._break(mode, 3, 2, dict(zip((1, 4), rounds)))
+
+    def _break(self, mode, m, r, breaks):
+        """Instance k of run r, of 5 runs of 6 instances, breaks in round 1 +
+        breaks[k]: bad names the run's first broken round on both loops,
+        every other chain keeps the bits it has unbroken, and on the
+        compiled loop a broken instance's rows hold its rounds before its
+        break alone."""
         W0, X, labels, table, xi = _lane_inputs(mode, m, 5, 4, 6)
-        xi[17, 2, k] = np.inf  # instance k of run 2 breaks in round 1 + 17; the others of that round go on
-        batch = _advance_runs(W0, X, labels, table, xi, slice(None))
-        numpy = _advance_runs(W0, X, labels, table, xi, slice(None), algorithms._descend)
+        unbroken = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
+        for k, i in breaks.items():
+            xi[i, r, k] = np.inf
         broken = [p for p in range(m) if _NOISY[p]]  # the bias path reads no noise, and runs on
-        want = [[-1, -1, 18, -1, -1] if p in broken else [-1] * 5 for p in range(m)]
-        assert batch[3].tolist() == numpy[3].tolist() == want
-        for r in (0, 1, 3, 4):
-            alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
-            assert _each_run(batch, r) == _each_run(alone, 0) == _each_run(numpy, r)
-        # run 2 stops after round 18: its sums and iterates are those of its first 17 rounds
-        W, acc, iters, _ = batch
-        first = _advance_runs(W0, X[:17], labels, table, xi[:17], slice(2, 3))
-        for p in broken:
-            assert not np.isfinite(W[p, 2]).all()
-            assert not iters[18:, p, 2].any()
-            assert acc[p, 2].tobytes() == first[1][p, 0].tobytes()
-            assert iters[:18, p, 2].tobytes() == first[2][:, p, 0].tobytes()
+        want = np.full((m, 5), -1)
+        want[broken, r] = min(breaks.values()) + 1
+        compiled = _advance_runs(W0, X, labels, table, xi, slice(None))
+        numpy = _advance_runs(W0, X, labels, table, xi, slice(None), algorithms._descend)
+        for loop, out in (("compiled", compiled), ("numpy", numpy)):
+            W, acc, iters, bad = out
+            assert bad.tolist() == want.tolist(), loop
+            for q in set(range(5)) - {r}:
+                alone = _advance_runs(W0, X, labels, table, xi, slice(q, q + 1))
+                assert _each_run(out, q) == _each_run(alone, 0), loop
+            # the run's other instances run to the end
+            for p in range(m):
+                ks = [k for k in range(6) if p not in broken or k not in breaks]
+                assert W[p, r, ks].tobytes() == unbroken[0][p, 0, ks].tobytes(), loop
+                assert acc[p, r, ks].tobytes() == unbroken[1][p, 0, ks].tobytes(), loop
+                assert iters[:, p, r, ks].tobytes() == unbroken[2][:, p, 0, ks].tobytes(), loop
+                for k in breaks if p in broken else ():
+                    assert not np.isfinite(W[p, r, k]).all(), loop
+        # the compiled loop stops a broken instance: its sums and iterates
+        # are those of its rounds before the break
+        W, acc, iters, _ = compiled
+        for k, i in breaks.items():
+            first = _advance_runs(W0, X[:i], labels, table, xi[:i], slice(r, r + 1))
+            for p in broken:
+                assert not iters[i + 1 :, p, r, k].any()
+                assert acc[p, r, k].tobytes() == first[1][p, 0, k].tobytes()
+                assert iters[: i + 1, p, r, k].tobytes() == first[2][:, p, 0, k].tobytes()
 
     def test_run_many_names_the_one_run_that_broke_among_its_lane_mates(self):
         problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
@@ -516,8 +549,9 @@ def _cpu_flags() -> set:
 
 def _wide_outputs() -> list:
     """sha256 of batches the four-wide path takes where it runs: sgd on two
-    groups of four runs and one left over, and parallel SGD on one group of
-    four instances and two left over, for a finite and a Gaussian chain."""
+    groups of four runs and one left over, and parallel SGD on 9 runs of 6
+    instances, 13 groups of four chains (some straddling two runs) and two
+    left over, for a finite and a Gaussian chain."""
     out = []
     for chain in (make_mc0(4, 0.25), GaussianARSpec(dim=3, epsilon=0.3)):
         problem = make_problem(chain, IndependentGaussian(0.1), w_star=np.linspace(-0.5, 0.5, chain.dim))
