@@ -28,6 +28,7 @@ import numpy as np
 
 from .algorithms import (
     DataDropConfig,
+    LowerBoundTrace,
     ParallelConfig,
     ReplayConfig,
     SgdConfig,
@@ -65,6 +66,7 @@ from .spectral import (
     circulant_eigs_closed_form,
     circulant_matrix,
     gram_spectrum,
+    perturbation_matrix,
     perturbation_norms,
     sample_buffer,
 )
@@ -295,9 +297,7 @@ def criterion_6(fast: bool = False) -> CriterionResult:
     retention = float((gammas[t_star - 1] ** 2).mean())  # gamma_t at t = t_star
     res.add(f"mean gamma^2 at t* = {t_star} / gamma_1^2", retention, 0.6, "measured >= target", retention >= 0.6)
 
-    g2 = gammas**2
-    resid = np.abs(g2[1:] - (g2[:-1] - (2.0 * eta - eta**2 * xsq) * alphas**2))
-    worst = float(resid.max())
+    worst = float(LowerBoundTrace(alphas, gammas, xsq, eta).identity_residuals().max())
     res.add("max per-step identity residual", worst, 1e-9, "measured <= target", worst <= 1e-9)
     return res
 
@@ -372,10 +372,24 @@ def criterion_7(fast: bool = False) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_gap(spec: CirculantSpec) -> tuple[np.ndarray, float]:
+    """The sorted closed-form spectrum, and its largest gap to the dense solver's."""
+    closed = np.sort(circulant_eigs_closed_form(spec))
+    dense = np.sort(np.linalg.eigvalsh(circulant_matrix(spec)))
+    return closed, float(np.abs(closed - dense).max())
+
+
+def _gram_gap(d: int, seed: int) -> float:
+    """``||M - Z||_F`` of one sampled buffer of 20 AR samples (eps = 0.3)."""
+    return gram_spectrum(sample_buffer(GaussianARSpec(d, 0.3), 20, seed), epsilon=0.3).gram_perturbation
+
+
 def criterion_8(fast: bool = False) -> CriterionResult:
-    """Closed-form circulant spectrum (large low-harmonic eigenvalues and
-    solver agreement), the Frobenius perturbation bound, and Gram-Toeplitz
-    concentration on sampled buffers."""
+    """Closed-form circulant spectrum (large low-harmonic eigenvalues, solver
+    agreement, the trace identity), the perturbation P = Z - C (zero
+    diagonal, paired spectrum, the Frobenius bound and its decay in B), and
+    Gram-Toeplitz concentration on sampled buffers at rate 1/sqrt(d).  Fast
+    mode shrinks only the concentration check at d = 160 000."""
     res = CriterionResult(8, "spectral facts for the replay analysis", True)
 
     # (a) low odd harmonics stay large; closed form matches the dense solver
@@ -386,29 +400,43 @@ def criterion_8(fast: bool = False) -> CriterionResult:
     floor_val = float(min(lam[j] for j in odd_j))
     res.add(f"min lambda_j over odd j <= {j_max:.2f}", floor_val, 9.0 / spec.B, "measured >= target", floor_val >= 9.0 / spec.B)
 
-    dense_spec = CirculantSpec(201, 0.2)
-    closed = np.sort(circulant_eigs_closed_form(dense_spec))
-    dense = np.sort(np.linalg.eigvalsh(circulant_matrix(dense_spec)))
-    gap = float(np.abs(closed - dense).max())
+    gap = _closed_form_gap(CirculantSpec(201, 0.2))[1]
     res.add("closed form vs dense solver at B=201", gap, 1e-9, "measured <= target", gap <= 1e-9)
 
-    # (b) Frobenius perturbation bound
+    # the diagonal of C is 1/B, so its eigenvalues sum to 1
+    worst = worst_trace = 0.0
+    for B, eps in itertools.product((5, 21, 101), (0.1, 0.2, 0.3)):
+        closed, gap = _closed_form_gap(CirculantSpec(B, eps))
+        worst = max(worst, gap)
+        worst_trace = max(worst_trace, abs(float(closed.sum()) - 1.0))
+    res.add("closed form vs dense solver, B in {5, 21, 101} x eps in {0.1, 0.2, 0.3}", worst, 1e-9, "measured <= target", worst <= 1e-9)
+    res.add("max |sum_j lambda_j - 1| over the same grid", worst_trace, 1e-9, "measured <= target", worst_trace <= 1e-9)
+
+    # (b) P = Z - C: zero diagonal, +/- paired spectrum, Frobenius bound, decay in B
+    P = perturbation_matrix(CirculantSpec(201, 0.2))
+    diag = float(np.abs(np.diag(P)).max())
+    res.add("max |diag(Z-C)| at (B=201, eps=0.2)", diag, 0.0, "measured == target", diag == 0.0)
+    eigs = np.sort(np.linalg.eigvalsh(P))
+    pairing = float(np.abs(eigs + eigs[::-1]).max())
+    res.add("max |lambda_k + lambda_(B+1-k)| of Z-C at (B=201, eps=0.2)", pairing, 1e-8, "measured <= target", pairing <= 1e-8)
+
     for B, eps in ((201, 0.2), (1001, 0.1)):
         fro_sq, bound = perturbation_norms(CirculantSpec(B, eps))
         res.add(f"||Z-C||_F^2 <= bound at (B={B}, eps={eps})", fro_sq, bound, "measured <= target", fro_sq <= bound)
+    series = [perturbation_norms(CirculantSpec(B, 0.2))[0] for B in (101, 201, 401)]
+    rise = float(np.diff(series).max())
+    res.add("largest rise of ||Z-C||_F^2 over B = 101, 201, 401 (eps=0.2)", rise, 0.0, "measured < target", series[0] > series[1] > series[2])
 
-    # (c) Gram concentration around the Toeplitz model
-    B, d, eps = 20, 160000, 0.3
-    n_seeds = 20 if not fast else 5
-    if fast:
-        d = 40000
-    chain = GaussianARSpec(d, eps)
-    worst = 0.0
-    for seed in range(n_seeds):
-        rep = gram_spectrum(sample_buffer(chain, B, seed), epsilon=eps)
-        worst = max(worst, rep.gram_perturbation)
-    limit = 10.0 * B / math.sqrt(d)
+    # (c) Gram concentration around the Toeplitz model, at rate 1/sqrt(d)
+    d, n_seeds = (160000, 20) if not fast else (40000, 5)
+    worst = max(_gram_gap(d, seed) for seed in range(n_seeds))
+    limit = 10.0 * 20 / math.sqrt(d)
     res.add(f"max ||M-Z||_F over {n_seeds} seeds", worst, limit, "measured <= target", worst <= limit)
+
+    dims = (10**3, 10**4, 10**5)
+    norms = [float(np.mean([_gram_gap(d, 100 + s) for s in range(3)])) for d in dims]
+    slope = float(np.polyfit(np.log(dims), np.log(norms), 1)[0])
+    res.add("log-log slope of mean ||M-Z||_F over d in {1e3, 1e4, 1e5}", slope, -0.5, "-0.65 <= measured <= -0.35", -0.65 <= slope <= -0.35)
     return res
 
 

@@ -7,10 +7,9 @@ Estimators
   update, decorrelating consecutive update samples.
 * :func:`run_parallel_sgd` -- K interleaved SGD instances; instance i updates
   on samples (t-1)K + i, so each instance sees a nearly independent stream.
-* :func:`run_sgd_er` -- SGD with experience replay on a Gaussian AR stream:
-  samples arrive in buffers of S = B + u, the first u per buffer are dropped,
-  and B update samples are drawn uniformly with replacement from the retained
-  pool.
+* :func:`run_sgd_er` -- SGD with experience replay: samples arrive in
+  buffers of S = B + u, the first u per buffer are dropped, and B update
+  samples are drawn uniformly with replacement from the retained pool.
 * :func:`run_lower_bound_trace` -- noiseless SGD instrumented with the
   quantities (alpha_t, gamma_t) whose exact one-step identity drives the
   sequential lower bound.
@@ -89,7 +88,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import GaussianARSpec, _run_generators, _run_streams, _seed_parts, check_float, check_int
-from .chains import check_int_field, make_cursor, mixing_time
+from .chains import check_float_field, check_int_field, make_cursor, mixing_time
 from .regression import (
     AgnosticDeterministic,
     CoupledTrajectory,
@@ -140,9 +139,9 @@ class SgdConfig:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if check_float(self.step_size, "step_size") <= 0:
+        if check_float_field(self, "step_size") <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if not (0.0 < self.tail_fraction <= 1.0):
+        if not (0.0 < check_float_field(self, "tail_fraction") <= 1.0):
             raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
 
 
@@ -161,7 +160,7 @@ class DataDropConfig:
     def __post_init__(self):
         if self.drop_interval is not None and check_int_field(self, "drop_interval") < 1:
             raise ValueError(f"drop_interval must be >= 1, got {self.drop_interval}")
-        if check_float(self.log_constant, "log_constant") <= 0:
+        if check_float_field(self, "log_constant") <= 0:
             raise ValueError("log_constant must be positive")
 
 
@@ -197,9 +196,9 @@ class ReplayConfig:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if check_int_field(self, "drop_prefix") < 0:
             raise ValueError(f"drop_prefix must be >= 0, got {self.drop_prefix}")
-        if check_float(self.step_size, "step_size") <= 0:
+        if check_float_field(self, "step_size") <= 0:
             raise ValueError("step_size must be positive")
-        if not (0.0 < self.tail_buffer_fraction <= 1.0):
+        if not (0.0 < check_float_field(self, "tail_buffer_fraction") <= 1.0):
             raise ValueError("tail_buffer_fraction must lie in (0, 1]")
 
     @property
@@ -361,10 +360,10 @@ class _Stream:
 
     The stream owns one per-run block of states and one of noise, which
     every block of the run reuses: a block is spent once the update loop
-    has taken it, so only the first block's pages are fresh.  (The Gaussian
-    cursor's blocks, and replay's noise, which it gathers into new arrays,
-    are fresh each time; a Gaussian block's row numbers are kept from one
-    block to the next.)
+    has taken it, or once replay has gathered its picks out of it, so only
+    the first block's pages are fresh.  (The Gaussian cursor's blocks are
+    fresh each time; a Gaussian block's row numbers are kept from one block
+    to the next.)
     """
 
     def __init__(self, problem: Problem, chain_draws, noise_draws):
@@ -403,18 +402,16 @@ class _Stream:
             self._rows = np.arange(R * n).reshape(R, n).T
         return self._rows
 
-    def noise(self, n: int, fresh: bool = False) -> np.ndarray | None:
+    def noise(self, n: int) -> np.ndarray | None:
         """Unit noise for the next n samples, (n, R), or None without noise.
 
-        Each run's variates fill one row of a per-run (R, n) buffer -- the
-        stream's block of noise, until the next call, unless ``fresh`` --
-        and the result is its transposed view.
+        Each run's variates fill one row of the stream's per-run (R, n)
+        block of noise, which holds until the next call, and the result is
+        its transposed view.
         """
         if self.sigma is None:
             return None
-        R = self._noise.num_runs
-        out = np.empty((R, n)) if fresh else self._block("noise", n, float)
-        return self._noise.fill(out, normal=True).T
+        return self._noise.fill(self._block("noise", n, float), normal=True).T
 
     def labels(self) -> np.ndarray:
         """The update loop's ``labels``: the label rule before noise.
@@ -683,8 +680,6 @@ def _parallel_plan(problem: Problem, T: int, config: ParallelConfig, seeds) -> _
 def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan:
     """Buffer j+1 replays B picks from its last B samples; the window
     averages the after-buffer iterates of the last ceil(f * n_buf) buffers."""
-    if not isinstance(problem.chain, GaussianARSpec):
-        raise ValueError("experience replay requires the Gaussian AR chain")
     B, u, S = config.buffer_size, config.drop_prefix, config.span
     if S > T:
         raise ValueError(f"buffer span S={S} exceeds the horizon T={T}")
@@ -694,9 +689,8 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
     rr = np.arange(len(seeds))[:, None]
 
     def draw(stream, j, nb, reads):
-        n = nb * S
-        stream.states(n)  # row r * n + i of stream.table is sample i of run r's block
-        xi = stream.noise(nb * B, fresh=True)  # one variate per retained sample
+        states = stream.states(nb * S)
+        xi = stream.noise(nb * B)  # one variate per retained sample
         # step s of run r in buffer b replays sample picks[r, b, s] of that
         # buffer's retained pool
         picks = np.stack([rng.integers(0, B, size=(nb, B)) for rng in algo_rngs])
@@ -706,7 +700,7 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
         # handed back in update order as transposed views
         if xi is not None:
             xi = xi.T.take(rr * (nb * B) + (buf * B + picks).reshape(len(rr), -1)).T
-        return (rr * n + at).T, xi, j * S + 1 + at[0] if reads else None
+        return states.T[rr, at].T, xi, j * S + 1 + at[0] if reads else None
 
     return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
 
@@ -945,7 +939,7 @@ run_parallel_sgd = _single_runner(
 run_sgd_er = _single_runner(
     ReplayConfig,
     "run_sgd_er",
-    """SGD with experience replay (Gaussian AR streams only).
+    """SGD with experience replay, on any chain.
 
     The stream is cut into floor(T/S) buffers of S = B + u samples; within
     buffer j the first u samples are dropped and B update samples are drawn

@@ -22,6 +22,7 @@ release.  Normal variates use numpy's documented ziggurat sampler.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,9 +79,8 @@ class GaussianARSpec:
     def __post_init__(self):
         if check_int_field(self, "dim") < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not (0.0 < self.epsilon <= 1.0):
+        if not (0.0 < check_float_field(self, "epsilon") <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @property
     def decay(self) -> float:
@@ -246,18 +246,21 @@ def stationary_covariance(spec: ChainSpec) -> np.ndarray:
     return 0.5 * (A + A.T)  # symmetrize away roundoff
 
 
+def _dmix(spec: FiniteChainSpec):
+    """``d_mix(t)`` for t = 1, 2, ...: the worst row's TV distance of P^t
+    to stationarity, powering P only when the next value is asked for."""
+    pi = stationary(spec)
+    M = spec.transition
+    while True:
+        yield 0.5 * np.abs(M - pi).sum(axis=1).max()
+        M = M @ spec.transition
+
+
 def total_variation_curve(spec: FiniteChainSpec, t_max: int) -> np.ndarray:
     """Worst-case TV distance to stationarity, ``d_mix(t)`` for t = 1..t_max."""
     if not isinstance(spec, FiniteChainSpec):
         raise TypeError("total_variation_curve requires a finite chain")
-    pi = stationary(spec)
-    M = spec.transition.copy()
-    out = np.empty(t_max)
-    for t in range(t_max):
-        out[t] = 0.5 * np.abs(M - pi).sum(axis=1).max()
-        if t + 1 < t_max:
-            M = M @ spec.transition
-    return out
+    return np.fromiter(itertools.islice(_dmix(spec), t_max), float, t_max)
 
 
 def mixing_time(spec: ChainSpec, cap: int = 10**7) -> MixingReport:
@@ -285,15 +288,11 @@ def mixing_time(spec: ChainSpec, cap: int = 10**7) -> MixingReport:
         curve.append((tau, min(1.0, math.sqrt(spec.dim) * decay2**tau)))
         return MixingReport(tau_mix=tau, dmix_curve=tuple(curve), method="gaussian-ar-proxy")
 
-    pi = stationary(spec)
-    M = spec.transition.copy()
     curve = []
-    for t in range(1, cap + 1):
-        d = 0.5 * np.abs(M - pi).sum(axis=1).max()
+    for t, d in enumerate(itertools.islice(_dmix(spec), cap), 1):
         curve.append((t, float(d)))
         if d <= 0.25:
             return MixingReport(tau_mix=t, dmix_curve=tuple(curve), method="numeric-finite")
-        M = M @ spec.transition
     raise TimeoutError(f"d_mix(t) did not reach 1/4 within the cap of {cap} steps")
 
 
@@ -487,6 +486,14 @@ def check_float(value, key: str) -> float:
     raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
+def check_float_field(obj, name: str) -> float:
+    """A frozen dataclass's real field ``name``, checked by
+    :func:`check_float` and stored back as a float."""
+    value = check_float(getattr(obj, name), name)
+    object.__setattr__(obj, name, value)
+    return value
+
+
 # Keys a chain document may hold besides ``kind``, per kind.
 _CHAIN_KEYS = {
     "gaussian_ar": ("dim", "d", "epsilon"),
@@ -513,7 +520,7 @@ def chain_from_json(doc: dict) -> ChainSpec:
         key = "dim" if "dim" in doc else "d"
         if doc.get(key) is None:
             raise ValueError("gaussian_ar chain needs a dimension field ('dim')")
-        return GaussianARSpec(dim=check_int(doc[key], key), epsilon=check_float(doc["epsilon"], "epsilon"))
+        return GaussianARSpec(dim=check_int(doc[key], key), epsilon=doc["epsilon"])
     if kind == "finite":
         return FiniteChainSpec(
             states=np.array(doc["states"], dtype=float),

@@ -5,8 +5,8 @@ Subcommands:
 * ``simulate --config cfg.json``   run one experiment config, print summaries
 * ``sweep --config cfg.json --grid grid.json``   Cartesian parameter sweep
 * ``accept --suite all [--fast]``   acceptance criteria, nonzero exit on FAIL
+  (``--suite spectra`` checks the spectral facts behind replay)
 * ``mixing --chain chain.json``   mixing time + total-variation curve
-* ``validate spectra``   numerical checks of the spectral facts
 
 Relative output paths resolve under ``$MARKOVSGD_OUTPUT`` (default: the
 current directory).  ``--seed`` overrides the config's seed without editing
@@ -21,7 +21,6 @@ import sys
 
 from .chains import chain_from_json, mixing_time
 from .experiments import ExperimentConfig, accept, run_experiment, sweep
-from .spectral import spectra_property_checks
 
 
 def _load_json(path: str) -> dict:
@@ -78,14 +77,6 @@ def cmd_mixing(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    if args.what != "spectra":  # argparse choices already guard this
-        raise SystemExit(f"error: unknown validation target {args.what!r}")
-    checks = spectra_property_checks()
-    _emit({"passed": all(c["passed"] for c in checks), "checks": checks})
-    return 0 if all(c["passed"] for c in checks) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markovsgd",
@@ -112,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing", help="mixing time of a chain spec")
     p.add_argument("--chain", required=True, help="chain spec JSON")
     p.set_defaults(func=cmd_mixing)
-
-    p = sub.add_parser("validate", help="numerical property checks")
-    p.add_argument("what", choices=["spectra"], help="which property family to check")
-    p.set_defaults(func=cmd_validate)
 
     return parser
 

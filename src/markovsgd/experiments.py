@@ -239,15 +239,15 @@ def build_algorithm(doc: dict):
     if name == "sgd_er":
         return ReplayConfig(
             buffer_size=doc["buffer_size"],
-            step_size=check_float(doc.get("step_size", 0.5), "step_size"),
+            step_size=doc.get("step_size", 0.5),
             drop_prefix=doc.get("drop_prefix", 0),
-            tail_buffer_fraction=check_float(doc.get("tail_buffer_fraction", 0.5), "tail_buffer_fraction"),
+            tail_buffer_fraction=doc.get("tail_buffer_fraction", 0.5),
         )
     if name == "lower_bound_trace":
         return ("lower_bound_trace", check_float(doc["eta"], "eta"))
     base = SgdConfig(
-        step_size=check_float(doc["step_size"], "step_size"),
-        tail_fraction=check_float(doc.get("tail_fraction", 0.5), "tail_fraction"),
+        step_size=doc["step_size"],
+        tail_fraction=doc.get("tail_fraction", 0.5),
     )
     if name == "sgd":
         return base
@@ -255,7 +255,7 @@ def build_algorithm(doc: dict):
         return DataDropConfig(
             base=base,
             drop_interval=doc.get("drop_interval"),
-            log_constant=check_float(doc.get("log_constant", 5.0), "log_constant"),
+            log_constant=doc.get("log_constant", 5.0),
         )
     return ParallelConfig(base=base, num_instances=doc["num_instances"])
 

@@ -25,7 +25,7 @@ from .chains import (
     GaussianARSpec,
     chain_from_json,
     chain_to_json,
-    check_float,
+    check_float_field,
     check_keys,
     stationary,
     stationary_covariance,
@@ -60,7 +60,7 @@ class IndependentGaussian:
     sigma: float
 
     def __post_init__(self):
-        if check_float(self.sigma, "sigma") < 0:
+        if check_float_field(self, "sigma") < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
 
@@ -282,7 +282,7 @@ def noise_from_json(doc: dict) -> NoiseModel:
     kind = doc.get("kind")
     if kind == "independent_gaussian":
         check_keys(doc, ("kind", "sigma"), f"{kind} noise")
-        return IndependentGaussian(sigma=check_float(doc["sigma"], "sigma"))
+        return IndependentGaussian(sigma=doc["sigma"])
     if kind == "agnostic":
         check_keys(doc, ("kind",), f"{kind} noise")
         return AgnosticDeterministic()

@@ -11,8 +11,8 @@ The replay analysis controls the spectrum of a buffer's Gram matrix
 3. sampled Gram matrices concentrate around Z at rate ``1/sqrt(d)``.
 
 This module builds the matrices explicitly, evaluates the closed-form
-spectrum, and measures the perturbation norms, so each ingredient can be
-verified numerically at desk scale.  Only odd B is supported (the even-case
+spectrum, and measures the perturbation norms; acceptance criterion 8
+(``markovsgd accept --suite spectra``) checks each fact numerically.  Only odd B is supported (the even-case
 circulant row exists in the analysis but is never used).
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "perturbation_norms",
     "gram_spectrum",
     "sample_buffer",
-    "spectra_property_checks",
 ]
 
 
@@ -184,67 +183,3 @@ def sample_buffer(chain: GaussianARSpec, size: int, seed) -> np.ndarray:
     cursor = GaussianPathCursor(chain, *_run_streams([seed], (0,)))
     return cursor.take(size)[:, 0, :]
 
-
-# ---------------------------------------------------------------------------
-# Property suite (backs the `validate spectra` CLI subcommand)
-# ---------------------------------------------------------------------------
-
-
-def spectra_property_checks() -> list[dict]:
-    """Numerical checks of the three spectral facts; one record per check."""
-    results = []
-
-    def add(name, passed, detail):
-        results.append({"check": name, "passed": bool(passed), "detail": detail})
-
-    # circulant closed form vs dense spectrum, plus the trace identity
-    worst = 0.0
-    worst_trace = 0.0
-    for B in (5, 21, 101):
-        for eps in (0.1, 0.2, 0.3):
-            spec = CirculantSpec(B, eps)
-            closed = np.sort(circulant_eigs_closed_form(spec))
-            dense = np.sort(np.linalg.eigvalsh(circulant_matrix(spec)))
-            worst = max(worst, float(np.abs(closed - dense).max()))
-            worst_trace = max(worst_trace, abs(float(closed.sum()) - 1.0))
-    add("circulant-closed-form", worst <= 1e-9, f"max |closed - dense| = {worst:.3e}")
-    add("circulant-trace", worst_trace <= 1e-9, f"max |sum - 1| = {worst_trace:.3e}")
-
-    # perturbation: zero diagonal, paired spectrum, Frobenius bound, decay in B
-    spec = CirculantSpec(201, 0.2)
-    P = perturbation_matrix(spec)
-    add("perturbation-diagonal", np.abs(np.diag(P)).max() == 0.0, "diag(P) = 0")
-    eigs = np.sort(np.linalg.eigvalsh(P))
-    pairing = float(np.abs(eigs + eigs[::-1]).max())
-    add("perturbation-pairing", pairing <= 1e-8, f"max |lambda_k + lambda_(B+1-k)| = {pairing:.3e}")
-    fro_sq, bound = perturbation_norms(spec)
-    add("perturbation-bound", fro_sq <= bound, f"{fro_sq:.4e} <= {bound:.4e}")
-    series = [perturbation_norms(CirculantSpec(B, 0.2))[0] for B in (101, 201, 401)]
-    add(
-        "perturbation-decay",
-        series[0] > series[1] > series[2],
-        "||P||_F^2 at B=101,201,401: " + ", ".join(f"{v:.3e}" for v in series),
-    )
-
-    # Gram concentration around the Toeplitz model
-    chain = GaussianARSpec(dim=160000, epsilon=0.3)
-    worst_gram = 0.0
-    for seed in range(5):
-        buf = sample_buffer(chain, 20, seed)
-        rep = gram_spectrum(buf, epsilon=0.3)
-        worst_gram = max(worst_gram, rep.gram_perturbation)
-    limit = 10.0 * 20 / math.sqrt(160000)
-    add("gram-concentration", worst_gram <= limit, f"max ||M - Z||_F = {worst_gram:.3e} <= {limit:.3e}")
-
-    norms = []
-    dims = (10**3, 10**4, 10**5)
-    for d in dims:
-        vals = [
-            gram_spectrum(sample_buffer(GaussianARSpec(d, 0.3), 20, 100 + s), epsilon=0.3).gram_perturbation
-            for s in range(3)
-        ]
-        norms.append(float(np.mean(vals)))
-    slope = np.polyfit(np.log(dims), np.log(norms), 1)[0]
-    add("gram-rate", -0.65 <= slope <= -0.35, f"log-log slope over d = {slope:.3f}")
-
-    return results

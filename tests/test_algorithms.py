@@ -318,10 +318,6 @@ class TestParallel:
 
 
 class TestReplay:
-    def test_requires_gaussian_chain(self):
-        with pytest.raises(ValueError):
-            run_sgd_er(finite_problem(), 20, ReplayConfig(buffer_size=4), 0)
-
     def test_span_exceeding_horizon(self):
         cfg = ReplayConfig(buffer_size=8, drop_prefix=3)
         with pytest.raises(ValueError):
@@ -415,6 +411,79 @@ class TestReplay:
         assert calls == [6, 9, 6, 9, 6]
 
 
+def replay_finite_problem(kind):
+    """A finite chain under agnostic outputs (the hard chain) or independent noise."""
+    if kind == "agnostic":
+        return make_problem(make_mci(4, 1 / 8, 1 / 16, (1, 0, 1, 0)), AgnosticDeterministic())
+    return mc0_problem(sigma=0.2)
+
+
+class TestReplayOnFiniteChains:
+    """Replay reads a finite chain's states by the row numbers it reads a
+    Gaussian block's samples by, with the same contracts (batches against
+    single runs: ``TestSingleRow``; coupling: ``TestFixedPointAndCoupling``)."""
+
+    CFG = ReplayConfig(buffer_size=4, drop_prefix=1, step_size=0.2)
+    SEEDS = [61, 62, 63, 64, 65]
+
+    @staticmethod
+    def _outputs(problem, T, cfg, seeds, **kwargs):
+        d = problem.dim
+        starts = np.linspace(-0.5, 0.5, len(seeds) * d).reshape(len(seeds), d)
+        run = run_sgd_er(problem, T, cfg, seeds[0], w_init=starts[0], coupled=True, record_reads=True)
+        batch = run_many(problem, T, cfg, seeds, w_init=starts, workers=1, **kwargs)
+        return [
+            a.tobytes()
+            for a in (
+                run.estimate, run.iterates, run.coupled.iterates_bias, run.coupled.iterates_var,
+                run.sample_reads, batch.estimates, batch.final_iterates, batch.checkpoint_excess,
+            )
+        ]
+
+    @pytest.mark.parametrize("kind", ["agnostic", "independent"])
+    def test_compiled_and_numpy_loops_agree(self, kind, monkeypatch):
+        problem = replay_finite_problem(kind)
+        want = self._outputs(problem, 203, self.CFG, self.SEEDS, checkpoints=[0, 1, 50, 203])
+        monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        assert self._outputs(problem, 203, self.CFG, self.SEEDS, checkpoints=[0, 1, 50, 203]) == want
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    @pytest.mark.parametrize("kind", ["agnostic", "independent"])
+    def test_outputs_do_not_depend_on_block_size(self, kind, loop, monkeypatch):
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        problem = replay_finite_problem(kind)
+        cfg = ReplayConfig(buffer_size=3, drop_prefix=2, step_size=0.2)
+        T = 20 * 5 + 1
+        want = self._outputs(problem, T, cfg, self.SEEDS[:3], checkpoints=[0, 1, 11, 35, T])
+        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 1)  # one buffer per block
+        assert self._outputs(problem, T, cfg, self.SEEDS[:3], checkpoints=[0, 1, 11, 35, T]) == want
+
+    @pytest.mark.parametrize("kind", ["agnostic", "independent"])
+    def test_updates_on_the_states_it_reads_from_the_retained_pool(self, kind):
+        # the reference: the run's path from its chain stream, and the update
+        # w <- w - alpha (<x, w> - y) x on each read sample in turn
+        problem = replay_finite_problem(kind)
+        chain = problem.chain
+        B, u, S, T = 4, 1, 5, 60
+        run = run_sgd_er(problem, T, self.CFG, 7, w_init=np.zeros(problem.dim), record_reads=True)
+        reads = run.sample_reads.reshape(-1, B)
+        lo = (np.arange(len(reads)) * S + u)[:, None]
+        assert np.all((reads > lo) & (reads <= lo + B))
+        path = make_cursor(chain, [run_generators(7)[0]]).take(T)[:, 0]
+        retained = (np.arange(T) % S) >= u  # the samples noise is drawn for, in stream order
+        noise = np.zeros(T)
+        if kind == "independent":
+            noise[retained] = run_generators(7)[1].standard_normal(int(retained.sum()))
+        w = np.zeros(problem.dim)
+        for b, block in enumerate(reads):
+            for t in block:
+                x = chain.states[path[t - 1]]
+                y = chain.outputs[path[t - 1]] if kind == "agnostic" else x @ problem.w_star + 0.2 * noise[t - 1]
+                w = w - 0.2 * (x @ w - y) * x
+            np.testing.assert_allclose(run.iterates[b], w, rtol=1e-12, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Exact fixed points and coupled decompositions
 # ---------------------------------------------------------------------------
@@ -505,8 +574,7 @@ class TestFixedPointAndCoupling:
     @pytest.mark.parametrize("seed", [29, np.random.SeedSequence(29, spawn_key=(3,))], ids=["int", "seed-sequence"])
     @pytest.mark.parametrize(
         "kind,algo",
-        [(k, a) for k in ("finite", "gaussian", "agnostic") for a in ("sgd", "dd", "parallel", "er")
-         if a != "er" or k == "gaussian"],  # replay runs on Gaussian chains only
+        [(k, a) for k in ("finite", "gaussian", "agnostic") for a in ("sgd", "dd", "parallel", "er")],
     )
     def test_coupled_paths_are_plain_runs_on_one_seed(self, kind, algo, seed, loop, monkeypatch):
         # bias: the noiseless problem from the same start; var: the problem from w*
@@ -738,6 +806,29 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match="step_size must be a finite number"):
             ReplayConfig(buffer_size=4, step_size=value)
 
+    @pytest.mark.parametrize("value", [True, "0.5", math.nan, 1], ids=["bool", "string", "nan", "int"])
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda v: SgdConfig(step_size=v), "step_size"),
+            (lambda v: SgdConfig(step_size=0.1, tail_fraction=v), "tail_fraction"),
+            (lambda v: DataDropConfig(SgdConfig(step_size=0.1), log_constant=v), "log_constant"),
+            (lambda v: ReplayConfig(buffer_size=4, step_size=v), "step_size"),
+            (lambda v: ReplayConfig(buffer_size=4, tail_buffer_fraction=v), "tail_buffer_fraction"),
+            (lambda v: GaussianARSpec(dim=3, epsilon=v), "epsilon"),
+            (lambda v: IndependentGaussian(sigma=v), "sigma"),
+        ],
+        ids=["sgd-step", "sgd-tail", "dd-log-constant", "er-step", "er-tail", "ar-epsilon", "noise-sigma"],
+    )
+    def test_real_fields_are_checked_where_they_are_built(self, make, name, value):
+        # a bool, a string or NaN is an error at construction; 1 reads as 1.0
+        if type(value) is int:
+            got = getattr(make(value), name)
+            assert type(got) is float and got == 1.0
+        else:
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                make(value)
+
 
 # ---------------------------------------------------------------------------
 # Agnostic fixed point of the averaged iterate
@@ -958,9 +1049,6 @@ class TestDataLayer:
         assert np.shares_memory(s2, s3)
         # the Gaussian cursor's blocks, which are the table, are fresh
         assert np.shares_memory(table2, table3) == (kind == "finite")
-        fresh = stream.noise(4, fresh=True)  # replay's, which it gathers from
-        np.testing.assert_array_equal(fresh, _stacked_noise(ref, 4))
-        assert not np.shares_memory(fresh, xi2)
 
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
     @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
@@ -1050,6 +1138,7 @@ class TestWorkers:
         ("finite", SgdConfig(step_size=0.3)),
         ("finite", DataDropConfig(SgdConfig(step_size=0.3), drop_interval=3)),
         ("finite", ParallelConfig(SgdConfig(step_size=0.3), num_instances=4)),
+        ("finite", ReplayConfig(buffer_size=4, drop_prefix=2, step_size=0.3)),
     ]
 
     @staticmethod
@@ -1064,7 +1153,7 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "kind,cfg",
         CASES,
-        ids=["sgd", "dd", "parallel", "er", "finite-sgd", "finite-dd", "finite-parallel"],
+        ids=["sgd", "dd", "parallel", "er", "finite-sgd", "finite-dd", "finite-parallel", "finite-er"],
     )
     def test_pooled_equals_serial(self, kind, cfg, workers):
         problem = gaussian_problem(sigma=0.1) if kind == "gaussian" else finite_problem()
@@ -1166,6 +1255,9 @@ class TestSingleRow:
                 ("mc3", "dd"),
                 ("mc0", "sgd"),
                 ("mc0", "dd"),
+                ("mc3", "er"),
+                ("mc0", "er"),
+                ("mci", "er"),
             ]
         ),
         R=st.integers(1, 5),
@@ -1181,7 +1273,12 @@ class TestSingleRow:
     )
     def test_batch_equals_single_runs(self, case, R, T, step, tail, K, B, u, seed, starts, checkpoints):
         kind, algo = case
-        problem = {"gaussian": lambda: gaussian_problem(d=3), "mc3": finite_problem, "mc0": mc0_problem}[kind]()
+        problem = {
+            "gaussian": lambda: gaussian_problem(d=3),
+            "mc3": finite_problem,
+            "mc0": mc0_problem,
+            "mci": lambda: replay_finite_problem("agnostic"),
+        }[kind]()
         if algo == "sgd":
             cfg = SgdConfig(step_size=step, tail_fraction=tail)
         elif algo == "dd":

@@ -836,10 +836,16 @@ class TestCli:
         assert doc["method"] == "numeric-finite"
         assert doc["dmix_curve"][-1][1] <= 0.25
 
-    def test_validate_spectra(self, capsys):
-        assert main(["validate", "spectra"]) == 0
+    def test_accept_spectra(self, capsys):
+        # criterion 8 is the one command for the spectral checks
+        assert main(["accept", "--suite", "spectra", "--fast"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["passed"]
+        assert doc["passed"] and doc["fast"]
+        assert [c["criterion"] for c in doc["criteria"]] == [8]
+
+    def test_validate_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["validate", "spectra"])
 
     def test_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

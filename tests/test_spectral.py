@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from markovsgd.acceptance import run_criterion
 from markovsgd.chains import GaussianARSpec, GaussianPathCursor, run_generators
 from markovsgd.spectral import (
     CirculantSpec,
@@ -16,7 +17,6 @@ from markovsgd.spectral import (
     perturbation_matrix,
     perturbation_norms,
     sample_buffer,
-    spectra_property_checks,
     toeplitz_matrix,
 )
 
@@ -186,10 +186,27 @@ class TestSampling:
             assert rep.gram_perturbation <= limit
 
 
-class TestPropertySuite:
-    def test_all_checks_pass(self):
-        results = spectra_property_checks()
-        assert len(results) >= 6
-        for rec in results:
-            assert set(rec) == {"check", "passed", "detail"}
-            assert rec["passed"], f"{rec['check']}: {rec['detail']}"
+class TestCriterion8:
+    """Criterion 8 is the one home of the spectral checks.  Its fast mode
+    shrinks only Gram concentration at d = 160 000, so every other check
+    runs at full size in unmarked runs too (on scipy's lfilter where no
+    compiler is found)."""
+
+    MOVED = [
+        "closed form vs dense solver, B in {5, 21, 101} x eps in {0.1, 0.2, 0.3}",
+        "max |sum_j lambda_j - 1| over the same grid",
+        "max |diag(Z-C)| at (B=201, eps=0.2)",
+        "max |lambda_k + lambda_(B+1-k)| of Z-C at (B=201, eps=0.2)",
+        "largest rise of ||Z-C||_F^2 over B = 101, 201, 401 (eps=0.2)",
+        "log-log slope of mean ||M-Z||_F over d in {1e3, 1e4, 1e5}",
+    ]
+
+    def test_fast_mode_passes_and_reports_every_check(self):
+        result = run_criterion(8, fast=True)
+        failing = [c for c in result.checks if not c["passed"]]
+        assert result.passed, f"failing checks {failing}"
+        names = [c["check"] for c in result.checks]
+        assert len(names) == len(set(names)) == 11
+        assert set(self.MOVED) <= set(names)
+        assert "||Z-C||_F^2 <= bound at (B=201, eps=0.2)" in names
+        assert "max ||M-Z||_F over 5 seeds" in names
