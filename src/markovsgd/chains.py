@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Sequence
 
@@ -456,6 +456,19 @@ def check_keys(doc: dict, allowed, what: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {what}; allowed: {sorted(allowed)}")
+
+
+def _from_fields(cls, doc: dict, **built):
+    """Dataclass ``cls`` made of ``doc``'s values for its fields, its
+    defaults filling the rest and ``built`` giving fields made already; a
+    required field ``doc`` lacks raises ``KeyError`` naming it.  Keys that
+    are not fields are the caller's to check."""
+    values = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+    values.update(built)
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**values)
 
 
 def check_int(value, key: str) -> int:

@@ -51,14 +51,8 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _run_streams, chain_from_json, check_float, check_int, check_int_field, check_keys
-from .regression import (
-    AgnosticDeterministic,
-    Problem,
-    excess_risk,
-    make_problem,
-    noise_from_json,
-)
+from .chains import _from_fields, _run_streams, check_float, check_int, check_int_field, check_keys
+from .regression import Problem, excess_risk, problem_from_json
 
 __all__ = [
     "ExperimentConfig",
@@ -76,14 +70,8 @@ __all__ = [
     "output_root",
 ]
 
-# Keys an algorithm block may hold besides ``name`` and ``label``, per name.
-_ALGORITHM_KEYS = {
-    "sgd": ("step_size", "tail_fraction"),
-    "sgd_dd": ("step_size", "tail_fraction", "drop_interval", "log_constant"),
-    "parallel_sgd": ("step_size", "tail_fraction", "num_instances"),
-    "sgd_er": ("buffer_size", "step_size", "drop_prefix", "tail_buffer_fraction"),
-    "lower_bound_trace": ("eta",),
-}
+# The config each algorithm block builds; a block's keys are its fields.
+_ALGORITHMS = {"sgd": SgdConfig, "sgd_dd": DataDropConfig, "parallel_sgd": ParallelConfig, "sgd_er": ReplayConfig}
 
 _OUTPUT_ENV = "MARKOVSGD_OUTPUT"
 
@@ -99,8 +87,8 @@ class ExperimentConfig:
     noise: dict
     algorithms: tuple
     T: int
-    num_runs: int
-    seed: int
+    num_runs: int = 1
+    seed: int = 0
     w_star: object = None  # explicit vector (list) or "agnostic"
     w_init: object = "zeros"  # "zeros" | "w_star" | "random_unit" | vector
     checkpoints: tuple | None = None
@@ -110,6 +98,10 @@ class ExperimentConfig:
     figure: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.figure, bool):
+            raise ValueError(f"figure must be true or false, got {self.figure!r}")
+        object.__setattr__(self, "name", str(self.name))
+        object.__setattr__(self, "algorithms", tuple(dict(a) for a in self.algorithms or ()))
         if check_int_field(self, "T") < 2:
             raise ValueError(f"T must be at least 2, got {self.T}")
         if check_int_field(self, "num_runs") < 1:
@@ -143,48 +135,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        # the fields, with "algorithm" for a single block
+        """The config whose fields a JSON document gives, ``algorithm``
+        standing for a one-block ``algorithms``; a null ``algorithms`` holds
+        no blocks."""
         check_keys(doc, [f.name for f in fields(cls)] + ["algorithm"], "experiment config")
         doc = dict(doc)
-        algos = doc.pop("algorithms", None)
-        single = doc.pop("algorithm", None)
-        if algos is None:
-            algos = [single] if single is not None else []
-        figure = doc.get("figure", False)
-        if not isinstance(figure, bool):
-            raise ValueError(f"figure must be true or false, got {figure!r}")
-        return cls(
-            chain=doc["chain"],
-            noise=doc["noise"],
-            algorithms=tuple(dict(a) for a in algos),
-            T=doc["T"],
-            num_runs=doc.get("num_runs", 1),
-            seed=doc.get("seed", 0),
-            w_star=doc.get("w_star"),
-            w_init=doc.get("w_init", "zeros"),
-            checkpoints=None if doc.get("checkpoints") is None else tuple(doc["checkpoints"]),
-            output=doc.get("output"),
-            name=str(doc.get("name", "experiment")),
-            workers=doc.get("workers", 1),
-            figure=figure,
-        )
+        if "algorithm" in doc:
+            if "algorithms" in doc:
+                raise ValueError('an experiment config holds "algorithm" or "algorithms", not both')
+            single = doc.pop("algorithm")
+            doc["algorithms"] = None if single is None else [single]
+        return _from_fields(cls, {"algorithms": None, **doc})
 
     def to_json(self) -> dict:
-        doc = {
-            "chain": self.chain,
-            "noise": self.noise,
-            "algorithms": [dict(a) for a in self.algorithms],
-            "T": self.T,
-            "num_runs": self.num_runs,
-            "seed": self.seed,
-            "w_star": self.w_star,
-            "w_init": self.w_init,
-            "checkpoints": None if self.checkpoints is None else list(self.checkpoints),
-            "output": self.output,
-            "name": self.name,
-            "workers": self.workers,
-            "figure": self.figure,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["algorithms"] = [dict(a) for a in self.algorithms]
+        if self.checkpoints is not None:
+            doc["checkpoints"] = list(self.checkpoints)
         return doc
 
 
@@ -229,35 +196,26 @@ class RunSummary:
 def build_algorithm(doc: dict):
     """Typed algorithm config from a JSON block (keyed by ``name``).
 
-    ``label`` names the series' output files; any key the algorithm does not
-    use is an error.
+    A block's keys are the fields of its config class, with that class's
+    defaults; a data-drop or parallel block holds its ``SgdConfig``'s
+    fields beside its own.  ``label`` names the series' output files; any
+    other key is an error.  ``lower_bound_trace`` takes ``eta`` alone.
     """
     name = doc.get("name")
-    if name not in _ALGORITHM_KEYS:
-        raise ValueError(f"unknown algorithm {name!r}")
-    check_keys(doc, ("name", "label") + _ALGORITHM_KEYS[name], f"{name} block")
-    if name == "sgd_er":
-        return ReplayConfig(
-            buffer_size=doc["buffer_size"],
-            step_size=doc.get("step_size", 0.5),
-            drop_prefix=doc.get("drop_prefix", 0),
-            tail_buffer_fraction=doc.get("tail_buffer_fraction", 0.5),
-        )
     if name == "lower_bound_trace":
-        return ("lower_bound_trace", check_float(doc["eta"], "eta"))
-    base = SgdConfig(
-        step_size=doc["step_size"],
-        tail_fraction=doc.get("tail_fraction", 0.5),
-    )
-    if name == "sgd":
-        return base
-    if name == "sgd_dd":
-        return DataDropConfig(
-            base=base,
-            drop_interval=doc.get("drop_interval"),
-            log_constant=doc.get("log_constant", 5.0),
-        )
-    return ParallelConfig(base=base, num_instances=doc["num_instances"])
+        check_keys(doc, ("name", "label", "eta"), f"{name} block")
+        return (name, check_float(doc["eta"], "eta"))
+    if name not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    cls = _ALGORITHMS[name]
+    keys = [f.name for f in fields(cls)]
+    nested = "base" in keys  # data-drop and parallel SGD: a base SgdConfig's fields beside their own
+    if nested:
+        keys = [k for k in keys if k != "base"] + [f.name for f in fields(SgdConfig)]
+    check_keys(doc, ["name", "label"] + keys, f"{name} block")
+    if nested:
+        return _from_fields(cls, doc, base=_from_fields(SgdConfig, doc))
+    return _from_fields(cls, doc)
 
 
 def default_checkpoints(T: int) -> list[int]:
@@ -296,20 +254,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
-    chain = chain_from_json(config.chain)
-    noise = noise_from_json(config.noise)
-    w_star = config.w_star
-    if isinstance(noise, AgnosticDeterministic) or w_star == "agnostic":
-        w_star = None
-        if not isinstance(noise, AgnosticDeterministic):
-            raise ValueError('w_star "agnostic" requires the agnostic noise model')
-    elif w_star is None:
-        raise ValueError("w_star is required for non-agnostic noise models")
-    elif isinstance(w_star, str) or np.ndim(w_star) != 1:
-        raise ValueError(f'w_star must be a vector of numbers or "agnostic", got {w_star!r}')
-    else:
-        w_star = np.array([check_float(v, f"w_star[{i}]") for i, v in enumerate(w_star)])
-    return make_problem(chain, noise, w_star=w_star)
+    """The config's problem, read as :func:`markovsgd.regression.problem_from_json` reads one."""
+    return problem_from_json({"chain": config.chain, "noise": config.noise, "w_star": config.w_star})
 
 
 _W_INIT_RULES = ("zeros", "w_star", "random_unit")
@@ -664,7 +610,7 @@ def sweep(config_doc: dict, grid: dict, max_cells: int = 10**4) -> dict:
     """Cartesian product of grid overrides; one output directory per cell.
 
     ``grid`` maps dotted config paths (e.g. ``"chain.epsilon"``,
-    ``"algorithm.num_instances"``) to lists of values.  Refuses grids larger
+    ``"algorithms.0.num_instances"``) to lists of values.  Refuses grids larger
     than ``max_cells``.  Returns the index document (also written as
     ``index.json`` under the sweep output directory when one is set).
     """

@@ -14,7 +14,7 @@ never estimated.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -23,8 +23,10 @@ from .chains import (
     ChainSpec,
     FiniteChainSpec,
     GaussianARSpec,
+    _from_fields,
     chain_from_json,
     chain_to_json,
+    check_float,
     check_float_field,
     check_keys,
     stationary,
@@ -137,7 +139,7 @@ def make_problem(
         opt = agnostic_optimum(chain)
         if w_star is not None:
             w_star = np.asarray(w_star, dtype=float)
-            if not np.allclose(w_star, opt, atol=1e-9):
+            if w_star.shape != opt.shape or not np.allclose(w_star, opt, atol=1e-9):
                 raise ValueError("w_star must equal the population optimum for agnostic problems")
         w_star = opt
     else:
@@ -271,25 +273,18 @@ _NOISE_TAGS = {
 
 
 def noise_to_json(noise: NoiseModel) -> dict:
-    doc = {"kind": _NOISE_TAGS[type(noise)]}
-    if isinstance(noise, IndependentGaussian):
-        doc["sigma"] = noise.sigma
-    return doc
+    return {"kind": _NOISE_TAGS[type(noise)], **asdict(noise)}
 
 
 def noise_from_json(doc: dict) -> NoiseModel:
-    """Inverse of :func:`noise_to_json`; a key the kind does not use is an error."""
+    """Inverse of :func:`noise_to_json`: a kind's keys are its model's
+    fields, and any other key is an error."""
     kind = doc.get("kind")
-    if kind == "independent_gaussian":
-        check_keys(doc, ("kind", "sigma"), f"{kind} noise")
-        return IndependentGaussian(sigma=doc["sigma"])
-    if kind == "agnostic":
-        check_keys(doc, ("kind",), f"{kind} noise")
-        return AgnosticDeterministic()
-    if kind == "noiseless":
-        check_keys(doc, ("kind",), f"{kind} noise")
-        return Noiseless()
-    raise ValueError(f"unknown noise kind {kind!r}")
+    cls = next((c for c, tag in _NOISE_TAGS.items() if tag == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    check_keys(doc, ["kind"] + [f.name for f in fields(cls)], f"{kind} noise")
+    return _from_fields(cls, doc)
 
 
 def problem_to_json(problem: Problem) -> dict:
@@ -302,14 +297,27 @@ def problem_to_json(problem: Problem) -> dict:
 
 
 def problem_from_json(doc: dict) -> Problem:
+    """Inverse of :func:`problem_to_json`, under :func:`make_problem`'s rule
+    for ``w_star``.
+
+    Under non-agnostic noise ``w_star`` is a required vector of finite
+    numbers.  Under agnostic noise it may be omitted or ``"agnostic"``, and
+    a vector given must be the optimum the chain has, so a stale one is an
+    error.  ``unit_norm`` is true or false; any other key is an error.
+    """
+    check_keys(doc, ("chain", "noise", "w_star", "unit_norm"), "problem")
     chain = chain_from_json(doc["chain"])
     noise = noise_from_json(doc["noise"])
     w_star = doc.get("w_star")
-    if isinstance(noise, AgnosticDeterministic):
-        w_star = None  # recomputed; guards against stale serialized optima
-    return make_problem(
-        chain,
-        noise,
-        w_star=w_star,
-        unit_norm=bool(doc.get("unit_norm", False)),
-    )
+    if w_star is None or isinstance(w_star, str) and w_star == "agnostic":
+        if not isinstance(noise, AgnosticDeterministic):
+            raise ValueError(f"w_star must be a vector of numbers unless the noise is agnostic, got {w_star!r}")
+        w_star = None
+    elif isinstance(w_star, str) or np.ndim(w_star) != 1:
+        raise ValueError(f'w_star must be a vector of numbers or "agnostic", got {w_star!r}')
+    else:
+        w_star = np.array([check_float(v, f"w_star[{i}]") for i, v in enumerate(w_star)])
+    unit_norm = doc.get("unit_norm", False)
+    if not isinstance(unit_norm, bool):
+        raise ValueError(f"unit_norm must be true or false, got {unit_norm!r}")
+    return make_problem(chain, noise, w_star=w_star, unit_norm=unit_norm)

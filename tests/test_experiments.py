@@ -3,6 +3,8 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import markovsgd
 from markovsgd import algorithms, experiments
 from markovsgd.algorithms import (
     DataDropConfig,
@@ -93,6 +96,27 @@ class TestConfig:
         assert len(config.algorithms) == 1
         assert config.algorithms[0]["name"] == "sgd"
 
+    def test_algorithm_beside_algorithms_rejected(self):
+        # the single block used to be dropped without a word
+        with pytest.raises(ValueError, match='"algorithm" or "algorithms", not both'):
+            ExperimentConfig.from_json(sgd_doc(algorithm={"name": "sgd", "step_size": 0.5}))
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        doc = {k: v for k, v in sgd_doc().items() if k not in ("num_runs", "seed", "checkpoints")}
+        config = ExperimentConfig.from_json(doc)
+        assert config == ExperimentConfig(**doc)
+        defaults = {"num_runs": 1, "seed": 0, "w_init": "zeros", "checkpoints": None}
+        defaults.update(output=None, name="experiment", workers=1, figure=False)
+        assert config.to_json() == {**doc, **defaults}
+        assert ExperimentConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("field", ["chain", "noise", "T"])
+    def test_missing_required_field_names_itself(self, field):
+        doc = sgd_doc()
+        doc.pop(field)
+        with pytest.raises(KeyError, match=f"^'{field}'$"):
+            ExperimentConfig.from_json(doc)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(sgd_doc(T=1))
@@ -100,8 +124,9 @@ class TestConfig:
             ExperimentConfig.from_json(sgd_doc(num_runs=0))
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(sgd_doc(workers=0))
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_json(sgd_doc(algorithms=[]))
+        for none in ([], None):  # a null list holds no blocks
+            with pytest.raises(ValueError, match="at least one algorithm block"):
+                ExperimentConfig.from_json(sgd_doc(algorithms=none))
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(
                 sgd_doc(algorithms=[{"name": "gradient_descent"}])
@@ -133,6 +158,53 @@ class TestConfig:
             sgd_doc(algorithms=[{"name": "sgd", "step_size": 0.25, "label": "fast"}])
         )
         assert config_hash(plain) == config_hash(labelled)
+
+    @pytest.mark.parametrize(
+        "doc, digest",
+        [
+            (sgd_doc(), "a6278ec4dfb6d552765a3cb0f2a90db8237fa708e868258b5a821608983c3e6d"),
+            (
+                {
+                    "chain": {"kind": "agnostic_bias", "epsilon": 0.25},
+                    "noise": {"kind": "agnostic"},
+                    "w_star": "agnostic",
+                    "algorithms": [{"name": "sgd", "step_size": 0.25}],
+                    "T": 1000,
+                },
+                "b79a9bb4590e4593db9c6b21fe72592f1cfd04be732b50a71caebef9cceaddeb",
+            ),
+            (
+                sgd_doc(
+                    w_init="random_unit",
+                    algorithms=[
+                        {"name": "sgd", "step_size": 0.25, "label": "plain"},
+                        {"name": "sgd_dd", "step_size": 0.25, "drop_interval": 4, "label": "dd"},
+                        {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 8, "label": "par"},
+                        {"name": "sgd_er", "buffer_size": 16, "drop_prefix": 2, "label": "er"},
+                    ],
+                ),
+                "c56c0f7781716e1adfac90a0cb20e36a593434c55d180993e0530b6f54615952",
+            ),
+            (
+                {
+                    "chain": {"kind": "gaussian_ar", "dim": 3, "epsilon": 0.5},
+                    "noise": {"kind": "noiseless"},
+                    "w_star": [0.3, -0.2, 0.1],
+                    "algorithms": [{"name": "lower_bound_trace", "eta": 0.04}],
+                    "T": 400,
+                    "num_runs": 3,
+                    "seed": 11,
+                    "w_init": "w_star",
+                },
+                "7b0ff90eeeccfaa5234e249935df1aecbddc5be2b995b187e0faa37429560016",
+            ),
+        ],
+        ids=["plain", "agnostic", "labelled-blocks", "trace"],
+    )
+    def test_hash_is_pinned(self, doc, digest):
+        # every summary records this digest; a change to what it covers or
+        # how it is written shows here
+        assert config_hash(ExperimentConfig.from_json(doc)) == digest
 
     def test_hash_resolves_the_default_schedule(self):
         implicit = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=None))
@@ -325,6 +397,28 @@ class TestBuildAlgorithm:
         cfg = build_algorithm({"name": "sgd", "step_size": 0.25, "label": "fast"})
         assert cfg == SgdConfig(step_size=0.25)
 
+    @pytest.mark.parametrize("name", ["sgd_dd", "parallel_sgd"])
+    def test_base_is_not_a_key(self, name):
+        doc = {"name": name, "step_size": 0.25, "num_instances": 4, "base": {"step_size": 0.5}}
+        if name == "sgd_dd":
+            doc.pop("num_instances")
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['base'\]"):
+            build_algorithm(doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"name": "sgd"}, "step_size"),
+            ({"name": "sgd_dd", "drop_interval": 3}, "step_size"),
+            ({"name": "parallel_sgd", "step_size": 0.25}, "num_instances"),
+            ({"name": "sgd_er", "step_size": 0.25}, "buffer_size"),
+            ({"name": "lower_bound_trace"}, "eta"),
+        ],
+    )
+    def test_missing_required_field_names_itself(self, doc, field):
+        with pytest.raises(KeyError, match=f"^'{field}'$"):
+            build_algorithm(doc)
+
 
 class TestBuildProblem:
     def test_explicit_w_star(self):
@@ -362,6 +456,15 @@ class TestBuildProblem:
         )
         problem = build_problem(ExperimentConfig.from_json(doc))
         np.testing.assert_allclose(problem.w_star, [-0.2], atol=1e-12)
+
+    def test_agnostic_w_star_must_be_the_optimum(self):
+        doc = sgd_doc(chain={"kind": "agnostic_bias", "epsilon": 0.25}, noise={"kind": "agnostic"})
+        for omitted in (None, "agnostic"):
+            np.testing.assert_allclose(ExperimentConfig.from_json({**doc, "w_star": omitted}).problem.w_star, [-0.2])
+        # a stale vector used to load and run at the optimum
+        for stale in ([5.0, 7.0], [-0.2, -0.2, -0.2], [0.3]):
+            with pytest.raises(ValueError, match="population optimum"):
+                ExperimentConfig.from_json({**doc, "w_star": stale})
 
     def test_agnostic_keyword_needs_agnostic_noise(self):
         with pytest.raises(ValueError):
@@ -787,6 +890,16 @@ class TestSweep:
         assert index["num_cells"] == 1
         assert index["cells"][0]["cell"] == "base"
 
+    def test_grid_reaches_a_block_by_its_index(self):
+        block = {"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4}
+        doc = sgd_doc(T=400, num_runs=2, checkpoints=None, algorithms=[block])
+        index = sweep(doc, {"algorithms.0.num_instances": [5, 50]})
+        assert len({c["config_hash"] for c in index["cells"]}) == 2
+        # "algorithm.num_instances" makes a one-block "algorithm" beside the list;
+        # it used to be dropped, so both cells ran the same config
+        with pytest.raises(ValueError, match="not both"):
+            sweep(doc, {"algorithm.num_instances": [5, 50]})
+
     def test_cell_cap(self):
         doc = sgd_doc()
         grid = {"chain.delta": [0.05, 0.1], "algorithms.0.step_size": [0.1, 0.2, 0.3]}
@@ -814,6 +927,29 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--seed", "99"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out[0]["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (sgd_doc(algorithms=[{"name": "sgd", "tail_fraction": 0.5}]), "step_size"),
+            ({k: v for k, v in sgd_doc().items() if k != "chain"}, "chain"),
+        ],
+        ids=["block", "config"],
+    )
+    def test_simulate_names_a_missing_field(self, tmp_path, doc, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(markovsgd.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "markovsgd.cli", "simulate", "--config", str(cfg)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: missing config field '{field}'\n"
 
     def test_simulate_missing_config(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -176,6 +176,9 @@ class TestOptimumAndProblem:
         make_problem(chain, AgnosticDeterministic(), w_star=[-0.2])
         with pytest.raises(ValueError):
             make_problem(chain, AgnosticDeterministic(), w_star=[0.3])
+        # allclose would broadcast a wrong-length vector of the optimum's value
+        with pytest.raises(ValueError, match="population optimum"):
+            make_problem(chain, AgnosticDeterministic(), w_star=[-0.2, -0.2, -0.2])
         with pytest.raises(ValueError):
             make_problem(make_mc3(2.0, 0.05), AgnosticDeterministic())
 
@@ -359,9 +362,33 @@ class TestSerialization:
         np.testing.assert_array_equal(back.w_star, problem.w_star)
         assert back.unit_norm
 
-    def test_agnostic_w_star_recomputed_on_load(self):
+    def test_stale_agnostic_w_star_rejected_on_load(self):
         problem = make_problem(make_agnostic_bias_chain(0.25), AgnosticDeterministic())
         doc = problem_to_json(problem)
-        doc["w_star"] = [123.0]  # stale value must be ignored, not trusted
-        back = problem_from_json(doc)
-        np.testing.assert_allclose(back.w_star, [-0.2], atol=1e-12)
+        np.testing.assert_array_equal(problem_from_json(doc).w_star, problem.w_star)
+        # an omitted or "agnostic" w_star is the optimum; a stale one raises
+        del doc["w_star"]
+        for given in ({}, {"w_star": "agnostic"}):
+            np.testing.assert_allclose(problem_from_json({**doc, **given}).w_star, [-0.2], atol=1e-12)
+        for stale in ([123.0], [-0.2, -0.2, -0.2]):
+            with pytest.raises(ValueError, match="population optimum"):
+                problem_from_json({**doc, "w_star": stale})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"w_star": [True, False]}, r"^w_star\[0\] must be a finite number, got True"),
+            ({"w_star": [0.5, "0.5"]}, r"^w_star\[1\] must be a finite number"),
+            ({"w_star": 0.5}, "^w_star must be a vector of numbers"),
+            ({"w_star": None}, "^w_star must be a vector of numbers unless the noise is agnostic"),
+            ({"w_star": "agnostic"}, "^w_star must be a vector of numbers unless the noise is agnostic"),
+            ({"unit_norm": "yes"}, "^unit_norm must be true or false, got 'yes'"),
+            ({"unit_norm": 1}, "^unit_norm must be true or false"),
+            ({"A": [[1.0, 0.0], [0.0, 1.0]]}, r"unknown key\(s\) \['A'\] in problem"),
+        ],
+    )
+    def test_problem_misuse_rejected_on_load(self, change, message):
+        # the bools, the string element, both unit_norms and the unknown key used to load
+        problem = make_problem(make_mc3(2.0, 0.05), IndependentGaussian(sigma=0.1), w_star=[0.5, -0.5])
+        with pytest.raises(ValueError, match=message):
+            problem_from_json({**problem_to_json(problem), **change})
