@@ -55,9 +55,15 @@ kernel's one pass wherever a check at load finds it bit-equal to numpy's
 finite-chain states and its noise are drawn, block after block, into two
 per-run blocks its stream owns (see :class:`_Stream`), so the blocks after
 the first take no fresh pages.
-:func:`run_many` splits its seeds into contiguous chunks and runs them on
-threads of the calling process, by default one per usable CPU; runs are
-independent, so the result is the same for any chunking.
+:func:`run_many` cuts its seeds into contiguous tiles and runs them on
+threads of the calling process, by default one per usable CPU: one tile
+per thread, or more where a tile's weights -- runs x instances x dim
+doubles -- would outgrow the memory budget ``_TILE_ELEMS``, as parallel
+SGD's large K does.  Each tile sizes its blocks for the runs the busy
+threads hold at once, so a parallel-SGD block spans many rounds, and a
+batch holds the weights and tail sums of at most one tile per thread, not
+of all R runs.  Runs are independent, so the result is the same for any
+tiling.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
 spawned from its seed -- see :func:`markovsgd.chains.run_generators`; the
@@ -124,6 +130,13 @@ __all__ = [
 
 # Target number of array elements per streamed (samples, runs, dim) block.
 _BLOCK_ELEMS = 4_000_000
+
+# Most weight doubles (runs x instances x dim) in one of run_many's tiles,
+# unless one run holds more: a memory budget of 2 MiB per tile.  Budgets of
+# 2**16..2**20 ran parallel SGD at K = 742 and K = 2756 at one speed, with
+# the peak memory falling as the budget shrinks, to a floor that the sample
+# blocks set.
+_TILE_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +740,10 @@ def _engine(
 ):
     """Run the plan of ``config``'s algorithm for R = len(seeds) runs in lockstep.
 
-    Blocks are sized for ``block_runs`` runs (default R): a chunk of a
-    larger batch passes the batch's run count, so chunks running at once
-    hold no more block memory than the whole batch would.
+    Blocks are sized for ``block_runs`` runs (default R): a tile of a
+    larger batch passes the runs that the busy threads hold at once, so
+    tiles running side by side hold no more block memory than those runs
+    would in one call.
     """
     plan = _PLANS[type(config)](problem, T, config, seeds)
     R, B, per_event = len(seeds), plan.updates, plan.per_event
@@ -1010,11 +1024,19 @@ def run_many(
     ParallelConfig, ReplayConfig).  Aggregation is deterministic: results are
     ordered by the position of each seed in ``seeds``.
 
-    The seeds -- with any per-run ``(R, d)`` rows of ``w_init`` -- are split
-    into at most ``workers`` contiguous chunks, which run on as many threads
-    of this process and are joined in seed order; the default is every CPU
-    the process may run on.  Every run's numbers are the same for any
-    ``workers``, and no thread outlives the call.
+    The seeds -- with any per-run ``(R, d)`` rows of ``w_init`` -- are cut
+    into contiguous tiles: one per worker, or more where that many tiles'
+    weights (runs x instances x dim doubles, ``R * K * d`` in all for
+    parallel SGD) would not each fit the memory budget ``_TILE_ELEMS``.
+    At most ``workers`` threads of this process -- by default one per CPU
+    the process may run on -- take the tiles in seed order and the results
+    join in seed order.  Each tile sizes its sample blocks for the runs the
+    busy threads hold at once, so a tile of parallel SGD takes many rounds
+    per block, and the threads together hold the weights and tail sums of
+    at most ``workers`` tiles.  If a tile raises (a diverging run, say),
+    the tiles after it that have not started are dropped and the error of
+    the first failed tile in seed order is raised.  Every run's numbers are the same for
+    any ``workers`` and any tiling, and no thread outlives the call.
     """
     if type(config) not in _PLANS:
         raise TypeError(f"unsupported config type {type(config).__name__}")
@@ -1026,18 +1048,40 @@ def run_many(
     if R == 0:
         raise ValueError("run_many needs at least one seed")
     per_run = _starts(problem.dim, w_init, R).ndim == 2
-    edges = _chunk_edges(R, _usable_cpus() if workers is None else int(workers))
+    threads = _usable_cpus() if workers is None else int(workers)
+    K = config.num_instances if isinstance(config, ParallelConfig) else 1
+    per_tile = max(1, _TILE_ELEMS // (K * problem.dim))  # runs whose weights fit a tile
+    edges = _chunk_edges(R, max(threads, -(-R // per_tile)))
+    tiles = len(edges) - 1
+    busy = min(threads, tiles)
+    block_runs = R * busy // tiles  # the runs the busy threads hold at once
+    # a flag per tile: a tile taken from the queue before one that fails
+    # may not have reached its check yet, and must still run, as its error
+    # is the one to raise
+    raised = [False] * tiles
 
-    def chunk(lo: int, hi: int) -> BatchResult:
+    def tile(i: int) -> BatchResult | None:
+        if any(raised[:i]):  # a tile after one that raised is not started
+            return None
+        lo, hi = edges[i], edges[i + 1]
         init = np.asarray(w_init)[lo:hi] if per_run else w_init
-        return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints, R)
+        try:
+            return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints, block_runs)
+        except Exception:
+            raised[i] = True
+            raise
 
-    if len(edges) == 2:
-        return chunk(0, R)
-    # the heavy steps (random fills, the compiled loops, large gathers)
-    # release the GIL, so the chunks' threads run on separate cores
-    with ThreadPoolExecutor(max_workers=len(edges) - 1) as pool:
-        parts = list(pool.map(chunk, edges[:-1], edges[1:]))
+    if busy == 1:  # tile after tile on this thread, up to the first that raises
+        parts = list(map(tile, range(tiles)))
+    else:
+        # the heavy steps (random fills, the compiled loops, large gathers)
+        # release the GIL, so the tiles' threads run on separate cores; the
+        # join raises the first failed tile's error in seed order, as every
+        # tile before it has run
+        with ThreadPoolExecutor(max_workers=busy) as pool:
+            parts = list(pool.map(tile, range(tiles)))
+    if tiles == 1:
+        return parts[0]
     first = parts[0]
     return BatchResult(
         estimates=np.concatenate([p.estimates for p in parts]),
@@ -1090,7 +1134,7 @@ def kernel_info() -> dict:
 
 
 def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, block_runs: int) -> BatchResult:
-    """One chunk of :func:`run_many`, its blocks sized for ``block_runs`` runs."""
+    """One tile of :func:`run_many`, its blocks sized for ``block_runs`` runs."""
     out = _engine(
         problem,
         T,

@@ -98,6 +98,10 @@ class ExperimentConfig:
     figure: bool = False
 
     def __post_init__(self):
+        # the config keeps copies, so a document changed after load changes
+        # neither the config nor its hash
+        for name in ("chain", "noise", "w_star", "w_init"):
+            object.__setattr__(self, name, copy.deepcopy(getattr(self, name)))
         if not isinstance(self.figure, bool):
             raise ValueError(f"figure must be true or false, got {self.figure!r}")
         object.__setattr__(self, "name", str(self.name))
@@ -149,10 +153,10 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["algorithms"] = [dict(a) for a in self.algorithms]
+        doc["algorithms"] = list(self.algorithms)
         if self.checkpoints is not None:
             doc["checkpoints"] = list(self.checkpoints)
-        return doc
+        return copy.deepcopy(doc)
 
 
 @dataclass
@@ -242,15 +246,28 @@ def config_hash(config: ExperimentConfig) -> str:
 
     Names, series labels, paths and worker counts stay out of it, and the
     checkpoints enter as the schedule that runs, so an omitted schedule and
-    the default one written out hash the same.
+    the default one written out hash the same.  Numpy scalars and arrays
+    enter as the Python numbers and lists they hold, and a w_star or
+    w_init vector as floats, so ``[1, 0.5]`` and ``[1.0, 0.5]`` hash the
+    same.
     """
     doc = config.to_json()
     for key in _NON_SEMANTIC_KEYS:
         doc.pop(key, None)
     doc["algorithms"] = [{k: v for k, v in a.items() if k != "label"} for a in doc["algorithms"]]
     doc["checkpoints"] = _checkpoint_schedule(config)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    for key in ("w_star", "w_init"):
+        if doc[key] is not None and not isinstance(doc[key], str):
+            doc[key] = [float(v) for v in doc[key]]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_number)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _json_number(value):
+    """A numpy scalar's Python number, or an array's nested list, for :mod:`json`."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
@@ -322,7 +339,9 @@ def _execute_chunk(config: ExperimentConfig, algo, seeds: list, checkpoints: lis
 
 def _seed_chunks(config: ExperimentConfig) -> list[list[int]]:
     """Each series' runs as ``min(workers, num_runs)`` contiguous seed
-    chunks, split as :func:`markovsgd.algorithms.run_many` splits its seeds."""
+    chunks, split as :func:`markovsgd.algorithms.run_many` splits a batch
+    whose weights fit one tile per worker; each chunk's ``run_many`` call
+    cuts it into tiles of its own where they do not."""
     edges = _chunk_edges(config.num_runs, config.workers)
     return [[config.seed + i for i in range(lo, hi)] for lo, hi in zip(edges, edges[1:])]
 

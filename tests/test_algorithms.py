@@ -3,7 +3,10 @@
 import dataclasses
 import math
 import re
+import sys
 import threading
+import time
+import tracemalloc
 import types
 
 import hypothesis.strategies as st
@@ -1216,6 +1219,176 @@ class TestWorkers:
                 gaussian_problem(), 20, SgdConfig(step_size=0.3), self.SEEDS,
                 w_init=np.zeros((3, 4)), workers=2,
             )
+
+
+# ---------------------------------------------------------------------------
+# Tiles: run_many cuts a batch whose weights outgrow a cache into tiles
+# ---------------------------------------------------------------------------
+
+
+def _count_engine_calls(monkeypatch, before=None):
+    """Count the engine's calls, each one tile's; ``before(seeds)`` runs
+    ahead of each."""
+    calls = []
+    engine = algorithms._engine
+
+    def counted(problem, T, config, seeds, **kwargs):
+        calls.append(list(seeds))
+        if before is not None:
+            before(seeds)
+        return engine(problem, T, config, seeds, **kwargs)
+
+    monkeypatch.setattr(algorithms, "_engine", counted)
+    return calls
+
+
+class TestTiles:
+    SEEDS = [401, 402, 403, 404, 405]
+
+    @staticmethod
+    def _weights_per_run(cfg, d):
+        return (cfg.num_instances if isinstance(cfg, ParallelConfig) else 1) * d
+
+    @pytest.mark.parametrize(
+        "kind,cfg", TestWorkers.CASES,
+        ids=["sgd", "dd", "parallel", "er", "finite-sgd", "finite-dd", "finite-parallel", "finite-er"],
+    )
+    def test_every_tiling_gives_the_single_runs_bits(self, kind, cfg, monkeypatch):
+        problem = gaussian_problem(sigma=0.1) if kind == "gaussian" else finite_problem()
+        d, R = problem.dim, len(self.SEEDS)
+        starts = np.linspace(-0.5, 0.5, R * d).reshape(R, d)
+        kw = dict(checkpoints=[0, 9, 30, 48])
+        singles = [run_many(problem, 48, cfg, [s], w_init=starts[i], workers=1, **kw) for i, s in enumerate(self.SEEDS)]
+        calls = _count_engine_calls(monkeypatch)
+        want = None
+        # tiles of R runs (one tile, or one per worker), of 3 runs (2 tiles) and of one run
+        for runs, tiles in ((R, 1), (3, 2), (1, R)):
+            monkeypatch.setattr(algorithms, "_TILE_ELEMS", runs * self._weights_per_run(cfg, d))
+            for workers in (1, 2, 3):
+                calls.clear()
+                batch = run_many(problem, 48, cfg, self.SEEDS, w_init=starts, workers=workers, **kw)
+                assert len(calls) == max(tiles, workers)
+                assert sorted(s for c in calls for s in c) == self.SEEDS
+                for i, one in enumerate(singles):
+                    _assert_run_equal(batch, i, one)
+                got = [batch.estimates.tobytes(), batch.final_iterates.tobytes(), batch.checkpoint_excess.tobytes()]
+                assert want is None or got == want
+                want = got
+
+    def test_a_large_parallel_batch_is_tiled_and_sizes_blocks_for_busy_runs(self, monkeypatch):
+        # R * K * d = 64 * 4096 * 4 doubles: 4 tiles of 16 runs
+        problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
+        cfg = ParallelConfig(SgdConfig(0.2), 4096)
+        seeds = list(range(64))
+        sized = []
+        block_sizes = algorithms._block_sizes
+        monkeypatch.setattr(algorithms, "_block_sizes", lambda runs, dim: sized.append(runs) or block_sizes(runs, dim))
+        calls = _count_engine_calls(monkeypatch)
+        for workers in (1, 2):
+            calls.clear()
+            sized.clear()
+            run_many(problem, 16384, cfg, seeds, workers=workers)
+            assert [len(c) for c in calls] == [16] * 4
+            assert sized == [16 * workers] * 4  # the runs the busy threads hold at once
+
+    def test_batches_that_fit_keep_one_chunk_per_worker(self, monkeypatch):
+        problem = finite_problem()
+        calls = _count_engine_calls(monkeypatch)
+        sized = []
+        block_sizes = algorithms._block_sizes
+        monkeypatch.setattr(algorithms, "_block_sizes", lambda runs, dim: sized.append(runs) or block_sizes(runs, dim))
+        seeds = list(range(1000))
+        run_many(problem, 40, ParallelConfig(SgdConfig(0.2), 20), seeds, workers=2)
+        assert [len(c) for c in calls] == [500, 500]
+        assert sized == [1000, 1000]  # blocks sized for the whole batch, as before tiles
+
+    @pytest.mark.parametrize("loop", ["compiled", "numpy"])
+    def test_peak_memory_stays_that_of_one_tile(self, loop, monkeypatch):
+        if loop == "compiled" and algorithms._load_kernel(4) is None:
+            pytest.skip("the compiled update loop is unavailable here")
+        if loop == "numpy":
+            monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
+        # R * K * d = 64 * 4096 * 4 doubles: 4 tiles of 16 runs
+        problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
+        cfg = ParallelConfig(SgdConfig(0.2), 4096)
+        R, K, d = 64, 4096, 4
+
+        def peak(runs: int) -> int:
+            tracemalloc.start()  # numpy reports its buffers to it
+            try:
+                run_many(problem, 16384, cfg, list(range(runs)), workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_many(problem, 16384, cfg, [0, 1], workers=1)  # the kernel loaded, its checks run
+        one_tile, batch = peak(16), peak(R)
+        # untiled, four tiles' runs peaked 3.4-3.5 times one tile's (28.0
+        # against 8.0 MiB on the compiled loop, 77.1 against 22.8 on numpy's)
+        assert batch < 1.25 * one_tile
+        if loop == "compiled":
+            # and W and its tail sums alone took this
+            assert batch < 2 * R * K * d * 8
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_the_earlier_tile_names_its_first_diverging_run(self, workers, monkeypatch):
+        # runs at w* are fixed points of the noiseless problem; the others
+        # diverge: position 3 (tile 1 of four tiles of two runs), after 228
+        # samples, and positions 4 and 5 (tile 2), seed 13 after 207
+        problem = gaussian_problem(d=3, sigma=0.0)
+        seeds = [10, 11, 12, 14, 13, 15, 16, 17]
+        starts = np.tile(problem.w_star, (8, 1))
+        starts[[3, 4, 5]] = 1.0
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 2 * 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave as finely as they can
+        try:
+            for _ in range(5):
+                # a checkpoint between the two: one batch would name seed 13
+                with pytest.raises(FloatingPointError, match=r"seed 14\b.* after 228 "):
+                    run_many(
+                        problem, 4000, SgdConfig(step_size=50.0), seeds, w_init=starts, checkpoints=[220],
+                        workers=workers,
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_tile_drops_the_tiles_not_started(self, workers, monkeypatch):
+        problem = gaussian_problem(d=3, sigma=0.0)
+        seeds = list(range(20, 28))
+        starts = np.tile(problem.w_star, (8, 1))
+        starts[0] = 1.0  # the first tile diverges
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 3)  # one run per tile
+        started, first_failed = threading.Barrier(workers, timeout=10), threading.Event()
+
+        def hold(tile_seeds):
+            if tile_seeds[0] in seeds[:workers]:  # every thread has a tile before the first fails
+                started.wait()
+            if tile_seeds[0] != seeds[0]:  # and the others finish after it
+                first_failed.wait(timeout=10)
+                time.sleep(0.05)
+
+        calls = _count_engine_calls(monkeypatch, before=hold)
+        engine = algorithms._engine
+
+        def failing(*args, **kwargs):
+            try:
+                return engine(*args, **kwargs)
+            except FloatingPointError:
+                first_failed.set()
+                raise
+
+        monkeypatch.setattr(algorithms, "_engine", failing)
+        threads = threading.enumerate()
+        with pytest.raises(FloatingPointError, match=r"seed 20\b"):
+            run_many(problem, 4000, SgdConfig(step_size=50.0), seeds, w_init=starts, workers=workers)
+        assert len(calls) == workers  # the tiles running when the first failed, and no more
+        assert threading.enumerate() == threads  # no thread outlives the call
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,48 @@ class TestConfig:
         # how it is written shows here
         assert config_hash(ExperimentConfig.from_json(doc)) == digest
 
+    def test_hash_reads_numpy_scalars_as_numbers(self):
+        # they load, as the integer and real checks take them, so they hash
+        plain = sgd_doc(algorithms=[{"name": "parallel_sgd", "step_size": 0.25, "num_instances": 4}])
+        scalars = sgd_doc(
+            chain={"kind": "mc3", "kappa": np.float64(2.0), "delta": np.float32(0.05)},
+            w_star=[np.float32(0.5), np.float64(-0.5)],
+            algorithms=[{"name": "parallel_sgd", "step_size": np.float32(0.25), "num_instances": np.int64(4)}],
+        )
+        # float32(0.05) is not 0.05: the chain holds and hashes float(float32(0.05))
+        widened = sgd_doc(
+            chain={"kind": "mc3", "kappa": 2.0, "delta": float(np.float32(0.05))},
+            algorithms=plain["algorithms"],
+        )
+        assert config_hash(ExperimentConfig.from_json(scalars)) == config_hash(ExperimentConfig.from_json(widened))
+        assert config_hash(ExperimentConfig.from_json(scalars)) != config_hash(ExperimentConfig.from_json(plain))
+
+    def test_hash_reads_vectors_as_floats(self):
+        # [1, 0.5] and [1.0, 0.5] build the same problem and the same start
+        ints = ExperimentConfig.from_json(sgd_doc(w_star=[1, 0.5], w_init=[0, 1]))
+        reals = ExperimentConfig.from_json(sgd_doc(w_star=[1.0, 0.5], w_init=[0.0, 1.0]))
+        assert config_hash(ints) == config_hash(reals)
+        assert config_hash(ints) != config_hash(ExperimentConfig.from_json(sgd_doc(w_star=[1.0, 0.25])))
+
+    def test_a_document_changed_after_load_leaves_the_config(self):
+        doc = sgd_doc(w_init=[0.1, 0.2])
+        config = ExperimentConfig.from_json(doc)
+        want_doc, want_hash = config.to_json(), config_hash(config)
+        doc["chain"]["delta"] = 0.2
+        doc["noise"]["sigma"] = 0.3
+        doc["w_star"][0] = 0.9
+        doc["w_init"][1] = 0.7
+        doc["algorithms"][0]["step_size"] = 0.5
+        assert config.to_json() == want_doc
+        assert config_hash(config) == want_hash
+        assert config.chain == {"kind": "mc3", "kappa": 2.0, "delta": 0.05}
+        # and so does a document to_json returned
+        out = config.to_json()
+        out["chain"]["delta"] = 0.2
+        out["w_star"][0] = 0.9
+        assert config.to_json() == want_doc
+        assert config_hash(config) == want_hash
+
     def test_hash_resolves_the_default_schedule(self):
         implicit = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=None))
         explicit = ExperimentConfig.from_json(sgd_doc(T=1000, checkpoints=default_checkpoints(1000)))
