@@ -1113,10 +1113,12 @@ void msgd_isum(const double *a, int64_t rows, int64_t K, int64_t d, double *out)
 /*
  * Walk R runs of a finite chain n steps by inverse-CDF sampling.
  *
- * lead holds (S, S-1) contiguous doubles: the cumulative transition
- * probabilities of each state without their last column (1.0, which no
- * uniform reaches).  Run r starts in state[r], 0 <= state[r] < S, and its
- * uniforms are u[r*un + i].  Step i moves it to the number of thresholds of
+ * lead holds rows of S-1 contiguous doubles: the cumulative transition
+ * probabilities of each of the S states without their last column (1.0,
+ * which no uniform reaches), then any rows a run may start in but never
+ * reaches, such as the path cursor's stationary row.  Run r starts in
+ * state[r], which lies below the row count, and its uniforms are
+ * u[r*un + i].  Step i moves it to the number of thresholds of
  * its state that u is >= -- the comparisons the numpy walk makes -- and
  * stores that state in out[i*on + r*ro].  That element may be the 8 bytes
  * of u[r*un + i] itself: step i reads its uniform before it stores, and

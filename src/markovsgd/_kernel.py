@@ -366,21 +366,25 @@ class Kernel:
     def walk(self, lead, U, state, out) -> None:
         """Walk ``U.shape[0]`` runs of a finite chain (see ``msgd_walk``).
 
-        ``lead`` is the contiguous ``(S, S-1)`` leading cumulative rows.
-        Run r starts in ``state[r]`` and steps on ``U[r]``; ``out[i, r]``
-        is its state after step i.  ``U`` ``(R, n)`` may be a view whose
-        rows are strided, and ``out`` ``(n, R)`` int64 a view of any
-        strides.  ``out[i, r]`` may be the memory of ``U[r, i]``: the finite
-        cursor draws into an ``(R, n)`` block and passes the block, as
-        float64, for ``U`` and its transposed view, as int64, for ``out``,
-        so each run's uniforms turn into its states in place.
+        ``lead`` is the contiguous leading cumulative rows of an S-state
+        chain, S-1 thresholds each: the S transition rows and any more rows
+        a walk may start in, such as the finite cursor's stationary row.
+        Run r starts in ``state[r]``, below the row count, and steps on
+        ``U[r]``; ``out[i, r]`` is its state after step i.  ``U`` ``(R, n)``
+        may be a view whose rows are strided, and ``out`` ``(n, R)`` int64
+        a view of any strides.  ``out[i, r]`` may be the memory of
+        ``U[r, i]``: the finite cursor draws into an ``(R, n)`` block and
+        passes the block, as float64, for ``U`` and its transposed view, as
+        int64, for ``out``, so each run's uniforms turn into its states in
+        place.
         """
-        S = lead.shape[0]
+        rows, S = len(lead), lead.shape[-1] + 1
         R, n = U.shape
         if n == 0 or R == 0:  # (numpy may give an empty array zero strides)
             return
         if not (
-            lead.shape == (S, S - 1)
+            lead.ndim == 2
+            and rows >= S
             and _is_f64(lead, contiguous=True)
             and _is_f64(U)
             and U.strides[1] == 8
@@ -392,8 +396,8 @@ class Kernel:
             and not any(s % 8 for s in out.strides)
         ):
             raise ValueError("walk: arrays of mismatched shape, dtype or layout")
-        if state.min() < 0 or state.max() >= S:
-            raise ValueError(f"walk: start states must lie in 0..{S - 1}")
+        if state.min() < 0 or state.max() >= rows:
+            raise ValueError(f"walk: start states must lie in 0..{rows - 1}")
         self._walk(
             lead.ctypes.data,
             S,

@@ -806,7 +806,11 @@ def _engine(
 
 
 def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
-    """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run."""
+    """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run.
+
+    A run whose alpha or gamma is non-finite raises FloatingPointError: the
+    first such run in seed order, with the samples it had read then.
+    """
     R = len(seeds)
     d = problem.dim
     W = np.empty((R, d))
@@ -834,6 +838,13 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
             gammas[t + k + 1] = np.linalg.norm(W - w_star, axis=-1)
         t += n
 
+    # bad[t, r]: run r is non-finite after t samples; the first such run in
+    # seed order raises, naming its first such t
+    bad = ~np.isfinite(gammas)
+    bad[1:] |= ~np.isfinite(alphas)
+    failed = np.flatnonzero(bad.any(axis=0))
+    if failed.size:
+        raise _divergence(seeds[failed[0]], int(bad[:, failed[0]].argmax()))
     return {"alphas": alphas, "gammas": gammas, "x_sq_norms": xsq}
 
 
@@ -991,7 +1002,8 @@ def run_lower_bound_trace(problem: Problem, T: int, eta: float, rng, *, w_init=N
     """Noiseless SGD instrumented with alpha_t = <X_t, w_t - w*> and gamma_t.
 
     The proof regime expects eta of at most 0.05 and epsilon^2 > 0.5; outside
-    it a warning is emitted and the trace still runs.
+    it a warning is emitted and the trace still runs; a diverging trace
+    raises FloatingPointError.
     """
     T = _check_trace_inputs(problem, T, eta, [rng])
     out = _trace_engine(problem, T, eta, [rng], w_init=w_init)
@@ -1040,7 +1052,7 @@ def run_many(
     """
     if type(config) not in _PLANS:
         raise TypeError(f"unsupported config type {type(config).__name__}")
-    if workers is not None and (int(workers) != workers or workers < 1):
+    if workers is not None and check_int(workers, "workers") < 1:
         raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
     T = check_int(T, "T")
     seeds = list(seeds)
@@ -1156,7 +1168,10 @@ def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, blo
 
 
 def run_lower_bound_traces(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
-    """Batched lower-bound traces: alphas (T, R), gammas (T+1, R), x_sq_norms (T, R)."""
+    """Batched lower-bound traces: alphas (T, R), gammas (T+1, R), x_sq_norms (T, R).
+
+    A diverging run raises FloatingPointError, as in :func:`run_many`.
+    """
     seeds = list(seeds)
     T = _check_trace_inputs(problem, T, eta, seeds)
     out = _trace_engine(problem, T, eta, seeds, w_init=w_init)

@@ -138,16 +138,6 @@ class FiniteChainSpec:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def state_index(self, state) -> int:
-        """Index of ``state`` among the chain's state vectors."""
-        state = np.asarray(state, dtype=float)
-        if state.shape != (self.dim,):
-            raise ValueError(f"state must have shape ({self.dim},), got {state.shape}")
-        matches = np.where(np.all(np.isclose(self.states, state, atol=1e-12), axis=1))[0]
-        if matches.size == 0:
-            raise ValueError("state is not one of the chain's states")
-        return int(matches[0])
-
     def __eq__(self, other):
         if not isinstance(other, FiniteChainSpec):
             return NotImplemented
@@ -372,9 +362,9 @@ def make_mci(d: int, epsilon: float, delta: float, bits: Sequence[int]) -> Finit
     (spread uniformly over the 2d-1 other states); all other rows leave with
     probability ``eps``.  Every state outputs 1.
     """
-    bits = np.asarray(bits, dtype=int)
-    if bits.shape != (d,) or np.any((bits != 0) & (bits != 1)):
+    if np.ndim(bits) != 1 or len(bits) != d or any(check_int(b, "bits") not in (0, 1) for b in bits):
         raise ValueError(f"bits must be a 0/1 vector of length {d}")
+    bits = np.array(bits, dtype=int)
     if epsilon <= 0 or delta < 0:
         raise ValueError("epsilon must be positive and delta nonnegative")
     if epsilon + delta > 1.0:
@@ -658,91 +648,71 @@ class _Draws:
 class GaussianPathCursor:
     """Streams Gaussian AR paths for a batch of runs, one column per run.
 
-    ``take(n)`` returns the next ``n`` states with shape ``(n, R, d)``.  The
-    first state of the path is ``X_1 = G_1`` (a stationary start) unless an
-    explicit ``start`` point is given.  The recursion
-    ``X_t = c X_{t-1} + eps G_t`` runs step for step -- in the compiled
-    loop, or through scipy's first-order IIR filter when the library is
-    unavailable, with the same bits -- so a path is bit-identical however
-    the ``take`` calls slice it.
+    ``take(n)`` returns the next ``n`` states with shape ``(n, R, d)``.  A
+    path starts stationary, ``X_1 = G_1 / sqrt(d)``; cursors take no start
+    point.  The recursion ``X_t = c X_{t-1} + eps G_t / sqrt(d)`` runs step
+    for step -- in the compiled loop, or through scipy's first-order IIR
+    filter when the library is unavailable, with the same bits -- so a path
+    is bit-identical however the ``take`` calls slice it.
 
-    Each run's block is drawn and filtered in a per-run contiguous
-    ``(R, n, d)`` buffer; ``take`` hands back its ``(n, R, d)`` transposed
-    view, so indexing ``[t]`` gives a strided ``(R, d)`` view and
-    ``[:, r]`` a contiguous ``(n, d)`` block.
+    Each run's block is drawn and filtered in place in a per-run contiguous
+    ``(R, n, d)`` buffer of normals; ``take`` hands back its ``(n, R, d)``
+    transposed view, so indexing ``[t]`` gives a strided ``(R, d)`` view
+    and ``[:, r]`` a contiguous ``(n, d)`` block.
     """
 
-    def __init__(self, spec: GaussianARSpec, rngs, start=None):
+    def __init__(self, spec: GaussianARSpec, rngs):
         self.spec = spec
         self._draws = _Draws.of(rngs)
         self._scale = 1.0 / math.sqrt(spec.dim)
-        self._emit_start = start is not None
-        if start is None:
-            self._x = None  # first innovation becomes X_1
-        else:
-            start = np.asarray(start, dtype=float)
-            if start.shape != (spec.dim,):
-                raise ValueError(f"start must have shape ({spec.dim},)")
-            self._x = np.tile(start, (self.num_runs, 1))
+        self._x = None  # the state before the next take; none before the first
         self._kern = _load_kernel()
 
     @property
     def num_runs(self) -> int:
         return self._draws.num_runs
 
-    def take(self, n: int, with_innovations: bool = False):
-        """Next ``n`` states, shape (n, R, d); optionally also the innovations.
+    def take(self, n: int) -> np.ndarray:
+        """Next ``n`` states, shape (n, R, d).
 
-        The 1/sqrt(d) innovation scale is folded into the filter coefficient,
-        so the raw normals are only rescaled when innovations are requested.
+        The 1/sqrt(d) innovation scale is folded into the filter coefficient.
         """
         c = self.spec.decay
         b = self.spec.epsilon * self._scale
-        G = np.empty((self.num_runs, n, self.spec.dim))
+        X = np.empty((self.num_runs, n, self.spec.dim))
         if n == 0:
-            X = G.transpose(1, 0, 2)
-            return (X, X) if with_innovations else X
-        self._draws.fill(G, normal=True)
-        first = None
-        if self._x is None:
-            first = G[:, 0] * self._scale  # stationary start: X_1 = G_1 / sqrt(d)
-        elif self._emit_start:
-            # the explicit start is the path's first state; G[:, 0] is drawn
-            # but discarded, keeping the stream layout of the stationary case
-            first = self._x
-            self._emit_start = False
-        # without innovations to return, the path overwrites the normals
-        X = G if self._kern is not None and not with_innovations else np.empty_like(G)
-        lo, prev = (0, self._x) if first is None else (1, first)
-        if first is not None:
-            X[:, 0] = first
+            return X.transpose(1, 0, 2)
+        self._draws.fill(X, normal=True)
+        lo, prev = 0, self._x
+        if prev is None:
+            prev = X[:, 0] * self._scale  # stationary start: X_1 = G_1 / sqrt(d)
+            X[:, 0] = prev
+            lo = 1
         if n > lo:
             if self._kern is not None:
-                self._kern.ar(G[:, lo:], X[:, lo:], b, c, prev)
+                self._kern.ar(X[:, lo:], X[:, lo:], b, c, prev)
             else:
                 # scipy.signal takes over a second to import; only the
                 # fallback needs it
                 from scipy.signal import lfilter
 
-                X[:, lo:], _ = lfilter([b], [1.0, -c], G[:, lo:], axis=1, zi=(c * prev)[:, None])
+                X[:, lo:], _ = lfilter([b], [1.0, -c], X[:, lo:], axis=1, zi=(c * prev)[:, None])
         self._x = X[:, -1].copy()
-        X = X.transpose(1, 0, 2)
-        if with_innovations:
-            G *= self._scale
-            return X, G.transpose(1, 0, 2)
-        return X
+        return X.transpose(1, 0, 2)
 
 
 # A finite-chain step is the random-mapping representation
 #   next = f(state, u) = #{j : u >= cum[state, j]},  u ~ U[0, 1),
 # i.e. inverse-CDF sampling from the state's cumulative transition row.
 # cum[state, -1] = 1.0 > u never counts, so only the S-1 leading thresholds
-# of each row matter.  The compiled walk (msgd_walk in _kernel.c) counts
-# them for four runs side by side, step by step, so the CPU overlaps the
-# steps of different runs, each of which waits on its run's last state
-# (unrolled, with no loop between them, for up to 8 thresholds);
-# without the library, _walk_words steps all runs at once with four ufunc
-# calls per step.  Both evaluate exactly these
+# of each row matter.  One more row, S, holds the stationary law's leading
+# cumulative sums: every run starts in that row, so a path's first state is
+# a stationary draw made by the same step.  The compiled walk (msgd_walk in
+# _kernel.c) counts the thresholds for four runs side by side, step by
+# step, so the CPU overlaps the steps of different runs, each of which
+# waits on its run's last state (unrolled, with no loop between them, for
+# up to 8 thresholds); without the library, _walk_words steps all runs at
+# once with four ufunc calls per step.  Both evaluate exactly these
 # comparisons, so they give the same path bit for bit.
 
 
@@ -752,10 +722,11 @@ def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: n
     ``out[t, r]`` may share its 8 bytes with ``U[r, t]``: step t reads all
     of ``U[:, t]`` before it writes ``out[t]``.
 
-    ``thresholds`` is ``(S, width)`` with ``width`` 1, 2, 4 or a multiple of
-    8, padded with 2.0 (never ``<= u``).  Each run's comparison bytes form one
-    unsigned word (whole ``uint64`` words past 8), so the count is one
-    ``bitwise_count`` of that word (a sum over its words past 8).
+    ``thresholds`` has one row per state the walk may be in and ``width``
+    1, 2, 4 or a multiple of 8 columns, padded with 2.0 (never ``<= u``).
+    Each run's comparison bytes form one unsigned word (whole ``uint64``
+    words past 8), so the count is one ``bitwise_count`` of that word (a
+    sum over its words past 8).
     """
     R, width = state.shape[0], thresholds.shape[1]
     row = np.empty((R, width))
@@ -781,17 +752,17 @@ def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: n
 
 
 def _make_walk(lead: np.ndarray, kern):
-    """The walk ``walk(U, state, out)`` of a chain whose rows of cumulative
-    transition probabilities, without their last column, are ``lead``
-    (S, S-1): run r steps on the uniforms ``U[r]`` from ``state[r]``, and
-    ``out[t, r]`` is its state after step t, and may share its memory with
-    ``U[r, t]``.  ``kern`` is the compiled library, or None for the numpy
-    walk."""
+    """The walk ``walk(U, state, out)`` of an S-state chain whose rows of
+    S-1 leading cumulative probabilities are ``lead`` -- the S transition
+    rows, and any more rows a walk may start in: run r steps on the
+    uniforms ``U[r]`` from ``state[r]``, and ``out[t, r]`` is its state
+    after step t, and may share its memory with ``U[r, t]``.  ``kern`` is
+    the compiled library, or None for the numpy walk."""
     if kern is not None:
         return partial(kern.walk, np.ascontiguousarray(lead))
-    S = lead.shape[0]
+    S = lead.shape[1] + 1
     width = 1 << (S - 2).bit_length() if S <= 9 else -(-(S - 1) // 8) * 8
-    thresholds = np.full((S, width), 2.0)
+    thresholds = np.full((lead.shape[0], width), 2.0)
     thresholds[:, : S - 1] = lead
     return partial(_walk_words, thresholds)
 
@@ -799,10 +770,10 @@ def _make_walk(lead: np.ndarray, kern):
 class FinitePathCursor:
     """Streams finite-chain state indices for a batch of runs.
 
-    ``take(n)`` returns the next ``n`` state indices with shape ``(n, R)``.
-    Without an explicit start the first state is drawn from the stationary
-    law, consuming one uniform; every subsequent state consumes one uniform
-    per run.
+    ``take(n)`` returns the next ``n`` state indices with shape ``(n, R)``;
+    each state consumes one uniform per run.  A path starts stationary:
+    its first state is a walk step from the stationary row, in which every
+    run starts.  Cursors take no start state.
 
     The layout is per run.  ``take`` allocates one fresh ``(R, n)`` block
     of 8-byte words and draws run r's uniforms into row r of it, read as
@@ -815,25 +786,16 @@ class FinitePathCursor:
     that is done with a block may hand its memory in again (``out``).
     """
 
-    def __init__(self, spec: FiniteChainSpec, rngs, start=None):
+    def __init__(self, spec: FiniteChainSpec, rngs):
         self.spec = spec
         self._draws = _Draws.of(rngs)
         cum = np.cumsum(spec.transition, axis=1)
-        cum /= cum[:, -1:]
-        self._walk = _make_walk(cum[:, :-1], _load_kernel())
-        if start is None:
-            self._start_idx = None
-        else:
-            self._start_idx = int(
-                start if isinstance(start, (int, np.integer)) else spec.state_index(start)
-            )
-            if not 0 <= self._start_idx < spec.num_states:
-                raise ValueError(f"start index must lie in 0..{spec.num_states - 1}, got {start}")
-        self._emitted_first = False
-        self._state: np.ndarray | None = None
-        cpi = np.cumsum(stationary(spec))
-        cpi[-1] = 1.0
-        self._cum_pi = cpi
+        # the normalised cumulative transition rows, then the stationary
+        # law's cumulative sums, the row every run starts in; each without
+        # its last column
+        lead = np.vstack([(cum / cum[:, -1:])[:, :-1], np.cumsum(stationary(spec))[:-1]])
+        self._walk = _make_walk(lead, _load_kernel())
+        self._state = np.full(self.num_runs, spec.num_states, dtype=np.int64)
 
     @property
     def num_runs(self) -> int:
@@ -851,32 +813,21 @@ class FinitePathCursor:
             out = np.empty((self.num_runs, n), dtype=np.int64).T
         elif not (out.shape == (n, self.num_runs) and out.dtype == np.int64 and out.T.flags.c_contiguous):
             raise ValueError(f"take: out must be an int64 ({n}, {self.num_runs}) array with a C-contiguous transpose")
-        block = out.T
         if n == 0:
             return out
         # the uniforms go into the state block itself; each step overwrites
         # the uniform it has read with the state it picks
-        U = self._draws.fill(block.view(np.float64), normal=False)
-        lo = 0
-        if not self._emitted_first:
-            if self._start_idx is None:
-                out[0] = np.searchsorted(self._cum_pi, U[:, 0], side="right")
-            else:
-                out[0] = self._start_idx  # U[:, 0] is discarded for layout parity
-            self._emitted_first = True
-            lo = 1
-        state = out[0].copy() if lo else self._state  # the compiled walk reads it contiguous
-        self._walk(U[:, lo:], state, out[lo:])
-        self._state = out[-1].copy()
+        self._walk(self._draws.fill(out.T.view(np.float64), normal=False), self._state, out)
+        self._state = out[-1].copy()  # the compiled walk reads it contiguous
         return out
 
 
-def make_cursor(spec: ChainSpec, rngs, start=None):
-    """Path cursor for either chain family.
+def make_cursor(spec: ChainSpec, rngs):
+    """Path cursor for either chain family, its paths starting stationary.
 
     ``rngs`` holds one generator per run, or is the draws of seeded streams
     (:func:`_run_streams`).
     """
     if isinstance(spec, GaussianARSpec):
-        return GaussianPathCursor(spec, rngs, start=start)
-    return FinitePathCursor(spec, rngs, start=start)
+        return GaussianPathCursor(spec, rngs)
+    return FinitePathCursor(spec, rngs)

@@ -82,15 +82,13 @@ class CirculantSpec:
 class SpectralReport:
     """Spectrum summary with the perturbation norms that accompany it.
 
-    ``frobenius_P`` is ``||Z - C||_F`` (circulant reports), and
-    ``gram_perturbation`` is ``||M - Z||_F`` (sampled-buffer reports);
-    whichever does not apply is ``None``.  ``rank_warning`` flags Gram
-    matrices of more samples than ambient dimensions, whose trailing
+    ``gram_perturbation`` is ``||M - Z||_F`` against the Toeplitz model Z
+    when an ``epsilon`` was given, else ``None``.  ``rank_warning`` flags
+    Gram matrices of more samples than ambient dimensions, whose trailing
     eigenvalues are structurally zero.
     """
 
     eigenvalues: np.ndarray  # sorted descending
-    frobenius_P: float | None = None
     gram_perturbation: float | None = None
     rank_warning: bool = False
 
@@ -100,7 +98,6 @@ class SpectralReport:
     def to_json(self) -> dict:
         return {
             "eigenvalues": self.eigenvalues.tolist(),
-            "frobenius_P": self.frobenius_P,
             "gram_perturbation": self.gram_perturbation,
             "rank_warning": self.rank_warning,
         }

@@ -957,6 +957,25 @@ class TestLowerBoundTrace:
         with pytest.raises(ValueError, match="at least one seed"):
             run_lower_bound_traces(self._problem(), 50, 0.04, [])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:outside the proof regime:UserWarning")
+    def test_a_diverging_trace_raises(self):
+        # eta = 50 blows up every run from a unit start: gamma overflows after
+        # 137 samples on seed 1 and after 126 on seed 3
+        problem = self._problem(d=3)
+        e1 = np.eye(3)[0]
+        message = "run with seed 1 diverged: non-finite iterate after 137 stream samples"
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            run_lower_bound_trace(problem, 2000, 50.0, 1, w_init=e1)
+        # seed 7 starts at w* and never moves; seed 1 is the first to fail in
+        # seed order, though seed 3 fails sooner
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            run_lower_bound_traces(problem, 2000, 50.0, [7, 1, 3], w_init=[np.zeros(3), e1, e1])
+        # one sample sooner the trace is finite
+        trace = run_lower_bound_trace(problem, 136, 50.0, 1, w_init=e1)
+        assert np.isfinite(trace.gammas).all() and np.isfinite(trace.alphas).all()
+
     def test_takes_one_start_per_run(self):
         problem = self._problem()
         starts = np.eye(4)[:2]
@@ -1208,7 +1227,7 @@ class TestWorkers:
         assert pooled.checkpoint_steps is None and pooled.checkpoint_excess is None
         assert pooled.estimates.tobytes() == serial.estimates.tobytes()
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, False, "2"])
     def test_invalid_worker_counts_rejected(self, workers):
         with pytest.raises(ValueError):
             run_many(gaussian_problem(), 20, SgdConfig(step_size=0.3), self.SEEDS, workers=workers)

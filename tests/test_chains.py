@@ -140,6 +140,18 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_mci(3, 0.1, 0.05, (1, 0, 2))  # non-binary bits
 
+    @pytest.mark.parametrize("bits", [[1.7, True, 0], [0.9, 0, 1], [1, 0, True], [1, 0, "1"], 101])
+    def test_mci_rejects_bits_that_are_not_integers(self, bits):
+        with pytest.raises(ValueError, match="bits"):
+            make_mci(3, 0.1, 0.05, bits)
+        with pytest.raises(ValueError, match="bits"):
+            chain_from_json({"kind": "mci", "d": 3, "epsilon": 0.1, "delta": 0.05, "bits": bits})
+
+    def test_mci_takes_integral_bits(self):
+        want = make_mci(3, 0.1, 0.05, (1, 0, 1))
+        assert make_mci(3, 0.1, 0.05, [1.0, 0, np.int64(1)]) == want
+        assert make_mci(3, 0.1, 0.05, np.array([1, 0, 1])).meta["bits"] == [1, 0, 1]
+
     def test_agnostic_bias_chain(self):
         chain = make_agnostic_bias_chain(0.25)
         np.testing.assert_array_equal(chain.states, [[0.5], [-1.0]])
@@ -195,13 +207,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             GaussianARSpec(dim=4, epsilon=1.5)
         assert GaussianARSpec(dim=4, epsilon=1.0).decay == 0.0
-
-    def test_state_index(self):
-        chain = make_mc3(2.0, 0.05)
-        assert chain.state_index([1.0, 0.0]) == 0
-        assert chain.state_index([0.0, 1.0]) == 1
-        with pytest.raises(ValueError):
-            chain.state_index([0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +474,17 @@ class TestCursors:
         ref = FinitePathCursor(spec, [run_generators(77)[0]]).take(10)
         np.testing.assert_array_equal(path, ref)
 
+    @staticmethod
+    def _path_and_innovations(spec, seed, n):
+        """A one-run path of ``n`` states and its innovations ``G_t / sqrt(d)``,
+        the normals recomputed from a copy of the cursor's own generator."""
+        X = GaussianPathCursor(spec, [run_generators(seed)[0]]).take(n)[:, 0]
+        G = run_generators(seed)[0].standard_normal((n, spec.dim)) * (1.0 / math.sqrt(spec.dim))
+        return X, G
+
     def test_gaussian_recursion_and_innovations(self):
         spec = GaussianARSpec(dim=8, epsilon=0.4)
-        cur = GaussianPathCursor(spec, [run_generators(5)[0]])
-        X, G = cur.take(200, with_innovations=True)
+        X, G = self._path_and_innovations(spec, 5, 200)
         c, eps = spec.decay, spec.epsilon
         np.testing.assert_allclose(
             X[1:], c * X[:-1] + eps * G[1:], atol=1e-14
@@ -486,23 +498,9 @@ class TestCursors:
         sq = (X**2).sum(axis=1)
         assert abs(sq.mean() - 1.0) < 0.05
         # innovations are independent of the past state
-        cur = GaussianPathCursor(spec, [run_generators(10)[0]])
-        X, G = cur.take(20000, with_innovations=True)
-        corr = (X[:-1, 0, :] * G[1:, 0, :]).sum(axis=1)
+        X, G = self._path_and_innovations(spec, 10, 20000)
+        corr = (X[:-1] * G[1:]).sum(axis=1)
         assert abs(corr.mean()) < 5.0 / math.sqrt(len(corr))
-
-    def test_explicit_start_is_first_state(self):
-        spec = GaussianARSpec(dim=3, epsilon=0.5)
-        w0 = np.array([0.1, -0.2, 0.3])
-        X = GaussianPathCursor(spec, [run_generators(1)[0]], start=w0).take(4)
-        np.testing.assert_array_equal(X[0, 0], w0)
-        chain = make_mc3(2.0, 0.05)
-        out = FinitePathCursor(chain, [run_generators(1)[0]], start=1).take(4)
-        assert out[0, 0] == 1
-
-    def test_gaussian_start_shape_check(self):
-        with pytest.raises(ValueError):
-            GaussianPathCursor(GaussianARSpec(3, 0.5), [run_generators(0)[0]], start=np.zeros(2))
 
     def test_finite_cursor_state_frequencies(self):
         # long-path state frequencies approach the stationary law
@@ -530,14 +528,13 @@ class TestCursors:
             np.testing.assert_array_equal(batch[:, i, :], solo[:, 0, :])
 
 
-def _stacked_takes(spec, seeds, splits, start=None, with_innovations=False):
+def _stacked_takes(spec, seeds, splits):
     """Reference Gaussian path in the (n, R, d) layout: each block's normals
     are stacked along axis 1 and filtered along axis 0."""
     rngs = [run_generators(s)[0] for s in seeds]
     scale = 1.0 / math.sqrt(spec.dim)
     c, eps = spec.decay, spec.epsilon
-    x = None if start is None else np.tile(start, (len(rngs), 1))
-    emit = start is not None
+    x = None
     blocks = []
     for n in splits:
         G = np.stack([rng.standard_normal((n, spec.dim)) for rng in rngs], axis=1)
@@ -546,15 +543,11 @@ def _stacked_takes(spec, seeds, splits, start=None, with_innovations=False):
         if x is None:
             np.multiply(G[0], scale, out=X[0])
             lo = 1
-        elif emit:
-            X[0] = x
-            emit = False
-            lo = 1
         prev = X[0] if lo else x
         if lo < n:
             X[lo:], _ = lfilter([eps * scale], [1.0, -c], G[lo:], axis=0, zi=(c * prev)[None])
         x = X[-1].copy()
-        blocks.append((X, G * scale) if with_innovations else X)
+        blocks.append(X)
     return blocks
 
 
@@ -562,25 +555,17 @@ class TestGaussianCursorLayout:
     """The per-run (R, n, d) cursor gives the stacked-layout path bit for bit."""
 
     @pytest.mark.parametrize("seeds", [(21,), (21, 22, 23)], ids=["R1", "R3"])
-    @pytest.mark.parametrize("start", [None, (0.3, -0.1, 0.2, 0.05, -0.4)], ids=["stationary", "start"])
-    @pytest.mark.parametrize("with_innovations", [False, True], ids=["states", "innovations"])
+    @pytest.mark.parametrize("eps", [1e-3, 0.37, 0.9, 1.0])  # 1.0: no decay, white noise
     @pytest.mark.parametrize("splits", [(12,), (1, 11), (5, 1, 6), (4, 4, 3, 1)])
     @pytest.mark.parametrize("path", PATHS)
-    def test_matches_stacked_reference(self, seeds, start, with_innovations, splits, path):
-        spec = GaussianARSpec(dim=5, epsilon=0.37)
-        w0 = None if start is None else np.array(start)
+    def test_matches_stacked_reference(self, seeds, eps, splits, path):
+        spec = GaussianARSpec(dim=5, epsilon=eps)
         with sampling_path(path):
-            cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds], start=w0)
-        ref = _stacked_takes(spec, seeds, splits, start=w0, with_innovations=with_innovations)
-        for n, want in zip(splits, ref):
-            got = cur.take(n, with_innovations=with_innovations)
-            if with_innovations:
-                assert got[0].shape == got[1].shape == (n, len(seeds), spec.dim)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-            else:
-                assert got.shape == (n, len(seeds), spec.dim)
-                np.testing.assert_array_equal(got, want)
+            cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds])
+        for n, want in zip(splits, _stacked_takes(spec, seeds, splits)):
+            got = cur.take(n)
+            assert got.shape == (n, len(seeds), spec.dim)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestARFilter:
@@ -592,36 +577,24 @@ class TestARFilter:
         d=st.integers(1, 11),
         eps=st.sampled_from([1e-3, 0.05, 0.37, 0.9, 1.0]) | st.floats(1e-3, 1.0),
         splits=st.lists(st.integers(0, 300), min_size=1, max_size=4),
-        start=st.sampled_from(["stationary", "random", "zeros"]),
-        with_innovations=st.booleans(),
         seed=st.integers(0, 2**32 - 20),
     )
-    def test_cursor_paths_agree(self, R, d, eps, splits, start, with_innovations, seed):
+    def test_cursor_paths_agree(self, R, d, eps, splits, seed):
         spec = GaussianARSpec(dim=d, epsilon=eps)
-        rng = np.random.default_rng(seed)
-        w0 = {
-            "stationary": None,
-            "random": rng.uniform(-1, 1, d),
-            "zeros": np.where(rng.random(d) < 0.5, -0.0, 0.0),  # signed zeros
-        }[start]
         seeds = [seed + i for i in range(R)]
         takes = {}
         for path in ("c", "numpy"):
             with sampling_path(path):
-                cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds], start=w0)
-            takes[path] = [cur.take(n, with_innovations=with_innovations) for n in splits]
+                cur = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds])
+            takes[path] = [cur.take(n) for n in splits]
         for got, want, n in zip(takes["c"], takes["numpy"], splits):
-            got, want = (got, want) if with_innovations else ((got,), (want,))
-            for a, b in zip(got, want):
-                assert a.shape == (n, R, d)
-                assert a.tobytes() == b.tobytes()
+            assert got.shape == (n, R, d)
+            assert got.tobytes() == want.tobytes()
         # an empty take draws nothing, so the reference skips it
         nonempty = [n for n in splits if n]
-        ref = _stacked_takes(spec, seeds, nonempty, start=w0, with_innovations=with_innovations)
+        ref = _stacked_takes(spec, seeds, nonempty)
         for got, want in zip([t for t, n in zip(takes["c"], splits) if n], ref):
-            got, want = (got, want) if with_innovations else ((got,), (want,))
-            for a, b in zip(got, want):
-                assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @requires_library
     @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
@@ -681,16 +654,13 @@ def _cumulative_rows(spec):
     return cum
 
 
-def _reference_path(spec, seeds, n, start=None):
-    """n states per run: uniforms stacked per run, the first state from the
-    stationary law (or ``start``), then the reference walk."""
+def _reference_path(spec, seeds, n):
+    """n states per run: uniforms stacked per run, the first state searched
+    in the stationary law's cumulative sums, then the reference walk."""
     U = np.stack([run_generators(s)[0].random(n) for s in seeds], axis=1)
-    if start is None:
-        cpi = np.cumsum(stationary(spec))
-        cpi[-1] = 1.0
-        first = np.searchsorted(cpi, U[0], side="right")
-    else:
-        first = np.full(len(seeds), start, dtype=np.int64)
+    cpi = np.cumsum(stationary(spec))
+    cpi[-1] = 1.0
+    first = np.searchsorted(cpi, U[0], side="right")
     return np.concatenate([first[None], _reference_walk(_cumulative_rows(spec), U[1:], first)])
 
 
@@ -704,8 +674,8 @@ def _random_chain(S, seed):
     return FiniteChainSpec(np.eye(S), P)
 
 
-def _cursor_path(spec, seeds, splits, start=None):
-    cur = FinitePathCursor(spec, [run_generators(s)[0] for s in seeds], start=start)
+def _cursor_path(spec, seeds, splits):
+    cur = FinitePathCursor(spec, [run_generators(s)[0] for s in seeds])
     blocks = [cur.take(n) for n in splits]
     assert all(b.shape == (n, len(seeds)) for b, n in zip(blocks, splits))
     return np.concatenate(blocks)
@@ -728,17 +698,37 @@ class TestFiniteWalks:
 
     @pytest.mark.parametrize("S", sorted(WALK_CHAINS))
     @pytest.mark.parametrize("R", [1, 24, 25, 64], ids=["R1", "R24", "R25", "R64"])
-    @pytest.mark.parametrize("start", [None, 1], ids=["stationary", "start"])
     @pytest.mark.parametrize("path", PATHS)
-    def test_cursor_matches_reference(self, S, R, start, path):
+    def test_cursor_matches_reference(self, S, R, path):
         spec = WALK_CHAINS[S]()
         assert spec.num_states == S
         seeds = [500 + i for i in range(R)]
         splits = (1, 37, 5, 1, 156)
-        want = _reference_path(spec, seeds, sum(splits), start=start)
+        want = _reference_path(spec, seeds, sum(splits))
         with sampling_path(path):
-            got = _cursor_path(spec, seeds, splits, start=start)
+            got = _cursor_path(spec, seeds, splits)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("S", sorted(WALK_CHAINS))
+    @pytest.mark.parametrize("R", [1, 24, 25, 64], ids=["R1", "R24", "R25", "R64"])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_walk_from_a_state_matches_reference(self, S, R, path):
+        # a walk from a transition row, resumed block by block from each
+        # block's last states, as a cursor's takes after its first are
+        spec = WALK_CHAINS[S]()
+        cum = _cumulative_rows(spec)
+        splits = (1, 37, 5, 1, 156)
+        U = np.stack([run_generators(500 + i)[0].random(sum(splits)) for i in range(R)])
+        with sampling_path(path):
+            walk = _make_walk(np.ascontiguousarray(cum[:, :-1]), chains._load_kernel())
+        state, blocks, lo = np.ones(R, dtype=np.int64), [], 0
+        for n in splits:
+            out = np.empty((n, R), dtype=np.int64)
+            walk(U[:, lo : lo + n], state, out)
+            state, lo = out[-1].copy(), lo + n
+            blocks.append(out)
+        want = _reference_walk(cum, U.T, np.ones(R, dtype=np.int64))
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
 
     @pytest.mark.parametrize("R", [1, 25])
     @pytest.mark.parametrize("path", PATHS)
@@ -819,8 +809,24 @@ class TestFiniteWalks:
             kern.walk(lead, U, np.array([0, 4]), out)
         with pytest.raises(ValueError, match="layout"):
             kern.walk(lead, U, np.array([0, 1]), out.T)
-        with pytest.raises(ValueError, match="start index"):
-            FinitePathCursor(make_mc0(4, 0.125), [run_generators(1)[0]], start=4)
+        with pytest.raises(ValueError, match="layout"):  # fewer rows than the chain's states
+            kern.walk(np.ascontiguousarray(lead[:3]), U, np.array([0, 1]), out)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_walk_starts_in_the_stationary_row(self, path):
+        # row S holds the stationary law's leading cumulative sums: a start
+        # there steps to a stationary draw, and a start past it is an error
+        spec, seeds = _random_chain(5, 3), (8, 9, 10)
+        lead = np.ascontiguousarray(np.vstack([_cumulative_rows(spec)[:, :-1], np.cumsum(stationary(spec))[:-1]]))
+        U = np.stack([run_generators(s)[0].random(40) for s in seeds])
+        with sampling_path(path):
+            walk = _make_walk(lead, chains._load_kernel())
+        out = np.empty((40, 3), dtype=np.int64)
+        walk(U, np.full(3, 5), out)
+        np.testing.assert_array_equal(out, _reference_path(spec, seeds, 40))
+        if path == "c":
+            with pytest.raises(ValueError, match=r"start states must lie in 0\.\.5"):
+                walk(U, np.full(3, 6), out)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -828,17 +834,15 @@ class TestFiniteWalks:
         R=st.sampled_from([1, 2, 24, 25, 40]),
         splits=st.lists(st.integers(0, 30), min_size=1, max_size=5).filter(any),
         seed=st.integers(0, 2**32 - 1),
-        start=st.none() | st.integers(0, 11),
     )
-    def test_takes_concatenate_to_one_take_and_reference(self, S, R, splits, seed, start):
+    def test_takes_concatenate_to_one_take_and_reference(self, S, R, splits, seed):
         # from S = 10 the numpy walk sums its counts over several uint64 words
         spec = _random_chain(S, seed) if S > 1 else FiniteChainSpec(np.eye(1), [[1.0]])
-        start = None if start is None else start % S
         seeds = [seed + i for i in range(R)]
-        want = _reference_path(spec, seeds, sum(splits), start=start)
+        want = _reference_path(spec, seeds, sum(splits))
         for path in ("c", "numpy") if chains._load_kernel() is not None else ("numpy",):
             with sampling_path(path):
-                got = _cursor_path(spec, seeds, splits, start=start)
-                whole = _cursor_path(spec, seeds, [sum(splits)], start=start)
+                got = _cursor_path(spec, seeds, splits)
+                whole = _cursor_path(spec, seeds, [sum(splits)])
             np.testing.assert_array_equal(got, whole)
             np.testing.assert_array_equal(got, want)

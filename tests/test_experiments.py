@@ -887,6 +887,28 @@ class TestWorkerPool:
         assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
         assert pools["cancelled"] == ([True] if workers > 1 else [])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:outside the proof regime:UserWarning")
+    def test_diverging_trace_writes_no_csv(self, tmp_path):
+        doc = {
+            "chain": {"kind": "gaussian_ar", "dim": 3, "epsilon": 0.9},
+            "noise": {"kind": "noiseless"},
+            "w_star": [0.0, 0.0, 0.0],
+            "w_init": [1.0, 0.0, 0.0],
+            "algorithms": [
+                {"name": "sgd", "step_size": 0.1, "label": "first"},
+                {"name": "lower_bound_trace", "eta": 50.0, "label": "trace"},
+            ],
+            "T": 2000,
+            "num_runs": 1,
+            "seed": 1,
+            "output": str(tmp_path / "out"),
+        }
+        with pytest.raises(FloatingPointError, match="^run with seed 1 diverged: non-finite iterate after 137 "):
+            run_experiment(ExperimentConfig.from_json(doc))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["experiment_first.csv", "experiment_first.json"]
+
 
 class TestCsvRoundTrip:
     def test_bad_header_rejected(self, tmp_path):

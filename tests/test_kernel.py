@@ -456,11 +456,12 @@ class TestRunsSideBySide:
 
     @pytest.mark.parametrize("R", [1, 3, 4, 5, 9])
     def test_walk_equals_its_single_runs(self, R):
+        # the five transition rows and the stationary row a cursor starts in
         spec = make_mc0(5, 0.3)
         cum = np.cumsum(spec.transition, axis=1)
-        lead = np.ascontiguousarray(cum[:, :-1] / cum[:, -1:])
+        lead = np.ascontiguousarray(np.vstack([cum[:, :-1] / cum[:, -1:], np.cumsum(chains.stationary(spec))[:-1]]))
         rng = np.random.default_rng(R)
-        U, state, n = rng.uniform(size=(R, 50)), rng.integers(0, 5, R), 50
+        U, state, n = rng.uniform(size=(R, 50)), rng.integers(0, 6, R), 50
         kern = _kernel.library()
         out = np.empty((n, R), dtype=np.int64)
         kern.walk(lead, U, state, out)
@@ -657,11 +658,19 @@ class TestGeneratorDraws:
 
     def test_gaussian_cursor_draws_the_method_normals(self):
         seeds, d, splits = [11, 12, 13], 3, (1, 40, 7)
-        cursor = GaussianPathCursor(GaussianARSpec(dim=d, epsilon=0.2), [run_generators(s)[0] for s in seeds])
-        got = np.concatenate([cursor.take(n, with_innovations=True)[1] for n in splits])
+        spec = GaussianARSpec(dim=d, epsilon=0.2)
+        cursor = GaussianPathCursor(spec, [run_generators(s)[0] for s in seeds])
+        got = np.concatenate([cursor.take(n) for n in splits])
         rngs = [run_generators(s)[0] for s in seeds]
-        want = np.concatenate([_method_draws(rngs, n * d, True).reshape(len(seeds), n, d) for n in splits], axis=1)
-        assert got.tobytes() == np.ascontiguousarray((want * (1.0 / np.sqrt(d))).transpose(1, 0, 2)).tobytes()
+        G = np.concatenate([_method_draws(rngs, n * d, True).reshape(len(seeds), n, d) for n in splits], axis=1)
+        # the AR recursion step by step on the normals, from X_1 = G_1 / sqrt(d)
+        scale = 1.0 / np.sqrt(d)
+        b, c = spec.epsilon * scale, spec.decay
+        want = np.empty((G.shape[1], len(seeds), d))
+        want[0] = G[:, 0] * scale
+        for t in range(1, G.shape[1]):
+            want[t] = b * G[:, t] + c * want[t - 1]
+        assert got.tobytes() == want.tobytes()
 
     def test_finite_cursor_walks_the_method_uniforms(self):
         spec, seeds, splits = make_mc0(5, 0.3), [11, 12, 13], (1, 40, 7)
@@ -1215,7 +1224,6 @@ class TestLoader:
             cursors = [
                 FinitePathCursor(finite, [run_generators(s)[0] for s in seeds]),
                 GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds]),
-                GaussianPathCursor(gaussian, [run_generators(s)[0] for s in seeds], start=[0.1, -0.0, 0.2]),
             ]
             return [np.concatenate([cur.take(n) for n in splits]).tobytes() for cur in cursors]
 

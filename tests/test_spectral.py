@@ -128,7 +128,6 @@ class TestGramSpectrum:
         report = gram_spectrum(x[None, :])
         np.testing.assert_allclose(report.eigenvalues, [0.25], rtol=1e-14)
         assert not report.rank_warning
-        assert report.frobenius_P is None
         assert report.gram_perturbation is None
 
     def test_eigenvalues_sorted_and_near_psd(self):
@@ -159,7 +158,7 @@ class TestGramSpectrum:
 
     def test_to_json_fields(self):
         doc = gram_spectrum(np.eye(3), epsilon=0.5).to_json()
-        assert set(doc) == {"eigenvalues", "frobenius_P", "gram_perturbation", "rank_warning"}
+        assert set(doc) == {"eigenvalues", "gram_perturbation", "rank_warning"}
 
 
 class TestSampling:
