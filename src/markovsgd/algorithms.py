@@ -825,18 +825,20 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
 
     block = _block_sizes(R, d)
     t = 0
-    while t < T:
-        n = min(block, T - t)
-        X = cursor.take(n)
-        for k in range(n):
-            x = X[k]
-            diff = W - w_star
-            a = np.vecdot(x, diff)
-            alphas[t + k] = a
-            xsq[t + k] = np.vecdot(x, x)
-            W -= eta * a[:, None] * x
-            gammas[t + k + 1] = np.linalg.norm(W - w_star, axis=-1)
-        t += n
+    # a diverging run overflows silently, as in _descend: bad reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < T:
+            n = min(block, T - t)
+            X = cursor.take(n)
+            for k in range(n):
+                x = X[k]
+                diff = W - w_star
+                a = np.vecdot(x, diff)
+                alphas[t + k] = a
+                xsq[t + k] = np.vecdot(x, x)
+                W -= eta * a[:, None] * x
+                gammas[t + k + 1] = np.linalg.norm(W - w_star, axis=-1)
+            t += n
 
     # bad[t, r]: run r is non-finite after t samples; the first such run in
     # seed order raises, naming its first such t

@@ -726,8 +726,12 @@ def _walk_words(thresholds: np.ndarray, U: np.ndarray, state: np.ndarray, out: n
     1, 2, 4 or a multiple of 8 columns, padded with 2.0 (never ``<= u``).
     Each run's comparison bytes form one unsigned word (whole ``uint64``
     words past 8), so the count is one ``bitwise_count`` of that word (a
-    sum over its words past 8).
+    sum over its words past 8).  Start states outside the rows are an
+    error, as on the compiled walk; the steps then take rows unchecked.
     """
+    rows = thresholds.shape[0]
+    if ((state < 0) | (state >= rows)).any():
+        raise ValueError(f"walk: start states must lie in 0..{rows - 1}")
     R, width = state.shape[0], thresholds.shape[1]
     row = np.empty((R, width))
     hits = np.empty((R, width), dtype=bool)

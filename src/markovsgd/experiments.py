@@ -11,15 +11,16 @@ the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
 package, Python, numpy and scipy versions, update loop, BLAS, stream seeding
 and the number of CPUs it could run on).
 
-Determinism: a config maps to byte-identical outputs for equal seeds.  With
-``workers > 1`` an experiment runs on one process pool: each series' runs are
-split into ``min(workers, num_runs)`` contiguous seed chunks, and every
-series' chunks are submitted at once, so series run side by side -- with
-``num_runs = 1`` too, one chunk per series.  Series are joined in config
-order and their chunks in seed order, so the worker count never changes the
-result; each series writes its files as soon as it joins.  A summary's
-``wall_time_s`` is the longest time one of its chunks took, as timed inside
-the chunk, since overlapping series cannot be timed from the parent.
+Determinism: a config maps to byte-identical outputs for equal seeds.  Each
+series' runs are split into ``min(workers, num_runs)`` contiguous seed
+chunks, and the chunks of every series, in config order, are the
+experiment's jobs, which the calling process and a process pool share (see
+:func:`run_experiment`), so series run side by side -- with ``num_runs = 1``
+too, one chunk per series.  Series are joined in config order and their
+chunks in seed order, so the worker count never changes the result.  A
+summary's ``wall_time_s`` is the longest time one of its chunks took, as
+timed inside the chunk, since overlapping series cannot be timed from the
+parent.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -439,8 +441,57 @@ def _series_summary(
     )
 
 
+# In a pool process of run_experiment: the experiment's jobs and the shared
+# index of the next job no process has taken, set by the pool's initializer
+_pool_jobs = None
+
+
+def _raise_if_error(part):
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
+def _pool_init(jobs: list, next_job) -> None:
+    global _pool_jobs
+    _pool_jobs = (jobs, next_job)
+
+
+def _take_jobs(first: int, jobs=None, next_job=None) -> list:
+    """Runs job ``first``, then the next job no process has taken, until
+    none is left or one fails; returns ``(index, result)`` pairs, with the
+    error in place of a failed job's result.  A failure stops every process
+    from taking another job.  A pool process reads the jobs and the counter
+    its initializer set."""
+    if jobs is None:
+        jobs, next_job = _pool_jobs
+    done = []
+    j = first
+    while j < len(jobs):
+        try:
+            done.append((j, _execute_chunk(*jobs[j])))
+        except Exception as exc:  # raised when the join reaches job j
+            done.append((j, exc))
+            next_job.value = len(jobs)
+            break
+        with next_job.get_lock():
+            j = next_job.value
+            next_job.value = j + 1
+    return done
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     """Execute every algorithm series of the config; returns one summary each.
+
+    The jobs, each series' seed chunks in config order, run on
+    ``W = min(workers, jobs)`` processes, this one included: a pool of
+    ``W - 1`` processes, started only when W > 1, opens with jobs 1 .. W - 1,
+    this process with job 0, and from then on each process that is free
+    takes the next job no process has taken, through a counter they share.
+    Jobs then join in order, so series in config order and chunks in seed
+    order.  The first failing job in job order raises the serial run's
+    error: once a job fails no process takes another, and a job no process
+    ran follows the failed one.
 
     When the config names an output directory, each series writes
     ``<name>_<algorithm>.csv`` plus a matching ``.json`` summary there (and a
@@ -460,18 +511,22 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     summaries = []
     svg_series = []
     taken: set = set()
+    W = min(config.workers, len(jobs))  # processes that run jobs, this one included
+    next_job = multiprocessing.Value("q", W)  # jobs 1 .. W - 1 open the pool processes
     pool = None
-    if config.workers > 1 and len(jobs) > 1:
+    if W > 1:
         # The default start method (fork on Linux) hands the workers this
         # process's modules as they are, including a wrapper installed on
         # _execute_chunk at run time; the pool never outlives this call.
-        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)))
+        pool = ProcessPoolExecutor(max_workers=W - 1, initializer=_pool_init, initargs=(jobs, next_job))
     try:
-        if pool is None:
-            parts = itertools.starmap(_execute_chunk, jobs)
-        else:  # every series' chunks in flight at once, joined in seed order
-            futures = [pool.submit(_execute_chunk, *job) for job in jobs]
-            parts = (f.result() for f in futures)
+        futures = [pool.submit(_take_jobs, j) for j in range(1, W)]
+        results = dict(_take_jobs(0, jobs, next_job))
+        for f in futures:
+            results.update(f.result())
+        # series join in config order, chunks in seed order; a job that no
+        # process ran follows a failed one, which raises first
+        parts = (_raise_if_error(results[i]) for i in range(len(jobs)))
         for algo_doc in config.algorithms:
             series = [next(parts) for _ in chunks]
             if provenance is None:
@@ -488,7 +543,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
                 svg_series.append((stem, summary.checkpoints, summary.mean_excess))
             summaries.append(summary)
     finally:
-        if pool is not None:  # after a failed chunk, drop the chunks not yet started
+        if pool is not None:  # after a failure here, the pool takes no further job
+            next_job.value = len(jobs)
             pool.shutdown(cancel_futures=True)
     if outdir is not None and config.figure:
         _write_svg(os.path.join(outdir, config.name + ".svg"), svg_series)

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -975,6 +976,15 @@ class TestLowerBoundTrace:
         # one sample sooner the trace is finite
         trace = run_lower_bound_trace(problem, 136, 50.0, 1, w_init=e1)
         assert np.isfinite(trace.gammas).all() and np.isfinite(trace.alphas).all()
+
+    def test_a_diverging_trace_raises_without_numeric_warnings(self):
+        # the overflow on the way is not a signal of its own: the raise is
+        problem = self._problem(d=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "outside the proof regime", UserWarning)
+            with pytest.raises(FloatingPointError, match="^run with seed 1 diverged: non-finite iterate after 137 "):
+                run_lower_bound_traces(problem, 2000, 50.0, [1], w_init=np.eye(3)[0])
 
     def test_takes_one_start_per_run(self):
         problem = self._problem()

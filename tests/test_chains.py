@@ -815,7 +815,8 @@ class TestFiniteWalks:
     @pytest.mark.parametrize("path", PATHS)
     def test_walk_starts_in_the_stationary_row(self, path):
         # row S holds the stationary law's leading cumulative sums: a start
-        # there steps to a stationary draw, and a start past it is an error
+        # there steps to a stationary draw, and a start outside the rows is
+        # an error on either walk
         spec, seeds = _random_chain(5, 3), (8, 9, 10)
         lead = np.ascontiguousarray(np.vstack([_cumulative_rows(spec)[:, :-1], np.cumsum(stationary(spec))[:-1]]))
         U = np.stack([run_generators(s)[0].random(40) for s in seeds])
@@ -824,9 +825,9 @@ class TestFiniteWalks:
         out = np.empty((40, 3), dtype=np.int64)
         walk(U, np.full(3, 5), out)
         np.testing.assert_array_equal(out, _reference_path(spec, seeds, 40))
-        if path == "c":
-            with pytest.raises(ValueError, match=r"start states must lie in 0\.\.5"):
-                walk(U, np.full(3, 6), out)
+        for bad in (6, -1):
+            with pytest.raises(ValueError, match=r"^walk: start states must lie in 0\.\.5$"):
+                walk(U, np.array([5, bad, 5]), out)
 
     @settings(max_examples=60, deadline=None)
     @given(

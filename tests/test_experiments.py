@@ -1,6 +1,8 @@
 """Experiment configs, runners, CSV/JSON emission, sweeps, and the CLI."""
 
+import functools
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -8,6 +10,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -797,6 +800,49 @@ def pools(monkeypatch):
     return log
 
 
+@pytest.fixture
+def chunk_log(monkeypatch, tmp_path):
+    """Records the process each chunk starts in, workers' chunks included.
+
+    The wrapper replaces ``_execute_chunk`` in its module before the pool
+    forks, so pool processes run it too.  Each start appends one
+    line, ``[pid, repr(algo), seeds]``, to a file; ``ran()`` reads them
+    back, in the order they were written, as ``(pid, key)``.  A pool
+    process sleeps for ``hold[key]`` seconds before it runs the chunk of
+    that key; set ``hold`` before the experiment starts its pool.
+    """
+    path = tmp_path / "chunks.jsonl"
+    real = experiments._execute_chunk
+    log = SimpleNamespace(hold={})
+    here = os.getpid()
+
+    @functools.wraps(real)
+    def recording(config, algo, seeds, checkpoints):
+        key = (repr(algo), tuple(seeds))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), *key]) + "\n")
+        if os.getpid() != here:
+            time.sleep(log.hold.get(key, 0.0))
+        return real(config, algo, seeds, checkpoints)
+
+    monkeypatch.setattr(experiments, "_execute_chunk", recording)
+
+    def ran():
+        if not path.exists():
+            return []
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        return [(pid, (algo, tuple(seeds))) for pid, algo, seeds in rows]
+
+    log.ran = ran
+    return log
+
+
+def job_keys(config: ExperimentConfig) -> list:
+    """The key ``chunk_log`` gives each of the config's jobs, in job order."""
+    chunks = experiments._seed_chunks(config)
+    return [(repr(build_algorithm(a)), tuple(seeds)) for a in config.algorithms for seeds in chunks]
+
+
 def diverging_doc(**overrides):
     # the middle series' step size makes every run blow up
     doc = {
@@ -850,9 +896,9 @@ class TestWorkerPool:
     @pytest.mark.parametrize(
         "num_runs, workers, series, sizes",
         [
-            (2, 2, 3, [2]),  # six chunks on one pool of two
-            (5, 3, 3, [3]),
-            (1, 4, 3, [3]),  # one run per series: the series run side by side
+            (2, 2, 3, [1]),  # six chunks on this process and a pool of one
+            (5, 3, 3, [2]),
+            (1, 4, 3, [2]),  # one run per series: the series run side by side
             (3, 1, 3, []),  # serial
             (1, 4, 1, []),  # a single chunk
         ],
@@ -861,6 +907,42 @@ class TestWorkerPool:
         doc = sgd_doc(algorithms=list(THREE_SERIES[:series]), num_runs=num_runs, workers=workers)
         run_experiment(ExperimentConfig.from_json(doc))
         assert pools["sizes"] == sizes
+
+    @pytest.mark.parametrize(
+        "num_runs, workers",
+        [(2, 2), (5, 3), (1, 4), (3, 3), (3, 1), (1, 2)],
+    )
+    def test_each_job_runs_once_the_first_here(self, chunk_log, num_runs, workers):
+        config = ExperimentConfig.from_json(sgd_doc(algorithms=list(THREE_SERIES), num_runs=num_runs, workers=workers))
+        run_experiment(config)
+        keys = job_keys(config)
+        W = min(workers, len(keys))
+        ran = chunk_log.ran()
+        here = [key for pid, key in ran if pid == os.getpid()]
+        elsewhere = [(pid, key) for pid, key in ran if pid != os.getpid()]
+        assert sorted(key for _, key in ran) == sorted(keys)
+        # this process starts with job 0, and takes only jobs past the first
+        # W; the pool runs jobs 1 .. W - 1 on at most W - 1 processes
+        assert here[0] == keys[0]
+        assert all(keys.index(key) >= W for key in here[1:])
+        assert {key for _, key in elsewhere} >= set(keys[1:W])
+        assert len({pid for pid, _ in elsewhere}) <= W - 1
+
+    @pytest.mark.parametrize(
+        "num_runs, workers",
+        [(2, 2), (5, 3), (1, 4), (1, 2)],
+    )
+    def test_a_free_process_takes_the_next_job(self, chunk_log, num_runs, workers):
+        # while every pool process is held on its first job, this process
+        # takes all the later ones: no job waits for a given process
+        config = ExperimentConfig.from_json(sgd_doc(algorithms=list(THREE_SERIES), num_runs=num_runs, workers=workers))
+        keys = job_keys(config)
+        W = min(workers, len(keys))
+        chunk_log.hold.update((key, 0.3) for key in keys)
+        run_experiment(config)
+        ran = chunk_log.ran()
+        assert [key for pid, key in ran if pid == os.getpid()] == [keys[0], *keys[W:]]
+        assert sorted(key for pid, key in ran if pid != os.getpid()) == sorted(keys[1:W])
 
     def test_wall_time_is_the_slowest_chunk(self, tmp_path):
         for workers in (1, 2):
@@ -886,6 +968,39 @@ class TestWorkerPool:
         # the series joined before the failure keep their files; no later one writes
         assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
         assert pools["cancelled"] == ([True] if workers > 1 else [])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("runs_in", ["caller", "pool"])
+    def test_first_failing_chunk_in_the_caller_or_the_pool(self, tmp_path, pools, chunk_log, workers, runs_in):
+        # the bad series' first chunk is job 1, which a pool process runs,
+        # or job W, which this process takes while the pool is held
+        doc = diverging_doc(num_runs=1 if runs_in == "pool" else workers)
+        with pytest.raises(FloatingPointError) as serial:
+            run_experiment(ExperimentConfig.from_json(doc))
+        serial_ran = len(chunk_log.ran())
+        outdir = tmp_path / "out"
+        config = ExperimentConfig.from_json({**doc, "output": str(outdir), "workers": workers})
+        keys = job_keys(config)
+        W = min(workers, len(keys))
+        failing = len(keys) // 3
+        if runs_in == "caller":
+            chunk_log.hold.update((key, 0.3) for key in keys)
+        with pytest.raises(FloatingPointError) as pooled:
+            run_experiment(config)
+        assert str(pooled.value) == str(serial.value)
+        assert str(serial.value).startswith("run with seed 7 diverged")
+        ran = chunk_log.ran()[serial_ran:]
+        here = [key for pid, key in ran if pid == os.getpid()]
+        assert [key for _, key in ran].count(keys[failing]) == 1
+        assert (keys[failing] in here) == (runs_in == "caller")
+        if runs_in == "caller":  # no process took a job after the failing one
+            assert failing == W
+            assert sorted(key for _, key in ran) == sorted(keys[: W + 1])
+        assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
+        assert pools["cancelled"] == [True]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
