@@ -11,16 +11,15 @@ the fixed header ``t,mean_excess,stderr,min,max`` plus a JSON summary
 package, Python, numpy and scipy versions, update loop, BLAS, stream seeding
 and the number of CPUs it could run on).
 
-Determinism: a config maps to byte-identical outputs for equal seeds.  Each
-series' runs are split into ``min(workers, num_runs)`` contiguous seed
-chunks, and the chunks of every series, in config order, are the
-experiment's jobs, which the calling process and a process pool share (see
-:func:`run_experiment`), so series run side by side -- with ``num_runs = 1``
-too, one chunk per series.  Series are joined in config order and their
-chunks in seed order, so the worker count never changes the result.  A
-summary's ``wall_time_s`` is the longest time one of its chunks took, as
-timed inside the chunk, since overlapping series cannot be timed from the
-parent.
+Determinism: a config maps to byte-identical outputs for equal seeds.  Each series'
+runs are split into ``min(workers, num_runs)`` contiguous seed chunks, and the
+chunks of every series, in config order, are the experiment's jobs, which the
+calling process and W - 1 forked processes share (see :func:`run_experiment`),
+so series run side by side -- with ``num_runs = 1`` too, one chunk per series.
+Series are joined in config order and their chunks in seed order, so the worker
+count never changes the result.  A summary's ``wall_time_s`` is the longest time
+one of its chunks took, as timed inside the chunk, since overlapping series
+cannot be timed from the parent.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import os
 import platform
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -232,15 +230,12 @@ def default_checkpoints(T: int) -> list[int]:
         pts.append(int(round(v)))
         v *= 1.5
     pts.append(T)
-    seen = sorted(set(pts))
-    return [p for p in seen if p <= T]
+    return sorted(set(pts))  # v < T rounds to at most T
 
 
 def _checkpoint_schedule(config: ExperimentConfig) -> list[int]:
     """The config's checkpoints, or the default schedule for its horizon."""
-    if config.checkpoints is None:
-        return default_checkpoints(config.T)
-    return list(config.checkpoints)
+    return default_checkpoints(config.T) if config.checkpoints is None else list(config.checkpoints)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -316,8 +311,8 @@ def resolve_w_init(rule, problem: Problem, seeds) -> np.ndarray | None:
 
 
 def _execute_chunk(config: ExperimentConfig, algo, seeds: list, checkpoints: list):
-    """Run one seed chunk of one algorithm series, ``algo`` as
-    :func:`build_algorithm` built it; its arguments pickle for worker pools.
+    """Run one seed chunk of one algorithm series, ``algo`` as :func:`build_algorithm`
+    built it; a forked worker inherits the arguments, and only the result is pickled.
 
     Returns the per-run estimate excess, the (checkpoints, runs) excess, the
     per-run discarded sample count and the chunk's own wall seconds.
@@ -366,11 +361,8 @@ def output_root() -> str:
 
 
 def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if os.path.isabs(path):
-        return path
-    return os.path.join(output_root(), path)
+    # joined to an absolute path, the root drops out
+    return None if path is None else os.path.join(output_root(), path)
 
 
 def _series_stem(config: ExperimentConfig, algo_doc: dict, taken: set) -> str:
@@ -395,10 +387,7 @@ def _provenance(dim: int) -> dict:
 
     kern = _load_kernel(dim)  # checks the dimension
     info = kernel_info()
-    if kern is None:
-        dot = "numpy"
-    else:
-        dot = "fma" if dim in info["fused_dims"] else "ddot"
+    dot = "numpy" if kern is None else "fma" if dim in info["fused_dims"] else "ddot"
     return {
         "markovsgd": __version__,
         "python": platform.python_version(),
@@ -431,19 +420,12 @@ def _series_summary(
         num_runs=config.num_runs,
         wall_time=max(p[3] for p in parts),  # series may overlap: the slowest chunk's own time
         estimator={
-            "mean_excess": float(np.asarray(est["mean"]).reshape(())),
-            "stderr": float(np.asarray(est["stderr"]).reshape(())),
-            "min": float(np.asarray(est["min"]).reshape(())),
-            "max": float(np.asarray(est["max"]).reshape(())),
+            name: float(np.asarray(est[key]).reshape(()))
+            for name, key in (("mean_excess", "mean"), ("stderr", "stderr"), ("min", "min"), ("max", "max"))
         },
         discarded_samples=int(parts[0][2]),
         provenance=provenance,
     )
-
-
-# In a pool process of run_experiment: the experiment's jobs and the shared
-# index of the next job no process has taken, set by the pool's initializer
-_pool_jobs = None
 
 
 def _raise_if_error(part):
@@ -452,19 +434,11 @@ def _raise_if_error(part):
     return part
 
 
-def _pool_init(jobs: list, next_job) -> None:
-    global _pool_jobs
-    _pool_jobs = (jobs, next_job)
-
-
-def _take_jobs(first: int, jobs=None, next_job=None) -> list:
+def _take_jobs(first: int, jobs: list, next_job) -> list:
     """Runs job ``first``, then the next job no process has taken, until
     none is left or one fails; returns ``(index, result)`` pairs, with the
     error in place of a failed job's result.  A failure stops every process
-    from taking another job.  A pool process reads the jobs and the counter
-    its initializer set."""
-    if jobs is None:
-        jobs, next_job = _pool_jobs
+    from taking another job."""
     done = []
     j = first
     while j < len(jobs):
@@ -480,23 +454,63 @@ def _take_jobs(first: int, jobs=None, next_job=None) -> list:
     return done
 
 
+def _flush_std_streams() -> None:
+    import sys
+
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # a stream set to None, closed or broken
+            pass
+
+
+def _fork_worker(first: int, jobs: list, next_job) -> tuple:
+    """Forks a process that runs :func:`_take_jobs` from job ``first``, writes the pickled
+    pairs to a pipe of its own and leaves through ``os._exit``; returns its pid and the read end."""
+    import pickle
+    import traceback
+
+    r, w = os.pipe()
+    _flush_std_streams()  # else the child writes the caller's buffered output again
+    pid = os.fork()
+    if pid == 0:  # never returns into the caller's code
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.write(pickle.dumps(_take_jobs(first, jobs, next_job)))
+            code = 0
+        except Exception:  # a result that does not pickle, say: the caller sees the status
+            traceback.print_exc()
+        finally:
+            try:
+                _flush_std_streams()
+            finally:
+                os._exit(code)
+    os.close(w)  # so the read ends when the child exits
+    return pid, r
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     """Execute every algorithm series of the config; returns one summary each.
 
     The jobs, each series' seed chunks in config order, run on
-    ``W = min(workers, jobs)`` processes, this one included: a pool of
-    ``W - 1`` processes, started only when W > 1, opens with jobs 1 .. W - 1,
-    this process with job 0, and from then on each process that is free
-    takes the next job no process has taken, through a counter they share.
-    Jobs then join in order, so series in config order and chunks in seed
-    order.  The first failing job in job order raises the serial run's
-    error: once a job fails no process takes another, and a job no process
-    ran follows the failed one.
+    ``W = min(workers, jobs)`` processes, this one included: it forks ``W - 1``,
+    which open with jobs 1 .. W - 1, this one with job 0, and from then on each
+    process that is free takes the next job no process has taken, through a
+    counter they share.  A forked process sends its results back pickled
+    through its own pipe and is reaped before this call returns or raises; one
+    that exits without sending them is a ``RuntimeError``.  Jobs join in order,
+    so series in config order and chunks in seed order.  The first failing job
+    in job order raises the serial run's error: once a job fails no process
+    takes another, and a job no process ran follows the failed one.
 
     When the config names an output directory, each series writes
     ``<name>_<algorithm>.csv`` plus a matching ``.json`` summary there (and a
     combined ``<name>.svg`` when ``figure`` is set).
     """
+    import pickle
+
     checkpoints = _checkpoint_schedule(config)
     outdir = _resolve_output(config.output)
     if outdir is not None:
@@ -512,40 +526,43 @@ def run_experiment(config: ExperimentConfig) -> list[RunSummary]:
     svg_series = []
     taken: set = set()
     W = min(config.workers, len(jobs))  # processes that run jobs, this one included
-    next_job = multiprocessing.Value("q", W)  # jobs 1 .. W - 1 open the pool processes
-    pool = None
-    if W > 1:
-        # The default start method (fork on Linux) hands the workers this
-        # process's modules as they are, including a wrapper installed on
-        # _execute_chunk at run time; the pool never outlives this call.
-        pool = ProcessPoolExecutor(max_workers=W - 1, initializer=_pool_init, initargs=(jobs, next_job))
+    next_job = multiprocessing.Value("q", W)  # jobs 1 .. W - 1 open the forked processes
+    # A fork hands the workers this process's modules as they are, including
+    # a wrapper installed on _execute_chunk at run time.
+    forked = []  # (pid, read end of its result pipe)
+    sent = []  # (pid, pickled results, wait status)
     try:
-        futures = [pool.submit(_take_jobs, j) for j in range(1, W)]
+        for j in range(1, W):
+            forked.append(_fork_worker(j, jobs, next_job))
         results = dict(_take_jobs(0, jobs, next_job))
-        for f in futures:
-            results.update(f.result())
-        # series join in config order, chunks in seed order; a job that no
-        # process ran follows a failed one, which raises first
-        parts = (_raise_if_error(results[i]) for i in range(len(jobs)))
-        for algo_doc in config.algorithms:
-            series = [next(parts) for _ in chunks]
-            if provenance is None:
-                # checks the dimension only once the workers run: a check
-                # made before they fork adds ~0.5 MB to the peak memory
-                provenance = _provenance(config.problem.dim)
-            summary = _series_summary(config, algo_doc, series, checkpoints, digest, provenance)
-            if outdir is not None:
-                stem = _series_stem(config, algo_doc, taken)
-                csv_path = os.path.join(outdir, stem + ".csv")
-                write_summary_csv(csv_path, summary)
-                summary.csv_path = csv_path
-                _write_json(os.path.join(outdir, stem + ".json"), summary.to_json())
-                svg_series.append((stem, summary.checkpoints, summary.mean_excess))
-            summaries.append(summary)
     finally:
-        if pool is not None:  # after a failure here, the pool takes no further job
-            next_job.value = len(jobs)
-            pool.shutdown(cancel_futures=True)
+        next_job.value = len(jobs)  # after a failure here, no process takes a job
+        for pid, r in forked:
+            with open(r, "rb") as fh:
+                sent.append((pid, fh.read(), os.waitpid(pid, 0)[1]))
+    for pid, data, status in sent:
+        if status or not data:  # killed, or left through os._exit in a chunk
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker process {pid} exited with status {code} before it sent its results")
+        results.update(pickle.loads(data))
+    # series join in config order, chunks in seed order; a job that no
+    # process ran follows a failed one, which raises first
+    parts = (_raise_if_error(results[i]) for i in range(len(jobs)))
+    for algo_doc in config.algorithms:
+        series = [next(parts) for _ in chunks]
+        if provenance is None:
+            # checks the dimension only once the workers run: a check
+            # made before they fork adds ~0.5 MB to the peak memory
+            provenance = _provenance(config.problem.dim)
+        summary = _series_summary(config, algo_doc, series, checkpoints, digest, provenance)
+        if outdir is not None:
+            stem = _series_stem(config, algo_doc, taken)
+            csv_path = os.path.join(outdir, stem + ".csv")
+            write_summary_csv(csv_path, summary)
+            summary.csv_path = csv_path
+            _write_json(os.path.join(outdir, stem + ".json"), summary.to_json())
+            svg_series.append((stem, summary.checkpoints, summary.mean_excess))
+        summaries.append(summary)
     if outdir is not None and config.figure:
         _write_svg(os.path.join(outdir, config.name + ".svg"), svg_series)
     return summaries
@@ -562,16 +579,9 @@ def write_summary_csv(path: str, summary: RunSummary) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "mean_excess", "stderr", "min", "max"])
+            columns = (summary.mean_excess, summary.stderr, summary.min_excess, summary.max_excess)
             for i, t in enumerate(summary.checkpoints):
-                writer.writerow(
-                    [
-                        int(t),
-                        repr(float(summary.mean_excess[i])),
-                        repr(float(summary.stderr[i])),
-                        repr(float(summary.min_excess[i])),
-                        repr(float(summary.max_excess[i])),
-                    ]
-                )
+                writer.writerow([int(t)] + [repr(float(c[i])) for c in columns])
     except OSError as exc:
         raise OSError(f"while writing CSV {path}: {exc}") from exc
 
@@ -588,13 +598,8 @@ def load_summary_csv(path: str) -> dict:
     if header != ["t", "mean_excess", "stderr", "min", "max"]:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
     cols = list(zip(*rows)) if rows else [[]] * 5
-    return {
-        "t": np.array([int(v) for v in cols[0]], dtype=np.int64),
-        "mean_excess": np.array([float(v) for v in cols[1]]),
-        "stderr": np.array([float(v) for v in cols[2]]),
-        "min": np.array([float(v) for v in cols[3]]),
-        "max": np.array([float(v) for v in cols[4]]),
-    }
+    floats = {name: np.array([float(v) for v in col]) for name, col in zip(header[1:], cols[1:])}
+    return {"t": np.array([int(v) for v in cols[0]], dtype=np.int64), **floats}
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -663,11 +668,7 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     node = doc
     for part in parts[:-1]:
         node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
-    leaf = parts[-1]
-    if leaf.isdigit():
-        node[int(leaf)] = value
-    else:
-        node[leaf] = value
+    node[int(parts[-1]) if parts[-1].isdigit() else parts[-1]] = value
 
 
 def _cell_name(params: dict) -> str:

@@ -2,13 +2,14 @@
 
 import functools
 import json
-import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -483,7 +484,7 @@ class TestBuildProblem:
         assert built == [config.problem]
         algo = build_algorithm(doc["algorithms"][0])
         got = experiments._execute_chunk(config, algo, [7, 8], [50, 100, 200])
-        # a pool's worker gets the config with its problem, pickled
+        # a config pickles with its problem
         sent = pickle.loads(pickle.dumps((config, algo)))
         assert sent == (config, algo) and sent[0].problem.dim == config.problem.dim
         again = experiments._execute_chunk(*sent, [7, 8], [50, 100, 200])
@@ -782,34 +783,37 @@ def pooled_equals_serial(doc: dict, workers: int, root: Path) -> None:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Records the size of every pool run_experiment starts, and how it stops."""
-    real = experiments.ProcessPoolExecutor
-    log = {"sizes": [], "cancelled": []}
+def forks(monkeypatch):
+    """Records the pid of every process forked while the test runs."""
+    real = os.fork
+    log = []
 
-    class Recording(real):
-        def __init__(self, *args, **kwargs):
-            log["sizes"].append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def recording():
+        pid = real()
+        if pid:
+            log.append(pid)
+        return pid
 
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            log["cancelled"].append(cancel_futures)
-            super().shutdown(wait, cancel_futures=cancel_futures)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", recording)
     return log
+
+
+def assert_every_child_reaped() -> None:
+    """This process has no child left, running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def chunk_log(monkeypatch, tmp_path):
     """Records the process each chunk starts in, workers' chunks included.
 
-    The wrapper replaces ``_execute_chunk`` in its module before the pool
-    forks, so pool processes run it too.  Each start appends one
+    The wrapper replaces ``_execute_chunk`` in its module before the
+    experiment forks, so forked processes run it too.  Each start appends one
     line, ``[pid, repr(algo), seeds]``, to a file; ``ran()`` reads them
-    back, in the order they were written, as ``(pid, key)``.  A pool
+    back, in the order they were written, as ``(pid, key)``.  A forked
     process sleeps for ``hold[key]`` seconds before it runs the chunk of
-    that key; set ``hold`` before the experiment starts its pool.
+    that key; set ``hold`` before the experiment forks.
     """
     path = tmp_path / "chunks.jsonl"
     real = experiments._execute_chunk
@@ -835,6 +839,26 @@ def chunk_log(monkeypatch, tmp_path):
 
     log.ran = ran
     return log
+
+
+# pids of the processes that unpickled a _HandedBack, in the order they did
+_unpickled_in = []
+
+
+def _hand_back(result):
+    _unpickled_in.append(os.getpid())
+    return result
+
+
+class _HandedBack:
+    """A chunk result that records where it is unpickled, as the benchmark's
+    tracer hands a worker's spans back with its results."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def __reduce__(self):
+        return (_hand_back, (self.result,))
 
 
 def job_keys(config: ExperimentConfig) -> list:
@@ -894,19 +918,20 @@ class TestWorkerPool:
             pooled_equals_serial(doc, workers, Path(root))
 
     @pytest.mark.parametrize(
-        "num_runs, workers, series, sizes",
+        "num_runs, workers, series, forked",
         [
-            (2, 2, 3, [1]),  # six chunks on this process and a pool of one
-            (5, 3, 3, [2]),
-            (1, 4, 3, [2]),  # one run per series: the series run side by side
-            (3, 1, 3, []),  # serial
-            (1, 4, 1, []),  # a single chunk
+            (2, 2, 3, 1),  # six chunks on this process and one forked process
+            (5, 3, 3, 2),
+            (1, 4, 3, 2),  # one run per series: the series run side by side
+            (3, 1, 3, 0),  # serial
+            (1, 4, 1, 0),  # a single chunk
         ],
     )
-    def test_one_pool_per_experiment(self, pools, num_runs, workers, series, sizes):
+    def test_one_pool_per_experiment(self, forks, num_runs, workers, series, forked):
         doc = sgd_doc(algorithms=list(THREE_SERIES[:series]), num_runs=num_runs, workers=workers)
         run_experiment(ExperimentConfig.from_json(doc))
-        assert pools["sizes"] == sizes
+        assert len(forks) == forked
+        assert_every_child_reaped()
 
     @pytest.mark.parametrize(
         "num_runs, workers",
@@ -922,7 +947,7 @@ class TestWorkerPool:
         elsewhere = [(pid, key) for pid, key in ran if pid != os.getpid()]
         assert sorted(key for _, key in ran) == sorted(keys)
         # this process starts with job 0, and takes only jobs past the first
-        # W; the pool runs jobs 1 .. W - 1 on at most W - 1 processes
+        # W; jobs 1 .. W - 1 run on at most W - 1 forked processes
         assert here[0] == keys[0]
         assert all(keys.index(key) >= W for key in here[1:])
         assert {key for _, key in elsewhere} >= set(keys[1:W])
@@ -933,7 +958,7 @@ class TestWorkerPool:
         [(2, 2), (5, 3), (1, 4), (1, 2)],
     )
     def test_a_free_process_takes_the_next_job(self, chunk_log, num_runs, workers):
-        # while every pool process is held on its first job, this process
+        # while every forked process is held on its first job, this process
         # takes all the later ones: no job waits for a given process
         config = ExperimentConfig.from_json(sgd_doc(algorithms=list(THREE_SERIES), num_runs=num_runs, workers=workers))
         keys = job_keys(config)
@@ -957,7 +982,7 @@ class TestWorkerPool:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failed_chunk_stops_the_experiment(self, tmp_path, pools, workers):
+    def test_failed_chunk_stops_the_experiment(self, tmp_path, forks, workers):
         with pytest.raises(FloatingPointError) as serial:
             run_experiment(ExperimentConfig.from_json(diverging_doc()))
         outdir = tmp_path / "out"
@@ -967,15 +992,16 @@ class TestWorkerPool:
         assert str(serial.value).startswith("run with seed 7 diverged")
         # the series joined before the failure keep their files; no later one writes
         assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
-        assert pools["cancelled"] == ([True] if workers > 1 else [])
+        assert len(forks) == workers - 1
+        assert_every_child_reaped()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("runs_in", ["caller", "pool"])
-    def test_first_failing_chunk_in_the_caller_or_the_pool(self, tmp_path, pools, chunk_log, workers, runs_in):
-        # the bad series' first chunk is job 1, which a pool process runs,
-        # or job W, which this process takes while the pool is held
+    def test_first_failing_chunk_in_the_caller_or_the_pool(self, tmp_path, forks, chunk_log, workers, runs_in):
+        # the bad series' first chunk is job 1, which a forked process runs,
+        # or job W, which this process takes while the forked ones are held
         doc = diverging_doc(num_runs=1 if runs_in == "pool" else workers)
         with pytest.raises(FloatingPointError) as serial:
             run_experiment(ExperimentConfig.from_json(doc))
@@ -999,8 +1025,88 @@ class TestWorkerPool:
             assert failing == W
             assert sorted(key for _, key in ran) == sorted(keys[: W + 1])
         assert sorted(p.name for p in outdir.iterdir()) == ["experiment_first.csv", "experiment_first.json"]
-        assert pools["cancelled"] == [True]
-        assert multiprocessing.active_children() == []
+        assert len(forks) == W - 1
+        assert_every_child_reaped()
+
+    @pytest.mark.parametrize(
+        "death, status", [("exit", 3), ("exit", 0), ("kill", -signal.SIGKILL), ("unpicklable", 1)]
+    )
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch, capfd, forks, death, status):
+        real = experiments._execute_chunk
+        here = os.getpid()
+
+        def dying(*args):
+            if os.getpid() != here:
+                if death == "exit":
+                    os._exit(status)
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return lambda: None
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_execute_chunk", dying)
+        config = ExperimentConfig.from_json(sgd_doc(algorithms=list(THREE_SERIES), num_runs=2, workers=3))
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(config)
+        assert str(err.value) == f"worker process {forks[0]} exited with status {status} before it sent its results"
+        assert len(forks) == 2
+        assert_every_child_reaped()
+        # a worker that fails in its own code says why on standard error
+        assert ("Can't pickle" in capfd.readouterr().err) == (death == "unpicklable")
+
+    def test_standard_streams_are_written_once(self, capfd, monkeypatch):
+        real = experiments._execute_chunk
+        here = os.getpid()
+
+        def chatty(*args):
+            if os.getpid() != here:
+                print("printed in a worker")
+                warnings.warn("warned in a worker", UserWarning)
+            return real(*args)
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        config = ExperimentConfig.from_json(sgd_doc(num_runs=2, workers=2))  # job 1 runs in a worker
+        # block-buffered streams, as when output is redirected to a file
+        with (
+            open(os.dup(1), "w", encoding="utf-8") as out,
+            open(os.dup(2), "w", encoding="utf-8") as err,
+            monkeypatch.context() as m,
+        ):
+            m.setattr(experiments, "_execute_chunk", chatty)
+            m.setattr(sys, "stdout", out)
+            m.setattr(sys, "stderr", err)
+            m.setattr(warnings, "showwarning", show)
+            print("printed before the experiment")
+            run_experiment(config)
+        captured = capfd.readouterr()
+        assert captured.out.count("printed before the experiment\n") == 1
+        assert captured.out.count("printed in a worker\n") == 1
+        assert captured.err.count("UserWarning: warned in a worker\n") == 1
+
+    def test_results_are_unpickled_in_the_caller(self, monkeypatch, chunk_log):
+        # the benchmark's tracer files a worker's spans while the caller
+        # unpickles the worker's chunk results
+        recording = experiments._execute_chunk
+        here = os.getpid()
+
+        def handing_back(*args):
+            result = recording(*args)
+            return result if os.getpid() == here else _HandedBack(result)
+
+        doc = sgd_doc(algorithms=list(THREE_SERIES), num_runs=2)
+        serial = run_experiment(ExperimentConfig.from_json(doc))
+        serial_ran = len(chunk_log.ran())
+        monkeypatch.setattr(experiments, "_execute_chunk", handing_back)
+        _unpickled_in.clear()
+        pooled = run_experiment(ExperimentConfig.from_json({**doc, "workers": 2}))
+        in_workers = [pid for pid, _ in chunk_log.ran()[serial_ran:] if pid != here]
+        assert in_workers
+        assert _unpickled_in == [here] * len(in_workers)
+        for a, b in zip(serial, pooled):
+            assert a.estimator == b.estimator
+            assert a.mean_excess.tobytes() == b.mean_excess.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
