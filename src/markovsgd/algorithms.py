@@ -59,11 +59,15 @@ the first take no fresh pages.
 threads of the calling process, by default one per usable CPU: one tile
 per thread, or more where a tile's weights -- runs x instances x dim
 doubles -- would outgrow the memory budget ``_TILE_ELEMS``, as parallel
-SGD's large K does.  Each tile sizes its blocks for the runs the busy
-threads hold at once, so a parallel-SGD block spans many rounds, and a
-batch holds the weights and tail sums of at most one tile per thread, not
-of all R runs.  Runs are independent, so the result is the same for any
-tiling.
+SGD's large K does.  That budget is the one memory budget per busy
+thread: each tile also sizes its sample blocks for its own runs to fit
+it, counting what the stream keeps per sample and run (a finite state,
+or a Gaussian sample's d coordinates, and its noise), with at least one
+event -- a round, a buffer -- per block.  So a batch holds the weights,
+tail sums and sample blocks of at most one tile per thread, not of all R
+runs.  Runs are independent, and a cursor gives the same path however its
+blocks slice it, so the result is the same for any tiling and any block
+size.
 
 Randomness: a run owns four Philox children (chain, noise, algorithm, init)
 spawned from its seed -- see :func:`markovsgd.chains.run_generators`; the
@@ -128,14 +132,12 @@ __all__ = [
     "kernel_info",
 ]
 
-# Target number of array elements per streamed (samples, runs, dim) block.
-_BLOCK_ELEMS = 4_000_000
-
-# Most weight doubles (runs x instances x dim) in one of run_many's tiles,
-# unless one run holds more: a memory budget of 2 MiB per tile.  Budgets of
-# 2**16..2**20 ran parallel SGD at K = 742 and K = 2756 at one speed, with
-# the peak memory falling as the budget shrinks, to a floor that the sample
-# blocks set.
+# The one memory budget per busy thread, in eight-byte elements (2 MiB):
+# a tile's weights (runs x instances x dim doubles) fit it unless one run
+# holds more, and so does the sample block its thread holds, counted as
+# what the stream keeps per sample and run (see _block_sizes).  Weight
+# budgets of 2**16..2**20 ran parallel SGD at K = 742 and K = 2756 at one
+# speed, the peak memory falling as the budget shrinks.
 _TILE_ELEMS = 1 << 18
 
 
@@ -376,7 +378,9 @@ class _Stream:
     has taken it, or once replay has gathered its picks out of it, so only
     the first block's pages are fresh.  (The Gaussian cursor's blocks are
     fresh each time; a Gaussian block's row numbers are kept from one block
-    to the next.)
+    to the next.)  ``per_sample`` counts the elements a block keeps per
+    sample and run: a finite state, or a Gaussian sample's d coordinates,
+    and its noise.
     """
 
     def __init__(self, problem: Problem, chain_draws, noise_draws):
@@ -388,6 +392,7 @@ class _Stream:
         self._w_star = np.ascontiguousarray(problem.w_star, dtype=float)
         self._outputs = chain.outputs if isinstance(problem.noise, AgnosticDeterministic) else None
         self._gaussian = isinstance(chain, GaussianARSpec)
+        self.per_sample = (problem.dim if self._gaussian else 1) + (self.sigma is not None)
         self._rows = np.empty((0, self._noise.num_runs), dtype=np.int64)  # a Gaussian block's row numbers
         self.table = self._clean = None
         if not self._gaussian:
@@ -469,9 +474,11 @@ class _Checkpoints:
                 self.excess[pos] = val
 
 
-def _block_sizes(num_runs: int, dim: int) -> int:
-    """Samples per streamed block, keeping (n, R, d) arrays modest."""
-    return max(1, min(65536, _BLOCK_ELEMS // max(1, num_runs * dim)))
+def _block_sizes(num_runs: int, per_sample: int) -> int:
+    """Samples per streamed block of ``num_runs`` runs that keeps
+    ``per_sample`` elements per sample and run: as many as fit the budget
+    ``_TILE_ELEMS``, and at least one."""
+    return max(1, _TILE_ELEMS // (num_runs * per_sample))
 
 
 class _Diverged(Exception):
@@ -482,11 +489,11 @@ class _Diverged(Exception):
         self.run, self.update = run, update
 
 
-def _divergence(seed, samples: int) -> FloatingPointError:
-    """The error naming a run's seed and the stream samples it had read."""
+def _divergence(seed, samples: int, what: str = "non-finite iterate") -> FloatingPointError:
+    """The error naming a run's seed, what overflowed and the stream samples it had read."""
     entropy, key, _ = _seed_parts(seed)
     label = entropy if not key else f"{entropy}, spawn key {key}"
-    return FloatingPointError(f"run with seed {label} diverged: non-finite iterate after {samples} stream samples")
+    return FloatingPointError(f"run with seed {label} diverged: {what} after {samples} stream samples")
 
 
 def _descend(
@@ -736,15 +743,10 @@ def _engine(
     keep_iterates: bool = False,
     checkpoints=None,
     record_reads: bool = False,
-    block_runs: int | None = None,
 ):
-    """Run the plan of ``config``'s algorithm for R = len(seeds) runs in lockstep.
-
-    Blocks are sized for ``block_runs`` runs (default R): a tile of a
-    larger batch passes the runs that the busy threads hold at once, so
-    tiles running side by side hold no more block memory than those runs
-    would in one call.
-    """
+    """Run the plan of ``config``'s algorithm for R = len(seeds) runs in
+    lockstep, in sample blocks sized for the R runs to fit ``_TILE_ELEMS``
+    and at least one event long."""
     plan = _PLANS[type(config)](problem, T, config, seeds)
     R, B, per_event = len(seeds), plan.updates, plan.per_event
     stream = _Stream(problem, *_run_streams(seeds, (0, 1)))
@@ -767,7 +769,7 @@ def _engine(
     if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
         ck.record(0, problem, point(W))
 
-    block = max(1, _block_sizes(block_runs or R, problem.dim) // per_event)
+    block = max(1, _block_sizes(R, stream.per_sample) // per_event)
     stops = {e * B for e in ck.events}  # event e ends with update e * B
     reads = []
     j = 0
@@ -808,8 +810,10 @@ def _engine(
 def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     """Noiseless SGD recording alpha_t, ||X_t||^2 and gamma_t per run.
 
-    A run whose alpha or gamma is non-finite raises FloatingPointError: the
-    first such run in seed order, with the samples it had read then.
+    After the block in which a run's alpha or gamma first turns non-finite,
+    FloatingPointError is raised for the first such run in seed order, with
+    the samples it had read then.  It names gamma's overflow where the
+    iterate was still finite, else a non-finite iterate.
     """
     R = len(seeds)
     d = problem.dim
@@ -823,7 +827,7 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
     gammas = np.empty((T + 1, R))
     gammas[0] = np.linalg.norm(W - w_star, axis=-1)
 
-    block = _block_sizes(R, d)
+    block = _block_sizes(R, d)  # a block keeps each sample's d coordinates
     t = 0
     # a diverging run overflows silently, as in _descend: bad reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -838,15 +842,18 @@ def _trace_engine(problem: Problem, T: int, eta: float, seeds, *, w_init=None):
                 xsq[t + k] = np.vecdot(x, x)
                 W -= eta * a[:, None] * x
                 gammas[t + k + 1] = np.linalg.norm(W - w_star, axis=-1)
+            # bad[i, r]: run r is non-finite after t + i samples
+            bad = ~np.isfinite(gammas[t : t + n + 1])
+            bad[1:] |= ~np.isfinite(alphas[t : t + n])
+            failed = np.flatnonzero(bad.any(axis=0))
             t += n
-
-    # bad[t, r]: run r is non-finite after t samples; the first such run in
-    # seed order raises, naming its first such t
-    bad = ~np.isfinite(gammas)
-    bad[1:] |= ~np.isfinite(alphas)
-    failed = np.flatnonzero(bad.any(axis=0))
-    if failed.size:
-        raise _divergence(seeds[failed[0]], int(bad[:, failed[0]].argmax()))
+            if failed.size:
+                r = failed[0]
+                s = t - n + int(bad[:, r].argmax())
+                # the iterate after s samples is finite where the next alpha
+                # is (a non-finite w - w* makes it so), or W at the block's end
+                finite = np.isfinite(W[r] if s == t else alphas[s, r]).all()
+                raise _divergence(seeds[r], s, "gamma = ||w - w*|| overflowed" if finite else "non-finite iterate")
     return {"alphas": alphas, "gammas": gammas, "x_sq_norms": xsq}
 
 
@@ -1044,10 +1051,10 @@ def run_many(
     parallel SGD) would not each fit the memory budget ``_TILE_ELEMS``.
     At most ``workers`` threads of this process -- by default one per CPU
     the process may run on -- take the tiles in seed order and the results
-    join in seed order.  Each tile sizes its sample blocks for the runs the
-    busy threads hold at once, so a tile of parallel SGD takes many rounds
-    per block, and the threads together hold the weights and tail sums of
-    at most ``workers`` tiles.  If a tile raises (a diverging run, say),
+    join in seed order.  Each tile sizes its sample blocks for its own runs
+    to fit the same budget, at least one event (a round, a buffer) long, so
+    each thread holds at most one tile's weights, tail sums and sample
+    blocks.  If a tile raises (a diverging run, say),
     the tiles after it that have not started are dropped and the error of
     the first failed tile in seed order is raised.  Every run's numbers are the same for
     any ``workers`` and any tiling, and no thread outlives the call.
@@ -1068,7 +1075,6 @@ def run_many(
     edges = _chunk_edges(R, max(threads, -(-R // per_tile)))
     tiles = len(edges) - 1
     busy = min(threads, tiles)
-    block_runs = R * busy // tiles  # the runs the busy threads hold at once
     # a flag per tile: a tile taken from the queue before one that fails
     # may not have reached its check yet, and must still run, as its error
     # is the one to raise
@@ -1080,7 +1086,7 @@ def run_many(
         lo, hi = edges[i], edges[i + 1]
         init = np.asarray(w_init)[lo:hi] if per_run else w_init
         try:
-            return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints, block_runs)
+            return _run_batch(problem, T, config, seeds[lo:hi], init, checkpoints)
         except Exception:
             raised[i] = True
             raise
@@ -1147,18 +1153,9 @@ def kernel_info() -> dict:
     return _kernel.info()
 
 
-def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints, block_runs: int) -> BatchResult:
-    """One tile of :func:`run_many`, its blocks sized for ``block_runs`` runs."""
-    out = _engine(
-        problem,
-        T,
-        config,
-        seeds,
-        w_init=w_init,
-        keep_iterates=False,
-        checkpoints=checkpoints,
-        block_runs=block_runs,
-    )
+def _run_batch(problem: Problem, T: int, config, seeds, w_init, checkpoints) -> BatchResult:
+    """One tile of :func:`run_many`."""
+    out = _engine(problem, T, config, seeds, w_init=w_init, keep_iterates=False, checkpoints=checkpoints)
     ck = out["checkpoints"]
     return BatchResult(
         estimates=out["estimates"],

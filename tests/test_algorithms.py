@@ -391,7 +391,7 @@ class TestReplay:
             ]
 
         want = outputs()
-        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 1)  # one buffer per block
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 1)  # one buffer per block, one run per tile
         assert outputs() == want
 
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
@@ -407,7 +407,8 @@ class TestReplay:
             return advance(W, X, *args)
 
         monkeypatch.setattr(algorithms, "_load_kernel", lambda d: types.SimpleNamespace(advance=counted))
-        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 20 * 4)  # 20 samples of d = 4: five buffers a block
+        # 20 samples of d = 4 coordinates and noise: five buffers a block
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 20 * (4 + 1))
         cfg = ReplayConfig(buffer_size=3, drop_prefix=1, step_size=0.2)
         run_many(gaussian_problem(), 48, cfg, [5], checkpoints=[0, 9, 22, 30, 48])
         # blocks of buffers 1-5, 6-10 and 11-12; checkpoints end buffers 0, 2,
@@ -460,7 +461,7 @@ class TestReplayOnFiniteChains:
         cfg = ReplayConfig(buffer_size=3, drop_prefix=2, step_size=0.2)
         T = 20 * 5 + 1
         want = self._outputs(problem, T, cfg, self.SEEDS[:3], checkpoints=[0, 1, 11, 35, T])
-        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", 1)  # one buffer per block
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 1)  # one buffer per block, one run per tile
         assert self._outputs(problem, T, cfg, self.SEEDS[:3], checkpoints=[0, 1, 11, 35, T]) == want
 
     @pytest.mark.parametrize("kind", ["agnostic", "independent"])
@@ -966,7 +967,7 @@ class TestLowerBoundTrace:
         # 137 samples on seed 1 and after 126 on seed 3
         problem = self._problem(d=3)
         e1 = np.eye(3)[0]
-        message = "run with seed 1 diverged: non-finite iterate after 137 stream samples"
+        message = re.escape("run with seed 1 diverged: gamma = ||w - w*|| overflowed after 137 stream samples")
         with pytest.raises(FloatingPointError, match=f"^{message}$"):
             run_lower_bound_trace(problem, 2000, 50.0, 1, w_init=e1)
         # seed 7 starts at w* and never moves; seed 1 is the first to fail in
@@ -983,8 +984,49 @@ class TestLowerBoundTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.filterwarnings("ignore", "outside the proof regime", UserWarning)
-            with pytest.raises(FloatingPointError, match="^run with seed 1 diverged: non-finite iterate after 137 "):
+            message = "run with seed 1 diverged: gamma = ||w - w*|| overflowed after 137 "
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}"):
                 run_lower_bound_traces(problem, 2000, 50.0, [1], w_init=np.eye(3)[0])
+
+    @pytest.mark.filterwarnings("ignore:outside the proof regime:UserWarning")
+    @pytest.mark.parametrize(
+        "budget,takes",
+        [(None, [(1 << 18) // 3]), (3 * 100, [100, 100]), (3 * 137, [137]), (3 * 136, [136, 136])],
+        ids=["default", "100", "137", "136"],
+    )
+    def test_a_diverging_trace_stops_after_the_block_it_diverged_in(self, budget, takes, monkeypatch):
+        # gamma overflows after 137 samples (as above), so of T = 10**5 the
+        # trace takes the blocks up to the one holding sample 137: blocks of
+        # 2**18 // 3 samples of d = 3 by default, or of 100, 137 or 136
+        if budget is not None:
+            monkeypatch.setattr(algorithms, "_TILE_ELEMS", budget)
+        calls = []
+        take = GaussianPathCursor.take
+        monkeypatch.setattr(GaussianPathCursor, "take", lambda cursor, n: calls.append(n) or take(cursor, n))
+        message = "run with seed 1 diverged: gamma = ||w - w*|| overflowed after 137 stream samples"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            run_lower_bound_traces(self._problem(d=3), 10**5, 50.0, [1], w_init=np.eye(3)[0])
+        assert calls == takes
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:outside the proof regime:UserWarning")
+    def test_a_diverging_trace_names_what_overflowed(self):
+        problem = self._problem(d=3)
+        e1 = np.eye(3)[0]
+        # at eta = 50 gamma overflows after 137 samples, and the iterate,
+        # which run_many's SGD checks, only after 265
+        with pytest.raises(FloatingPointError, match=re.escape(": gamma = ||w - w*|| overflowed after 137 ")):
+            run_lower_bound_trace(problem, 2000, 50.0, 1, w_init=e1)
+        with pytest.raises(FloatingPointError, match=": non-finite iterate after 265 "):
+            run_many(problem, 2000, SgdConfig(50.0), [1], w_init=e1)
+        # at eta = 1e308 the first step overflows the iterate itself
+        for run in (
+            lambda: run_lower_bound_trace(problem, 2000, 1e308, 1, w_init=10 * e1),
+            lambda: run_many(problem, 2000, SgdConfig(1e308), [1], w_init=10 * e1),
+        ):
+            with pytest.raises(FloatingPointError, match=": non-finite iterate after 1 stream samples$"):
+                run()
 
     def test_takes_one_start_per_run(self):
         problem = self._problem()
@@ -1084,9 +1126,9 @@ class TestDataLayer:
 
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
     @pytest.mark.parametrize("algo", ["sgd", "dd", "parallel"])
-    @pytest.mark.parametrize("elems", [1, 100], ids=["one-event-blocks", "uneven-blocks"])
+    @pytest.mark.parametrize("samples", [0, 11], ids=["one-event-blocks", "uneven-blocks"])
     @pytest.mark.parametrize("kind", ["finite", "gaussian"])
-    def test_outputs_do_not_depend_on_block_size(self, kind, algo, loop, elems, monkeypatch):
+    def test_outputs_do_not_depend_on_block_size(self, kind, algo, loop, samples, monkeypatch):
         if loop == "numpy":
             monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
         problem = mc0_problem() if kind == "finite" else gaussian_problem(d=3)
@@ -1109,9 +1151,12 @@ class TestDataLayer:
             ]
 
         want = outputs()  # the whole run is one block
-        # 1: one update (data drop) or one round (parallel) per block; 100:
-        # blocks of 11 samples over 3 runs of 3 dimensions, the last one shorter
-        monkeypatch.setattr(algorithms, "_BLOCK_ELEMS", elems)
+        # 0: a budget of one element, so one update (data drop) or one round
+        # (parallel) per block; 11: blocks of 11 samples over 3 runs, each
+        # sample a finite state or 3 coordinates, and noise; the last block
+        # shorter
+        per_sample = 2 if kind == "finite" else 3 + 1
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", max(1, samples * 3 * per_sample))
         assert outputs() == want
 
     @pytest.mark.parametrize("kind", ["finite", "gaussian"])
@@ -1304,32 +1349,57 @@ class TestTiles:
                 assert want is None or got == want
                 want = got
 
-    def test_a_large_parallel_batch_is_tiled_and_sizes_blocks_for_busy_runs(self, monkeypatch):
+    def test_a_large_parallel_batch_is_tiled_and_each_tile_sizes_its_own_blocks(self, monkeypatch):
         # R * K * d = 64 * 4096 * 4 doubles: 4 tiles of 16 runs
         problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
         cfg = ParallelConfig(SgdConfig(0.2), 4096)
         seeds = list(range(64))
         sized = []
         block_sizes = algorithms._block_sizes
-        monkeypatch.setattr(algorithms, "_block_sizes", lambda runs, dim: sized.append(runs) or block_sizes(runs, dim))
+        monkeypatch.setattr(
+            algorithms, "_block_sizes", lambda runs, per_sample: sized.append(runs) or block_sizes(runs, per_sample)
+        )
         calls = _count_engine_calls(monkeypatch)
         for workers in (1, 2):
             calls.clear()
             sized.clear()
             run_many(problem, 16384, cfg, seeds, workers=workers)
             assert [len(c) for c in calls] == [16] * 4
-            assert sized == [16 * workers] * 4  # the runs the busy threads hold at once
+            assert sized == [16] * 4  # a tile's runs, however many threads are busy
 
     def test_batches_that_fit_keep_one_chunk_per_worker(self, monkeypatch):
         problem = finite_problem()
         calls = _count_engine_calls(monkeypatch)
         sized = []
         block_sizes = algorithms._block_sizes
-        monkeypatch.setattr(algorithms, "_block_sizes", lambda runs, dim: sized.append(runs) or block_sizes(runs, dim))
+        monkeypatch.setattr(
+            algorithms, "_block_sizes", lambda runs, per_sample: sized.append(runs) or block_sizes(runs, per_sample)
+        )
         seeds = list(range(1000))
         run_many(problem, 40, ParallelConfig(SgdConfig(0.2), 20), seeds, workers=2)
         assert [len(c) for c in calls] == [500, 500]
-        assert sized == [1000, 1000]  # blocks sized for the whole batch, as before tiles
+        assert sized == [500, 500]  # each chunk's blocks sized for its own runs
+
+    def test_each_thread_holds_sample_blocks_within_the_budget(self, monkeypatch):
+        # finite SGD at R = 1000, d = 4 on two threads: two tiles of 500 runs,
+        # whose streams keep a state and its noise per sample and run, so
+        # blocks of 2**18 // (500 * 2) = 262 samples
+        problem = make_problem(make_mc0(4, 1 / 8), IndependentGaussian(0.1), w_star=np.zeros(4))
+        blocks = {}  # per stream: the bytes of each block it allocated
+        block = _Stream._block
+
+        def recorded(stream, name, n, dtype):
+            out = block(stream, name, n, dtype)
+            blocks.setdefault(stream, []).append((name, out.nbytes))
+            return out
+
+        monkeypatch.setattr(_Stream, "_block", recorded)
+        run_many(problem, 2000, SgdConfig(0.25), list(range(1000)), workers=2)
+        assert len(blocks) == 2
+        for sizes in blocks.values():
+            largest = {name: max(n for other, n in sizes if other == name) for name, _ in sizes}
+            assert largest == {"states": 500 * 262 * 8, "noise": 500 * 262 * 8}
+            assert sum(largest.values()) <= algorithms._TILE_ELEMS * 8
 
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
     def test_peak_memory_stays_that_of_one_tile(self, loop, monkeypatch):

@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -1126,7 +1127,8 @@ class TestWorkerPool:
             "seed": 1,
             "output": str(tmp_path / "out"),
         }
-        with pytest.raises(FloatingPointError, match="^run with seed 1 diverged: non-finite iterate after 137 "):
+        message = "run with seed 1 diverged: gamma = ||w - w*|| overflowed after 137 "
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}"):
             run_experiment(ExperimentConfig.from_json(doc))
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["experiment_first.csv", "experiment_first.json"]
 
