@@ -7,11 +7,14 @@ chains, filter Gaussian paths and draw every run's variates through
 ``_kernel.c`` with the system ``cc`` into a per-user cache
 (``$XDG_CACHE_HOME/markovsgd/``, by default ``~/.cache/markovsgd/``, or a
 private directory under the system temporary directory when that one is
-not writable), keyed by the sha256 of the source, the flags and
-``cc --version``, and loads it with :mod:`ctypes`.  Later processes load the
-cached file without starting a process, and refresh its mtime; a build
-removes the libraries and compiler memos of the cache that no process has
-loaded for 30 days.
+not writable), keyed by the sha256 of the source, the flags and the
+compiler binary's identity (its real path, size, mtime and inode), and
+loads it with :mod:`ctypes`.  So a cold cache starts one process, the
+build, and later processes load the cached file without starting any, and
+refresh its mtime; a build removes the libraries of the cache that no
+process has loaded for 30 days.  A replaced or rebuilt ``cc`` is a new
+key, and builds anew; a wrapper on ``PATH`` (such as ``ccache``) is keyed
+by itself, not by the compiler behind it.
 
 The update loop takes each chain through a whole segment of updates.  A
 chain is one instance of one run: a run of every algorithm but parallel
@@ -104,7 +107,7 @@ _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 _FUSED_BELOW = 16
 # doubles per AVX2 register: the lanes of the update loop's four-wide path
 _LANES = 4
-# a cached library or compiler memo untouched this long is removed after a build
+# a cached library untouched this long is removed after a build
 _STALE_S = 30 * 24 * 3600
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -615,8 +618,14 @@ def _open() -> Kernel:
             source = fh.read()
     except OSError as exc:
         raise _Unavailable(f"cannot read the kernel source: {exc}") from exc
-    version, memo = _compiler_version(cc, cache)
-    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS + _LIBS).encode(), version])).hexdigest()
+    # the compiler binary's identity: a replaced or rebuilt cc is a new key
+    real = os.path.realpath(cc)
+    try:
+        st = os.stat(real)
+    except OSError as exc:
+        raise _Unavailable(f"cannot stat {real}: {exc}") from exc
+    ident = f"{real}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ino}".encode()
+    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS + _LIBS).encode(), ident])).hexdigest()
     path = os.path.join(cache, f"kernel-{key[:24]}.so")
     with contextlib.suppress(OSError):
         # in use: a concurrent build's _prune keeps it another _STALE_S.
@@ -624,47 +633,12 @@ def _open() -> Kernel:
         os.utime(path)
     if not _intact(path):  # not built yet, damaged, or just pruned
         _build(cc, path)
-        _prune(cache, keep=(path, memo))
+        _prune(cache, keep=path)
     try:
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
     return Kernel(lib, blas, ddot, path, blas_name)
-
-
-def _compiler_version(cc: str, cache: str) -> tuple[bytes, str]:
-    """``cc --version`` and the cache file remembering it per compiler binary.
-
-    The output is filed under the binary's path, size, mtime and inode, so
-    a process with a warm cache starts no subprocess.  (Linux counts a
-    child's peak memory from its parent's size at the fork, so each one
-    would read as another copy of the caller in ``RUSAGE_CHILDREN``.)
-    """
-    real = os.path.realpath(cc)
-    try:
-        st = os.stat(real)
-    except OSError as exc:
-        raise _Unavailable(f"cannot stat {real}: {exc}") from exc
-    ident = hashlib.sha256(f"{real}\0{st.st_size}\0{st.st_mtime_ns}\0{st.st_ino}".encode()).hexdigest()
-    memo = os.path.join(cache, f"cc-{ident[:24]}.version")
-    try:
-        with open(memo, "rb") as fh:
-            return fh.read(), memo
-    except OSError:
-        pass
-    try:
-        version = subprocess.run([cc, "--version"], capture_output=True, check=True, timeout=60).stdout
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise _Unavailable(f"'cc --version' failed: {exc}") from exc
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix=".version-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(version)
-        os.replace(tmp, memo)  # atomic, as in _build
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return version, memo
 
 
 def _intact(path: str) -> bool:
@@ -755,19 +729,18 @@ def _build(cc: str, path: str) -> None:
             os.unlink(tmp)
 
 
-def _prune(cache: str, keep) -> None:
-    """Remove the libraries and compiler memos in ``cache`` unused for _STALE_S.
+def _prune(cache: str, keep: str) -> None:
+    """Remove the libraries in ``cache``, but ``keep``, unused for _STALE_S.
 
     Called after a build only, so a warm load never removes the library of
     another version of the package, such as one compared against this one.
-    A file that cannot be removed stays.
+    A file that cannot be removed stays, and so does any file that is not a
+    library.
     """
     cutoff = time.time() - _STALE_S
     for name in os.listdir(cache):
         path = os.path.join(cache, name)
-        ours = (name.startswith("kernel-") and name.endswith(".so")) or (
-            name.startswith("cc-") and name.endswith(".version")
-        )
+        ours = name.startswith("kernel-") and name.endswith(".so")
         with contextlib.suppress(OSError):
-            if ours and path not in keep and os.stat(path).st_mtime < cutoff:
+            if ours and path != keep and os.stat(path).st_mtime < cutoff:
                 os.unlink(path)

@@ -441,9 +441,18 @@ def chain_to_json(spec: ChainSpec) -> dict:
     return doc
 
 
-def check_keys(doc: dict, allowed, what: str) -> None:
-    """Reject a JSON document holding keys outside ``allowed``, listing them."""
-    unknown = sorted(set(doc) - set(allowed))
+def check_object(doc, what: str) -> dict:
+    """A JSON document that must be an object; anything else is an error
+    naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r:.60}")
+    return doc
+
+
+def check_keys(doc, allowed, what: str) -> None:
+    """Reject a JSON document that is not an object or holds keys outside
+    ``allowed``, listing them."""
+    unknown = sorted(set(check_object(doc, what)) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {what}; allowed: {sorted(allowed)}")
 
@@ -515,7 +524,7 @@ def chain_from_json(doc: dict) -> ChainSpec:
     ``"mc3" | "mc0" | "mci" | "agnostic_bias"`` expand through the
     corresponding constructor.  A key the kind does not use is an error.
     """
-    kind = doc.get("kind")
+    kind = check_object(doc, "chain").get("kind")
     if kind not in _CHAIN_KEYS:
         raise ValueError(f"unknown chain kind {kind!r}")
     check_keys(doc, ("kind",) + _CHAIN_KEYS[kind], f"{kind} chain")

@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, OSError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
     except KeyError as exc:
         raise SystemExit(f"error: missing config field {exc}")

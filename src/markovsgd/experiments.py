@@ -51,7 +51,7 @@ from .algorithms import (
     run_lower_bound_traces,
     run_many,
 )
-from .chains import _from_fields, _run_streams, check_float, check_int, check_int_field, check_keys
+from .chains import _from_fields, _run_streams, check_float, check_int, check_int_field, check_keys, check_object
 from .regression import Problem, excess_risk, problem_from_json
 
 __all__ = [
@@ -105,12 +105,16 @@ class ExperimentConfig:
         if not isinstance(self.figure, bool):
             raise ValueError(f"figure must be true or false, got {self.figure!r}")
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "algorithms", tuple(dict(a) for a in self.algorithms or ()))
+        if not isinstance(self.algorithms, (list, tuple, type(None))):
+            raise ValueError(f"algorithms must be a list of algorithm blocks, got {self.algorithms!r:.60}")
+        blocks = tuple(dict(check_object(a, f"algorithms[{i}]")) for i, a in enumerate(self.algorithms or ()))
+        object.__setattr__(self, "algorithms", blocks)
         if check_int_field(self, "T") < 2:
             raise ValueError(f"T must be at least 2, got {self.T}")
         if check_int_field(self, "num_runs") < 1:
             raise ValueError(f"num_runs must be >= 1, got {self.num_runs}")
-        check_int_field(self, "seed")
+        if check_int_field(self, "seed") < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if check_int_field(self, "workers") < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.algorithms:
@@ -123,6 +127,8 @@ class ExperimentConfig:
         _start_vector(self.w_init, problem.dim)
         object.__setattr__(self, "_problem", problem)
         if self.checkpoints is not None:
+            if not isinstance(self.checkpoints, (list, tuple)):
+                raise ValueError(f"checkpoints must be a list of integers, got {self.checkpoints!r:.60}")
             pts = [check_int(p, f"checkpoints[{i}]") for i, p in enumerate(self.checkpoints)]
             if any(p < 0 for p in pts):
                 raise ValueError("checkpoints must be nonnegative integers")
@@ -205,7 +211,7 @@ def build_algorithm(doc: dict):
     fields beside its own.  ``label`` names the series' output files; any
     other key is an error.  ``lower_bound_trace`` takes ``eta`` alone.
     """
-    name = doc.get("name")
+    name = check_object(doc, "algorithm block").get("name")
     if name == "lower_bound_trace":
         check_keys(doc, ("name", "label", "eta"), f"{name} block")
         return (name, check_float(doc["eta"], "eta"))
@@ -664,11 +670,16 @@ def _write_svg(path: str, series: list) -> None:
 
 
 def _set_by_path(doc: dict, dotted: str, value) -> None:
+    """Set the field of ``doc`` at ``dotted``, whose number parts index
+    lists, making the objects it passes through that ``doc`` lacks."""
     parts = dotted.split(".")
     node = doc
-    for part in parts[:-1]:
-        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
-    node[int(parts[-1]) if parts[-1].isdigit() else parts[-1]] = value
+    try:
+        for part in parts[:-1]:
+            node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+        node[int(parts[-1]) if parts[-1].isdigit() else parts[-1]] = value
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"grid path {dotted!r} names no field of the config") from exc
 
 
 def _cell_name(params: dict) -> str:
@@ -687,17 +698,22 @@ def sweep(config_doc: dict, grid: dict, max_cells: int = 10**4) -> dict:
 
     ``grid`` maps dotted config paths (e.g. ``"chain.epsilon"``,
     ``"algorithms.0.num_instances"``) to lists of values.  Refuses grids larger
-    than ``max_cells``.  Returns the index document (also written as
+    than ``max_cells``.  Every cell's config is loaded, and so checked,
+    before any cell runs.  Returns the index document (also written as
     ``index.json`` under the sweep output directory when one is set).
     """
+    check_object(grid, "grid")
+    for key, vals in grid.items():
+        if not isinstance(key, str) or not isinstance(vals, list) or not vals:
+            raise ValueError(f"grid path {key!r} must map to a non-empty list of values, got {vals!r:.60}")
     keys = sorted(grid)
     values = [grid[k] for k in keys]
     n_cells = int(np.prod([len(v) for v in values])) if keys else 1
     if n_cells > max_cells:
         raise ValueError(f"grid has {n_cells} cells, exceeding the cap of {max_cells}")
-    base_output = config_doc.get("output")
-    cells = []
-    for combo in itertools.product(*values) if keys else [()]:
+    base_output = check_object(config_doc, "experiment config").get("output")
+    loaded = []
+    for combo in itertools.product(*values):
         params = dict(zip(keys, combo))
         doc = copy.deepcopy(config_doc)
         for k, v in params.items():
@@ -705,7 +721,9 @@ def sweep(config_doc: dict, grid: dict, max_cells: int = 10**4) -> dict:
         name = _cell_name(params)
         if base_output is not None:
             doc["output"] = os.path.join(base_output, name)
-        config = ExperimentConfig.from_json(doc)
+        loaded.append((name, params, doc, ExperimentConfig.from_json(doc)))
+    cells = []
+    for name, params, doc, config in loaded:
         summaries = run_experiment(config)
         cells.append(
             {

@@ -29,6 +29,7 @@ from .chains import (
     check_float,
     check_float_field,
     check_keys,
+    check_object,
     stationary,
     stationary_covariance,
 )
@@ -279,7 +280,7 @@ def noise_to_json(noise: NoiseModel) -> dict:
 def noise_from_json(doc: dict) -> NoiseModel:
     """Inverse of :func:`noise_to_json`: a kind's keys are its model's
     fields, and any other key is an error."""
-    kind = doc.get("kind")
+    kind = check_object(doc, "noise").get("kind")
     cls = next((c for c, tag in _NOISE_TAGS.items() if tag == kind), None)
     if cls is None:
         raise ValueError(f"unknown noise kind {kind!r}")

@@ -42,7 +42,7 @@ from markovsgd.experiments import (
     run_experiment,
     sweep,
 )
-from markovsgd.regression import Noiseless, make_problem
+from markovsgd.regression import Noiseless, make_problem, noise_from_json, problem_from_json
 
 
 def sgd_doc(**overrides):
@@ -340,6 +340,7 @@ class TestConfig:
             ({"algorithms": [{"name": "sgd_er", "buffer_size": 4, "tail_buffer_fraction": False}]},
              "^tail_buffer_fraction must be"),
             ({"algorithms": [{"name": "lower_bound_trace", "eta": "0.04"}]}, "^eta must be"),
+            ({"seed": -1}, "^seed must be a nonnegative integer, got -1$"),
         ],
     )
     def test_misused_problem_and_reals_rejected_at_load(self, overrides, message):
@@ -363,6 +364,36 @@ class TestConfig:
         # bools used to load as 1 and 0
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(sgd_doc(**overrides))
+
+    @pytest.mark.parametrize(
+        "load, doc, message",
+        [
+            (chain_from_json, "mc3", "^chain must be a JSON object, got 'mc3'"),
+            (chain_from_json, [], r"^chain must be a JSON object, got \[\]"),
+            (noise_from_json, ["independent_gaussian"], "^noise must be a JSON object"),
+            (problem_from_json, None, "^problem must be a JSON object, got None"),
+            (build_algorithm, "sgd", "^algorithm block must be a JSON object"),
+            (ExperimentConfig.from_json, None, "^experiment config must be a JSON object, got None"),
+            (ExperimentConfig.from_json, [1], r"^experiment config must be a JSON object, got \[1\]"),
+            (ExperimentConfig.from_json, sgd_doc(chain="mc3"), "^chain must be a JSON object"),
+            (ExperimentConfig.from_json, sgd_doc(noise=[0.1]), "^noise must be a JSON object"),
+            (ExperimentConfig.from_json, sgd_doc(algorithms={"name": "sgd", "step_size": 0.25}),
+             "^algorithms must be a list of algorithm blocks"),
+            (ExperimentConfig.from_json, sgd_doc(algorithms=["sgd"]), r"^algorithms\[0\] must be a JSON object"),
+            (ExperimentConfig.from_json,
+             {**{k: v for k, v in sgd_doc().items() if k != "algorithms"}, "algorithm": "sgd"},
+             r"^algorithms\[0\] must be a JSON object, got 'sgd'"),
+            (ExperimentConfig.from_json, sgd_doc(checkpoints=10), "^checkpoints must be a list of integers, got 10"),
+        ],
+        ids=[
+            "chain-str", "chain-list", "noise-list", "problem-null", "block-str", "config-null", "config-list",
+            "config-chain-str", "config-noise-list", "algorithms-object", "algorithms-of-str", "algorithm-str",
+            "checkpoints-int",
+        ],
+    )
+    def test_a_document_of_the_wrong_kind_is_named(self, load, doc, message):
+        with pytest.raises(ValueError, match=message):
+            load(doc)
 
     def test_integral_checkpoints_and_w_star_load_as_numbers(self):
         config = ExperimentConfig.from_json(sgd_doc(checkpoints=[50.0, np.int64(100)], w_star=[1, np.float32(0.5)]))
@@ -1187,6 +1218,27 @@ class TestSweep:
         with pytest.raises(ValueError, match="not both"):
             sweep(doc, {"algorithm.num_instances": [5, 50]})
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([["chain.delta", [0.1]]], r"^grid must be a JSON object"),
+            ({"chain.delta": []}, r"^grid path 'chain.delta' must map to a non-empty list of values, got \[\]"),
+            ({"chain.delta": 0.1}, r"^grid path 'chain.delta' must map to a non-empty list of values, got 0.1"),
+            ({"chain.delta": [0.1], "T": None}, r"^grid path 'T' must map to a non-empty list"),
+            ({"algorithms.3.step_size": [0.1, 0.2]}, r"^grid path 'algorithms.3.step_size' names no field"),
+            ({"chain.delta.x": [0.1]}, r"^grid path 'chain.delta.x' names no field"),
+            ({"algorithms.name": ["sgd"]}, r"^grid path 'algorithms.name' names no field"),
+            ({"chain.delta": [0.1, -0.5]}, "delta"),  # the second cell's config fails to load
+        ],
+        ids=["list", "empty", "scalar", "null", "index", "past-a-number", "name-in-a-list", "bad-value"],
+    )
+    def test_a_bad_grid_raises_before_any_cell_runs(self, grid, message, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "run_experiment", lambda config: ran.append(config))
+        with pytest.raises(ValueError, match=message):
+            sweep(sgd_doc(), grid)
+        assert ran == []
+
     def test_cell_cap(self):
         doc = sgd_doc()
         grid = {"chain.delta": [0.05, 0.1], "algorithms.0.step_size": [0.1, 0.2, 0.3]}
@@ -1249,6 +1301,35 @@ class TestCli:
         cfg.write_text(json.dumps(sgd_doc(algorithms=[{"name": "sgd", "step_size": 50.0}], T=4000)))
         with pytest.raises(SystemExit, match="error: run with seed 7 diverged"):
             main(["simulate", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("why", ["output-is-a-file", "worker-died"])
+    def test_oserror_and_runtimeerror_are_one_error_line(self, tmp_path, monkeypatch, why):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(sgd_doc(output=str(taken))))
+        if why == "worker-died":
+            def died(config):
+                raise RuntimeError("a worker process died")
+
+            monkeypatch.setattr("markovsgd.cli.run_experiment", died)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg)])
+        assert str(exc.value).startswith("error: ")
+        assert (str(taken) in str(exc.value)) if why == "output-is-a-file" else "worker process died" in str(exc.value)
+
+    def test_simulate_rejects_a_negative_seed_flag(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(sgd_doc(output=str(tmp_path / "out"))))
+        with pytest.raises(SystemExit, match="^error: seed must be a nonnegative integer, got -1$"):
+            main(["simulate", "--config", str(cfg), "--seed", "-1"])
+        assert not (tmp_path / "out").exists()
+
+    def test_mixing_names_a_chain_that_is_not_an_object(self, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps("mc3"))
+        with pytest.raises(SystemExit, match="^error: chain must be a JSON object, got 'mc3'$"):
+            main(["mixing", "--chain", str(chain)])
 
     def test_mixing(self, tmp_path, capsys):
         chain = tmp_path / "chain.json"

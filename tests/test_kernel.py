@@ -1153,22 +1153,20 @@ def fresh_cache(reset_loader, monkeypatch, tmp_path):
 
 @pytest.fixture(scope="session")
 def session_library():
-    """The library this test session loaded, and its compiler's version memo."""
-    path = _kernel.library().path
-    return path, _kernel._compiler_version(shutil.which("cc"), os.path.dirname(path))[1]
+    """The library this test session loaded."""
+    return _kernel.library().path
 
 
 def _seed_cache(cache, library):
-    """Make the kernel cache ``cache`` hold copies of ``library``'s files."""
+    """Make the kernel cache ``cache`` hold a copy of ``library``."""
     cache.mkdir(parents=True, mode=0o700)
-    for f in library:
-        shutil.copy(f, cache)
+    shutil.copy(library, cache)
 
 
 @pytest.fixture
 def seeded_cache(fresh_cache, session_library):
     """A kernel cache for this test that holds a copy of the session's
-    library and compiler memo: loading from it builds nothing, for the
+    library: loading from it builds nothing, for the
     tests that need a library but do not test its build."""
     _seed_cache(fresh_cache, session_library)
     return fresh_cache
@@ -1188,10 +1186,10 @@ def _load_in_subprocess(cache_home, count=1):
 
 
 def _library_files(cache):
-    """The cache's libraries; anything else there is a compiler-version memo."""
+    """The cache's files, which must all be libraries."""
     names = sorted(os.listdir(cache))
-    assert all(n.endswith(".so") or (n.startswith("cc-") and n.endswith(".version")) for n in names)
-    return [n for n in names if n.endswith(".so")]
+    assert all(n.startswith("kernel-") and n.endswith(".so") for n in names)
+    return names
 
 
 def _problem():
@@ -1337,7 +1335,7 @@ class TestLoader:
         assert kernel_info() == first
 
     def test_warm_cache_starts_no_process(self, seeded_cache, monkeypatch):
-        assert kernel_info()["path"] == "c"  # loads the library and memo into this process
+        assert kernel_info()["path"] == "c"  # loads the library into this process
         _kernel._library.cache_clear()
 
         def no_process(*args, **kwargs):
@@ -1349,17 +1347,18 @@ class TestLoader:
     def test_build_prunes_stale_files_and_warm_loads_prune_none(self, fresh_cache):
         fresh_cache.mkdir(parents=True, mode=0o700)
         month_ago = time.time() - 31 * 24 * 3600
-        stale = [fresh_cache / "kernel-0123456789ab.so", fresh_cache / "cc-0123456789ab.version"]
+        stale = [fresh_cache / "kernel-0123456789ab.so"]
         recent = fresh_cache / "kernel-ba9876543210.so"
-        other = fresh_cache / "notes.txt"
-        for f in (*stale, recent, other):
+        # neither a library: an old compiler-version memo stays, as any other file
+        others = [fresh_cache / "notes.txt", fresh_cache / "cc-0123456789ab.version"]
+        for f in (*stale, recent, *others):
             f.write_bytes(b"")
-        for f in (*stale, other):
+        for f in (*stale, *others):
             os.utime(f, (month_ago, month_ago))
         info = kernel_info()  # builds into the cache, then prunes it
         assert info["path"] == "c"
         assert not any(f.exists() for f in stale)
-        assert recent.exists() and other.exists()
+        assert recent.exists() and all(f.exists() for f in others)
         # a warm load removes nothing and refreshes the library it loads
         for f in (*stale, info["cache"]):
             open(f, "ab").close()
@@ -1368,6 +1367,37 @@ class TestLoader:
         assert kernel_info() == info
         assert all(f.exists() for f in stale)
         assert os.path.getmtime(info["cache"]) > time.time() - 3600
+
+    def test_a_cold_cache_starts_one_process_the_build(self, fresh_cache, monkeypatch):
+        started = []
+        popen = subprocess.Popen
+
+        def counted(args, *rest, **kwargs):
+            started.append(list(args))
+            return popen(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counted)
+        info = kernel_info()
+        assert info["path"] == "c"
+        assert len(started) == 1
+        assert started[0][0] == shutil.which("cc") and _kernel._SOURCE in started[0]
+        assert _library_files(fresh_cache) == [os.path.basename(info["cache"])]
+
+    def test_a_compiler_of_another_identity_builds_its_own_library(
+        self, seeded_cache, session_library, monkeypatch, tmp_path
+    ):
+        # a wrapper first on PATH prints the same `cc --version` as the cc it
+        # runs, but is another binary: its library is another file
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        wrapper = bin_dir / "cc"
+        wrapper.write_text(f'#!/bin/sh\nexec "{shutil.which("cc")}" "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        info = kernel_info()
+        assert info["path"] == "c"
+        assert info["cache"] != os.path.join(seeded_cache, os.path.basename(session_library))
+        assert _library_files(seeded_cache) == sorted(os.path.basename(p) for p in (session_library, info["cache"]))
 
     def test_unusable_cache_home_falls_back_to_temp(self, reset_loader, session_library, monkeypatch, tmp_path):
         not_a_dir = tmp_path / "file"
