@@ -57,15 +57,18 @@ per-run blocks its stream owns (see :class:`_Stream`), so the blocks after
 the first take no fresh pages.
 :func:`run_many` cuts its seeds into contiguous tiles and runs them on
 threads of the calling process, by default one per usable CPU: one tile
-per thread, or more where a tile's weights -- runs x instances x dim
-doubles -- would outgrow the memory budget ``_TILE_ELEMS``, as parallel
-SGD's large K does.  That budget is the one memory budget per busy
-thread: each tile also sizes its sample blocks for its own runs to fit
-it, counting what the stream keeps per sample and run (a finite state,
-or a Gaussian sample's d coordinates, and its noise), with at least one
-event -- a round, a buffer -- per block.  So a batch holds the weights,
-tail sums and sample blocks of at most one tile per thread, not of all R
-runs.  Runs are independent, and a cursor gives the same path however its
+per thread, or more where a tile's weights and tail sums -- twice runs x
+instances x dim doubles -- would outgrow half the memory budget
+``_TILE_ELEMS``, as parallel SGD's large K does.  That budget is the one
+memory budget per busy thread, and it bounds the sum of what the thread
+holds: each tile sizes its sample blocks for its own runs to fit the
+budget beside their weights and tail sums, counting what the stream
+keeps per sample and run (a finite state, or a Gaussian sample's d
+coordinates, and its noise), with at least one event -- a round, a
+buffer -- per block.  So a batch holds the weights, tail sums and sample
+blocks of at most one tile per thread, not of all R runs, and together
+they fit the budget unless one run's weights or one event outgrow it.
+Runs are independent, and a cursor gives the same path however its
 blocks slice it, so the result is the same for any tiling and any block
 size.
 
@@ -132,12 +135,16 @@ __all__ = [
     "kernel_info",
 ]
 
-# The one memory budget per busy thread, in eight-byte elements (2 MiB):
-# a tile's weights (runs x instances x dim doubles) fit it unless one run
-# holds more, and so does the sample block its thread holds, counted as
-# what the stream keeps per sample and run (see _block_sizes).  Weight
-# budgets of 2**16..2**20 ran parallel SGD at K = 742 and K = 2756 at one
-# speed, the peak memory falling as the budget shrinks.
+# The one memory budget per busy thread, in eight-byte elements (2 MiB).
+# It bounds the sum of what a thread holds for its tile: the weights (runs
+# x instances x dim doubles), their tail sums and the sample block, counted
+# as what the stream keeps per sample and run.  A tile's weights and tail
+# sums fill at most half of it, unless one run holds more, and its blocks
+# take the rest (see _block_sizes).  On a 2-CPU Xeon at K = 742 and
+# R = 1000, such tiles ran parallel SGD 9-15% faster at T = 6000 than tiles
+# whose weights alone filled the budget, and at the same speed at
+# T = 2 * 10**5; tiles of an eighth ran T = 6000 no faster, and 5-run tiles
+# (a sixteenth) 1.4x slower.
 _TILE_ELEMS = 1 << 18
 
 
@@ -474,11 +481,12 @@ class _Checkpoints:
                 self.excess[pos] = val
 
 
-def _block_sizes(num_runs: int, per_sample: int) -> int:
+def _block_sizes(num_runs: int, per_sample: int, held: int = 0) -> int:
     """Samples per streamed block of ``num_runs`` runs that keeps
-    ``per_sample`` elements per sample and run: as many as fit the budget
-    ``_TILE_ELEMS``, and at least one."""
-    return max(1, _TILE_ELEMS // (num_runs * per_sample))
+    ``per_sample`` elements per sample and run, beside ``held`` elements
+    the runs hold already (their weights and tail sums): as many as fit the
+    budget ``_TILE_ELEMS`` together with them, and at least one."""
+    return max(1, (_TILE_ELEMS - held) // (num_runs * per_sample))
 
 
 class _Diverged(Exception):
@@ -746,7 +754,7 @@ def _engine(
 ):
     """Run the plan of ``config``'s algorithm for R = len(seeds) runs in
     lockstep, in sample blocks sized for the R runs to fit ``_TILE_ELEMS``
-    and at least one event long."""
+    beside their weights and tail sums, and at least one event long."""
     plan = _PLANS[type(config)](problem, T, config, seeds)
     R, B, per_event = len(seeds), plan.updates, plan.per_event
     stream = _Stream(problem, *_run_streams(seeds, (0, 1)))
@@ -769,7 +777,7 @@ def _engine(
     if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
         ck.record(0, problem, point(W))
 
-    block = max(1, _block_sizes(R, stream.per_sample) // per_event)
+    block = max(1, _block_sizes(R, stream.per_sample, held=W.size + acc.size) // per_event)
     stops = {e * B for e in ck.events}  # event e ends with update e * B
     reads = []
     j = 0
@@ -1047,16 +1055,18 @@ def run_many(
 
     The seeds -- with any per-run ``(R, d)`` rows of ``w_init`` -- are cut
     into contiguous tiles: one per worker, or more where that many tiles'
-    weights (runs x instances x dim doubles, ``R * K * d`` in all for
-    parallel SGD) would not each fit the memory budget ``_TILE_ELEMS``.
-    At most ``workers`` threads of this process -- by default one per CPU
-    the process may run on -- take the tiles in seed order and the results
-    join in seed order.  Each tile sizes its sample blocks for its own runs
-    to fit the same budget, at least one event (a round, a buffer) long, so
+    weights and tail sums (twice runs x instances x dim doubles, ``2 * R *
+    K * d`` in all for parallel SGD) would not each fit half the memory
+    budget ``_TILE_ELEMS``.  At most ``workers`` threads of this process
+    -- by default one per CPU the process may run on -- take the tiles in
+    seed order and the results join in seed order.  Each tile sizes its
+    sample blocks for its own runs to fit the same budget beside their
+    weights and tail sums, at least one event (a round, a buffer) long, so
     each thread holds at most one tile's weights, tail sums and sample
-    blocks.  If a tile raises (a diverging run, say),
-    the tiles after it that have not started are dropped and the error of
-    the first failed tile in seed order is raised.  Every run's numbers are the same for
+    block, within the budget together.  If a tile raises (a diverging run,
+    say), the tiles after it that have not started are dropped and the
+    error of the first failed tile in seed order is raised.  Every run's
+    numbers are the same for
     any ``workers`` and any tiling, and no thread outlives the call.
     """
     if type(config) not in _PLANS:
@@ -1071,7 +1081,7 @@ def run_many(
     per_run = _starts(problem.dim, w_init, R).ndim == 2
     threads = _usable_cpus() if workers is None else int(workers)
     K = config.num_instances if isinstance(config, ParallelConfig) else 1
-    per_tile = max(1, _TILE_ELEMS // (K * problem.dim))  # runs whose weights fit a tile
+    per_tile = max(1, _TILE_ELEMS // (4 * K * problem.dim))  # runs whose weights and tail sums fit half the budget
     edges = _chunk_edges(R, max(threads, -(-R // per_tile)))
     tiles = len(edges) - 1
     busy = min(threads, tiles)

@@ -517,6 +517,19 @@ _CHAIN_KEYS = {
 }
 
 
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """A finite chain document's field ``key`` as a float array: a number
+    or nested lists of numbers, of one shape; anything else -- a string, a
+    bool, an object, ragged lists -- is an error naming ``key``."""
+    try:
+        values = np.array(doc[key])
+    except ValueError:  # ragged lists
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValueError(f"finite chain {key} must be numbers, got {doc[key]!r:.60}")
+    return values.astype(float)
+
+
 def chain_from_json(doc: dict) -> ChainSpec:
     """Inverse of :func:`chain_to_json`; also accepts constructor shorthands.
 
@@ -535,10 +548,10 @@ def chain_from_json(doc: dict) -> ChainSpec:
         return GaussianARSpec(dim=check_int(doc[key], key), epsilon=doc["epsilon"])
     if kind == "finite":
         return FiniteChainSpec(
-            states=np.array(doc["states"], dtype=float),
-            transition=np.array(doc["transition"], dtype=float),
-            outputs=None if doc.get("outputs") is None else np.array(doc["outputs"], dtype=float),
-            meta=dict(doc.get("meta", {})),
+            states=_numbers(doc, "states"),
+            transition=_numbers(doc, "transition"),
+            outputs=None if doc.get("outputs") is None else _numbers(doc, "outputs"),
+            meta=dict(check_object(doc.get("meta", {}), "finite chain meta")),
         )
     if kind == "mc3":
         return make_mc3(check_float(doc["kappa"], "kappa"), check_float(doc["delta"], "delta"))

@@ -407,8 +407,9 @@ class TestReplay:
             return advance(W, X, *args)
 
         monkeypatch.setattr(algorithms, "_load_kernel", lambda d: types.SimpleNamespace(advance=counted))
-        # 20 samples of d = 4 coordinates and noise: five buffers a block
-        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 20 * (4 + 1))
+        # the run's weights and tail sums, 2 * 4 elements, and 20 samples of
+        # d = 4 coordinates and noise: five buffers a block
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 2 * 4 + 20 * (4 + 1))
         cfg = ReplayConfig(buffer_size=3, drop_prefix=1, step_size=0.2)
         run_many(gaussian_problem(), 48, cfg, [5], checkpoints=[0, 9, 22, 30, 48])
         # blocks of buffers 1-5, 6-10 and 11-12; checkpoints end buffers 0, 2,
@@ -1152,9 +1153,9 @@ class TestDataLayer:
 
         want = outputs()  # the whole run is one block
         # 0: a budget of one element, so one update (data drop) or one round
-        # (parallel) per block; 11: blocks of 11 samples over 3 runs, each
-        # sample a finite state or 3 coordinates, and noise; the last block
-        # shorter
+        # (parallel) per block; 11: a budget of 11 samples over 3 runs, each
+        # sample a finite state or 3 coordinates, and noise, less the tiles'
+        # weights and tail sums: blocks of a few events, the last shorter
         per_sample = 2 if kind == "finite" else 3 + 1
         monkeypatch.setattr(algorithms, "_TILE_ELEMS", max(1, samples * 3 * per_sample))
         assert outputs() == want
@@ -1296,7 +1297,7 @@ class TestWorkers:
 
 
 # ---------------------------------------------------------------------------
-# Tiles: run_many cuts a batch whose weights outgrow a cache into tiles
+# Tiles: run_many cuts a batch whose weights outgrow its budget into tiles
 # ---------------------------------------------------------------------------
 
 
@@ -1323,6 +1324,20 @@ class TestTiles:
     def _weights_per_run(cfg, d):
         return (cfg.num_instances if isinstance(cfg, ParallelConfig) else 1) * d
 
+    @staticmethod
+    def _record_block_sizes(monkeypatch):
+        """Record each call of ``_block_sizes``: its runs and the samples it gives."""
+        sized = []
+        block_sizes = algorithms._block_sizes
+
+        def recorded(runs, per_sample, held=0):
+            samples = block_sizes(runs, per_sample, held)
+            sized.append((runs, samples))
+            return samples
+
+        monkeypatch.setattr(algorithms, "_block_sizes", recorded)
+        return sized
+
     @pytest.mark.parametrize(
         "kind,cfg", TestWorkers.CASES,
         ids=["sgd", "dd", "parallel", "er", "finite-sgd", "finite-dd", "finite-parallel", "finite-er"],
@@ -1335,9 +1350,10 @@ class TestTiles:
         singles = [run_many(problem, 48, cfg, [s], w_init=starts[i], workers=1, **kw) for i, s in enumerate(self.SEEDS)]
         calls = _count_engine_calls(monkeypatch)
         want = None
-        # tiles of R runs (one tile, or one per worker), of 3 runs (2 tiles) and of one run
+        # tiles of R runs (one tile, or one per worker), of 3 runs (2 tiles) and
+        # of one run: budgets that the runs' weights and tail sums fill half of
         for runs, tiles in ((R, 1), (3, 2), (1, R)):
-            monkeypatch.setattr(algorithms, "_TILE_ELEMS", runs * self._weights_per_run(cfg, d))
+            monkeypatch.setattr(algorithms, "_TILE_ELEMS", 4 * runs * self._weights_per_run(cfg, d))
             for workers in (1, 2, 3):
                 calls.clear()
                 batch = run_many(problem, 48, cfg, self.SEEDS, w_init=starts, workers=workers, **kw)
@@ -1350,40 +1366,39 @@ class TestTiles:
                 want = got
 
     def test_a_large_parallel_batch_is_tiled_and_each_tile_sizes_its_own_blocks(self, monkeypatch):
-        # R * K * d = 64 * 4096 * 4 doubles: 4 tiles of 16 runs
+        # R * K * d = 64 * 4096 * 4 doubles: 16 tiles of 4 runs, whose weights
+        # and tail sums fill half the budget, 2 * 4 * 4096 * 4 = 2**17; a
+        # tile's stream keeps a state and its noise per sample and run, so its
+        # blocks take the other half: (2**18 - 2**17) // (4 * 2) = 16384
+        # samples, all 4 rounds of T = 16384
         problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
         cfg = ParallelConfig(SgdConfig(0.2), 4096)
         seeds = list(range(64))
-        sized = []
-        block_sizes = algorithms._block_sizes
-        monkeypatch.setattr(
-            algorithms, "_block_sizes", lambda runs, per_sample: sized.append(runs) or block_sizes(runs, per_sample)
-        )
+        sized = self._record_block_sizes(monkeypatch)
         calls = _count_engine_calls(monkeypatch)
         for workers in (1, 2):
             calls.clear()
             sized.clear()
             run_many(problem, 16384, cfg, seeds, workers=workers)
-            assert [len(c) for c in calls] == [16] * 4
-            assert sized == [16] * 4  # a tile's runs, however many threads are busy
+            assert [len(c) for c in calls] == [4] * 16
+            assert sized == [(4, 16384)] * 16  # a tile's runs, however many threads are busy
 
     def test_batches_that_fit_keep_one_chunk_per_worker(self, monkeypatch):
         problem = finite_problem()
         calls = _count_engine_calls(monkeypatch)
-        sized = []
-        block_sizes = algorithms._block_sizes
-        monkeypatch.setattr(
-            algorithms, "_block_sizes", lambda runs, per_sample: sized.append(runs) or block_sizes(runs, per_sample)
-        )
+        sized = self._record_block_sizes(monkeypatch)
         seeds = list(range(1000))
         run_many(problem, 40, ParallelConfig(SgdConfig(0.2), 20), seeds, workers=2)
         assert [len(c) for c in calls] == [500, 500]
-        assert sized == [500, 500]  # each chunk's blocks sized for its own runs
+        # each chunk's blocks sized for its own runs, beside their weights
+        # and tail sums of 2 * 500 * 20 * 2 doubles: (2**18 - 40000) // (500 * 2)
+        assert sized == [(500, 222), (500, 222)]
 
     def test_each_thread_holds_sample_blocks_within_the_budget(self, monkeypatch):
         # finite SGD at R = 1000, d = 4 on two threads: two tiles of 500 runs,
-        # whose streams keep a state and its noise per sample and run, so
-        # blocks of 2**18 // (500 * 2) = 262 samples
+        # whose weights and tail sums take 2 * 500 * 4 elements and whose
+        # streams keep a state and its noise per sample and run, so blocks of
+        # (2**18 - 4000) // (500 * 2) = 258 samples
         problem = make_problem(make_mc0(4, 1 / 8), IndependentGaussian(0.1), w_star=np.zeros(4))
         blocks = {}  # per stream: the bytes of each block it allocated
         block = _Stream._block
@@ -1398,8 +1413,8 @@ class TestTiles:
         assert len(blocks) == 2
         for sizes in blocks.values():
             largest = {name: max(n for other, n in sizes if other == name) for name, _ in sizes}
-            assert largest == {"states": 500 * 262 * 8, "noise": 500 * 262 * 8}
-            assert sum(largest.values()) <= algorithms._TILE_ELEMS * 8
+            assert largest == {"states": 500 * 258 * 8, "noise": 500 * 258 * 8}
+            assert sum(largest.values()) + 2 * 500 * 4 * 8 <= algorithms._TILE_ELEMS * 8
 
     @pytest.mark.parametrize("loop", ["compiled", "numpy"])
     def test_peak_memory_stays_that_of_one_tile(self, loop, monkeypatch):
@@ -1407,27 +1422,31 @@ class TestTiles:
             pytest.skip("the compiled update loop is unavailable here")
         if loop == "numpy":
             monkeypatch.setattr(algorithms, "_load_kernel", lambda d: None)
-        # R * K * d = 64 * 4096 * 4 doubles: 4 tiles of 16 runs
+        # R * K * d = 64 * 4096 * 4 doubles: 16 tiles of 4 runs, each holding
+        # 1 MiB of weights and tail sums and a 1 MiB block of all 4 rounds'
+        # states and noise
         problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
         cfg = ParallelConfig(SgdConfig(0.2), 4096)
-        R, K, d = 64, 4096, 4
 
-        def peak(runs: int) -> int:
+        def peak(runs: int) -> tuple[int, int]:
+            """The traced peak of a batch of ``runs`` runs, and its results' bytes."""
             tracemalloc.start()  # numpy reports its buffers to it
             try:
-                run_many(problem, 16384, cfg, list(range(runs)), workers=1)
-                return tracemalloc.get_traced_memory()[1]
+                out = run_many(problem, 16384, cfg, list(range(runs)), workers=1)
+                return tracemalloc.get_traced_memory()[1], out.estimates.nbytes + out.final_iterates.nbytes
             finally:
                 tracemalloc.stop()
 
         run_many(problem, 16384, cfg, [0, 1], workers=1)  # the kernel loaded, its checks run
-        one_tile, batch = peak(16), peak(R)
-        # untiled, four tiles' runs peaked 3.4-3.5 times one tile's (28.0
-        # against 8.0 MiB on the compiled loop, 77.1 against 22.8 on numpy's)
+        (one_tile, _), (batch, outputs) = peak(4), peak(64)
+        # a thread that holds more than one tile peaks at a multiple of one
+        # tile's: tiles of 16 runs, whose weights alone filled the budget,
+        # peaked at 3.0 (compiled) and 2.8 (numpy) times 4 runs'
         assert batch < 1.25 * one_tile
         if loop == "compiled":
-            # and W and its tail sums alone took this
-            assert batch < 2 * R * K * d * 8
+            # the weights, tail sums and block fill the budget exactly; beyond
+            # it tracemalloc counts the results and some 30 KiB of objects
+            assert batch - outputs <= algorithms._TILE_ELEMS * 8 + 64 * 1024
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

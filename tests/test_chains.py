@@ -409,6 +409,25 @@ class TestChainJson:
         with pytest.raises(ValueError, match="unknown key.*allowed"):
             chain_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("states", "ab"),
+            ("states", [[1.0, 0.0], [0.0]]),
+            ("transition", [["0.9", "0.1"], ["0.1", "0.9"]]),
+            ("transition", [[True, False], [False, True]]),
+            ("outputs", [1.0, {"y": 2.0}]),
+            ("meta", "x"),
+            ("meta", [1, 2]),
+        ],
+        ids=["states-string", "states-ragged", "transition-strings", "transition-bools", "outputs-object",
+             "meta-string", "meta-list"],
+    )
+    def test_a_finite_field_of_the_wrong_kind_is_named(self, field, value):
+        doc = dict(chain_to_json(make_mci(2, 0.1, 0.05, (1, 0))), **{field: value})
+        with pytest.raises(ValueError, match=rf"^finite chain {field} must be"):
+            chain_from_json(doc)
+
 
 # ---------------------------------------------------------------------------
 # Path cursors
