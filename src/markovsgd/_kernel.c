@@ -155,11 +155,10 @@ FUSED void msgd_fused_dots(int64_t n, int64_t d, const double *a, const double *
  * the scalar update's operations in their order, so with its bits.  The
  * R*K mod 4 chains left over stay on the scalar loop.
  *
- * When update i leaves a weight of chain (r, k) non-finite, the chain stops
- * there: it is not updated again and its acc and iters rows are not
- * written for update i or later, while the other chains go on.  bad[r],
- * -1 on entry, becomes the least such update first + i over run r's
- * chains.
+ * Every chain runs to the end of the call, as in the numpy loop, a broken
+ * one too: when update i leaves a weight of chain (r, k) non-finite,
+ * bad[r], -1 on entry, becomes the least such update first + i over run
+ * r's chains.
  */
 
 /* One call's arguments, as msgd_advance takes them */
@@ -257,46 +256,37 @@ static inline __attribute__((always_inline)) void record(const segment_t *a, int
     }
 }
 
-/*
- * The update loop for chains c_lo .. c_hi-1, from update i0 on, with labels
- * from a table or (tabled = 0) from w*: a constant in the inlined copies
- * below.
- */
-static inline __attribute__((always_inline)) void advance(segment_t a, const int tabled, int64_t c_lo, int64_t c_hi,
-                                                          int64_t i0)
+/* Update i left a weight of a chain of run `run` non-finite: bad[run] keeps the least such update */
+static inline __attribute__((always_inline)) void broke(const segment_t *a, int64_t run, int64_t i)
 {
-    a.ym = tabled ? a.ym : 0;
-    const int64_t lead = (a.every - (a.first + i0) % a.every) % a.every;  /* the first update from i0 to end an event */
-    const int64_t event0 = (a.first + i0 + lead) / a.every;              /* the event it ends */
+    int64_t *bad = a->bad + run;
+    *bad = *bad < 0 || a->first + i < *bad ? a->first + i : *bad;
+}
+
+/* The update loop for chains c_lo .. c_hi-1 */
+static inline __attribute__((always_inline)) void advance(segment_t a, int64_t c_lo, int64_t c_hi)
+{
+    const int64_t lead = (a.every - a.first % a.every) % a.every; /* the first update to end an event */
+    const int64_t event0 = (a.first + lead) / a.every;            /* the event it ends */
     const int64_t r = c_lo / a.K, k = c_lo % a.K;
     chain_t next = {r, k, r * a.ir + k * a.ik, r * a.qr + k * a.qk};
     for (int64_t c0 = c_lo; c0 < c_hi; c0 += LANES) {
         const int64_t m = c_hi - c0 < LANES ? c_hi - c0 : LANES;
         chain_t lane[LANES];
-        int live[LANES] = {1, 1, 1, 1};
         for (int64_t g = 0; g < m; g++) {
             lane[g] = next;
             next_chain(&a, &next);
         }
-        int alive = 1;
         /* updates before the next event's end; that event */
         int64_t left = lead, event = event0;
-        for (int64_t i = i0; i < a.n && alive; i++) {
+        for (int64_t i = 0; i < a.n; i++) {
             const int ends = left == 0;
             left = ends ? a.every - 1 : left - 1;
-            alive = 0;
             for (int64_t g = 0; g < m; g++) {
-                if (!live[g]) {
-                    continue;
-                }
                 /* v - v is +0.0, or NaN where v is not finite */
                 if (update(&a, i, c0 + g, &lane[g]) != 0.0) {
-                    int64_t *bad = a.bad + lane[g].run; /* the least such update over the run's chains */
-                    *bad = *bad < 0 || a.first + i < *bad ? a.first + i : *bad;
-                    live[g] = 0;
-                    continue;
+                    broke(&a, lane[g].run, i);
                 }
-                alive = 1;
                 if (ends) {
                     record(&a, c0 + g, i, event);
                 }
@@ -307,28 +297,14 @@ static inline __attribute__((always_inline)) void advance(segment_t a, const int
 }
 
 /*
- * Inlined copies of the loop, so that none tests per update what is fixed
- * for the call: the dot, and whether labels are dots with w*.
+ * The loop with the fused dot, an inlined copy in which no update tests
+ * which dot to take; msgd_advance inlines the copy that calls ddot.
  */
-FUSED static void advance_fused(segment_t a, int64_t c_lo, int64_t c_hi, int64_t i0)
+FUSED static void advance_fused(segment_t a, int64_t c_lo, int64_t c_hi)
 {
     a.ddot = 0;
     a.fused = 1;
-    if (a.ym != 0) {
-        advance(a, 1, c_lo, c_hi, i0);
-    } else {
-        advance(a, 0, c_lo, c_hi, i0);
-    }
-}
-
-static void advance_ddot(segment_t a)
-{
-    a.fused = 0;
-    if (a.ym != 0) {
-        advance(a, 1, 0, a.R * a.K, 0);
-    } else {
-        advance(a, 0, 0, a.R * a.K, 0);
-    }
+    advance(a, c_lo, c_hi);
 }
 
 #ifdef FMA_TARGET
@@ -402,22 +378,16 @@ WIDE_INLINE void store_rows(double *p, const int64_t d, const __m256d *c)
     }
 }
 
-/* Whether any bit of v is set */
-WIDE_INLINE int any_set(__m256d v)
-{
-    return !_mm256_testz_si256(_mm256_castpd_si256(v), _mm256_castpd_si256(v));
-}
-
 /*
  * Update i of four lanes, lane g being the chain whose samples and noise
  * are at offsets at[g] and q[g] of idx and xi, and whose coordinates j are
- * w[j]: update()'s operations, lane by lane, into nw.  ws holds w* in
+ * w[j]: update()'s operations, lane by lane, in place.  ws holds w* in
  * every lane (labels from w*).  Returns the lanes' v - v ORed over the new
  * weights v: all bits zero in a lane whose new weights are all finite
  * (v - v is +0.0 there, else NaN).
  */
 WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *ws, int64_t i, const int64_t *at,
-                            const int64_t *q, const __m256d *w, __m256d *nw)
+                            const int64_t *q, __m256d *w)
 {
     const __m256d zero = _mm256_setzero_pd(), alpha = _mm256_set1_pd(a->alpha);
     const int64_t *idx = a->idx + i * a->in;
@@ -454,18 +424,18 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
         res = _mm256_mul_pd(res, alpha);
 #pragma GCC unroll 16
         for (int64_t j = 0; j < d; j++) {
-            nw[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, x[j]));
+            w[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, x[j]));
         }
     } else {
 #pragma GCC unroll 16
         for (int64_t j = 0; j < d; j++) {
-            nw[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, _mm256_mul_pd(alpha, x[j])));
+            w[j] = _mm256_sub_pd(w[j], _mm256_mul_pd(res, _mm256_mul_pd(alpha, x[j])));
         }
     }
     __m256d spoilt = zero;
 #pragma GCC unroll 16
     for (int64_t j = 0; j < d; j++) {
-        spoilt = _mm256_or_pd(spoilt, _mm256_sub_pd(nw[j], nw[j]));
+        spoilt = _mm256_or_pd(spoilt, _mm256_sub_pd(w[j], w[j]));
     }
     return spoilt;
 }
@@ -473,10 +443,9 @@ WIDE_INLINE __m256d update4(const segment_t *a, const int64_t d, const __m256d *
 /*
  * Chains four at a time.  A group's weights, and its tail sums in a call
  * that reaches the tail window, are loaded once, stay in registers for the
- * call and are stored once.  When an update leaves a lane non-finite, the
- * group stores the weights from before that update and hands the rest of
- * the call, from that update on, to the scalar loop, which stops that
- * lane's chain and goes on with the others.
+ * call and are stored once.  An update that leaves lanes non-finite marks
+ * their runs in bad, from the lanes that compare unordered in spoilt, and
+ * every lane goes on, as on the scalar loop.
  */
 WIDE_INLINE void chains4(const segment_t *p, const int64_t d)
 {
@@ -491,9 +460,10 @@ WIDE_INLINE void chains4(const segment_t *p, const int64_t d)
     }
     chain_t next = {0, 0, 0, 0};
     for (int64_t c0 = 0; c0 < whole; c0 += LANES) {
-        int64_t at[LANES], q[LANES];
+        int64_t run[LANES], at[LANES], q[LANES];
 #pragma GCC unroll 4
         for (int g = 0; g < LANES; g++) {
+            run[g] = next.run;
             at[g] = next.at;
             q[g] = next.q;
             next_chain(&a, &next);
@@ -503,15 +473,12 @@ WIDE_INLINE void chains4(const segment_t *p, const int64_t d)
         if (sums) {
             load_rows(a.acc + c0 * d, d, acc);
         }
-        int64_t left = lead, event = event0, i = 0;
-        for (; i < a.n; i++) {
-            __m256d nw[MAX_DIM];
-            if (any_set(update4(&a, d, ws, i, at, q, w, nw))) {
-                break;
-            }
-#pragma GCC unroll 16
-            for (int64_t j = 0; j < d; j++) {
-                w[j] = nw[j];
+        int64_t left = lead, event = event0;
+        for (int64_t i = 0; i < a.n; i++) {
+            const __m256d spoilt = update4(&a, d, ws, i, at, q, w);
+            for (int broken = _mm256_movemask_pd(_mm256_cmp_pd(spoilt, spoilt, _CMP_UNORD_Q)); broken != 0;
+                 broken &= broken - 1) {
+                broke(&a, run[__builtin_ctz(broken)], i);
             }
             if (left == 0) {
                 if (sums && a.lo <= a.first + i && a.first + i < a.hi) {
@@ -532,12 +499,9 @@ WIDE_INLINE void chains4(const segment_t *p, const int64_t d)
         if (sums) {
             store_rows(a.acc + c0 * d, d, acc);
         }
-        if (i < a.n) {
-            advance_fused(a, c0, c0 + LANES, i);
-        }
     }
     if (whole < C) {
-        advance_fused(a, whole, C, 0);
+        advance_fused(a, whole, C);
     }
 }
 
@@ -570,10 +534,10 @@ void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *i
                   int64_t ym, const double *xi, int64_t qn, int64_t qr, int64_t qk, double sigma, int64_t n,
                   int64_t lo, int64_t hi, double alpha, int32_t scaled, int64_t *bad, int64_t first, int64_t every)
 {
-    const segment_t a = {ddot, fused != 0, w, acc, iters, R, K, d, x, idx, in, ir, ik, y, ym,
+    const segment_t a = {ddot, 0, w, acc, iters, R, K, d, x, idx, in, ir, ik, y, ym,
                          xi, qn, qr, qk, sigma, n, lo, hi, alpha, scaled, bad, first, every};
     if (!fused) {
-        advance_ddot(a);
+        advance(a, 0, R * K); /* the copy whose every dot calls ddot */
         return;
     }
 #ifdef FMA_TARGET
@@ -583,7 +547,7 @@ void msgd_advance(ddot_fn ddot, int32_t fused, double *w, double *acc, double *i
         return;
     }
 #endif
-    advance_fused(a, 0, R * K, 0);
+    advance_fused(a, 0, R * K);
 }
 
 /* numpy's philox_state, with its counter and key held in place */

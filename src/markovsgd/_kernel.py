@@ -254,14 +254,12 @@ class Kernel:
         ``every``, the updates per event -- W is added into ``acc`` if ``lo
         <= u < hi`` and stored in row ``u // every`` of ``iters``, a
         contiguous ``(rows, R, K, d)``; either may be None.
-        An update (this call's i-th is number ``first + i``) that leaves an
-        instance non-finite stops that instance: it is not updated again,
-        and its rows of ``acc`` and ``iters`` are not written from that
-        update on, while the run's other instances go on.  ``bad``, a
-        contiguous int64 ``(R,)`` of -1, receives for each run the least
-        such update over its instances, and stays -1 for a finite run.
-        :func:`markovsgd.algorithms._descend` is the numpy loop of this
-        contract.
+        Every instance runs to the end of the call, a broken one too.
+        ``bad``, a contiguous int64 ``(R,)`` of -1, receives for each run
+        the least update (this call's i-th is number ``first + i``) that
+        left one of its instances non-finite, and stays -1 for a finite
+        run.  :func:`markovsgd.algorithms._descend` is the numpy loop of
+        this contract.
         """
         R, K, d = W.shape
         n = len(X)

@@ -138,13 +138,14 @@ __all__ = [
 # The one memory budget per busy thread, in eight-byte elements (2 MiB).
 # It bounds the sum of what a thread holds for its tile: the weights (runs
 # x instances x dim doubles), their tail sums and the sample block, counted
-# as what the stream keeps per sample and run.  A tile's weights and tail
-# sums fill at most half of it, unless one run holds more, and its blocks
-# take the rest (see _block_sizes).  On a 2-CPU Xeon at K = 742 and
-# R = 1000, such tiles ran parallel SGD 9-15% faster at T = 6000 than tiles
-# whose weights alone filled the budget, and at the same speed at
-# T = 2 * 10**5; tiles of an eighth ran T = 6000 no faster, and 5-run tiles
-# (a sixteenth) 1.4x slower.
+# as what the stream keeps per sample and run and what the plan's draw
+# builds of it (replay's picks and the samples it gathers).  A tile's
+# weights and tail sums fill at most half of it, unless one run holds
+# more, and its blocks take the rest (see _block_sizes).  On a 2-CPU Xeon
+# at K = 742 and R = 1000, such tiles ran parallel SGD 9-15% faster at
+# T = 6000 than tiles whose weights alone filled the budget, and at the
+# same speed at T = 2 * 10**5; tiles of an eighth ran T = 6000 no faster,
+# and 5-run tiles (a sixteenth) 1.4x slower.
 _TILE_ELEMS = 1 << 18
 
 
@@ -465,7 +466,7 @@ class _Checkpoints:
         self.events: dict[int, list[int]] = {}
         if steps is None:
             return
-        self.steps = np.asarray(sorted(int(s) for s in steps), dtype=np.int64)
+        self.steps = np.asarray(sorted(check_int(s, "checkpoint") for s in steps), dtype=np.int64)
         if np.any(self.steps < 0) or np.any(self.steps > horizon):
             raise ValueError(f"checkpoints must be sample counts in 0..{horizon} (T)")
         self.excess = np.full((len(self.steps), num_runs), np.nan)
@@ -481,12 +482,13 @@ class _Checkpoints:
                 self.excess[pos] = val
 
 
-def _block_sizes(num_runs: int, per_sample: int, held: int = 0) -> int:
-    """Samples per streamed block of ``num_runs`` runs that keeps
-    ``per_sample`` elements per sample and run, beside ``held`` elements
-    the runs hold already (their weights and tail sums): as many as fit the
-    budget ``_TILE_ELEMS`` together with them, and at least one."""
-    return max(1, (_TILE_ELEMS - held) // (num_runs * per_sample))
+def _block_sizes(num_runs: int, per_event: int, held: int = 0) -> int:
+    """Events (updates, rounds or buffers) per streamed block of
+    ``num_runs`` runs that keeps ``per_event`` elements per event and run,
+    beside ``held`` elements the runs hold already (their weights and tail
+    sums): as many as fit the budget ``_TILE_ELEMS`` together with them,
+    and at least one."""
+    return max(1, (_TILE_ELEMS - held) // (num_runs * per_event))
 
 
 class _Diverged(Exception):
@@ -513,10 +515,11 @@ def _descend(
 
     It takes the same arguments, gathers the samples' rows from ``table``
     (the one place that copies sample vectors), makes the same labels, sums
-    and stores W after the same updates and reports the same updates into
-    ``bad``, but checks the weights only after its last update: a broken
-    instance runs on with the others, and a second pass from the call's
-    start finds the update that first broke one of each run's instances.
+    and stores W after the same updates, runs a broken instance on to the
+    end as the compiled loop does, and reports the same updates into
+    ``bad``.  It checks the weights only after its last update; a second
+    pass from the call's start then finds the update that first broke one
+    of each run's instances.
     """
     rows, X = X, table.take(X, axis=0)
     Y = np.vecdot(X, labels) if labels.ndim == 1 else labels[0].take(rows)  # w*, or a table
@@ -638,7 +641,8 @@ class _Plan:
     instance axis in the outputs and updates in parallel SGD's order.  Row
     e of the iterates is the weight after event e, row 0 the start: the
     estimate averages ``window = (first row, count)``, and a runner returns
-    the rows from ``first_row`` on.
+    the rows from ``first_row`` on.  ``drawn`` counts the elements per
+    event and run that ``draw`` builds beside the stream's blocks.
     """
 
     events: int
@@ -650,6 +654,7 @@ class _Plan:
     updates: int = 1
     parallel: bool = False
     first_row: int = 0
+    drawn: int = 0
 
 
 def _sgd_plan(problem: Problem, T: int, config: SgdConfig, seeds) -> _Plan:
@@ -715,22 +720,29 @@ def _replay_plan(problem: Problem, T: int, config: ReplayConfig, seeds) -> _Plan
     count = math.ceil(config.tail_buffer_fraction * n_buf)
     algo_rngs = [_run_generators(s, (2,))[0] for s in seeds]
     rr = np.arange(len(seeds))[:, None]
+    noisy = isinstance(problem.noise, IndependentGaussian)
 
     def draw(stream, j, nb, reads):
         states = stream.states(nb * S)
         xi = stream.noise(nb * B)  # one variate per retained sample
-        # step s of run r in buffer b replays sample picks[r, b, s] of that
+        # step s of run r in buffer b replays sample at[r, b, s] of that
         # buffer's retained pool
-        picks = np.stack([rng.integers(0, B, size=(nb, B)) for rng in algo_rngs])
-        buf = np.arange(nb)[:, None]
-        at = (buf * S + u + picks).reshape(len(rr), -1)
+        at = np.empty((len(rr), nb, B), dtype=np.int64)
+        for r, rng in enumerate(algo_rngs):
+            at[r] = rng.integers(0, B, size=(nb, B))
         # per run, (R, updates), as the update loop takes one run at a time;
         # handed back in update order as transposed views
+        flat = at.reshape(len(rr), -1)
+        buf = np.arange(nb)[:, None]
+        at += buf * B  # in place: the pick's position in the block's retained samples
         if xi is not None:
-            xi = xi.T.take(rr * (nb * B) + (buf * B + picks).reshape(len(rr), -1)).T
-        return states.T[rr, at].T, xi, j * S + 1 + at[0] if reads else None
+            xi = xi.T[rr, flat].T
+        at += buf * (S - B) + u  # and in the block's samples
+        return states.T[rr, flat].T, xi, j * S + 1 + flat[0] if reads else None
 
-    return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1)
+    # per buffer draw builds B positions, B gathered states and their noise
+    drawn = B * (2 + noisy)
+    return _Plan(n_buf, S, (n_buf - count + 1, count), config.step_size, draw, updates=B, first_row=1, drawn=drawn)
 
 
 _PLANS = {
@@ -777,7 +789,7 @@ def _engine(
     if 0 in ck.events:  # parallel SGD's instance mean is a pass over W: only where it is recorded
         ck.record(0, problem, point(W))
 
-    block = max(1, _block_sizes(R, stream.per_sample, held=W.size + acc.size) // per_event)
+    block = _block_sizes(R, stream.per_sample * per_event + plan.drawn, held=W.size + acc.size)
     stops = {e * B for e in ck.events}  # event e ends with update e * B
     reads = []
     j = 0
@@ -796,6 +808,7 @@ def _engine(
                 iters=iters, scaled=plan.parallel, every=B,
             ):
                 ck.record(upd // B, problem, point(W))
+            del s, xi  # replay's gathered samples, freed before the next block is drawn
             j += n
     except _Diverged as exc:
         raise _divergence(seeds[exc.run], -(-exc.update // B) * per_event) from None

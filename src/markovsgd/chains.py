@@ -592,13 +592,15 @@ def _seed_parts(seed) -> tuple:
     """The entropy, spawn key and pool size of a seed's SeedSequence.
 
     A seed is an integer or a SeedSequence; an integer's parts are those of
-    ``SeedSequence(int(seed))``, found without building it.
+    ``SeedSequence(seed)``, found without building it.  An integral float
+    reads as an integer, as a config field does; a bool, a string or a
+    fraction is an error.
     """
     if isinstance(seed, np.random.SeedSequence):
         return seed.entropy, seed.spawn_key, seed.pool_size
     if isinstance(seed, np.random.Generator):
         raise TypeError("pass an integer seed or SeedSequence, not a Generator")
-    return int(seed), (), 4
+    return check_int(seed, "seed"), (), 4
 
 
 def _run_generators(seed, children) -> tuple[np.random.Generator, ...]:

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .chains import chain_from_json, mixing_time
+from .chains import chain_from_json, check_object, mixing_time
 from .experiments import ExperimentConfig, accept, run_experiment, sweep
 
 
@@ -39,7 +39,7 @@ def _emit(doc) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
+    doc = check_object(_load_json(args.config), "experiment config")
     if args.seed is not None:
         doc["seed"] = args.seed
     config = ExperimentConfig.from_json(doc)
@@ -49,7 +49,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
+    doc = check_object(_load_json(args.config), "experiment config")
     grid = _load_json(args.grid)
     if args.seed is not None:
         doc["seed"] = args.seed

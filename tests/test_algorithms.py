@@ -407,9 +407,10 @@ class TestReplay:
             return advance(W, X, *args)
 
         monkeypatch.setattr(algorithms, "_load_kernel", lambda d: types.SimpleNamespace(advance=counted))
-        # the run's weights and tail sums, 2 * 4 elements, and 20 samples of
-        # d = 4 coordinates and noise: five buffers a block
-        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 2 * 4 + 20 * (4 + 1))
+        # the run's weights and tail sums, 2 * 4 elements, and per buffer 4
+        # samples of d = 4 coordinates and noise and the positions, states
+        # and noise of its 3 replayed updates: five buffers a block
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 2 * 4 + 5 * (4 * (4 + 1) + 3 * 3))
         cfg = ReplayConfig(buffer_size=3, drop_prefix=1, step_size=0.2)
         run_many(gaussian_problem(), 48, cfg, [5], checkpoints=[0, 9, 22, 30, 48])
         # blocks of buffers 1-5, 6-10 and 11-12; checkpoints end buffers 0, 2,
@@ -718,6 +719,8 @@ class TestRunMany:
 # Bad input fails at the entry
 # ---------------------------------------------------------------------------
 
+_TRACE_PROBLEM = make_problem(GaussianARSpec(dim=4, epsilon=0.9), Noiseless(), w_star=np.zeros(4))
+
 _CONFIGS = {
     run_sgd: SgdConfig(step_size=0.3),
     run_sgd_dd: DataDropConfig(SgdConfig(step_size=0.3), drop_interval=3),
@@ -796,6 +799,24 @@ class TestEntryChecks:
         assert run_sgd(gaussian_problem(), 50.0, cfg, 1).iterates.tobytes() == (
             run_sgd(gaussian_problem(), 50, cfg, 1).iterates.tobytes()
         )
+
+    @pytest.mark.parametrize(
+        "what,call",
+        [
+            ("seed", lambda v: run_many(gaussian_problem(), 48, SgdConfig(step_size=0.1), [1, v]).estimates),
+            *(("seed", lambda v, r=r, c=c: r(gaussian_problem(), 48, c, v).iterates) for r, c in _CONFIGS.items()),
+            ("seed", lambda v: run_lower_bound_traces(_TRACE_PROBLEM, 48, 0.04, [v], w_init=np.eye(4)[0])[1]),
+            ("checkpoint", lambda v: run_many(
+                gaussian_problem(), 48, SgdConfig(step_size=0.1), [1], checkpoints=[v]).checkpoint_excess),
+        ],
+        ids=["run_many", *(r.__name__ for r in _CONFIGS), "traces", "checkpoints"],
+    )
+    def test_seeds_and_checkpoints_are_integers(self, what, call):
+        # a bool, a string or a fraction is named; an integral float reads as its integer
+        for value in (1.9, True, "7"):
+            with pytest.raises(ValueError, match=re.escape(f"{what} must be an integer, got {value!r}")):
+                call(value)
+        assert call(7.0).tobytes() == call(7).tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sgd_config_rejects_a_non_finite_step_size(self, value):
@@ -1326,7 +1347,7 @@ class TestTiles:
 
     @staticmethod
     def _record_block_sizes(monkeypatch):
-        """Record each call of ``_block_sizes``: its runs and the samples it gives."""
+        """Record each call of ``_block_sizes``: its runs and the events it gives."""
         sized = []
         block_sizes = algorithms._block_sizes
 
@@ -1369,8 +1390,8 @@ class TestTiles:
         # R * K * d = 64 * 4096 * 4 doubles: 16 tiles of 4 runs, whose weights
         # and tail sums fill half the budget, 2 * 4 * 4096 * 4 = 2**17; a
         # tile's stream keeps a state and its noise per sample and run, so its
-        # blocks take the other half: (2**18 - 2**17) // (4 * 2) = 16384
-        # samples, all 4 rounds of T = 16384
+        # blocks take the other half: (2**18 - 2**17) // (4 * 2 * 4096) = 4
+        # rounds of 4096 samples, all of T = 16384
         problem = make_problem(make_mc0(4, 0.2), IndependentGaussian(0.1), w_star=np.zeros(4))
         cfg = ParallelConfig(SgdConfig(0.2), 4096)
         seeds = list(range(64))
@@ -1381,7 +1402,7 @@ class TestTiles:
             sized.clear()
             run_many(problem, 16384, cfg, seeds, workers=workers)
             assert [len(c) for c in calls] == [4] * 16
-            assert sized == [(4, 16384)] * 16  # a tile's runs, however many threads are busy
+            assert sized == [(4, 4)] * 16  # a tile's runs, however many threads are busy
 
     def test_batches_that_fit_keep_one_chunk_per_worker(self, monkeypatch):
         problem = finite_problem()
@@ -1391,8 +1412,9 @@ class TestTiles:
         run_many(problem, 40, ParallelConfig(SgdConfig(0.2), 20), seeds, workers=2)
         assert [len(c) for c in calls] == [500, 500]
         # each chunk's blocks sized for its own runs, beside their weights
-        # and tail sums of 2 * 500 * 20 * 2 doubles: (2**18 - 40000) // (500 * 2)
-        assert sized == [(500, 222), (500, 222)]
+        # and tail sums of 2 * 500 * 20 * 2 doubles: (2**18 - 40000) //
+        # (500 * 2 * 20) = 11 rounds of 20 samples
+        assert sized == [(500, 11), (500, 11)]
 
     def test_each_thread_holds_sample_blocks_within_the_budget(self, monkeypatch):
         # finite SGD at R = 1000, d = 4 on two threads: two tiles of 500 runs,
@@ -1448,6 +1470,25 @@ class TestTiles:
             # it tracemalloc counts the results and some 30 KiB of objects
             assert batch - outputs <= algorithms._TILE_ELEMS * 8 + 64 * 1024
 
+    def test_replay_peaks_within_the_budget(self):
+        if algorithms._load_kernel(4) is None:
+            pytest.skip("the compiled update loop is unavailable here")
+        # beside the stream's blocks replay's draw builds its picks'
+        # positions, the gathered states and their noise; the blocks are
+        # sized for those too
+        problem = make_problem(make_mc0(4, 1 / 8), IndependentGaussian(0.1), w_star=np.zeros(4))
+        cfg = ReplayConfig(buffer_size=50, drop_prefix=10)
+        run_many(problem, 2000, cfg, [0, 1], workers=1)  # the kernel loaded, its checks run
+        tracemalloc.start()
+        try:
+            out = run_many(problem, 20000, cfg, list(range(100)), workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # with the draw's arrays uncounted the batch peaked at 6.8 MiB; beyond
+        # the budget tracemalloc counts the results and each run's objects
+        assert peak - out.estimates.nbytes - out.final_iterates.nbytes <= algorithms._TILE_ELEMS * 8 + 64 * 1024
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -1459,7 +1500,7 @@ class TestTiles:
         seeds = [10, 11, 12, 14, 13, 15, 16, 17]
         starts = np.tile(problem.w_star, (8, 1))
         starts[[3, 4, 5]] = 1.0
-        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 2 * 3)
+        monkeypatch.setattr(algorithms, "_TILE_ELEMS", 4 * 2 * 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads interleave as finely as they can
         try:

@@ -1325,6 +1325,16 @@ class TestCli:
             main(["simulate", "--config", str(cfg), "--seed", "-1"])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("doc, shown", [([1, 2], r"\[1, 2\]"), ("x", "'x'")], ids=["list", "string"])
+    def test_a_seed_flag_on_a_config_that_is_not_an_object(self, tmp_path, command, doc, shown):
+        cfg, grid = tmp_path / "config.json", tmp_path / "grid.json"
+        cfg.write_text(json.dumps(doc))
+        grid.write_text(json.dumps({"seed": [1]}))
+        argv = [command, "--config", str(cfg), "--seed", "3"] + (["--grid", str(grid)] if command == "sweep" else [])
+        with pytest.raises(SystemExit, match=f"^error: experiment config must be a JSON object, got {shown}$"):
+            main(argv)
+
     def test_mixing_names_a_chain_that_is_not_an_object(self, tmp_path):
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps("mc3"))

@@ -365,18 +365,7 @@ class TestRunsSideBySide:
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     def test_a_run_that_breaks_among_its_lane_mates(self, mode, m):
-        W0, X, labels, table, xi = _lane_inputs(mode, m, 9, 4, 1)
-        xi[17, 5, 0] = np.inf  # run 5, in the second group of runs, breaks at update 1 + 17
-        batch = _advance_runs(W0, X, labels, table, xi, slice(None))
-        broken = [p for p in range(m) if _NOISY[p]]  # the bias path reads no noise, and runs on
-        assert batch[3].tolist() == [[-1] * 5 + [18] + [-1] * 3 if p in broken else [-1] * 9 for p in range(m)]
-        for r in range(9):
-            alone = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
-            assert _each_run(batch, r) == _each_run(alone, 0)
-        # the broken run stops there: no acc or iters row is written from update 18 on
-        for p in broken:
-            assert not np.isfinite(batch[0][p, 5]).all()
-            assert not batch[2][18:, p, 5].any()
+        self._break(mode, m, 9, 1, 5, {0: 17})  # run 5, in the second group of runs, breaks at update 1 + 17
 
     # 5 runs of 6 instances are 30 chains, in groups of four: chains 12 .. 15
     # are instances 0 .. 3 of run 2, chains 16 .. 19 instances 4, 5 of run 2
@@ -385,53 +374,49 @@ class TestRunsSideBySide:
     @pytest.mark.parametrize("m", [1, 3], ids=["plain", "coupled"])
     @pytest.mark.parametrize("r,k", [(2, 1), (2, 5), (4, 5)], ids=["in-a-group-of-four", "across-runs", "left-over"])
     def test_an_instance_that_breaks_mid_round(self, mode, m, r, k):
-        self._break(mode, m, r, {k: 17})  # instance k of run r breaks in round 1 + 17
+        self._break(mode, m, 5, 6, r, {k: 17})  # instance k of run r breaks in round 1 + 17
 
     @pytest.mark.parametrize("mode", ["w-star", "label-table"])
     @pytest.mark.parametrize("rounds", [(25, 9), (9, 25)], ids=["second-breaks-first", "first-breaks-first"])
     def test_two_instances_that_break_in_different_rounds(self, mode, rounds):
         # instance 1 (chain 13) is taken before instance 4 (chain 16, in the
         # next group): whichever breaks first, bad keeps the earlier round
-        self._break(mode, 3, 2, dict(zip((1, 4), rounds)))
+        self._break(mode, 3, 5, 6, 2, dict(zip((1, 4), rounds)))
 
-    def _break(self, mode, m, r, breaks):
-        """Instance k of run r, of 5 runs of 6 instances, breaks in round 1 +
-        breaks[k]: bad names the run's first broken round on both loops,
-        every other chain keeps the bits it has unbroken, and on the
-        compiled loop a broken instance's rows hold its rounds before its
-        break alone."""
-        W0, X, labels, table, xi = _lane_inputs(mode, m, 5, 4, 6)
+    def _break(self, mode, m, R, K, r, breaks):
+        """Instance k of run r, of R runs of K instances, breaks in round 1 +
+        breaks[k].  On both loops bad names the run's first broken round,
+        every other chain keeps the bits it has unbroken, and a broken
+        instance runs on to the end: its rows hold its unbroken rounds
+        before its break, and are non-finite from the break on."""
+        W0, X, labels, table, xi = _lane_inputs(mode, m, R, 4, K)
         unbroken = _advance_runs(W0, X, labels, table, xi, slice(r, r + 1))
+        before = {i: _advance_runs(W0, X[:i], labels, table, xi[:i], slice(r, r + 1)) for i in breaks.values()}
         for k, i in breaks.items():
             xi[i, r, k] = np.inf
         broken = [p for p in range(m) if _NOISY[p]]  # the bias path reads no noise, and runs on
-        want = np.full((m, 5), -1)
+        want = np.full((m, R), -1)
         want[broken, r] = min(breaks.values()) + 1
         compiled = _advance_runs(W0, X, labels, table, xi, slice(None))
         numpy = _advance_runs(W0, X, labels, table, xi, slice(None), algorithms._descend)
         for loop, out in (("compiled", compiled), ("numpy", numpy)):
             W, acc, iters, bad = out
             assert bad.tolist() == want.tolist(), loop
-            for q in set(range(5)) - {r}:
+            for q in set(range(R)) - {r}:
                 alone = _advance_runs(W0, X, labels, table, xi, slice(q, q + 1))
                 assert _each_run(out, q) == _each_run(alone, 0), loop
-            # the run's other instances run to the end
             for p in range(m):
-                ks = [k for k in range(6) if p not in broken or k not in breaks]
+                # the run's other instances run to the end with their own bits
+                ks = [k for k in range(K) if p not in broken or k not in breaks]
                 assert W[p, r, ks].tobytes() == unbroken[0][p, 0, ks].tobytes(), loop
                 assert acc[p, r, ks].tobytes() == unbroken[1][p, 0, ks].tobytes(), loop
                 assert iters[:, p, r, ks].tobytes() == unbroken[2][:, p, 0, ks].tobytes(), loop
                 for k in breaks if p in broken else ():
+                    i = breaks[k]
+                    assert iters[: i + 1, p, r, k].tobytes() == before[i][2][:, p, 0, k].tobytes(), loop
+                    assert not np.isfinite(iters[i + 1 :, p, r, k]).all(axis=-1).any(), loop
                     assert not np.isfinite(W[p, r, k]).all(), loop
-        # the compiled loop stops a broken instance: its sums and iterates
-        # are those of its rounds before the break
-        W, acc, iters, _ = compiled
-        for k, i in breaks.items():
-            first = _advance_runs(W0, X[:i], labels, table, xi[:i], slice(r, r + 1))
-            for p in broken:
-                assert not iters[i + 1 :, p, r, k].any()
-                assert acc[p, r, k].tobytes() == first[1][p, 0, k].tobytes()
-                assert iters[: i + 1, p, r, k].tobytes() == first[2][:, p, 0, k].tobytes()
+                    assert not np.isfinite(acc[p, r, k]).all(), loop  # the break falls in the tail window
 
     def test_run_many_names_the_one_run_that_broke_among_its_lane_mates(self):
         problem = make_problem(GaussianARSpec(dim=3, epsilon=0.3), IndependentGaussian(0.1), w_star=np.ones(3))
